@@ -7,13 +7,9 @@ from .build import (
     NULLIFY_ACTION,
     BuildOptions,
     Schedule,
-    add_clock,
-    attach_during,
     build_pe_net,
-    complete_with_persistence,
     enumerate_states,
     make_schedule,
-    merge_contingent,
     split_situations,
 )
 from .dsl import SourceDocument, parse_kb, parse_plan, print_kb

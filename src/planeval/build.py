@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import (
     ArityMismatch,
     BuildError,
+    LayeringViolation,
     MissingDuration,
     PlanEvalError,
     UnknownConditionNode,
@@ -258,10 +259,17 @@ class Schedule:
     def _validate(self):
         seen_boundaries = set()
         claimed = {}
+        position = {b: i for i, b in enumerate(self.boundary_order)}
         for group in self.plan.contingencies:
             if group.boundary in seen_boundaries:
                 raise PlanEvalError(f"two contingency groups share boundary {group.boundary!r}")
             seen_boundaries.add(group.boundary)
+            for row in group.selector:
+                for key in row.condition:
+                    if (isinstance(key, SelRef) and self.group_at_boundary(key.boundary) is not None
+                            and position[key.boundary] >= position[group.boundary]):
+                        raise LayeringViolation(
+                            f"selector at {group.boundary!r} reads {key}; it may only read earlier selections")
             if group.origin != "plain":
                 continue  # expansion alternatives are labels, not step ids
             for alt in group.alternatives:
@@ -285,7 +293,7 @@ class Schedule:
     # -- analysis results (filled by analyse()) ---------------------------
 
     def analyse(self):
-        self.states, self.parents, self.approx = _forward_analysis(self)
+        self.states, self.parents, self.approx, self.rows = _forward_analysis(self)
         return self.states
 
 
@@ -337,6 +345,17 @@ def _during_gate_pins(schedule: Schedule, step: PlanStep, consequence: GroundAto
     return pins
 
 
+def _fragment_rows(schedule: Schedule, target: NodeId, pins: dict, ground_rows, read_sit, provenance: str) -> list:
+    """Ground model rows for ``target``: the pins plus each row's conditions read at ``read_sit``."""
+    rows = []
+    for row in ground_rows:
+        condition = dict(pins)
+        for key, state in row.condition.items():
+            condition[_resolve_key(schedule, key, read_sit)] = state
+        rows.append(FragmentRow(target, condition, dict(row.distribution), provenance))
+    return rows
+
+
 def _ender_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
     """Fragment rows for one step's consequences landing at one end situation."""
     rows = []
@@ -348,13 +367,8 @@ def _ender_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
         consequence = instantiate(pattern, bindings)
         pins = dict(base_pins)
         pins.update(_during_gate_pins(schedule, step, consequence))
-        target = atom_node(consequence, sid)
-        for model_row in model_rows:
-            ground = instantiate_row(model_row, bindings)
-            condition = dict(pins)
-            for key, state in ground.condition.items():
-                condition[_resolve_key(schedule, key, start)] = state
-            rows.append(FragmentRow(target, condition, dict(ground.distribution), f"action {step.id}"))
+        ground = (instantiate_row(row, bindings) for row in model_rows)
+        rows += _fragment_rows(schedule, atom_node(consequence, sid), pins, ground, start, f"action {step.id}")
     return rows
 
 
@@ -362,14 +376,7 @@ def _residual_rows(schedule: Schedule, res, sid: SituationId) -> list:
     pins = _guard_pins(schedule, res.guards)
     pins.update(_gate_pin(schedule, sid))
     start = schedule.sit_of_boundary(res.start)
-    target = atom_node(res.atom, sid)
-    rows = []
-    for row in res.rows:
-        condition = dict(pins)
-        for key, state in row.condition.items():
-            condition[_resolve_key(schedule, key, start)] = state
-        rows.append(FragmentRow(target, condition, dict(row.distribution), f"residual {res.source}"))
-    return rows
+    return _fragment_rows(schedule, atom_node(res.atom, sid), pins, res.rows, start, f"residual {res.source}")
 
 
 def _during_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
@@ -380,29 +387,44 @@ def _during_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
     pins = _guard_pins(schedule, step.guards)
     pins.update(_gate_pin(schedule, sid))
     for pattern, model_rows in step.model.during_effects:
-        target_atom = instantiate(pattern, bindings)
-        target = atom_node(target_atom, sid)
-        for model_row in model_rows:
-            ground = instantiate_row(model_row, bindings)
-            condition = dict(pins)
-            for key, state in ground.condition.items():
-                condition[_resolve_key(schedule, key, prev)] = state
-            rows.append(FragmentRow(target, condition, dict(ground.distribution), f"during {step.id}"))
+        target = atom_node(instantiate(pattern, bindings), sid)
+        ground = (instantiate_row(row, bindings) for row in model_rows)
+        rows += _fragment_rows(schedule, target, pins, ground, prev, f"during {step.id}")
     return rows
 
 
 def _selector_rows(schedule: Schedule, group) -> tuple:
     sid = schedule.sit_of_boundary(group.boundary)
     target = sel_node(group.boundary, sid)
-    rows = []
-    for row in group.selector:
-        condition = {}
-        for key, state in row.condition.items():
-            condition[_resolve_key(schedule, key, sid)] = state
-        rows.append(FragmentRow(target, condition, dict(row.distribution), f"selector {group.boundary}"))
+    rows = _fragment_rows(schedule, target, {}, group.selector, sid, f"selector {group.boundary}")
     default = group.selected if group.origin == "expansion" else NOOP
     default_row = FragmentRow(target, {}, {default: 1.0}, f"selector-default {group.boundary}")
     return rows, default_row
+
+
+def _situation_rows(schedule: Schedule, sid: SituationId) -> list:
+    """(kind, source, rows) for everything writing one situation, in paste order.
+
+    Kind is "action" for ending steps, then "residual", then "during" for
+    spanning steps; source is the step or residual effect. Generated once
+    per schedule: the forward analysis reads these rows and the paste
+    stages write the same row objects.
+    """
+    return ([("action", step, _ender_rows(schedule, step, sid)) for step in schedule.enders_at(sid)]
+            + [("residual", res, _residual_rows(schedule, res, sid)) for res in schedule.residuals_at(sid)]
+            + [("during", step, _during_rows(schedule, step, sid)) for step in schedule.spanners_at(sid)])
+
+
+def _rows_by_target(entries: list) -> dict:
+    """Regroup (kind, source, rows) entries under each node the rows write."""
+    by_target = {}
+    for kind, source, rows in entries:
+        for row in rows:
+            writers = by_target.setdefault(row.node, [])
+            if not writers or writers[-1][1] is not source:
+                writers.append((kind, source, []))
+            writers[-1][2].append(row)
+    return by_target
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +492,13 @@ def _forward_analysis(schedule: Schedule):
 
     The marginal estimates treat parents as independent and over-count where
     later pastes override earlier ones; they exist only to rank states for
-    OTHER compaction.
+    OTHER compaction. Also returns each situation's rows, which the paste
+    stages write unchanged.
     """
     states: dict = {}
     approx: dict = {}
     parents: dict = {}
+    sit_rows: dict = {}
     plan = schedule.plan
     kb = schedule.kb
     opts = schedule.opts
@@ -487,6 +511,9 @@ def _forward_analysis(schedule: Schedule):
 
         if schedule.timed:
             _analyse_clock_family(schedule, states, approx, parents, pos, si, sign_probs)
+        if pos > 0:
+            sit_rows[sid] = _situation_rows(schedule, sid)
+            by_target = _rows_by_target(sit_rows[sid])
 
         for atom in schedule.atoms:
             nid = atom_node(atom, sid)
@@ -510,22 +537,15 @@ def _forward_analysis(schedule: Schedule):
                     support.setdefault(state, None)
                     mass[state] = mass.get(state, 0.0) + weight * prob
 
-            rows = []
-            ender_list = schedule.enders_at(sid)
-            for step in ender_list:
-                rows.extend(r for r in _ender_rows(schedule, step, sid) if r.node == nid)
-            for res in schedule.residuals_at(sid):
-                rows.extend(r for r in _residual_rows(schedule, res, sid) if r.node == nid)
-            for step in schedule.spanners_at(sid):
-                rows.extend(r for r in _during_rows(schedule, step, sid) if r.node == nid)
+            writers = by_target.get(nid, [])
+            for _kind, _source, rows in writers:
+                for row in rows:
+                    for key in row.condition:
+                        parent_set.setdefault(key, None)
+                    if _row_feasible(states, row.condition):
+                        absorb(row.distribution, max(_combo_weight(approx, row.condition), 1e-12))
 
-            for row in rows:
-                for key in row.condition:
-                    parent_set.setdefault(key, None)
-                if _row_feasible(states, row.condition):
-                    absorb(row.distribution, max(_combo_weight(approx, row.condition), 1e-12))
-
-            if not _fully_covered(schedule, states, rows, ender_list, si):
+            if not _fully_covered(states, writers, si):
                 parent_set.setdefault(prev_nid, None)
                 model = kb.persistence.get(atom.name)
                 buckets = _reachable_buckets(schedule, states, sid, model)
@@ -583,7 +603,7 @@ def _forward_analysis(schedule: Schedule):
             for row in sel_rows:
                 for key in row.condition:
                     parent_set.setdefault(key, None)
-            uncovered = _selector_uncovered(states, sel_rows, parent_set)
+            uncovered = not _covers_reachable(states, sel_rows)
             explicit_noop = any(NOOP in row.distribution for row in sel_rows)
             labels = list(group.alternatives)
             if group.origin == "plain" and (uncovered or explicit_noop) and NOOP not in labels:
@@ -604,63 +624,39 @@ def _forward_analysis(schedule: Schedule):
             approx[nid] = {s: mass.get(s, 0.0) / total for s in labels}
             parents[nid] = sorted(parent_set, key=lambda n: str(n))
 
-    return states, parents, approx
+    return states, parents, approx, sit_rows
 
 
-def _selector_uncovered(states: dict, sel_rows: list, parent_set: dict) -> bool:
-    """True when some reachable condition combination lacks a selector row."""
-    keys = sorted(parent_set, key=lambda n: str(n))
-    if not keys:
-        return not sel_rows
+def _covers_reachable(states: dict, rows: list) -> bool:
+    """True when the feasible rows cover every reachable combination of their condition keys."""
+    keys = sorted({key for row in rows for key in row.condition}, key=str)
     covered = set()
-    for row in sel_rows:
+    for row in rows:
         if not _row_feasible(states, row.condition):
             continue
         expansion = [
-            (row.condition[key],) if key in row.condition else tuple(states[key])
+            (row.condition[key],) if key in row.condition else tuple(states.get(key, ()))
             for key in keys
         ]
         covered.update(itertools.product(*expansion))
     full = 1
     for key in keys:
-        full *= max(len(states[key]), 1)
-    return len(covered) < full
+        full *= max(len(states.get(key, ())), 1)
+    return len(covered) == full
 
 
-def _fully_covered(schedule: Schedule, states: dict, rows: list, enders: list, si: SitInfo) -> bool:
-    """True when action rows alone cover every reachable predecessor combination.
+def _fully_covered(states: dict, writers: list, si: SitInfo) -> bool:
+    """True when one action's rows alone cover every reachable predecessor combination.
 
     Conservative: any guard, gate, residual, or during effect forces the
     persistence fallback parent.
     """
-    if si.gate is not None or not rows:
+    if si.gate is not None or len(writers) != 1:
         return False
-    if any(r.provenance.startswith(("residual", "during")) for r in rows):
+    kind, step, rows = writers[0]
+    if kind != "action" or step.guards or step.model.during_conditions:
         return False
-    relevant = [s for s in enders if any(r.provenance == f"action {s.id}" for r in rows)]
-    if len(relevant) != 1:
-        return False
-    step = relevant[0]
-    if step.guards or step.model.during_conditions:
-        return False
-    pools = {}
-    for row in rows:
-        for key in row.condition:
-            pools[key] = states.get(key, ())
-    keys = sorted(pools, key=lambda n: str(n))
-    covered = set()
-    for row in rows:
-        if not _row_feasible(states, row.condition):
-            continue
-        expansion = [
-            (row.condition[key],) if key in row.condition else tuple(pools[key])
-            for key in keys
-        ]
-        covered.update(itertools.product(*expansion))
-    full = 1
-    for key in keys:
-        full *= max(len(pools[key]), 1)
-    return len(covered) == full
+    return _covers_reachable(states, rows)
 
 
 def _compact(ordered: list, margin: dict, cap: int):
@@ -878,17 +874,14 @@ def _stage_priors(schedule: Schedule, net: PENet):
 
 
 def _stage_actions(schedule: Schedule, net: PENet):
-    for pos, si in enumerate(schedule.situations[1:], start=1):
-        onto = Fragment()
-        for step in schedule.enders_at(si.sid):
-            onto.rows.extend(_ender_rows(schedule, step, si.sid))
-        if onto.rows:
-            paste_onto(net, onto)
-        into = Fragment()
-        for res in schedule.residuals_at(si.sid):
-            into.rows.extend(_residual_rows(schedule, res, si.sid))
-        if into.rows:
-            paste_into(net, into)
+    for si in schedule.situations[1:]:
+        entries = schedule.rows[si.sid]
+        onto = [row for kind, _source, rows in entries if kind == "action" for row in rows]
+        if onto:
+            paste_onto(net, Fragment(rows=onto))
+        into = [row for kind, _source, rows in entries if kind == "residual" for row in rows]
+        if into:
+            paste_into(net, Fragment(rows=into))
 
 
 def merge_contingent(group, net: PENet) -> PENet:
@@ -906,17 +899,21 @@ def merge_contingent(group, net: PENet) -> PENet:
     return net
 
 
-def attach_during(step: PlanStep, schedule: Schedule, net: PENet, opts: BuildOptions) -> PENet:
+def attach_during(step: PlanStep, schedule: Schedule, net: PENet) -> PENet:
     """Paste one step's during effects onto each of its intermediate situations."""
-    frag = Fragment()
-    for mid in schedule.intermediates(step):
-        frag.rows.extend(_during_rows(schedule, step, mid))
-    if frag.rows:
-        paste_onto(net, frag)
+    rows = [
+        row
+        for mid in schedule.intermediates(step)
+        for _kind, source, source_rows in schedule.rows[mid]
+        if source is step
+        for row in source_rows
+    ]
+    if rows:
+        paste_onto(net, Fragment(rows=rows))
     return net
 
 
-def add_clock(schedule: Schedule, kb: KnowledgeBase, net: PENet, opts: BuildOptions) -> PENet:
+def add_clock(schedule: Schedule, net: PENet) -> PENet:
     """Clock, duration, and relative-end-time nodes plus their rows."""
     if not schedule.timed:
         return net
@@ -1166,15 +1163,14 @@ def _forward_build(schedule: Schedule) -> PENet:
         merge_contingent(group, net)
     for step in schedule.plan.steps:
         if step.model.during_effects:
-            attach_during(step, schedule, net, schedule.opts)
-    add_clock(schedule, schedule.kb, net, schedule.opts)
+            attach_during(step, schedule, net)
+    add_clock(schedule, net)
     return net
 
 
-def enumerate_states(schedule: Schedule, kb: KnowledgeBase = None, opts: BuildOptions = None) -> dict:
+def enumerate_states(schedule: Schedule) -> dict:
     """Per-node reachable state lists (forward enumeration, OTHER-compacted)."""
-    states, _parents, _approx = _forward_analysis(schedule)
-    return states
+    return _forward_analysis(schedule)[0]
 
 
 def make_schedule(plan: Plan, kb: KnowledgeBase, opts: BuildOptions, boundary_order: list) -> Schedule:

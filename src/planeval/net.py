@@ -12,10 +12,15 @@ Two merge operations build nets from model fragments:
 
 Layering rules, enforced on every arc:
 
+* no arc points from a later situation to an earlier one;
 * a primitive node's atom parents live in strictly earlier situations
   (gating nodes - selection, clock, relative-end-time - may share its
   situation, but never a predicate node);
 * a derived node's parents are primitive nodes in the same situation.
+
+Since arcs never point backward, a cycle can only close inside one
+situation, so a same-situation arc is checked for cycles by walking the
+parent's same-situation ancestors alone.
 """
 
 from __future__ import annotations
@@ -195,6 +200,8 @@ class PENet:
         if parent not in self.nodes:
             raise PlanEvalError(f"parent {parent} of {node.id} is not in the net")
         self._check_layering(parent, node)
+        if parent.sit == node.id.sit:
+            self._check_no_cycle(parent, node.id)
         node.parents.append(parent)
         node.parents.sort(key=self.node_key)
         index = node.parents.index(parent)
@@ -207,41 +214,35 @@ class PENet:
                     new_combo = combo[:index] + (value,) + combo[index:]
                     node.cpt[new_combo] = dict(dist)
                     node.provenance[new_combo] = old_prov[combo]
-        self._assert_acyclic()
 
     def _check_layering(self, parent: NodeId, child: Node):
         pkind = self.nodes[parent].kind
         ppos, cpos = self._positions[parent.sit], self._positions[child.id.sit]
+        if ppos > cpos:
+            raise LayeringViolation(f"arc {parent} -> {child.id}: parent follows the child situation")
         if child.kind == PRIMITIVE:
-            if pkind in ATOM_KINDS and ppos >= cpos:
+            if pkind in ATOM_KINDS and ppos == cpos:
                 raise LayeringViolation(
                     f"arc {parent} -> {child.id}: predicate parents of a primitive node "
                     "must lie in an earlier situation"
                 )
-            if pkind not in ATOM_KINDS and ppos > cpos:
-                raise LayeringViolation(f"arc {parent} -> {child.id}: parent follows the child situation")
         elif child.kind == DERIVED:
             if ppos != cpos:
                 raise LayeringViolation(f"arc {parent} -> {child.id}: derived nodes take same-situation parents only")
             if pkind != PRIMITIVE:
                 raise LayeringViolation(f"arc {parent} -> {child.id}: derived nodes take primitive parents only")
 
-    def _assert_acyclic(self):
-        seen, active = set(), set()
-
-        def visit(nid):
-            if nid in seen:
-                return
-            if nid in active:
-                raise PlanEvalError(f"paste created a cycle through {nid}")
-            active.add(nid)
-            for parent in self.nodes[nid].parents:
-                visit(parent)
-            active.discard(nid)
-            seen.add(nid)
-
-        for nid in self.nodes:
-            visit(nid)
+    def _check_no_cycle(self, parent: NodeId, child: NodeId):
+        """Reject a same-situation arc whose parent already descends from the child."""
+        stack, seen = [parent], {parent}
+        while stack:
+            nid = stack.pop()
+            if nid == child:
+                raise PlanEvalError(f"paste created a cycle through {child}")
+            for grand in self.nodes[nid].parents:
+                if grand.sit == child.sit and grand not in seen:
+                    seen.add(grand)
+                    stack.append(grand)
 
     def topological_nodes(self) -> list:
         """Nodes with every parent before its child; deterministic order."""
@@ -339,7 +340,6 @@ def paste_onto(net: PENet, frag: Fragment) -> PENet:
     for spec in frag.nodes:
         net.ensure_node(spec)
     net._write_rows(frag, overwrite=True)
-    net._assert_acyclic()
     return net
 
 
@@ -349,7 +349,6 @@ def paste_into(net: PENet, frag: Fragment) -> PENet:
     for spec in frag.nodes:
         net.ensure_node(spec)
     net._write_rows(frag, overwrite=False)
-    net._assert_acyclic()
     return net
 
 

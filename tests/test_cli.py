@@ -5,6 +5,7 @@ import pytest
 from planeval import build_pe_net, export_graph, run_cli
 
 from fixtures import (
+    CONTINGENT_KB,
     INVERTED_KB,
     MOVE_KB,
     OVERLAP_KB,
@@ -138,3 +139,85 @@ def test_infeasible_evidence_exit_2(files, capsys):
     code, _out, err = run(capsys, ["eval", kb_path, plan_path, "--evidence", "(Loc B)=L1@S0"])
     assert code == 2
     assert "inference" in err
+
+
+# -- selection references and same-situation arcs ---------------------------
+
+# FixA's effect reads the selection made at b1, the boundary where it ends.
+SEL_EFFECT_KB = """
+predicate (S ?x) kind=primitive states { ok bad }
+predicate (R ?x) kind=primitive states { lo hi }
+action (FixA ?x) level=0 { effect (R ?x) { sel(b1)=g1 -> { hi:0.7 lo:0.3 } } }
+action (Idle ?x) level=0 { effect (S ?x) { * -> { ok:1.0 } } }
+"""
+
+
+def sel_effect_plan(selector_condition: str) -> str:
+    return f"""
+step f1 a1 (FixA m) start=b0 end=b1
+step g1 a1 (Idle m) start=b1 end=b2
+contingent at b1 {{
+  {selector_condition} -> g1
+}}
+initial {{ (S m)=ok (R m)=lo:0.5 (R m)=hi:0.5 }}
+goal {{ (R m)=hi }}
+"""
+
+
+@pytest.mark.parametrize("boundary, first, second", [("b1", "g1", "g2"), ("b0", "f1", "f2")])
+def test_selector_reading_its_own_or_a_later_selection_rejected(files, capsys, boundary, first, second):
+    kb_path, plan_path = files(CONTINGENT_KB, f"""
+step f1 a1 (FixA m) start=b0 end=b1
+step f2 a2 (FixB m) start=b0 end=b1
+step g1 a3 (FixA m) start=b1 end=b2
+step g2 a4 (FixB m) start=b1 end=b2
+contingent at b0 {{
+  sel({boundary})={first} -> f1
+  sel({boundary})={second} -> f2
+}}
+contingent at b1 {{
+  (S m)=ok -> {{ g1:0.5 g2:0.5 }}
+}}
+initial {{ (S m)=ok (R m)=lo }}
+goal {{ (R m)=hi }}
+""")
+    code, _out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 1
+    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'schedule': ")
+    assert f"sel({boundary})" in err
+    assert "Traceback" not in err
+
+
+def test_selector_reading_an_earlier_selection(files, capsys):
+    kb_path, plan_path = files(CONTINGENT_KB, """
+step f1 a1 (FixA m) start=b0 end=b1
+step f2 a2 (FixB m) start=b0 end=b1
+step g1 a3 (FixA m) start=b1 end=b2
+contingent at b0 {
+  (S m)=ok -> { f1:0.45 f2:0.55 }
+}
+contingent at b1 {
+  sel(b0)=f1 -> g1
+}
+initial { (S m)=ok (R m)=lo }
+goal { (R m)=hi }
+""")
+    code, out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 0, err
+    # f1 then g1 (0.45 * 0.7); f2 then the noop fallback (0.55 * 0.2)
+    assert "leads_to_success = 0.425000" in out
+
+
+def test_same_situation_cycle_rejected(files, capsys):
+    # (R m)@S1 reads sel(b1)@S1, whose selector reads (R m)@S1
+    kb_path, plan_path = files(SEL_EFFECT_KB, sel_effect_plan("(R m)=lo"))
+    code, _out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 1
+    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'forward': paste created a cycle through ")
+
+
+def test_same_situation_selection_feeds_primitive(files, capsys):
+    kb_path, plan_path = files(SEL_EFFECT_KB, sel_effect_plan("(S m)=ok"))
+    code, out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 0, err
+    assert "leads_to_success = 0.700000" in out

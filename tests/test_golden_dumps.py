@@ -1,0 +1,80 @@
+"""Golden canonical_dump digests: refactors of the build pipeline must not move a byte.
+
+``golden_dumps.json`` holds the sha256 of ``canonical_dump`` for every case
+below, recorded before the pipeline's internals were reworked. A case whose
+build fails records the failing stage instead. Regenerate the file only for a
+change that means to alter the net's contents, and say so in the change log:
+
+    PYTHONPATH=src:tests python tests/test_golden_dumps.py
+"""
+
+import hashlib
+import json
+import pathlib
+
+from planeval import BuildError, BuildOptions, build_pe_net, canonical_dump
+
+import instance_gen
+from fixtures import (
+    CONTINGENT_KB,
+    DURING_KB,
+    DURING_PLAN,
+    HIERARCHY_KB,
+    HIERARCHY_PLAN,
+    MOVE_KB,
+    OVERLAP_KB,
+    OVERLAP_PLAN,
+    RELIABLE_MOVE_KB,
+    RELIABLE_MOVE_PLAN,
+    TWO_STEP_PLAN,
+    contingent_plan,
+    load,
+)
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_dumps.json")
+TIMED = BuildOptions(clock_enabled=True)
+
+
+def _cases():
+    for seed in range(60):
+        yield f"generate-{seed}", lambda s=seed: (*instance_gen.generate(s), None)
+    for seed in range(25):
+        yield f"generate_timed-{seed}", lambda s=seed: (*instance_gen.generate_timed(s), TIMED)
+    fixtures = {
+        "move-two-step": (MOVE_KB, TWO_STEP_PLAN, None),
+        "reliable-move": (RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN, None),
+        "overlap": (OVERLAP_KB, OVERLAP_PLAN, None),
+        "overlap-clock": (OVERLAP_KB, OVERLAP_PLAN, TIMED),
+        "hierarchy": (HIERARCHY_KB, HIERARCHY_PLAN, None),
+        "during": (DURING_KB, DURING_PLAN, None),
+        "during-nullify": (DURING_KB, DURING_PLAN, BuildOptions(during_failure_semantics="nullify-action")),
+        "contingent-0.2": (CONTINGENT_KB, contingent_plan(0.2), None),
+        "contingent-1.0": (CONTINGENT_KB, contingent_plan(1.0), None),
+    }
+    for name, (kb_text, plan_text, opts) in fixtures.items():
+        yield name, lambda k=kb_text, p=plan_text, o=opts: (*load(k, p), o)
+
+
+def _digest(make) -> str:
+    kb, plan, opts = make()
+    try:
+        net = build_pe_net(plan, kb, opts)
+    except BuildError as err:
+        return f"BuildError {err.stage}"
+    return hashlib.sha256(canonical_dump(net).encode()).hexdigest()
+
+
+def compute_digests() -> dict:
+    return {name: _digest(make) for name, make in _cases()}
+
+
+def test_canonical_dumps_match_golden_digests():
+    expected = json.loads(GOLDEN.read_text())
+    actual = compute_digests()
+    assert sorted(actual) == sorted(expected)
+    changed = [name for name in expected if actual[name] != expected[name]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")

@@ -12,12 +12,16 @@ from planeval import (
     IncompleteCPT,
     LayeringViolation,
     PENet,
+    PlanEvalError,
     SituationId,
     atom_node,
     canonical_dump,
+    clock_node,
     finalize,
     paste_into,
     paste_onto,
+    ret_node,
+    sel_node,
 )
 
 S0 = SituationId(0)
@@ -135,6 +139,40 @@ def test_cross_situation_arc_into_derived_rejected():
     bad = Fragment(nodes=[FragmentNode(derived, "derived", ["X", "NONE"], [LOC_A0])])
     with pytest.raises(LayeringViolation):
         paste_onto(net, bad)
+
+
+@pytest.mark.parametrize("gate", [
+    FragmentNode(clock_node(S0), "clock", [0, 1]),
+    FragmentNode(sel_node("b0", S0), "action-selection", ["f1", "noop"]),
+    FragmentNode(ret_node("s1", "s2", S0), "relative-end-time", ["negative", "nonnegative"]),
+], ids=lambda spec: spec.kind)
+def test_backward_arc_into_gating_node_rejected(gate):
+    net = PENet()
+    paste_onto(net, Fragment(nodes=[gate, FragmentNode(LOC_A1, "primitive", ["L1", "L2"])]))
+    bad = Fragment(nodes=[FragmentNode(gate.id, gate.kind, gate.states, [LOC_A1])])
+    with pytest.raises(LayeringViolation):
+        paste_onto(net, bad)
+    assert net.nodes[gate.id].parents == []
+
+
+def test_rejected_cycle_arc_leaves_node_unchanged():
+    # selection -> primitive and primitive -> selection are both legal
+    # same-situation arcs; together they close a cycle.
+    sel = sel_node("b1", S1)
+    net = PENet()
+    paste_onto(net, Fragment(
+        nodes=[
+            FragmentNode(LOC_A0, "primitive", ["L1", "L2"]),
+            FragmentNode(sel, "action-selection", ["g1", "noop"], [LOC_A0]),
+            FragmentNode(LOC_A1, "primitive", ["L1", "L2"], [sel]),
+        ],
+        rows=[FragmentRow(sel, {LOC_A0: "L1"}, {"g1": 1.0}, "selector")],
+    ))
+    node = net.nodes[sel]
+    parents, cpt, provenance = list(node.parents), dict(node.cpt), dict(node.provenance)
+    with pytest.raises(PlanEvalError, match="cycle"):
+        net.add_parent(node, LOC_A1)
+    assert (node.parents, node.cpt, node.provenance) == (parents, cpt, provenance)
 
 
 def test_finalize_requires_full_coverage():
