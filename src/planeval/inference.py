@@ -3,8 +3,10 @@
 Three engines answer the same question (probability of a conjunction of
 node states, optionally given evidence):
 
-* ``exact_query`` - variable elimination with greedy min-fill ordering and
-  an induced-width guard;
+* ``exact_query`` - one bucket-elimination pass over the ancestors of the
+  targets and the evidence, in situation order, with ``np.einsum`` over the
+  frozen ``Node.table`` arrays; width and factor-size guards run before any
+  product is formed;
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized and
   reproducible for a given seed;
 * ``oracle_enumerate`` - brute-force joint enumeration, kept dead simple so
@@ -16,7 +18,7 @@ metrics: goals plus the selected detailed path, versus goals alone.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,142 +69,109 @@ def _targets_reachable(net: PENet, targets) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact inference: variable elimination
+# exact inference: one pruned bucket-elimination pass
 # ---------------------------------------------------------------------------
 
+# Largest factor an elimination may form: 2**25 float64 cells are 256 MiB.
+MAX_FACTOR_CELLS = 2 ** 25
 
-class _Factor:
-    __slots__ = ("vars", "table")
-
-    def __init__(self, vars, table):
-        self.vars = tuple(vars)
-        self.table = table  # {assignment tuple: prob}
+# np.einsum takes at most 32 operands before numpy 2 (64 from it) and 52 axis labels.
+_EINSUM_OPERANDS = 32
 
 
-def _node_factor(net: PENet, nid, evidence: dict) -> _Factor:
-    node = net.nodes[nid]
-    vars = tuple(node.parents) + (nid,)
-    table = {}
-    for combo, dist in node.cpt.items():
-        for state, prob in dist.items():
-            if prob == 0.0:
-                continue
-            table[combo + (state,)] = prob
-    return _restrict(_Factor(vars, table), evidence)
+def _ancestors(net: PENet, roots) -> set:
+    keep, stack = set(roots), list(roots)
+    while stack:
+        for parent in net.nodes[stack.pop()].parents:
+            if parent not in keep:
+                keep.add(parent)
+                stack.append(parent)
+    return keep
 
 
-def _restrict(factor: _Factor, evidence: dict) -> _Factor:
-    hits = [i for i, v in enumerate(factor.vars) if v in evidence]
-    if not hits:
-        return factor
-    keep = [i for i in range(len(factor.vars)) if i not in hits]
-    table = {}
-    for combo, prob in factor.table.items():
-        if all(combo[i] == evidence[factor.vars[i]] for i in hits):
-            key = tuple(combo[i] for i in keep)
-            table[key] = table.get(key, 0.0) + prob
-    return _Factor([factor.vars[i] for i in keep], table)
+def _contract(factors: list, out: tuple, dims: list) -> np.ndarray:
+    """Multiply (table, vars) factors and sum every variable not in ``out``."""
+    while len(factors) > _EINSUM_OPERANDS:
+        head = factors[:_EINSUM_OPERANDS]
+        scope = tuple(sorted(set().union(*(vars for _, vars in head))))
+        factors = [(_contract(head, scope, dims), scope)] + factors[_EINSUM_OPERANDS:]
+    # One-state axes are dropped, so the guarded cell count bounds the labels.
+    labels = {}
+    args = []
+    for table, vars in factors:
+        args.append(np.reshape(table, [dims[v] for v in vars if dims[v] > 1]))
+        args.append([labels.setdefault(v, len(labels)) for v in vars if dims[v] > 1])
+    args.append([labels[v] for v in out if dims[v] > 1])
+    return np.einsum(*args).reshape([dims[v] for v in out])
 
 
-def _multiply(a: _Factor, b: _Factor) -> _Factor:
-    shared = [v for v in a.vars if v in b.vars]
-    b_only = [v for v in b.vars if v not in a.vars]
-    out_vars = a.vars + tuple(b_only)
-    a_shared = [a.vars.index(v) for v in shared]
-    b_shared = [b.vars.index(v) for v in shared]
-    b_extra = [b.vars.index(v) for v in b_only]
-    grouped = {}
-    for combo, prob in b.table.items():
-        key = tuple(combo[i] for i in b_shared)
-        grouped.setdefault(key, []).append((tuple(combo[i] for i in b_extra), prob))
-    table = {}
-    for combo, prob in a.table.items():
-        key = tuple(combo[i] for i in a_shared)
-        for extra, prob_b in grouped.get(key, ()):
-            table[combo + extra] = table.get(combo + extra, 0.0) + prob * prob_b
-    return _Factor(out_vars, table)
+def _eliminate(net: PENet, targets: list, pins: dict, width_limit: int):
+    """Evidence probability and joint target probability, and the width.
 
+    Barren nodes (not ancestors of a target or pinned node) are dropped,
+    pinned axes are sliced out of each table, and the other nodes are
+    eliminated in ``node_key`` order (situation first), each factor in the
+    bucket of its earliest node. One two-state axis stays free: each target
+    adds a factor that is 1 on its entry 0 and the target's indicator on its
+    entry 1, so entry 0 of the result is the evidence probability and entry
+    1 the joint one, however many targets the conjunction has. Every bucket's
+    scope is checked against the guards before any product is formed.
+    """
+    keep = _ancestors(net, tuple(nid for nid, _ in targets) + tuple(pins))
+    order = sorted((nid for nid in keep if nid not in pins), key=net.node_key)
+    # Nodes are numbered in elimination order; number m is the free axis, and
+    # bucket m collects the factors over it alone.
+    m = len(order)
+    number = {nid: i for i, nid in enumerate(order)}
+    dims = [len(net.nodes[nid].states) for nid in order] + [2]
+    factors = [(np.ones(2), (m,))]  # the free axis, even with no targets
+    for nid in keep:
+        node = net.nodes[nid]
+        ids = (*node.parents, nid)
+        table = node.table
+        if pins:
+            table = table[tuple(pins.get(v, slice(None)) for v in ids)]
+        factors.append((table, tuple(number[v] for v in ids if v in number)))
+    for nid, state in targets:
+        hit = np.ones((len(net.nodes[nid].states), 2))
+        hit[:, 1] = [s == state for s in net.nodes[nid].states]
+        factors.append((hit[pins[nid]], (m,)) if nid in pins else (hit, (number[nid], m)))
+    buckets = [[] for _ in range(m + 1)]
+    for table, vars in factors:
+        buckets[min((m, *vars))].append((table, vars))
 
-def _sum_out(factor: _Factor, var) -> _Factor:
-    idx = factor.vars.index(var)
-    keep = [i for i in range(len(factor.vars)) if i != idx]
-    table = {}
-    for combo, prob in factor.table.items():
-        key = tuple(combo[i] for i in keep)
-        table[key] = table.get(key, 0.0) + prob
-    return _Factor([factor.vars[i] for i in keep], table)
+    scopes = [set().union(*(vars for _, vars in bucket)) for bucket in buckets]
+    for i in range(m):
+        message = scopes[i] - {i}
+        scopes[min((m, *message))] |= message
+    width = max(map(len, scopes)) - 1
+    cells = max(math.prod(dims[v] for v in scope) for scope in scopes)
+    if width > width_limit:
+        raise WidthExceeded(width, width_limit)
+    if cells > MAX_FACTOR_CELLS:
+        raise TooLarge(f"elimination needs a factor of {cells} cells, above {MAX_FACTOR_CELLS}")
 
-
-def _min_fill_order(scopes: list) -> list:
-    """Greedy min-fill elimination order, ties broken by variable name."""
-    neighbors = {}
-    for scope in scopes:
-        for v in scope:
-            neighbors.setdefault(v, set())
-            neighbors[v].update(u for u in scope if u != v)
-    order = []
-    remaining = set(neighbors)
-    while remaining:
-        best = None
-        for v in sorted(remaining, key=str):
-            around = [u for u in neighbors[v] if u in remaining]
-            fill = 0
-            for i in range(len(around)):
-                for j in range(i + 1, len(around)):
-                    if around[j] not in neighbors[around[i]]:
-                        fill += 1
-            if best is None or fill < best[0]:
-                best = (fill, v, around)
-        _fill, v, around = best
-        order.append(v)
-        remaining.discard(v)
-        for i in range(len(around)):
-            for j in range(len(around)):
-                if i != j:
-                    neighbors[around[i]].add(around[j])
-    return order
-
-
-def _eliminate_all(net: PENet, evidence: dict, width_limit: int):
-    """Sum the whole restricted joint down to a scalar; returns (value, width)."""
-    factors = [_node_factor(net, nid, evidence) for nid in sorted(net.nodes, key=net.node_key)]
-    order = _min_fill_order([f.vars for f in factors if f.vars])
-    width = 0
-    for var in order:
-        bucket = [f for f in factors if var in f.vars]
-        factors = [f for f in factors if var not in f.vars]
-        product = bucket[0]
-        for f in bucket[1:]:
-            product = _multiply(product, f)
-        width = max(width, len(product.vars) - 1)
-        if width > width_limit:
-            raise WidthExceeded(width, width_limit)
-        factors.append(_sum_out(product, var))
-    value = 1.0
-    for f in factors:
-        value *= f.table.get((), 0.0)
-    return value, width
+    for i in range(m):
+        out = tuple(sorted(scopes[i] - {i}))
+        buckets[min((m, *out))].append((_contract(buckets[i], out, dims), out))
+    z_e, z_te = _contract(buckets[m], (m,), dims)
+    return float(z_e), float(z_te), width
 
 
 def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) -> QueryResult:
-    """Exact conditional probability of the target conjunction by variable elimination."""
+    """Exact conditional probability of the target conjunction, in one elimination."""
     if not net.finalized:
         raise PlanEvalError("exact_query requires a finalized net")
     if q.mode != EXACT:
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
     _check_evidence(net, q.evidence)
-    z_e, width_e = _eliminate_all(net, dict(q.evidence), width_limit)
+    pins = {nid: net.nodes[nid].states.index(state) for nid, state in q.evidence.items()}
+    targets = [(nid, state) for nid, state in q.targets if nid in net.nodes]
+    z_e, z_te, width = _eliminate(net, targets, pins, width_limit)
     if z_e <= 0.0:
         raise InfeasibleEvidence("evidence has probability zero")
-    if not _targets_reachable(net, q.targets):
-        return QueryResult(0.0, EXACT, elimination_width=width_e)
-    both = dict(q.evidence)
-    for nid, state in q.targets:
-        if both.get(nid, state) != state:
-            return QueryResult(0.0, EXACT, elimination_width=width_e)
-        both[nid] = state
-    z_te, width_t = _eliminate_all(net, both, width_limit)
-    return QueryResult(min(max(z_te / z_e, 0.0), 1.0), EXACT, elimination_width=max(width_e, width_t))
+    _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
+    return QueryResult(min(max(z_te / z_e, 0.0), 1.0), EXACT, elimination_width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +203,7 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
         row_index = np.zeros(n, dtype=np.int64)
         for parent, stride in zip(node.parents, strides):
             row_index += values[parent] * stride
-        matrix = _cpt_matrix(net, nid)
+        matrix = node.table.reshape(-1, len(node.states))
         if nid in q.evidence:
             col = index[q.evidence[nid]]
             weights = weights * matrix[row_index, col]
@@ -260,16 +229,6 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     residual = x - estimate
     se = float(np.sqrt(((weights * residual) ** 2).sum()) / total)
     return QueryResult(estimate, MC, standard_error=se, sample_count=n)
-
-
-def _cpt_matrix(net: PENet, nid) -> np.ndarray:
-    node = net.nodes[nid]
-    pools = [net.nodes[p].states for p in node.parents]
-    rows = []
-    for combo in itertools.product(*pools):
-        dist = node.cpt[combo]
-        rows.append([dist.get(s, 0.0) for s in node.states])
-    return np.array(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------

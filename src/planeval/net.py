@@ -3,6 +3,8 @@
 A PENet is a situation-layered DAG. Node CPTs are stored sparsely as rows
 keyed by full parent-state combinations; fragments carry rows with partial
 conditions which are expanded over the remaining parents when pasted.
+``finalize`` freezes each CPT into one read-only array, ``Node.table``, which
+the inference engines read.
 
 Two merge operations build nets from model fragments:
 
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import IncompleteCPT, LayeringViolation, PlanEvalError
 from .model import OTHER, PROB_TOL, GroundAtom, label_sort_key
@@ -113,12 +117,17 @@ def dur_node(step_id: str, sit: SituationId) -> NodeId:
 
 @dataclass
 class Node:
+    """A net node. ``table`` is None until ``finalize`` freezes the CPT into a
+    read-only float64 array of shape (|parent_1|, ..., |parent_k|, |states|),
+    indexed by parent and state position; ``cpt`` keeps the rows as written."""
+
     id: NodeId
     kind: str
     states: list
     parents: list = field(default_factory=list)  # kept sorted by the net's node key
     cpt: dict = field(default_factory=dict)  # combo tuple -> {state: prob}
     provenance: dict = field(default_factory=dict)  # combo tuple -> str
+    table: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -353,27 +362,36 @@ def paste_into(net: PENet, frag: Fragment) -> PENet:
 
 
 def finalize(net: PENet) -> PENet:
-    """Check full CPT coverage, normalize rows exactly, and freeze the net."""
+    """Check full CPT coverage, normalize rows exactly, and freeze the net.
+
+    Each node's rows are also written, in ``itertools.product`` order over the
+    parents' states, into ``Node.table``, a float64 array over immutable bytes.
+    """
     if net.finalized:
         return net
+    tables = {}
     for nid in sorted(net.nodes, key=net.node_key):
         node = net.nodes[nid]
         pools = [net.nodes[p].states for p in node.parents]
+        rows = []
         for combo in itertools.product(*pools):
-            if combo not in node.cpt:
+            dist = node.cpt.get(combo)
+            if dist is None:
                 raise IncompleteCPT(nid, _describe_combo(node, combo))
-        expected = 1
-        for pool in pools:
-            expected *= len(pool)
-        if len(node.cpt) != expected:
-            extra = set(node.cpt) - set(itertools.product(*pools))
-            raise PlanEvalError(f"node {nid} carries rows for unreachable combinations {sorted(extra)[:3]}")
-        for combo, dist in node.cpt.items():
             total = sum(dist.values())
             if abs(total - 1.0) > PROB_TOL:
                 raise PlanEvalError(f"row {nid}{combo} sums to {total!r}")
             if total != 1.0:
-                node.cpt[combo] = {s: p / total for s, p in dist.items()}
+                dist = node.cpt[combo] = {s: p / total for s, p in dist.items()}
+            rows.append([dist.get(s, 0.0) for s in node.states])
+        if len(node.cpt) != len(rows):
+            extra = set(node.cpt) - set(itertools.product(*pools))
+            raise PlanEvalError(f"node {nid} carries rows for unreachable combinations {sorted(extra)[:3]}")
+        # Backed by immutable bytes, so not even the writeable flag can be set back.
+        table = np.frombuffer(np.array(rows, dtype=float).tobytes())
+        tables[nid] = table.reshape([len(pool) for pool in pools] + [len(node.states)])
+    for nid, table in tables.items():
+        net.nodes[nid].table = table
     net.finalized = True
     return net
 

@@ -141,6 +141,16 @@ def test_infeasible_evidence_exit_2(files, capsys):
     assert "inference" in err
 
 
+def test_factor_cell_guard_exit_2(files, capsys, monkeypatch):
+    from planeval import inference
+
+    monkeypatch.setattr(inference, "MAX_FACTOR_CELLS", 1)
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    code, _out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 2
+    assert "inference: elimination needs a factor of" in err
+
+
 # -- selection references and same-situation arcs ---------------------------
 
 # FixA's effect reads the selection made at b1, the boundary where it ends.

@@ -1,10 +1,20 @@
 """Inference engines: exact VE, Monte Carlo, enumeration oracle, plan metrics."""
 
+import numpy as np
 import pytest
 
 from planeval import (
+    Fragment,
+    FragmentNode,
+    FragmentRow,
+    GroundAtom,
     InfeasibleEvidence,
+    PENet,
     Query,
+    SituationId,
+    atom_node,
+    finalize,
+    paste_onto,
     TooLarge,
     WidthExceeded,
     build_pe_net,
@@ -15,6 +25,7 @@ from planeval import (
     plan_success,
     validate_kb,
 )
+from planeval import inference
 
 import instance_gen
 from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, TWO_STEP_PLAN, load
@@ -60,6 +71,14 @@ def test_exact_matches_oracle_random_nets(seed):
         a = exact_query(net, q).probability
         b = oracle_enumerate(net, q, bound=float("inf")).probability
         assert abs(a - b) <= 1e-9
+    while True:  # one evidence query, on evidence of positive probability
+        seen = rng.choice(nodes)
+        evidence = {seen: rng.choice(net.nodes[seen].states)}
+        if oracle_enumerate(net, Query(targets=list(evidence.items())), bound=float("inf")).probability > 0.0:
+            break
+    nid = rng.choice(nodes)
+    q = Query(targets=[(nid, rng.choice(net.nodes[nid].states))], evidence=evidence)
+    assert abs(exact_query(net, q).probability - oracle_enumerate(net, q, bound=float("inf")).probability) <= 1e-9
 
 
 def test_conditioning_coherence(two_step):
@@ -77,6 +96,73 @@ def test_infeasible_evidence_raises(two_step):
     ev = {net.find("(Loc B)", "S0"): "L1"}  # prior fixes it at L3
     with pytest.raises(InfeasibleEvidence):
         exact_query(net, Query(targets=[(net.find("(Loc B)", "S2"), "L1")], evidence=ev))
+
+
+@pytest.mark.parametrize("targets", [
+    [("(Loc B)", "S0", "L2")],  # L2 is not a state of the node
+    [("(Loc B)", "S2", "L1"), ("(Loc B)", "S2", "L3")],  # contradictory conjunction
+])
+def test_infeasible_evidence_is_reported_before_the_targets(two_step, targets):
+    _kb, _plan, net = two_step
+    ev = {net.find("(Loc B)", "S0"): "L1"}  # prior fixes it at L3
+    q = Query(targets=[(net.find(atom, sit), state) for atom, sit, state in targets], evidence=ev)
+    with pytest.raises(InfeasibleEvidence):
+        exact_query(net, q)
+
+
+def test_target_that_is_also_evidence(two_step):
+    _kb, _plan, net = two_step
+    seen = net.find("(Loc A)", "S1")
+    target = (net.find("(Loc B)", "S2"), "L1")
+    assert exact_query(net, Query(targets=[(seen, "L2")], evidence={seen: "L2"})).probability == 1.0
+    assert exact_query(net, Query(targets=[(seen, "L1")], evidence={seen: "L2"})).probability == 0.0
+    both = exact_query(net, Query(targets=[target, (seen, "L2")], evidence={seen: "L2"})).probability
+    alone = exact_query(net, Query(targets=[target], evidence={seen: "L2"})).probability
+    assert both == alone
+
+
+def test_wide_bucket_with_many_factors_and_one_state_nodes():
+    # One root with 40 observed two-state children and 60 one-state children:
+    # the root's bucket holds more factors than one einsum call takes, and
+    # the 61-node conjunction has more nodes than einsum has axis labels.
+    s0, s1 = SituationId(0), SituationId(1)
+    root = atom_node(GroundAtom("R"), s0)
+    seen = [atom_node(GroundAtom("E", (f"e{i}",)), s1) for i in range(40)]
+    fixed = [atom_node(GroundAtom("C", (f"c{i}",)), s1) for i in range(60)]
+    frag = Fragment(nodes=[FragmentNode(root, "primitive", ["r0", "r1"])],
+                    rows=[FragmentRow(root, {}, {"r0": 0.3, "r1": 0.7})])
+    for i, nid in enumerate(seen):
+        frag.nodes.append(FragmentNode(nid, "primitive", ["no", "yes"], [root]))
+        frag.rows.append(FragmentRow(nid, {root: "r0"}, {"yes": 0.2 + 0.01 * i, "no": 0.8 - 0.01 * i}))
+        frag.rows.append(FragmentRow(nid, {root: "r1"}, {"yes": 0.6, "no": 0.4}))
+    for nid in fixed:
+        frag.nodes.append(FragmentNode(nid, "primitive", ["on"], [root]))
+        frag.rows.append(FragmentRow(nid, {}, {"on": 1.0}))
+    net = finalize(paste_onto(PENet(), frag))
+    q = Query(targets=[(root, "r0")] + [(nid, "on") for nid in fixed],
+              evidence={nid: "yes" if i % 3 else "no" for i, nid in enumerate(seen)})
+    result = exact_query(net, q, width_limit=100)
+    assert result.elimination_width == 61
+    assert abs(result.probability - oracle_enumerate(net, q, bound=float("inf")).probability) <= 1e-12
+
+
+def test_long_conjunction_keeps_the_width_small():
+    # 24 independent two-node chains; the goal is every chain's end at "t".
+    s0, s1 = SituationId(0), SituationId(1)
+    frag, expected, targets = Fragment(), 1.0, []
+    for i in range(24):
+        a, b = atom_node(GroundAtom("A", (f"o{i}",)), s0), atom_node(GroundAtom("B", (f"o{i}",)), s1)
+        p = 0.5 + 0.01 * i
+        frag.nodes += [FragmentNode(a, "primitive", ["f", "t"]), FragmentNode(b, "primitive", ["f", "t"], [a])]
+        frag.rows += [FragmentRow(a, {}, {"t": p, "f": 1.0 - p}),
+                      FragmentRow(b, {a: "t"}, {"t": 0.9, "f": 0.1}),
+                      FragmentRow(b, {a: "f"}, {"t": 0.2, "f": 0.8})]
+        expected *= 0.9 * p + 0.2 * (1.0 - p)
+        targets.append((b, "t"))
+    net = finalize(paste_onto(PENet(), frag))
+    result = exact_query(net, Query(targets=targets))
+    assert result.elimination_width <= 2
+    assert abs(result.probability - expected) <= 1e-12 * expected
 
 
 def test_unreachable_target_scores_zero(two_step):
@@ -100,6 +186,28 @@ def test_width_guard_fires(two_step):
         exact_query(net, q, width_limit=0)
 
 
+def _no_products(*args, **kwargs):
+    raise AssertionError("einsum ran before the guard")
+
+
+def test_width_guard_trips_before_any_product(two_step, monkeypatch):
+    _kb, _plan, net = two_step
+    monkeypatch.setattr(np, "einsum", _no_products)
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")])
+    with pytest.raises(WidthExceeded):
+        exact_query(net, q, width_limit=0)
+
+
+def test_factor_cell_guard_trips_before_any_product(two_step, monkeypatch):
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")])
+    assert exact_query(net, q).probability > 0.0
+    monkeypatch.setattr(inference, "MAX_FACTOR_CELLS", 1)
+    monkeypatch.setattr(np, "einsum", _no_products)
+    with pytest.raises(TooLarge):
+        exact_query(net, q)
+
+
 def test_oracle_bound_enforced(two_step):
     _kb, _plan, net = two_step
     q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")])
@@ -117,6 +225,15 @@ def test_mc_deterministic_given_seed(two_step):
     second = mc_query(net, q)
     assert first.probability == second.probability
     assert first.standard_error == second.standard_error
+
+
+def test_mc_answer_pinned(two_step):
+    # recorded before MC read the frozen tables; same seed, same bits
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=2000, seed=7)
+    result = mc_query(net, q)
+    assert result.probability == 0.901
+    assert result.standard_error == 0.006678285708173917
 
 
 def test_mc_on_deterministic_net_is_exact():

@@ -1,7 +1,9 @@
 """PE-net substrate: paste semantics, layering rules, finalize."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from planeval import (
@@ -15,6 +17,7 @@ from planeval import (
     PlanEvalError,
     SituationId,
     atom_node,
+    build_pe_net,
     canonical_dump,
     clock_node,
     finalize,
@@ -23,6 +26,8 @@ from planeval import (
     ret_node,
     sel_node,
 )
+
+import instance_gen
 
 S0 = SituationId(0)
 S1 = SituationId(1)
@@ -195,6 +200,37 @@ def test_finalize_freezes_and_is_idempotent():
     assert canonical_dump(net) == before
     with pytest.raises(Exception):
         paste_onto(net, move_fragment())
+
+
+def test_finalize_freezes_each_cpt_into_a_read_only_table():
+    net = PENet()
+    paste_onto(net, move_fragment())
+    paste_onto(net, Fragment(rows=[FragmentRow(LOC_A0, {}, {"L1": 0.5, "L2": 0.5}, "prior")]))
+    assert net.nodes[LOC_A1].table is None
+    finalize(net)
+    table = net.nodes[LOC_A1].table
+    assert table.shape == (2, 2) and table.dtype == np.float64
+    assert table.tolist() == [[0.1, 0.9], [0.0, 1.0]]
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        table.flags.writeable = True
+    with pytest.raises(ValueError):
+        table.base.flags.writeable = True
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_table_holds_the_cpt_rows_in_parent_state_order(seed):
+    kb, plan = instance_gen.generate(seed)
+    net = build_pe_net(plan, kb)
+    for node in net.nodes.values():
+        pools = [net.nodes[p].states for p in node.parents]
+        assert node.table.shape == tuple(len(pool) for pool in pools) + (len(node.states),)
+        assert not node.table.flags.writeable
+        for combo in itertools.product(*pools):
+            dist = node.cpt[combo]
+            at = tuple(net.nodes[p].states.index(v) for p, v in zip(node.parents, combo))
+            assert node.table[at].tolist() == [dist.get(s, 0.0) for s in node.states]
 
 
 def _random_fragment(rng, nodes):
