@@ -8,7 +8,6 @@ from .build import (
     BuildOptions,
     Schedule,
     build_pe_net,
-    enumerate_states,
     make_schedule,
     split_situations,
 )

@@ -4,14 +4,18 @@ The pipeline runs in a fixed order, and paste order is meaningful:
 
 1. flatten the hierarchy and normalize guards,
 2. linearize the interlock partial order,
-3. derive the situation schedule and enumerate reachable node states,
-4. forward pass: priors, then action fragments (paste-onto), residual
-   effects (paste-into), contingency selection nodes, during effects,
-   clock machinery,
-5. split situations until no reachable negative elapsed time remains,
-6. backward pass: knowledge-base persistence then default no-change rows
-   (both paste-into),
-7. attach derived-predicate nodes and finalize.
+3. derive the situation schedule,
+4. split situations until no reachable negative elapsed time remains (this
+   reads the schedule alone),
+5. sweep the situations once (``Schedule.analyse``): make each node's rows
+   in paste order, and take from them its states, parents and rough marginal,
+6. create the nodes, then paste the forward rows: priors and action
+   fragments (paste-onto), residual effects (paste-into), contingency
+   selection nodes, during effects, clock machinery,
+7. knowledge-base persistence then default no-change rows (both paste-into),
+8. derived-predicate rows (paste-onto), then finalize.
+
+No stage after the sweep makes a row: each replays what the sweep recorded.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -44,6 +48,7 @@ from .model import (
 from .net import (
     CLOCK,
     DERIVED,
+    KIND_RANK,
     PRIMITIVE,
     RELATIVE_END_TIME,
     SELECTION,
@@ -136,10 +141,20 @@ class Schedule:
     # -- layout ----------------------------------------------------------
 
     def _refresh(self):
+        """Index positions, and each situation's ending steps, residuals and spanning steps."""
         self._pos = {si.sid: i for i, si in enumerate(self.situations)}
         self._boundary_last = {}
         for si in self.situations:
             self._boundary_last[si.boundary] = si.sid
+        self._enders, self._residuals = {}, {}
+        for pos, si in enumerate(self.situations):
+            self._enders[si.sid] = [s for s in self.plan.steps if s.end == si.boundary] if pos else []
+            self._residuals[si.sid] = [r for r in self.plan.residuals if r.end == si.boundary] if pos else []
+        self._spanners = {si.sid: [] for si in self.situations}
+        for step in self.plan.steps:
+            if step.model.during_effects:
+                for mid in self.intermediates(step):
+                    self._spanners[mid].append(step)
 
     def position(self, sid: SituationId) -> int:
         return self._pos[sid]
@@ -159,16 +174,10 @@ class Schedule:
         return out
 
     def enders_at(self, sid: SituationId) -> list:
-        boundary = self.situations[self._pos[sid]].boundary
-        if self._pos[sid] == 0:
-            return []
-        return [s for s in self.plan.steps if s.end == boundary]
+        return self._enders[sid]
 
     def residuals_at(self, sid: SituationId) -> list:
-        boundary = self.situations[self._pos[sid]].boundary
-        if self._pos[sid] == 0:
-            return []
-        return [r for r in self.plan.residuals if r.end == boundary]
+        return self._residuals[sid]
 
     def group_at_boundary(self, boundary: str):
         for group in self.plan.contingencies:
@@ -183,7 +192,7 @@ class Schedule:
         return [si.sid for si in self.situations[lo + 1:hi]]
 
     def spanners_at(self, sid: SituationId) -> list:
-        return [s for s in self.plan.steps if s.model.during_effects and sid in self.intermediates(s)]
+        return self._spanners[sid]
 
     @property
     def timed(self) -> bool:
@@ -290,15 +299,22 @@ class Schedule:
                 if step.model.duration is None:
                     raise MissingDuration(f"step {step.id} has no duration distribution but the clock is enabled")
 
-    # -- analysis results (filled by analyse()) ---------------------------
+    # -- the sweep -------------------------------------------------------
 
     def analyse(self):
-        self.states, self.parents, self.approx, self.rows = _forward_analysis(self)
+        """Sweep the situations once, making every node's rows; returns the node states.
+
+        Fills ``kinds`` (nid -> node kind, parents before children),
+        ``states``, ``parents`` and ``rows`` (nid -> [(kind, source, rows)]
+        in paste order), which the paste stages replay unchanged.
+        """
+        self.kinds, self.states, self.parents, self.rows = {}, {}, {}, {}
+        _Sweep(self).run()
         return self.states
 
 
 # ---------------------------------------------------------------------------
-# condition-key resolution and row generation (shared by analysis and build)
+# condition-key resolution and model rows
 # ---------------------------------------------------------------------------
 
 
@@ -406,9 +422,7 @@ def _situation_rows(schedule: Schedule, sid: SituationId) -> list:
     """(kind, source, rows) for everything writing one situation, in paste order.
 
     Kind is "action" for ending steps, then "residual", then "during" for
-    spanning steps; source is the step or residual effect. Generated once
-    per schedule: the forward analysis reads these rows and the paste
-    stages write the same row objects.
+    spanning steps; source is the step or residual effect.
     """
     return ([("action", step, _ender_rows(schedule, step, sid)) for step in schedule.enders_at(sid)]
             + [("residual", res, _residual_rows(schedule, res, sid)) for res in schedule.residuals_at(sid)]
@@ -428,8 +442,12 @@ def _rows_by_target(entries: list) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# forward analysis: reachable states, parent sets, approximate marginals
+# the situation sweep: each node's rows, and from them its states, parents
+# and rough marginal
 # ---------------------------------------------------------------------------
+
+# Row kinds pasted into the net (gaps only); every other kind is pasted onto it.
+_FILLS = frozenset({"residual", "selector-default", "clock-identity", "persistence", "default-persistence"})
 
 
 def _row_feasible(states: dict, condition: dict) -> bool:
@@ -446,185 +464,285 @@ def _combo_weight(approx: dict, condition: dict) -> float:
     return weight
 
 
-def _persistence_support(schedule: Schedule, atom: GroundAtom, prev_states, elapsed_buckets) -> dict:
-    """prev state -> support set under the KB persistence model plus the no-change default.
+def _absorb(mass: dict, dist: dict, weight: float):
+    for state, prob in dist.items():
+        if prob > 0:
+            mass[state] = mass.get(state, 0.0) + weight * prob
 
-    The previous state itself is always in the support: default identity rows
-    fill every combination the KB model leaves open (including gate-failed and
-    unresolvable-elapsed ones), so the retained state must stay reachable.
+
+def _normalized(mass: dict, states: list) -> dict:
+    total = sum(mass.values()) or 1.0
+    return {s: mass.get(s, 0.0) / total for s in states}
+
+
+def _ordered(schema, support) -> list:
+    """Support states in schema order, then any others by label."""
+    ordered = [s for s in schema.states if s in support]
+    return ordered + [s for s in sorted(support, key=label_sort_key) if s not in ordered]
+
+
+def _keys(rows) -> list:
+    return [key for row in rows for key in row.condition]
+
+
+def _situation_nodes(schedule: Schedule, si: SitInfo) -> dict:
+    """nid -> kind for every node living in one situation."""
+    sid = si.sid
+    nodes = {}
+    if schedule.timed:
+        for step in schedule.plan.steps:
+            if step.id in schedule.dur_steps and schedule.start_sit(step) == sid:
+                nodes[dur_node(step.id, sid)] = CLOCK
+        for spec in schedule.splits:
+            if spec.ret.sit == sid:
+                nodes[spec.ret] = RELATIVE_END_TIME
+        nodes[clock_node(sid)] = CLOCK
+    for atom in schedule.atoms:
+        nodes[atom_node(atom, sid)] = PRIMITIVE
+    for datom in schedule.derived_atoms:
+        nodes[atom_node(datom, sid)] = DERIVED
+    if sid == schedule.sit_of_boundary(si.boundary) and schedule.group_at_boundary(si.boundary) is not None:
+        nodes[sel_node(si.boundary, sid)] = SELECTION
+    return nodes
+
+
+class _Sweep:
+    """One forward pass over the situations, filling the schedule's analysis.
+
+    Within a situation a node is made after every same-situation node its
+    rows read (depth first, in net node-key order), so a selection node is
+    known before the effects it gates. Each maker returns the node's
+    (kind, source, rows) entries plus any parents its rows leave unread and
+    sets its states; atoms, derived and selection nodes also get a rough
+    marginal that treats parents as independent and only ranks states for
+    OTHER compaction.
     """
-    model = schedule.kb.persistence.get(atom.name)
-    out = {}
-    for prev in prev_states:
-        support = {prev}
-        if model is not None:
-            for row in model.rows:
-                if row.prev != prev:
-                    continue
-                if row.bucket is not None and row.bucket not in elapsed_buckets:
-                    continue
-                support.update(s for s, p in row.distribution.items() if p > 0)
-        out[prev] = support
-    return out
 
+    def __init__(self, schedule: Schedule):
+        self.schedule = schedule
+        self.states, self.approx = schedule.states, {}
+        self.sign_probs = _split_sign_probs(schedule)
+        self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
+                       "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock}
 
-def _reachable_buckets(schedule: Schedule, states: dict, sid: SituationId, model) -> set:
-    """Elapsed buckets with a reachable (prev clock, this clock) supporting pair."""
-    if model is None or model.buckets is None or not schedule.timed:
-        return set()
-    pos = schedule.position(sid)
-    prev_clock = states.get(clock_node(schedule.situations[pos - 1].sid), ())
-    this_clock = states.get(clock_node(sid), ())
-    buckets = set()
-    for a in prev_clock:
-        for b in this_clock:
-            if not (isinstance(a, int) and isinstance(b, int)):
-                continue
-            delta = b - a
-            for lo, hi in model.buckets:
-                if lo <= delta < hi:
-                    buckets.add((lo, hi))
-    return buckets
+    def run(self):
+        for pos, si in enumerate(self.schedule.situations):
+            self.pos, self.si = pos, si
+            self.prev = self.schedule.situations[pos - 1].sid if pos else None
+            self.nodes = _situation_nodes(self.schedule, si)
+            self.writers = _rows_by_target(_situation_rows(self.schedule, si.sid)) if pos else {}
+            self.active = set()
+            for nid in sorted(self.nodes, key=lambda n: (KIND_RANK[self.nodes[n]], str(n))):
+                self._visit(nid)
 
+    def _visit(self, nid: NodeId):
+        schedule = self.schedule
+        if nid in schedule.kinds:
+            return
+        if nid in self.active:
+            raise PlanEvalError(f"paste created a cycle through {nid}")
+        self.active.add(nid)
+        kind = self.nodes[nid]
+        entries, unread = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
+        parents = dict.fromkeys(key for _kind, _source, rows in entries for key in _keys(rows))
+        parents.update(dict.fromkeys(unread))
+        self._need(parents)
+        schedule.kinds[nid] = kind
+        schedule.rows[nid] = entries
+        schedule.parents[nid] = list(parents)
 
-def _forward_analysis(schedule: Schedule):
-    """One deterministic sweep computing per-node states, parents, and rough marginals.
+    def _mass(self, rows) -> dict:
+        """Unnormalized state mass of the feasible rows, parents taken as independent."""
+        mass = {}
+        for row in rows:
+            if _row_feasible(self.states, row.condition):
+                _absorb(mass, row.distribution, max(_combo_weight(self.approx, row.condition), 1e-12))
+        return mass
 
-    The marginal estimates treat parents as independent and over-count where
-    later pastes override earlier ones; they exist only to rank states for
-    OTHER compaction. Also returns each situation's rows, which the paste
-    stages write unchanged.
-    """
-    states: dict = {}
-    approx: dict = {}
-    parents: dict = {}
-    sit_rows: dict = {}
-    plan = schedule.plan
-    kb = schedule.kb
-    opts = schedule.opts
+    def _need(self, keys):
+        """Make every same-situation node among ``keys`` first."""
+        for key in keys:
+            if key in self.nodes:
+                self._visit(key)
 
-    sign_probs = _split_sign_probs(schedule)
+    # -- makers ------------------------------------------------------------
 
-    for pos, si in enumerate(schedule.situations):
-        sid = si.sid
-        prev_sid = schedule.situations[pos - 1].sid if pos > 0 else None
+    def _primitive(self, nid: NodeId):
+        schedule = self.schedule
+        atom = nid.atom
+        schema = schedule.kb.schemas[atom.name]
+        if self.pos == 0:
+            prior = schedule.plan.initial.get(atom) or {schema.states[0]: 1.0}
+            self.states[nid] = [s for s in prior if prior[s] > 0]
+            self.approx[nid] = {s: p for s, p in prior.items() if p > 0}
+            return [("initial", None, [FragmentRow(nid, {}, dict(prior), "initial")])], ()
 
-        if schedule.timed:
-            _analyse_clock_family(schedule, states, approx, parents, pos, si, sign_probs)
-        if pos > 0:
-            sit_rows[sid] = _situation_rows(schedule, sid)
-            by_target = _rows_by_target(sit_rows[sid])
+        writers = self.writers.get(nid, [])
+        written = [row for _kind, _source, rows in writers for row in rows]
+        read = _keys(written)
+        self._need(read)
+        mass = self._mass(written)
 
-        for atom in schedule.atoms:
-            nid = atom_node(atom, sid)
-            schema = kb.schemas[atom.name]
-            if pos == 0:
-                prior = plan.initial.get(atom) or {schema.states[0]: 1.0}
-                states[nid] = [s for s in prior if prior[s] > 0]
-                approx[nid] = {s: p for s, p in prior.items() if p > 0}
-                parents[nid] = []
-                continue
-
-            prev_nid = atom_node(atom, prev_sid)
-            parent_set = {}
-            support = {}
-            mass = {}
-
-            def absorb(dist, weight):
-                for state, prob in dist.items():
-                    if prob <= 0:
-                        continue
-                    support.setdefault(state, None)
-                    mass[state] = mass.get(state, 0.0) + weight * prob
-
-            writers = by_target.get(nid, [])
-            for _kind, _source, rows in writers:
+        prev_nid = atom_node(atom, self.prev)
+        covered = _fully_covered(self.states, writers, self.si)
+        entries, unread = list(writers), []
+        # A covered node whose action reads the previous state still carries
+        # the persistence rows: they fill nothing, but their keys are parents.
+        if not covered or prev_nid in read:
+            entries += self._persistence(atom, nid, prev_nid)
+        if not covered:
+            model = schedule.kb.persistence.get(atom.name)
+            if model is not None and model.buckets is not None and schedule.timed:
+                unread = [clock_node(self.prev), clock_node(self.si.sid)]
+            # Each previous state spreads its mass evenly over what persistence
+            # and the no-change default can make of it. Only the previous-state
+            # pin can be infeasible, and rows of unreachable states go unread.
+            by_prev = {}
+            for _kind, _source, rows in entries[len(writers):]:
                 for row in rows:
-                    for key in row.condition:
-                        parent_set.setdefault(key, None)
-                    if _row_feasible(states, row.condition):
-                        absorb(row.distribution, max(_combo_weight(approx, row.condition), 1e-12))
+                    by_prev.setdefault(row.condition[prev_nid], {}).update(
+                        dict.fromkeys(s for s, p in row.distribution.items() if p > 0))
+            for prev_state in self.states[prev_nid]:
+                support = by_prev[prev_state]
+                _absorb(mass, {s: 1.0 / len(support) for s in support},
+                        self.approx[prev_nid].get(prev_state, 0.0))
 
-            if not _fully_covered(states, writers, si):
-                parent_set.setdefault(prev_nid, None)
-                model = kb.persistence.get(atom.name)
-                buckets = _reachable_buckets(schedule, states, sid, model)
-                if model is not None and model.buckets is not None and schedule.timed:
-                    parent_set.setdefault(clock_node(prev_sid), None)
-                    parent_set.setdefault(clock_node(sid), None)
-                per_prev = _persistence_support(schedule, atom, states[prev_nid], buckets)
-                for prev_state, supp in per_prev.items():
-                    weight = approx[prev_nid].get(prev_state, 0.0)
-                    absorb({s: 1.0 / len(supp) for s in supp}, weight)
+        ordered = _ordered(schema, mass)
+        margin = _normalized(mass, ordered)
+        if len(ordered) > schedule.opts.state_cap:
+            ordered, margin = _compact(ordered, margin, schedule.opts.state_cap)
+        self.states[nid] = ordered
+        self.approx[nid] = margin
+        return entries, unread
 
-            ordered = [s for s in schema.states if s in support]
-            ordered += [s for s in sorted(support, key=label_sort_key) if s not in ordered]
-            total = sum(mass.values()) or 1.0
-            margin = {s: mass.get(s, 0.0) / total for s in ordered}
-            if len(ordered) > opts.state_cap:
-                ordered, margin = _compact(ordered, margin, opts.state_cap)
-            states[nid] = ordered
-            approx[nid] = margin
-            parents[nid] = sorted(parent_set, key=lambda n: str(n))
+    def _persistence(self, atom: GroundAtom, nid: NodeId, prev_nid: NodeId) -> list:
+        """KB persistence rows (elapsed-time rows read both clocks), then no-change defaults."""
+        schedule = self.schedule
+        entries = []
+        model = schedule.kb.persistence.get(atom.name)
+        if model is not None:
+            rows = []
+            cprev, cthis = clock_node(self.prev), clock_node(self.si.sid)
+            for row in model.rows:
+                condition = _gate_pin(schedule, self.si.sid)
+                condition[prev_nid] = row.prev
+                provenance = f"persistence {model.atom}"
+                if row.bucket is None:
+                    rows.append(FragmentRow(nid, condition, dict(row.distribution), provenance))
+                elif schedule.timed:  # elapsed-conditioned rows need a clock
+                    self._need([cthis])
+                    lo, hi = row.bucket
+                    for a in self.states[cprev]:
+                        for b in self.states[cthis]:
+                            if isinstance(a, int) and isinstance(b, int) and lo <= b - a < hi:
+                                rows.append(FragmentRow(
+                                    nid, {**condition, cprev: a, cthis: b}, dict(row.distribution), provenance))
+            entries.append(("persistence", model, rows))
+        entries.append(("default-persistence", None, [
+            FragmentRow(nid, {prev_nid: s}, {s: 1.0}, "default-persistence") for s in self.states[prev_nid]
+        ]))
+        return entries
 
-        for datom in schedule.derived_atoms:
-            nid = atom_node(datom, sid)
-            definition, bindings = kb.find_derived(datom)
-            parent_ids = [atom_node(instantiate(p, bindings), sid) for p in definition.parents]
-            support = {}
-            mass = {}
-            for row in definition.rows:
-                ground = instantiate_row(row, bindings)
-                condition = {atom_node(key, sid): state for key, state in ground.condition.items()}
-                if not _row_feasible(states, condition):
-                    continue
-                weight = max(_combo_weight(approx, condition), 1e-12)
-                for state, prob in ground.distribution.items():
-                    if prob <= 0:
-                        continue
-                    support.setdefault(state, None)
-                    mass[state] = mass.get(state, 0.0) + weight * prob
-            if not support:
-                raise BuildError("enumerate", PlanEvalError(
-                    f"derived definition for {datom} matches no reachable state at {sid}"))
-            schema = kb.schemas[datom.name]
-            ordered = [s for s in schema.states if s in support]
-            ordered += [s for s in sorted(support, key=label_sort_key) if s not in ordered]
-            total = sum(mass.values()) or 1.0
-            states[nid] = ordered
-            approx[nid] = {s: mass.get(s, 0.0) / total for s in ordered}
-            parents[nid] = parent_ids
+    def _derived(self, nid: NodeId):
+        schedule = self.schedule
+        sid = self.si.sid
+        definition, bindings = schedule.kb.find_derived(nid.atom)
+        declared = [atom_node(instantiate(p, bindings), sid) for p in definition.parents]
+        rows = []
+        for row in definition.rows:
+            ground = instantiate_row(row, bindings)
+            condition = {atom_node(key, sid): state for key, state in ground.condition.items()}
+            rows.append(FragmentRow(nid, condition, dict(ground.distribution), f"derived {definition.atom}"))
+        self._need(declared + _keys(rows))
+        mass = self._mass(rows)
+        if not mass:
+            raise BuildError("enumerate", PlanEvalError(
+                f"derived definition for {nid.atom} matches no reachable state at {sid}"))
+        self.states[nid] = _ordered(schedule.kb.schemas[nid.atom.name], mass)
+        self.approx[nid] = _normalized(mass, self.states[nid])
+        return [("derived", None, rows)], declared
 
-        group = schedule.group_at_boundary(si.boundary) if sid == schedule.sit_of_boundary(si.boundary) else None
-        if group is not None:
-            nid = sel_node(group.boundary, sid)
-            sel_rows, default_row = _selector_rows(schedule, group)
-            parent_set = {}
-            for row in sel_rows:
-                for key in row.condition:
-                    parent_set.setdefault(key, None)
-            uncovered = not _covers_reachable(states, sel_rows)
-            explicit_noop = any(NOOP in row.distribution for row in sel_rows)
-            labels = list(group.alternatives)
-            if group.origin == "plain" and (uncovered or explicit_noop) and NOOP not in labels:
-                labels.append(NOOP)
-            states[nid] = labels
-            mass = {}
-            covered_weight = 0.0
-            for row in sel_rows:
-                if not _row_feasible(states, row.condition):
-                    continue
-                weight = max(_combo_weight(approx, row.condition), 1e-12)
-                covered_weight += weight
-                for label, prob in row.distribution.items():
-                    mass[label] = mass.get(label, 0.0) + weight * prob
-            default_label = next(iter(default_row.distribution))
-            mass[default_label] = mass.get(default_label, 0.0) + max(1.0 - covered_weight, 0.0)
-            total = sum(mass.values()) or 1.0
-            approx[nid] = {s: mass.get(s, 0.0) / total for s in labels}
-            parents[nid] = sorted(parent_set, key=lambda n: str(n))
+    def _selection(self, nid: NodeId):
+        group = self.schedule.group_at_boundary(nid.ref[1])
+        rows, default_row = _selector_rows(self.schedule, group)
+        self._need(_keys(rows))
+        labels = list(group.alternatives)
+        uncovered = not _covers_reachable(self.states, rows)
+        explicit_noop = any(NOOP in row.distribution for row in rows)
+        if group.origin == "plain" and (uncovered or explicit_noop) and NOOP not in labels:
+            labels.append(NOOP)
+        self.states[nid] = labels
+        mass = {}
+        covered_weight = 0.0
+        for row in rows:
+            if not _row_feasible(self.states, row.condition):
+                continue
+            weight = max(_combo_weight(self.approx, row.condition), 1e-12)
+            covered_weight += weight
+            for label, prob in row.distribution.items():
+                mass[label] = mass.get(label, 0.0) + weight * prob
+        default_label = next(iter(default_row.distribution))
+        mass[default_label] = mass.get(default_label, 0.0) + max(1.0 - covered_weight, 0.0)
+        self.approx[nid] = _normalized(mass, labels)
+        return [("selector", group, rows), ("selector-default", group, [default_row])], ()
 
-    return states, parents, approx, sit_rows
+    def _duration(self, nid: NodeId):
+        step = self.schedule.plan.step_by_id(nid.ref[1])
+        self.states[nid] = sorted(step.model.duration)
+        return [("duration", None, [FragmentRow(nid, {}, dict(step.model.duration), f"duration {step.id}")])], ()
+
+    def _relative_end_time(self, nid: NodeId):
+        schedule = self.schedule
+        spec = next(sp for sp in schedule.splits if sp.ret == nid)
+        ce = clock_node(schedule.start_sit(spec.earlier))
+        de = dur_node(spec.earlier.id, schedule.start_sit(spec.earlier))
+        cl = clock_node(schedule.start_sit(spec.later))
+        dl = dur_node(spec.later.id, schedule.start_sit(spec.later))
+        keys = list(dict.fromkeys((ce, de, cl, dl)))
+        rows = []
+        for combo in itertools.product(*(self.states[k] for k in keys)):
+            values = dict(zip(keys, combo))
+            sign = _compare_ends(_end_time(values[cl], values[dl]), _end_time(values[ce], values[de]))
+            rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
+        self.states[nid] = [NEGATIVE, NONNEGATIVE]
+        self.approx[nid] = self.sign_probs.get(nid, {NEGATIVE: 0.5, NONNEGATIVE: 0.5})
+        return [("relative-end-time", None, rows)], ()
+
+    def _clock(self, nid: NodeId):
+        schedule = self.schedule
+        sid = self.si.sid
+        if self.pos == 0:
+            self.states[nid] = [0]
+            return [("clock", None, [FragmentRow(nid, {}, {0: 1.0}, "clock-initial")])], ()
+        cap = schedule.opts.clock_cap
+        rows = []
+        enders = schedule.enders_at(sid)
+        for step in enders:
+            start_clock = clock_node(schedule.start_sit(step))
+            pins = _gate_pin(schedule, sid)
+            pins.update(_guard_pins(schedule, step.guards))
+            self._need(pins)
+            if step.id in schedule.dur_steps:
+                dnode = dur_node(step.id, schedule.start_sit(step))
+                for c in self.states[start_clock]:
+                    for d in self.states[dnode]:
+                        rows.append(FragmentRow(
+                            nid, {**pins, start_clock: c, dnode: d}, {_sum_clock(c, d, cap): 1.0}, f"clock {step.id}"))
+            else:
+                for c in self.states[start_clock]:
+                    dist = {}
+                    for d, p in sorted(step.model.duration.items()):
+                        value = _sum_clock(c, d, cap)
+                        dist[value] = dist.get(value, 0.0) + p
+                    rows.append(FragmentRow(nid, {**pins, start_clock: c}, dist, f"clock {step.id}"))
+        prev_nid = clock_node(self.prev)
+        support = dict.fromkeys(value for row in rows for value in row.distribution)
+        # Unless every ender runs unconditionally, the clock may keep its value.
+        if not (enders and self.si.gate is None and all(not step.guards for step in enders)):
+            support.update(dict.fromkeys(self.states[prev_nid]))
+        self.states[nid] = sorted(support, key=label_sort_key)
+        identity = [FragmentRow(nid, {prev_nid: c}, {c: 1.0}, "clock-identity") for c in self.states[prev_nid]]
+        return [("clock", None, rows), ("clock-identity", None, identity)], ()
 
 
 def _covers_reachable(states: dict, rows: list) -> bool:
@@ -649,7 +767,7 @@ def _fully_covered(states: dict, writers: list, si: SitInfo) -> bool:
     """True when one action's rows alone cover every reachable predecessor combination.
 
     Conservative: any guard, gate, residual, or during effect forces the
-    persistence fallback parent.
+    persistence rows.
     """
     if si.gate is not None or len(writers) != 1:
         return False
@@ -679,7 +797,7 @@ def _compact(ordered: list, margin: dict, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# clock family: durations, relative-end-time, clock nodes
+# timing: duration worlds, clock arithmetic, situation splitting
 # ---------------------------------------------------------------------------
 
 
@@ -756,235 +874,6 @@ def _split_sign_probs(schedule: Schedule) -> dict:
     return out
 
 
-def _analyse_clock_family(schedule: Schedule, states, approx, parents, pos, si, sign_probs):
-    opts = schedule.opts
-    sid = si.sid
-
-    for step in sorted((s for s in schedule.plan.steps
-                        if s.id in schedule.dur_steps and schedule.start_sit(s) == sid),
-                       key=lambda s: s.id):
-        nid = dur_node(step.id, sid)
-        states[nid] = sorted(step.model.duration)
-        approx[nid] = dict(step.model.duration)
-        parents[nid] = []
-
-    for spec in schedule.splits:
-        if spec.ret.sit != sid:
-            continue
-        nid = spec.ret
-        states[nid] = [NEGATIVE, NONNEGATIVE]
-        approx[nid] = sign_probs.get(nid, {NEGATIVE: 0.5, NONNEGATIVE: 0.5})
-        parent_set = {}
-        for step in (spec.earlier, spec.later):
-            parent_set.setdefault(clock_node(schedule.start_sit(step)), None)
-            parent_set.setdefault(dur_node(step.id, schedule.start_sit(step)), None)
-        parents[nid] = sorted(parent_set, key=lambda n: str(n))
-
-    nid = clock_node(sid)
-    if pos == 0:
-        states[nid] = [0]
-        approx[nid] = {0: 1.0}
-        parents[nid] = []
-        return
-
-    prev_nid = clock_node(schedule.situations[pos - 1].sid)
-    parent_set = {prev_nid: None}
-    support = {}
-    mass = {}
-    gate = _gate_pin(schedule, sid)
-    for ret in gate:
-        parent_set.setdefault(ret, None)
-
-    enders = schedule.enders_at(sid)
-    covered = bool(enders) and si.gate is None and all(not s.guards for s in enders)
-    for step in enders:
-        start_clock = clock_node(schedule.start_sit(step))
-        parent_set.setdefault(start_clock, None)
-        for sel, _label in step.guards:
-            parent_set.setdefault(_resolve_key(schedule, sel, None), None)
-        if step.id in schedule.dur_steps:
-            parent_set.setdefault(dur_node(step.id, schedule.start_sit(step)), None)
-        gate_weight = approx.get(si.gate[0], {}).get(si.gate[1], 1.0) if si.gate else 1.0
-        for c in states[start_clock]:
-            c_weight = approx[start_clock].get(c, 0.0)
-            for d, p in sorted(step.model.duration.items()):
-                value = OTHER if c == OTHER or (c + d) > opts.clock_cap else c + d
-                support.setdefault(value, None)
-                mass[value] = mass.get(value, 0.0) + c_weight * p * gate_weight
-    if not covered:
-        for c in states[prev_nid]:
-            support.setdefault(c, None)
-            mass[c] = mass.get(c, 0.0) + approx[prev_nid].get(c, 0.0)
-
-    ordered = sorted(support, key=label_sort_key)
-    total = sum(mass.values()) or 1.0
-    states[nid] = ordered
-    approx[nid] = {s: mass.get(s, 0.0) / total for s in ordered}
-    parents[nid] = sorted(parent_set, key=lambda n: str(n))
-
-
-# ---------------------------------------------------------------------------
-# construction stages
-# ---------------------------------------------------------------------------
-
-
-def _skeleton(schedule: Schedule) -> PENet:
-    net = PENet(situation_order=[si.sid for si in schedule.situations])
-    net.context = schedule
-    states, parents = schedule.states, schedule.parents
-
-    def create(nid: NodeId, kind: str):
-        net.ensure_node(FragmentNode(nid, kind, list(states[nid]), []))
-
-    for pos, si in enumerate(schedule.situations):
-        sid = si.sid
-        if schedule.timed:
-            for step in sorted((s for s in schedule.plan.steps
-                                if s.id in schedule.dur_steps and schedule.start_sit(s) == sid),
-                               key=lambda s: s.id):
-                create(dur_node(step.id, sid), CLOCK)
-            for spec in schedule.splits:
-                if spec.ret.sit == sid:
-                    create(spec.ret, RELATIVE_END_TIME)
-            create(clock_node(sid), CLOCK)
-        for atom in schedule.atoms:
-            create(atom_node(atom, sid), PRIMITIVE)
-        for datom in schedule.derived_atoms:
-            create(atom_node(datom, sid), DERIVED)
-        group = schedule.group_at_boundary(si.boundary) if sid == schedule.sit_of_boundary(si.boundary) else None
-        if group is not None:
-            create(sel_node(group.boundary, sid), SELECTION)
-
-    # Wire planned parents (fragments rely on them being present up front).
-    for nid in sorted(parents, key=lambda n: str(n)):
-        node = net.nodes[nid]
-        for parent in parents[nid]:
-            net.add_parent(node, parent)
-    return net
-
-
-def _stage_priors(schedule: Schedule, net: PENet):
-    frag = Fragment()
-    first = schedule.situations[0].sid
-    for atom in schedule.atoms:
-        nid = atom_node(atom, first)
-        prior = schedule.plan.initial.get(atom) or {schedule.kb.schemas[atom.name].states[0]: 1.0}
-        frag.rows.append(FragmentRow(nid, {}, dict(prior), "initial"))
-    paste_onto(net, frag)
-
-
-def _stage_actions(schedule: Schedule, net: PENet):
-    for si in schedule.situations[1:]:
-        entries = schedule.rows[si.sid]
-        onto = [row for kind, _source, rows in entries if kind == "action" for row in rows]
-        if onto:
-            paste_onto(net, Fragment(rows=onto))
-        into = [row for kind, _source, rows in entries if kind == "residual" for row in rows]
-        if into:
-            paste_into(net, Fragment(rows=into))
-
-
-def merge_contingent(group, net: PENet) -> PENet:
-    """Write one contingency group's action-selection node into the net."""
-    schedule: Schedule = net.context
-    rows, default_row = _selector_rows(schedule, group)
-    paste_onto(net, Fragment(rows=rows))
-    paste_into(net, Fragment(rows=[default_row]))
-    net.selection_records.append(SelectionRecord(
-        node=default_row.node,
-        selected=group.selected,
-        origin=group.origin,
-        guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
-    ))
-    return net
-
-
-def attach_during(step: PlanStep, schedule: Schedule, net: PENet) -> PENet:
-    """Paste one step's during effects onto each of its intermediate situations."""
-    rows = [
-        row
-        for mid in schedule.intermediates(step)
-        for _kind, source, source_rows in schedule.rows[mid]
-        if source is step
-        for row in source_rows
-    ]
-    if rows:
-        paste_onto(net, Fragment(rows=rows))
-    return net
-
-
-def add_clock(schedule: Schedule, net: PENet) -> PENet:
-    """Clock, duration, and relative-end-time nodes plus their rows."""
-    if not schedule.timed:
-        return net
-    states = schedule.states
-
-    dur_frag = Fragment()
-    for step in sorted((s for s in schedule.plan.steps if s.id in schedule.dur_steps), key=lambda s: s.id):
-        nid = dur_node(step.id, schedule.start_sit(step))
-        dur_frag.rows.append(FragmentRow(nid, {}, dict(step.model.duration), f"duration {step.id}"))
-    if dur_frag.rows:
-        paste_onto(net, dur_frag)
-
-    ret_frag = Fragment()
-    for spec in schedule.splits:
-        nid = spec.ret
-        ce = clock_node(schedule.start_sit(spec.earlier))
-        de = dur_node(spec.earlier.id, schedule.start_sit(spec.earlier))
-        cl = clock_node(schedule.start_sit(spec.later))
-        dl = dur_node(spec.later.id, schedule.start_sit(spec.later))
-        pools = {}
-        for key in (ce, de, cl, dl):
-            pools.setdefault(key, states[key])
-        keys = list(pools)
-        for combo in itertools.product(*(pools[k] for k in keys)):
-            values = dict(zip(keys, combo))
-            end_earlier = _end_time(values[ce], values[de])
-            end_later = _end_time(values[cl], values[dl])
-            sign = _compare_ends(end_later, end_earlier)
-            ret_frag.rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
-    if ret_frag.rows:
-        paste_onto(net, ret_frag)
-
-    for pos, si in enumerate(schedule.situations):
-        nid = clock_node(si.sid)
-        if pos == 0:
-            paste_onto(net, Fragment(rows=[FragmentRow(nid, {}, {0: 1.0}, "clock-initial")]))
-            continue
-        onto = Fragment()
-        gate = _gate_pin(schedule, si.sid)
-        for step in schedule.enders_at(si.sid):
-            start_clock = clock_node(schedule.start_sit(step))
-            pins = dict(gate)
-            pins.update(_guard_pins(schedule, step.guards))
-            if step.id in schedule.dur_steps:
-                dnode = dur_node(step.id, schedule.start_sit(step))
-                for c in states[start_clock]:
-                    for d in states[dnode]:
-                        condition = dict(pins)
-                        condition[start_clock] = c
-                        condition[dnode] = d
-                        onto.rows.append(FragmentRow(
-                            nid, condition, {_sum_clock(c, d, schedule.opts.clock_cap): 1.0}, f"clock {step.id}"))
-            else:
-                for c in states[start_clock]:
-                    condition = dict(pins)
-                    condition[start_clock] = c
-                    dist = {}
-                    for d, p in sorted(step.model.duration.items()):
-                        value = _sum_clock(c, d, schedule.opts.clock_cap)
-                        dist[value] = dist.get(value, 0.0) + p
-                    onto.rows.append(FragmentRow(nid, condition, dist, f"clock {step.id}"))
-        if onto.rows:
-            paste_onto(net, onto)
-        prev_nid = clock_node(schedule.situations[pos - 1].sid)
-        identity = Fragment(rows=[
-            FragmentRow(nid, {prev_nid: c}, {c: 1.0}, "clock-identity") for c in states[prev_nid]
-        ])
-        paste_into(net, identity)
-    return net
-
-
 def _end_time(clock_value, duration):
     if clock_value == OTHER:
         return None  # beyond the cap: treated as arbitrarily late
@@ -1006,29 +895,23 @@ def _sum_clock(clock_value, duration, cap):
     return OTHER if value > cap else value
 
 
-def split_situations(schedule: Schedule, net: PENet) -> PENet:
+def split_situations(schedule: Schedule) -> Schedule:
     """Split situations until no reachable transition runs backward in time.
 
     Each split inserts sub-situation ``a`` immediately before the earlier
     situation it conflicts with and renames the original to ``b``; a
     relative-end-time node gates which sub-situation the step's effects
     land on. Iterates to a fixed point, capped by the number of
-    overlapping step pairs.
+    overlapping step pairs, and returns the split schedule.
     """
     if not schedule.timed:
-        return net
+        return schedule
     cap = _overlapping_pairs(schedule)
-    iterations = 0
-    while True:
-        conflict_pos = _find_conflict(schedule)
-        if conflict_pos is None:
-            net.context = schedule
-            return net
-        iterations += 1
-        if iterations > max(cap, 0):
+    while (conflict_pos := _find_conflict(schedule)) is not None:
+        if len(schedule.splits) >= cap:
             raise PlanEvalError("situation splitting did not reach a fixed point within the overlap cap")
         schedule = _apply_split(schedule, conflict_pos)
-        net = _forward_build(schedule)
+    return schedule
 
 
 def _overlapping_pairs(schedule: Schedule) -> int:
@@ -1087,90 +970,65 @@ def _apply_split(schedule: Schedule, conflict_pos: int) -> Schedule:
     return out
 
 
-def complete_with_persistence(net: PENet, kb: KnowledgeBase) -> PENet:
-    """Backward pass filling every gap with KB persistence, then no-change defaults."""
-    schedule: Schedule = net.context
-    states = schedule.states
-    for pos in range(len(schedule.situations) - 1, 0, -1):
-        si = schedule.situations[pos]
-        prev_sid = schedule.situations[pos - 1].sid
-        gate = _gate_pin(schedule, si.sid)
-        for atom in schedule.atoms:
-            nid = atom_node(atom, si.sid)
-            prev_nid = atom_node(atom, prev_sid)
-            if prev_nid not in net.nodes[nid].parents:
-                continue  # the action model fully covers this node
-            model = kb.persistence.get(atom.name)
-            if model is not None:
-                frag = Fragment()
-                for row in model.rows:
-                    dist = dict(row.distribution)
-                    if row.bucket is None:
-                        condition = dict(gate)
-                        condition[prev_nid] = row.prev
-                        frag.rows.append(FragmentRow(nid, condition, dist, f"persistence {model.atom}"))
-                    else:
-                        if not schedule.timed:
-                            continue  # elapsed-conditioned rows need a clock
-                        cprev, cthis = clock_node(prev_sid), clock_node(si.sid)
-                        for a in states[cprev]:
-                            for b in states[cthis]:
-                                if not (isinstance(a, int) and isinstance(b, int)):
-                                    continue
-                                lo, hi = row.bucket
-                                if not (lo <= b - a < hi):
-                                    continue
-                                condition = dict(gate)
-                                condition[prev_nid] = row.prev
-                                condition[cprev] = a
-                                condition[cthis] = b
-                                frag.rows.append(FragmentRow(nid, condition, dist, f"persistence {model.atom}"))
-                if frag.rows:
-                    paste_into(net, frag)
-            default = Fragment(rows=[
-                FragmentRow(nid, {prev_nid: s}, {s: 1.0}, "default-persistence")
-                for s in states[prev_nid]
-            ])
-            paste_into(net, default)
+# ---------------------------------------------------------------------------
+# construction stages: each replays the rows the sweep recorded
+# ---------------------------------------------------------------------------
+
+
+def _paste(schedule: Schedule, net: PENet, kind: str, source=None) -> PENet:
+    """Paste every recorded row of one kind (of one source, if given) in sweep order."""
+    rows = [row for entries in schedule.rows.values() for entry_kind, src, src_rows in entries
+            if entry_kind == kind and (source is None or src is source) for row in src_rows]
+    if rows:
+        (paste_into if kind in _FILLS else paste_onto)(net, Fragment(rows=rows))
     return net
 
 
-def _attach_derived(net: PENet):
-    schedule: Schedule = net.context
-    kb = schedule.kb
-    frag = Fragment()
-    for si in schedule.situations:
-        for datom in schedule.derived_atoms:
-            nid = atom_node(datom, si.sid)
-            definition, bindings = kb.find_derived(datom)
-            for row in definition.rows:
-                ground = instantiate_row(row, bindings)
-                condition = {}
-                for key, state in ground.condition.items():
-                    condition[atom_node(key, si.sid)] = state
-                frag.rows.append(FragmentRow(nid, condition, dict(ground.distribution), f"derived {definition.atom}"))
-    if frag.rows:
-        paste_onto(net, frag)
+def merge_contingent(group, schedule: Schedule, net: PENet) -> PENet:
+    """Write one contingency group's action-selection node into the net."""
+    _paste(schedule, net, "selector", group)
+    _paste(schedule, net, "selector-default", group)
+    net.selection_records.append(SelectionRecord(
+        node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
+        selected=group.selected,
+        origin=group.origin,
+        guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
+    ))
     return net
+
+
+def attach_during(step: PlanStep, schedule: Schedule, net: PENet) -> PENet:
+    """Paste one step's during effects onto each of its intermediate situations."""
+    return _paste(schedule, net, "during", step)
+
+
+def add_clock(schedule: Schedule, net: PENet) -> PENet:
+    """Duration, relative-end-time and clock rows."""
+    for kind in ("duration", "relative-end-time", "clock", "clock-identity"):
+        _paste(schedule, net, kind)
+    return net
+
+
+def complete_with_persistence(schedule: Schedule, net: PENet) -> PENet:
+    """Fill every gap with KB persistence, then no-change defaults."""
+    _paste(schedule, net, "persistence")
+    return _paste(schedule, net, "default-persistence")
 
 
 def _forward_build(schedule: Schedule) -> PENet:
+    """Sweep the schedule, create every node with its states and parents, paste the forward rows."""
     schedule.analyse()
-    net = _skeleton(schedule)
-    _stage_priors(schedule, net)
-    _stage_actions(schedule, net)
+    net = PENet(situation_order=[si.sid for si in schedule.situations])
+    for nid, kind in schedule.kinds.items():
+        net.ensure_node(FragmentNode(nid, kind, list(schedule.states[nid]), schedule.parents[nid]))
+    for kind in ("initial", "action", "residual"):
+        _paste(schedule, net, kind)
     for group in schedule.plan.contingencies:
-        merge_contingent(group, net)
+        merge_contingent(group, schedule, net)
     for step in schedule.plan.steps:
         if step.model.during_effects:
             attach_during(step, schedule, net)
-    add_clock(schedule, net)
-    return net
-
-
-def enumerate_states(schedule: Schedule) -> dict:
-    """Per-node reachable state lists (forward enumeration, OTHER-compacted)."""
-    return _forward_analysis(schedule)[0]
+    return add_clock(schedule, net)
 
 
 def make_schedule(plan: Plan, kb: KnowledgeBase, opts: BuildOptions, boundary_order: list) -> Schedule:
@@ -1198,9 +1056,9 @@ def build_pe_net(plan: Plan, kb: KnowledgeBase, opts: BuildOptions = None) -> PE
     flat = stage("flatten", flatten_hierarchy, plan)
     order = stage("linearize", linearize, flat, opts.tie_break)
     schedule = stage("schedule", make_schedule, flat, kb, opts, order)
+    schedule = stage("split", split_situations, schedule)
     net = stage("forward", _forward_build, schedule)
-    net = stage("split", split_situations, net.context, net)
-    net = stage("persistence", complete_with_persistence, net, kb)
-    net = stage("derived", _attach_derived, net)
+    net = stage("persistence", complete_with_persistence, schedule, net)
+    net = stage("derived", _paste, schedule, net, "derived")
     net = stage("finalize", finalize, net)
     return net

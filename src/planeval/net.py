@@ -41,7 +41,7 @@ SELECTION = "action-selection"
 CLOCK = "clock"
 RELATIVE_END_TIME = "relative-end-time"
 
-_KIND_RANK = {PRIMITIVE: 0, DERIVED: 1, SELECTION: 2, CLOCK: 3, RELATIVE_END_TIME: 4}
+KIND_RANK = {PRIMITIVE: 0, DERIVED: 1, SELECTION: 2, CLOCK: 3, RELATIVE_END_TIME: 4}
 
 ATOM_KINDS = (PRIMITIVE, DERIVED)
 
@@ -75,6 +75,10 @@ class NodeId:
 
     ref: tuple
     sit: SituationId
+
+    def __hash__(self):
+        # Flat, so hashing a node id does not also call SituationId.__hash__.
+        return hash((self.ref, self.sit.index, self.sit.sub))
 
     def __str__(self):
         kind = self.ref[0]
@@ -162,7 +166,6 @@ class PENet:
         self.situation_order: list = list(situation_order)
         self._positions = {sit: i for i, sit in enumerate(self.situation_order)}
         self.finalized = False
-        self.context = None  # construction schedule, attached by the build pipeline
         self.selection_records: list = []
 
     # -- situations ------------------------------------------------------
@@ -180,7 +183,7 @@ class PENet:
         return self._positions[sit]
 
     def node_key(self, nid: NodeId):
-        kind_rank = _KIND_RANK.get(self.nodes[nid].kind, 9) if nid in self.nodes else 9
+        kind_rank = KIND_RANK.get(self.nodes[nid].kind, 9) if nid in self.nodes else 9
         return (self._positions[nid.sit], kind_rank, str(nid))
 
     # -- structure -------------------------------------------------------

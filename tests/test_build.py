@@ -15,7 +15,7 @@ from planeval import (
     linearize,
     validate_kb,
 )
-from planeval.build import enumerate_states, make_schedule
+from planeval.build import make_schedule
 from planeval.net import atom_node
 
 import instance_gen
@@ -408,14 +408,14 @@ def test_enumerate_states_doubles_until_capped():
     opts = BuildOptions(state_cap=4)
     flat = flatten_hierarchy(plan)
     schedule = make_schedule(flat, kb, opts, linearize(flat))
-    states = enumerate_states(schedule)
+    states = schedule.analyse()
     reg = GroundAtom("Reg")
     sizes = [len(states[atom_node(reg, sit.sid)]) for sit in schedule.situations]
     assert sizes[0] == 1 and sizes[1] == 2
     assert all(size <= 4 for size in sizes)
     assert "OTHER" in states[atom_node(reg, schedule.situations[3].sid)]
     # uncapped enumeration confirms the true support kept growing
-    wide = enumerate_states(make_schedule(flat, kb, BuildOptions(state_cap=32), linearize(flat)))
+    wide = make_schedule(flat, kb, BuildOptions(state_cap=32), linearize(flat)).analyse()
     assert len(wide[atom_node(reg, schedule.situations[3].sid)]) == 8
 
 
@@ -430,7 +430,7 @@ def test_identity_persistence_keeps_state_sets_constant():
     kb, plan = load(MOVE_KB, "step s1 a1 (Move A L1 L2) start=b0 end=b1\ninitial { (Loc A)=L1 (Loc B)=L3 }\ngoal { (Loc B)=L3 }")
     flat = flatten_hierarchy(plan)
     schedule = make_schedule(flat, kb, BuildOptions(), linearize(flat))
-    states = enumerate_states(schedule)
+    states = schedule.analyse()
     b = GroundAtom("Loc", ("B",))
     assert states[atom_node(b, schedule.situations[0].sid)] == states[atom_node(b, schedule.situations[1].sid)]
 

@@ -231,3 +231,13 @@ def test_same_situation_selection_feeds_primitive(files, capsys):
     code, out, err = run(capsys, ["eval", kb_path, plan_path])
     assert code == 0, err
     assert "leads_to_success = 0.700000" in out
+
+
+def test_same_situation_selection_adds_an_effect_state(files, capsys):
+    # (R m) starts at lo alone, so hi is reachable at S1 only through the
+    # effect gated on sel(b1)@S1: the sweep must know the selection first.
+    plan = sel_effect_plan("(S m)=ok").replace("(R m)=lo:0.5 (R m)=hi:0.5", "(R m)=lo")
+    kb_path, plan_path = files(SEL_EFFECT_KB, plan)
+    code, out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 0, err
+    assert "leads_to_success = 0.700000" in out

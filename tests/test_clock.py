@@ -15,7 +15,7 @@ from planeval import (
     linearize,
     split_situations,
 )
-from planeval.build import _forward_build, make_schedule
+from planeval.build import make_schedule
 from planeval.net import atom_node
 
 import trajectory_oracle as oracle
@@ -79,13 +79,34 @@ goal { (P)=v }
         build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
 
 
-def test_clock_cap_buckets_large_sums_into_other():
-    _kb, _plan, net = timed_build(SEQ_KB, """
+TWO_COINS_PLAN = """
 step s1 ag (Coin) start=b0 end=b1
 step s2 ag (Coin) start=b1 end=b2
 initial { (P)=u }
 goal { (P)=v }
-""", BuildOptions(clock_enabled=True, clock_cap=3))
+"""
+
+
+# The effect covers (P a)'s only reachable state but reads it, so the net
+# keeps the elapsed-time persistence rows' clock parents on (P a)@S1.
+COVERED_ELAPSED_KB = """
+predicate (P ?x) kind=primitive states { u v }
+action (Fix ?x) level=0 { duration { 1:0.5 2:0.5 } effect (P ?x) { (P ?x)=u -> { v:1.0 } } }
+persistence (P ?x) elapsed { [0,3) [3,inf) } {
+  u [0,3) -> { u:0.9 v:0.1 }
+  u [3,inf) -> { u:0.5 v:0.5 }
+}
+"""
+
+COVERED_ELAPSED_PLAN = """
+step s1 ag (Fix a) start=b0 end=b1
+initial { (P a)=u }
+goal { (P a)=v }
+"""
+
+
+def test_clock_cap_buckets_large_sums_into_other():
+    _kb, _plan, net = timed_build(SEQ_KB, TWO_COINS_PLAN, BuildOptions(clock_enabled=True, clock_cap=3))
     nid = [n for n in net.nodes if str(n) == "clock@S2"][0]
     assert net.nodes[nid].states == [2, 3, "OTHER"]
 
@@ -146,10 +167,10 @@ def test_split_situations_standalone_reaches_fixed_point():
     kb, plan = load(OVERLAP_KB, OVERLAP_PLAN)
     flat = flatten_hierarchy(plan)
     schedule = make_schedule(flat, kb, TIMED_OPTS, linearize(flat))
-    net = _forward_build(schedule)
-    assert all(sit.sub == "" for sit in net.situation_order)  # not yet split
-    net = split_situations(schedule, net)
-    assert [str(s) for s in net.situation_order] == ["S0", "S2a", "S1", "S2b", "S3"]
+    assert all(si.sid.sub == "" for si in schedule.situations)  # not yet split
+    split = split_situations(schedule)
+    assert [str(si.sid) for si in split.situations] == ["S0", "S2a", "S1", "S2b", "S3"]
+    assert split_situations(split) is split  # already a fixed point
 
 
 def test_goal_marginals_match_time_expanded_oracle():

@@ -12,7 +12,8 @@ import hashlib
 import json
 import pathlib
 
-from planeval import BuildError, BuildOptions, build_pe_net, canonical_dump
+from planeval import BuildError, BuildOptions, build_pe_net, canonical_dump, flatten_hierarchy, linearize
+from planeval.build import make_schedule, split_situations
 
 import instance_gen
 from fixtures import (
@@ -30,6 +31,8 @@ from fixtures import (
     contingent_plan,
     load,
 )
+from test_build import SPREAD_KB, spread_plan
+from test_clock import COVERED_ELAPSED_KB, COVERED_ELAPSED_PLAN, SEQ_KB, TWO_COINS_PLAN
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_dumps.json")
 TIMED = BuildOptions(clock_enabled=True)
@@ -50,6 +53,9 @@ def _cases():
         "during-nullify": (DURING_KB, DURING_PLAN, BuildOptions(during_failure_semantics="nullify-action")),
         "contingent-0.2": (CONTINGENT_KB, contingent_plan(0.2), None),
         "contingent-1.0": (CONTINGENT_KB, contingent_plan(1.0), None),
+        "spread-state-cap-4": (SPREAD_KB, spread_plan(6), BuildOptions(state_cap=4)),
+        "coins-clock-cap-3": (SEQ_KB, TWO_COINS_PLAN, BuildOptions(clock_enabled=True, clock_cap=3)),
+        "covered-elapsed-clock": (COVERED_ELAPSED_KB, COVERED_ELAPSED_PLAN, TIMED),
     }
     for name, (kb_text, plan_text, opts) in fixtures.items():
         yield name, lambda k=kb_text, p=plan_text, o=opts: (*load(k, p), o)
@@ -74,6 +80,27 @@ def test_canonical_dumps_match_golden_digests():
     assert sorted(actual) == sorted(expected)
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, changed
+
+
+def test_sweep_states_and_parents_match_the_net():
+    """Each node's states are the sweep's, and its parents the keys of its recorded rows."""
+    mismatched = []
+    for name, make in _cases():
+        kb, plan, opts = make()
+        opts = opts or BuildOptions()
+        try:
+            net = build_pe_net(plan, kb, opts)
+        except BuildError:
+            continue
+        flat = flatten_hierarchy(plan)
+        schedule = split_situations(make_schedule(flat, kb, opts, linearize(flat, opts.tie_break)))
+        states = schedule.analyse()
+        assert sorted(schedule.rows, key=str) == sorted(net.nodes, key=str), name
+        for nid, node in net.nodes.items():
+            keys = {key for _kind, _source, rows in schedule.rows[nid] for row in rows for key in row.condition}
+            if node.states != states[nid] or set(node.parents) != keys:
+                mismatched.append((name, str(nid)))
+    assert not mismatched, mismatched[:10]
 
 
 if __name__ == "__main__":
