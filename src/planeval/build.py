@@ -9,13 +9,13 @@ The pipeline runs in a fixed order, and paste order is meaningful:
    reads the schedule alone),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
    in paste order, and take from them its states, parents and rough marginal,
-6. create the nodes, then paste the forward rows: priors and action
-   fragments (paste-onto), residual effects (paste-into), contingency
-   selection nodes, during effects, clock machinery,
-7. knowledge-base persistence then default no-change rows (both paste-into),
-8. derived-predicate rows (paste-onto), then finalize.
+6. create the nodes, then replay each node's recorded rows once: gap
+   fillers (residual, selector default, clock identity, persistence and
+   no-change default rows) are pasted into the net, all others onto it,
+7. finalize.
 
-No stage after the sweep makes a row: each replays what the sweep recorded.
+Nothing after the sweep makes a row. Each row writes only its own node,
+whose states and parents are fixed before any row is written.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -133,6 +133,7 @@ class Schedule:
         ]
         self.splits = splits or []
         self.dur_steps = dur_steps or set()
+        self.sign_mass = {}  # ret NodeId -> {sign: weight}, set by split_situations
         self._refresh()
         if situations is None:
             self._collect_universe()
@@ -306,7 +307,7 @@ class Schedule:
 
         Fills ``kinds`` (nid -> node kind, parents before children),
         ``states``, ``parents`` and ``rows`` (nid -> [(kind, source, rows)]
-        in paste order), which the paste stages replay unchanged.
+        in paste order), which the forward build replays unchanged.
         """
         self.kinds, self.states, self.parents, self.rows = {}, {}, {}, {}
         _Sweep(self).run()
@@ -521,7 +522,6 @@ class _Sweep:
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
         self.states, self.approx = schedule.states, {}
-        self.sign_probs = _split_sign_probs(schedule)
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock}
 
@@ -705,7 +705,7 @@ class _Sweep:
             sign = _compare_ends(_end_time(values[cl], values[dl]), _end_time(values[ce], values[de]))
             rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
         self.states[nid] = [NEGATIVE, NONNEGATIVE]
-        self.approx[nid] = self.sign_probs.get(nid, {NEGATIVE: 0.5, NONNEGATIVE: 0.5})
+        self.approx[nid] = schedule.sign_mass[nid]
         return [("relative-end-time", None, rows)], ()
 
     def _clock(self, nid: NodeId):
@@ -816,24 +816,15 @@ def _duration_worlds(schedule: Schedule):
 
 def _world_times(schedule: Schedule, assignment: dict) -> list:
     """Per-situation event times for one duration world (guarded steps assumed run)."""
-    times = []
-    for pos, si in enumerate(schedule.situations):
-        if pos == 0:
-            times.append(0)
-            continue
+    times = [0]
+    for si in schedule.situations[1:]:
         enders = schedule.enders_at(si.sid)
         if si.gate is not None:
             ret, sign = si.gate
             spec = next(sp for sp in schedule.splits if sp.ret == ret)
-            end_later = times[schedule.position(schedule.start_sit(spec.later))] + assignment[spec.later.id]
-            end_earlier = times[schedule.position(schedule.start_sit(spec.earlier))] + assignment[spec.earlier.id]
-            active = (end_later < end_earlier) == (sign == NEGATIVE)
-            if active and enders:
-                last = enders[-1]
-                times.append(times[schedule.position(schedule.start_sit(last))] + assignment[last.id])
-            else:
-                times.append(times[-1])
-        elif enders:
+            if _end_sign(schedule, spec, times, assignment) != sign:
+                enders = []  # the sub-situation is inactive in this world
+        if enders:
             last = enders[-1]
             times.append(times[schedule.position(schedule.start_sit(last))] + assignment[last.id])
         else:
@@ -841,37 +832,34 @@ def _world_times(schedule: Schedule, assignment: dict) -> list:
     return times
 
 
-def _find_conflict(schedule: Schedule):
-    """First situation whose event time can precede its predecessor's, or None."""
-    if not schedule.timed:
-        return None
-    best = None
+def _end_sign(schedule: Schedule, spec: SplitSpec, times: list, assignment: dict) -> str:
+    """Sign of the later step's end time minus the earlier step's, in one duration world."""
+    end_later = times[schedule.position(schedule.start_sit(spec.later))] + assignment[spec.later.id]
+    end_earlier = times[schedule.position(schedule.start_sit(spec.earlier))] + assignment[spec.earlier.id]
+    return _compare_ends(end_later, end_earlier)
+
+
+def _scan_worlds(schedule: Schedule):
+    """One pass over the duration worlds of positive weight.
+
+    Returns the first situation whose event time can precede its
+    predecessor's (None if none can), and each split's weight mass per sign
+    of its relative-end-time node.
+    """
+    conflict = None
+    mass = {spec.ret: {NEGATIVE: 0.0, NONNEGATIVE: 0.0} for spec in schedule.splits}
     for assignment, weight in _duration_worlds(schedule):
         if weight <= 0:
             continue
         times = _world_times(schedule, assignment)
         for pos in range(1, len(times)):
             if times[pos] < times[pos - 1]:
-                if best is None or pos < best:
-                    best = pos
+                if conflict is None or pos < conflict:
+                    conflict = pos
                 break
-    return best
-
-
-def _split_sign_probs(schedule: Schedule) -> dict:
-    out = {}
-    if not schedule.splits:
-        return out
-    for spec in schedule.splits:
-        out[spec.ret] = {NEGATIVE: 0.0, NONNEGATIVE: 0.0}
-    for assignment, weight in _duration_worlds(schedule):
-        times = _world_times(schedule, assignment)
         for spec in schedule.splits:
-            end_later = times[schedule.position(schedule.start_sit(spec.later))] + assignment[spec.later.id]
-            end_earlier = times[schedule.position(schedule.start_sit(spec.earlier))] + assignment[spec.earlier.id]
-            sign = NEGATIVE if end_later < end_earlier else NONNEGATIVE
-            out[spec.ret][sign] += weight
-    return out
+            mass[spec.ret][_end_sign(schedule, spec, times, assignment)] += weight
+    return conflict, mass
 
 
 def _end_time(clock_value, duration):
@@ -902,16 +890,19 @@ def split_situations(schedule: Schedule) -> Schedule:
     situation it conflicts with and renames the original to ``b``; a
     relative-end-time node gates which sub-situation the step's effects
     land on. Iterates to a fixed point, capped by the number of
-    overlapping step pairs, and returns the split schedule.
+    overlapping step pairs, and returns the split schedule with each split's
+    sign mass in ``sign_mass``.
     """
     if not schedule.timed:
         return schedule
     cap = _overlapping_pairs(schedule)
-    while (conflict_pos := _find_conflict(schedule)) is not None:
+    while True:
+        conflict_pos, schedule.sign_mass = _scan_worlds(schedule)
+        if conflict_pos is None:
+            return schedule
         if len(schedule.splits) >= cap:
             raise PlanEvalError("situation splitting did not reach a fixed point within the overlap cap")
         schedule = _apply_split(schedule, conflict_pos)
-    return schedule
 
 
 def _overlapping_pairs(schedule: Schedule) -> int:
@@ -971,64 +962,26 @@ def _apply_split(schedule: Schedule, conflict_pos: int) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# construction stages: each replays the rows the sweep recorded
+# construction: one replay of the rows the sweep recorded
 # ---------------------------------------------------------------------------
 
 
-def _paste(schedule: Schedule, net: PENet, kind: str, source=None) -> PENet:
-    """Paste every recorded row of one kind (of one source, if given) in sweep order."""
-    rows = [row for entries in schedule.rows.values() for entry_kind, src, src_rows in entries
-            if entry_kind == kind and (source is None or src is source) for row in src_rows]
-    if rows:
-        (paste_into if kind in _FILLS else paste_onto)(net, Fragment(rows=rows))
-    return net
-
-
-def merge_contingent(group, schedule: Schedule, net: PENet) -> PENet:
-    """Write one contingency group's action-selection node into the net."""
-    _paste(schedule, net, "selector", group)
-    _paste(schedule, net, "selector-default", group)
-    net.selection_records.append(SelectionRecord(
-        node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
-        selected=group.selected,
-        origin=group.origin,
-        guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
-    ))
-    return net
-
-
-def attach_during(step: PlanStep, schedule: Schedule, net: PENet) -> PENet:
-    """Paste one step's during effects onto each of its intermediate situations."""
-    return _paste(schedule, net, "during", step)
-
-
-def add_clock(schedule: Schedule, net: PENet) -> PENet:
-    """Duration, relative-end-time and clock rows."""
-    for kind in ("duration", "relative-end-time", "clock", "clock-identity"):
-        _paste(schedule, net, kind)
-    return net
-
-
-def complete_with_persistence(schedule: Schedule, net: PENet) -> PENet:
-    """Fill every gap with KB persistence, then no-change defaults."""
-    _paste(schedule, net, "persistence")
-    return _paste(schedule, net, "default-persistence")
-
-
 def _forward_build(schedule: Schedule) -> PENet:
-    """Sweep the schedule, create every node with its states and parents, paste the forward rows."""
+    """Sweep the schedule, create every node with its states and parents, and replay its rows."""
     schedule.analyse()
     net = PENet(situation_order=[si.sid for si in schedule.situations])
     for nid, kind in schedule.kinds.items():
         net.ensure_node(FragmentNode(nid, kind, list(schedule.states[nid]), schedule.parents[nid]))
-    for kind in ("initial", "action", "residual"):
-        _paste(schedule, net, kind)
-    for group in schedule.plan.contingencies:
-        merge_contingent(group, schedule, net)
-    for step in schedule.plan.steps:
-        if step.model.during_effects:
-            attach_during(step, schedule, net)
-    return add_clock(schedule, net)
+    for entries in schedule.rows.values():
+        for kind, _source, rows in entries:
+            (paste_into if kind in _FILLS else paste_onto)(net, Fragment(rows=rows))
+    net.selection_records = [SelectionRecord(
+        node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
+        selected=group.selected,
+        origin=group.origin,
+        guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
+    ) for group in schedule.plan.contingencies]
+    return net
 
 
 def make_schedule(plan: Plan, kb: KnowledgeBase, opts: BuildOptions, boundary_order: list) -> Schedule:
@@ -1058,7 +1011,4 @@ def build_pe_net(plan: Plan, kb: KnowledgeBase, opts: BuildOptions = None) -> PE
     schedule = stage("schedule", make_schedule, flat, kb, opts, order)
     schedule = stage("split", split_situations, schedule)
     net = stage("forward", _forward_build, schedule)
-    net = stage("persistence", complete_with_persistence, schedule, net)
-    net = stage("derived", _paste, schedule, net, "derived")
-    net = stage("finalize", finalize, net)
-    return net
+    return stage("finalize", finalize, net)

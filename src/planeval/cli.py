@@ -22,17 +22,7 @@ from .errors import (
     ZeroWeight,
 )
 from .export import export_graph
-from .inference import (
-    EXACT,
-    MC,
-    Query,
-    _goal_targets,
-    _selected_path_targets,
-    exact_query,
-    leads_to_success,
-    mc_query,
-    plan_success,
-)
+from .inference import EXACT, MC, _goal_targets, _run, _selected_path_targets, leads_to_success
 from .model import validate_kb
 from .net import canonical_dump, parse_situation
 
@@ -135,10 +125,9 @@ def _cmd_build(args) -> int:
     if built is None:
         return 1
     _kb, _plan, net = built
-    dump = canonical_dump(net)
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(dump)
+            handle.write(canonical_dump(net))
     print(f"nodes = {len(net.nodes)}")
     print(f"situations = {len(net.situation_order)}")
     return 0
@@ -156,23 +145,16 @@ def _cmd_eval(args) -> int:
         for spec in args.evidence:
             atom, state, sit = parse_evidence_spec(spec)
             evidence[net.find(atom, sit)] = state
-        kwargs = dict(mode=mode, samples=samples, seed=args.seed)
-        if evidence:
-            lead = _conjunction(net, _goal_targets(net, plan), evidence, mode, samples, args.seed)
-        else:
-            lead = leads_to_success(net, plan, **kwargs)
-        _report("leads_to_success", lead)
+        goals = _goal_targets(net, plan)
+        _report("leads_to_success", _run(net, goals, evidence, mode, samples, args.seed))
         if not args.goal_only:
-            if evidence:
-                pairs = _goal_targets(net, plan) + _selected_path_targets(net)
-                _report("plan_success", _conjunction(net, pairs, evidence, mode, samples, args.seed))
-            else:
-                _report("plan_success", plan_success(net, plan, **kwargs))
+            pairs = goals + _selected_path_targets(net)
+            _report("plan_success", _run(net, pairs, evidence, mode, samples, args.seed))
         for spec in args.marginal:
             atom, sit = parse_marginal_spec(spec)
             nid = net.find(atom, sit)
             for state in net.nodes[nid].states:
-                result = _conjunction(net, [(nid, state)], evidence, mode, samples, args.seed)
+                result = _run(net, [(nid, state)], evidence, mode, samples, args.seed)
                 _report(f"marginal {atom}@{parse_situation(sit)} {state}", result)
     except INFERENCE_ERRORS as err:
         print(f"inference: {err}", file=sys.stderr)
@@ -181,13 +163,6 @@ def _cmd_eval(args) -> int:
         print(f"{args.plan}:0:0: query: {err}", file=sys.stderr)
         return 1
     return 0
-
-
-def _conjunction(net, pairs, evidence, mode, samples, seed):
-    query = Query(targets=pairs, evidence=evidence, mode=mode, samples=samples, seed=seed)
-    if mode == EXACT:
-        return exact_query(net, query)
-    return mc_query(net, query)
 
 
 def _cmd_export(args) -> int:

@@ -192,20 +192,11 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
 
     for nid in order:
         node = net.nodes[nid]
-        index = {s: i for i, s in enumerate(node.states)}
-        pools = [net.nodes[p].states for p in node.parents]
-        strides = []
-        acc = 1
-        for pool in reversed(pools):
-            strides.append(acc)
-            acc *= len(pool)
-        strides = list(reversed(strides))
-        row_index = np.zeros(n, dtype=np.int64)
-        for parent, stride in zip(node.parents, strides):
-            row_index += values[parent] * stride
+        # A root's index is 0, which broadcasts over the samples.
+        row_index = np.ravel_multi_index([values[p] for p in node.parents], node.table.shape[:-1])
         matrix = node.table.reshape(-1, len(node.states))
         if nid in q.evidence:
-            col = index[q.evidence[nid]]
+            col = node.states.index(q.evidence[nid])
             weights = weights * matrix[row_index, col]
             values[nid] = np.full(n, col, dtype=np.int64)
         else:
@@ -344,8 +335,10 @@ def _selected_path_targets(net: PENet) -> list:
     return targets
 
 
-def _run(net: PENet, targets, mode: str, samples: int, seed: int, width_limit: int) -> QueryResult:
-    query = Query(targets=targets, mode=EXACT if mode == EXACT else MC, samples=samples, seed=seed)
+def _run(net: PENet, targets, evidence: dict, mode: str, samples: int, seed: int,
+         width_limit: int = DEFAULT_WIDTH_LIMIT) -> QueryResult:
+    """Answer one conjunction given evidence with the chosen engine."""
+    query = Query(targets=targets, evidence=evidence, mode=EXACT if mode == EXACT else MC, samples=samples, seed=seed)
     if mode == EXACT:
         return exact_query(net, query, width_limit=width_limit)
     return mc_query(net, query)
@@ -357,11 +350,11 @@ def plan_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed
     expansion-selection node on the selected detailed path takes its
     planner-chosen alternative."""
     targets = _goal_targets(net, plan) + _selected_path_targets(net)
-    return _run(net, targets, mode, samples, seed, width_limit)
+    return _run(net, targets, {}, mode, samples, seed, width_limit)
 
 
 def leads_to_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed: int = 0,
                      width_limit: int = DEFAULT_WIDTH_LIMIT) -> QueryResult:
     """Probability of the goal conjunction in the final situation, whichever
     branches actually execute."""
-    return _run(net, _goal_targets(net, plan), mode, samples, seed, width_limit)
+    return _run(net, _goal_targets(net, plan), {}, mode, samples, seed, width_limit)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from planeval import build_pe_net, export_graph, run_cli
+from planeval import build_pe_net, export_graph, leads_to_success, plan_success, run_cli
 
 from fixtures import (
     CONTINGENT_KB,
+    HIERARCHY_KB,
+    HIERARCHY_PLAN,
     INVERTED_KB,
     MOVE_KB,
     OVERLAP_KB,
@@ -70,6 +72,19 @@ def test_eval_mc_byte_deterministic(files, capsys):
     assert "±" in out1
 
 
+def test_eval_mc_reports_the_api_values(files, capsys):
+    kb_path, plan_path = files(HIERARCHY_KB, HIERARCHY_PLAN)
+    code, out, err = run(capsys, ["eval", kb_path, plan_path, "--mc", "500", "--seed", "3"])
+    assert code == 0, err
+    kb, plan = load(HIERARCHY_KB, HIERARCHY_PLAN)
+    net = build_pe_net(plan, kb)
+    expected = []
+    for key, metric in (("leads_to_success", leads_to_success), ("plan_success", plan_success)):
+        result = metric(net, plan, mode="mc", samples=500, seed=3)
+        expected.append(f"{key} = {result.probability:.6f} ± {result.standard_error:.6f}")
+    assert out.splitlines() == expected
+
+
 def test_build_rejects_invalid_kb_with_exit_1(files, capsys):
     kb_path, plan_path = files(INVERTED_KB, "initial { }\ngoal { }\n")
     code, _out, err = run(capsys, ["build", kb_path, plan_path])
@@ -132,6 +147,23 @@ def test_compare_linearizations(files, capsys):
     assert "linearization[default] leads_to_success =" in out
     assert "linearization[0] leads_to_success =" in out
     assert "linearization[1] leads_to_success =" in out
+
+
+def test_timed_plan_needing_a_second_split_exit_1(files, capsys):
+    # three timed steps fanning out from b0: the first split's sub-situation
+    # would need a split of its own
+    kb_path, plan_path = files(OVERLAP_KB, """
+step f0 ag0 (First) start=b0 end=e0
+step f1 ag1 (Second) start=b0 end=e1
+step f2 ag2 (Third) start=b0 end=e2
+initial { (P x1)=u (P x2)=u (P x3)=u (P q)=u }
+goal { (P q)=v }
+""")
+    code, out, err = run(capsys, ["eval", kb_path, plan_path, "--clock"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'split': ")
+    assert "unsupported" in err
 
 
 def test_infeasible_evidence_exit_2(files, capsys):

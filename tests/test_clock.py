@@ -173,6 +173,42 @@ def test_split_situations_standalone_reaches_fixed_point():
     assert split_situations(split) is split  # already a fixed point
 
 
+def test_split_sign_mass_matches_the_duration_pairs():
+    # Second (1 or 6) ends before First (2 or 4) exactly when it takes 1.
+    kb_text = OVERLAP_KB.replace("duration { 1:0.5 6:0.5 }", "duration { 1:0.3 6:0.7 }")
+    kb, plan = load(kb_text, OVERLAP_PLAN)
+    flat = flatten_hierarchy(plan)
+    split = split_situations(make_schedule(flat, kb, TIMED_OPTS, linearize(flat)))
+    (spec,) = split.splits
+    mass = split.sign_mass[spec.ret]
+    assert abs(mass["negative"] - 0.3) <= 1e-12
+    assert abs(mass["nonnegative"] - 0.7) <= 1e-12
+
+
+SIGN_RANK_KB = """
+predicate (P ?x) kind=primitive states { u v w x }
+action (First) level=0 { duration { 2:0.5 4:0.5 } effect (P a) { * -> { u:1.0 } } }
+action (Second) level=0 { duration { 1:0.3 6:0.7 } effect (P b) { * -> { v:1.0 } } }
+action (Third) level=0 { duration { 1:1.0 } effect (P c) { * -> { v:1.0 } } }
+"""
+
+SIGN_RANK_PLAN = """
+step a1 agent1 (First) start=b0 end=b1
+step a2 agent2 (Second) start=b0 end=b2
+step a3 agent2 (Third) start=b2 end=b3
+initial { (P a)=u (P b)=u:0.55 (P b)=w:0.4 (P b)=x:0.05 (P c)=u }
+goal { (P c)=v }
+"""
+
+
+def test_split_sign_mass_ranks_compaction():
+    # At S2a, v comes only from Second's effect gated on the negative sign
+    # (mass 0.3), so it ranks below w (0.4) and is compacted into OTHER;
+    # a sign mass of 0.5 would keep v and drop w.
+    _kb, _plan, net = timed_build(SIGN_RANK_KB, SIGN_RANK_PLAN, BuildOptions(clock_enabled=True, state_cap=3))
+    assert net.nodes[net.find("(P b)", "S2a")].states == ["u", "w", "OTHER"]
+
+
 def test_goal_marginals_match_time_expanded_oracle():
     kb, plan, net = timed_build(OVERLAP_KB, OVERLAP_PLAN)
     flat = flatten_hierarchy(plan)

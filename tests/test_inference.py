@@ -236,6 +236,19 @@ def test_mc_answer_pinned(two_step):
     assert result.standard_error == 0.006678285708173917
 
 
+def test_mc_answer_pinned_with_evidence():
+    # recorded before MC took its row index from np.ravel_multi_index: evidence
+    # on a root and on a two-parent node, same seed, same bits
+    _kb, _plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
+    side = net.find("(Side T)", "S2")
+    assert len(net.nodes[side].parents) == 2
+    evidence = {net.find("(Risk)", "S0"): "high", side: "clean"}
+    q = Query(targets=[(net.find("(Done T)", "S2"), "yes")], evidence=evidence, mode="mc", samples=3000, seed=5)
+    result = mc_query(net, q)
+    assert result.probability == 0.4986666666666666
+    assert result.standard_error == 0.009128676834062027
+
+
 def test_mc_on_deterministic_net_is_exact():
     kb, plan = load(MOVE_KB, "initial { (Loc A)=L1 }\ngoal { (Loc A)=L1 }")
     net = build_pe_net(plan, kb)
