@@ -9,13 +9,13 @@ The pipeline runs in a fixed order, and paste order is meaningful:
    reads the schedule alone),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
    in paste order, and take from them its states, parents and rough marginal,
-6. create the nodes, then replay each node's recorded rows once: gap
-   fillers (residual, selector default, clock identity, persistence and
-   no-change default rows) are pasted into the net, all others onto it,
-7. finalize.
+6. create the nodes, then paste the forward rows: priors and action
+   fragments (paste-onto), residual effects (paste-into), contingency
+   selection nodes, during effects, clock machinery,
+7. knowledge-base persistence then default no-change rows (both paste-into),
+8. derived-predicate rows (paste-onto), then finalize.
 
-Nothing after the sweep makes a row. Each row writes only its own node,
-whose states and parents are fixed before any row is written.
+No stage after the sweep makes a row: each replays what the sweep recorded.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -307,7 +307,7 @@ class Schedule:
 
         Fills ``kinds`` (nid -> node kind, parents before children),
         ``states``, ``parents`` and ``rows`` (nid -> [(kind, source, rows)]
-        in paste order), which the forward build replays unchanged.
+        in paste order), which the paste stages replay unchanged.
         """
         self.kinds, self.states, self.parents, self.rows = {}, {}, {}, {}
         _Sweep(self).run()
@@ -962,26 +962,64 @@ def _apply_split(schedule: Schedule, conflict_pos: int) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# construction: one replay of the rows the sweep recorded
+# construction stages: each replays the rows the sweep recorded
 # ---------------------------------------------------------------------------
 
 
-def _forward_build(schedule: Schedule) -> PENet:
-    """Sweep the schedule, create every node with its states and parents, and replay its rows."""
-    schedule.analyse()
-    net = PENet(situation_order=[si.sid for si in schedule.situations])
-    for nid, kind in schedule.kinds.items():
-        net.ensure_node(FragmentNode(nid, kind, list(schedule.states[nid]), schedule.parents[nid]))
-    for entries in schedule.rows.values():
-        for kind, _source, rows in entries:
-            (paste_into if kind in _FILLS else paste_onto)(net, Fragment(rows=rows))
-    net.selection_records = [SelectionRecord(
+def _paste(schedule: Schedule, net: PENet, kind: str, source=None) -> PENet:
+    """Paste every recorded row of one kind (of one source, if given) in sweep order."""
+    rows = [row for entries in schedule.rows.values() for entry_kind, src, src_rows in entries
+            if entry_kind == kind and (source is None or src is source) for row in src_rows]
+    if rows:
+        (paste_into if kind in _FILLS else paste_onto)(net, Fragment(rows=rows))
+    return net
+
+
+def merge_contingent(group, schedule: Schedule, net: PENet) -> PENet:
+    """Write one contingency group's action-selection node into the net."""
+    _paste(schedule, net, "selector", group)
+    _paste(schedule, net, "selector-default", group)
+    net.selection_records.append(SelectionRecord(
         node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
         selected=group.selected,
         origin=group.origin,
         guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
-    ) for group in schedule.plan.contingencies]
+    ))
     return net
+
+
+def attach_during(step: PlanStep, schedule: Schedule, net: PENet) -> PENet:
+    """Paste one step's during effects onto each of its intermediate situations."""
+    return _paste(schedule, net, "during", step)
+
+
+def add_clock(schedule: Schedule, net: PENet) -> PENet:
+    """Duration, relative-end-time and clock rows."""
+    for kind in ("duration", "relative-end-time", "clock", "clock-identity"):
+        _paste(schedule, net, kind)
+    return net
+
+
+def complete_with_persistence(schedule: Schedule, net: PENet) -> PENet:
+    """Fill every gap with KB persistence, then no-change defaults."""
+    _paste(schedule, net, "persistence")
+    return _paste(schedule, net, "default-persistence")
+
+
+def _forward_build(schedule: Schedule) -> PENet:
+    """Sweep the schedule, create every node with its states and parents, paste the forward rows."""
+    schedule.analyse()
+    net = PENet(situation_order=[si.sid for si in schedule.situations])
+    for nid, kind in schedule.kinds.items():
+        net.ensure_node(FragmentNode(nid, kind, list(schedule.states[nid]), schedule.parents[nid]))
+    for kind in ("initial", "action", "residual"):
+        _paste(schedule, net, kind)
+    for group in schedule.plan.contingencies:
+        merge_contingent(group, schedule, net)
+    for step in schedule.plan.steps:
+        if step.model.during_effects:
+            attach_during(step, schedule, net)
+    return add_clock(schedule, net)
 
 
 def make_schedule(plan: Plan, kb: KnowledgeBase, opts: BuildOptions, boundary_order: list) -> Schedule:
@@ -1011,4 +1049,7 @@ def build_pe_net(plan: Plan, kb: KnowledgeBase, opts: BuildOptions = None) -> PE
     schedule = stage("schedule", make_schedule, flat, kb, opts, order)
     schedule = stage("split", split_situations, schedule)
     net = stage("forward", _forward_build, schedule)
-    return stage("finalize", finalize, net)
+    net = stage("persistence", complete_with_persistence, schedule, net)
+    net = stage("derived", _paste, schedule, net, "derived")
+    net = stage("finalize", finalize, net)
+    return net

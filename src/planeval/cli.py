@@ -22,7 +22,7 @@ from .errors import (
     ZeroWeight,
 )
 from .export import export_graph
-from .inference import EXACT, MC, _goal_targets, _run, _selected_path_targets, leads_to_success
+from .inference import EXACT, MC, _run, leads_to_success, plan_success
 from .model import validate_kb
 from .net import canonical_dump, parse_situation
 
@@ -145,11 +145,10 @@ def _cmd_eval(args) -> int:
         for spec in args.evidence:
             atom, state, sit = parse_evidence_spec(spec)
             evidence[net.find(atom, sit)] = state
-        goals = _goal_targets(net, plan)
-        _report("leads_to_success", _run(net, goals, evidence, mode, samples, args.seed))
+        kwargs = dict(mode=mode, samples=samples, seed=args.seed, evidence=evidence)
+        _report("leads_to_success", leads_to_success(net, plan, **kwargs))
         if not args.goal_only:
-            pairs = goals + _selected_path_targets(net)
-            _report("plan_success", _run(net, pairs, evidence, mode, samples, args.seed))
+            _report("plan_success", plan_success(net, plan, **kwargs))
         for spec in args.marginal:
             atom, sit = parse_marginal_spec(spec)
             nid = net.find(atom, sit)

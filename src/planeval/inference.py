@@ -345,16 +345,16 @@ def _run(net: PENet, targets, evidence: dict, mode: str, samples: int, seed: int
 
 
 def plan_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed: int = 0,
-                 width_limit: int = DEFAULT_WIDTH_LIMIT) -> QueryResult:
+                 width_limit: int = DEFAULT_WIDTH_LIMIT, evidence: dict = None) -> QueryResult:
     """Probability that the goals hold in the final situation and every
     expansion-selection node on the selected detailed path takes its
-    planner-chosen alternative."""
+    planner-chosen alternative, given ``evidence`` (NodeId -> state)."""
     targets = _goal_targets(net, plan) + _selected_path_targets(net)
-    return _run(net, targets, {}, mode, samples, seed, width_limit)
+    return _run(net, targets, evidence or {}, mode, samples, seed, width_limit)
 
 
 def leads_to_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed: int = 0,
-                     width_limit: int = DEFAULT_WIDTH_LIMIT) -> QueryResult:
+                     width_limit: int = DEFAULT_WIDTH_LIMIT, evidence: dict = None) -> QueryResult:
     """Probability of the goal conjunction in the final situation, whichever
-    branches actually execute."""
-    return _run(net, _goal_targets(net, plan), {}, mode, samples, seed, width_limit)
+    branches actually execute, given ``evidence`` (NodeId -> state)."""
+    return _run(net, _goal_targets(net, plan), evidence or {}, mode, samples, seed, width_limit)
