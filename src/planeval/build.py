@@ -11,11 +11,15 @@ The pipeline runs in a fixed order, and paste order is meaningful:
    in paste order, and take from them its states, parents and rough marginal,
 6. create the nodes, then paste the forward rows: priors and action
    fragments (paste-onto), residual effects (paste-into), contingency
-   selection nodes, during effects, clock machinery,
+   selection nodes, during effects, clock machinery with clock-identity
+   gap fillers (paste-into),
 7. knowledge-base persistence then default no-change rows (both paste-into),
 8. derived-predicate rows (paste-onto), then finalize.
 
 No stage after the sweep makes a row: each replays what the sweep recorded.
+A node's parents are exactly the keys its rows read, and gap fillers
+(persistence, no-change and clock-identity rows) are recorded only where a
+node's own rows leave a reachable parent combination uncovered.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -513,15 +517,23 @@ class _Sweep:
     Within a situation a node is made after every same-situation node its
     rows read (depth first, in net node-key order), so a selection node is
     known before the effects it gates. Each maker returns the node's
-    (kind, source, rows) entries plus any parents its rows leave unread and
-    sets its states; atoms, derived and selection nodes also get a rough
-    marginal that treats parents as independent and only ranks states for
-    OTHER compaction.
+    (kind, source, rows) entries and sets its states; atoms, derived and
+    selection nodes also get a rough marginal that treats parents as
+    independent and only ranks states for OTHER compaction, which never
+    absorbs a state some derived definition pins.
     """
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
         self.states, self.approx = schedule.states, {}
+        self.derived_rows, self.pinned = {}, {}
+        for datom in schedule.derived_atoms:
+            definition, bindings = schedule.kb.find_derived(datom)
+            ground = [instantiate_row(row, bindings) for row in definition.rows]
+            self.derived_rows[datom] = (definition, ground)
+            for row in ground:
+                for key, state in row.condition.items():
+                    self.pinned.setdefault(key, set()).add(state)
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock}
 
@@ -543,9 +555,8 @@ class _Sweep:
             raise PlanEvalError(f"paste created a cycle through {nid}")
         self.active.add(nid)
         kind = self.nodes[nid]
-        entries, unread = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
+        entries = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
         parents = dict.fromkeys(key for _kind, _source, rows in entries for key in _keys(rows))
-        parents.update(dict.fromkeys(unread))
         self._need(parents)
         schedule.kinds[nid] = kind
         schedule.rows[nid] = entries
@@ -575,30 +586,21 @@ class _Sweep:
             prior = schedule.plan.initial.get(atom) or {schema.states[0]: 1.0}
             self.states[nid] = [s for s in prior if prior[s] > 0]
             self.approx[nid] = {s: p for s, p in prior.items() if p > 0}
-            return [("initial", None, [FragmentRow(nid, {}, dict(prior), "initial")])], ()
+            return [("initial", None, [FragmentRow(nid, {}, dict(prior), "initial")])]
 
-        writers = self.writers.get(nid, [])
-        written = [row for _kind, _source, rows in writers for row in rows]
-        read = _keys(written)
-        self._need(read)
+        entries = list(self.writers.get(nid, []))
+        written = [row for _kind, _source, rows in entries for row in rows]
+        self._need(_keys(written))
         mass = self._mass(written)
-
-        prev_nid = atom_node(atom, self.prev)
-        covered = _fully_covered(self.states, writers, self.si)
-        entries, unread = list(writers), []
-        # A covered node whose action reads the previous state still carries
-        # the persistence rows: they fill nothing, but their keys are parents.
-        if not covered or prev_nid in read:
-            entries += self._persistence(atom, nid, prev_nid)
-        if not covered:
-            model = schedule.kb.persistence.get(atom.name)
-            if model is not None and model.buckets is not None and schedule.timed:
-                unread = [clock_node(self.prev), clock_node(self.si.sid)]
+        if not _covers_reachable(self.states, written):
+            prev_nid = atom_node(atom, self.prev)
+            fillers = self._persistence(atom, nid, prev_nid)
+            entries += fillers
             # Each previous state spreads its mass evenly over what persistence
             # and the no-change default can make of it. Only the previous-state
             # pin can be infeasible, and rows of unreachable states go unread.
             by_prev = {}
-            for _kind, _source, rows in entries[len(writers):]:
+            for _kind, _source, rows in fillers:
                 for row in rows:
                     by_prev.setdefault(row.condition[prev_nid], {}).update(
                         dict.fromkeys(s for s, p in row.distribution.items() if p > 0))
@@ -610,10 +612,10 @@ class _Sweep:
         ordered = _ordered(schema, mass)
         margin = _normalized(mass, ordered)
         if len(ordered) > schedule.opts.state_cap:
-            ordered, margin = _compact(ordered, margin, schedule.opts.state_cap)
+            ordered, margin = _compact(ordered, margin, schedule.opts.state_cap, self.pinned.get(atom, ()))
         self.states[nid] = ordered
         self.approx[nid] = margin
-        return entries, unread
+        return entries
 
     def _persistence(self, atom: GroundAtom, nid: NodeId, prev_nid: NodeId) -> list:
         """KB persistence rows (elapsed-time rows read both clocks), then no-change defaults."""
@@ -644,23 +646,17 @@ class _Sweep:
         return entries
 
     def _derived(self, nid: NodeId):
-        schedule = self.schedule
         sid = self.si.sid
-        definition, bindings = schedule.kb.find_derived(nid.atom)
-        declared = [atom_node(instantiate(p, bindings), sid) for p in definition.parents]
-        rows = []
-        for row in definition.rows:
-            ground = instantiate_row(row, bindings)
-            condition = {atom_node(key, sid): state for key, state in ground.condition.items()}
-            rows.append(FragmentRow(nid, condition, dict(ground.distribution), f"derived {definition.atom}"))
-        self._need(declared + _keys(rows))
+        definition, ground = self.derived_rows[nid.atom]
+        rows = [FragmentRow(nid, {atom_node(key, sid): state for key, state in row.condition.items()},
+                            dict(row.distribution), f"derived {definition.atom}") for row in ground]
+        self._need(_keys(rows))
         mass = self._mass(rows)
         if not mass:
-            raise BuildError("enumerate", PlanEvalError(
-                f"derived definition for {nid.atom} matches no reachable state at {sid}"))
-        self.states[nid] = _ordered(schedule.kb.schemas[nid.atom.name], mass)
+            raise PlanEvalError(f"derived definition for {nid.atom} matches no reachable state at {sid}")
+        self.states[nid] = _ordered(self.schedule.kb.schemas[nid.atom.name], mass)
         self.approx[nid] = _normalized(mass, self.states[nid])
-        return [("derived", None, rows)], declared
+        return [("derived", None, rows)]
 
     def _selection(self, nid: NodeId):
         group = self.schedule.group_at_boundary(nid.ref[1])
@@ -684,12 +680,12 @@ class _Sweep:
         default_label = next(iter(default_row.distribution))
         mass[default_label] = mass.get(default_label, 0.0) + max(1.0 - covered_weight, 0.0)
         self.approx[nid] = _normalized(mass, labels)
-        return [("selector", group, rows), ("selector-default", group, [default_row])], ()
+        return [("selector", group, rows), ("selector-default", group, [default_row])]
 
     def _duration(self, nid: NodeId):
         step = self.schedule.plan.step_by_id(nid.ref[1])
         self.states[nid] = sorted(step.model.duration)
-        return [("duration", None, [FragmentRow(nid, {}, dict(step.model.duration), f"duration {step.id}")])], ()
+        return [("duration", None, [FragmentRow(nid, {}, dict(step.model.duration), f"duration {step.id}")])]
 
     def _relative_end_time(self, nid: NodeId):
         schedule = self.schedule
@@ -706,18 +702,17 @@ class _Sweep:
             rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
         self.states[nid] = [NEGATIVE, NONNEGATIVE]
         self.approx[nid] = schedule.sign_mass[nid]
-        return [("relative-end-time", None, rows)], ()
+        return [("relative-end-time", None, rows)]
 
     def _clock(self, nid: NodeId):
         schedule = self.schedule
         sid = self.si.sid
         if self.pos == 0:
             self.states[nid] = [0]
-            return [("clock", None, [FragmentRow(nid, {}, {0: 1.0}, "clock-initial")])], ()
+            return [("clock", None, [FragmentRow(nid, {}, {0: 1.0}, "clock-initial")])]
         cap = schedule.opts.clock_cap
         rows = []
-        enders = schedule.enders_at(sid)
-        for step in enders:
+        for step in schedule.enders_at(sid):
             start_clock = clock_node(schedule.start_sit(step))
             pins = _gate_pin(schedule, sid)
             pins.update(_guard_pins(schedule, step.guards))
@@ -735,14 +730,15 @@ class _Sweep:
                         value = _sum_clock(c, d, cap)
                         dist[value] = dist.get(value, 0.0) + p
                     rows.append(FragmentRow(nid, {**pins, start_clock: c}, dist, f"clock {step.id}"))
-        prev_nid = clock_node(self.prev)
+        entries = [("clock", None, rows)]
         support = dict.fromkeys(value for row in rows for value in row.distribution)
-        # Unless every ender runs unconditionally, the clock may keep its value.
-        if not (enders and self.si.gate is None and all(not step.guards for step in enders)):
+        if not _covers_reachable(self.states, rows):  # where no ender runs, the clock keeps its value
+            prev_nid = clock_node(self.prev)
             support.update(dict.fromkeys(self.states[prev_nid]))
+            entries.append(("clock-identity", None, [
+                FragmentRow(nid, {prev_nid: c}, {c: 1.0}, "clock-identity") for c in self.states[prev_nid]]))
         self.states[nid] = sorted(support, key=label_sort_key)
-        identity = [FragmentRow(nid, {prev_nid: c}, {c: 1.0}, "clock-identity") for c in self.states[prev_nid]]
-        return [("clock", None, rows), ("clock-identity", None, identity)], ()
+        return entries
 
 
 def _covers_reachable(states: dict, rows: list) -> bool:
@@ -763,37 +759,17 @@ def _covers_reachable(states: dict, rows: list) -> bool:
     return len(covered) == full
 
 
-def _fully_covered(states: dict, writers: list, si: SitInfo) -> bool:
-    """True when one action's rows alone cover every reachable predecessor combination.
-
-    Conservative: any guard, gate, residual, or during effect forces the
-    persistence rows.
-    """
-    if si.gate is not None or len(writers) != 1:
-        return False
-    kind, step, rows = writers[0]
-    if kind != "action" or step.guards or step.model.during_conditions:
-        return False
-    return _covers_reachable(states, rows)
-
-
-def _compact(ordered: list, margin: dict, cap: int):
-    """Absorb the lowest-mass states into OTHER until the domain fits the cap."""
-    if OTHER in ordered:
-        kept = [s for s in ordered if s != OTHER]
-        absorbed_mass = margin.get(OTHER, 0.0)
-    else:
-        kept = list(ordered)
-        absorbed_mass = 0.0
-    overflow = len(kept) + 1 - cap
-    ranked = sorted(kept, key=lambda s: (margin.get(s, 0.0), label_sort_key(s)))
-    absorbed = set(ranked[:overflow])
+def _compact(ordered: list, margin: dict, cap: int, pinned):
+    """Absorb the lowest-mass unpinned states into OTHER until the domain fits the cap, if it can."""
+    kept = [s for s in ordered if s != OTHER]
+    ranked = sorted((s for s in kept if s not in pinned), key=lambda s: (margin[s], label_sort_key(s)))
+    absorbed = ranked[:len(kept) + 1 - cap]
+    if not absorbed:
+        return ordered, margin
     kept = [s for s in kept if s not in absorbed]
-    absorbed_mass += sum(margin.get(s, 0.0) for s in absorbed)
-    new_states = kept + [OTHER]
-    new_margin = {s: margin.get(s, 0.0) for s in kept}
-    new_margin[OTHER] = absorbed_mass
-    return new_states, new_margin
+    new_margin = {s: margin[s] for s in kept}
+    new_margin[OTHER] = margin.get(OTHER, 0.0) + sum(margin[s] for s in absorbed)
+    return kept + [OTHER], new_margin
 
 
 # ---------------------------------------------------------------------------

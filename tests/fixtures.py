@@ -33,6 +33,17 @@ derived (At L1) from { (Loc X) } {
 }
 """
 
+UNMATCHED_DERIVED_KB = """
+predicate (Loc ?obj) kind=primitive states { L1 L2 L3 }
+predicate (At) kind=derived states { X NONE }
+derived (At) from { (Loc A) } { (Loc A)=L3 -> { X:1.0 } }
+"""
+
+UNMATCHED_DERIVED_PLAN = """
+initial { (Loc A)=L1 }
+goal { (At)=X }
+"""
+
 RELIABLE_MOVE_PLAN = """
 step s1 a1 (Move X L1 L2) start=b0 end=b1
 initial { (Loc X)=L1 }

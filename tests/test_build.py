@@ -31,6 +31,8 @@ from fixtures import (
     RELIABLE_MOVE_KB,
     RELIABLE_MOVE_PLAN,
     TWO_STEP_PLAN,
+    UNMATCHED_DERIVED_KB,
+    UNMATCHED_DERIVED_PLAN,
     contingent_plan,
     load,
     load_kb,
@@ -108,6 +110,14 @@ def test_reliable_move_derived_regression():
     assert abs(p_at - 0.0) <= 1e-12
     # the action model, not persistence, supplies the moved object's row
     assert net.row_provenance(net.find("(Loc X)", "S1"), ("L1",)) == "action s1"
+
+
+def test_derived_definition_matching_no_reachable_state_fails_at_forward():
+    kb, plan = load(UNMATCHED_DERIVED_KB, UNMATCHED_DERIVED_PLAN)
+    with pytest.raises(BuildError) as info:
+        build_pe_net(plan, kb)
+    assert info.value.stage == "forward"
+    assert "derived definition for (At) matches no reachable state at S0" in str(info.value)
 
 
 # -- partial-model completion -----------------------------------------------
@@ -210,7 +220,8 @@ goal { (R m)=hi }
 def test_during_effect_lands_on_intermediate_situation():
     _kb, plan, net = build(DURING_KB, DURING_PLAN)
     noise = net.find("(Noise)", "S1")
-    assert net.row_provenance(noise, ("quiet",)) == "during asm"
+    assert net.nodes[noise].parents == []  # the during rows cover it: no persistence parent
+    assert net.row_provenance(noise, ()) == "during asm"
     p = exact_query(net, Query(targets=[(noise, "loud")])).probability
     assert abs(p - 1.0) <= 1e-12
 
@@ -424,6 +435,18 @@ def test_capped_net_still_builds_and_normalizes():
     net = build_pe_net(plan, kb, BuildOptions(state_cap=4))
     for node in net.nodes.values():
         assert len(node.states) <= 4
+
+
+@pytest.mark.parametrize("seed, cap", [(20, 2), (35, 2), (56, 2), (77, 2), (147, 2), (20, 3)])
+def test_state_a_derived_definition_pins_is_never_compacted(seed, cap):
+    # each of these failed at finalize: the derived goal (D) had no row for
+    # an OTHER that absorbed states its definition tells apart
+    kb, plan = instance_gen.generate(seed)
+    net = build_pe_net(plan, kb, BuildOptions(state_cap=cap))
+    for node in net.nodes.values():
+        if node.kind == "derived":
+            assert all("OTHER" not in net.nodes[p].states for p in node.parents)
+    assert 0.0 <= leads_to_success(net, plan).probability <= 1.0
 
 
 def test_identity_persistence_keeps_state_sets_constant():

@@ -15,6 +15,8 @@ from fixtures import (
     RELIABLE_MOVE_KB,
     RELIABLE_MOVE_PLAN,
     TWO_STEP_PLAN,
+    UNMATCHED_DERIVED_KB,
+    UNMATCHED_DERIVED_PLAN,
     load,
 )
 
@@ -164,6 +166,14 @@ goal { (P q)=v }
     assert out == ""
     assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'split': ")
     assert "unsupported" in err
+
+
+def test_derived_definition_matching_no_reachable_state_exit_1(files, capsys):
+    kb_path, plan_path = files(UNMATCHED_DERIVED_KB, UNMATCHED_DERIVED_PLAN)
+    code, out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'forward': derived definition for (At) ")
 
 
 def test_infeasible_evidence_exit_2(files, capsys):

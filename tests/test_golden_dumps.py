@@ -3,7 +3,8 @@
 ``golden_dumps.json`` holds the sha256 of ``canonical_dump`` for every case
 below, recorded before the pipeline's internals were reworked. A case whose
 build fails records the failing stage instead. Regenerate the file only for a
-change that means to alter the net's contents, and say so in the change log:
+change that means to alter the net's contents, and say so in the change log;
+the script prints the name of every case whose digest it rewrites:
 
     PYTHONPATH=src:tests python tests/test_golden_dumps.py
 """
@@ -82,9 +83,16 @@ def test_canonical_dumps_match_golden_digests():
     assert not changed, changed
 
 
+_FILLERS = ("persistence", "default-persistence", "clock-identity")
+
+
 def test_sweep_states_and_parents_match_the_net():
-    """Each node's states are the sweep's, and its parents the keys of its recorded rows."""
-    mismatched = []
+    """Each node's states are the sweep's, and its parents the keys of its recorded rows.
+
+    Gap fillers are recorded only where they fill a gap: a node recording
+    persistence, no-change or clock-identity rows gets at least one of them.
+    """
+    mismatched, idle_fillers = [], []
     for name, make in _cases():
         kb, plan, opts = make()
         opts = opts or BuildOptions()
@@ -100,8 +108,17 @@ def test_sweep_states_and_parents_match_the_net():
             keys = {key for _kind, _source, rows in schedule.rows[nid] for row in rows for key in row.condition}
             if node.states != states[nid] or set(node.parents) != keys:
                 mismatched.append((name, str(nid)))
+            recorded = any(kind in _FILLERS for kind, _source, _rows in schedule.rows[nid])
+            if recorded and not any(src.split()[0] in _FILLERS for src in node.provenance.values()):
+                idle_fillers.append((name, str(nid)))
     assert not mismatched, mismatched[:10]
+    assert not idle_fillers, idle_fillers[:10]
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = compute_digests()
+    for name in sorted(new):
+        if old.get(name) != new[name]:
+            print(f"rewrote {name}")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

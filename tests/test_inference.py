@@ -238,15 +238,21 @@ def test_mc_answer_pinned(two_step):
 
 def test_mc_answer_pinned_with_evidence():
     # recorded before MC took its row index from np.ravel_multi_index: evidence
-    # on a root and on a two-parent node, same seed, same bits
+    # on a root and on a non-root node, same seed, same bits
     _kb, _plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
-    side = net.find("(Side T)", "S2")
-    assert len(net.nodes[side].parents) == 2
-    evidence = {net.find("(Risk)", "S0"): "high", side: "clean"}
-    q = Query(targets=[(net.find("(Done T)", "S2"), "yes")], evidence=evidence, mode="mc", samples=3000, seed=5)
+    side, done, risk = net.find("(Side T)", "S2"), net.find("(Done T)", "S2"), net.find("(Risk)", "S0")
+    evidence = {risk: "high", side: "clean"}
+    q = Query(targets=[(done, "yes")], evidence=evidence, mode="mc", samples=3000, seed=5)
     result = mc_query(net, q)
     assert result.probability == 0.4986666666666666
     assert result.standard_error == 0.009128676834062027
+    # evidence on a two-parent node; recorded before persistence rows were
+    # dropped from covered atoms
+    assert len(net.nodes[done].parents) == 2
+    q = Query(targets=[(side, "clean")], evidence={risk: "high", done: "yes"}, mode="mc", samples=3000, seed=5)
+    result = mc_query(net, q)
+    assert result.probability == 0.708
+    assert result.standard_error == 0.008301325195413078
 
 
 def test_mc_on_deterministic_net_is_exact():
