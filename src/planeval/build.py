@@ -5,8 +5,8 @@ The pipeline runs in a fixed order, and paste order is meaningful:
 1. flatten the hierarchy and normalize guards,
 2. linearize the interlock partial order,
 3. derive the situation schedule,
-4. split situations until no reachable negative elapsed time remains (this
-   reads the schedule alone),
+4. split the schedule's situations in place until no reachable negative
+   elapsed time remains (this reads the schedule alone),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
    in paste order, and take from them its states, parents and rough marginal,
 6. create the nodes, then paste the forward rows: priors and action
@@ -98,16 +98,16 @@ class BuildOptions:
 class SitInfo:
     sid: SituationId
     boundary: str
-    # Split sub-situations are active only for one sign of their
-    # relative-end-time node; everything in them is identity otherwise.
-    gate: tuple = None  # (ret NodeId, required sign)
+    # Splitting replaces a situation, in place, by two sub-situations; each is
+    # active only for one sign of its split's relative-end-time node, and
+    # everything in it is identity otherwise.
+    gate: tuple = None  # (SplitSpec, required sign)
 
 
 @dataclass
 class SplitSpec:
     earlier: PlanStep  # the step whose end situation the later step may precede
     later: PlanStep
-    boundary: str
     index: int
 
     @property
@@ -126,27 +126,24 @@ class SelectionRecord:
 class Schedule:
     """The linearized situation plan driving construction (the pipeline's spine)."""
 
-    def __init__(self, plan: Plan, kb: KnowledgeBase, opts: BuildOptions, boundary_order: list,
-                 situations: list = None, splits: list = None, dur_steps: set = None):
+    def __init__(self, plan: Plan, kb: KnowledgeBase, opts: BuildOptions, boundary_order: list):
         self.plan = plan
         self.kb = kb
         self.opts = opts
         self.boundary_order = list(boundary_order) or ["start"]  # an empty plan still has S0
-        self.situations = situations or [
-            SitInfo(SituationId(i), b) for i, b in enumerate(self.boundary_order)
-        ]
-        self.splits = splits or []
-        self.dur_steps = dur_steps or set()
+        self.situations = [SitInfo(SituationId(i), b) for i, b in enumerate(self.boundary_order)]
+        self.splits = []  # SplitSpecs, in the order split_situations applied them
         self.sign_mass = {}  # ret NodeId -> {sign: weight}, set by split_situations
         self._refresh()
-        if situations is None:
-            self._collect_universe()
-            self._validate()
+        self._collect_universe()
+        self._validate()
 
     # -- layout ----------------------------------------------------------
 
     def _refresh(self):
-        """Index positions, and each situation's ending steps, residuals and spanning steps."""
+        """Index positions, each situation's ending steps, residuals and spanning steps,
+        and the steps of every split, which get explicit duration nodes."""
+        self.dur_steps = {step.id for spec in self.splits for step in (spec.earlier, spec.later)}
         self._pos = {si.sid: i for i, si in enumerate(self.situations)}
         self._boundary_last = {}
         for si in self.situations:
@@ -170,13 +167,9 @@ class Schedule:
     def start_sit(self, step: PlanStep) -> SituationId:
         return self.sit_of_boundary(step.start)
 
-    def end_entries(self, step: PlanStep) -> list:
-        """(situation, activity sign) pairs where the step's consequences land."""
-        out = []
-        for si in self.situations:
-            if si.boundary == step.end:
-                out.append((si.sid, si.gate[1] if si.gate else None))
-        return out
+    def end_pos(self, step: PlanStep) -> int:
+        """Position of the first situation where the step's consequences land."""
+        return next(pos for pos, si in enumerate(self.situations) if si.boundary == step.end)
 
     def enders_at(self, sid: SituationId) -> list:
         return self._enders[sid]
@@ -192,9 +185,7 @@ class Schedule:
 
     def intermediates(self, step: PlanStep) -> list:
         lo = self._pos[self.start_sit(step)]
-        entries = self.end_entries(step)
-        hi = min(self._pos[sid] for sid, _sign in entries)
-        return [si.sid for si in self.situations[lo + 1:hi]]
+        return [si.sid for si in self.situations[lo + 1:self.end_pos(step)]]
 
     def spanners_at(self, sid: SituationId) -> list:
         return self._spanners[sid]
@@ -344,8 +335,8 @@ def _gate_pin(schedule: Schedule, sid: SituationId) -> dict:
     info = schedule.situations[schedule.position(sid)]
     if info.gate is None:
         return {}
-    ret, sign = info.gate
-    return {ret: sign}
+    spec, sign = info.gate
+    return {spec.ret: sign}
 
 
 def _during_gate_pins(schedule: Schedule, step: PlanStep, consequence: GroundAtom) -> dict:
@@ -498,9 +489,8 @@ def _situation_nodes(schedule: Schedule, si: SitInfo) -> dict:
         for step in schedule.plan.steps:
             if step.id in schedule.dur_steps and schedule.start_sit(step) == sid:
                 nodes[dur_node(step.id, sid)] = CLOCK
-        for spec in schedule.splits:
-            if spec.ret.sit == sid:
-                nodes[spec.ret] = RELATIVE_END_TIME
+        if si.gate is not None and si.gate[0].ret.sit == sid:  # the split's ``a`` sub-situation
+            nodes[si.gate[0].ret] = RELATIVE_END_TIME
         nodes[clock_node(sid)] = CLOCK
     for atom in schedule.atoms:
         nodes[atom_node(atom, sid)] = PRIMITIVE
@@ -689,7 +679,7 @@ class _Sweep:
 
     def _relative_end_time(self, nid: NodeId):
         schedule = self.schedule
-        spec = next(sp for sp in schedule.splits if sp.ret == nid)
+        spec, _sign = self.si.gate  # the node lives in its split's ``a`` sub-situation
         ce = clock_node(schedule.start_sit(spec.earlier))
         de = dur_node(spec.earlier.id, schedule.start_sit(spec.earlier))
         cl = clock_node(schedule.start_sit(spec.later))
@@ -796,8 +786,7 @@ def _world_times(schedule: Schedule, assignment: dict) -> list:
     for si in schedule.situations[1:]:
         enders = schedule.enders_at(si.sid)
         if si.gate is not None:
-            ret, sign = si.gate
-            spec = next(sp for sp in schedule.splits if sp.ret == ret)
+            spec, sign = si.gate
             if _end_sign(schedule, spec, times, assignment) != sign:
                 enders = []  # the sub-situation is inactive in this world
         if enders:
@@ -860,13 +849,13 @@ def _sum_clock(clock_value, duration, cap):
 
 
 def split_situations(schedule: Schedule) -> Schedule:
-    """Split situations until no reachable transition runs backward in time.
+    """Split the schedule's situations in place until no reachable transition runs backward in time.
 
     Each split inserts sub-situation ``a`` immediately before the earlier
     situation it conflicts with and renames the original to ``b``; a
     relative-end-time node gates which sub-situation the step's effects
     land on. Iterates to a fixed point, capped by the number of
-    overlapping step pairs, and returns the split schedule with each split's
+    overlapping step pairs, and returns the same schedule with each split's
     sign mass in ``sign_mass``.
     """
     if not schedule.timed:
@@ -878,14 +867,13 @@ def split_situations(schedule: Schedule) -> Schedule:
             return schedule
         if len(schedule.splits) >= cap:
             raise PlanEvalError("situation splitting did not reach a fixed point within the overlap cap")
-        schedule = _apply_split(schedule, conflict_pos)
+        _apply_split(schedule, conflict_pos)
 
 
 def _overlapping_pairs(schedule: Schedule) -> int:
     spans = []
     for step in schedule.plan.steps:
-        spans.append((schedule.position(schedule.start_sit(step)),
-                      min(schedule.position(s) for s, _ in schedule.end_entries(step))))
+        spans.append((schedule.position(schedule.start_sit(step)), schedule.end_pos(step)))
     count = 0
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
@@ -895,7 +883,8 @@ def _overlapping_pairs(schedule: Schedule) -> int:
     return count
 
 
-def _apply_split(schedule: Schedule, conflict_pos: int) -> Schedule:
+def _apply_split(schedule: Schedule, conflict_pos: int):
+    """Split the situation at ``conflict_pos`` into gated sub-situations, in place."""
     situations = schedule.situations
     target = situations[conflict_pos]
     if target.gate is not None:
@@ -918,23 +907,13 @@ def _apply_split(schedule: Schedule, conflict_pos: int) -> Schedule:
     if earlier_step is None:
         raise PlanEvalError(f"conflict at {target.sid} has no earlier end event")
 
-    spec = SplitSpec(earlier=earlier_step, later=later, boundary=target.boundary, index=target.sid.index)
-    sid_a = SituationId(target.sid.index, "a")
-    sid_b = SituationId(target.sid.index, "b")
-    new_situations = []
-    for pos, si in enumerate(situations):
-        if pos == earlier_pos:
-            new_situations.append(SitInfo(sid_a, target.boundary, gate=(spec.ret, NEGATIVE)))
-        if pos == conflict_pos:
-            new_situations.append(SitInfo(sid_b, target.boundary, gate=(spec.ret, NONNEGATIVE)))
-        else:
-            new_situations.append(si)
-    dur_steps = set(schedule.dur_steps) | {earlier_step.id, later.id}
-    out = Schedule(schedule.plan, schedule.kb, schedule.opts, schedule.boundary_order,
-                   situations=new_situations, splits=schedule.splits + [spec], dur_steps=dur_steps)
-    out.atoms = schedule.atoms
-    out.derived_atoms = schedule.derived_atoms
-    return out
+    spec = SplitSpec(earlier=earlier_step, later=later, index=target.sid.index)
+    sit_a = SitInfo(SituationId(target.sid.index, "a"), target.boundary, gate=(spec, NEGATIVE))
+    sit_b = SitInfo(SituationId(target.sid.index, "b"), target.boundary, gate=(spec, NONNEGATIVE))
+    schedule.situations = (situations[:earlier_pos] + [sit_a] + situations[earlier_pos:conflict_pos]
+                           + [sit_b] + situations[conflict_pos + 1:])
+    schedule.splits.append(spec)
+    schedule._refresh()
 
 
 # ---------------------------------------------------------------------------

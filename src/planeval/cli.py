@@ -39,6 +39,17 @@ def _add_common(sub):
                      default="gate-effect-only")
 
 
+def _sample_count(text: str) -> int:
+    """``--mc`` argument: a whole number of samples, at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 sample, not {count}")
+    return count
+
+
 def _make_parser():
     parser = argparse.ArgumentParser(prog="planeval",
                                      description="Compile plans into plan-evaluation belief networks and query them.")
@@ -52,7 +63,7 @@ def _make_parser():
     _add_common(ev)
     ev.add_argument("--goal-only", action="store_true", help="report leads_to_success only")
     ev.add_argument("--exact", action="store_true", help="force exact inference (default)")
-    ev.add_argument("--mc", type=int, metavar="N", help="Monte Carlo with N samples")
+    ev.add_argument("--mc", type=_sample_count, metavar="N", help="Monte Carlo with N >= 1 samples")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--evidence", action="append", default=[], metavar="(Pred args)=s@Si")
     ev.add_argument("--marginal", action="append", default=[], metavar="(Pred args)@Si")

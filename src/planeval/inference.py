@@ -9,8 +9,9 @@ node states, optionally given evidence):
   product is formed;
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized and
   reproducible for a given seed;
-* ``oracle_enumerate`` - brute-force joint enumeration, kept dead simple so
-  it can serve as ground truth for the other two.
+* ``oracle_enumerate`` - brute-force joint enumeration over the ``Node.cpt``
+  rows, not the arrays the other two read, kept dead simple so it can serve
+  as ground truth for them.
 
 ``plan_success`` and ``leads_to_success`` wrap these for the two plan
 metrics: goals plus the selected detailed path, versus goals alone.
@@ -183,7 +184,10 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     """Likelihood-weighted estimate of the target conjunction; reproducible by seed."""
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
+    if q.samples < 1:
+        raise PlanEvalError(f"Monte Carlo needs at least one sample, not {q.samples}")
     _check_evidence(net, q.evidence)
+    reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
     order = net.topological_nodes()
@@ -208,13 +212,10 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     total = weights.sum()
     if total <= 0.0:
         raise ZeroWeight("all samples are inconsistent with the evidence")
-    hit = np.ones(n, dtype=bool)
-    for nid, state in q.targets:
-        node = net.nodes[nid]
-        if state not in node.states:
-            hit[:] = False
-            break
-        hit &= values[nid] == node.states.index(state)
+    hit = np.full(n, reachable)
+    if reachable:
+        for nid, state in q.targets:
+            hit &= values[nid] == net.nodes[nid].states.index(state)
     x = hit.astype(float)
     estimate = float((weights * x).sum() / total)
     residual = x - estimate
@@ -227,69 +228,47 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
 # ---------------------------------------------------------------------------
 
 
-def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) -> QueryResult:
-    """Ground-truth query by summing the fully expanded joint (zero-pruned DFS)."""
-    if not net.finalized:
-        raise PlanEvalError("oracle_enumerate requires a finalized net")
-    _check_evidence(net, q.evidence)
+def _check_size(net: PENet, bound: float):
     size = 1.0
     for node in net.nodes.values():
         size *= len(node.states)
         if size > bound:
             raise TooLarge(f"joint state space exceeds the {bound:g} bound")
-    order = net.topological_nodes()
+
+
+def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) -> QueryResult:
+    """Ground-truth query: the target conjunction's mass in the evidence-pruned joint."""
+    if not net.finalized:
+        raise PlanEvalError("oracle_enumerate requires a finalized net")
+    _check_evidence(net, q.evidence)
+    _check_size(net, bound)
     targets = dict()
     for nid, state in q.targets:
         if targets.get(nid, state) != state:
             return QueryResult(0.0, "oracle")
         targets[nid] = state
-    reachable = _targets_reachable(net, q.targets)
-
-    z_e = 0.0
-    z_te = 0.0
-    assignment = {}
-
-    def walk(depth: int, prob: float):
-        nonlocal z_e, z_te
-        if depth == len(order):
-            z_e += prob
-            if reachable and all(assignment[nid] == state for nid, state in targets.items()):
-                z_te += prob
-            return
-        nid = order[depth]
-        node = net.nodes[nid]
-        combo = tuple(assignment[p] for p in node.parents)
-        dist = node.cpt[combo]
-        pinned = q.evidence.get(nid)
-        for state, p in dist.items():
-            if p == 0.0:
-                continue
-            if pinned is not None and state != pinned:
-                continue
-            assignment[nid] = state
-            walk(depth + 1, prob * p)
-        assignment.pop(nid, None)
-
-    walk(0, 1.0)
+    _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
+    keep = sorted(targets, key=net.node_key)
+    joint = joint_distribution(net, keep, bound=math.inf, evidence=q.evidence)
+    z_e = sum(joint.values())
     if z_e <= 0.0:
         raise InfeasibleEvidence("evidence has probability zero")
+    z_te = joint.get(tuple(targets[nid] for nid in keep), 0.0)
     return QueryResult(min(max(z_te / z_e, 0.0), 1.0), "oracle")
 
 
-def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUND) -> dict:
-    """Joint over ``keep`` nodes (default: all), marginalizing the rest.
+def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUND, evidence: dict = None) -> dict:
+    """Joint of the ``keep`` nodes (default: all) with the ``evidence`` (NodeId
+    -> state), marginalizing the rest, by a zero-pruned DFS over the CPT rows.
 
     Returns {assignment tuple aligned with sorted(keep): probability} with
-    zero outcomes omitted. Test plumbing for joint-equivalence checks.
+    zero outcomes omitted; branches that contradict the evidence are pruned.
     """
     if keep is None:
         keep = list(net.nodes)
     keep = sorted(keep, key=net.node_key)
-    size = 1.0
-    for node in net.nodes.values():
-        size *= len(node.states)
-        if size > bound:
-            raise TooLarge(f"joint state space exceeds the {bound:g} bound")
+    evidence = evidence or {}
+    _check_size(net, bound)
     order = net.topological_nodes()
     out = {}
     assignment = {}
@@ -302,8 +281,9 @@ def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUN
         nid = order[depth]
         node = net.nodes[nid]
         combo = tuple(assignment[p] for p in node.parents)
+        pinned = evidence.get(nid)
         for state, p in node.cpt[combo].items():
-            if p == 0.0:
+            if p == 0.0 or (pinned is not None and state != pinned):
                 continue
             assignment[nid] = state
             walk(depth + 1, prob * p)
@@ -335,26 +315,25 @@ def _selected_path_targets(net: PENet) -> list:
     return targets
 
 
-def _run(net: PENet, targets, evidence: dict, mode: str, samples: int, seed: int,
-         width_limit: int = DEFAULT_WIDTH_LIMIT) -> QueryResult:
+def _run(net: PENet, targets, evidence: dict, mode: str, samples: int, seed: int) -> QueryResult:
     """Answer one conjunction given evidence with the chosen engine."""
     query = Query(targets=targets, evidence=evidence, mode=EXACT if mode == EXACT else MC, samples=samples, seed=seed)
     if mode == EXACT:
-        return exact_query(net, query, width_limit=width_limit)
+        return exact_query(net, query)
     return mc_query(net, query)
 
 
 def plan_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed: int = 0,
-                 width_limit: int = DEFAULT_WIDTH_LIMIT, evidence: dict = None) -> QueryResult:
+                 evidence: dict = None) -> QueryResult:
     """Probability that the goals hold in the final situation and every
     expansion-selection node on the selected detailed path takes its
     planner-chosen alternative, given ``evidence`` (NodeId -> state)."""
     targets = _goal_targets(net, plan) + _selected_path_targets(net)
-    return _run(net, targets, evidence or {}, mode, samples, seed, width_limit)
+    return _run(net, targets, evidence or {}, mode, samples, seed)
 
 
 def leads_to_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed: int = 0,
-                     width_limit: int = DEFAULT_WIDTH_LIMIT, evidence: dict = None) -> QueryResult:
+                     evidence: dict = None) -> QueryResult:
     """Probability of the goal conjunction in the final situation, whichever
     branches actually execute, given ``evidence`` (NodeId -> state)."""
-    return _run(net, _goal_targets(net, plan), evidence or {}, mode, samples, seed, width_limit)
+    return _run(net, _goal_targets(net, plan), evidence or {}, mode, samples, seed)

@@ -166,9 +166,6 @@ class KnowledgeBase:
     persistence: dict = field(default_factory=dict)  # predicate name -> PersistenceModel
     derived: list = field(default_factory=list)
 
-    def schema_of(self, atom: GroundAtom) -> PredicateSchema:
-        return self.schemas[atom.name]
-
     def kind_of(self, atom: GroundAtom) -> str:
         return self.schemas[atom.name].kind
 

@@ -61,7 +61,10 @@ def parse_situation(token: str) -> SituationId:
     if text and text[-1] in ("a", "b"):
         sub = text[-1]
         text = text[:-1]
-    return SituationId(int(text), sub)
+    try:
+        return SituationId(int(text), sub)
+    except ValueError:
+        raise PlanEvalError(f"malformed situation {token!r}; expected S<index> with an optional a or b") from None
 
 
 @dataclass(frozen=True)

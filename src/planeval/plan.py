@@ -32,9 +32,6 @@ class PlanStep:
     def bindings(self) -> dict:
         return dict(zip(self.model.params, self.action.args))
 
-    def consequence_atoms(self) -> list:
-        return [instantiate(atom, self.bindings) for atom, _rows in self.model.consequences]
-
 
 @dataclass
 class ContingencyGroup:

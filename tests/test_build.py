@@ -11,12 +11,14 @@ from planeval import (
     canonical_dump,
     exact_query,
     flatten_hierarchy,
+    OTHER,
     leads_to_success,
     linearize,
+    plan_success,
     validate_kb,
 )
 from planeval.build import make_schedule
-from planeval.net import atom_node
+from planeval.net import ATOM_KINDS, SELECTION, atom_node
 
 import instance_gen
 import trajectory_oracle as oracle
@@ -447,6 +449,27 @@ def test_state_a_derived_definition_pins_is_never_compacted(seed, cap):
         if node.kind == "derived":
             assert all("OTHER" not in net.nodes[p].states for p in node.parents)
     assert 0.0 <= leads_to_success(net, plan).probability <= 1.0
+
+
+def test_capped_nets_agree_with_uncapped_unless_compacted():
+    # With no OTHER in any atom, derived or selection node, a state cap must
+    # leave both plan metrics as they are; where OTHER absorbed states the
+    # answers may move (by up to 0.3555 on generate(67) at cap 2) and nothing
+    # is asserted.
+    compacted = 0
+    for gen, timed in ((instance_gen.generate, False), (instance_gen.generate_timed, True)):
+        for seed in range(200):
+            kb, plan = gen(seed)
+            full = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed))
+            for cap in (2, 3):
+                net = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed, state_cap=cap))
+                if any(OTHER in node.states for node in net.nodes.values() if node.kind in ATOM_KINDS + (SELECTION,)):
+                    compacted += 1
+                    continue
+                for metric in (leads_to_success, plan_success):
+                    gap = abs(metric(net, plan).probability - metric(full, plan).probability)
+                    assert gap <= 1e-12, (gen.__name__, seed, cap, metric.__name__, gap)
+    assert 0 < compacted < 800  # both branches are exercised
 
 
 def test_identity_persistence_keeps_state_sets_constant():

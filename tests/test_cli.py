@@ -87,6 +87,39 @@ def test_eval_mc_reports_the_api_values(files, capsys):
     assert out.splitlines() == expected
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_eval_mc_needs_at_least_one_sample(files, capsys, value):
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["eval", kb_path, plan_path, "--mc", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --mc" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_eval_mc_marginal_of_a_node_missing_from_the_net_exit_1(files, capsys):
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    code, _out, err = run(capsys, ["eval", kb_path, plan_path, "--mc", "100", "--marginal", "(Loc A)@S9"])
+    assert code == 1
+    assert err.startswith(f"{plan_path}:0:0: query: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--evidence", "(Loc A)=L1@S1c"),
+    ("--evidence", "(Loc A)=L1@Sx"),
+    ("--marginal", "(Loc A)@S"),
+])
+def test_eval_malformed_situation_exit_1(files, capsys, flag, spec):
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    code, _out, err = run(capsys, ["eval", kb_path, plan_path, flag, spec])
+    assert code == 1
+    assert err.startswith(f"{plan_path}:0:0: query: malformed situation ")
+    assert "Traceback" not in err
+
+
 def test_build_rejects_invalid_kb_with_exit_1(files, capsys):
     kb_path, plan_path = files(INVERTED_KB, "initial { }\ngoal { }\n")
     code, _out, err = run(capsys, ["build", kb_path, plan_path])

@@ -169,7 +169,9 @@ def test_split_situations_standalone_reaches_fixed_point():
     schedule = make_schedule(flat, kb, TIMED_OPTS, linearize(flat))
     assert all(si.sid.sub == "" for si in schedule.situations)  # not yet split
     split = split_situations(schedule)
+    assert split is schedule  # split in place
     assert [str(si.sid) for si in split.situations] == ["S0", "S2a", "S1", "S2b", "S3"]
+    assert split.dur_steps == {"a1", "a2"}  # the split's earlier and later steps
     assert split_situations(split) is split  # already a fixed point
 
 

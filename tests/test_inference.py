@@ -10,6 +10,7 @@ from planeval import (
     GroundAtom,
     InfeasibleEvidence,
     PENet,
+    PlanEvalError,
     Query,
     SituationId,
     atom_node,
@@ -323,6 +324,23 @@ def test_unreachable_goal_state_scores_zero():
     kb, plan = load(MOVE_KB, "step s1 a1 (Move A L1 L2) start=b0 end=b1\ninitial { (Loc A)=L1 }\ngoal { (Loc A)=L3 }")
     net = build_pe_net(plan, kb)
     assert leads_to_success(net, plan).probability == 0.0
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_mc_rejects_fewer_than_one_sample(two_step, samples):
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=samples)
+    with pytest.raises(PlanEvalError, match="at least one sample"):
+        mc_query(net, q)
+
+
+@pytest.mark.parametrize("engine", [exact_query, mc_query, oracle_enumerate])
+def test_target_node_missing_from_the_net_is_a_typed_error(two_step, engine):
+    _kb, _plan, net = two_step
+    missing = atom_node(GroundAtom("Loc", ("A",)), SituationId(9))
+    q = Query(targets=[(missing, "L1")], mode="mc" if engine is mc_query else "exact", samples=100)
+    with pytest.raises(PlanEvalError, match="not in the net"):
+        engine(net, q)
 
 
 def test_mc_zero_weight_on_jointly_impossible_evidence():
