@@ -6,7 +6,8 @@ The pipeline runs in a fixed order, and paste order is meaningful:
 2. linearize the interlock partial order,
 3. derive the situation schedule,
 4. split the schedule's situations in place until no reachable negative
-   elapsed time remains (this reads the schedule alone),
+   elapsed time remains (this reads the schedule alone, following the time
+   tree: exponential only in the number of splits, never in the steps),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
    in paste order, and take from them its states, parents and rough marginal,
 6. create the nodes, then paste the forward rows: priors and action
@@ -133,7 +134,7 @@ class Schedule:
         self.boundary_order = list(boundary_order) or ["start"]  # an empty plan still has S0
         self.situations = [SitInfo(SituationId(i), b) for i, b in enumerate(self.boundary_order)]
         self.splits = []  # SplitSpecs, in the order split_situations applied them
-        self.sign_mass = {}  # ret NodeId -> {sign: weight}, set by split_situations
+        self.sign_mass = {}  # ret NodeId -> {sign: probability}, set by split_situations
         self._refresh()
         self._collect_universe()
         self._validate()
@@ -763,67 +764,90 @@ def _compact(ordered: list, margin: dict, cap: int, pinned):
 
 
 # ---------------------------------------------------------------------------
-# timing: duration worlds, clock arithmetic, situation splitting
+# timing: the time tree, clock arithmetic, situation splitting
 # ---------------------------------------------------------------------------
 
 
-def _duration_worlds(schedule: Schedule):
-    """All joint duration assignments with their probabilities (deterministic order)."""
-    steps = [s for s in schedule.plan.steps if s.model.duration is not None]
-    pools = [sorted(s.model.duration.items()) for s in steps]
-    for combo in itertools.product(*pools):
-        weight = 1.0
-        assignment = {}
-        for step, (dur, prob) in zip(steps, combo):
-            assignment[step.id] = dur
-            weight *= prob
-        yield assignment, weight
+def _time_forms(schedule: Schedule, signs: dict) -> list:
+    """Each situation's event time under one sign per split, as {step id: count} of the durations it sums.
 
-
-def _world_times(schedule: Schedule, assignment: dict) -> list:
-    """Per-situation event times for one duration world (guarded steps assumed run)."""
-    times = [0]
+    A situation whose last ender is active adds that step to its start
+    situation's form; any other situation copies the form before it.
+    """
+    forms = [{}]
     for si in schedule.situations[1:]:
         enders = schedule.enders_at(si.sid)
-        if si.gate is not None:
-            spec, sign = si.gate
-            if _end_sign(schedule, spec, times, assignment) != sign:
-                enders = []  # the sub-situation is inactive in this world
-        if enders:
+        if enders and (si.gate is None or signs[si.gate[0].ret] == si.gate[1]):
             last = enders[-1]
-            times.append(times[schedule.position(schedule.start_sit(last))] + assignment[last.id])
+            forms.append(_plus(forms[schedule.position(schedule.start_sit(last))], last))
         else:
-            times.append(times[-1])
-    return times
+            forms.append(forms[-1])
+    return forms
 
 
-def _end_sign(schedule: Schedule, spec: SplitSpec, times: list, assignment: dict) -> str:
-    """Sign of the later step's end time minus the earlier step's, in one duration world."""
-    end_later = times[schedule.position(schedule.start_sit(spec.later))] + assignment[spec.later.id]
-    end_earlier = times[schedule.position(schedule.start_sit(spec.earlier))] + assignment[spec.earlier.id]
-    return _compare_ends(end_later, end_earlier)
+def _plus(form: dict, step: PlanStep) -> dict:
+    out = dict(form)
+    out[step.id] = out.get(step.id, 0) + 1
+    return out
 
 
-def _scan_worlds(schedule: Schedule):
-    """One pass over the duration worlds of positive weight.
+def _difference(plus: dict, minus: dict) -> dict:
+    """``plus - minus``; steps on both sides, the shared time ancestry, cancel."""
+    diff = dict(plus)
+    for step_id, count in minus.items():
+        diff[step_id] = diff.get(step_id, 0) - count
+    return {step_id: count for step_id, count in diff.items() if count}
+
+
+def _offsets(durations: dict, diffs: list) -> dict:
+    """Joint distribution of the differences ``diffs`` over independent positive-probability durations.
+
+    One dict pass over the steps the differences read, in plan order.
+    """
+    joint = {(0,) * len(diffs): 1.0}
+    for step_id, table in durations.items():
+        coefs = [diff.get(step_id, 0) for diff in diffs]
+        if not any(coefs):
+            continue
+        moved = {}
+        for vec, weight in joint.items():
+            for dur, prob in table:
+                key = tuple(v + c * dur for v, c in zip(vec, coefs))
+                moved[key] = moved.get(key, 0.0) + weight * prob
+        joint = moved
+    return joint
+
+
+def _scan_time_tree(schedule: Schedule):
+    """Exact scan of the time tree, one sign pattern of the splits at a time.
 
     Returns the first situation whose event time can precede its
-    predecessor's (None if none can), and each split's weight mass per sign
-    of its relative-end-time node.
+    predecessor's (None if none can), and each split's probability per sign
+    of its relative-end-time node. The conflict test reads only which
+    offsets have positive probability, so no threshold can cause a split.
     """
+    durations = {step.id: [(d, p) for d, p in sorted(step.model.duration.items()) if p > 0]
+                 for step in schedule.plan.steps}
+    rets = [spec.ret for spec in schedule.splits]
+    mass = {ret: {NEGATIVE: 0.0, NONNEGATIVE: 0.0} for ret in rets}
     conflict = None
-    mass = {spec.ret: {NEGATIVE: 0.0, NONNEGATIVE: 0.0} for spec in schedule.splits}
-    for assignment, weight in _duration_worlds(schedule):
-        if weight <= 0:
-            continue
-        times = _world_times(schedule, assignment)
-        for pos in range(1, len(times)):
-            if times[pos] < times[pos - 1]:
-                if conflict is None or pos < conflict:
-                    conflict = pos
+    for signs in itertools.product((NEGATIVE, NONNEGATIVE), repeat=len(rets)):
+        forms = _time_forms(schedule, dict(zip(rets, signs)))
+        ends = [_difference(_plus(forms[schedule.position(schedule.start_sit(spec.later))], spec.later),
+                            _plus(forms[schedule.position(schedule.start_sit(spec.earlier))], spec.earlier))
+                for spec in schedule.splits]
+
+        def agrees(vec):  # each split's end difference has the pattern's sign
+            return all((NEGATIVE if v < 0 else NONNEGATIVE) == sign for v, sign in zip(vec, signs))
+
+        weight = sum(prob for vec, prob in _offsets(durations, ends).items() if agrees(vec))
+        for ret, sign in zip(rets, signs):
+            mass[ret][sign] += weight
+        for pos in range(1, conflict or len(forms)):
+            gap = _difference(forms[pos], forms[pos - 1])
+            if gap and any(vec[-1] < 0 and agrees(vec[:-1]) for vec in _offsets(durations, ends + [gap])):
+                conflict = pos
                 break
-        for spec in schedule.splits:
-            mass[spec.ret][_end_sign(schedule, spec, times, assignment)] += weight
     return conflict, mass
 
 
@@ -856,13 +880,19 @@ def split_situations(schedule: Schedule) -> Schedule:
     relative-end-time node gates which sub-situation the step's effects
     land on. Iterates to a fixed point, capped by the number of
     overlapping step pairs, and returns the same schedule with each split's
-    sign mass in ``sign_mass``.
+    probability per sign in ``sign_mass``.
+
+    Each round scans the time tree (``_scan_time_tree``): per sign pattern
+    of the splits so far, event times are sums of durations along time
+    parents, and steps shared by both sides of a difference cancel. A round
+    costs polynomial time in the steps and is exponential only in the
+    number of splits.
     """
     if not schedule.timed:
         return schedule
     cap = _overlapping_pairs(schedule)
     while True:
-        conflict_pos, schedule.sign_mass = _scan_worlds(schedule)
+        conflict_pos, schedule.sign_mass = _scan_time_tree(schedule)
         if conflict_pos is None:
             return schedule
         if len(schedule.splits) >= cap:

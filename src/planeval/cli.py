@@ -151,21 +151,27 @@ def _cmd_eval(args) -> int:
     _kb, plan, net = built
     mode = MC if args.mc else EXACT
     samples = args.mc or 10000
-    try:
+    try:  # every query is resolved before any report line is printed
         evidence = {}
         for spec in args.evidence:
             atom, state, sit = parse_evidence_spec(spec)
             evidence[net.find(atom, sit)] = state
+        marginals = []
+        for spec in args.marginal:
+            atom, sit = parse_marginal_spec(spec)
+            marginals.append((f"{atom}@{parse_situation(sit)}", net.find(atom, sit)))
+    except (PlanEvalError, KeyError) as err:
+        print(f"{args.plan}:0:0: query: {err}", file=sys.stderr)
+        return 1
+    try:
         kwargs = dict(mode=mode, samples=samples, seed=args.seed, evidence=evidence)
         _report("leads_to_success", leads_to_success(net, plan, **kwargs))
         if not args.goal_only:
             _report("plan_success", plan_success(net, plan, **kwargs))
-        for spec in args.marginal:
-            atom, sit = parse_marginal_spec(spec)
-            nid = net.find(atom, sit)
+        for label, nid in marginals:
             for state in net.nodes[nid].states:
                 result = _run(net, [(nid, state)], evidence, mode, samples, args.seed)
-                _report(f"marginal {atom}@{parse_situation(sit)} {state}", result)
+                _report(f"marginal {label} {state}", result)
     except INFERENCE_ERRORS as err:
         print(f"inference: {err}", file=sys.stderr)
         return 2
@@ -227,3 +233,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

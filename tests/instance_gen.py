@@ -211,3 +211,37 @@ def generate_timed(seed: int):
     initial = {GroundAtom("P", (obj,)): {"u": 1.0} for obj in ("x1", "x2", "x3", "q")}
     goals = [(GroundAtom("P", ("q",)), "v")]
     return kb, Plan(steps=steps, initial=initial, goals=goals)
+
+
+# Duration tables whose probabilities are dyadic and sum to 1 exactly.
+DYADIC_DURATIONS = [(1.0,), (0.5, 0.5), (0.25, 0.75), (0.25, 0.25, 0.5)]
+
+
+def generate_agents_timed(seed: int):
+    """Timed plans of 2-3 agents, each a chain of 1-3 steps.
+
+    Every agent starts at ``b0`` or at a boundary of an earlier agent's
+    chain, so situation times share ancestry across agents and a plan may
+    need several splits. Duration tables are dyadic and sum to 1 exactly.
+    """
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    kb.schemas["P"] = PredicateSchema("P", ("?x",), ("u", "v"), "primitive")
+    steps, boundaries = [], ["b0"]
+    for agent in range(rng.randint(2, 3)):
+        start = rng.choice(boundaries) if rng.random() < 0.3 else "b0"
+        for j in range(rng.randint(1, 3)):
+            name = f"Act{agent}_{j}"
+            probs = rng.choice(DYADIC_DURATIONS)
+            support = sorted(rng.sample(range(1, 7), len(probs)))
+            model = ActionModel(name, ("?x",), 0, duration=dict(zip(support, probs)))
+            model.consequences.append((GroundAtom("P", ("?x",)), [ConditionalRow({}, {"v": 1.0})]))
+            kb.actions[(name, 0)] = model
+            end = f"e{agent}_{j}"
+            steps.append(PlanStep(f"s{agent}_{j}", f"ag{agent}", GroundAtom(name, (f"x{agent}_{j}",)),
+                                  model, start, end))
+            start = end
+            boundaries.append(end)
+    initial = {GroundAtom("P", step.action.args): {"u": 1.0} for step in steps}
+    initial[GroundAtom("P", ("q",))] = {"u": 1.0}
+    return kb, Plan(steps=steps, initial=initial, goals=[(GroundAtom("P", ("q",)), "v")])

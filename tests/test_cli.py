@@ -1,7 +1,12 @@
 """Command-line surface: subcommands, report format, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import planeval
 from planeval import build_pe_net, export_graph, leads_to_success, plan_success, run_cli
 
 from fixtures import (
@@ -101,8 +106,9 @@ def test_eval_mc_needs_at_least_one_sample(files, capsys, value):
 
 def test_eval_mc_marginal_of_a_node_missing_from_the_net_exit_1(files, capsys):
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
-    code, _out, err = run(capsys, ["eval", kb_path, plan_path, "--mc", "100", "--marginal", "(Loc A)@S9"])
+    code, out, err = run(capsys, ["eval", kb_path, plan_path, "--mc", "100", "--marginal", "(Loc A)@S9"])
     assert code == 1
+    assert out == ""  # no report line before every query is resolved
     assert err.startswith(f"{plan_path}:0:0: query: ")
     assert "Traceback" not in err
 
@@ -114,10 +120,26 @@ def test_eval_mc_marginal_of_a_node_missing_from_the_net_exit_1(files, capsys):
 ])
 def test_eval_malformed_situation_exit_1(files, capsys, flag, spec):
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
-    code, _out, err = run(capsys, ["eval", kb_path, plan_path, flag, spec])
+    code, out, err = run(capsys, ["eval", kb_path, plan_path, flag, spec])
     assert code == 1
+    assert out == ""
     assert err.startswith(f"{plan_path}:0:0: query: malformed situation ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["planeval", "planeval.cli"])
+@pytest.mark.parametrize("extra", [[], ["--marginal", "(Loc A)@S"]])
+def test_python_m_runs_the_cli(files, capsys, module, extra):
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    argv = ["eval", kb_path, plan_path, "--marginal", "(Loc B)@S2"] + extra
+    code, out, _err = run(capsys, argv)
+    src = os.path.dirname(os.path.dirname(planeval.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", module] + argv, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == (1 if extra else 0)
+    assert (out == "") == bool(extra)
 
 
 def test_build_rejects_invalid_kb_with_exit_1(files, capsys):

@@ -6,6 +6,7 @@ from planeval import (
     BuildOptions,
     BuildError,
     MissingDuration,
+    PlanEvalError,
     Query,
     build_pe_net,
     clock_node,
@@ -15,9 +16,11 @@ from planeval import (
     linearize,
     split_situations,
 )
-from planeval.build import make_schedule
+from planeval.build import _apply_split, _scan_time_tree, make_schedule
 from planeval.net import atom_node
 
+import duration_worlds
+import instance_gen
 import trajectory_oracle as oracle
 from fixtures import OVERLAP_KB, OVERLAP_PLAN, load
 
@@ -231,8 +234,6 @@ def test_goal_marginals_match_time_expanded_oracle():
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_overlap_matches_timed_oracle(seed):
-    import instance_gen
-
     kb, plan = instance_gen.generate_timed(seed)
     net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
     assert audit_negative_elapsed(net) == []
@@ -266,3 +267,84 @@ goal { (P q)=v }
     net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
     p = exact_query(net, Query(targets=[(net.find("(P q)", "S1"), "v")])).probability
     assert abs(p - 0.5) <= 1e-12
+
+
+# -- the split scan against the duration-world enumeration ----------------------
+
+
+def scan_rounds_agree(kb, plan) -> int:
+    """Every split round: the time-tree scan and the world enumeration agree; returns the splits made."""
+    flat = flatten_hierarchy(plan)
+    schedule = make_schedule(flat, kb, TIMED_OPTS, linearize(flat))
+    while True:
+        want_conflict, want_mass = duration_worlds.scan_worlds(schedule)
+        conflict, mass = _scan_time_tree(schedule)
+        assert conflict == want_conflict
+        assert list(mass) == list(want_mass)
+        for ret, by_sign in want_mass.items():
+            for sign, want in by_sign.items():
+                assert abs(mass[ret][sign] - want) <= 1e-12, (str(ret), sign)
+        if conflict is None:
+            return len(schedule.splits)
+        try:
+            _apply_split(schedule, conflict)
+        except PlanEvalError:
+            return len(schedule.splits)
+
+
+FAN_OUT_PLAN = """
+step f0 ag0 (First) start=b0 end=e0
+step f1 ag1 (Second) start=b0 end=e1
+step f2 ag2 (Third) start=b0 end=e2
+initial { (P x1)=u (P x2)=u (P x3)=u (P q)=u }
+goal { (P q)=v }
+"""
+
+
+@pytest.mark.parametrize("kb_text, plan_text", [
+    (SEQ_KB, TWO_COINS_PLAN),
+    (OVERLAP_KB, OVERLAP_PLAN),
+    (OVERLAP_KB, FAN_OUT_PLAN),
+    (SIGN_RANK_KB, SIGN_RANK_PLAN),
+    (COVERED_ELAPSED_KB, COVERED_ELAPSED_PLAN),
+])
+def test_split_scan_matches_world_enumeration_on_fixtures(kb_text, plan_text):
+    scan_rounds_agree(*load(kb_text, plan_text))
+
+
+def test_split_scan_matches_world_enumeration_on_generated_plans():
+    for seed in range(200):
+        scan_rounds_agree(*instance_gen.generate_timed(seed))
+
+
+def test_split_scan_matches_world_enumeration_on_multi_agent_plans():
+    splits = [scan_rounds_agree(*instance_gen.generate_agents_timed(seed)) for seed in range(300)]
+    assert sum(n >= 2 for n in splits) >= 10  # the family exercises joint sign patterns
+
+
+def test_clocked_shuttle_of_forty_steps_convolves_its_durations():
+    # 4 agents x 10 steps in one total order: 2^40 joint duration worlds,
+    # no split, and a final clock that is the sum of all 40 durations.
+    kb_text = """
+predicate (Loc ?obj) kind=primitive states { L1 L2 }
+action (Go ?obj) level=0 { duration { 1:0.375 2:0.625 } effect (Loc ?obj) { (Loc ?obj)=L1 -> { L2:0.9 L1:0.1 } } }
+action (Back ?obj) level=0 { duration { 1:0.5 3:0.5 } effect (Loc ?obj) { (Loc ?obj)=L2 -> { L1:0.9 L2:0.1 } } }
+"""
+    lines, tables = [], []
+    for i in range(4):
+        for j in range(10):
+            action = "Go" if j % 2 == 0 else "Back"
+            lines.append(f"step s{i}_{j} a{i} ({action} O{i}) start=b{i}_{j} end=b{i}_{j + 1}")
+            tables.append({1: 0.375, 2: 0.625} if j % 2 == 0 else {1: 0.5, 3: 0.5})
+        if i < 3:
+            lines.append(f"before b{i}_10 b{i + 1}_0")
+    lines.append("initial { " + " ".join(f"(Loc O{i})=L1" for i in range(4)) + " }")
+    lines.append("goal { (Loc O0)=L1 }")
+    kb, plan = load(kb_text, "\n".join(lines) + "\n")
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True, clock_cap=120))
+    assert all(sit.sub == "" for sit in net.situation_order)
+    dist = clock_marginal(net, str(net.situation_order[-1]))
+    want = duration_worlds.convolve(tables)
+    assert sorted(dist) == sorted(want)
+    for value, p in want.items():
+        assert abs(dist[value] - p) <= 1e-12, value
