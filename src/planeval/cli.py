@@ -79,19 +79,27 @@ def _make_parser():
     return parser
 
 
+def _read(path: str):
+    """The file as a SourceDocument, or None after reporting why it cannot be read."""
+    try:
+        with open(path) as handle:
+            return SourceDocument(handle.read(), path)
+    except OSError as err:
+        print(f"{path}:0:0: io: {err.strerror}", file=sys.stderr)
+        return None
+
+
 def _load(args):
     """Parse and validate both inputs; returns (kb, plan) or None after reporting."""
-    ok = True
-    with open(args.kb) as handle:
-        kb_doc = SourceDocument(handle.read(), args.kb)
+    kb_doc = _read(args.kb)
+    if kb_doc is None:
+        return None
     kb, diags = parse_kb(kb_doc)
     diags.extend(validate_kb(kb))
     for d in diags:
         print(d.render(args.kb), file=sys.stderr)
-    ok &= not diags
-    with open(args.plan) as handle:
-        plan_doc = SourceDocument(handle.read(), args.plan)
-    if not ok:
+    plan_doc = _read(args.plan)
+    if diags or plan_doc is None:
         return None
     plan, plan_diags = parse_plan(plan_doc, kb)
     for d in plan_diags:

@@ -7,8 +7,10 @@ node states, optionally given evidence):
   targets and the evidence, in situation order, with ``np.einsum`` over the
   frozen ``Node.table`` arrays; width and factor-size guards run before any
   product is formed;
-* ``mc_query`` - forward sampling with likelihood weighting, vectorized and
-  reproducible for a given seed;
+* ``mc_query`` - forward sampling with likelihood weighting, vectorized, over
+  the ancestors of the targets and the evidence in the topological order
+  ``finalize`` stored; each skipped node advances the generator past its
+  draws, so answers equal whole-net sampling's for a given seed;
 * ``oracle_enumerate`` - brute-force joint enumeration over the ``Node.cpt``
   rows, not the arrays the other two read, kept dead simple so it can serve
   as ground truth for them.
@@ -50,6 +52,7 @@ class QueryResult:
     standard_error: float = None
     elimination_width: int = None
     sample_count: int = None
+    effective_sample_size: float = None  # Kish's (sum w)^2 / sum w^2, Monte Carlo only
 
 
 def _check_evidence(net: PENet, evidence: dict):
@@ -181,7 +184,12 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
 
 
 def mc_query(net: PENet, q: Query) -> QueryResult:
-    """Likelihood-weighted estimate of the target conjunction; reproducible by seed."""
+    """Likelihood-weighted estimate of the target conjunction; reproducible by seed.
+
+    Only the ancestors of the targets and the evidence are sampled. Every
+    other node still owns its n doubles of the stream: the generator skips
+    them, so each answer equals whole-net sampling's for the same seed.
+    """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
     if q.samples < 1:
@@ -190,11 +198,16 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
-    order = net.topological_nodes()
+    # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
+    keep = _ancestors(net, tuple(nid for nid, _ in q.targets if reachable) + tuple(q.evidence))
     values = {}
     weights = np.ones(n)
 
-    for nid in order:
+    for nid in net.topological_nodes():
+        if nid not in keep:
+            # PCG64 spends one 64-bit output per double drawn.
+            rng.bit_generator.advance(n)
+            continue
         node = net.nodes[nid]
         # A root's index is 0, which broadcasts over the samples.
         row_index = np.ravel_multi_index([values[p] for p in node.parents], node.table.shape[:-1])
@@ -204,10 +217,13 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
             weights = weights * matrix[row_index, col]
             values[nid] = np.full(n, col, dtype=np.int64)
         else:
-            cdf = np.cumsum(matrix, axis=1)[row_index]
+            # The CDF never decreases, so counting the draws above its first
+            # k-1 entries picks the state; the last entry is never needed.
             draws = rng.random(n)
-            picked = (draws[:, None] > cdf).sum(axis=1)
-            values[nid] = np.minimum(picked, len(node.states) - 1).astype(np.int64)
+            picked = np.zeros(n, dtype=np.int64)
+            for column in np.cumsum(matrix[:, :-1], axis=1).T:
+                picked += draws > column[row_index]
+            values[nid] = picked
 
     total = weights.sum()
     if total <= 0.0:
@@ -220,7 +236,8 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     estimate = float((weights * x).sum() / total)
     residual = x - estimate
     se = float(np.sqrt(((weights * residual) ** 2).sum()) / total)
-    return QueryResult(estimate, MC, standard_error=se, sample_count=n)
+    ess = float(total * total / (weights * weights).sum())
+    return QueryResult(estimate, MC, standard_error=se, sample_count=n, effective_sample_size=ess)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,7 @@ class PENet:
         self._positions = {sit: i for i, sit in enumerate(self.situation_order)}
         self.finalized = False
         self.selection_records: list = []
+        self._order: tuple = ()  # the topological order, fixed by finalize
 
     # -- situations ------------------------------------------------------
 
@@ -259,25 +260,14 @@ class PENet:
                     seen.add(grand)
                     stack.append(grand)
 
-    def topological_nodes(self) -> list:
-        """Nodes with every parent before its child; deterministic order."""
-        order = []
-        placed = set()
-        pending = sorted(self.nodes, key=self.node_key)
-        while pending:
-            progressed = False
-            remaining = []
-            for nid in pending:
-                if all(p in placed for p in self.nodes[nid].parents):
-                    order.append(nid)
-                    placed.add(nid)
-                    progressed = True
-                else:
-                    remaining.append(nid)
-            if not progressed:
-                raise PlanEvalError("net is cyclic")
-            pending = remaining
-        return order
+    def topological_nodes(self) -> tuple:
+        """Nodes with every parent before its child; deterministic order.
+
+        A finalized net returns the order ``finalize`` stored.
+        """
+        if self.finalized:
+            return self._order
+        return _topological_order(self, sorted(self.nodes, key=self.node_key))
 
     # -- row writing -----------------------------------------------------
 
@@ -376,7 +366,8 @@ def finalize(net: PENet) -> PENet:
     if net.finalized:
         return net
     tables = {}
-    for nid in sorted(net.nodes, key=net.node_key):
+    ordered = sorted(net.nodes, key=net.node_key)
+    for nid in ordered:
         node = net.nodes[nid]
         pools = [net.nodes[p].states for p in node.parents]
         rows = []
@@ -396,10 +387,34 @@ def finalize(net: PENet) -> PENet:
         # Backed by immutable bytes, so not even the writeable flag can be set back.
         table = np.frombuffer(np.array(rows, dtype=float).tobytes())
         tables[nid] = table.reshape([len(pool) for pool in pools] + [len(node.states)])
+    order = _topological_order(net, ordered)
     for nid, table in tables.items():
         net.nodes[nid].table = table
+    net._order = order
     net.finalized = True
     return net
+
+
+def _topological_order(net: PENet, ordered: list) -> tuple:
+    """``ordered`` (node ids by ``node_key``) rearranged so parents precede children.
+
+    Each pass places, in key order, every pending node whose parents are placed.
+    """
+    order = []
+    placed = set()
+    pending = ordered
+    while pending:
+        remaining = []
+        for nid in pending:
+            if all(p in placed for p in net.nodes[nid].parents):
+                order.append(nid)
+                placed.add(nid)
+            else:
+                remaining.append(nid)
+        if len(remaining) == len(pending):
+            raise PlanEvalError("net is cyclic")
+        pending = remaining
+    return tuple(order)
 
 
 def _describe_combo(node: Node, combo: tuple) -> str:

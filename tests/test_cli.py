@@ -150,6 +150,16 @@ def test_build_rejects_invalid_kb_with_exit_1(files, capsys):
     assert err.splitlines()[0].startswith(kb_path + ":")
 
 
+@pytest.mark.parametrize("missing", ["kb", "plan"])
+def test_missing_input_file_exit_1(files, capsys, tmp_path, missing):
+    kb_path, plan_path = files(RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN)
+    absent = str(tmp_path / f"absent.{missing}")
+    argv = ["eval", absent, plan_path] if missing == "kb" else ["eval", kb_path, absent]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"{absent}:0:0: io: No such file or directory\n"
+
+
 def test_parse_diagnostics_carry_file_line_col(files, capsys):
     kb_path, plan_path = files(MOVE_KB, "step s1 a1 (Teleport A) start=b0 end=b1\n")
     code, _out, err = run(capsys, ["eval", kb_path, plan_path])

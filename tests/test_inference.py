@@ -1,5 +1,9 @@
 """Inference engines: exact VE, Monte Carlo, enumeration oracle, plan metrics."""
 
+import os
+import random
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,7 +21,9 @@ from planeval import (
     finalize,
     paste_onto,
     TooLarge,
+    BuildOptions,
     WidthExceeded,
+    ZeroWeight,
     build_pe_net,
     exact_query,
     leads_to_success,
@@ -28,8 +34,12 @@ from planeval import (
 )
 from planeval import inference
 
+import forward_sampler
 import instance_gen
 from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, TWO_STEP_PLAN, load
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402 - the benchmark's instance generators
 
 
 def build(kb_text, plan_text):
@@ -281,6 +291,88 @@ def test_mc_likelihood_weighting_with_evidence(two_step):
     result = mc_query(net, Query(targets=target, evidence=evidence, mode="mc", samples=40000, seed=3))
     assert result.standard_error > 0.0
     assert abs(result.probability - exact) <= 4 * result.standard_error + 1e-12
+
+
+def test_mc_effective_sample_size_without_evidence_is_the_sample_count(two_step):
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=2000, seed=7)
+    assert mc_query(net, q).effective_sample_size == 2000
+
+
+def test_mc_effective_sample_size_is_kish_over_the_weights():
+    _kb, _plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
+    side, done = net.find("(Side T)", "S2"), net.find("(Done T)", "S2")
+    q = Query(targets=[(side, "clean")], evidence={done: "yes"}, mode="mc", samples=3000, seed=5)
+    _estimate, _se, weights = forward_sampler.forward_sample(net, q)
+    ess = mc_query(net, q).effective_sample_size
+    assert ess == weights.sum() * weights.sum() / (weights * weights).sum()
+    assert 1.0 <= ess < 3000
+
+
+# -- pruned Monte Carlo against whole-net sampling --------------------------------
+
+
+def same_bits_as_whole_net_sampling(net, q) -> bool:
+    """Assert mc_query gives the reference's bits; False if both find zero weight."""
+    try:
+        estimate, se, _weights = forward_sampler.forward_sample(net, q)
+    except ZeroWeight:
+        with pytest.raises(ZeroWeight):
+            mc_query(net, q)
+        return False
+    result = mc_query(net, q)
+    assert (result.probability, result.standard_error) == (estimate, se), q
+    return True
+
+
+def differential_queries(net, rng):
+    """Single, conjunctive and unreachable targets, each with 0, 1 and 2 evidence
+    nodes; the first evidence node is outside every target's ancestors when the
+    net has one."""
+    nodes = sorted(net.nodes, key=net.node_key)
+
+    def pick(candidates):
+        nid = rng.choice(candidates)
+        return nid, rng.choice(net.nodes[nid].states)
+
+    single = [pick(nodes)]
+    conjunction = [pick(nodes) for _ in range(rng.randint(2, 3))]
+    unreachable = [(rng.choice(nodes), "no-such-state")]
+    for targets in (single, conjunction, unreachable):
+        read = inference._ancestors(net, [nid for nid, _ in targets])
+        outside = [nid for nid in nodes if nid not in read] or nodes
+        seen = dict([pick(outside), pick(nodes)])
+        for count in range(3):
+            evidence = dict(list(seen.items())[:count])
+            yield Query(targets=targets, evidence=evidence, mode="mc", samples=200, seed=rng.randrange(1000))
+
+
+@pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
+def test_pruned_mc_matches_whole_net_sampling_on_generated_nets(generator):
+    compared = 0
+    for seed in range(60):
+        kb, plan = generator(seed)
+        net = build_pe_net(plan, kb, BuildOptions(clock_enabled=generator is instance_gen.generate_timed))
+        for q in differential_queries(net, random.Random(seed)):
+            compared += same_bits_as_whole_net_sampling(net, q)
+    assert compared >= 60 * 9 // 2
+
+
+@pytest.mark.parametrize("workload", ["branchy-queries", "shuttle"])
+def test_pruned_mc_matches_whole_net_sampling_on_bench_instances(workload):
+    for inst in workloads.generate(workload, 1):
+        kb, plan = load(inst.kb_text, inst.plan_text)
+        net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
+        goals = inference._goal_targets(net, plan)
+        batch = [(goals, {}), (goals + inference._selected_path_targets(net), {})]
+        mid = net.situation_order[len(net.situation_order) // 2]
+        for atom, _state in plan.goals if inst.queries != "goals" else ():
+            nid = net.find(atom, mid)
+            batch += [([(nid, state)], {}) for state in net.nodes[nid].states]
+            batch.append((goals, {nid: net.nodes[nid].states[0]}))
+        for i, (targets, evidence) in enumerate(batch):
+            q = Query(targets=targets, evidence=evidence, mode="mc", samples=inst.mc_samples, seed=10 + i)
+            assert same_bits_as_whole_net_sampling(net, q)
 
 
 # -- plan metrics ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from planeval import (
+    BuildOptions,
     Fragment,
     FragmentNode,
     FragmentRow,
@@ -27,6 +28,7 @@ from planeval import (
     sel_node,
 )
 
+import forward_sampler
 import instance_gen
 
 S0 = SituationId(0)
@@ -231,6 +233,25 @@ def test_table_holds_the_cpt_rows_in_parent_state_order(seed):
             dist = node.cpt[combo]
             at = tuple(net.nodes[p].states.index(v) for p, v in zip(node.parents, combo))
             assert node.table[at].tolist() == [dist.get(s, 0.0) for s in node.states]
+
+
+@pytest.mark.parametrize("timed", [False, True])
+@pytest.mark.parametrize("seed", range(60))
+def test_finalize_stores_the_topological_order(seed, timed):
+    # with the clock on, a gating parent can sort after its same-situation child
+    # by key, so the key order alone is not topological
+    kb, plan = (instance_gen.generate_timed if timed else instance_gen.generate)(seed)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed))
+    order = net.topological_nodes()
+    assert isinstance(order, tuple)
+    assert list(order) == forward_sampler.topological_nodes(net)
+    assert net.topological_nodes() is order
+    node = net.nodes[order[-1]]
+    with pytest.raises(PlanEvalError, match="immutable"):
+        net.ensure_node(FragmentNode(node.id, node.kind, ["fresh"]))
+    with pytest.raises(PlanEvalError, match="immutable"):
+        net.add_parent(node, next(nid for nid in order if nid not in node.parents and nid != node.id))
+    assert net.topological_nodes() is order
 
 
 def _random_fragment(rng, nodes):
