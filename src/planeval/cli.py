@@ -82,11 +82,14 @@ def _make_parser():
 def _read(path: str):
     """The file as a SourceDocument, or None after reporting why it cannot be read."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return SourceDocument(handle.read(), path)
     except OSError as err:
-        print(f"{path}:0:0: io: {err.strerror}", file=sys.stderr)
-        return None
+        reason = err.strerror
+    except UnicodeDecodeError as err:
+        reason = f"not UTF-8: {err.reason} at byte {err.start}"
+    print(f"{path}:0:0: io: {reason}", file=sys.stderr)
+    return None
 
 
 def _load(args):

@@ -60,7 +60,7 @@ class ZeroWeight(PlanEvalError):
 
 
 class TooLarge(PlanEvalError):
-    """The joint state space exceeds the enumeration bound."""
+    """A query would exceed a size bound: joint states, factor cells or samples."""
 
 
 class BuildError(PlanEvalError):

@@ -9,8 +9,9 @@ node states, optionally given evidence):
   product is formed;
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized, over
   the ancestors of the targets and the evidence in the topological order
-  ``finalize`` stored; each skipped node advances the generator past its
-  draws, so answers equal whole-net sampling's for a given seed;
+  ``finalize`` stored; each skipped node and each one-state node advances
+  the generator past its draws, so answers equal whole-net sampling's for a
+  given seed, and each node's samples are freed after their last reader;
 * ``oracle_enumerate`` - brute-force joint enumeration over the ``Node.cpt``
   rows, not the arrays the other two read, kept dead simple so it can serve
   as ground truth for them.
@@ -22,6 +23,7 @@ metrics: goals plus the selected detailed path, versus goals alone.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,20 +189,24 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     """Likelihood-weighted estimate of the target conjunction; reproducible by seed.
 
     Only the ancestors of the targets and the evidence are sampled. Every
-    other node still owns its n doubles of the stream: the generator skips
-    them, so each answer equals whole-net sampling's for the same seed.
+    other node, and every one-state node, still owns its n doubles of the
+    stream: the generator skips them, so each answer equals whole-net
+    sampling's for the same seed. Samples are freed after their last reader.
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
-    if q.samples < 1:
-        raise PlanEvalError(f"Monte Carlo needs at least one sample, not {q.samples}")
+    if not isinstance(q.samples, int) or q.samples < 1:
+        raise PlanEvalError(f"Monte Carlo needs a whole number of at least one sample, not {q.samples!r}")
+    if q.samples > MAX_FACTOR_CELLS:  # before the generator or any array is made
+        raise TooLarge(f"Monte Carlo asks for {q.samples} samples, above {MAX_FACTOR_CELLS}")
     _check_evidence(net, q.evidence)
     reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
     keep = _ancestors(net, tuple(nid for nid, _ in q.targets if reachable) + tuple(q.evidence))
-    values = {}
+    readers = Counter([nid for nid, _ in q.targets if reachable] + [p for v in keep for p in net.nodes[v].parents])
+    values = {}  # NodeId -> state index per sample, or one int when every sample shares it
     weights = np.ones(n)
 
     for nid in net.topological_nodes():
@@ -209,21 +215,29 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
             rng.bit_generator.advance(n)
             continue
         node = net.nodes[nid]
-        # A root's index is 0, which broadcasts over the samples.
-        row_index = np.ravel_multi_index([values[p] for p in node.parents], node.table.shape[:-1])
-        matrix = node.table.reshape(-1, len(node.states))
+        k = len(node.states)
+        matrix = node.table.reshape(-1, k)
+        # The table is row-major, so a parent axis's byte stride over a row's bytes counts rows.
+        row = values[node.parents[0]] if len(node.parents) == 1 else sum(
+            values[p] * (s // (k * matrix.itemsize)) for p, s in zip(node.parents, node.table.strides))
         if nid in q.evidence:
-            col = node.states.index(q.evidence[nid])
-            weights = weights * matrix[row_index, col]
-            values[nid] = np.full(n, col, dtype=np.int64)
+            value = node.states.index(q.evidence[nid])
+            weights = weights * matrix[row, value]
+        elif k == 1:
+            rng.bit_generator.advance(n)
+            value = 0
         else:
             # The CDF never decreases, so counting the draws above its first
             # k-1 entries picks the state; the last entry is never needed.
             draws = rng.random(n)
-            picked = np.zeros(n, dtype=np.int64)
+            value = np.zeros(n, dtype=np.intp)
             for column in np.cumsum(matrix[:, :-1], axis=1).T:
-                picked += draws > column[row_index]
-            values[nid] = picked
+                value += draws > column[row]
+        readers.subtract(node.parents)
+        for parent in (p for p in node.parents if not readers[p]):
+            del values[parent]
+        if readers[nid]:
+            values[nid] = value
 
     total = weights.sum()
     if total <= 0.0:

@@ -160,6 +160,17 @@ def test_missing_input_file_exit_1(files, capsys, tmp_path, missing):
     assert err == f"{absent}:0:0: io: No such file or directory\n"
 
 
+@pytest.mark.parametrize("binary", ["kb", "plan"])
+def test_non_utf8_input_file_exit_1(files, capsys, tmp_path, binary):
+    kb_path, plan_path = files(RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN)
+    bad = kb_path if binary == "kb" else plan_path
+    with open(bad, "wb") as handle:
+        handle.write(b"predicate (G) \xff\xfe states { no yes }\n")
+    code, out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert (code, out) == (1, "")
+    assert err == f"{bad}:0:0: io: not UTF-8: invalid start byte at byte 14\n"
+
+
 def test_parse_diagnostics_carry_file_line_col(files, capsys):
     kb_path, plan_path = files(MOVE_KB, "step s1 a1 (Teleport A) start=b0 end=b1\n")
     code, _out, err = run(capsys, ["eval", kb_path, plan_path])

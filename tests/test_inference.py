@@ -3,6 +3,7 @@
 import os
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,17 +316,34 @@ def test_mc_effective_sample_size_is_kish_over_the_weights():
 def same_bits_as_whole_net_sampling(net, q) -> bool:
     """Assert mc_query gives the reference's bits; False if both find zero weight."""
     try:
-        estimate, se, _weights = forward_sampler.forward_sample(net, q)
+        estimate, se, weights = forward_sampler.forward_sample(net, q)
     except ZeroWeight:
         with pytest.raises(ZeroWeight):
             mc_query(net, q)
         return False
     result = mc_query(net, q)
-    assert (result.probability, result.standard_error) == (estimate, se), q
+    kish = weights.sum() * weights.sum() / (weights * weights).sum()
+    assert (result.probability, result.standard_error, result.effective_sample_size) == (estimate, se, kish), q
     return True
 
 
-def differential_queries(net, rng):
+def sampled_shapes(net, q) -> set:
+    """Which row-index and draw paths of mc_query the query takes: "one-state"
+    for a drawn node of one state, "multi-parent" for a drawn node with two or
+    more parents of more than one state each."""
+    reachable = all(state in net.nodes[nid].states for nid, state in q.targets)
+    read = inference._ancestors(net, [nid for nid, _ in q.targets if reachable] + list(q.evidence))
+    shapes = set()
+    for nid in read - set(q.evidence):
+        node = net.nodes[nid]
+        if len(node.states) == 1:
+            shapes.add("one-state")
+        if sum(len(net.nodes[p].states) > 1 for p in node.parents) >= 2:
+            shapes.add("multi-parent")
+    return shapes
+
+
+def differential_queries(net, rng, samples=200):
     """Single, conjunctive and unreachable targets, each with 0, 1 and 2 evidence
     nodes; the first evidence node is outside every target's ancestors when the
     net has one."""
@@ -344,18 +362,34 @@ def differential_queries(net, rng):
         seen = dict([pick(outside), pick(nodes)])
         for count in range(3):
             evidence = dict(list(seen.items())[:count])
-            yield Query(targets=targets, evidence=evidence, mode="mc", samples=200, seed=rng.randrange(1000))
+            yield Query(targets=targets, evidence=evidence, mode="mc", samples=samples, seed=rng.randrange(1000))
+
+
+def compare_on_generated_nets(generator, samples) -> tuple:
+    """Queries compared bit for bit over 60 generated nets, and the sampled shapes seen."""
+    compared, shapes = 0, set()
+    for seed in range(60):
+        kb, plan = generator(seed)
+        net = build_pe_net(plan, kb, BuildOptions(clock_enabled=generator is instance_gen.generate_timed))
+        for q in differential_queries(net, random.Random(seed), samples):
+            compared += same_bits_as_whole_net_sampling(net, q)
+            shapes |= sampled_shapes(net, q)
+    return compared, shapes
 
 
 @pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
 def test_pruned_mc_matches_whole_net_sampling_on_generated_nets(generator):
-    compared = 0
-    for seed in range(60):
-        kb, plan = generator(seed)
-        net = build_pe_net(plan, kb, BuildOptions(clock_enabled=generator is instance_gen.generate_timed))
-        for q in differential_queries(net, random.Random(seed)):
-            compared += same_bits_as_whole_net_sampling(net, q)
+    compared, _shapes = compare_on_generated_nets(generator, samples=200)
     assert compared >= 60 * 9 // 2
+
+
+@pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
+def test_pruned_mc_matches_whole_net_sampling_at_one_sample(generator):
+    # One sample makes the scalar states of roots, evidence and one-state
+    # nodes broadcast against arrays of length one.
+    compared, shapes = compare_on_generated_nets(generator, samples=1)
+    assert compared >= 60 * 9 // 2
+    assert shapes == {"one-state", "multi-parent"}
 
 
 @pytest.mark.parametrize("workload", ["branchy-queries", "shuttle"])
@@ -424,6 +458,50 @@ def test_mc_rejects_fewer_than_one_sample(two_step, samples):
     q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=samples)
     with pytest.raises(PlanEvalError, match="at least one sample"):
         mc_query(net, q)
+
+
+@pytest.mark.parametrize("samples", [2.5, "10", None])
+def test_mc_rejects_samples_that_are_not_an_int(two_step, samples):
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=samples)
+    with pytest.raises(PlanEvalError, match="whole number"):
+        mc_query(net, q)
+
+
+def _no_arrays(*args, **kwargs):
+    raise AssertionError("an array or generator was made before the sample guard")
+
+
+def test_mc_sample_guard_trips_before_it_allocates(two_step, monkeypatch):
+    _kb, _plan, net = two_step
+    for name in ("ones", "zeros", "full", "empty"):
+        monkeypatch.setattr(np, name, _no_arrays)
+    monkeypatch.setattr(np.random, "PCG64", _no_arrays)
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=inference.MAX_FACTOR_CELLS + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="samples"):
+            mc_query(net, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_mc_keeps_only_live_sample_arrays_on_the_shuttle_bench_instance():
+    # 336 nodes of 10,000 samples each would hold 27 MB if every array lived
+    # to the end of the query; the goal test reads only the final situation.
+    (inst,) = workloads.generate("shuttle", 1)
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
+    tracemalloc.start()
+    try:
+        leads_to_success(net, plan, mode="mc", samples=10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(net.nodes) == 336
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("engine", [exact_query, mc_query, oracle_enumerate])
