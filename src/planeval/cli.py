@@ -1,8 +1,9 @@
 """Command-line surface: build, eval, export, compare-linearizations.
 
 Exit codes: 0 success, 1 diagnostics (parse/validation/build), 2 inference
-errors. All diagnostics go to stderr as ``file:line:col: code: message``;
-reports go to stdout as ``key = value [± stderr]`` lines.
+errors and bad arguments. All diagnostics go to stderr as
+``file:line:col: code: message``; reports go to stdout as
+``key = value [± stderr]`` lines.
 """
 
 from __future__ import annotations
@@ -39,15 +40,19 @@ def _add_common(sub):
                      default="gate-effect-only")
 
 
-def _sample_count(text: str) -> int:
-    """``--mc`` argument: a whole number of samples, at least 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 sample, not {count}")
-    return count
+def _at_least(least: int):
+    """An argparse type: a whole number of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+
+    return parse
 
 
 def _make_parser():
@@ -63,8 +68,8 @@ def _make_parser():
     _add_common(ev)
     ev.add_argument("--goal-only", action="store_true", help="report leads_to_success only")
     ev.add_argument("--exact", action="store_true", help="force exact inference (default)")
-    ev.add_argument("--mc", type=_sample_count, metavar="N", help="Monte Carlo with N >= 1 samples")
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--mc", type=_at_least(1), metavar="N", help="Monte Carlo with N >= 1 samples")
+    ev.add_argument("--seed", type=_at_least(0), default=0, help="Monte Carlo seed, at least 0")
     ev.add_argument("--evidence", action="append", default=[], metavar="(Pred args)=s@Si")
     ev.add_argument("--marginal", action="append", default=[], metavar="(Pred args)@Si")
 

@@ -16,6 +16,13 @@ node states, optionally given evidence):
   rows, not the arrays the other two read, kept dead simple so it can serve
   as ground truth for them.
 
+The first two run on the integer view ``finalize`` stores as
+``PENet.numbering``: nodes are numbered in ``node_key`` order, so the
+situation elimination order is the sorted numbers. A query's target and
+evidence ``NodeId``s are numbered once, on entry; the ancestor walk, the
+buckets, the factor scopes and the sampling loop then index tuples by
+number, with no ``NodeId`` hashed or formatted.
+
 ``plan_success`` and ``leads_to_success`` wrap these for the two plan
 metrics: goals plus the selected detailed path, versus goals alone.
 """
@@ -23,13 +30,12 @@ metrics: goals plus the selected detailed path, versus goals alone.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleEvidence, PlanEvalError, TooLarge, WidthExceeded, ZeroWeight
-from .net import PENet, atom_node
+from .net import MAX_FACTOR_CELLS, PENet, atom_node
 
 EXACT = "exact"
 MC = "mc"
@@ -78,17 +84,15 @@ def _targets_reachable(net: PENet, targets) -> bool:
 # exact inference: one pruned bucket-elimination pass
 # ---------------------------------------------------------------------------
 
-# Largest factor an elimination may form: 2**25 float64 cells are 256 MiB.
-MAX_FACTOR_CELLS = 2 ** 25
-
 # np.einsum takes at most 32 operands before numpy 2 (64 from it) and 52 axis labels.
 _EINSUM_OPERANDS = 32
 
 
-def _ancestors(net: PENet, roots) -> set:
+def _ancestors(parents: tuple, roots) -> set:
+    """The numbers of ``roots`` and of every ancestor, by ``Numbering.parents``."""
     keep, stack = set(roots), list(roots)
     while stack:
-        for parent in net.nodes[stack.pop()].parents:
+        for parent in parents[stack.pop()]:
             if parent not in keep:
                 keep.add(parent)
                 stack.append(parent)
@@ -105,43 +109,48 @@ def _contract(factors: list, out: tuple, dims: list) -> np.ndarray:
     labels = {}
     args = []
     for table, vars in factors:
-        args.append(np.reshape(table, [dims[v] for v in vars if dims[v] > 1]))
-        args.append([labels.setdefault(v, len(labels)) for v in vars if dims[v] > 1])
+        vars = [v for v in vars if dims[v] > 1]
+        args.append(table.reshape([dims[v] for v in vars]))
+        args.append([labels.setdefault(v, len(labels)) for v in vars])
     args.append([labels[v] for v in out if dims[v] > 1])
     return np.einsum(*args).reshape([dims[v] for v in out])
 
 
-def _eliminate(net: PENet, targets: list, pins: dict, width_limit: int):
+def _eliminate(net: PENet, targets: list, evidence: dict, width_limit: int):
     """Evidence probability and joint target probability, and the width.
 
-    Barren nodes (not ancestors of a target or pinned node) are dropped,
-    pinned axes are sliced out of each table, and the other nodes are
-    eliminated in ``node_key`` order (situation first), each factor in the
-    bucket of its earliest node. One two-state axis stays free: each target
-    adds a factor that is 1 on its entry 0 and the target's indicator on its
-    entry 1, so entry 0 of the result is the evidence probability and entry
-    1 the joint one, however many targets the conjunction has. Every bucket's
-    scope is checked against the guards before any product is formed.
+    Targets and evidence are turned into node numbers on entry. Barren
+    nodes (not ancestors of a target or pinned node) are dropped, pinned axes
+    are sliced out of each table, and the other nodes are eliminated in
+    number order, which is ``node_key`` order (situation first), each factor
+    in the bucket of its earliest node. One two-state axis stays free: each
+    target adds a factor that is 1 on its entry 0 and the target's indicator
+    on its entry 1, so entry 0 of the result is the evidence probability and
+    entry 1 the joint one, however many targets the conjunction has. Every
+    bucket's scope is checked against the guards before any product is formed.
     """
-    keep = _ancestors(net, tuple(nid for nid, _ in targets) + tuple(pins))
-    order = sorted((nid for nid in keep if nid not in pins), key=net.node_key)
-    # Nodes are numbered in elimination order; number m is the free axis, and
-    # bucket m collects the factors over it alone.
+    numbering = net.numbering
+    number = numbering.number
+    pins = {number[nid]: net.nodes[nid].states.index(state) for nid, state in evidence.items()}
+    targets = [(number[nid], [s == state for s in net.nodes[nid].states]) for nid, state in targets]
+    keep = _ancestors(numbering.parents, [v for v, _ in targets] + list(pins))
+    order = sorted(keep.difference(pins))
+    # Kept nodes get local numbers in elimination order; local number m is
+    # the free axis, and bucket m collects the factors over it alone.
     m = len(order)
-    number = {nid: i for i, nid in enumerate(order)}
-    dims = [len(net.nodes[nid].states) for nid in order] + [2]
+    local = {v: i for i, v in enumerate(order)}
+    dims = [numbering.sizes[v] for v in order] + [2]
     factors = [(np.ones(2), (m,))]  # the free axis, even with no targets
-    for nid in keep:
-        node = net.nodes[nid]
-        ids = (*node.parents, nid)
-        table = node.table
+    for v in keep:
+        ids = (*numbering.parents[v], v)
+        table = numbering.tables[v]
         if pins:
-            table = table[tuple(pins.get(v, slice(None)) for v in ids)]
-        factors.append((table, tuple(number[v] for v in ids if v in number)))
-    for nid, state in targets:
-        hit = np.ones((len(net.nodes[nid].states), 2))
-        hit[:, 1] = [s == state for s in net.nodes[nid].states]
-        factors.append((hit[pins[nid]], (m,)) if nid in pins else (hit, (number[nid], m)))
+            table = table[tuple(pins.get(u, slice(None)) for u in ids)]
+        factors.append((table, tuple(local[u] for u in ids if u in local)))
+    for v, indicator in targets:
+        hit = np.ones((len(indicator), 2))
+        hit[:, 1] = indicator
+        factors.append((hit[pins[v]], (m,)) if v in pins else (hit, (local[v], m)))
     buckets = [[] for _ in range(m + 1)]
     for table, vars in factors:
         buckets[min((m, *vars))].append((table, vars))
@@ -171,9 +180,8 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
     if q.mode != EXACT:
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
     _check_evidence(net, q.evidence)
-    pins = {nid: net.nodes[nid].states.index(state) for nid, state in q.evidence.items()}
     targets = [(nid, state) for nid, state in q.targets if nid in net.nodes]
-    z_e, z_te, width = _eliminate(net, targets, pins, width_limit)
+    z_e, z_te, width = _eliminate(net, targets, q.evidence, width_limit)
     if z_e <= 0.0:
         raise InfeasibleEvidence("evidence has probability zero")
     _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
@@ -199,29 +207,36 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
         raise PlanEvalError(f"Monte Carlo needs a whole number of at least one sample, not {q.samples!r}")
     if q.samples > MAX_FACTOR_CELLS:  # before the generator or any array is made
         raise TooLarge(f"Monte Carlo asks for {q.samples} samples, above {MAX_FACTOR_CELLS}")
+    if not isinstance(q.seed, int) or q.seed < 0:
+        raise PlanEvalError(f"Monte Carlo needs a whole-number seed of at least zero, not {q.seed!r}")
     _check_evidence(net, q.evidence)
     reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
+    numbering = net.numbering
+    number, parents_of, tables, sizes = numbering.number, numbering.parents, numbering.tables, numbering.sizes
+    pins = {number[nid]: net.nodes[nid].states.index(state) for nid, state in q.evidence.items()}
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
-    keep = _ancestors(net, tuple(nid for nid, _ in q.targets if reachable) + tuple(q.evidence))
-    readers = Counter([nid for nid, _ in q.targets if reachable] + [p for v in keep for p in net.nodes[v].parents])
-    values = {}  # NodeId -> state index per sample, or one int when every sample shares it
+    targets = [(number[nid], net.nodes[nid].states.index(state)) for nid, state in q.targets] if reachable else []
+    keep = _ancestors(parents_of, [v for v, _ in targets] + list(pins))
+    readers = [0] * len(parents_of)  # per node, its sampled children plus one per target
+    for v in [p for u in keep for p in parents_of[u]] + [v for v, _ in targets]:
+        readers[v] += 1
+    values = {}  # number -> state index per sample, or one int when every sample shares it
     weights = np.ones(n)
 
-    for nid in net.topological_nodes():
-        if nid not in keep:
+    for v in numbering.order:
+        if v not in keep:
             # PCG64 spends one 64-bit output per double drawn.
             rng.bit_generator.advance(n)
             continue
-        node = net.nodes[nid]
-        k = len(node.states)
-        matrix = node.table.reshape(-1, k)
+        parents, table, k = parents_of[v], tables[v], sizes[v]
+        matrix = table.reshape(-1, k)
         # The table is row-major, so a parent axis's byte stride over a row's bytes counts rows.
-        row = values[node.parents[0]] if len(node.parents) == 1 else sum(
-            values[p] * (s // (k * matrix.itemsize)) for p, s in zip(node.parents, node.table.strides))
-        if nid in q.evidence:
-            value = node.states.index(q.evidence[nid])
+        row = values[parents[0]] if len(parents) == 1 else sum(
+            values[p] * (s // (k * matrix.itemsize)) for p, s in zip(parents, table.strides))
+        if v in pins:
+            value = pins[v]
             weights = weights * matrix[row, value]
         elif k == 1:
             rng.bit_generator.advance(n)
@@ -233,19 +248,19 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
             value = np.zeros(n, dtype=np.intp)
             for column in np.cumsum(matrix[:, :-1], axis=1).T:
                 value += draws > column[row]
-        readers.subtract(node.parents)
-        for parent in (p for p in node.parents if not readers[p]):
-            del values[parent]
-        if readers[nid]:
-            values[nid] = value
+        for p in parents:
+            readers[p] -= 1
+            if not readers[p]:
+                del values[p]
+        if readers[v]:
+            values[v] = value
 
     total = weights.sum()
     if total <= 0.0:
         raise ZeroWeight("all samples are inconsistent with the evidence")
     hit = np.full(n, reachable)
-    if reachable:
-        for nid, state in q.targets:
-            hit &= values[nid] == net.nodes[nid].states.index(state)
+    for v, state in targets:
+        hit &= values[v] == state
     x = hit.astype(float)
     estimate = float((weights * x).sum() / total)
     residual = x - estimate

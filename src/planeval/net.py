@@ -3,8 +3,9 @@
 A PENet is a situation-layered DAG. Node CPTs are stored sparsely as rows
 keyed by full parent-state combinations; fragments carry rows with partial
 conditions which are expanded over the remaining parents when pasted.
-``finalize`` freezes each CPT into one read-only array, ``Node.table``, which
-the inference engines read.
+``finalize`` freezes each CPT into one read-only array, ``Node.table``, and
+numbers the nodes in ``node_key`` order; the inference engines read the
+tables through that numbering (``PENet.numbering``), on ints alone.
 
 Two merge operations build nets from model fragments:
 
@@ -28,11 +29,14 @@ parent's same-situation ancestors alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IncompleteCPT, LayeringViolation, PlanEvalError
+from .errors import IncompleteCPT, LayeringViolation, PlanEvalError, TooLarge
 from .model import OTHER, PROB_TOL, GroundAtom, label_sort_key
 
 PRIMITIVE = "primitive"
@@ -44,6 +48,12 @@ RELATIVE_END_TIME = "relative-end-time"
 KIND_RANK = {PRIMITIVE: 0, DERIVED: 1, SELECTION: 2, CLOCK: 3, RELATIVE_END_TIME: 4}
 
 ATOM_KINDS = (PRIMITIVE, DERIVED)
+
+# Largest table or factor: 2**25 float64 cells are 256 MiB.
+MAX_FACTOR_CELLS = 2 ** 25
+
+# numpy's limit on the dimensions of one array: 32 before numpy 2, 64 from it.
+_MAX_TABLE_DIMS = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,18 @@ class Fragment:
     rows: list = field(default_factory=list)
 
 
+class Numbering(NamedTuple):
+    """A finalized net on ints: node ``i`` is ``ids[i]``, numbered in ``node_key``
+    order, and every other field is indexed by that number."""
+
+    ids: tuple  # NodeIds in node_key order
+    number: MappingProxyType  # NodeId -> number, read-only
+    parents: tuple  # parent numbers, in Node.parents order
+    tables: tuple  # the Node.table arrays
+    sizes: tuple  # state counts
+    order: tuple  # the topological order, as numbers
+
+
 class PENet:
     """Situation-layered belief network over plan-evaluation nodes."""
 
@@ -171,6 +193,7 @@ class PENet:
         self.finalized = False
         self.selection_records: list = []
         self._order: tuple = ()  # the topological order, fixed by finalize
+        self.numbering: Numbering = None  # set by finalize
 
     # -- situations ------------------------------------------------------
 
@@ -267,7 +290,8 @@ class PENet:
         """
         if self.finalized:
             return self._order
-        return _topological_order(self, sorted(self.nodes, key=self.node_key))
+        ordered, _number, parents = _number_nodes(self)
+        return tuple(ordered[v] for v in _topological_order(parents))
 
     # -- row writing -----------------------------------------------------
 
@@ -362,55 +386,80 @@ def finalize(net: PENet) -> PENet:
 
     Each node's rows are also written, in ``itertools.product`` order over the
     parents' states, into ``Node.table``, a float64 array over immutable bytes.
+    A table of more dimensions than numpy allows or of more than
+    ``MAX_FACTOR_CELLS`` cells raises ``TooLarge`` before any node's rows are
+    enumerated. The nodes are numbered in ``node_key`` order, and that
+    integer view is stored as ``net.numbering``.
     """
     if net.finalized:
         return net
-    tables = {}
-    ordered = sorted(net.nodes, key=net.node_key)
-    for nid in ordered:
-        node = net.nodes[nid]
-        pools = [net.nodes[p].states for p in node.parents]
+    ordered, number, parents = _number_nodes(net)
+    nodes = [net.nodes[nid] for nid in ordered]
+    shapes = [[len(nodes[p].states) for p in ps] + [len(node.states)] for node, ps in zip(nodes, parents)]
+    for node, shape in zip(nodes, shapes):
+        if len(shape) > _MAX_TABLE_DIMS:
+            raise TooLarge(f"node {node.id} needs a table of {len(shape)} dimensions, above {_MAX_TABLE_DIMS}")
+        if math.prod(shape) > MAX_FACTOR_CELLS:
+            raise TooLarge(f"node {node.id} needs a table of {math.prod(shape)} cells, above {MAX_FACTOR_CELLS}")
+    tables = []
+    for node, ps, shape in zip(nodes, parents, shapes):
+        pools = [nodes[p].states for p in ps]
         rows = []
         for combo in itertools.product(*pools):
             dist = node.cpt.get(combo)
             if dist is None:
-                raise IncompleteCPT(nid, _describe_combo(node, combo))
+                raise IncompleteCPT(node.id, _describe_combo(node, combo))
             total = sum(dist.values())
             if abs(total - 1.0) > PROB_TOL:
-                raise PlanEvalError(f"row {nid}{combo} sums to {total!r}")
+                raise PlanEvalError(f"row {node.id}{combo} sums to {total!r}")
             if total != 1.0:
                 dist = node.cpt[combo] = {s: p / total for s, p in dist.items()}
             rows.append([dist.get(s, 0.0) for s in node.states])
         if len(node.cpt) != len(rows):
             extra = set(node.cpt) - set(itertools.product(*pools))
-            raise PlanEvalError(f"node {nid} carries rows for unreachable combinations {sorted(extra)[:3]}")
+            raise PlanEvalError(f"node {node.id} carries rows for unreachable combinations {sorted(extra)[:3]}")
         # Backed by immutable bytes, so not even the writeable flag can be set back.
         table = np.frombuffer(np.array(rows, dtype=float).tobytes())
-        tables[nid] = table.reshape([len(pool) for pool in pools] + [len(node.states)])
-    order = _topological_order(net, ordered)
-    for nid, table in tables.items():
-        net.nodes[nid].table = table
-    net._order = order
+        tables.append(table.reshape(shape))
+    order = _topological_order(parents)
+    for node, table in zip(nodes, tables):
+        node.table = table
+    net._order = tuple(ordered[v] for v in order)
+    net.numbering = Numbering(
+        ids=tuple(ordered),
+        number=MappingProxyType(number),
+        parents=parents,
+        tables=tuple(tables),
+        sizes=tuple(shape[-1] for shape in shapes),
+        order=order,
+    )
     net.finalized = True
     return net
 
 
-def _topological_order(net: PENet, ordered: list) -> tuple:
-    """``ordered`` (node ids by ``node_key``) rearranged so parents precede children.
+def _number_nodes(net: PENet) -> tuple:
+    """Node ids in ``node_key`` order, the number of each, and each node's parent numbers."""
+    ordered = sorted(net.nodes, key=net.node_key)
+    number = {nid: i for i, nid in enumerate(ordered)}
+    return ordered, number, tuple(tuple(number[p] for p in net.nodes[nid].parents) for nid in ordered)
 
-    Each pass places, in key order, every pending node whose parents are placed.
+
+def _topological_order(parents: tuple) -> tuple:
+    """Node numbers rearranged so parents precede children.
+
+    Each pass places, in number order, every pending node whose parents are placed.
     """
     order = []
-    placed = set()
-    pending = ordered
+    placed = [False] * len(parents)
+    pending = range(len(parents))
     while pending:
         remaining = []
-        for nid in pending:
-            if all(p in placed for p in net.nodes[nid].parents):
-                order.append(nid)
-                placed.add(nid)
+        for v in pending:
+            if all(placed[p] for p in parents[v]):
+                order.append(v)
+                placed[v] = True
             else:
-                remaining.append(nid)
+                remaining.append(v)
         if len(remaining) == len(pending):
             raise PlanEvalError("net is cyclic")
         pending = remaining

@@ -1,5 +1,9 @@
 """Construction pipeline: worked scenarios, completion, compaction, determinism."""
 
+import os
+import random
+import sys
+
 import pytest
 
 from planeval import (
@@ -12,6 +16,7 @@ from planeval import (
     exact_query,
     flatten_hierarchy,
     OTHER,
+    TooLarge,
     leads_to_success,
     linearize,
     plan_success,
@@ -39,6 +44,9 @@ from fixtures import (
     load,
     load_kb,
 )
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402 - the benchmark's instance generators
 
 
 def build(kb_text, plan_text, opts=None):
@@ -75,6 +83,16 @@ def test_build_requires_clean_kb():
     from planeval import Plan
     with pytest.raises(BuildError):
         build_pe_net(Plan(), kb)
+
+
+def test_oversized_table_is_a_typed_finalize_error():
+    # sixteen tasks give one node more parents than a numpy array has axes
+    inst = workloads.branchy(random.Random(1), 16)
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    with pytest.raises(BuildError) as exc:
+        build_pe_net(plan, kb)
+    assert exc.value.stage == "finalize"
+    assert isinstance(exc.value.cause, TooLarge)
 
 
 def test_invalid_caps_rejected():

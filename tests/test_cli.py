@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, report format, exit codes, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -24,6 +25,9 @@ from fixtures import (
     UNMATCHED_DERIVED_PLAN,
     load,
 )
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402 - the benchmark's instance generators
 
 
 @pytest.fixture
@@ -101,6 +105,17 @@ def test_eval_mc_needs_at_least_one_sample(files, capsys, value):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "argument --mc" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_eval_negative_seed_is_a_usage_error(files, capsys):
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["eval", kb_path, plan_path, "--mc", "100", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --seed: must be at least 0, not -1" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -242,6 +257,17 @@ goal { (P q)=v }
     assert out == ""
     assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'split': ")
     assert "unsupported" in err
+
+
+def test_table_past_numpys_dimension_limit_exit_1(files, capsys):
+    # sixteen tasks give one node more parents than a numpy array has axes
+    inst = workloads.branchy(random.Random(1), 16)
+    kb_path, plan_path = files(inst.kb_text, inst.plan_text)
+    code, out, err = run(capsys, ["eval", kb_path, plan_path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'finalize': node ")
+    assert "dimensions, above" in err
 
 
 def test_derived_definition_matching_no_reachable_state_exit_1(files, capsys):

@@ -14,6 +14,7 @@ from planeval import (
     FragmentRow,
     GroundAtom,
     InfeasibleEvidence,
+    NodeId,
     PENet,
     PlanEvalError,
     Query,
@@ -327,12 +328,23 @@ def same_bits_as_whole_net_sampling(net, q) -> bool:
     return True
 
 
+def ancestors(net, roots) -> set:
+    """``roots`` and every ancestor, walked over ``Node.parents``."""
+    keep, stack = set(roots), list(roots)
+    while stack:
+        for parent in net.nodes[stack.pop()].parents:
+            if parent not in keep:
+                keep.add(parent)
+                stack.append(parent)
+    return keep
+
+
 def sampled_shapes(net, q) -> set:
     """Which row-index and draw paths of mc_query the query takes: "one-state"
     for a drawn node of one state, "multi-parent" for a drawn node with two or
     more parents of more than one state each."""
     reachable = all(state in net.nodes[nid].states for nid, state in q.targets)
-    read = inference._ancestors(net, [nid for nid, _ in q.targets if reachable] + list(q.evidence))
+    read = ancestors(net, [nid for nid, _ in q.targets if reachable] + list(q.evidence))
     shapes = set()
     for nid in read - set(q.evidence):
         node = net.nodes[nid]
@@ -357,7 +369,7 @@ def differential_queries(net, rng, samples=200):
     conjunction = [pick(nodes) for _ in range(rng.randint(2, 3))]
     unreachable = [(rng.choice(nodes), "no-such-state")]
     for targets in (single, conjunction, unreachable):
-        read = inference._ancestors(net, [nid for nid, _ in targets])
+        read = ancestors(net, [nid for nid, _ in targets])
         outside = [nid for nid in nodes if nid not in read] or nodes
         seen = dict([pick(outside), pick(nodes)])
         for count in range(3):
@@ -472,6 +484,15 @@ def _no_arrays(*args, **kwargs):
     raise AssertionError("an array or generator was made before the sample guard")
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, None])
+def test_mc_rejects_a_seed_that_is_not_a_whole_number_of_at_least_zero(two_step, seed, monkeypatch):
+    _kb, _plan, net = two_step
+    monkeypatch.setattr(np.random, "PCG64", _no_arrays)
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=100, seed=seed)
+    with pytest.raises(PlanEvalError, match="seed of at least zero"):
+        mc_query(net, q)
+
+
 def test_mc_sample_guard_trips_before_it_allocates(two_step, monkeypatch):
     _kb, _plan, net = two_step
     for name in ("ones", "zeros", "full", "empty"):
@@ -524,3 +545,38 @@ def test_mc_zero_weight_on_jointly_impossible_evidence():
     with pytest.raises(ZeroWeight):
         mc_query(net, Query(targets=[(net.find("(Reg)", "S0"), "x1")], evidence=evidence,
                             mode="mc", samples=200, seed=0))
+
+
+def test_queries_after_finalize_read_no_node_keys_or_names(monkeypatch):
+    # After finalize both engines run on node numbers: the elimination order
+    # is the numbering, so no query sorts by node_key or formats a NodeId, and
+    # a NodeId is hashed only to number or check a target or evidence node.
+    kb, plan = instance_gen.generate(7)
+    net = build_pe_net(plan, kb)
+    nodes = sorted(net.nodes, key=net.node_key)
+    pinned, target = nodes[len(nodes) // 2], nodes[-1]
+    evidence = {pinned: net.nodes[pinned].states[-1]}
+    q = Query(targets=[(target, net.nodes[target].states[0])], evidence=evidence)
+    mc = Query(targets=q.targets, evidence=evidence, mode="mc", samples=500, seed=3)
+    expected = exact_query(net, q), mc_query(net, mc)
+
+    def forbidden(*args):
+        raise AssertionError("a query read a node key or a node name")
+
+    hashes = []
+    real_hash = NodeId.__hash__
+
+    def counted_hash(nid):
+        hashes.append(nid)
+        return real_hash(nid)
+
+    monkeypatch.setattr(NodeId, "__str__", forbidden)
+    monkeypatch.setattr(PENet, "node_key", forbidden)
+    monkeypatch.setattr(NodeId, "__hash__", counted_hash)
+    for engine, query, answer in zip((exact_query, mc_query), (q, mc), expected):
+        hashes.clear()
+        assert engine(net, query) == answer
+        assert len(hashes) <= 5 * (len(query.targets) + len(query.evidence)) < len(net.nodes)
+    for metric in (leads_to_success, plan_success):
+        for mode in ("exact", "mc"):
+            metric(net, plan, mode=mode, samples=500, evidence=evidence)

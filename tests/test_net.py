@@ -17,6 +17,7 @@ from planeval import (
     PENet,
     PlanEvalError,
     SituationId,
+    TooLarge,
     atom_node,
     build_pe_net,
     canonical_dump,
@@ -27,6 +28,8 @@ from planeval import (
     ret_node,
     sel_node,
 )
+
+from planeval.net import _MAX_TABLE_DIMS as MAX_TABLE_DIMS
 
 import forward_sampler
 import instance_gen
@@ -252,6 +255,75 @@ def test_finalize_stores_the_topological_order(seed, timed):
     with pytest.raises(PlanEvalError, match="immutable"):
         net.add_parent(node, next(nid for nid in order if nid not in node.parents and nid != node.id))
     assert net.topological_nodes() is order
+
+
+@pytest.mark.parametrize("timed", [False, True])
+@pytest.mark.parametrize("seed", range(0, 60, 3))
+def test_finalize_numbers_the_nodes_in_key_order(seed, timed):
+    kb, plan = (instance_gen.generate_timed if timed else instance_gen.generate)(seed)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed))
+    numbering = net.numbering
+    assert numbering.ids == tuple(sorted(net.nodes, key=net.node_key))
+    for i, nid in enumerate(numbering.ids):
+        node = net.nodes[nid]
+        assert numbering.number[nid] == i
+        assert numbering.parents[i] == tuple(numbering.number[p] for p in node.parents)
+        assert numbering.tables[i] is node.table
+        assert numbering.sizes[i] == len(node.states)
+    assert tuple(numbering.ids[v] for v in numbering.order) == net.topological_nodes()
+    placed = set()
+    for v in numbering.order:
+        assert placed.issuperset(numbering.parents[v])
+        placed.add(v)
+    assert placed == set(range(len(net.nodes)))
+    for field in (numbering.ids, numbering.parents, numbering.tables, numbering.sizes, numbering.order):
+        assert type(field) is tuple
+    assert all(type(parents) is tuple for parents in numbering.parents)
+    with pytest.raises(TypeError):
+        numbering.number[numbering.ids[0]] = 1
+    with pytest.raises(AttributeError):
+        numbering.order = ()
+
+
+WIDE_CHILD = atom_node(GroundAtom("C", ()), S1)
+
+
+def _wide_net(parents: int, states: int) -> PENet:
+    """``parents`` uniform roots of ``states`` states each, and WIDE_CHILD of
+    them all, which has no rows."""
+    net = PENet()
+    labels = [f"s{j}" for j in range(states)]
+    roots = [atom_node(GroundAtom("R", (str(i),)), S0) for i in range(parents)]
+    nodes = [FragmentNode(r, "primitive", labels) for r in roots]
+    nodes.append(FragmentNode(WIDE_CHILD, "primitive", ["L1", "L2"], roots))
+    rows = [FragmentRow(r, {}, {label: 1.0 / states for label in labels}, "prior") for r in roots]
+    paste_onto(net, Fragment(nodes=nodes, rows=rows))
+    return net
+
+
+@pytest.mark.parametrize("parents, states, match", [
+    (MAX_TABLE_DIMS, 1, f"{MAX_TABLE_DIMS + 1} dimensions"),
+    (25, 2, f"{2 ** 26} cells"),
+])
+def test_finalize_rejects_an_oversized_table_before_enumerating_rows(parents, states, match, monkeypatch):
+    net = _wide_net(parents, states)
+
+    def no_rows(*pools):
+        raise AssertionError("finalize enumerated rows before the size check")
+
+    monkeypatch.setattr(itertools, "product", no_rows)
+    with pytest.raises(TooLarge, match=match):
+        finalize(net)
+    assert not net.finalized and net.numbering is None
+
+
+@pytest.mark.parametrize("parents, states", [(MAX_TABLE_DIMS - 1, 1), (24, 2)])
+def test_finalize_reads_the_rows_of_a_table_at_the_size_bounds(parents, states):
+    # numpy's dimension limit, and exactly MAX_FACTOR_CELLS cells: past the
+    # size check, the child's first missing row is reported
+    with pytest.raises(IncompleteCPT) as exc:
+        finalize(_wide_net(parents, states))
+    assert exc.value.node_id == WIDE_CHILD
 
 
 def _random_fragment(rng, nodes):
