@@ -80,7 +80,7 @@ def _make_parser():
     cmp_lin = subs.add_parser("compare-linearizations",
                               help="goal probability under alternative linearization tie-breaks")
     _add_common(cmp_lin)
-    cmp_lin.add_argument("--seeds", type=int, default=3)
+    cmp_lin.add_argument("--seeds", type=_at_least(0), default=3)
     return parser
 
 
@@ -95,6 +95,17 @@ def _read(path: str):
         reason = f"not UTF-8: {err.reason} at byte {err.start}"
     print(f"{path}:0:0: io: {reason}", file=sys.stderr)
     return None
+
+
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; False after reporting why it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        print(f"{path}:0:0: io: {err.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load(args):
@@ -152,9 +163,8 @@ def _cmd_build(args) -> int:
     if built is None:
         return 1
     _kb, _plan, net = built
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(canonical_dump(net))
+    if args.out and not _write(args.out, canonical_dump(net)):
+        return 1
     print(f"nodes = {len(net.nodes)}")
     print(f"situations = {len(net.situation_order)}")
     return 0
@@ -202,9 +212,8 @@ def _cmd_export(args) -> int:
     if built is None:
         return 1
     _kb, _plan, net = built
-    text = export_graph(net)
-    with open(args.dot_out, "w") as handle:
-        handle.write(text)
+    if not _write(args.dot_out, export_graph(net)):
+        return 1
     print(f"dot = {args.dot_out}")
     return 0
 

@@ -1,6 +1,6 @@
 """Probability queries over finalized PE-nets.
 
-Three engines answer the same question (probability of a conjunction of
+Two engines answer the same question (probability of a conjunction of
 node states, optionally given evidence):
 
 * ``exact_query`` - one bucket-elimination pass over the ancestors of the
@@ -11,12 +11,13 @@ node states, optionally given evidence):
   the ancestors of the targets and the evidence in the topological order
   ``finalize`` stored; each skipped node and each one-state node advances
   the generator past its draws, so answers equal whole-net sampling's for a
-  given seed, and each node's samples are freed after their last reader;
-* ``oracle_enumerate`` - brute-force joint enumeration over the ``Node.cpt``
-  rows, not the arrays the other two read, kept dead simple so it can serve
-  as ground truth for them.
+  given seed, and each node's samples are freed after their last reader.
 
-The first two run on the integer view ``finalize`` stores as
+The brute-force joint enumeration both are checked against reads the
+``Node.cpt`` rows instead, and lives with the tests in
+``tests/joint_oracle.py``.
+
+Both run on the integer view ``finalize`` stores as
 ``PENet.numbering``: nodes are numbered in ``node_key`` order, so the
 situation elimination order is the sorted numbers. A query's target and
 evidence ``NodeId``s are numbered once, on entry; the ancestor walk, the
@@ -41,7 +42,6 @@ EXACT = "exact"
 MC = "mc"
 
 DEFAULT_WIDTH_LIMIT = 20
-DEFAULT_ORACLE_BOUND = 10 ** 7
 
 
 @dataclass
@@ -180,11 +180,10 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
     if q.mode != EXACT:
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
     _check_evidence(net, q.evidence)
-    targets = [(nid, state) for nid, state in q.targets if nid in net.nodes]
-    z_e, z_te, width = _eliminate(net, targets, q.evidence, width_limit)
+    _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
+    z_e, z_te, width = _eliminate(net, q.targets, q.evidence, width_limit)
     if z_e <= 0.0:
         raise InfeasibleEvidence("evidence has probability zero")
-    _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     return QueryResult(min(max(z_te / z_e, 0.0), 1.0), EXACT, elimination_width=width)
 
 
@@ -267,76 +266,6 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     se = float(np.sqrt(((weights * residual) ** 2).sum()) / total)
     ess = float(total * total / (weights * weights).sum())
     return QueryResult(estimate, MC, standard_error=se, sample_count=n, effective_sample_size=ess)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _check_size(net: PENet, bound: float):
-    size = 1.0
-    for node in net.nodes.values():
-        size *= len(node.states)
-        if size > bound:
-            raise TooLarge(f"joint state space exceeds the {bound:g} bound")
-
-
-def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) -> QueryResult:
-    """Ground-truth query: the target conjunction's mass in the evidence-pruned joint."""
-    if not net.finalized:
-        raise PlanEvalError("oracle_enumerate requires a finalized net")
-    _check_evidence(net, q.evidence)
-    _check_size(net, bound)
-    targets = dict()
-    for nid, state in q.targets:
-        if targets.get(nid, state) != state:
-            return QueryResult(0.0, "oracle")
-        targets[nid] = state
-    _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
-    keep = sorted(targets, key=net.node_key)
-    joint = joint_distribution(net, keep, bound=math.inf, evidence=q.evidence)
-    z_e = sum(joint.values())
-    if z_e <= 0.0:
-        raise InfeasibleEvidence("evidence has probability zero")
-    z_te = joint.get(tuple(targets[nid] for nid in keep), 0.0)
-    return QueryResult(min(max(z_te / z_e, 0.0), 1.0), "oracle")
-
-
-def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUND, evidence: dict = None) -> dict:
-    """Joint of the ``keep`` nodes (default: all) with the ``evidence`` (NodeId
-    -> state), marginalizing the rest, by a zero-pruned DFS over the CPT rows.
-
-    Returns {assignment tuple aligned with sorted(keep): probability} with
-    zero outcomes omitted; branches that contradict the evidence are pruned.
-    """
-    if keep is None:
-        keep = list(net.nodes)
-    keep = sorted(keep, key=net.node_key)
-    evidence = evidence or {}
-    _check_size(net, bound)
-    order = net.topological_nodes()
-    out = {}
-    assignment = {}
-
-    def walk(depth: int, prob: float):
-        if depth == len(order):
-            key = tuple(assignment[nid] for nid in keep)
-            out[key] = out.get(key, 0.0) + prob
-            return
-        nid = order[depth]
-        node = net.nodes[nid]
-        combo = tuple(assignment[p] for p in node.parents)
-        pinned = evidence.get(nid)
-        for state, p in node.cpt[combo].items():
-            if p == 0.0 or (pinned is not None and state != pinned):
-                continue
-            assignment[nid] = state
-            walk(depth + 1, prob * p)
-        assignment.pop(nid, None)
-
-    walk(0, 1.0)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -284,14 +284,10 @@ class PENet:
                     stack.append(grand)
 
     def topological_nodes(self) -> tuple:
-        """Nodes with every parent before its child; deterministic order.
-
-        A finalized net returns the order ``finalize`` stored.
-        """
-        if self.finalized:
-            return self._order
-        ordered, _number, parents = _number_nodes(self)
-        return tuple(ordered[v] for v in _topological_order(parents))
+        """Nodes with every parent before its child: the order ``finalize`` stored."""
+        if not self.finalized:
+            raise PlanEvalError("topological_nodes requires a finalized net")
+        return self._order
 
     # -- row writing -----------------------------------------------------
 
@@ -393,8 +389,10 @@ def finalize(net: PENet) -> PENet:
     """
     if net.finalized:
         return net
-    ordered, number, parents = _number_nodes(net)
+    ordered = sorted(net.nodes, key=net.node_key)
+    number = {nid: i for i, nid in enumerate(ordered)}
     nodes = [net.nodes[nid] for nid in ordered]
+    parents = tuple(tuple(number[p] for p in node.parents) for node in nodes)
     shapes = [[len(nodes[p].states) for p in ps] + [len(node.states)] for node, ps in zip(nodes, parents)]
     for node, shape in zip(nodes, shapes):
         if len(shape) > _MAX_TABLE_DIMS:
@@ -435,13 +433,6 @@ def finalize(net: PENet) -> PENet:
     )
     net.finalized = True
     return net
-
-
-def _number_nodes(net: PENet) -> tuple:
-    """Node ids in ``node_key`` order, the number of each, and each node's parent numbers."""
-    ordered = sorted(net.nodes, key=net.node_key)
-    number = {nid: i for i, nid in enumerate(ordered)}
-    return ordered, number, tuple(tuple(number[p] for p in net.nodes[nid].parents) for nid in ordered)
 
 
 def _topological_order(parents: tuple) -> tuple:

@@ -8,19 +8,17 @@ exact in binary floating point.
 
 import random
 
-from planeval import (
+from planeval.model import (
     ActionModel,
     ConditionalRow,
     DerivedDefinition,
     GroundAtom,
     KnowledgeBase,
-    Plan,
-    PlanStep,
-    ContingencyGroup,
     PredicateSchema,
     PersistenceModel,
     PersistenceRow,
 )
+from planeval.plan import ContingencyGroup, Plan, PlanStep
 
 DYADIC = [0.25, 0.5, 0.75]
 

@@ -18,15 +18,15 @@ from planeval import (
     leads_to_success,
     linearize,
     mc_query,
-    oracle_enumerate,
     plan_success,
     validate_kb,
 )
-from planeval.net import PENet, Fragment, FragmentNode, FragmentRow, atom_node, paste_into, paste_onto
-from planeval import GroundAtom, SituationId
+from planeval.net import PENet, Fragment, FragmentNode, FragmentRow, SituationId, atom_node, paste_into, paste_onto
+from planeval import GroundAtom
 
 import instance_gen
 import trajectory_oracle as oracle
+from joint_oracle import oracle_enumerate
 from fixtures import (
     CONTINGENT_KB,
     HIERARCHY_KB,

@@ -15,7 +15,6 @@ from planeval import (
     canonical_dump,
     exact_query,
     flatten_hierarchy,
-    OTHER,
     TooLarge,
     leads_to_success,
     linearize,
@@ -23,6 +22,7 @@ from planeval import (
     validate_kb,
 )
 from planeval.build import make_schedule
+from planeval.model import OTHER
 from planeval.net import ATOM_KINDS, SELECTION, atom_node
 
 import instance_gen
@@ -80,7 +80,7 @@ def test_empty_plan_keeps_priors():
 
 def test_build_requires_clean_kb():
     kb = load_kb(INVERTED_KB)
-    from planeval import Plan
+    from planeval.plan import Plan
     with pytest.raises(BuildError):
         build_pe_net(Plan(), kb)
 
@@ -103,7 +103,8 @@ def test_invalid_caps_rejected():
 
 
 def test_unknown_selector_reference_rejected():
-    from planeval import SourceDocument, UnknownConditionNode, parse_kb, parse_plan
+    from planeval import SourceDocument, parse_kb, parse_plan
+    from planeval.errors import UnknownConditionNode
 
     plan_text = """
 step f1 a1 (FixA m) start=b0 end=b1

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import planeval
-from planeval import build_pe_net, export_graph, leads_to_success, plan_success, run_cli
+from planeval import build_pe_net, leads_to_success, plan_success, run_cli
+from planeval.export import export_graph
 
 from fixtures import (
     CONTINGENT_KB,

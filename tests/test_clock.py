@@ -5,22 +5,21 @@ import pytest
 from planeval import (
     BuildOptions,
     BuildError,
-    MissingDuration,
     PlanEvalError,
     Query,
     build_pe_net,
     clock_node,
     exact_query,
     flatten_hierarchy,
-    joint_distribution,
     linearize,
-    split_situations,
 )
-from planeval.build import _apply_split, _scan_time_tree, make_schedule
+from planeval.build import _apply_split, _scan_time_tree, make_schedule, split_situations
+from planeval.errors import MissingDuration
 from planeval.net import atom_node
 
 import duration_worlds
 import instance_gen
+from joint_oracle import joint_distribution
 import trajectory_oracle as oracle
 from fixtures import OVERLAP_KB, OVERLAP_PLAN, load
 

@@ -1,6 +1,7 @@
 """Domain-language parsing, diagnostics, and the canonical printer round trip."""
 
-from planeval import GroundAtom, SourceDocument, parse_kb, parse_plan, print_kb, validate_kb
+from planeval import GroundAtom, SourceDocument, parse_kb, parse_plan, validate_kb
+from planeval.dsl import print_kb
 
 from fixtures import DURING_KB, HIERARCHY_KB, MOVE_KB, OVERLAP_KB, load, load_kb
 

@@ -9,19 +9,11 @@ import numpy as np
 import pytest
 
 from planeval import (
-    Fragment,
-    FragmentNode,
-    FragmentRow,
     GroundAtom,
     InfeasibleEvidence,
-    NodeId,
     PENet,
     PlanEvalError,
     Query,
-    SituationId,
-    atom_node,
-    finalize,
-    paste_onto,
     TooLarge,
     BuildOptions,
     WidthExceeded,
@@ -30,14 +22,15 @@ from planeval import (
     exact_query,
     leads_to_success,
     mc_query,
-    oracle_enumerate,
     plan_success,
     validate_kb,
 )
 from planeval import inference
+from planeval.net import Fragment, FragmentNode, FragmentRow, NodeId, SituationId, atom_node, finalize, paste_onto
 
 import forward_sampler
 import instance_gen
+from joint_oracle import oracle_enumerate
 from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, TWO_STEP_PLAN, load
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))

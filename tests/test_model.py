@@ -4,16 +4,9 @@ import random
 
 import pytest
 
-from planeval import (
-    ArityMismatch,
-    ConditionalRow,
-    GroundAtom,
-    UnboundVariable,
-    instantiate,
-    unify,
-    validate_kb,
-)
-from planeval.model import PROB_TOL, instantiate_row
+from planeval import GroundAtom, instantiate, validate_kb
+from planeval.errors import ArityMismatch, UnboundVariable
+from planeval.model import PROB_TOL, ConditionalRow, instantiate_row, unify
 
 from fixtures import INVERTED_KB, MOVE_KB, RELIABLE_MOVE_KB, load_kb
 

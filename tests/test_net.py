@@ -8,20 +8,21 @@ import pytest
 
 from planeval import (
     BuildOptions,
-    Fragment,
-    FragmentNode,
-    FragmentRow,
     GroundAtom,
-    IncompleteCPT,
-    LayeringViolation,
     PENet,
     PlanEvalError,
-    SituationId,
     TooLarge,
-    atom_node,
     build_pe_net,
     canonical_dump,
     clock_node,
+)
+from planeval.errors import IncompleteCPT, LayeringViolation
+from planeval.net import (
+    Fragment,
+    FragmentNode,
+    FragmentRow,
+    SituationId,
+    atom_node,
     finalize,
     paste_into,
     paste_onto,

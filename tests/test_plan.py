@@ -4,15 +4,9 @@ import random
 
 import pytest
 
-from planeval import (
-    CyclicOrder,
-    GroundAtom,
-    MalformedExpansion,
-    Plan,
-    PlanStep,
-    flatten_hierarchy,
-    linearize,
-)
+from planeval import GroundAtom, flatten_hierarchy, linearize
+from planeval.errors import CyclicOrder, MalformedExpansion
+from planeval.plan import Plan, PlanStep
 
 from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, OVERLAP_KB, OVERLAP_PLAN, TWO_STEP_PLAN, load
 

@@ -21,7 +21,9 @@ scan order):
 import itertools
 from dataclasses import dataclass, field
 
-from planeval import NOOP, GroundAtom, SelRef, instantiate
+from planeval import GroundAtom, instantiate
+from planeval.model import SelRef
+from planeval.plan import NOOP
 from planeval.model import substitute_label
 
 
