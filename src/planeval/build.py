@@ -222,9 +222,7 @@ class Schedule:
                 raise ArityMismatch(
                     f"step {step.id}: {step.action} does not match {step.model.name}/{len(step.model.params)} parameters"
                 )
-            for pattern in step.model.predecessors:
-                add(instantiate(pattern, bindings))
-            for pattern, rows in step.model.consequences:
+            for pattern, rows in step.model.consequences + step.model.during_effects:
                 add(instantiate(pattern, bindings))
                 for row in rows:
                     for key in row.condition:
@@ -232,12 +230,6 @@ class Schedule:
                             add(instantiate(key, bindings))
             for cond in step.model.during_conditions:
                 add(instantiate(cond.atom, bindings))
-            for pattern, rows in step.model.during_effects:
-                add(instantiate(pattern, bindings))
-                for row in rows:
-                    for key in row.condition:
-                        if isinstance(key, GroundAtom):
-                            add(instantiate(key, bindings))
         for group in self.plan.contingencies:
             for row in group.selector:
                 for key in row.condition:

@@ -34,8 +34,8 @@ def _add_common(sub):
     sub.add_argument("kb", help="knowledge-base file")
     sub.add_argument("plan", help="plan file")
     sub.add_argument("--clock", action="store_true", help="enable clock-time construction")
-    sub.add_argument("--state-cap", type=int, default=32)
-    sub.add_argument("--clock-cap", type=int, default=64)
+    sub.add_argument("--state-cap", type=_at_least(2), default=32)
+    sub.add_argument("--clock-cap", type=_at_least(2), default=64)
     sub.add_argument("--during-semantics", choices=["gate-effect-only", "nullify-action"],
                      default="gate-effect-only")
 
@@ -67,8 +67,9 @@ def _make_parser():
     ev = subs.add_parser("eval", help="evaluate plan success probabilities")
     _add_common(ev)
     ev.add_argument("--goal-only", action="store_true", help="report leads_to_success only")
-    ev.add_argument("--exact", action="store_true", help="force exact inference (default)")
-    ev.add_argument("--mc", type=_at_least(1), metavar="N", help="Monte Carlo with N >= 1 samples")
+    mode = ev.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="force exact inference (default)")
+    mode.add_argument("--mc", type=_at_least(1), metavar="N", help="Monte Carlo with N >= 1 samples")
     ev.add_argument("--seed", type=_at_least(0), default=0, help="Monte Carlo seed, at least 0")
     ev.add_argument("--evidence", action="append", default=[], metavar="(Pred args)=s@Si")
     ev.add_argument("--marginal", action="append", default=[], metavar="(Pred args)@Si")
@@ -138,17 +139,13 @@ def _options(args, tie_break=None) -> BuildOptions:
     )
 
 
-def _build(args, tie_break=None):
-    loaded = _load(args)
-    if loaded is None:
-        return None
-    kb, plan = loaded
+def _build(args, kb, plan, tie_break=None):
+    """The finalized net, or None after reporting why it cannot be built."""
     try:
-        net = build_pe_net(plan, kb, _options(args, tie_break))
+        return build_pe_net(plan, kb, _options(args, tie_break))
     except (BuildError, PlanEvalError) as err:
         print(f"{args.plan}:0:0: build: {err}", file=sys.stderr)
         return None
-    return kb, plan, net
 
 
 def _report(key: str, result) -> None:
@@ -159,10 +156,10 @@ def _report(key: str, result) -> None:
 
 
 def _cmd_build(args) -> int:
-    built = _build(args)
-    if built is None:
+    loaded = _load(args)
+    net = _build(args, *loaded) if loaded else None
+    if net is None:
         return 1
-    _kb, _plan, net = built
     if args.out and not _write(args.out, canonical_dump(net)):
         return 1
     print(f"nodes = {len(net.nodes)}")
@@ -171,10 +168,11 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    built = _build(args)
-    if built is None:
+    loaded = _load(args)
+    net = _build(args, *loaded) if loaded else None
+    if net is None:
         return 1
-    _kb, plan, net = built
+    _kb, plan = loaded
     mode = MC if args.mc else EXACT
     samples = args.mc or 10000
     try:  # every query is resolved before any report line is printed
@@ -208,10 +206,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    built = _build(args)
-    if built is None:
+    loaded = _load(args)
+    net = _build(args, *loaded) if loaded else None
+    if net is None:
         return 1
-    _kb, _plan, net = built
     if not _write(args.dot_out, export_graph(net)):
         return 1
     print(f"dot = {args.dot_out}")
@@ -219,10 +217,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    built = _build(args)
-    if built is None:
+    loaded = _load(args)
+    net = _build(args, *loaded) if loaded else None
+    if net is None:
         return 1
-    _kb, plan, net = built
+    kb, plan = loaded
     try:
         _report("linearization[default] leads_to_success", leads_to_success(net, plan))
         for seed in range(args.seeds):
@@ -231,14 +230,13 @@ def _cmd_compare(args) -> int:
                 # independent of the order Kahn's algorithm asks for keys.
                 return (random.Random(f"{seed}:{boundary}").random(), boundary)
 
-            shuffled = _build(args, tie_break=key)
+            shuffled = _build(args, kb, plan, tie_break=key)
             if shuffled is None:
                 # an unlucky ordering may be unbuildable (e.g. split cascade);
                 # the comparison is an empirical aid, so report and move on
                 print(f"linearization[{seed}] leads_to_success = n/a")
                 continue
-            _kb2, plan2, net2 = shuffled
-            _report(f"linearization[{seed}] leads_to_success", leads_to_success(net2, plan2))
+            _report(f"linearization[{seed}] leads_to_success", leads_to_success(shuffled, plan))
     except INFERENCE_ERRORS as err:
         print(f"inference: {err}", file=sys.stderr)
         return 2

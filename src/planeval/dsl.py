@@ -12,7 +12,10 @@ and derived definitions::
         (Loc ?obj)=?from -> { ?to:0.9 ?from:0.1 }
       }
       during-cond (Power)=on gates (Loc ?obj)
-      during-effect (Noise) { quiet -> { loud:1.0 } }
+      during-effect (Noise) {
+        quiet -> { loud:1.0 }
+        (Power)=off -> { quiet:1.0 }
+      }
     }
 
     persistence (Loc ?obj) elapsed { [0,3) [3,inf) } {
@@ -39,7 +42,9 @@ state, and goals::
 
 Effect-row conditions are conjunctions of ``(Pred args)=state`` terms (``*``
 for unconditional); ``sel(boundary)=step-id`` conditions reference an earlier
-contingency's selection. A ``#`` starts a comment.
+contingency's selection. A during-effect row may instead start with a bare
+state of its own atom: ``quiet -> { loud:1.0 }`` above is short for
+``(Noise)=quiet -> { loud:1.0 }``. A ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -71,10 +76,6 @@ from .plan import (
     flatten_hierarchy,
     linearize,
 )
-
-KB_KEYWORDS = ("predicate", "action", "persistence", "derived")
-PLAN_KEYWORDS = ("step", "before", "contingent", "expand", "initial", "goal")
-
 
 @dataclass
 class SourceDocument:
@@ -156,7 +157,6 @@ def _tokenize(doc: SourceDocument) -> list:
 
 class _Parser:
     def __init__(self, doc: SourceDocument):
-        self.doc = doc
         self.tokens = _tokenize(doc)
         self.pos = 0
         self.diagnostics = []
@@ -184,6 +184,11 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok.text!r}", tok)
         return tok
 
+    def keyword(self, word: str, message: str):
+        """Read the word ``word``; any other word is reported, at the token after it."""
+        if self.expect_word().text != word:
+            raise ParseError(message, self.peek())
+
     def at_punct(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "punct" and tok.text == text
@@ -195,22 +200,46 @@ class _Parser:
     def report(self, code: str, message: str, tok: Token):
         self.diagnostics.append(Diagnostic(code, message, tok.line, tok.col))
 
-    def recover(self, keywords):
-        """Skip to the next top-level keyword (brace depth zero)."""
-        depth = 0
-        while True:
+    def statements(self, table: dict, what: str):
+        """Read statements to the end of the input, each by the reader its keyword names.
+
+        A statement that does not parse is reported as ``syntax``; reading
+        resumes at the next keyword of ``table`` outside braces.
+        """
+        while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "eof":
+            try:
+                if tok.text not in table:
+                    raise ParseError(f"expected {what}, found {tok.text!r}", tok)
+                table[tok.text]()
+            except ParseError as err:
+                self.report("syntax", err.message, err.token)
+                self.next()
+                self.recover(table)
+
+    def recover(self, keywords):
+        """Skip to the next top-level keyword (brace depth zero) or to the end."""
+        depth = 0
+        while self.peek().kind != "eof":
+            tok = self.peek()
+            if tok.kind == "word" and depth == 0 and tok.text in keywords:
                 return
             if tok.kind == "punct" and tok.text == "{":
                 depth += 1
             elif tok.kind == "punct" and tok.text == "}":
                 depth = max(depth - 1, 0)
-            elif tok.kind == "word" and depth == 0 and tok.text in keywords:
-                return
             self.next()
 
     # -- shared constructs ---------------------------------------------------
+
+    def braced(self, item) -> list:
+        """Read ``{ item … }``; returns what each call of ``item`` read."""
+        self.expect_punct("{")
+        items = []
+        while not self.at_punct("}"):
+            items.append(item())
+        self.expect_punct("}")
+        return items
 
     def parse_atom(self) -> GroundAtom:
         self.expect_punct("(")
@@ -229,9 +258,9 @@ class _Parser:
             raise ParseError(f"expected a number, found {tok.text!r}", tok)
 
     def parse_dist(self, int_keys: bool = False) -> dict:
-        self.expect_punct("{")
         dist = {}
-        while not self.at_punct("}"):
+
+        def entry():
             key_tok = self.expect_word("state label")
             key = key_tok.text
             if int_keys:
@@ -244,7 +273,8 @@ class _Parser:
             if key in dist:
                 raise ParseError(f"duplicate entry {key!r} in distribution", key_tok)
             dist[key] = prob
-        self.expect_punct("}")
+
+        self.braced(entry)
         return dist
 
     def parse_condition_items(self) -> dict:
@@ -268,16 +298,23 @@ class _Parser:
             condition[key] = self.expect_word("state").text
         return condition
 
-    def parse_rows(self) -> list:
-        self.expect_punct("{")
-        rows = []
-        while not self.at_punct("}"):
+    def parse_rows(self, shorthand_for: GroundAtom = None) -> list:
+        """``{ condition -> distribution … }``.
+
+        With ``shorthand_for`` (a during-effect's atom) a row may start with a
+        bare state instead, short for ``shorthand_for=state``.
+        """
+
+        def row():
             head = self.peek()
-            condition = self.parse_condition_items()
+            if shorthand_for is None or self.at_punct("(") or self.at_word("*") or self.at_punct("->"):
+                condition = self.parse_condition_items()
+            else:
+                condition = {shorthand_for: self.expect_word("state").text}
             self.expect_punct("->")
-            rows.append(ConditionalRow(condition, self.parse_dist(), loc=(head.line, head.col)))
-        self.expect_punct("}")
-        return rows
+            return ConditionalRow(condition, self.parse_dist(), loc=(head.line, head.col))
+
+        return self.braced(row)
 
     def parse_bucket(self) -> tuple:
         tok = self.next()
@@ -286,13 +323,9 @@ class _Parser:
         body = tok.text
         if not (body.startswith("[") and body.endswith(")")):
             raise ParseError(f"elapsed buckets are half-open: [lo,hi), found {body!r}", tok)
-        parts = body[1:-1].split(",")
-        if len(parts) != 2:
-            raise ParseError(f"malformed bucket {body!r}", tok)
         try:
-            lo = float(parts[0])
-            hi = math.inf if parts[1].strip() == "inf" else float(parts[1])
-        except ValueError:
+            lo, hi = (float(part) for part in body[1:-1].split(","))
+        except ValueError:  # a bound that is no number, or not exactly two bounds
             raise ParseError(f"malformed bucket {body!r}", tok)
         return (lo, hi)
 
@@ -306,42 +339,25 @@ def parse_kb(doc: SourceDocument):
     """Parse a knowledge-base document; returns (KnowledgeBase, diagnostics)."""
     parser = _Parser(doc)
     kb = KnowledgeBase()
-    while not parser.peek().kind == "eof":
-        tok = parser.peek()
-        try:
-            if parser.at_word("predicate"):
-                _parse_predicate(parser, kb)
-            elif parser.at_word("action"):
-                _parse_action(parser, kb)
-            elif parser.at_word("persistence"):
-                _parse_persistence(parser, kb)
-            elif parser.at_word("derived"):
-                _parse_derived(parser, kb)
-            else:
-                raise ParseError(f"expected a declaration, found {tok.text!r}", tok)
-        except ParseError as err:
-            parser.report("syntax", err.message, err.token)
-            parser.next()
-            parser.recover(KB_KEYWORDS)
+    parser.statements({
+        "predicate": lambda: _parse_predicate(parser, kb),
+        "action": lambda: _parse_action(parser, kb),
+        "persistence": lambda: _parse_persistence(parser, kb),
+        "derived": lambda: _parse_derived(parser, kb),
+    }, "a declaration")
     return kb, parser.diagnostics
 
 
 def _parse_predicate(parser: _Parser, kb: KnowledgeBase):
     head = parser.next()
     atom = parser.parse_atom()
-    if parser.expect_word().text != "kind":
-        raise ParseError("expected kind=primitive|derived", parser.peek())
+    parser.keyword("kind", "expected kind=primitive|derived")
     parser.expect_punct("=")
     kind = parser.expect_word("kind").text
     if kind not in ("primitive", "derived"):
         raise ParseError(f"kind must be primitive or derived, found {kind!r}", head)
-    if parser.expect_word().text != "states":
-        raise ParseError("expected states { ... }", parser.peek())
-    parser.expect_punct("{")
-    states = []
-    while not parser.at_punct("}"):
-        states.append(parser.expect_word("state label").text)
-    parser.expect_punct("}")
+    parser.keyword("states", "expected states { ... }")
+    states = parser.braced(lambda: parser.expect_word("state label").text)
     if atom.name in kb.schemas:
         parser.report("redefined", f"predicate {atom.name} already declared", head)
         return
@@ -360,19 +376,14 @@ def _parse_action(parser: _Parser, kb: KnowledgeBase):
         parser.expect_punct("=")
         level = int(parser.parse_number())
     model = ActionModel(atom.name, tuple(atom.args), level, loc=(head.line, head.col))
-    parser.expect_punct("{")
-    while not parser.at_punct("}"):
+
+    def clause():
         word = parser.expect_word("action clause").text
         if word == "duration":
             model.duration = parser.parse_dist(int_keys=True)
         elif word == "effect":
             target = parser.parse_atom()
-            rows = parser.parse_rows()
-            model.consequences.append((target, rows))
-            for row in rows:
-                for key in row.condition:
-                    if isinstance(key, GroundAtom) and key not in model.predecessors:
-                        model.predecessors.append(key)
+            model.consequences.append((target, parser.parse_rows()))
         elif word == "during-cond":
             cond_atom = parser.parse_atom()
             parser.expect_punct("=")
@@ -387,24 +398,11 @@ def _parse_action(parser: _Parser, kb: KnowledgeBase):
             model.during_conditions.append(DuringCondition(cond_atom, state, gates))
         elif word == "during-effect":
             target = parser.parse_atom()
-            rows = []
-            parser.expect_punct("{")
-            while not parser.at_punct("}"):
-                head = parser.peek()
-                condition = {}
-                if not parser.at_punct("->"):
-                    if parser.at_punct("(") or parser.at_word("*"):
-                        condition = parser.parse_condition_items()
-                    else:
-                        prev = parser.expect_word("state").text
-                        condition = {target: prev}
-                parser.expect_punct("->")
-                rows.append(ConditionalRow(condition, parser.parse_dist(), loc=(head.line, head.col)))
-            parser.expect_punct("}")
-            model.during_effects.append((target, rows))
+            model.during_effects.append((target, parser.parse_rows(shorthand_for=target)))
         else:
             raise ParseError(f"unknown action clause {word!r}", parser.peek())
-    parser.expect_punct("}")
+
+    parser.braced(clause)
     key = (atom.name, level)
     if key in kb.actions:
         parser.report("redefined", f"action {atom.name} level={level} already declared", head)
@@ -418,38 +416,29 @@ def _parse_persistence(parser: _Parser, kb: KnowledgeBase):
     buckets = None
     if parser.at_word("elapsed"):
         parser.next()
-        parser.expect_punct("{")
-        buckets = []
-        while not parser.at_punct("}"):
-            buckets.append(parser.parse_bucket())
-        parser.expect_punct("}")
-    model = PersistenceModel(atom, buckets=buckets, loc=(head.line, head.col))
-    parser.expect_punct("{")
-    while not parser.at_punct("}"):
-        head = parser.peek()
+        buckets = parser.braced(parser.parse_bucket)
+
+    def row():
+        row_head = parser.peek()
         prev = parser.expect_word("previous state").text
         bucket = None
         if parser.peek().kind == "bucket":
             bucket = parser.parse_bucket()
         parser.expect_punct("->")
-        model.rows.append(PersistenceRow(prev, parser.parse_dist(), bucket, loc=(head.line, head.col)))
-    parser.expect_punct("}")
+        return PersistenceRow(prev, parser.parse_dist(), bucket, loc=(row_head.line, row_head.col))
+
+    rows = parser.braced(row)
     if atom.name in kb.persistence:
         parser.report("redefined", f"persistence model for {atom.name} already declared", head)
         return
-    kb.persistence[atom.name] = model
+    kb.persistence[atom.name] = PersistenceModel(atom, rows, buckets, loc=(head.line, head.col))
 
 
 def _parse_derived(parser: _Parser, kb: KnowledgeBase):
     head = parser.next()
     atom = parser.parse_atom()
-    if parser.expect_word().text != "from":
-        raise ParseError("expected from { parents }", parser.peek())
-    parser.expect_punct("{")
-    parents = []
-    while not parser.at_punct("}"):
-        parents.append(parser.parse_atom())
-    parser.expect_punct("}")
+    parser.keyword("from", "expected from { parents }")
+    parents = parser.braced(parser.parse_atom)
     rows = parser.parse_rows()
     kb.derived.append(DerivedDefinition(atom, parents, rows, loc=(head.line, head.col)))
 
@@ -464,33 +453,20 @@ def parse_plan(doc: SourceDocument, kb: KnowledgeBase):
     parser = _Parser(doc)
     plan = Plan()
     known_steps = {}  # every declared step, including expansion sub-steps
-    while not parser.peek().kind == "eof":
-        tok = parser.peek()
-        try:
-            if parser.at_word("step"):
-                step = _parse_step(parser, kb)
-                if step is not None:
-                    plan.steps.append(step)
-                    known_steps[step.id] = step
-            elif parser.at_word("before"):
-                parser.next()
-                before = parser.expect_word("boundary").text
-                after = parser.expect_word("boundary").text
-                plan.order.append((before, after))
-            elif parser.at_word("contingent"):
-                _parse_contingent(parser, plan)
-            elif parser.at_word("expand"):
-                _parse_expand(parser, kb, plan, known_steps)
-            elif parser.at_word("initial"):
-                _parse_initial(parser, kb, plan)
-            elif parser.at_word("goal"):
-                _parse_goal(parser, kb, plan)
-            else:
-                raise ParseError(f"expected a plan statement, found {tok.text!r}", tok)
-        except ParseError as err:
-            parser.report("syntax", err.message, err.token)
-            parser.next()
-            parser.recover(PLAN_KEYWORDS)
+
+    def step():
+        found = _parse_step(parser, kb, known_steps)
+        if found is not None:
+            plan.steps.append(found)
+
+    parser.statements({
+        "step": step,
+        "before": lambda: _parse_before(parser, plan),
+        "contingent": lambda: _parse_contingent(parser, plan),
+        "expand": lambda: _parse_expand(parser, kb, plan, known_steps),
+        "initial": lambda: _parse_initial(parser, kb, plan),
+        "goal": lambda: _parse_goal(parser, kb, plan),
+    }, "a plan statement")
     _check_plan(parser, kb, plan)
     return plan, parser.diagnostics
 
@@ -511,17 +487,16 @@ def _resolve_model(parser: _Parser, kb: KnowledgeBase, action: GroundAtom, tok: 
     return model
 
 
-def _parse_step(parser: _Parser, kb: KnowledgeBase) -> PlanStep:
+def _parse_step(parser: _Parser, kb: KnowledgeBase, known_steps: dict) -> PlanStep:
+    """Read a step and record it in ``known_steps``; None when its action does not resolve."""
     head = parser.next()
     step_id = parser.expect_word("step id").text
     agent = parser.expect_word("agent").text
     action = parser.parse_atom()
-    if parser.expect_word().text != "start":
-        raise ParseError("expected start=<boundary>", parser.peek())
+    parser.keyword("start", "expected start=<boundary>")
     parser.expect_punct("=")
     start = parser.expect_word("boundary").text
-    if parser.expect_word().text != "end":
-        raise ParseError("expected end=<boundary>", parser.peek())
+    parser.keyword("end", "expected end=<boundary>")
     parser.expect_punct("=")
     end = parser.expect_word("boundary").text
     if start == end:
@@ -529,18 +504,25 @@ def _parse_step(parser: _Parser, kb: KnowledgeBase) -> PlanStep:
     model = _resolve_model(parser, kb, action, head)
     if model is None:
         return None
-    return PlanStep(step_id, agent, action, model, start, end)
+    step = PlanStep(step_id, agent, action, model, start, end)
+    known_steps[step_id] = step
+    return step
+
+
+def _parse_before(parser: _Parser, plan: Plan):
+    parser.next()
+    before = parser.expect_word("boundary").text
+    after = parser.expect_word("boundary").text
+    plan.order.append((before, after))
 
 
 def _parse_contingent(parser: _Parser, plan: Plan):
     parser.next()
-    if parser.expect_word().text != "at":
-        raise ParseError("expected contingent at <boundary> { ... }", parser.peek())
+    parser.keyword("at", "expected contingent at <boundary> { ... }")
     boundary = parser.expect_word("boundary").text
-    parser.expect_punct("{")
-    selector = []
     alternatives = []
-    while not parser.at_punct("}"):
+
+    def row():
         condition = parser.parse_condition_items()
         parser.expect_punct("->")
         if parser.at_punct("{"):
@@ -550,8 +532,9 @@ def _parse_contingent(parser: _Parser, plan: Plan):
         for label in dist:
             if label != "noop" and label not in alternatives:
                 alternatives.append(label)
-        selector.append(ConditionalRow(condition, dist))
-    parser.expect_punct("}")
+        return ConditionalRow(condition, dist)
+
+    selector = parser.braced(row)
     plan.contingencies.append(ContingencyGroup(boundary, alternatives, selector, origin="plain"))
 
 
@@ -561,30 +544,28 @@ def _parse_expand(parser: _Parser, kb: KnowledgeBase, plan: Plan, known_steps: d
     abstract = known_steps.get(step_id)
     if abstract is None:
         raise ParseError(f"expand references unknown step {step_id!r}", head)
-    parser.expect_punct("{")
-    alternatives = []
     selected = None
-    while not parser.at_punct("}"):
+
+    def sub_step():
+        if not parser.at_word("step"):
+            parser.expect_punct("}")  # raises: a sub-plan block holds steps only
+        return _parse_step(parser, kb, known_steps)
+
+    def alternative():
+        nonlocal selected
         word = parser.expect_word("selected|alt").text
         if word not in ("selected", "alt"):
             raise ParseError(f"expected 'selected' or 'alt', found {word!r}", parser.peek())
         label = parser.expect_word("alternative label").text
-        steps = []
         if parser.at_punct("{"):
-            parser.expect_punct("{")
-            while parser.at_word("step"):
-                sub = _parse_step(parser, kb)
-                if sub is not None:
-                    steps.append(sub)
-                    known_steps[sub.id] = sub
-            parser.expect_punct("}")
+            steps = [sub for sub in parser.braced(sub_step) if sub is not None]
         elif parser.at_punct("("):
             action = parser.parse_atom()
             model = _resolve_model(parser, kb, action, head)
+            steps = []
             if model is not None:
-                sub = PlanStep(label, abstract.agent, action, model, abstract.start, abstract.end)
-                steps.append(sub)
-                known_steps[sub.id] = sub
+                steps.append(PlanStep(label, abstract.agent, action, model, abstract.start, abstract.end))
+                known_steps[label] = steps[0]
         else:
             raise ParseError("expected a sub-plan block or an action", parser.peek())
         condition = {}
@@ -594,12 +575,13 @@ def _parse_expand(parser: _Parser, kb: KnowledgeBase, plan: Plan, known_steps: d
             condition = parser.parse_condition_items()
             if not condition:
                 raise ParseError("cond= needs at least one condition term", parser.peek())
-        alternatives.append(ExpansionAlternative(label, steps, condition))
         if word == "selected":
             if selected is not None:
                 raise ParseError("an expansion can select only one alternative", parser.peek())
             selected = label
-    parser.expect_punct("}")
+        return ExpansionAlternative(label, steps, condition)
+
+    alternatives = parser.braced(alternative)
     if selected is None:
         raise ParseError(f"expansion of {step_id} marks no alternative as selected", head)
     plan.expansions.append(ExpansionNode(step_id, alternatives, selected))
@@ -614,15 +596,22 @@ def _check_atom(parser: _Parser, kb: KnowledgeBase, atom: GroundAtom, where: str
         parser.report("arity", f"{where}: {atom} has arity {len(atom.args)}, expected {schema.arity}", tok)
 
 
-def _parse_initial(parser: _Parser, kb: KnowledgeBase, plan: Plan):
-    parser.next()
-    parser.expect_punct("{")
-    while not parser.at_punct("}"):
+def _parse_entries(parser: _Parser, kb: KnowledgeBase, add):
+    """Read ``initial|goal { (Pred args)=state … }``, calling add(head token, atom, state) per entry."""
+    where = parser.next().text
+
+    def entry():
         head = parser.peek()
         atom = parser.parse_atom()
-        _check_atom(parser, kb, atom, "initial", head)
+        _check_atom(parser, kb, atom, where, head)
         parser.expect_punct("=")
-        state = parser.expect_word("state").text
+        add(head, atom, parser.expect_word("state").text)
+
+    parser.braced(entry)
+
+
+def _parse_initial(parser: _Parser, kb: KnowledgeBase, plan: Plan):
+    def add(head, atom, state):
         prob = 1.0
         if parser.at_punct(":"):
             parser.next()
@@ -631,19 +620,12 @@ def _parse_initial(parser: _Parser, kb: KnowledgeBase, plan: Plan):
         if state in dist:
             parser.report("duplicate", f"initial state listed twice for {atom}={state}", head)
         dist[state] = prob
-    parser.expect_punct("}")
+
+    _parse_entries(parser, kb, add)
 
 
 def _parse_goal(parser: _Parser, kb: KnowledgeBase, plan: Plan):
-    parser.next()
-    parser.expect_punct("{")
-    while not parser.at_punct("}"):
-        head = parser.peek()
-        atom = parser.parse_atom()
-        _check_atom(parser, kb, atom, "goal", head)
-        parser.expect_punct("=")
-        plan.goals.append((atom, parser.expect_word("state").text))
-    parser.expect_punct("}")
+    _parse_entries(parser, kb, lambda _head, atom, state: plan.goals.append((atom, state)))
 
 
 def _check_plan(parser: _Parser, kb: KnowledgeBase, plan: Plan):
@@ -677,18 +659,12 @@ def _check_plan(parser: _Parser, kb: KnowledgeBase, plan: Plan):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_prob(p: float) -> str:
-    return repr(float(p))
+def _braces(words) -> str:
+    return "{ " + " ".join(words) + " }"
 
 
 def _fmt_dist(dist: dict) -> str:
-    return "{ " + " ".join(f"{k}:{_fmt_prob(v)}" for k, v in dist.items()) + " }"
-
-
-def _fmt_condition(condition: dict) -> str:
-    if not condition:
-        return "*"
-    return " ".join(f"{key}={state}" for key, state in condition.items())
+    return _braces(f"{k}:{float(v)!r}" for k, v in dist.items())
 
 
 def _fmt_bucket(bucket: tuple) -> str:
@@ -697,13 +673,28 @@ def _fmt_bucket(bucket: tuple) -> str:
     return f"[{lo:g},{hi_text})"
 
 
+def _fmt_row(row) -> str:
+    if isinstance(row, PersistenceRow):
+        head = row.prev if row.bucket is None else f"{row.prev} {_fmt_bucket(row.bucket)}"
+    elif row.condition:
+        head = " ".join(f"{key}={state}" for key, state in row.condition.items())
+    else:
+        head = "*"
+    return f"{head} -> {_fmt_dist(row.distribution)}"
+
+
+def _fmt_rows(header: str, rows: list, indent: str = "") -> list:
+    """The lines of ``header { row … }``, one row a line, indented by ``indent``."""
+    return [f"{indent}{header} {{", *(f"{indent}  {_fmt_row(row)}" for row in rows), f"{indent}}}"]
+
+
 def print_kb(kb: KnowledgeBase) -> str:
     """Canonical text for a knowledge base; parse_kb(print_kb(kb)) == kb."""
     lines = []
     for name in sorted(kb.schemas):
         schema = kb.schemas[name]
         head = GroundAtom(schema.name, schema.params)
-        lines.append(f"predicate {head} kind={schema.kind} states {{ {' '.join(schema.states)} }}")
+        lines.append(f"predicate {head} kind={schema.kind} states {_braces(schema.states)}")
     for (name, level) in sorted(kb.actions):
         model = kb.actions[(name, level)]
         head = GroundAtom(model.name, model.params)
@@ -711,35 +702,20 @@ def print_kb(kb: KnowledgeBase) -> str:
         if model.duration is not None:
             lines.append(f"  duration {_fmt_dist(model.duration)}")
         for atom, rows in model.consequences:
-            lines.append(f"  effect {atom} {{")
-            for row in rows:
-                lines.append(f"    {_fmt_condition(row.condition)} -> {_fmt_dist(row.distribution)}")
-            lines.append("  }")
+            lines.extend(_fmt_rows(f"effect {atom}", rows, "  "))
         for cond in model.during_conditions:
             gates = "" if cond.gates is None else " gates " + " ".join(str(g) for g in cond.gates)
             lines.append(f"  during-cond {cond.atom}={cond.state}{gates}")
         for atom, rows in model.during_effects:
-            lines.append(f"  during-effect {atom} {{")
-            for row in rows:
-                lines.append(f"    {_fmt_condition(row.condition)} -> {_fmt_dist(row.distribution)}")
-            lines.append("  }")
+            lines.extend(_fmt_rows(f"during-effect {atom}", rows, "  "))
         lines.append("}")
     for name in sorted(kb.persistence):
         model = kb.persistence[name]
-        elapsed = ""
-        if model.buckets is not None:
-            elapsed = " elapsed { " + " ".join(_fmt_bucket(b) for b in model.buckets) + " }"
-        lines.append(f"persistence {model.atom}{elapsed} {{")
-        for row in model.rows:
-            bucket = f" {_fmt_bucket(row.bucket)}" if row.bucket is not None else ""
-            lines.append(f"  {row.prev}{bucket} -> {_fmt_dist(row.distribution)}")
-        lines.append("}")
+        elapsed = "" if model.buckets is None else " elapsed " + _braces(_fmt_bucket(b) for b in model.buckets)
+        lines.extend(_fmt_rows(f"persistence {model.atom}{elapsed}", model.rows))
     for definition in kb.derived:
-        parents = " ".join(str(p) for p in definition.parents)
-        lines.append(f"derived {definition.atom} from {{ {parents} }} {{")
-        for row in definition.rows:
-            lines.append(f"  {_fmt_condition(row.condition)} -> {_fmt_dist(row.distribution)}")
-        lines.append("}")
+        parents = _braces(str(p) for p in definition.parents)
+        lines.extend(_fmt_rows(f"derived {definition.atom} from {parents}", definition.rows))
     return "\n".join(lines) + "\n"
 
 
@@ -751,8 +727,7 @@ def parse_evidence_spec(text: str):
     if "=" not in body:
         raise PlanEvalError(f"evidence {text!r} must have the form (Pred args)=state@S<i>")
     atom_text, state = body.rsplit("=", 1)
-    atom = _parse_atom_text(atom_text)
-    return atom, state.strip(), sit.strip()
+    return GroundAtom.parse(atom_text), state.strip(), sit.strip()
 
 
 def parse_marginal_spec(text: str):
@@ -760,14 +735,4 @@ def parse_marginal_spec(text: str):
     if "@" not in text:
         raise PlanEvalError(f"marginal {text!r} must pin a situation with @S<i>")
     body, sit = text.rsplit("@", 1)
-    return _parse_atom_text(body), sit.strip()
-
-
-def _parse_atom_text(text: str) -> GroundAtom:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise PlanEvalError(f"{text!r} is not an atom like (Loc A)")
-    parts = text[1:-1].split()
-    if not parts:
-        raise PlanEvalError(f"{text!r} is not an atom like (Loc A)")
-    return GroundAtom(parts[0], tuple(parts[1:]))
+    return GroundAtom.parse(body), sit.strip()

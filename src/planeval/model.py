@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ArityMismatch, UnboundVariable
+from .errors import ArityMismatch, PlanEvalError, UnboundVariable
 
 Label = str | int  # clock and duration values are ints, every other state label a str
 OTHER = "OTHER"
@@ -55,6 +55,15 @@ class GroundAtom:
         if not self.args:
             return f"({self.name})"
         return f"({self.name} {' '.join(str(a) for a in self.args)})"
+
+    @classmethod
+    def parse(cls, text: str) -> GroundAtom:
+        """The atom written as text, e.g. ``(Loc A)``; surrounding blanks are ignored."""
+        text = text.strip()
+        parts = text[1:-1].split()
+        if not (text.startswith("(") and text.endswith(")") and parts):
+            raise PlanEvalError(f"{text!r} is not an atom like (Loc A)")
+        return cls(parts[0], tuple(parts[1:]))
 
     @property
     def is_ground(self) -> bool:
@@ -119,7 +128,6 @@ class ActionModel:
     name: str
     params: tuple = ()
     level: int = 0
-    predecessors: list = field(default_factory=list)
     consequences: list = field(default_factory=list)  # [(GroundAtom, [ConditionalRow, ...])]
     during_conditions: list = field(default_factory=list)
     during_effects: list = field(default_factory=list)  # [(GroundAtom, [ConditionalRow, ...])]
@@ -127,8 +135,15 @@ class ActionModel:
     loc: tuple = field(default=None, compare=False)
 
     @property
-    def arity(self) -> int:
-        return len(self.params)
+    def predecessors(self) -> list:
+        """The atoms the effect rows condition on, in order of first mention."""
+        atoms = {}
+        for _atom, rows in self.consequences:
+            for row in rows:
+                for key in row.condition:
+                    if isinstance(key, GroundAtom):
+                        atoms.setdefault(key, None)
+        return list(atoms)
 
 
 @dataclass

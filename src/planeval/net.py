@@ -343,8 +343,7 @@ class PENet:
     def find(self, atom, situation) -> NodeId:
         """Node id for an atom (GroundAtom or '(Loc A)' text) at a situation ('S1' or SituationId)."""
         if isinstance(atom, str):
-            parts = atom.strip().lstrip("(").rstrip(")").split()
-            atom = GroundAtom(parts[0], tuple(parts[1:]))
+            atom = GroundAtom.parse(atom)
         if isinstance(situation, str):
             situation = parse_situation(situation)
         nid = atom_node(atom, situation)

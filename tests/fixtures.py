@@ -129,6 +129,34 @@ initial { (Power)=on (Noise)=quiet (Built W)=no (Mark W)=no }
 goal { (Built W)=yes }
 """
 
+# During-effect rows of every form: unconditional, the bare-state shorthand
+# (``quiet`` is short for ``(Noise)=quiet``) and a condition on another atom;
+# where rows overlap the last matching one applies.
+DURING_ROWS_KB = """
+predicate (Power) kind=primitive states { on off }
+predicate (Noise) kind=primitive states { quiet hum loud }
+predicate (Built ?x) kind=primitive states { no yes }
+action (Assemble ?x) level=0 {
+  effect (Built ?x) { * -> { yes:0.9 no:0.1 } }
+  during-effect (Noise) {
+    * -> { hum:1.0 }
+    quiet -> { loud:0.7 quiet:0.3 }
+    (Power)=off -> { quiet:0.8 hum:0.2 }
+  }
+}
+action (Cut) level=0 { effect (Power) { (Power)=on -> { off:0.5 on:0.5 } } }
+action (Restore) level=0 { effect (Power) { (Power)=off -> { on:0.7 off:0.3 } } }
+"""
+
+DURING_ROWS_PLAN = """
+step asm a1 (Assemble W) start=b0 end=b3
+step cut a2 (Cut) start=b0 end=b1
+step restore a2 (Restore) start=b1 end=b2
+before b2 b3
+initial { (Power)=on (Noise)=quiet:0.6 (Noise)=hum:0.4 (Built W)=no }
+goal { (Built W)=yes (Noise)=quiet }
+"""
+
 CONTINGENT_KB = """
 predicate (S ?x) kind=primitive states { ok bad }
 predicate (R ?x) kind=primitive states { lo hi }

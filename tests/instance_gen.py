@@ -98,10 +98,6 @@ def generate(seed: int):
                 dist = {out1: a, out2: b} if out1 != out2 else {out1: 1.0}
                 rows.append(ConditionalRow(condition, dist))
             model.consequences.append((target, rows))
-            for row in rows:
-                for key in row.condition:
-                    if key not in model.predecessors:
-                        model.predecessors.append(key)
         kb.actions[(name, 0)] = model
 
     # occasionally one derived predicate, referenced from the goals

@@ -31,6 +31,8 @@ from fixtures import (
     CONTINGENT_KB,
     DURING_KB,
     DURING_PLAN,
+    DURING_ROWS_KB,
+    DURING_ROWS_PLAN,
     HIERARCHY_KB,
     HIERARCHY_PLAN,
     INVERTED_KB,
@@ -319,6 +321,22 @@ goal { (Built W)=yes }
     noise = net.find("(Noise)", "S1")
     p_loud = exact_query(net, Query(targets=[(noise, "loud")])).probability
     assert abs(p_loud - 0.5) <= 1e-9
+
+
+def test_during_effect_rows_of_every_form_match_oracle():
+    kb, plan, net = build(DURING_ROWS_KB, DURING_ROWS_PLAN)
+    flat = flatten_hierarchy(plan)
+    order = linearize(flat)
+    worlds = oracle.enumerate_trajectories(kb, flat, order)
+    expected = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
+    assert abs(leads_to_success(net, plan).probability - expected) <= 1e-9
+    # S2 is where each row form applies somewhere: (Power)=off at S1 picks the
+    # conditioned row, (Noise)=quiet the shorthand row, anything else the `*` row
+    noise = net.find("(Noise)", "S2")
+    marginal = oracle.marginal(worlds, GroundAtom("Noise"), 2)
+    assert set(marginal) == {"quiet", "hum", "loud"}
+    for state, p in marginal.items():
+        assert abs(exact_query(net, Query(targets=[(noise, state)])).probability - p) <= 1e-9
 
 
 def test_always_false_during_condition_under_nullify_equals_no_action():

@@ -120,6 +120,28 @@ def test_eval_negative_seed_is_a_usage_error(files, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_eval_exact_and_mc_together_is_a_usage_error(files, capsys):
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["eval", kb_path, plan_path, "--exact", "--mc", "50"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --mc: not allowed with argument --exact" in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--state-cap", "1"), ("--clock-cap", "0"), ("--state-cap", "abc")])
+def test_caps_below_two_are_usage_errors(files, capsys, flag, value):
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["build", kb_path, plan_path, flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err
+    assert ":0:0: build:" not in captured.err  # refused before any build is tried
+
+
 def test_eval_mc_marginal_of_a_node_missing_from_the_net_exit_1(files, capsys):
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
     code, out, err = run(capsys, ["eval", kb_path, plan_path, "--mc", "100", "--marginal", "(Loc A)@S9"])
@@ -241,6 +263,21 @@ def test_compare_linearizations(files, capsys):
     assert "linearization[default] leads_to_success =" in out
     assert "linearization[0] leads_to_success =" in out
     assert "linearization[1] leads_to_success =" in out
+
+
+def test_compare_linearizations_parses_the_inputs_once(files, capsys, monkeypatch):
+    kb_path, plan_path = files(OVERLAP_KB, OVERLAP_PLAN)
+    calls = []
+
+    def counting_parse_plan(*args):
+        calls.append(args)
+        return planeval.parse_plan(*args)
+
+    monkeypatch.setattr(planeval.cli, "parse_plan", counting_parse_plan)
+    code, out, err = run(capsys, ["compare-linearizations", kb_path, plan_path, "--seeds", "3"])
+    assert code == 0, err
+    assert len(out.splitlines()) == 4  # the default order and three seeded ones
+    assert len(calls) == 1
 
 
 def test_timed_plan_needing_a_second_split_exit_1(files, capsys):

@@ -3,7 +3,16 @@
 from planeval import GroundAtom, SourceDocument, parse_kb, parse_plan, validate_kb
 from planeval.dsl import print_kb
 
-from fixtures import DURING_KB, HIERARCHY_KB, MOVE_KB, OVERLAP_KB, load, load_kb
+from fixtures import (
+    DURING_KB,
+    DURING_ROWS_KB,
+    HIERARCHY_KB,
+    MOVE_KB,
+    OVERLAP_KB,
+    RELIABLE_MOVE_KB,
+    load,
+    load_kb,
+)
 
 
 def test_move_model_parses():
@@ -108,7 +117,7 @@ goal { (Loc A)=L2 }
 
 
 def test_parse_print_round_trip():
-    for text in (MOVE_KB, DURING_KB, HIERARCHY_KB, OVERLAP_KB):
+    for text in (MOVE_KB, DURING_KB, HIERARCHY_KB, OVERLAP_KB, DURING_ROWS_KB, RELIABLE_MOVE_KB):
         kb = load_kb(text)
         printed = print_kb(kb)
         reparsed, diags = parse_kb(SourceDocument(printed, "printed"))
@@ -127,6 +136,14 @@ def test_during_clauses_round_trip():
     assert cond.state == "on"
     assert cond.gates == (GroundAtom("Built", ("?x",)),)
     assert len(model.during_effects) == 1
+
+
+def test_during_effect_row_forms():
+    kb = load_kb(DURING_ROWS_KB)
+    (target, rows), = kb.find_action("Assemble").during_effects
+    assert target == GroundAtom("Noise")
+    # `*`, the bare-state shorthand for the row's own atom, and a condition
+    assert [row.condition for row in rows] == [{}, {target: "quiet"}, {GroundAtom("Power"): "off"}]
 
 
 def test_elapsed_buckets_round_trip():

@@ -68,3 +68,11 @@ def test_output_file_in_a_missing_directory_exit_1(files, capsys, tmp_path, comm
     code, out, err = run(capsys, [command, kb_path, plan_path, flag, target])
     assert (code, out) == (1, "")
     assert err == f"{target}:0:0: io: No such file or directory\n"
+
+
+def test_find_reads_atom_text_like_the_query_specs():
+    kb, plan = load(MOVE_KB, TWO_STEP_PLAN)
+    net = build_pe_net(plan, kb)
+    assert net.find(" ( Loc  A ) ", "S1") == net.find(GroundAtom("Loc", ("A",)), "S1")
+    with pytest.raises(PlanEvalError, match="'Loc A' is not an atom like"):
+        net.find("Loc A", "S1")
