@@ -13,8 +13,10 @@ The pipeline runs in a fixed order, and paste order is meaningful:
 6. create the nodes, then paste the forward rows: priors and action
    fragments (paste-onto), residual effects (paste-into), contingency
    selection nodes, during effects, clock machinery with clock-identity
-   gap fillers (paste-into),
-7. knowledge-base persistence then default no-change rows (both paste-into),
+   gap fillers (paste-into) and elapsed-bucket nodes,
+7. knowledge-base persistence then default no-change rows (both paste-into);
+   an elapsed-time row reads its situation's elapsed-bucket node, never the
+   two clocks,
 8. derived-predicate rows (paste-onto), then finalize.
 
 No stage after the sweep makes a row: each replays what the sweep recorded.
@@ -29,6 +31,7 @@ byte-identical net.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,6 +40,7 @@ from .errors import (
     LayeringViolation,
     MissingDuration,
     PlanEvalError,
+    TooLarge,
     UnknownConditionNode,
 )
 from .model import (
@@ -44,6 +48,7 @@ from .model import (
     GroundAtom,
     KnowledgeBase,
     SelRef,
+    format_bucket,
     instantiate,
     instantiate_row,
     label_sort_key,
@@ -53,7 +58,9 @@ from .model import (
 from .net import (
     CLOCK,
     DERIVED,
+    ELAPSED,
     KIND_RANK,
+    MAX_FACTOR_CELLS,
     PRIMITIVE,
     RELATIVE_END_TIME,
     SELECTION,
@@ -66,6 +73,7 @@ from .net import (
     atom_node,
     clock_node,
     dur_node,
+    elapsed_node,
     finalize,
     paste_into,
     paste_onto,
@@ -78,6 +86,7 @@ GATE_EFFECT_ONLY = "gate-effect-only"
 NULLIFY_ACTION = "nullify-action"
 NEGATIVE = "negative"
 NONNEGATIVE = "nonnegative"
+NO_BUCKET = "none"  # the elapsed-node state of clock pairs no bucket takes
 
 
 @dataclass
@@ -518,7 +527,8 @@ class _Sweep:
                 for key, state in row.condition.items():
                     self.pinned.setdefault(key, set()).add(state)
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
-                       "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock}
+                       "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
+                       "elapsed": self._elapsed}
 
     def run(self):
         for pos, si in enumerate(self.schedule.situations):
@@ -601,32 +611,60 @@ class _Sweep:
         return entries
 
     def _persistence(self, atom: GroundAtom, nid: NodeId, prev_nid: NodeId) -> list:
-        """KB persistence rows (elapsed-time rows read both clocks), then no-change defaults."""
+        """KB persistence rows, then no-change defaults.
+
+        An elapsed-time row pins its bucket on the situation's elapsed node;
+        a bucket no clock pair reaches, or an untimed build, drops the row.
+        """
         schedule = self.schedule
         entries = []
         model = schedule.kb.persistence.get(atom.name)
         if model is not None:
             rows = []
-            cprev, cthis = clock_node(self.prev), clock_node(self.si.sid)
+            bucketed = schedule.timed and any(row.bucket is not None for row in model.rows)
+            elapsed = self._elapsed_node(tuple(model.buckets)) if bucketed else None
             for row in model.rows:
                 condition = _gate_pin(schedule, self.si.sid)
                 condition[prev_nid] = row.prev
-                provenance = f"persistence {model.atom}"
-                if row.bucket is None:
-                    rows.append(FragmentRow(nid, condition, dict(row.distribution), provenance))
-                elif schedule.timed:  # elapsed-conditioned rows need a clock
-                    self._need([cthis])
-                    lo, hi = row.bucket
-                    for a in self.states[cprev]:
-                        for b in self.states[cthis]:
-                            if isinstance(a, int) and isinstance(b, int) and lo <= b - a < hi:
-                                rows.append(FragmentRow(
-                                    nid, {**condition, cprev: a, cthis: b}, dict(row.distribution), provenance))
+                if row.bucket is not None:
+                    label = format_bucket(row.bucket)
+                    if elapsed is None or label not in self.states[elapsed]:
+                        continue
+                    condition[elapsed] = label
+                rows.append(FragmentRow(nid, condition, dict(row.distribution), f"persistence {model.atom}"))
             entries.append(("persistence", model, rows))
         entries.append(("default-persistence", None, [
             FragmentRow(nid, {prev_nid: s}, {s: 1.0}, "default-persistence") for s in self.states[prev_nid]
         ]))
         return entries
+
+    def _clock_pairs(self):
+        """Every (previous, this situation's) clock value pair, making this situation's clock first."""
+        cprev, cthis = clock_node(self.prev), clock_node(self.si.sid)
+        self._need([cthis])
+        return [(cprev, a, cthis, b) for a in self.states[cprev] for b in self.states[cthis]]
+
+    def _elapsed_node(self, buckets: tuple):
+        """This situation's elapsed node for one bucket tiling, made on first use.
+
+        None when every clock pair lands in ``none``, so no row could read it.
+        """
+        nid = elapsed_node(buckets, self.si.sid)
+        if nid not in self.nodes:
+            if all(_bucket_label(buckets, a, b) == NO_BUCKET for _cp, a, _ct, b in self._clock_pairs()):
+                return None
+            self.nodes[nid] = ELAPSED
+        self._need([nid])
+        return nid
+
+    def _elapsed(self, nid: NodeId):
+        """The bucket the time since the previous situation falls in: one row per clock pair."""
+        buckets = nid.ref[1]
+        rows = [FragmentRow(nid, {cprev: a, cthis: b}, {_bucket_label(buckets, a, b): 1.0}, "elapsed")
+                for cprev, a, cthis, b in self._clock_pairs()]
+        reached = {label for row in rows for label in row.distribution}
+        self.states[nid] = [s for s in [*map(format_bucket, buckets), NO_BUCKET] if s in reached]
+        return [("elapsed", None, rows)]
 
     def _derived(self, nid: NodeId):
         sid = self.si.sid
@@ -725,8 +763,15 @@ class _Sweep:
 
 
 def _covers_reachable(states: dict, rows: list) -> bool:
-    """True when the feasible rows cover every reachable combination of their condition keys."""
+    """True when the feasible rows cover every reachable combination of their condition keys.
+
+    Raises ``TooLarge`` before enumerating any combination when there are
+    more than ``MAX_FACTOR_CELLS`` of them.
+    """
     keys = sorted({key for row in rows for key in row.condition}, key=str)
+    full = math.prod(max(len(states.get(key, ())), 1) for key in keys)
+    if full > MAX_FACTOR_CELLS:
+        raise TooLarge(f"node {rows[0].node} reads {full} parent combinations, above {MAX_FACTOR_CELLS}")
     covered = set()
     for row in rows:
         if not _row_feasible(states, row.condition):
@@ -736,10 +781,16 @@ def _covers_reachable(states: dict, rows: list) -> bool:
             for key in keys
         ]
         covered.update(itertools.product(*expansion))
-    full = 1
-    for key in keys:
-        full *= max(len(states.get(key, ())), 1)
     return len(covered) == full
+
+
+def _bucket_label(buckets: tuple, a, b) -> str:
+    """The bucket taking the clock gap ``b - a``; NO_BUCKET for OTHER and for gaps no bucket takes."""
+    if isinstance(a, int) and isinstance(b, int):
+        for bucket in buckets:
+            if bucket[0] <= b - a < bucket[1]:
+                return format_bucket(bucket)
+    return NO_BUCKET
 
 
 def _compact(ordered: list, margin: dict, cap: int, pinned):
@@ -971,8 +1022,8 @@ def attach_during(step: PlanStep, schedule: Schedule, net: PENet) -> PENet:
 
 
 def add_clock(schedule: Schedule, net: PENet) -> PENet:
-    """Duration, relative-end-time and clock rows."""
-    for kind in ("duration", "relative-end-time", "clock", "clock-identity"):
+    """Duration, relative-end-time, clock and elapsed-bucket rows."""
+    for kind in ("duration", "relative-end-time", "clock", "clock-identity", "elapsed"):
         _paste(schedule, net, kind)
     return net
 

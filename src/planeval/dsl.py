@@ -49,7 +49,6 @@ state of its own atom: ``quiet -> { loud:1.0 }`` above is short for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import CyclicOrder, MalformedExpansion, PlanEvalError
@@ -65,6 +64,7 @@ from .model import (
     PersistenceRow,
     PredicateSchema,
     SelRef,
+    format_bucket,
     is_variable,
 )
 from .plan import (
@@ -374,7 +374,11 @@ def _parse_action(parser: _Parser, kb: KnowledgeBase):
     if parser.at_word("level"):
         parser.next()
         parser.expect_punct("=")
-        level = int(parser.parse_number())
+        level_tok = parser.peek()
+        value = parser.parse_number()
+        if not value.is_integer():
+            raise ParseError(f"action level must be an integer, found {level_tok.text!r}", level_tok)
+        level = int(value)
     model = ActionModel(atom.name, tuple(atom.args), level, loc=(head.line, head.col))
 
     def clause():
@@ -667,15 +671,9 @@ def _fmt_dist(dist: dict) -> str:
     return _braces(f"{k}:{float(v)!r}" for k, v in dist.items())
 
 
-def _fmt_bucket(bucket: tuple) -> str:
-    lo, hi = bucket
-    hi_text = "inf" if math.isinf(hi) else f"{hi:g}"
-    return f"[{lo:g},{hi_text})"
-
-
 def _fmt_row(row) -> str:
     if isinstance(row, PersistenceRow):
-        head = row.prev if row.bucket is None else f"{row.prev} {_fmt_bucket(row.bucket)}"
+        head = row.prev if row.bucket is None else f"{row.prev} {format_bucket(row.bucket)}"
     elif row.condition:
         head = " ".join(f"{key}={state}" for key, state in row.condition.items())
     else:
@@ -711,7 +709,7 @@ def print_kb(kb: KnowledgeBase) -> str:
         lines.append("}")
     for name in sorted(kb.persistence):
         model = kb.persistence[name]
-        elapsed = "" if model.buckets is None else " elapsed " + _braces(_fmt_bucket(b) for b in model.buckets)
+        elapsed = "" if model.buckets is None else " elapsed " + _braces(format_bucket(b) for b in model.buckets)
         lines.extend(_fmt_rows(f"persistence {model.atom}{elapsed}", model.rows))
     for definition in kb.derived:
         parents = _braces(str(p) for p in definition.parents)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import PlanEvalError
-from .net import CLOCK, DERIVED, PRIMITIVE, RELATIVE_END_TIME, SELECTION, PENet
+from .net import CLOCK, DERIVED, ELAPSED, PRIMITIVE, RELATIVE_END_TIME, SELECTION, PENet
 
 _SHAPES = {
     PRIMITIVE: "ellipse",
@@ -11,6 +11,7 @@ _SHAPES = {
     SELECTION: "box",
     CLOCK: "hexagon",
     RELATIVE_END_TIME: "trapezium",
+    ELAPSED: "octagon",
 }
 
 

@@ -154,6 +154,13 @@ class PersistenceRow:
     loc: tuple = field(default=None, compare=False)
 
 
+def format_bucket(bucket: tuple) -> str:
+    """An elapsed bucket as the model language writes it: ``[0,3)``, ``[3,inf)``."""
+    lo, hi = bucket
+    hi_text = "inf" if math.isinf(hi) else f"{hi:g}"
+    return f"[{lo:g},{hi_text})"
+
+
 @dataclass
 class PersistenceModel:
     """Distribution over a predicate's state given its own state one situation earlier."""

@@ -37,15 +37,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompleteCPT, LayeringViolation, PlanEvalError, TooLarge
-from .model import OTHER, PROB_TOL, GroundAtom, label_sort_key
+from .model import OTHER, PROB_TOL, GroundAtom, format_bucket, label_sort_key
 
 PRIMITIVE = "primitive"
 DERIVED = "derived"
 SELECTION = "action-selection"
 CLOCK = "clock"
 RELATIVE_END_TIME = "relative-end-time"
+ELAPSED = "elapsed"
 
-KIND_RANK = {PRIMITIVE: 0, DERIVED: 1, SELECTION: 2, CLOCK: 3, RELATIVE_END_TIME: 4}
+KIND_RANK = {PRIMITIVE: 0, DERIVED: 1, SELECTION: 2, CLOCK: 3, RELATIVE_END_TIME: 4, ELAPSED: 5}
 
 ATOM_KINDS = (PRIMITIVE, DERIVED)
 
@@ -83,7 +84,7 @@ class NodeId:
 
     ``ref`` is a discriminated tuple:
     ("atom", name, args) | ("sel", boundary) | ("clock",) |
-    ("ret", earlier_step, later_step) | ("dur", step_id)
+    ("ret", earlier_step, later_step) | ("dur", step_id) | ("elapsed", buckets)
     """
 
     ref: tuple
@@ -103,6 +104,8 @@ class NodeId:
             return f"clock@{self.sit}"
         if kind == "ret":
             return f"ret({self.ref[1]},{self.ref[2]})@{self.sit}"
+        if kind == "elapsed":
+            return f"elapsed({' '.join(format_bucket(b) for b in self.ref[1])})@{self.sit}"
         return f"dur({self.ref[1]})@{self.sit}"
 
     @property
@@ -130,6 +133,10 @@ def ret_node(step_earlier: str, step_later: str, sit: SituationId) -> NodeId:
 
 def dur_node(step_id: str, sit: SituationId) -> NodeId:
     return NodeId(("dur", step_id), sit)
+
+
+def elapsed_node(buckets: tuple, sit: SituationId) -> NodeId:
+    return NodeId(("elapsed", buckets), sit)
 
 
 @dataclass
@@ -310,6 +317,10 @@ class PENet:
                     pools.append(tuple(self.nodes[parent].states))
             if not feasible:
                 continue
+            combos = math.prod(len(pool) for pool in pools)
+            if combos > MAX_FACTOR_CELLS:
+                raise TooLarge(f"a row of node {node.id} expands to {combos} parent combinations, "
+                               f"above {MAX_FACTOR_CELLS}")
             targets = [
                 combo for combo in itertools.product(*pools)
                 if overwrite or combo not in node.cpt

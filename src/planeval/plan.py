@@ -220,6 +220,7 @@ def flatten_hierarchy(plan: Plan) -> Plan:
     # The expanded abstract steps vanish, so the constraints they implied must
     # be kept explicitly.
     new_order = list(dict.fromkeys(base.constraints()))
+    spliced = set()  # ids of the steps whose expansions are being spliced
 
     def splice(step: PlanStep, guards: tuple):
         exp = expansions.get(step.id)
@@ -247,17 +248,21 @@ def flatten_hierarchy(plan: Plan) -> Plan:
             ))
 
         touched_overall = []
+        spliced.add(step.id)
         for alt in exp.alternatives:
             alt_guards = guards + (((sel, alt.label),) if multi else ())
             touched = []
             for sub in alt.steps:
                 _check_interval(sub, step, known_boundaries)
+                if sub.id in spliced:
+                    raise MalformedExpansion(f"sub-step {sub.id} of {step.id} reuses the id of a step being expanded")
                 touched.extend(splice(sub, alt_guards))
                 for fresh in (sub.start, sub.end):
                     if fresh not in (step.start, step.end):
                         new_order.append((step.start, fresh))
                         new_order.append((fresh, step.end))
             touched_overall.append((alt_guards, touched))
+        spliced.discard(step.id)
 
         # Consequences of the abstract model untouched by an alternative's
         # sub-steps survive as residual effects, pasted into the net later.

@@ -77,6 +77,32 @@ initial { (P x1)=u (P x2)=u (P x3)=u (P q)=u }
 goal { (P q)=v }
 """
 
+# One long step on agent ag1 overlapping a chain of short steps on agent ag2,
+# both from b0, with elapsed-time persistence on every (P ?x): the shape of
+# the benchmark's long-vs-chain instances, with fixed probabilities.
+LONG_CHAIN_KB = """
+predicate (P ?x) kind=primitive states { u v }
+action (Long ?x) level=0 { duration { 5:0.5 8:0.5 } effect (P ?x) { * -> { v:0.8 u:0.2 } } }
+action (Short ?x) level=0 { duration { 1:0.4 3:0.6 } effect (P ?x) { * -> { v:0.7 u:0.3 } } }
+persistence (P ?x) elapsed { [0,3) [3,inf) } {
+  u [0,3) -> { u:0.9 v:0.1 }
+  u [3,inf) -> { u:0.6 v:0.4 }
+}
+"""
+
+
+def long_chain_plan(chain: int) -> str:
+    lines = ["step long ag1 (Long x0) start=b0 end=e0"]
+    prev = "b0"
+    for j in range(chain):
+        lines.append(f"step c{j} ag2 (Short x{j + 1}) start={prev} end=c{j}")
+        prev = f"c{j}"
+    atoms = ["(P q)"] + [f"(P x{j})" for j in range(chain + 1)]
+    lines.append("initial { " + " ".join(f"{a}=u" for a in atoms) + " }")
+    lines.append("goal { (P x0)=v (P q)=v }")
+    return "\n".join(lines) + "\n"
+
+
 HIERARCHY_KB = """
 predicate (Done ?t) kind=primitive states { no yes }
 predicate (Side ?t) kind=primitive states { clean dirty }
@@ -102,6 +128,14 @@ expand big {
   alt c2 (AltFix T) cond=(Risk)=high
 }
 initial { (Done T)=no (Side T)=clean (Risk)=low:0.75 (Risk)=high:0.25 }
+goal { (Done T)=yes }
+"""
+
+# The expansion's sub-step reuses the id of the step it expands.
+SELF_EXPANDING_PLAN = """
+step big a1 (BigFix T) start=b0 end=b9
+expand big { selected c1 { step big a1 (StepOne T) start=b0 end=b9 } }
+initial { (Done T)=no (Side T)=clean (Risk)=low }
 goal { (Done T)=yes }
 """
 

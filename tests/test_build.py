@@ -1,5 +1,7 @@
 """Construction pipeline: worked scenarios, completion, compaction, determinism."""
 
+import itertools
+import math
 import os
 import random
 import sys
@@ -21,6 +23,8 @@ from planeval import (
     plan_success,
     validate_kb,
 )
+from planeval import build as build_module
+from planeval import net as net_module
 from planeval.build import make_schedule
 from planeval.model import OTHER
 from planeval.net import ATOM_KINDS, SELECTION, atom_node
@@ -95,6 +99,45 @@ def test_oversized_table_is_a_typed_finalize_error():
         build_pe_net(plan, kb)
     assert exc.value.stage == "finalize"
     assert isinstance(exc.value.cause, TooLarge)
+
+
+# (P)@S1 reads (Q x1) and (Q x2): four combinations, one uncovered, so it
+# also reads (P)@S0 and the (Q x1)=a row expands over 2 x 3 = 6 combinations.
+FAN_IN_KB = """
+predicate (P) kind=primitive states { u v w }
+predicate (Q ?x) kind=primitive states { a b }
+action (Mix) level=0 { effect (P) { (Q x1)=a -> { v:1.0 } (Q x2)=a -> { w:1.0 } } }
+"""
+
+FAN_IN_PLAN = """
+step s1 ag (Mix) start=b0 end=b1
+initial { (P)=u:0.4 (P)=v:0.3 (P)=w:0.3 (Q x1)=a:0.5 (Q x1)=b:0.5 (Q x2)=a:0.5 (Q x2)=b:0.5 }
+goal { (P)=v }
+"""
+
+
+@pytest.mark.parametrize("cap, message", [
+    (3, "node (P)@S1 reads 4 parent combinations, above 3"),
+    (5, "a row of node (P)@S1 expands to 6 parent combinations, above 5"),
+])
+def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
+    kb, plan = load(FAN_IN_KB, FAN_IN_PLAN)
+    assert build_pe_net(plan, kb).finalized
+    product = itertools.product
+
+    def guarded(*pools, repeat=1):
+        size = math.prod(len(pool) for pool in pools) ** repeat
+        assert size <= cap, f"enumerated {size} combinations"
+        return product(*pools, repeat=repeat)
+
+    monkeypatch.setattr(itertools, "product", guarded)
+    monkeypatch.setattr(build_module, "MAX_FACTOR_CELLS", cap)
+    monkeypatch.setattr(net_module, "MAX_FACTOR_CELLS", cap)
+    with pytest.raises(BuildError) as exc:
+        build_pe_net(plan, kb)
+    assert exc.value.stage == "forward"
+    assert isinstance(exc.value.cause, TooLarge)
+    assert str(exc.value.cause) == message
 
 
 def test_invalid_caps_rejected():

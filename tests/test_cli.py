@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import planeval
-from planeval import build_pe_net, leads_to_success, plan_success, run_cli
+from planeval import BuildOptions, build_pe_net, leads_to_success, plan_success, run_cli
 from planeval.export import export_graph
 
 from fixtures import (
@@ -21,6 +21,7 @@ from fixtures import (
     OVERLAP_PLAN,
     RELIABLE_MOVE_KB,
     RELIABLE_MOVE_PLAN,
+    SELF_EXPANDING_PLAN,
     TWO_STEP_PLAN,
     UNMATCHED_DERIVED_KB,
     UNMATCHED_DERIVED_PLAN,
@@ -188,6 +189,14 @@ def test_build_rejects_invalid_kb_with_exit_1(files, capsys):
     assert err.splitlines()[0].startswith(kb_path + ":")
 
 
+def test_build_sub_step_reusing_the_expanded_id_exit_1(files, capsys):
+    kb_path, plan_path = files(HIERARCHY_KB, SELF_EXPANDING_PLAN)
+    code, out, err = run(capsys, ["build", kb_path, plan_path])
+    assert code == 1
+    assert out == ""
+    assert err == f"{plan_path}:0:0: plan: sub-step big of big reuses the id of a step being expanded\n"
+
+
 @pytest.mark.parametrize("missing", ["kb", "plan"])
 def test_missing_input_file_exit_1(files, capsys, tmp_path, missing):
     kb_path, plan_path = files(RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN)
@@ -244,6 +253,15 @@ def test_export_same_net_identical_bytes():
     assert export_graph(net) == export_graph(net)
     kb2, plan2 = load(MOVE_KB, TWO_STEP_PLAN)
     assert export_graph(build_pe_net(plan2, kb2)) == export_graph(net)
+
+
+def test_export_clocked_net_has_one_node_line_per_node():
+    kb, plan = load(OVERLAP_KB, OVERLAP_PLAN)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
+    lines = [line for line in export_graph(net).splitlines() if "[shape=" in line]
+    assert len(lines) == len(net.nodes)
+    assert sorted(line.split('"')[1] for line in lines) == sorted(str(nid) for nid in net.nodes)
+    assert '    "elapsed([0,3) [3,inf))@S1" [shape=octagon];' in lines
 
 
 def test_export_empty_plan_single_cluster(files, capsys, tmp_path):

@@ -15,13 +15,14 @@ from planeval import (
 )
 from planeval.build import _apply_split, _scan_time_tree, make_schedule, split_situations
 from planeval.errors import MissingDuration
-from planeval.net import atom_node
+from planeval.model import format_bucket
+from planeval.net import atom_node, elapsed_node
 
 import duration_worlds
 import instance_gen
 from joint_oracle import joint_distribution
 import trajectory_oracle as oracle
-from fixtures import OVERLAP_KB, OVERLAP_PLAN, load
+from fixtures import LONG_CHAIN_KB, OVERLAP_KB, OVERLAP_PLAN, load, long_chain_plan
 
 TIMED_OPTS = BuildOptions(clock_enabled=True)
 
@@ -89,8 +90,8 @@ goal { (P)=v }
 """
 
 
-# The effect covers (P a)'s only reachable state but reads it, so the net
-# keeps the elapsed-time persistence rows' clock parents on (P a)@S1.
+# The effect covers (P a)'s only reachable state, so (P a)@S1 records no
+# persistence rows and reads no elapsed node.
 COVERED_ELAPSED_KB = """
 predicate (P ?x) kind=primitive states { u v }
 action (Fix ?x) level=0 { duration { 1:0.5 2:0.5 } effect (P ?x) { (P ?x)=u -> { v:1.0 } } }
@@ -347,3 +348,152 @@ action (Back ?obj) level=0 { duration { 1:0.5 3:0.5 } effect (Loc ?obj) { (Loc ?
     assert sorted(dist) == sorted(want)
     for value, p in want.items():
         assert abs(dist[value] - p) <= 1e-12, value
+
+
+# -- elapsed-time persistence: one shared bucket node per situation ------------
+
+# (P ?x) and (Q ?x) share a bucket tiling; (R ?x) has its own.
+TWO_TILINGS_KB = """
+predicate (P ?x) kind=primitive states { u v }
+predicate (Q ?x) kind=primitive states { u v }
+predicate (R ?x) kind=primitive states { u v }
+action (Coin ?x) level=0 { duration { 1:0.5 4:0.5 } effect (P ?x) { * -> { v:1.0 } } }
+persistence (P ?x) elapsed { [0,3) [3,inf) } {
+  u [0,3) -> { u:0.9 v:0.1 }
+  u [3,inf) -> { u:0.5 v:0.5 }
+}
+persistence (Q ?x) elapsed { [0,3) [3,inf) } {
+  u [3,inf) -> { u:0.25 v:0.75 }
+}
+persistence (R ?x) elapsed { [0,2) [2,inf) } {
+  u [0,2) -> { u:0.8 v:0.2 }
+  u [2,inf) -> { u:0.4 v:0.6 }
+}
+"""
+
+TWO_TILINGS_PLAN = """
+step s1 ag1 (Coin a) start=b0 end=b1
+step s2 ag1 (Coin b) start=b1 end=b2
+initial { (P a)=u (P b)=u (P c)=u (Q c)=u (R c)=u }
+goal { (P c)=v }
+"""
+
+
+def bucketed_nets():
+    """Clocked nets whose persistence models have elapsed buckets."""
+    yield "two-tilings", timed_build(TWO_TILINGS_KB, TWO_TILINGS_PLAN)
+    yield "overlap", timed_build(OVERLAP_KB, OVERLAP_PLAN)
+    yield "overlap-cap-3", timed_build(OVERLAP_KB, OVERLAP_PLAN, BuildOptions(clock_enabled=True, clock_cap=3))
+    yield "long-chain-4", timed_build(LONG_CHAIN_KB, long_chain_plan(4))
+    for seed in range(25):
+        kb, plan = instance_gen.generate_timed(seed)
+        yield f"generate_timed-{seed}", (kb, plan, build_pe_net(plan, kb, TIMED_OPTS))
+        # at clock_cap=3 some situations have no clock pair that a bucket takes
+        capped = BuildOptions(clock_enabled=True, clock_cap=3)
+        yield f"generate_timed-{seed}-cap-3", (kb, plan, build_pe_net(plan, kb, capped))
+
+
+def test_no_primitive_atom_reads_a_clock():
+    for name, (_kb, _plan, net) in bucketed_nets():
+        for nid, node in net.nodes.items():
+            if node.kind == "primitive":
+                assert not [p for p in node.parents if p.ref[0] == "clock"], (name, str(nid))
+
+
+def test_each_bucketed_atom_reads_its_situations_one_elapsed_node():
+    for name, (kb, _plan, net) in bucketed_nets():
+        readers = set()
+        for nid, node in net.nodes.items():
+            if node.kind != "primitive":
+                continue
+            model = kb.persistence[nid.atom.name]
+            shared = elapsed_node(tuple(model.buckets), nid.sit)
+            reachable = net.nodes[shared].states if shared in net.nodes else []
+            elapsed = [p for p in node.parents if p.ref[0] == "elapsed"]
+            persisted = f"persistence {model.atom}" in node.provenance.values()
+            if persisted and any(row.bucket and format_bucket(row.bucket) in reachable for row in model.rows):
+                assert elapsed == [shared], (name, str(nid))
+            assert elapsed in ([], [shared]), (name, str(nid))
+            readers.update(elapsed)
+        assert readers or name.endswith("cap-3"), name  # a capped clock may leave every bucket unreached
+        for nid, node in net.nodes.items():
+            if node.kind == "elapsed":
+                assert nid in readers, (name, str(nid))  # no node that nothing reads
+                assert node.parents == [clock_node(net.situation_order[net.position(nid.sit) - 1]),
+                                        clock_node(nid.sit)], (name, str(nid))
+                assert set(node.states) - {"none"}, (name, str(nid))
+
+
+def test_atoms_sharing_a_tiling_share_the_elapsed_node():
+    _kb, _plan, net = timed_build(TWO_TILINGS_KB, TWO_TILINGS_PLAN)
+    for sit in ("S1", "S2"):
+        p, q, r = (net.nodes[net.find(atom, sit)] for atom in ("(P c)", "(Q c)", "(R c)"))
+        (p_elapsed,) = [n for n in p.parents if n.ref[0] == "elapsed"]
+        (r_elapsed,) = [n for n in r.parents if n.ref[0] == "elapsed"]
+        assert [n for n in q.parents if n.ref[0] == "elapsed"] == [p_elapsed]
+        assert r_elapsed != p_elapsed
+        assert sorted(str(n) for n in net.nodes if n.ref[0] == "elapsed" and str(n.sit) == sit) == [
+            f"elapsed([0,2) [2,inf))@{sit}", f"elapsed([0,3) [3,inf))@{sit}"]
+
+
+def test_a_bucket_no_clock_pair_reaches_adds_no_state():
+    _kb, _plan, net = timed_build("""
+predicate (P ?x) kind=primitive states { u v w }
+action (Quick) level=0 { duration { 1:1.0 } effect (P unrelated) { * -> { v:1.0 } } }
+persistence (P ?x) elapsed { [0,3) [3,inf) } {
+  u [0,3) -> { u:0.9 v:0.1 }
+  u [3,inf) -> { w:1.0 }
+}
+""", """
+step s1 ag (Quick) start=b0 end=b1
+initial { (P unrelated)=u (P q)=u }
+goal { (P q)=v }
+""")
+    node = net.nodes[net.find("(P q)", "S1")]
+    assert node.states == ["u", "v"]
+    (elapsed,) = [p for p in node.parents if p.ref[0] == "elapsed"]
+    assert net.nodes[elapsed].states == ["[0,3)"]
+
+
+def net_cells(net) -> int:
+    return sum(len(node.cpt) * len(node.states) for node in net.nodes.values())
+
+
+def test_long_chain_table_cells_grow_slower_than_the_cube_of_the_chain():
+    # Cells may grow no faster than C^3: doubling the chain at most octuples them.
+    small = net_cells(timed_build(LONG_CHAIN_KB, long_chain_plan(4))[2])
+    large = net_cells(timed_build(LONG_CHAIN_KB, long_chain_plan(8))[2])
+    assert large <= 8 * small, (small, large)
+
+
+@pytest.mark.parametrize("kb_text, plan_text", [
+    (TWO_TILINGS_KB, TWO_TILINGS_PLAN),
+    (LONG_CHAIN_KB, long_chain_plan(2)),
+    (LONG_CHAIN_KB, long_chain_plan(3)),
+    (LONG_CHAIN_KB, long_chain_plan(4)),
+], ids=["two-tilings", "long-chain-2", "long-chain-3", "long-chain-4"])
+def test_elapsed_buckets_match_timed_oracle(kb_text, plan_text):
+    kb, plan, net = timed_build(kb_text, plan_text)
+    flat = flatten_hierarchy(plan)
+    marginals, _stats = oracle.timed_final_marginals(kb, flat, linearize(flat))
+    final = net.situation_order[-1]
+    for atom, dist in marginals.items():
+        node = net.nodes[atom_node(atom, final)]
+        for state in node.states:
+            got = exact_query(net, Query(targets=[(node.id, state)])).probability
+            assert abs(got - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
+
+
+def test_capped_clock_values_fall_into_the_none_bucket():
+    # At clock_cap=3, OTHER clock values and negative gaps land in ``none``,
+    # which the no-change default fills. The answers were recorded when each
+    # atom still read both clocks.
+    _kb, _plan, net = timed_build(OVERLAP_KB, OVERLAP_PLAN, BuildOptions(clock_enabled=True, clock_cap=3))
+    elapsed = net.nodes[elapsed_node(((0.0, 3.0), (3.0, float("inf"))), net.situation_order[2])]
+    assert str(elapsed.id) == "elapsed([0,3) [3,inf))@S1"
+    assert elapsed.cpt[(0, "OTHER")] == {"none": 1.0}
+    assert elapsed.states == ["[0,3)", "none"]
+    recorded = {"S0": 0.0, "S2a": 0.05, "S1": 0.0975, "S2b": 0.0975, "S3": 0.11775}
+    for sit, want in recorded.items():
+        got = exact_query(net, Query(targets=[(net.find("(P q)", sit), "v")])).probability
+        assert abs(got - want) <= 1e-12, sit

@@ -25,6 +25,12 @@ KB_CASES = [
      ["k:1:13: syntax: expected argument, found ''"]),
     ('number', 'action (A) level=x { }',
      ["k:1:18: syntax: expected a number, found 'x'"]),
+    ('level-nan', 'action (A) level=nan { }',
+     ["k:1:18: syntax: action level must be an integer, found 'nan'"]),
+    ('level-inf', 'action (A) level=inf { }',
+     ["k:1:18: syntax: action level must be an integer, found 'inf'"]),
+    ('level-fraction', 'action (A) level=1.7 { }',
+     ["k:1:18: syntax: action level must be an integer, found '1.7'"]),
     ('integer-key', 'action (A) { duration { x:1.0 } }',
      ["k:1:25: syntax: expected an integer, found 'x'"]),
     ('duplicate-entry', 'action (A) { duration { 1:0.5 1:0.5 } }',

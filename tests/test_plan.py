@@ -4,11 +4,20 @@ import random
 
 import pytest
 
-from planeval import GroundAtom, flatten_hierarchy, linearize
+from planeval import GroundAtom, SourceDocument, flatten_hierarchy, linearize, parse_kb, parse_plan
 from planeval.errors import CyclicOrder, MalformedExpansion
 from planeval.plan import Plan, PlanStep
 
-from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, OVERLAP_KB, OVERLAP_PLAN, TWO_STEP_PLAN, load
+from fixtures import (
+    HIERARCHY_KB,
+    HIERARCHY_PLAN,
+    MOVE_KB,
+    OVERLAP_KB,
+    OVERLAP_PLAN,
+    SELF_EXPANDING_PLAN,
+    TWO_STEP_PLAN,
+    load,
+)
 
 
 def test_linear_plan_unique_extension():
@@ -112,6 +121,13 @@ def test_flatten_rejects_escaping_subplan():
     plan.order.append(("outside", "b0"))
     with pytest.raises(MalformedExpansion):
         flatten_hierarchy(plan)
+
+
+def test_sub_step_reusing_the_expanded_id_is_malformed():
+    kb, _diags = parse_kb(SourceDocument(HIERARCHY_KB, "k"))
+    _plan, diags = parse_plan(SourceDocument(SELF_EXPANDING_PLAN, "p"), kb)
+    assert [d.render("p") for d in diags] == [
+        "p:0:0: plan: sub-step big of big reuses the id of a step being expanded"]
 
 
 def test_per_agent_order_preserved_by_linearization():

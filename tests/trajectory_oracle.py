@@ -426,6 +426,10 @@ def timed_final_marginals(kb, plan, order):
         assert any(s.end == b for s in plan.steps), f"start-only boundary {b} unsupported"
     atoms = _universe(kb, plan)
     timed_steps = [s for s in plan.steps if s.model.duration is not None]
+    # Only the start snapshots of steps with conditional rows are ever read,
+    # so worlds that agree on those and on the current state are merged.
+    read_starts = {s.start for s in plan.steps
+                   if any(row.condition for _a, rows in s.model.consequences for row in rows)}
 
     initial_pools = []
     for atom in atoms:
@@ -472,13 +476,14 @@ def timed_final_marginals(kb, plan, order):
             for atom, (s, p) in zip(atoms, init_combo):
                 prob *= p
                 initial_state[atom] = s
-            worlds = [(dict(initial_state), prob, {order[0]: dict(initial_state)})]
+            snapshot = {order[0]: dict(initial_state)} if order[0] in read_starts else {}
+            worlds = [(dict(initial_state), prob, snapshot)]
             t_prev = 0
             for boundary in events:
                 delta = raw[boundary] - t_prev
                 t_prev = raw[boundary]
                 enders = [s for s in plan.steps if s.end == boundary]
-                nxt = []
+                nxt = {}
                 for current, p, snapshots in worlds:
                     pools = []
                     for atom in atoms:
@@ -494,7 +499,7 @@ def timed_final_marginals(kb, plan, order):
                         dist = None
                         if owner:
                             step, rows, bindings = owner
-                            snap = snapshots[step.start]
+                            snap = snapshots.get(step.start)
                             for row in reversed(rows):
                                 if all(snap[instantiate(k, bindings)] == substitute_label(v, bindings)
                                        for k, v in row.condition.items()):
@@ -513,9 +518,15 @@ def timed_final_marginals(kb, plan, order):
                         if q <= 0:
                             continue
                         snaps = dict(snapshots)
-                        snaps[boundary] = dict(new_state)
-                        nxt.append((new_state, q, snaps))
-                worlds = nxt
+                        if boundary in read_starts:
+                            snaps[boundary] = dict(new_state)
+                        key = (tuple(new_state.values()),
+                               tuple((b, tuple(state.values())) for b, state in snaps.items()))
+                        if key in nxt:
+                            nxt[key][1] += q
+                        else:
+                            nxt[key] = [new_state, q, snaps]
+                worlds = list(nxt.values())
             for final_state, p, _snaps in worlds:
                 key = tuple(final_state[a] for a in atoms)
                 finals[key] = finals.get(key, 0.0) + p
