@@ -1,6 +1,6 @@
 """Construction pipeline: compile (plan, knowledge base, options) into a finalized PE-net.
 
-The pipeline runs in a fixed order, and paste order is meaningful:
+The pipeline runs in a fixed order:
 
 1. flatten the hierarchy and normalize guards,
 2. linearize the interlock partial order,
@@ -9,9 +9,10 @@ The pipeline runs in a fixed order, and paste order is meaningful:
    elapsed time remains (this reads the schedule alone, following the time
    tree: exponential only in the number of splits, never in the steps),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
-   in paste order, and take from them its states, parents and rough marginal,
-6. create the nodes, then paste the forward rows: priors and action
-   fragments (paste-onto), residual effects (paste-into), contingency
+   in paste order, and take from them its kind, states, parents and rough
+   marginal,
+6. create every node in that shape, then paste the forward rows: priors and
+   action fragments (paste-onto), residual effects (paste-into), contingency
    selection nodes, during effects, clock machinery with clock-identity
    gap fillers (paste-into) and elapsed-bucket nodes,
 7. knowledge-base persistence then default no-change rows (both paste-into);
@@ -19,10 +20,15 @@ The pipeline runs in a fixed order, and paste order is meaningful:
    two clocks,
 8. derived-predicate rows (paste-onto), then finalize.
 
-No stage after the sweep makes a row: each replays what the sweep recorded.
-A node's parents are exactly the keys its rows read, and gap fillers
-(persistence, no-change and clock-identity rows) are recorded only where a
-node's own rows leave a reachable parent combination uncovered.
+No stage after the sweep makes a row: each replays what the sweep recorded,
+with one paste-onto call for its onto rows and one paste-into call for its
+fill rows. Only the order within the onto rows and within the fill rows
+matters: per node the last onto row that covers a combination wins, and
+otherwise the first fill row does. A node's parents are exactly the keys its
+rows read. Gap fillers (persistence, no-change and clock-identity rows) are
+recorded only where a node's own rows leave a reachable parent combination
+uncovered, and KB persistence rows only where one of them covers such a
+combination.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -302,13 +308,12 @@ class Schedule:
     def analyse(self):
         """Sweep the situations once, making every node's rows; returns the node states.
 
-        Fills ``kinds`` (nid -> node kind, parents before children),
-        ``states``, ``parents`` and ``rows`` (nid -> [(kind, source, rows)]
-        in paste order), which the paste stages replay unchanged.
+        Fills ``nodes`` (nid -> FragmentNode: kind, states and parents,
+        parents before children) and ``rows`` (nid -> [(kind, rows)] in
+        paste order), which the paste stages replay unchanged.
         """
-        self.kinds, self.states, self.parents, self.rows = {}, {}, {}, {}
-        _Sweep(self).run()
-        return self.states
+        self.nodes, self.rows = {}, {}
+        return _Sweep(self).run()
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +376,7 @@ def _fragment_rows(schedule: Schedule, target: NodeId, pins: dict, ground_rows, 
 
 
 def _ender_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
-    """Fragment rows for one step's consequences landing at one end situation."""
+    """Fragment rows for one step's consequences landing at one end situation, one list per consequence."""
     rows = []
     bindings = step.bindings
     start = schedule.start_sit(step)
@@ -382,7 +387,7 @@ def _ender_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
         pins = dict(base_pins)
         pins.update(_during_gate_pins(schedule, step, consequence))
         ground = (instantiate_row(row, bindings) for row in model_rows)
-        rows += _fragment_rows(schedule, atom_node(consequence, sid), pins, ground, start, f"action {step.id}")
+        rows.append(_fragment_rows(schedule, atom_node(consequence, sid), pins, ground, start, f"action {step.id}"))
     return rows
 
 
@@ -394,7 +399,8 @@ def _residual_rows(schedule: Schedule, res, sid: SituationId) -> list:
 
 
 def _during_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
-    """During-effect rows at one intermediate situation; conditions read the previous situation."""
+    """During-effect rows at one intermediate situation, one list per effect; conditions
+    read the previous situation."""
     rows = []
     bindings = step.bindings
     prev = schedule.situations[schedule.position(sid) - 1].sid
@@ -403,7 +409,7 @@ def _during_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
     for pattern, model_rows in step.model.during_effects:
         target = atom_node(instantiate(pattern, bindings), sid)
         ground = (instantiate_row(row, bindings) for row in model_rows)
-        rows += _fragment_rows(schedule, target, pins, ground, prev, f"during {step.id}")
+        rows.append(_fragment_rows(schedule, target, pins, ground, prev, f"during {step.id}"))
     return rows
 
 
@@ -416,26 +422,18 @@ def _selector_rows(schedule: Schedule, group) -> tuple:
     return rows, default_row
 
 
-def _situation_rows(schedule: Schedule, sid: SituationId) -> list:
-    """(kind, source, rows) for everything writing one situation, in paste order.
-
-    Kind is "action" for ending steps, then "residual", then "during" for
-    spanning steps; source is the step or residual effect.
-    """
-    return ([("action", step, _ender_rows(schedule, step, sid)) for step in schedule.enders_at(sid)]
-            + [("residual", res, _residual_rows(schedule, res, sid)) for res in schedule.residuals_at(sid)]
-            + [("during", step, _during_rows(schedule, step, sid)) for step in schedule.spanners_at(sid)])
-
-
-def _rows_by_target(entries: list) -> dict:
-    """Regroup (kind, source, rows) entries under each node the rows write."""
+def _situation_rows(schedule: Schedule, sid: SituationId) -> dict:
+    """nid -> [(kind, rows)] for everything writing one situation, in paste order:
+    "action" entries of ending steps, then "residual", then "during" entries
+    of spanning steps, one entry per consequence, residual or during effect."""
+    entries = ([("action", rows) for step in schedule.enders_at(sid) for rows in _ender_rows(schedule, step, sid)]
+               + [("residual", _residual_rows(schedule, res, sid)) for res in schedule.residuals_at(sid)]
+               + [("during", rows) for step in schedule.spanners_at(sid)
+                  for rows in _during_rows(schedule, step, sid)])
     by_target = {}
-    for kind, source, rows in entries:
-        for row in rows:
-            writers = by_target.setdefault(row.node, [])
-            if not writers or writers[-1][1] is not source:
-                writers.append((kind, source, []))
-            writers[-1][2].append(row)
+    for kind, rows in entries:
+        if rows:
+            by_target.setdefault(rows[0].node, []).append((kind, rows))
     return by_target
 
 
@@ -509,7 +507,7 @@ class _Sweep:
     Within a situation a node is made after every same-situation node its
     rows read (depth first, in net node-key order), so a selection node is
     known before the effects it gates. Each maker returns the node's
-    (kind, source, rows) entries and sets its states; atoms, derived and
+    (kind, rows) entries and sets its states; atoms, derived and
     selection nodes also get a rough marginal that treats parents as
     independent and only ranks states for OTHER compaction, which never
     absorbs a state some derived definition pins.
@@ -517,7 +515,7 @@ class _Sweep:
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
-        self.states, self.approx = schedule.states, {}
+        self.states, self.approx = {}, {}
         self.derived_rows, self.pinned = {}, {}
         for datom in schedule.derived_atoms:
             definition, bindings = schedule.kb.find_derived(datom)
@@ -535,25 +533,25 @@ class _Sweep:
             self.pos, self.si = pos, si
             self.prev = self.schedule.situations[pos - 1].sid if pos else None
             self.nodes = _situation_nodes(self.schedule, si)
-            self.writers = _rows_by_target(_situation_rows(self.schedule, si.sid)) if pos else {}
+            self.writers = _situation_rows(self.schedule, si.sid) if pos else {}
             self.active = set()
             for nid in sorted(self.nodes, key=lambda n: (KIND_RANK[self.nodes[n]], str(n))):
                 self._visit(nid)
+        return self.states
 
     def _visit(self, nid: NodeId):
         schedule = self.schedule
-        if nid in schedule.kinds:
+        if nid in schedule.nodes:
             return
         if nid in self.active:
             raise PlanEvalError(f"paste created a cycle through {nid}")
         self.active.add(nid)
         kind = self.nodes[nid]
         entries = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
-        parents = dict.fromkeys(key for _kind, _source, rows in entries for key in _keys(rows))
+        parents = dict.fromkeys(key for _kind, rows in entries for key in _keys(rows))
         self._need(parents)
-        schedule.kinds[nid] = kind
+        schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents))
         schedule.rows[nid] = entries
-        schedule.parents[nid] = list(parents)
 
     def _mass(self, rows) -> dict:
         """Unnormalized state mass of the feasible rows, parents taken as independent."""
@@ -579,21 +577,21 @@ class _Sweep:
             prior = schedule.plan.initial.get(atom) or {schema.states[0]: 1.0}
             self.states[nid] = [s for s in prior if prior[s] > 0]
             self.approx[nid] = {s: p for s, p in prior.items() if p > 0}
-            return [("initial", None, [FragmentRow(nid, {}, dict(prior), "initial")])]
+            return [("initial", [FragmentRow(nid, {}, dict(prior), "initial")])]
 
         entries = list(self.writers.get(nid, []))
-        written = [row for _kind, _source, rows in entries for row in rows]
+        written = [row for _kind, rows in entries for row in rows]
         self._need(_keys(written))
         mass = self._mass(written)
-        if not _covers_reachable(self.states, written):
+        if _leaves_open(self.states, written):
             prev_nid = atom_node(atom, self.prev)
-            fillers = self._persistence(atom, nid, prev_nid)
+            fillers = self._persistence(atom, nid, prev_nid, written)
             entries += fillers
             # Each previous state spreads its mass evenly over what persistence
             # and the no-change default can make of it. Only the previous-state
             # pin can be infeasible, and rows of unreachable states go unread.
             by_prev = {}
-            for _kind, _source, rows in fillers:
+            for _kind, rows in fillers:
                 for row in rows:
                     by_prev.setdefault(row.condition[prev_nid], {}).update(
                         dict.fromkeys(s for s, p in row.distribution.items() if p > 0))
@@ -610,30 +608,34 @@ class _Sweep:
         self.approx[nid] = margin
         return entries
 
-    def _persistence(self, atom: GroundAtom, nid: NodeId, prev_nid: NodeId) -> list:
-        """KB persistence rows, then no-change defaults.
+    def _persistence(self, atom: GroundAtom, nid: NodeId, prev_nid: NodeId, written: list) -> list:
+        """KB persistence rows, if they fill a gap ``written`` leaves, then no-change defaults.
 
-        An elapsed-time row pins its bucket on the situation's elapsed node;
-        a bucket no clock pair reaches, or an untimed build, drops the row.
+        Whether the model's rows fill a gap is judged on their gate and
+        previous-state pins, bucket aside; only then is the elapsed node made.
+        An elapsed-time row pins its bucket on it; a bucket no clock pair
+        reaches, or an untimed build, drops the row.
         """
         schedule = self.schedule
         entries = []
         model = schedule.kb.persistence.get(atom.name)
-        if model is not None:
-            rows = []
-            bucketed = schedule.timed and any(row.bucket is not None for row in model.rows)
-            elapsed = self._elapsed_node(tuple(model.buckets)) if bucketed else None
-            for row in model.rows:
-                condition = _gate_pin(schedule, self.si.sid)
-                condition[prev_nid] = row.prev
-                if row.bucket is not None:
-                    label = format_bucket(row.bucket)
+        kept = [row for row in model.rows if schedule.timed or row.bucket is None] if model else []
+        gate = _gate_pin(schedule, self.si.sid)
+        self._need(gate)  # the gap test reads the gate's states
+        rows = [FragmentRow(nid, {**gate, prev_nid: row.prev}, dict(row.distribution), f"persistence {model.atom}")
+                for row in kept]
+        if rows and _leaves_open(self.states, written, rows):
+            elapsed = self._elapsed_node(tuple(model.buckets)) if any(row.bucket for row in kept) else None
+            filled = []
+            for model_row, row in zip(kept, rows):
+                if model_row.bucket is not None:
+                    label = format_bucket(model_row.bucket)
                     if elapsed is None or label not in self.states[elapsed]:
                         continue
-                    condition[elapsed] = label
-                rows.append(FragmentRow(nid, condition, dict(row.distribution), f"persistence {model.atom}"))
-            entries.append(("persistence", model, rows))
-        entries.append(("default-persistence", None, [
+                    row.condition[elapsed] = label
+                filled.append(row)
+            entries.append(("persistence", filled))
+        entries.append(("default-persistence", [
             FragmentRow(nid, {prev_nid: s}, {s: 1.0}, "default-persistence") for s in self.states[prev_nid]
         ]))
         return entries
@@ -664,7 +666,7 @@ class _Sweep:
                 for cprev, a, cthis, b in self._clock_pairs()]
         reached = {label for row in rows for label in row.distribution}
         self.states[nid] = [s for s in [*map(format_bucket, buckets), NO_BUCKET] if s in reached]
-        return [("elapsed", None, rows)]
+        return [("elapsed", rows)]
 
     def _derived(self, nid: NodeId):
         sid = self.si.sid
@@ -677,14 +679,14 @@ class _Sweep:
             raise PlanEvalError(f"derived definition for {nid.atom} matches no reachable state at {sid}")
         self.states[nid] = _ordered(self.schedule.kb.schemas[nid.atom.name], mass)
         self.approx[nid] = _normalized(mass, self.states[nid])
-        return [("derived", None, rows)]
+        return [("derived", rows)]
 
     def _selection(self, nid: NodeId):
         group = self.schedule.group_at_boundary(nid.ref[1])
         rows, default_row = _selector_rows(self.schedule, group)
         self._need(_keys(rows))
         labels = list(group.alternatives)
-        uncovered = not _covers_reachable(self.states, rows)
+        uncovered = _leaves_open(self.states, rows)
         explicit_noop = any(NOOP in row.distribution for row in rows)
         if group.origin == "plain" and (uncovered or explicit_noop) and NOOP not in labels:
             labels.append(NOOP)
@@ -701,12 +703,12 @@ class _Sweep:
         default_label = next(iter(default_row.distribution))
         mass[default_label] = mass.get(default_label, 0.0) + max(1.0 - covered_weight, 0.0)
         self.approx[nid] = _normalized(mass, labels)
-        return [("selector", group, rows), ("selector-default", group, [default_row])]
+        return [("selector", rows), ("selector-default", [default_row])]
 
     def _duration(self, nid: NodeId):
         step = self.schedule.plan.step_by_id(nid.ref[1])
         self.states[nid] = sorted(step.model.duration)
-        return [("duration", None, [FragmentRow(nid, {}, dict(step.model.duration), f"duration {step.id}")])]
+        return [("duration", [FragmentRow(nid, {}, dict(step.model.duration), f"duration {step.id}")])]
 
     def _relative_end_time(self, nid: NodeId):
         schedule = self.schedule
@@ -723,14 +725,14 @@ class _Sweep:
             rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
         self.states[nid] = [NEGATIVE, NONNEGATIVE]
         self.approx[nid] = schedule.sign_mass[nid]
-        return [("relative-end-time", None, rows)]
+        return [("relative-end-time", rows)]
 
     def _clock(self, nid: NodeId):
         schedule = self.schedule
         sid = self.si.sid
         if self.pos == 0:
             self.states[nid] = [0]
-            return [("clock", None, [FragmentRow(nid, {}, {0: 1.0}, "clock-initial")])]
+            return [("clock", [FragmentRow(nid, {}, {0: 1.0}, "clock-initial")])]
         cap = schedule.opts.clock_cap
         rows = []
         for step in schedule.enders_at(sid):
@@ -751,37 +753,41 @@ class _Sweep:
                         value = _sum_clock(c, d, cap)
                         dist[value] = dist.get(value, 0.0) + p
                     rows.append(FragmentRow(nid, {**pins, start_clock: c}, dist, f"clock {step.id}"))
-        entries = [("clock", None, rows)]
+        entries = [("clock", rows)]
         support = dict.fromkeys(value for row in rows for value in row.distribution)
-        if not _covers_reachable(self.states, rows):  # where no ender runs, the clock keeps its value
+        if _leaves_open(self.states, rows):  # where no ender runs, the clock keeps its value
             prev_nid = clock_node(self.prev)
             support.update(dict.fromkeys(self.states[prev_nid]))
-            entries.append(("clock-identity", None, [
+            entries.append(("clock-identity", [
                 FragmentRow(nid, {prev_nid: c}, {c: 1.0}, "clock-identity") for c in self.states[prev_nid]]))
         self.states[nid] = sorted(support, key=label_sort_key)
         return entries
 
 
-def _covers_reachable(states: dict, rows: list) -> bool:
-    """True when the feasible rows cover every reachable combination of their condition keys.
+def _leaves_open(states: dict, rows: list, fillers: list = None) -> bool:
+    """True when the feasible rows leave open a reachable combination of the
+    condition keys: any one, or with ``fillers``, one a feasible filler covers.
 
     Raises ``TooLarge`` before enumerating any combination when there are
     more than ``MAX_FACTOR_CELLS`` of them.
     """
-    keys = sorted({key for row in rows for key in row.condition}, key=str)
+    if not rows:  # nothing is covered
+        return fillers is None or any(_row_feasible(states, row.condition) for row in fillers)
+    keys = list(dict.fromkeys(key for row in rows + (fillers or []) for key in row.condition))
     full = math.prod(max(len(states.get(key, ())), 1) for key in keys)
     if full > MAX_FACTOR_CELLS:
         raise TooLarge(f"node {rows[0].node} reads {full} parent combinations, above {MAX_FACTOR_CELLS}")
-    covered = set()
-    for row in rows:
-        if not _row_feasible(states, row.condition):
-            continue
-        expansion = [
-            (row.condition[key],) if key in row.condition else tuple(states.get(key, ()))
-            for key in keys
-        ]
-        covered.update(itertools.product(*expansion))
-    return len(covered) == full
+
+    def feasible_combos(rows):
+        for row in rows:
+            if _row_feasible(states, row.condition):
+                yield from itertools.product(*[
+                    (row.condition[key],) if key in row.condition else tuple(states.get(key, ())) for key in keys])
+
+    covered = set(feasible_combos(rows))
+    if fillers is None:
+        return len(covered) < full
+    return any(combo not in covered for combo in feasible_combos(fillers))
 
 
 def _bucket_label(buckets: tuple, a, b) -> str:
@@ -994,59 +1000,59 @@ def _apply_split(schedule: Schedule, conflict_pos: int):
 # ---------------------------------------------------------------------------
 
 
-def _paste(schedule: Schedule, net: PENet, kind: str, source=None) -> PENet:
-    """Paste every recorded row of one kind (of one source, if given) in sweep order."""
-    rows = [row for entries in schedule.rows.values() for entry_kind, src, src_rows in entries
-            if entry_kind == kind and (source is None or src is source) for row in src_rows]
-    if rows:
-        (paste_into if kind in _FILLS else paste_onto)(net, Fragment(rows=rows))
+def _paste(schedule: Schedule, net: PENet, *kinds: str) -> PENet:
+    """Paste every recorded row of the given kinds in one pass: one paste-onto
+    call with the onto rows, then one paste-into call with the fill rows, each
+    in sweep order."""
+    onto, fills = [], []
+    for entries in schedule.rows.values():
+        for kind, rows in entries:
+            if kind in kinds:
+                (fills if kind in _FILLS else onto).extend(rows)
+    if onto:
+        paste_onto(net, Fragment(rows=onto))
+    if fills:
+        paste_into(net, Fragment(rows=fills))
     return net
 
 
-def merge_contingent(group, schedule: Schedule, net: PENet) -> PENet:
-    """Write one contingency group's action-selection node into the net."""
-    _paste(schedule, net, "selector", group)
-    _paste(schedule, net, "selector-default", group)
-    net.selection_records.append(SelectionRecord(
-        node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
-        selected=group.selected,
-        origin=group.origin,
-        guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
-    ))
+def merge_contingent(schedule: Schedule, net: PENet) -> PENet:
+    """Write every contingency group's action-selection node into the net."""
+    _paste(schedule, net, "selector", "selector-default")
+    for group in schedule.plan.contingencies:
+        net.selection_records.append(SelectionRecord(
+            node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
+            selected=group.selected,
+            origin=group.origin,
+            guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
+        ))
     return net
 
 
-def attach_during(step: PlanStep, schedule: Schedule, net: PENet) -> PENet:
-    """Paste one step's during effects onto each of its intermediate situations."""
-    return _paste(schedule, net, "during", step)
+def attach_during(schedule: Schedule, net: PENet) -> PENet:
+    """Paste every step's during effects onto its intermediate situations."""
+    return _paste(schedule, net, "during")
 
 
 def add_clock(schedule: Schedule, net: PENet) -> PENet:
     """Duration, relative-end-time, clock and elapsed-bucket rows."""
-    for kind in ("duration", "relative-end-time", "clock", "clock-identity", "elapsed"):
-        _paste(schedule, net, kind)
-    return net
+    return _paste(schedule, net, "duration", "relative-end-time", "clock", "clock-identity", "elapsed")
 
 
 def complete_with_persistence(schedule: Schedule, net: PENet) -> PENet:
     """Fill every gap with KB persistence, then no-change defaults."""
-    _paste(schedule, net, "persistence")
-    return _paste(schedule, net, "default-persistence")
+    return _paste(schedule, net, "persistence", "default-persistence")
 
 
 def _forward_build(schedule: Schedule) -> PENet:
     """Sweep the schedule, create every node with its states and parents, paste the forward rows."""
     schedule.analyse()
     net = PENet(situation_order=[si.sid for si in schedule.situations])
-    for nid, kind in schedule.kinds.items():
-        net.ensure_node(FragmentNode(nid, kind, list(schedule.states[nid]), schedule.parents[nid]))
-    for kind in ("initial", "action", "residual"):
-        _paste(schedule, net, kind)
-    for group in schedule.plan.contingencies:
-        merge_contingent(group, schedule, net)
-    for step in schedule.plan.steps:
-        if step.model.during_effects:
-            attach_during(step, schedule, net)
+    for spec in schedule.nodes.values():
+        net.ensure_node(spec)
+    _paste(schedule, net, "initial", "action", "residual")
+    merge_contingent(schedule, net)
+    attach_during(schedule, net)
     return add_clock(schedule, net)
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 diagnostics (parse/validation/build), 2 inference
 errors and bad arguments. All diagnostics go to stderr as
 ``file:line:col: code: message``; reports go to stdout as
-``key = value [± stderr]`` lines.
+``key = value [± stderr]`` lines. A Monte Carlo line whose effective sample
+size is below ``MIN_EFFECTIVE_SAMPLES`` adds a ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .model import validate_kb
 from .net import canonical_dump, parse_situation
 
 INFERENCE_ERRORS = (InfeasibleEvidence, WidthExceeded, ZeroWeight, TooLarge)
+
+# A Monte Carlo ± is a normal approximation, which needs about 30 effective samples.
+MIN_EFFECTIVE_SAMPLES = 30
 
 
 def _add_common(sub):
@@ -153,6 +157,10 @@ def _report(key: str, result) -> None:
         print(f"{key} = {result.probability:.6f} ± {result.standard_error:.6f}")
     else:
         print(f"{key} = {result.probability:.6f}")
+    ess = result.effective_sample_size
+    if ess is not None and ess < MIN_EFFECTIVE_SAMPLES:
+        print(f"warning: {key}: effective sample size {ess:.1f} of {result.sample_count} samples is below "
+              f"{MIN_EFFECTIVE_SAMPLES}; the ± is not to be trusted", file=sys.stderr)
 
 
 def _cmd_build(args) -> int:

@@ -1,8 +1,10 @@
 """The plan-evaluation network substrate.
 
-A PENet is a situation-layered DAG. Node CPTs are stored sparsely as rows
-keyed by full parent-state combinations; fragments carry rows with partial
-conditions which are expanded over the remaining parents when pasted.
+A PENet is a situation-layered DAG. A node's shape is fixed when it is made:
+its kind and states at creation, its parents before its first row. Node CPTs
+are stored sparsely as rows keyed by full parent-state combinations;
+fragments carry rows with partial conditions on declared parents, which are
+expanded over the remaining parents when pasted.
 ``finalize`` freezes each CPT into one read-only array, ``Node.table``, and
 numbers the nodes in ``node_key`` order; the inference engines read the
 tables through that numbering (``PENet.numbering``), on ints alone.
@@ -227,14 +229,10 @@ class PENet:
         self.ensure_situation(spec.id.sit)
         node = self.nodes.get(spec.id)
         if node is None:
-            node = Node(spec.id, spec.kind, list(spec.states))
-            self.nodes[spec.id] = node
-        else:
-            if node.kind != spec.kind:
-                raise PlanEvalError(f"node {spec.id} exists with kind {node.kind}, fragment says {spec.kind}")
-            for state in spec.states:
-                if state not in node.states:
-                    node.states.append(state)
+            node = self.nodes[spec.id] = Node(spec.id, spec.kind, list(spec.states))
+        elif (node.kind, node.states) != (spec.kind, list(spec.states)):
+            raise PlanEvalError(f"node {spec.id} exists as {node.kind} {node.states}; "
+                                f"a re-declaration says {spec.kind} {list(spec.states)}")
         for parent in spec.parents:
             self.add_parent(node, parent)
         return node
@@ -248,18 +246,10 @@ class PENet:
         self._check_layering(parent, node)
         if parent.sit == node.id.sit:
             self._check_no_cycle(parent, node.id)
+        if node.cpt:
+            raise PlanEvalError(f"parent {parent} added to {node.id}, which already has rows")
         node.parents.append(parent)
         node.parents.sort(key=self.node_key)
-        index = node.parents.index(parent)
-        if node.cpt:
-            # Existing rows never mentioned the new parent: expand them over it.
-            old_cpt, old_prov = node.cpt, node.provenance
-            node.cpt, node.provenance = {}, {}
-            for combo, dist in old_cpt.items():
-                for value in self.nodes[parent].states:
-                    new_combo = combo[:index] + (value,) + combo[index:]
-                    node.cpt[new_combo] = dict(dist)
-                    node.provenance[new_combo] = old_prov[combo]
 
     def _check_layering(self, parent: NodeId, child: Node):
         pkind = self.nodes[parent].kind
@@ -298,25 +288,24 @@ class PENet:
 
     # -- row writing -----------------------------------------------------
 
-    def _write_rows(self, frag: Fragment, overwrite: bool):
+    def _paste(self, frag: Fragment, overwrite: bool) -> PENet:
+        self._mutable()
+        for spec in frag.nodes:
+            self.ensure_node(spec)
         for row in frag.rows:
             node = self.nodes[row.node]
-            for parent in row.condition:
-                if parent not in node.parents:
-                    self.add_parent(node, parent)
-            pools = []
-            feasible = True
+            pools, pinned = [], 0
             for parent in node.parents:
+                states = self.nodes[parent].states
                 if parent in row.condition:
+                    pinned += 1
                     pin = row.condition[parent]
-                    if pin not in self.nodes[parent].states:
-                        feasible = False  # row keyed on an unreachable parent state
-                        break
-                    pools.append((pin,))
+                    pools.append((pin,) if pin in states else ())  # an unreachable pin expands to nothing
                 else:
-                    pools.append(tuple(self.nodes[parent].states))
-            if not feasible:
-                continue
+                    pools.append(tuple(states))
+            if pinned < len(row.condition):
+                stray = next(key for key in row.condition if key not in node.parents)
+                raise PlanEvalError(f"a row of {node.id} pins {stray}, which is not one of its parents")
             combos = math.prod(len(pool) for pool in pools)
             if combos > MAX_FACTOR_CELLS:
                 raise TooLarge(f"a row of node {node.id} expands to {combos} parent combinations, "
@@ -331,6 +320,7 @@ class PENet:
             for combo in targets:
                 node.cpt[combo] = dict(dist)
                 node.provenance[combo] = row.provenance
+        return self
 
     def _fit_distribution(self, node: Node, dist: dict) -> dict:
         fitted = {}
@@ -371,20 +361,12 @@ class PENet:
 
 def paste_onto(net: PENet, frag: Fragment) -> PENet:
     """Merge a fragment, replacing conflicting rows (last writer wins per row)."""
-    net._mutable()
-    for spec in frag.nodes:
-        net.ensure_node(spec)
-    net._write_rows(frag, overwrite=True)
-    return net
+    return net._paste(frag, overwrite=True)
 
 
 def paste_into(net: PENet, frag: Fragment) -> PENet:
     """Merge a fragment without disturbing anything already present."""
-    net._mutable()
-    for spec in frag.nodes:
-        net.ensure_node(spec)
-    net._write_rows(frag, overwrite=False)
-    return net
+    return net._paste(frag, overwrite=False)
 
 
 def finalize(net: PENet) -> PENet:

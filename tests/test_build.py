@@ -533,9 +533,9 @@ def test_state_a_derived_definition_pins_is_never_compacted(seed, cap):
 
 def test_capped_nets_agree_with_uncapped_unless_compacted():
     # With no OTHER in any atom, derived or selection node, a state cap must
-    # leave both plan metrics as they are; where OTHER absorbed states the
-    # answers may move (by up to 0.3555 on generate(67) at cap 2) and nothing
-    # is asserted.
+    # leave both plan metrics as they are. Where OTHER absorbed states the
+    # answers stay probabilities and may move by at most 0.36: the worst
+    # measured gap is 0.35546875, on generate(67) at cap 2.
     compacted = 0
     for gen, timed in ((instance_gen.generate, False), (instance_gen.generate_timed, True)):
         for seed in range(200):
@@ -543,12 +543,15 @@ def test_capped_nets_agree_with_uncapped_unless_compacted():
             full = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed))
             for cap in (2, 3):
                 net = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed, state_cap=cap))
-                if any(OTHER in node.states for node in net.nodes.values() if node.kind in ATOM_KINDS + (SELECTION,)):
-                    compacted += 1
-                    continue
+                other = any(OTHER in node.states for node in net.nodes.values()
+                            if node.kind in ATOM_KINDS + (SELECTION,))
+                compacted += other
                 for metric in (leads_to_success, plan_success):
-                    gap = abs(metric(net, plan).probability - metric(full, plan).probability)
-                    assert gap <= 1e-12, (gen.__name__, seed, cap, metric.__name__, gap)
+                    capped = metric(net, plan).probability
+                    gap = abs(capped - metric(full, plan).probability)
+                    where = (gen.__name__, seed, cap, metric.__name__, capped, gap)
+                    assert 0.0 <= capped <= 1.0, where
+                    assert gap <= (0.36 if other else 1e-12), where
     assert 0 < compacted < 800  # both branches are exercised
 
 

@@ -98,6 +98,27 @@ def test_eval_mc_reports_the_api_values(files, capsys):
     assert out.splitlines() == expected
 
 
+def test_eval_mc_warns_when_few_samples_carry_weight(files, capsys):
+    # 6 of 50 samples agree with the evidence, so the ± of 0 means nothing:
+    # the exact answer is 0.9. stdout and the exit code stay as they were.
+    kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
+    argv = ["eval", kb_path, plan_path, "--evidence", "(Loc A)=L1@S2"]
+
+    def warnings(*keys):
+        return [f"warning: {key}: effective sample size 6.0 of 50 samples is below 30; the ± is not to be trusted"
+                for key in keys]
+
+    code, out, err = run(capsys, argv + ["--mc", "50"])
+    assert (code, out) == (0, "leads_to_success = 1.000000 ± 0.000000\nplan_success = 1.000000 ± 0.000000\n")
+    assert err.splitlines() == warnings("leads_to_success", "plan_success")
+    code, _out, err = run(capsys, argv + ["--mc", "50", "--goal-only", "--marginal", "(Loc A)@S1"])
+    assert code == 0
+    assert err.splitlines() == warnings("leads_to_success", "marginal (Loc A)@S1 L1", "marginal (Loc A)@S1 L2")
+    assert run(capsys, argv + ["--mc", "500"])[0::2] == (0, "")
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out.startswith("leads_to_success = 0.900000\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "abc"])
 def test_eval_mc_needs_at_least_one_sample(files, capsys, value):
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)

@@ -13,8 +13,11 @@ import hashlib
 import json
 import pathlib
 
-from planeval import BuildError, BuildOptions, build_pe_net, canonical_dump, flatten_hierarchy, linearize
-from planeval.build import make_schedule, split_situations
+import pytest
+
+from planeval import BuildError, BuildOptions, PENet, build_pe_net, canonical_dump, flatten_hierarchy, linearize
+from planeval.build import _FILLS, make_schedule, split_situations
+from planeval.net import Fragment, finalize, paste_into, paste_onto
 
 import instance_gen
 from fixtures import (
@@ -32,7 +35,7 @@ from fixtures import (
     contingent_plan,
     load,
 )
-from test_build import SPREAD_KB, spread_plan
+from test_build import SPREAD_KB, spread_plan, workloads  # test_build puts perfbench on the path
 from test_clock import COVERED_ELAPSED_KB, COVERED_ELAPSED_PLAN, SEQ_KB, TWO_COINS_PLAN
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_dumps.json")
@@ -83,36 +86,82 @@ def test_canonical_dumps_match_golden_digests():
     assert not changed, changed
 
 
-_FILLERS = ("persistence", "default-persistence", "clock-identity")
+_FILLERS = {"persistence", "default-persistence", "clock-identity"}
+
+
+def _sweep(kb, plan, opts):
+    flat = flatten_hierarchy(plan)
+    schedule = split_situations(make_schedule(flat, kb, opts, linearize(flat, opts.tie_break)))
+    return schedule, schedule.analyse()
+
+
+def _contract_faults(name, kb, plan, opts) -> list:
+    """Where a built net departs from its sweep: (name, node, fault) for a node whose
+    states are not the sweep's or whose parents are not the keys of its
+    recorded rows, or that records gap fillers none of which supply a cell,
+    or a persistence entry that supplies none, judged by provenance."""
+    try:
+        net = build_pe_net(plan, kb, opts)
+    except BuildError:
+        return []
+    schedule, states = _sweep(kb, plan, opts)
+    assert sorted(schedule.nodes, key=str) == sorted(net.nodes, key=str), name
+    faults = []
+    for nid, node in net.nodes.items():
+        keys = {key for _kind, rows in schedule.rows[nid] for row in rows for key in row.condition}
+        recorded = {kind for kind, _rows in schedule.rows[nid]}
+        supplied = {src.split()[0] for src in node.provenance.values()}
+        if node.states != states[nid] or set(node.parents) != keys:
+            faults.append((name, str(nid), "shape"))
+        if recorded & _FILLERS and not supplied & _FILLERS:
+            faults.append((name, str(nid), "idle fillers"))
+        if "persistence" in recorded and "persistence" not in supplied:
+            faults.append((name, str(nid), "idle persistence"))
+    return faults
 
 
 def test_sweep_states_and_parents_match_the_net():
     """Each node's states are the sweep's, and its parents the keys of its recorded rows.
 
     Gap fillers are recorded only where they fill a gap: a node recording
-    persistence, no-change or clock-identity rows gets at least one of them.
+    persistence, no-change or clock-identity rows gets at least one of them,
+    and one recording KB persistence rows gets at least one of those.
     """
-    mismatched, idle_fillers = [], []
+    faults = []
+    for name, make in _cases():
+        kb, plan, opts = make()
+        faults += _contract_faults(name, kb, plan, opts or BuildOptions())
+    assert not faults, faults[:10]
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_sweep_matches_the_net_on_benchmark_instances(workload):
+    faults = []
+    for inst in workloads.generate(workload, 41):
+        if inst.role == "timed":
+            kb, plan = load(inst.kb_text, inst.plan_text)
+            faults += _contract_faults(inst.name, kb, plan, BuildOptions(clock_enabled=inst.clock))
+    assert not faults, faults[:10]
+
+
+def test_one_onto_and_one_fill_paste_rebuild_every_net():
+    """Onto and fill rows commute: all onto rows in one call, then all fill
+    rows in one call, each in sweep order, give ``build_pe_net``'s net."""
     for name, make in _cases():
         kb, plan, opts = make()
         opts = opts or BuildOptions()
         try:
-            net = build_pe_net(plan, kb, opts)
+            built = build_pe_net(plan, kb, opts)
         except BuildError:
             continue
-        flat = flatten_hierarchy(plan)
-        schedule = split_situations(make_schedule(flat, kb, opts, linearize(flat, opts.tie_break)))
-        states = schedule.analyse()
-        assert sorted(schedule.rows, key=str) == sorted(net.nodes, key=str), name
-        for nid, node in net.nodes.items():
-            keys = {key for _kind, _source, rows in schedule.rows[nid] for row in rows for key in row.condition}
-            if node.states != states[nid] or set(node.parents) != keys:
-                mismatched.append((name, str(nid)))
-            recorded = any(kind in _FILLERS for kind, _source, _rows in schedule.rows[nid])
-            if recorded and not any(src.split()[0] in _FILLERS for src in node.provenance.values()):
-                idle_fillers.append((name, str(nid)))
-    assert not mismatched, mismatched[:10]
-    assert not idle_fillers, idle_fillers[:10]
+        schedule, _states = _sweep(kb, plan, opts)
+        net = PENet(situation_order=[si.sid for si in schedule.situations])
+        for spec in schedule.nodes.values():
+            net.ensure_node(spec)
+        entries = [entry for node_entries in schedule.rows.values() for entry in node_entries]
+        paste_onto(net, Fragment(rows=[row for kind, rows in entries if kind not in _FILLS for row in rows]))
+        paste_into(net, Fragment(rows=[row for kind, rows in entries if kind in _FILLS for row in rows]))
+        assert canonical_dump(finalize(net)) == canonical_dump(built), name
 
 
 if __name__ == "__main__":

@@ -186,6 +186,49 @@ def test_rejected_cycle_arc_leaves_node_unchanged():
     assert (node.parents, node.cpt, node.provenance) == (parents, cpt, provenance)
 
 
+def test_row_pinning_an_undeclared_parent_is_rejected_unwritten():
+    net = PENet()
+    paste_onto(net, move_fragment())
+    stray = atom_node(GroundAtom("Loc", ("B",)), S0)
+    paste_onto(net, Fragment(nodes=[FragmentNode(stray, "primitive", ["L1", "L2"])]))
+    before = canonical_dump(net)
+    row = FragmentRow(LOC_A1, {LOC_A0: "L1", stray: "L2"}, {"L1": 1.0}, "stray")
+    for paste in (paste_onto, paste_into):
+        with pytest.raises(PlanEvalError, match=r"pins \(Loc B\)@S0, which is not one of its parents"):
+            paste(net, Fragment(rows=[row]))
+    assert canonical_dump(net) == before
+    assert net.nodes[LOC_A1].parents == [LOC_A0]
+
+
+def test_parent_added_after_rows_is_rejected():
+    net = PENet()
+    paste_onto(net, move_fragment())
+    extra = atom_node(GroundAtom("Loc", ("B",)), S0)
+    paste_onto(net, Fragment(nodes=[FragmentNode(extra, "primitive", ["L1", "L2"])]))
+    node = net.nodes[LOC_A1]
+    parents, cpt = list(node.parents), dict(node.cpt)
+    with pytest.raises(PlanEvalError, match="already has rows"):
+        net.add_parent(node, extra)
+    with pytest.raises(PlanEvalError, match="already has rows"):
+        paste_onto(net, Fragment(nodes=[FragmentNode(LOC_A1, "primitive", ["L1", "L2"], [extra])]))
+    assert (node.parents, node.cpt) == (parents, cpt)
+
+
+@pytest.mark.parametrize("kind, states", [
+    ("primitive", ["L1", "L2", "L3"]),
+    ("primitive", ["L2", "L1"]),
+    ("derived", ["L1", "L2"]),
+])
+def test_redeclaration_must_repeat_kind_and_states(kind, states):
+    net = PENet()
+    paste_onto(net, move_fragment())
+    with pytest.raises(PlanEvalError, match="a re-declaration says"):
+        net.ensure_node(FragmentNode(LOC_A1, kind, states))
+    assert (net.nodes[LOC_A1].kind, net.nodes[LOC_A1].states) == ("primitive", ["L1", "L2"])
+    # repeating the shape, even with a known parent, is allowed
+    assert net.ensure_node(FragmentNode(LOC_A1, "primitive", ["L1", "L2"], [LOC_A0])) is net.nodes[LOC_A1]
+
+
 def test_finalize_requires_full_coverage():
     net = PENet()
     frag = move_fragment()
