@@ -9,9 +9,13 @@ node states, optionally given evidence):
   product is formed;
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized, over
   the ancestors of the targets and the evidence in the topological order
-  ``finalize`` stored; each skipped node and each one-state node advances
-  the generator past its draws, so answers equal whole-net sampling's for a
-  given seed, and each node's samples are freed after their last reader.
+  ``finalize`` stored; the generator is advanced past the draws of the
+  skipped nodes and of the one-state nodes, once before the next draw, so
+  answers equal whole-net sampling's for a given seed, and each node's
+  samples are freed after their last reader. It does no table work per
+  query: each node's row strides and its CDF, column by column, were fixed
+  by ``finalize``, so a sampled node costs one draw into a reused buffer
+  and one comparison per CDF column.
 
 The brute-force joint enumeration both are checked against reads the
 ``Node.cpt`` rows instead, and lives with the tests in
@@ -202,18 +206,20 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
-    if not isinstance(q.samples, int) or q.samples < 1:
+    # A bool is an int to isinstance, but not a sample count or a seed.
+    if isinstance(q.samples, bool) or not isinstance(q.samples, int) or q.samples < 1:
         raise PlanEvalError(f"Monte Carlo needs a whole number of at least one sample, not {q.samples!r}")
     if q.samples > MAX_FACTOR_CELLS:  # before the generator or any array is made
         raise TooLarge(f"Monte Carlo asks for {q.samples} samples, above {MAX_FACTOR_CELLS}")
-    if not isinstance(q.seed, int) or q.seed < 0:
+    if isinstance(q.seed, bool) or not isinstance(q.seed, int) or q.seed < 0:
         raise PlanEvalError(f"Monte Carlo needs a whole-number seed of at least zero, not {q.seed!r}")
     _check_evidence(net, q.evidence)
     reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
     numbering = net.numbering
-    number, parents_of, tables, sizes = numbering.number, numbering.parents, numbering.tables, numbering.sizes
+    number, parents_of, strides_of, cdfs, sizes = (
+        numbering.number, numbering.parents, numbering.strides, numbering.cdfs, numbering.sizes)
     pins = {number[nid]: net.nodes[nid].states.index(state) for nid, state in q.evidence.items()}
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
     targets = [(number[nid], net.nodes[nid].states.index(state)) for nid, state in q.targets] if reachable else []
@@ -223,29 +229,37 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
         readers[v] += 1
     values = {}  # number -> state index per sample, or one int when every sample shares it
     weights = np.ones(n)
+    draws = np.empty(n)
+    skip = 0  # doubles owed to skipped and one-state nodes, passed over before the next draw
 
     for v in numbering.order:
         if v not in keep:
-            # PCG64 spends one 64-bit output per double drawn.
-            rng.bit_generator.advance(n)
+            skip += n
             continue
-        parents, table, k = parents_of[v], tables[v], sizes[v]
-        matrix = table.reshape(-1, k)
-        # The table is row-major, so a parent axis's byte stride over a row's bytes counts rows.
-        row = values[parents[0]] if len(parents) == 1 else sum(
-            values[p] * (s // (k * matrix.itemsize)) for p, s in zip(parents, table.strides))
+        parents, k = parents_of[v], sizes[v]
+        if len(parents) == 1:
+            row = values[parents[0]]
+        else:
+            row = 0
+            for p, stride in zip(parents, strides_of[v]):
+                row = row + values[p] * stride
         if v in pins:
             value = pins[v]
-            weights = weights * matrix[row, value]
+            weights *= numbering.tables[v].reshape(-1, k)[row, value]
         elif k == 1:
-            rng.bit_generator.advance(n)
+            skip += n
             value = 0
         else:
+            if skip:
+                # PCG64 spends one 64-bit output per double drawn.
+                rng.bit_generator.advance(skip)
+                skip = 0
+            rng.random(out=draws)
             # The CDF never decreases, so counting the draws above its first
             # k-1 entries picks the state; the last entry is never needed.
-            draws = rng.random(n)
-            value = np.zeros(n, dtype=np.intp)
-            for column in np.cumsum(matrix[:, :-1], axis=1).T:
+            first, *rest = cdfs[v]
+            value = (draws > first[row]).astype(np.intp)
+            for column in rest:
                 value += draws > column[row]
         for p in parents:
             readers[p] -= 1

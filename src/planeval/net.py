@@ -6,8 +6,9 @@ are stored sparsely as rows keyed by full parent-state combinations;
 fragments carry rows with partial conditions on declared parents, which are
 expanded over the remaining parents when pasted.
 ``finalize`` freezes each CPT into one read-only array, ``Node.table``, and
-numbers the nodes in ``node_key`` order; the inference engines read the
-tables through that numbering (``PENet.numbering``), on ints alone.
+each row's running sums into a read-only CDF for Monte Carlo, and numbers
+the nodes in ``node_key`` order; the inference engines read the tables and
+CDFs through that numbering (``PENet.numbering``), on ints alone.
 
 Two merge operations build nets from model fragments:
 
@@ -182,7 +183,16 @@ class Fragment:
 
 class Numbering(NamedTuple):
     """A finalized net on ints: node ``i`` is ``ids[i]``, numbered in ``node_key``
-    order, and every other field is indexed by that number."""
+    order, and every other field is indexed by that number.
+
+    ``strides`` and ``cdfs`` are what Monte Carlo reads. A node's table row
+    for parent state indices ``(i_1, ..., i_m)`` is ``sum(i_j * strides[v][j])``,
+    the row ``np.ravel_multi_index`` gives. ``cdfs[v]`` has shape
+    ``(k - 1, rows)`` for a node of ``k`` states: column ``j`` of the running
+    sums of each table row, ``np.cumsum(table.reshape(-1, k)[:, :-1], axis=1)``
+    bit for bit, lies contiguous over the rows as ``cdfs[v][j]``. The last
+    running sum is never needed, so a one-state node's CDF has no column.
+    """
 
     ids: tuple  # NodeIds in node_key order
     number: MappingProxyType  # NodeId -> number, read-only
@@ -190,6 +200,8 @@ class Numbering(NamedTuple):
     tables: tuple  # the Node.table arrays
     sizes: tuple  # state counts
     order: tuple  # the topological order, as numbers
+    strides: tuple  # per node, each parent's row multiplier, as ints
+    cdfs: tuple  # per node, a read-only (k - 1, rows) float64 array
 
 
 class PENet:
@@ -374,10 +386,14 @@ def finalize(net: PENet) -> PENet:
 
     Each node's rows are also written, in ``itertools.product`` order over the
     parents' states, into ``Node.table``, a float64 array over immutable bytes.
-    A table of more dimensions than numpy allows or of more than
-    ``MAX_FACTOR_CELLS`` cells raises ``TooLarge`` before any node's rows are
-    enumerated. The nodes are numbered in ``node_key`` order, and that
-    integer view is stored as ``net.numbering``.
+    The same per-node pass takes each row's running sums for the Monte Carlo
+    CDFs. All tables are slices of one per-net buffer and all CDFs of
+    another, so a query makes no table work of its own and a finalized net
+    can be queried from many threads at once. A table of more dimensions
+    than numpy allows or of more than ``MAX_FACTOR_CELLS`` cells raises
+    ``TooLarge`` before any node's rows are enumerated. The nodes are numbered in ``node_key`` order,
+    and that integer view, row strides and CDFs included, is stored as
+    ``net.numbering``.
     """
     if net.finalized:
         return net
@@ -391,8 +407,10 @@ def finalize(net: PENet) -> PENet:
             raise TooLarge(f"node {node.id} needs a table of {len(shape)} dimensions, above {_MAX_TABLE_DIMS}")
         if math.prod(shape) > MAX_FACTOR_CELLS:
             raise TooLarge(f"node {node.id} needs a table of {math.prod(shape)} cells, above {MAX_FACTOR_CELLS}")
-    tables = []
-    for node, ps, shape in zip(nodes, parents, shapes):
+    # Every table goes into one per-net list of cells and every CDF into
+    # another, so the net gets two buffers rather than two arrays per node.
+    cells, sums, spans = [], [], []
+    for node, ps in zip(nodes, parents):
         pools = [nodes[p].states for p in ps]
         rows = []
         for combo in itertools.product(*pools):
@@ -408,9 +426,20 @@ def finalize(net: PENet) -> PENet:
         if len(node.cpt) != len(rows):
             extra = set(node.cpt) - set(itertools.product(*pools))
             raise PlanEvalError(f"node {node.id} carries rows for unreachable combinations {sorted(extra)[:3]}")
-        # Backed by immutable bytes, so not even the writeable flag can be set back.
-        table = np.frombuffer(np.array(rows, dtype=float).tobytes())
-        tables.append(table.reshape(shape))
+        spans.append((len(cells), len(sums), len(rows)))
+        cells += itertools.chain.from_iterable(rows)
+        # Running sums are sequential, as np.cumsum's, so the CDF has its bits;
+        # they are taken column by column, and the last column is never read.
+        for column in itertools.islice(zip(*map(itertools.accumulate, rows)), len(node.states) - 1):
+            sums += column
+    # Backed by immutable bytes, so not even the writeable flag can be set back.
+    cell_buffer = np.frombuffer(np.array(cells, dtype=float).tobytes())
+    sum_buffer = np.frombuffer(np.array(sums, dtype=float).tobytes())
+    tables, cdfs = [], []
+    for (start, first, count), shape in zip(spans, shapes):
+        k = shape[-1]
+        tables.append(cell_buffer[start:start + count * k].reshape(shape))
+        cdfs.append(sum_buffer[first:first + count * (k - 1)].reshape(k - 1, count))
     order = _topological_order(parents)
     for node, table in zip(nodes, tables):
         node.table = table
@@ -422,6 +451,8 @@ def finalize(net: PENet) -> PENet:
         tables=tuple(tables),
         sizes=tuple(shape[-1] for shape in shapes),
         order=order,
+        strides=tuple(tuple(math.prod(shape[i + 1:-1]) for i in range(len(shape) - 1)) for shape in shapes),
+        cdfs=tuple(cdfs),
     )
     net.finalized = True
     return net

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -397,9 +398,12 @@ def test_pruned_mc_matches_whole_net_sampling_at_one_sample(generator):
     assert shapes == {"one-state", "multi-parent"}
 
 
-@pytest.mark.parametrize("workload", ["branchy-queries", "shuttle"])
+@pytest.mark.parametrize("workload", ["branchy-queries", "shuttle", "timed-overlap"])
 def test_pruned_mc_matches_whole_net_sampling_on_bench_instances(workload):
+    # timed-overlap's clocked and elapsed nodes read several multi-state parents.
     for inst in workloads.generate(workload, 1):
+        if inst.role == "unsupported":  # a second split, which the build rejects
+            continue
         kb, plan = load(inst.kb_text, inst.plan_text)
         net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
         goals = inference._goal_targets(net, plan)
@@ -465,7 +469,7 @@ def test_mc_rejects_fewer_than_one_sample(two_step, samples):
         mc_query(net, q)
 
 
-@pytest.mark.parametrize("samples", [2.5, "10", None])
+@pytest.mark.parametrize("samples", [2.5, "10", None, True])
 def test_mc_rejects_samples_that_are_not_an_int(two_step, samples):
     _kb, _plan, net = two_step
     q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=samples)
@@ -477,7 +481,7 @@ def _no_arrays(*args, **kwargs):
     raise AssertionError("an array or generator was made before the sample guard")
 
 
-@pytest.mark.parametrize("seed", [-1, 2.0, None])
+@pytest.mark.parametrize("seed", [-1, 2.0, None, True])
 def test_mc_rejects_a_seed_that_is_not_a_whole_number_of_at_least_zero(two_step, seed, monkeypatch):
     _kb, _plan, net = two_step
     monkeypatch.setattr(np.random, "PCG64", _no_arrays)
@@ -573,3 +577,43 @@ def test_queries_after_finalize_read_no_node_keys_or_names(monkeypatch):
     for metric in (leads_to_success, plan_success):
         for mode in ("exact", "mc"):
             metric(net, plan, mode=mode, samples=500, evidence=evidence)
+
+
+def test_mc_reads_the_cdfs_finalize_fixed(monkeypatch):
+    # finalize fixed every row's CDF, so Monte Carlo sums no table and zeroes no array.
+    kb, plan = load(HIERARCHY_KB, HIERARCHY_PLAN)
+    net = build_pe_net(plan, kb)
+    done, risk = net.find("(Done T)", "S2"), net.find("(Risk)", "S0")
+    q = Query(targets=[(done, "yes")], evidence={risk: "high"}, mode="mc", samples=3000, seed=5)
+    metrics = (leads_to_success, plan_success)
+    expected = [mc_query(net, q)] + [metric(net, plan, mode="mc", samples=500, seed=2) for metric in metrics]
+
+    class NumpyWithoutCdfs:
+        # numpy's own generator seeding calls np.zeros, so only the engine's numpy is patched.
+        def __getattr__(self, name):
+            if name in ("cumsum", "zeros"):
+                raise AssertionError(f"a query called np.{name}")
+            return getattr(np, name)
+
+    monkeypatch.setattr(inference, "np", NumpyWithoutCdfs())
+    answers = [mc_query(net, q)] + [metric(net, plan, mode="mc", samples=500, seed=2) for metric in metrics]
+    assert answers == expected
+
+
+def test_mc_queries_from_many_threads_give_the_one_thread_answers():
+    # A finalized net holds no per-query state, so concurrent queries share only read-only arrays.
+    (inst,) = workloads.generate("shuttle", 1)
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
+    goals = inference._goal_targets(net, plan)
+    queries = [Query(targets=goals, mode="mc", samples=2000, seed=seed) for seed in range(16)]
+    expected = [mc_query(net, q) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(mc_query, net, q) for q in queries]
+            answers = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == expected

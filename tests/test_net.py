@@ -320,9 +320,23 @@ def test_finalize_numbers_the_nodes_in_key_order(seed, timed):
         assert placed.issuperset(numbering.parents[v])
         placed.add(v)
     assert placed == set(range(len(net.nodes)))
-    for field in (numbering.ids, numbering.parents, numbering.tables, numbering.sizes, numbering.order):
+    for field in (numbering.ids, numbering.parents, numbering.tables, numbering.sizes, numbering.order,
+                  numbering.strides, numbering.cdfs):
         assert type(field) is tuple
     assert all(type(parents) is tuple for parents in numbering.parents)
+    for v, (table, k) in enumerate(zip(numbering.tables, numbering.sizes)):
+        cdf = numbering.cdfs[v]
+        assert cdf.dtype == np.float64 and not cdf.flags.writeable and not cdf.base.flags.writeable
+        with pytest.raises(ValueError):
+            cdf.base.flags.writeable = True
+        expected = np.cumsum(table.reshape(-1, k)[:, :-1], axis=1).T
+        assert cdf.shape == expected.shape and cdf.tobytes() == expected.tobytes()
+        assert all(column.flags.c_contiguous for column in cdf)
+        strides = numbering.strides[v]
+        assert type(strides) is tuple and all(type(stride) is int for stride in strides)
+        assert len(strides) == len(numbering.parents[v])
+        for at in itertools.product(*(range(n) for n in table.shape[:-1])):
+            assert sum(i * stride for i, stride in zip(at, strides)) == np.ravel_multi_index(at, table.shape[:-1])
     with pytest.raises(TypeError):
         numbering.number[numbering.ids[0]] = 1
     with pytest.raises(AttributeError):
