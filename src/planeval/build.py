@@ -9,8 +9,7 @@ The pipeline runs in a fixed order:
    elapsed time remains (this reads the schedule alone, following the time
    tree: exponential only in the number of splits, never in the steps),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
-   in paste order, and take from them its kind, states, parents and rough
-   marginal,
+   in paste order, and take from them its kind, states and parents,
 6. create every node in that shape, then paste the forward rows: priors and
    action fragments (paste-onto), residual effects (paste-into), contingency
    selection nodes, during effects, clock machinery with clock-identity
@@ -100,14 +99,13 @@ class BuildOptions:
     during_failure_semantics: str = GATE_EFFECT_ONLY
     clock_enabled: bool = False
     clock_cap: int = 64  # clock values above this collapse into OTHER
-    state_cap: int = 32  # per-node state-count cap before OTHER compaction
     tie_break: object = None  # linearization key; None = (agent, step index)
 
     def check(self):
         if self.during_failure_semantics not in (GATE_EFFECT_ONLY, NULLIFY_ACTION):
             raise PlanEvalError(f"unknown during-failure semantics {self.during_failure_semantics!r}")
-        if self.clock_cap < 2 or self.state_cap < 2:
-            raise PlanEvalError("state and clock caps must be at least 2")
+        if self.clock_cap < 2:
+            raise PlanEvalError("the clock cap must be at least 2")
 
 
 @dataclass
@@ -149,7 +147,6 @@ class Schedule:
         self.boundary_order = list(boundary_order) or ["start"]  # an empty plan still has S0
         self.situations = [SitInfo(SituationId(i), b) for i, b in enumerate(self.boundary_order)]
         self.splits = []  # SplitSpecs, in the order split_situations applied them
-        self.sign_mass = {}  # ret NodeId -> {sign: probability}, set by split_situations
         self._refresh()
         self._collect_universe()
         self._validate()
@@ -438,8 +435,7 @@ def _situation_rows(schedule: Schedule, sid: SituationId) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the situation sweep: each node's rows, and from them its states, parents
-# and rough marginal
+# the situation sweep: each node's rows, and from them its states and parents
 # ---------------------------------------------------------------------------
 
 # Row kinds pasted into the net (gaps only); every other kind is pasted onto it.
@@ -451,24 +447,6 @@ def _row_feasible(states: dict, condition: dict) -> bool:
         if state not in states.get(nid, ()):
             return False
     return True
-
-
-def _combo_weight(approx: dict, condition: dict) -> float:
-    weight = 1.0
-    for nid, state in condition.items():
-        weight *= approx.get(nid, {}).get(state, 0.0)
-    return weight
-
-
-def _absorb(mass: dict, dist: dict, weight: float):
-    for state, prob in dist.items():
-        if prob > 0:
-            mass[state] = mass.get(state, 0.0) + weight * prob
-
-
-def _normalized(mass: dict, states: list) -> dict:
-    total = sum(mass.values()) or 1.0
-    return {s: mass.get(s, 0.0) / total for s in states}
 
 
 def _ordered(schema, support) -> list:
@@ -507,23 +485,16 @@ class _Sweep:
     Within a situation a node is made after every same-situation node its
     rows read (depth first, in net node-key order), so a selection node is
     known before the effects it gates. Each maker returns the node's
-    (kind, rows) entries and sets its states; atoms, derived and
-    selection nodes also get a rough marginal that treats parents as
-    independent and only ranks states for OTHER compaction, which never
-    absorbs a state some derived definition pins.
+    (kind, rows) entries and sets its states: an atom or derived node
+    keeps every state its feasible rows can give it.
     """
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
-        self.states, self.approx = {}, {}
-        self.derived_rows, self.pinned = {}, {}
+        self.states, self.derived_rows = {}, {}
         for datom in schedule.derived_atoms:
             definition, bindings = schedule.kb.find_derived(datom)
-            ground = [instantiate_row(row, bindings) for row in definition.rows]
-            self.derived_rows[datom] = (definition, ground)
-            for row in ground:
-                for key, state in row.condition.items():
-                    self.pinned.setdefault(key, set()).add(state)
+            self.derived_rows[datom] = (definition, [instantiate_row(row, bindings) for row in definition.rows])
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
                        "elapsed": self._elapsed}
@@ -553,13 +524,10 @@ class _Sweep:
         schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents))
         schedule.rows[nid] = entries
 
-    def _mass(self, rows) -> dict:
-        """Unnormalized state mass of the feasible rows, parents taken as independent."""
-        mass = {}
-        for row in rows:
-            if _row_feasible(self.states, row.condition):
-                _absorb(mass, row.distribution, max(_combo_weight(self.approx, row.condition), 1e-12))
-        return mass
+    def _support(self, rows) -> set:
+        """Every state a feasible row gives positive probability."""
+        return {state for row in rows if _row_feasible(self.states, row.condition)
+                for state, prob in row.distribution.items() if prob > 0}
 
     def _need(self, keys):
         """Make every same-situation node among ``keys`` first."""
@@ -576,36 +544,19 @@ class _Sweep:
         if self.pos == 0:
             prior = schedule.plan.initial.get(atom) or {schema.states[0]: 1.0}
             self.states[nid] = [s for s in prior if prior[s] > 0]
-            self.approx[nid] = {s: p for s, p in prior.items() if p > 0}
             return [("initial", [FragmentRow(nid, {}, dict(prior), "initial")])]
 
         entries = list(self.writers.get(nid, []))
         written = [row for _kind, rows in entries for row in rows]
         self._need(_keys(written))
-        mass = self._mass(written)
+        support = self._support(written)
         if _leaves_open(self.states, written):
             prev_nid = atom_node(atom, self.prev)
             fillers = self._persistence(atom, nid, prev_nid, written)
             entries += fillers
-            # Each previous state spreads its mass evenly over what persistence
-            # and the no-change default can make of it. Only the previous-state
-            # pin can be infeasible, and rows of unreachable states go unread.
-            by_prev = {}
-            for _kind, rows in fillers:
-                for row in rows:
-                    by_prev.setdefault(row.condition[prev_nid], {}).update(
-                        dict.fromkeys(s for s, p in row.distribution.items() if p > 0))
-            for prev_state in self.states[prev_nid]:
-                support = by_prev[prev_state]
-                _absorb(mass, {s: 1.0 / len(support) for s in support},
-                        self.approx[prev_nid].get(prev_state, 0.0))
-
-        ordered = _ordered(schema, mass)
-        margin = _normalized(mass, ordered)
-        if len(ordered) > schedule.opts.state_cap:
-            ordered, margin = _compact(ordered, margin, schedule.opts.state_cap, self.pinned.get(atom, ()))
-        self.states[nid] = ordered
-        self.approx[nid] = margin
+            # a filler row pinning an unreachable previous state adds nothing
+            support |= self._support(row for _kind, rows in fillers for row in rows)
+        self.states[nid] = _ordered(schema, support)
         return entries
 
     def _persistence(self, atom: GroundAtom, nid: NodeId, prev_nid: NodeId, written: list) -> list:
@@ -674,11 +625,10 @@ class _Sweep:
         rows = [FragmentRow(nid, {atom_node(key, sid): state for key, state in row.condition.items()},
                             dict(row.distribution), f"derived {definition.atom}") for row in ground]
         self._need(_keys(rows))
-        mass = self._mass(rows)
-        if not mass:
+        support = self._support(rows)
+        if not support:
             raise PlanEvalError(f"derived definition for {nid.atom} matches no reachable state at {sid}")
-        self.states[nid] = _ordered(self.schedule.kb.schemas[nid.atom.name], mass)
-        self.approx[nid] = _normalized(mass, self.states[nid])
+        self.states[nid] = _ordered(self.schedule.kb.schemas[nid.atom.name], support)
         return [("derived", rows)]
 
     def _selection(self, nid: NodeId):
@@ -691,18 +641,6 @@ class _Sweep:
         if group.origin == "plain" and (uncovered or explicit_noop) and NOOP not in labels:
             labels.append(NOOP)
         self.states[nid] = labels
-        mass = {}
-        covered_weight = 0.0
-        for row in rows:
-            if not _row_feasible(self.states, row.condition):
-                continue
-            weight = max(_combo_weight(self.approx, row.condition), 1e-12)
-            covered_weight += weight
-            for label, prob in row.distribution.items():
-                mass[label] = mass.get(label, 0.0) + weight * prob
-        default_label = next(iter(default_row.distribution))
-        mass[default_label] = mass.get(default_label, 0.0) + max(1.0 - covered_weight, 0.0)
-        self.approx[nid] = _normalized(mass, labels)
         return [("selector", rows), ("selector-default", [default_row])]
 
     def _duration(self, nid: NodeId):
@@ -724,7 +662,6 @@ class _Sweep:
             sign = _compare_ends(_end_time(values[cl], values[dl]), _end_time(values[ce], values[de]))
             rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
         self.states[nid] = [NEGATIVE, NONNEGATIVE]
-        self.approx[nid] = schedule.sign_mass[nid]
         return [("relative-end-time", rows)]
 
     def _clock(self, nid: NodeId):
@@ -799,19 +736,6 @@ def _bucket_label(buckets: tuple, a, b) -> str:
     return NO_BUCKET
 
 
-def _compact(ordered: list, margin: dict, cap: int, pinned):
-    """Absorb the lowest-mass unpinned states into OTHER until the domain fits the cap, if it can."""
-    kept = [s for s in ordered if s != OTHER]
-    ranked = sorted((s for s in kept if s not in pinned), key=lambda s: (margin[s], label_sort_key(s)))
-    absorbed = ranked[:len(kept) + 1 - cap]
-    if not absorbed:
-        return ordered, margin
-    kept = [s for s in kept if s not in absorbed]
-    new_margin = {s: margin[s] for s in kept}
-    new_margin[OTHER] = margin.get(OTHER, 0.0) + sum(margin[s] for s in absorbed)
-    return kept + [OTHER], new_margin
-
-
 # ---------------------------------------------------------------------------
 # timing: the time tree, clock arithmetic, situation splitting
 # ---------------------------------------------------------------------------
@@ -848,37 +772,29 @@ def _difference(plus: dict, minus: dict) -> dict:
     return {step_id: count for step_id, count in diff.items() if count}
 
 
-def _offsets(durations: dict, diffs: list) -> dict:
-    """Joint distribution of the differences ``diffs`` over independent positive-probability durations.
+def _offsets(durations: dict, diffs: list) -> set:
+    """Every joint value of the differences ``diffs`` over independent durations, each in its support.
 
-    One dict pass over the steps the differences read, in plan order.
+    One set pass over the steps the differences read, in plan order.
     """
-    joint = {(0,) * len(diffs): 1.0}
-    for step_id, table in durations.items():
+    reached = {(0,) * len(diffs)}
+    for step_id, support in durations.items():
         coefs = [diff.get(step_id, 0) for diff in diffs]
-        if not any(coefs):
-            continue
-        moved = {}
-        for vec, weight in joint.items():
-            for dur, prob in table:
-                key = tuple(v + c * dur for v, c in zip(vec, coefs))
-                moved[key] = moved.get(key, 0.0) + weight * prob
-        joint = moved
-    return joint
+        if any(coefs):
+            reached = {tuple(v + c * dur for v, c in zip(vec, coefs)) for vec in reached for dur in support}
+    return reached
 
 
 def _scan_time_tree(schedule: Schedule):
     """Exact scan of the time tree, one sign pattern of the splits at a time.
 
     Returns the first situation whose event time can precede its
-    predecessor's (None if none can), and each split's probability per sign
-    of its relative-end-time node. The conflict test reads only which
-    offsets have positive probability, so no threshold can cause a split.
+    predecessor's (None if none can). The test reads only which offsets have
+    positive probability, so no threshold can cause a split.
     """
-    durations = {step.id: [(d, p) for d, p in sorted(step.model.duration.items()) if p > 0]
+    durations = {step.id: [d for d, p in sorted(step.model.duration.items()) if p > 0]
                  for step in schedule.plan.steps}
     rets = [spec.ret for spec in schedule.splits]
-    mass = {ret: {NEGATIVE: 0.0, NONNEGATIVE: 0.0} for ret in rets}
     conflict = None
     for signs in itertools.product((NEGATIVE, NONNEGATIVE), repeat=len(rets)):
         forms = _time_forms(schedule, dict(zip(rets, signs)))
@@ -889,15 +805,12 @@ def _scan_time_tree(schedule: Schedule):
         def agrees(vec):  # each split's end difference has the pattern's sign
             return all((NEGATIVE if v < 0 else NONNEGATIVE) == sign for v, sign in zip(vec, signs))
 
-        weight = sum(prob for vec, prob in _offsets(durations, ends).items() if agrees(vec))
-        for ret, sign in zip(rets, signs):
-            mass[ret][sign] += weight
         for pos in range(1, conflict or len(forms)):
             gap = _difference(forms[pos], forms[pos - 1])
             if gap and any(vec[-1] < 0 and agrees(vec[:-1]) for vec in _offsets(durations, ends + [gap])):
                 conflict = pos
                 break
-    return conflict, mass
+    return conflict
 
 
 def _end_time(clock_value, duration):
@@ -928,8 +841,7 @@ def split_situations(schedule: Schedule) -> Schedule:
     situation it conflicts with and renames the original to ``b``; a
     relative-end-time node gates which sub-situation the step's effects
     land on. Iterates to a fixed point, capped by the number of
-    overlapping step pairs, and returns the same schedule with each split's
-    probability per sign in ``sign_mass``.
+    overlapping step pairs, and returns the same schedule.
 
     Each round scans the time tree (``_scan_time_tree``): per sign pattern
     of the splits so far, event times are sums of durations along time
@@ -941,7 +853,7 @@ def split_situations(schedule: Schedule) -> Schedule:
         return schedule
     cap = _overlapping_pairs(schedule)
     while True:
-        conflict_pos, schedule.sign_mass = _scan_time_tree(schedule)
+        conflict_pos = _scan_time_tree(schedule)
         if conflict_pos is None:
             return schedule
         if len(schedule.splits) >= cap:

@@ -38,7 +38,6 @@ def _add_common(sub):
     sub.add_argument("kb", help="knowledge-base file")
     sub.add_argument("plan", help="plan file")
     sub.add_argument("--clock", action="store_true", help="enable clock-time construction")
-    sub.add_argument("--state-cap", type=_at_least(2), default=32)
     sub.add_argument("--clock-cap", type=_at_least(2), default=64)
     sub.add_argument("--during-semantics", choices=["gate-effect-only", "nullify-action"],
                      default="gate-effect-only")
@@ -138,7 +137,6 @@ def _options(args, tie_break=None) -> BuildOptions:
         during_failure_semantics=args.during_semantics,
         clock_enabled=args.clock,
         clock_cap=args.clock_cap,
-        state_cap=args.state_cap,
         tie_break=tie_break,
     )
 
@@ -192,7 +190,7 @@ def _cmd_eval(args) -> int:
         for spec in args.marginal:
             atom, sit = parse_marginal_spec(spec)
             marginals.append((f"{atom}@{parse_situation(sit)}", net.find(atom, sit)))
-    except (PlanEvalError, KeyError) as err:
+    except PlanEvalError as err:
         print(f"{args.plan}:0:0: query: {err}", file=sys.stderr)
         return 1
     try:
@@ -207,7 +205,7 @@ def _cmd_eval(args) -> int:
     except INFERENCE_ERRORS as err:
         print(f"inference: {err}", file=sys.stderr)
         return 2
-    except (PlanEvalError, KeyError) as err:
+    except PlanEvalError as err:
         print(f"{args.plan}:0:0: query: {err}", file=sys.stderr)
         return 1
     return 0

@@ -1,8 +1,8 @@
 """Predicate schemas, ground atoms, and the knowledge base of probabilistic models.
 
 State labels are plain strings, except clock/duration values which are ints.
-The reserved label ``OTHER`` is the compaction state that absorbs low-mass
-states when a node's domain is capped.
+The reserved label ``OTHER`` is the clock's overflow value: every clock value
+above the clock cap. No other node merges states into it.
 """
 
 from __future__ import annotations

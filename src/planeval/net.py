@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompleteCPT, LayeringViolation, PlanEvalError, TooLarge
-from .model import OTHER, PROB_TOL, GroundAtom, format_bucket, label_sort_key
+from .model import PROB_TOL, GroundAtom, format_bucket, label_sort_key
 
 PRIMITIVE = "primitive"
 DERIVED = "derived"
@@ -340,10 +340,7 @@ class PENet:
             if prob == 0.0:
                 continue
             if state not in node.states:
-                if OTHER in node.states:
-                    state = OTHER
-                else:
-                    raise PlanEvalError(f"state {state!r} not among {node.id}'s states {node.states}")
+                raise PlanEvalError(f"state {state!r} not among {node.id}'s states {node.states}")
             fitted[state] = fitted.get(state, 0.0) + prob
         return {s: fitted[s] for s in sorted(fitted, key=label_sort_key)}
 
@@ -361,7 +358,7 @@ class PENet:
             situation = parse_situation(situation)
         nid = atom_node(atom, situation)
         if nid not in self.nodes:
-            raise KeyError(f"no node {nid} in net")
+            raise PlanEvalError(f"no node {nid} in net")
         return nid
 
     def row_provenance(self, nid: NodeId, combo: tuple) -> str:

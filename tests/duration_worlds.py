@@ -1,16 +1,17 @@
 """Slow reference for the split scan: enumerate every joint duration world.
 
 ``scan_worlds`` visits each world of positive weight, computes every
-situation's event time in it, and returns what ``build._scan_time_tree``
-returns: the first situation whose event time can precede its predecessor's
-(None if none can), and each split's weight per sign of its
-relative-end-time node. Its cost is the product of all steps' duration
-supports, so it runs only on small plans.
+situation's event time in it, and returns the first situation whose event
+time can precede its predecessor's (None if none can), which is what
+``build._scan_time_tree`` returns, and each split's weight per sign of its
+relative-end-time node, which is that node's marginal in the built net. Its
+cost is the product of all steps' duration supports, so it runs only on
+small plans.
 
 A world's weight is the product of every step's duration probability, so
-a split's mass here is also scaled by the other steps' duration totals;
-the two scans agree to rounding only where every duration table sums to 1
-exactly.
+a split's mass here is also scaled by the other steps' duration totals; it
+matches the net's normalized marginal to rounding only where every duration
+table sums to 1 exactly.
 
 ``convolve`` is the reference for a totally ordered plan, whose final clock
 is the sum of every step's duration.

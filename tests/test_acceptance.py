@@ -239,12 +239,13 @@ def test_criterion_7_linear_growth_and_compaction():
     intercept = counts[1] - slope * 2
     for length in range(1, 7):
         assert counts[length] == slope * (length + 1) + intercept, counts
-    # exponential-growth instance stays within the cap, OTHER active
+    # the exponential-growth instance keeps every reachable state, merging none
     kb, plan = load(SPREAD_KB, spread_plan(6))
-    net = build_pe_net(plan, kb, BuildOptions(state_cap=4))
-    assert all(len(node.states) <= 4 for node in net.nodes.values())
-    assert any("OTHER" in node.states for node in net.nodes.values())
-    _finish(7, "affine node growth and OTHER compaction", started, 30.0)
+    net = build_pe_net(plan, kb)
+    sizes = [len(net.nodes[atom_node(GroundAtom("Reg"), sit)].states) for sit in net.situation_order]
+    assert sizes == [1, 2, 4, 8, 8, 8, 8]
+    assert all("OTHER" not in node.states for node in net.nodes.values())
+    _finish(7, "affine node growth and exact state sets", started, 30.0)
 
 
 def test_criterion_8_mc_calibration():

@@ -1,4 +1,4 @@
-"""Construction pipeline: worked scenarios, completion, compaction, determinism."""
+"""Construction pipeline: worked scenarios, completion, exact state sets, determinism."""
 
 import itertools
 import math
@@ -26,8 +26,7 @@ from planeval import (
 from planeval import build as build_module
 from planeval import net as net_module
 from planeval.build import make_schedule
-from planeval.model import OTHER
-from planeval.net import ATOM_KINDS, SELECTION, atom_node
+from planeval.net import atom_node
 
 import instance_gen
 import trajectory_oracle as oracle
@@ -144,7 +143,7 @@ def test_invalid_caps_rejected():
     kb, plan = load(MOVE_KB, TWO_STEP_PLAN)
     from planeval import PlanEvalError
     with pytest.raises(PlanEvalError):
-        build_pe_net(plan, kb, BuildOptions(state_cap=1))
+        build_pe_net(plan, kb, BuildOptions(clock_cap=1))
 
 
 def test_unknown_selector_reference_rejected():
@@ -470,11 +469,11 @@ def test_nested_expansion_from_dsl():
     assert "residual c1" in set(net.nodes[extra].provenance.values())
 
 
-# -- state enumeration and OTHER compaction -----------------------------------
+# -- exact state sets: every atom keeps each state its rows can give it ---------
 
 
 SPREAD_KB = """
-predicate (Reg) kind=primitive states { x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15 OTHER }
+predicate (Reg) kind=primitive states { x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15 }
 action (Spread) level=0 {
   effect (Reg) {
     (Reg)=x1 -> { x2:0.5 x3:0.5 }
@@ -496,63 +495,56 @@ def spread_plan(length):
     return "\n".join(lines)
 
 
-def test_enumerate_states_doubles_until_capped():
-    kb, plan = load(SPREAD_KB, spread_plan(6))
-    opts = BuildOptions(state_cap=4)
+def test_spread_plan_matches_the_trajectory_oracle():
+    kb, plan, net = build(SPREAD_KB, spread_plan(6))
     flat = flatten_hierarchy(plan)
-    schedule = make_schedule(flat, kb, opts, linearize(flat))
-    states = schedule.analyse()
+    order = linearize(flat)
+    worlds = oracle.enumerate_trajectories(kb, flat, order)
     reg = GroundAtom("Reg")
-    sizes = [len(states[atom_node(reg, sit.sid)]) for sit in schedule.situations]
-    assert sizes[0] == 1 and sizes[1] == 2
-    assert all(size <= 4 for size in sizes)
-    assert "OTHER" in states[atom_node(reg, schedule.situations[3].sid)]
-    # uncapped enumeration confirms the true support kept growing
-    wide = make_schedule(flat, kb, BuildOptions(state_cap=32), linearize(flat)).analyse()
-    assert len(wide[atom_node(reg, schedule.situations[3].sid)]) == 8
+    for pos, sit in enumerate(net.situation_order):
+        node = net.nodes[atom_node(reg, sit)]
+        expected = oracle.marginal(worlds, reg, pos)
+        assert set(node.states) == set(expected), str(sit)
+        for state, p in expected.items():
+            assert abs(exact_query(net, Query(targets=[(node.id, state)])).probability - p) <= 1e-9, (str(sit), state)
+    want = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
+    assert abs(leads_to_success(net, plan).probability - want) <= 1e-9
 
 
-def test_capped_net_still_builds_and_normalizes():
-    kb, plan = load(SPREAD_KB, spread_plan(6))
-    net = build_pe_net(plan, kb, BuildOptions(state_cap=4))
-    for node in net.nodes.values():
-        assert len(node.states) <= 4
+WIDE_KB = """
+predicate (Reg) kind=primitive states { x0 %s }
+action (Draw) level=0 { effect (Reg) { * -> { %s } } }
+action (Shift) level=0 { effect (Reg) { (Reg)=x1 -> { x2:1.0 } } }
+""" % (" ".join(f"x{i}" for i in range(1, 41)), " ".join(f"x{i}:0.025" for i in range(1, 41)))
+
+WIDE_PLAN = """
+step s1 ag (Draw) start=b0 end=b1
+initial { (Reg)=x0 }
+goal { (Reg)=x1 }
+"""
 
 
-@pytest.mark.parametrize("seed, cap", [(20, 2), (35, 2), (56, 2), (77, 2), (147, 2), (20, 3)])
-def test_state_a_derived_definition_pins_is_never_compacted(seed, cap):
-    # each of these failed at finalize: the derived goal (D) had no row for
-    # an OTHER that absorbed states its definition tells apart
-    kb, plan = instance_gen.generate(seed)
-    net = build_pe_net(plan, kb, BuildOptions(state_cap=cap))
-    for node in net.nodes.values():
-        if node.kind == "derived":
-            assert all("OTHER" not in net.nodes[p].states for p in node.parents)
-    assert 0.0 <= leads_to_success(net, plan).probability <= 1.0
+def test_a_wide_draw_keeps_every_state():
+    # Forty drawn states, each 0.025: none is merged away, so the goal state
+    # keeps its probability under both plan metrics, up to the rounding of
+    # normalizing forty 0.025s.
+    _kb, plan, net = build(WIDE_KB, WIDE_PLAN)
+    assert net.nodes[net.find("(Reg)", "S1")].states == [f"x{i}" for i in range(1, 41)]
+    for metric in (leads_to_success, plan_success):
+        assert abs(metric(net, plan).probability - 0.025) <= 1e-12, metric.__name__
 
 
-def test_capped_nets_agree_with_uncapped_unless_compacted():
-    # With no OTHER in any atom, derived or selection node, a state cap must
-    # leave both plan metrics as they are. Where OTHER absorbed states the
-    # answers stay probabilities and may move by at most 0.36: the worst
-    # measured gap is 0.35546875, on generate(67) at cap 2.
-    compacted = 0
-    for gen, timed in ((instance_gen.generate, False), (instance_gen.generate_timed, True)):
-        for seed in range(200):
-            kb, plan = gen(seed)
-            full = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed))
-            for cap in (2, 3):
-                net = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed, state_cap=cap))
-                other = any(OTHER in node.states for node in net.nodes.values()
-                            if node.kind in ATOM_KINDS + (SELECTION,))
-                compacted += other
-                for metric in (leads_to_success, plan_success):
-                    capped = metric(net, plan).probability
-                    gap = abs(capped - metric(full, plan).probability)
-                    where = (gen.__name__, seed, cap, metric.__name__, capped, gap)
-                    assert 0.0 <= capped <= 1.0, where
-                    assert gap <= (0.36 if other else 1e-12), where
-    assert 0 < compacted < 800  # both branches are exercised
+def test_a_predicate_too_wide_for_the_cell_cap_is_a_typed_error(monkeypatch):
+    # After the draw, (Reg)@S2 reads (Reg)@S1's forty states: a 40 x 40 table.
+    plan_text = WIDE_PLAN.replace("initial", "step s2 ag (Shift) start=b1 end=b2\ninitial")
+    kb, plan = load(WIDE_KB, plan_text)
+    assert build_pe_net(plan, kb).finalized
+    monkeypatch.setattr(net_module, "MAX_FACTOR_CELLS", 1000)
+    with pytest.raises(BuildError) as exc:
+        build_pe_net(plan, kb)
+    assert exc.value.stage == "finalize"
+    assert isinstance(exc.value.cause, TooLarge)
+    assert str(exc.value.cause) == "node (Reg)@S2 needs a table of 1600 cells, above 1000"
 
 
 def test_identity_persistence_keeps_state_sets_constant():
@@ -610,7 +602,8 @@ def net_assignment_probability(net, assignment):
     return p
 
 
-@pytest.mark.parametrize("seed", range(12))
+# Seeds 20 to 147 have a derived goal reading atoms of more than two states.
+@pytest.mark.parametrize("seed", [*range(12), 20, 35, 56, 77, 147])
 def test_joint_matches_trajectory_oracle(seed):
     kb, plan = instance_gen.generate(seed)
     assert not validate_kb(kb)

@@ -152,15 +152,20 @@ def test_eval_exact_and_mc_together_is_a_usage_error(files, capsys):
     assert "argument --mc: not allowed with argument --exact" in captured.err
 
 
-@pytest.mark.parametrize("flag, value", [("--state-cap", "1"), ("--clock-cap", "0"), ("--state-cap", "abc")])
-def test_caps_below_two_are_usage_errors(files, capsys, flag, value):
+# Every atom keeps its exact states, so there is no state cap to give.
+@pytest.mark.parametrize("flag, value, message", [
+    ("--clock-cap", "0", "argument --clock-cap: must be at least 2, not 0"),
+    ("--state-cap", "1", "unrecognized arguments: --state-cap 1"),
+], ids=["--clock-cap-0", "--state-cap-1"])
+def test_caps_below_two_are_usage_errors(files, capsys, flag, value, message):
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
     with pytest.raises(SystemExit) as exc:
         run_cli(["build", kb_path, plan_path, flag, value])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert f"argument {flag}: " in captured.err
+    assert captured.err.startswith("usage: ")
+    assert message in captured.err
     assert ":0:0: build:" not in captured.err  # refused before any build is tried
 
 
@@ -171,6 +176,14 @@ def test_eval_mc_marginal_of_a_node_missing_from_the_net_exit_1(files, capsys):
     assert out == ""  # no report line before every query is resolved
     assert err.startswith(f"{plan_path}:0:0: query: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, spec", [("--marginal", "(Loc B)@S1"), ("--evidence", "(Loc B)=L1@S1")])
+def test_eval_query_of_an_unknown_node_names_it_without_quotes(files, capsys, flag, spec):
+    kb_path, plan_path = files(RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN)
+    code, out, err = run(capsys, ["eval", kb_path, plan_path, flag, spec])
+    assert (code, out) == (1, "")
+    assert err == f"{plan_path}:0:0: query: no node (Loc B)@S1 in net\n"
 
 
 @pytest.mark.parametrize("flag, spec", [

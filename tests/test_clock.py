@@ -16,7 +16,7 @@ from planeval import (
 from planeval.build import _apply_split, _scan_time_tree, make_schedule, split_situations
 from planeval.errors import MissingDuration
 from planeval.model import format_bucket
-from planeval.net import atom_node, elapsed_node
+from planeval.net import SituationId, atom_node, elapsed_node, ret_node
 
 import duration_worlds
 import instance_gen
@@ -181,13 +181,10 @@ def test_split_situations_standalone_reaches_fixed_point():
 def test_split_sign_mass_matches_the_duration_pairs():
     # Second (1 or 6) ends before First (2 or 4) exactly when it takes 1.
     kb_text = OVERLAP_KB.replace("duration { 1:0.5 6:0.5 }", "duration { 1:0.3 6:0.7 }")
-    kb, plan = load(kb_text, OVERLAP_PLAN)
-    flat = flatten_hierarchy(plan)
-    split = split_situations(make_schedule(flat, kb, TIMED_OPTS, linearize(flat)))
-    (spec,) = split.splits
-    mass = split.sign_mass[spec.ret]
-    assert abs(mass["negative"] - 0.3) <= 1e-12
-    assert abs(mass["nonnegative"] - 0.7) <= 1e-12
+    _kb, _plan, net = timed_build(kb_text, OVERLAP_PLAN)
+    ret = ret_node("a1", "a2", SituationId(2, "a"))
+    assert net.nodes[ret].states == ["negative", "nonnegative"]
+    assert abs(exact_query(net, Query(targets=[(ret, "negative")])).probability - 0.3) <= 1e-12
 
 
 SIGN_RANK_KB = """
@@ -206,12 +203,15 @@ goal { (P c)=v }
 """
 
 
-def test_split_sign_mass_ranks_compaction():
+def test_a_split_sub_situation_keeps_every_state():
     # At S2a, v comes only from Second's effect gated on the negative sign
-    # (mass 0.3), so it ranks below w (0.4) and is compacted into OTHER;
-    # a sign mass of 0.5 would keep v and drop w.
-    _kb, _plan, net = timed_build(SIGN_RANK_KB, SIGN_RANK_PLAN, BuildOptions(clock_enabled=True, state_cap=3))
-    assert net.nodes[net.find("(P b)", "S2a")].states == ["u", "w", "OTHER"]
+    # (probability 0.3); otherwise S2a is inactive and (P b) keeps its prior.
+    _kb, _plan, net = timed_build(SIGN_RANK_KB, SIGN_RANK_PLAN)
+    node = net.nodes[net.find("(P b)", "S2a")]
+    assert node.states == ["u", "v", "w", "x"]
+    want = {"u": 0.7 * 0.55, "v": 0.3, "w": 0.7 * 0.4, "x": 0.7 * 0.05}
+    for state, p in want.items():
+        assert abs(exact_query(net, Query(targets=[(node.id, state)])).probability - p) <= 1e-12, state
 
 
 def test_goal_marginals_match_time_expanded_oracle():
@@ -273,23 +273,31 @@ goal { (P q)=v }
 
 
 def scan_rounds_agree(kb, plan) -> int:
-    """Every split round: the time-tree scan and the world enumeration agree; returns the splits made."""
+    """Every split round, the time-tree scan finds the world enumeration's conflict.
+
+    Where splitting reaches a fixed point, each relative-end-time node of the
+    built net also has the enumeration's probability for each sign. Returns
+    the splits made.
+    """
     flat = flatten_hierarchy(plan)
     schedule = make_schedule(flat, kb, TIMED_OPTS, linearize(flat))
     while True:
         want_conflict, want_mass = duration_worlds.scan_worlds(schedule)
-        conflict, mass = _scan_time_tree(schedule)
+        conflict = _scan_time_tree(schedule)
         assert conflict == want_conflict
-        assert list(mass) == list(want_mass)
-        for ret, by_sign in want_mass.items():
-            for sign, want in by_sign.items():
-                assert abs(mass[ret][sign] - want) <= 1e-12, (str(ret), sign)
         if conflict is None:
-            return len(schedule.splits)
+            break
         try:
             _apply_split(schedule, conflict)
         except PlanEvalError:
             return len(schedule.splits)
+    net = build_pe_net(plan, kb, TIMED_OPTS)
+    assert [nid for nid in net.nodes if nid.ref[0] == "ret"] == list(want_mass)
+    for ret, by_sign in want_mass.items():
+        for sign, want in by_sign.items():
+            got = exact_query(net, Query(targets=[(ret, sign)])).probability
+            assert abs(got - want) <= 1e-12, (str(ret), sign)
+    return len(schedule.splits)
 
 
 FAN_OUT_PLAN = """

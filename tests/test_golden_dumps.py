@@ -57,7 +57,7 @@ def _cases():
         "during-nullify": (DURING_KB, DURING_PLAN, BuildOptions(during_failure_semantics="nullify-action")),
         "contingent-0.2": (CONTINGENT_KB, contingent_plan(0.2), None),
         "contingent-1.0": (CONTINGENT_KB, contingent_plan(1.0), None),
-        "spread-state-cap-4": (SPREAD_KB, spread_plan(6), BuildOptions(state_cap=4)),
+        "spread-6": (SPREAD_KB, spread_plan(6), None),
         "coins-clock-cap-3": (SEQ_KB, TWO_COINS_PLAN, BuildOptions(clock_enabled=True, clock_cap=3)),
         "covered-elapsed-clock": (COVERED_ELAPSED_KB, COVERED_ELAPSED_PLAN, TIMED),
     }
