@@ -3,30 +3,34 @@
 Two engines answer the same question (probability of a conjunction of
 node states, optionally given evidence):
 
-* ``exact_query`` - one bucket-elimination pass over the ancestors of the
-  targets and the evidence, in situation order, with ``np.einsum`` over the
-  frozen ``Node.table`` arrays; width and factor-size guards run before any
-  product is formed;
+* ``exact_query`` - one bucket-elimination pass over the multi-state
+  ancestors of the targets and the evidence, in the min-degree order
+  ``finalize`` fixed, with ``np.einsum`` over the stored table views; width
+  and factor-size guards run before any product is formed;
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized, over
-  the ancestors of the targets and the evidence in the topological order
-  ``finalize`` stored; the generator is advanced past the draws of the
-  skipped nodes and of the one-state nodes, once before the next draw, so
-  answers equal whole-net sampling's for a given seed, and each node's
-  samples are freed after their last reader. It does no table work per
-  query: each node's row strides and its CDF, column by column, were fixed
-  by ``finalize``, so a sampled node costs one draw into a reused buffer
-  and one comparison per CDF column.
+  the same ancestors in the topological order ``finalize`` stored; the
+  generator is advanced past the draws of every other node that is not
+  evidence, once before the next draw, so answers equal whole-net
+  sampling's for a given seed, and each node's samples are freed after
+  their last reader. It does no table work per query: each node's row
+  strides and its CDF, column by column, were fixed by ``finalize``, so a
+  sampled node costs one draw into a reused buffer and one comparison per
+  CDF column.
+
+A one-state node's table is 1 on every row, so neither engine reads one: a
+pin or a reachable target on it drops out, and so does every node read
+only through such nodes. An unreachable target, a state its node does not
+have, makes the conjunction score 0 once the evidence is found feasible.
 
 The brute-force joint enumeration both are checked against reads the
 ``Node.cpt`` rows instead, and lives with the tests in
 ``tests/joint_oracle.py``.
 
 Both run on the integer view ``finalize`` stores as
-``PENet.numbering``: nodes are numbered in ``node_key`` order, so the
-situation elimination order is the sorted numbers. A query's target and
-evidence ``NodeId``s are numbered once, on entry; the ancestor walk, the
-buckets, the factor scopes and the sampling loop then index tuples by
-number, with no ``NodeId`` hashed or formatted.
+``PENet.numbering``. A query's target and evidence ``NodeId``s are numbered
+once, on entry; the ancestor walk, the buckets, the factor scopes and the
+sampling loop then index tuples by number, with no ``NodeId`` hashed or
+formatted.
 
 ``plan_success`` and ``leads_to_success`` wrap these for the two plan
 metrics: goals plus the selected detailed path, versus goals alone.
@@ -103,47 +107,53 @@ def _ancestors(parents: tuple, roots) -> set:
     return keep
 
 
-def _contract(factors: list, out: tuple, dims: list) -> np.ndarray:
+def _contract(factors: list, out: tuple) -> np.ndarray:
     """Multiply (table, vars) factors and sum every variable not in ``out``."""
     while len(factors) > _EINSUM_OPERANDS:
         head = factors[:_EINSUM_OPERANDS]
         scope = tuple(sorted(set().union(*(vars for _, vars in head))))
-        factors = [(_contract(head, scope, dims), scope)] + factors[_EINSUM_OPERANDS:]
-    # One-state axes are dropped, so the guarded cell count bounds the labels.
+        factors = [(_contract(head, scope), scope)] + factors[_EINSUM_OPERANDS:]
+    # Relabelled, so the guarded cell count bounds the labels a call uses.
     labels = {}
     args = []
     for table, vars in factors:
-        vars = [v for v in vars if dims[v] > 1]
-        args.append(table.reshape([dims[v] for v in vars]))
+        args.append(table)
         args.append([labels.setdefault(v, len(labels)) for v in vars])
-    args.append([labels[v] for v in out if dims[v] > 1])
-    return np.einsum(*args).reshape([dims[v] for v in out])
+    args.append([labels[v] for v in out])
+    return np.einsum(*args)
+
+
+def _numbered(net: PENet, pairs) -> list:
+    """``(number, state index)`` of each ``(NodeId, state)`` pair."""
+    number = net.numbering.number
+    return [(number[nid], net.nodes[nid].states.index(state)) for nid, state in pairs]
 
 
 def _eliminate(net: PENet, targets: list, evidence: dict, width_limit: int):
     """Evidence probability and joint target probability, and the width.
 
-    Targets and evidence are turned into node numbers on entry. Barren
-    nodes (not ancestors of a target or pinned node) are dropped, pinned axes
-    are sliced out of each table, and the other nodes are eliminated in
-    number order, which is ``node_key`` order (situation first), each factor
-    in the bucket of its earliest node. One two-state axis stays free: each
-    target adds a factor that is 1 on its entry 0 and the target's indicator
-    on its entry 1, so entry 0 of the result is the evidence probability and
-    entry 1 the joint one, however many targets the conjunction has. Every
-    bucket's scope is checked against the guards before any product is formed.
+    Targets and evidence are turned into node numbers on entry, and those on
+    one-state nodes are dropped. Barren nodes (not multi-state ancestors of
+    a target or pinned node) go too, pinned axes are sliced out of each
+    table, and the other nodes are eliminated in ``Numbering.rank`` order,
+    each factor in the bucket of its earliest node. One two-state axis stays
+    free: each target adds a factor that is 1 on its entry 0 and the
+    target's indicator on its entry 1, so entry 0 of the result is the
+    evidence probability and entry 1 the joint one, however many targets the
+    conjunction has. Every bucket's scope, which holds only multi-state
+    axes, is checked against the guards before any product is formed.
     """
     numbering = net.numbering
-    number = numbering.number
-    pins = {number[nid]: net.nodes[nid].states.index(state) for nid, state in evidence.items()}
-    targets = [(number[nid], [s == state for s in net.nodes[nid].states]) for nid, state in targets]
-    keep = _ancestors(numbering.parents, [v for v, _ in targets] + list(pins))
-    order = sorted(keep.difference(pins))
+    sizes, rank = numbering.sizes, numbering.rank
+    pins = dict(_numbered(net, evidence.items()))
+    targets = [(v, s) for v, s in _numbered(net, targets) if sizes[v] > 1]
+    keep = _ancestors(numbering.parents, [v for v, _ in targets] + [v for v in pins if sizes[v] > 1])
+    order = sorted(keep.difference(pins), key=rank.__getitem__)
     # Kept nodes get local numbers in elimination order; local number m is
     # the free axis, and bucket m collects the factors over it alone.
     m = len(order)
     local = {v: i for i, v in enumerate(order)}
-    dims = [numbering.sizes[v] for v in order] + [2]
+    dims = [sizes[v] for v in order] + [2]
     factors = [(np.ones(2), (m,))]  # the free axis, even with no targets
     for v in keep:
         ids = (*numbering.parents[v], v)
@@ -151,9 +161,10 @@ def _eliminate(net: PENet, targets: list, evidence: dict, width_limit: int):
         if pins:
             table = table[tuple(pins.get(u, slice(None)) for u in ids)]
         factors.append((table, tuple(local[u] for u in ids if u in local)))
-    for v, indicator in targets:
-        hit = np.ones((len(indicator), 2))
-        hit[:, 1] = indicator
+    for v, state in targets:
+        hit = np.zeros((sizes[v], 2))
+        hit[:, 0] = 1.0
+        hit[state, 1] = 1.0
         factors.append((hit[pins[v]], (m,)) if v in pins else (hit, (local[v], m)))
     buckets = [[] for _ in range(m + 1)]
     for table, vars in factors:
@@ -172,8 +183,8 @@ def _eliminate(net: PENet, targets: list, evidence: dict, width_limit: int):
 
     for i in range(m):
         out = tuple(sorted(scopes[i] - {i}))
-        buckets[min((m, *out))].append((_contract(buckets[i], out, dims), out))
-    z_e, z_te = _contract(buckets[m], (m,), dims)
+        buckets[min((m, *out))].append((_contract(buckets[i], out), out))
+    z_e, z_te = _contract(buckets[m], (m,))
     return float(z_e), float(z_te), width
 
 
@@ -184,11 +195,12 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
     if q.mode != EXACT:
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
     _check_evidence(net, q.evidence)
-    _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
-    z_e, z_te, width = _eliminate(net, q.targets, q.evidence, width_limit)
+    reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
+    # An unreachable conjunction scores zero, once the evidence is found feasible.
+    z_e, z_te, width = _eliminate(net, q.targets if reachable else [], q.evidence, width_limit)
     if z_e <= 0.0:
         raise InfeasibleEvidence("evidence has probability zero")
-    return QueryResult(min(max(z_te / z_e, 0.0), 1.0), EXACT, elimination_width=width)
+    return QueryResult(min(max(z_te / z_e, 0.0), 1.0) if reachable else 0.0, EXACT, elimination_width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +211,12 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
 def mc_query(net: PENet, q: Query) -> QueryResult:
     """Likelihood-weighted estimate of the target conjunction; reproducible by seed.
 
-    Only the ancestors of the targets and the evidence are sampled. Every
-    other node, and every one-state node, still owns its n doubles of the
-    stream: the generator skips them, so each answer equals whole-net
-    sampling's for the same seed. Samples are freed after their last reader.
+    Only the multi-state ancestors of the targets and the evidence are
+    sampled. Every other node that is not evidence, one-state nodes
+    included, still owns its n doubles of the stream: the generator skips
+    them, so each answer equals whole-net sampling's for the same seed. An
+    evidence node owns no draws, whatever its state count. Samples are freed
+    after their last reader.
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
@@ -218,23 +232,23 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
     numbering = net.numbering
-    number, parents_of, strides_of, cdfs, sizes = (
-        numbering.number, numbering.parents, numbering.strides, numbering.cdfs, numbering.sizes)
-    pins = {number[nid]: net.nodes[nid].states.index(state) for nid, state in q.evidence.items()}
+    parents_of, strides_of, cdfs, sizes = numbering.parents, numbering.strides, numbering.cdfs, numbering.sizes
+    pins = dict(_numbered(net, q.evidence.items()))
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
-    targets = [(number[nid], net.nodes[nid].states.index(state)) for nid, state in q.targets] if reachable else []
-    keep = _ancestors(parents_of, [v for v, _ in targets] + list(pins))
+    targets = [(v, s) for v, s in _numbered(net, q.targets) if sizes[v] > 1] if reachable else []
+    keep = _ancestors(parents_of, [v for v, _ in targets] + [v for v in pins if sizes[v] > 1])
     readers = [0] * len(parents_of)  # per node, its sampled children plus one per target
     for v in [p for u in keep for p in parents_of[u]] + [v for v, _ in targets]:
         readers[v] += 1
     values = {}  # number -> state index per sample, or one int when every sample shares it
     weights = np.ones(n)
     draws = np.empty(n)
-    skip = 0  # doubles owed to skipped and one-state nodes, passed over before the next draw
+    skip = 0  # doubles owed to skipped nodes, passed over before the next draw
 
     for v in numbering.order:
         if v not in keep:
-            skip += n
+            if v not in pins:
+                skip += n
             continue
         parents, k = parents_of[v], sizes[v]
         if len(parents) == 1:
@@ -246,9 +260,6 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
         if v in pins:
             value = pins[v]
             weights *= numbering.tables[v].reshape(-1, k)[row, value]
-        elif k == 1:
-            skip += n
-            value = 0
         else:
             if skip:
                 # PCG64 spends one 64-bit output per double drawn.

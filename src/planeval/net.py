@@ -31,6 +31,7 @@ parent's same-situation ancestors alone.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -182,8 +183,19 @@ class Fragment:
 
 
 class Numbering(NamedTuple):
-    """A finalized net on ints: node ``i`` is ``ids[i]``, numbered in ``node_key``
-    order, and every other field is indexed by that number.
+    """A finalized net on ints, as inference reads it: node ``i`` is ``ids[i]``,
+    numbered in ``node_key`` order, and every other field is indexed by that
+    number.
+
+    A one-state node's table is 1 on every row, so it carries no information:
+    ``parents`` lists only the parents of more than one state, and
+    ``tables[v]`` is ``Node.table`` viewed without the one-state parent axes,
+    of shape ``(|p_1|, ..., |p_m|, k)`` over those parents. ``order`` is the
+    topological order over the full parent lists, the order Monte Carlo
+    draws in. ``rank[v]`` is the node's place in one min-degree elimination
+    order of the moral graph on the multi-state nodes, fixed here so every
+    exact query eliminates in it; the one-state nodes, which no query
+    eliminates, rank after them in number order.
 
     ``strides`` and ``cdfs`` are what Monte Carlo reads. A node's table row
     for parent state indices ``(i_1, ..., i_m)`` is ``sum(i_j * strides[v][j])``,
@@ -196,11 +208,12 @@ class Numbering(NamedTuple):
 
     ids: tuple  # NodeIds in node_key order
     number: MappingProxyType  # NodeId -> number, read-only
-    parents: tuple  # parent numbers, in Node.parents order
-    tables: tuple  # the Node.table arrays
+    parents: tuple  # multi-state parent numbers, in Node.parents order
+    tables: tuple  # views of the Node.table arrays over those parents
     sizes: tuple  # state counts
-    order: tuple  # the topological order, as numbers
-    strides: tuple  # per node, each parent's row multiplier, as ints
+    order: tuple  # the topological order over all parents, as numbers
+    rank: tuple  # per node, its place in the min-degree elimination order
+    strides: tuple  # per node, each multi-state parent's row multiplier, as ints
     cdfs: tuple  # per node, a read-only (k - 1, rows) float64 array
 
 
@@ -389,16 +402,17 @@ def finalize(net: PENet) -> PENet:
     can be queried from many threads at once. A table of more dimensions
     than numpy allows or of more than ``MAX_FACTOR_CELLS`` cells raises
     ``TooLarge`` before any node's rows are enumerated. The nodes are numbered in ``node_key`` order,
-    and that integer view, row strides and CDFs included, is stored as
-    ``net.numbering``.
+    and that integer view, stored as ``net.numbering``, keeps only the
+    multi-state parents and fixes the row strides, the CDFs and one min-degree
+    elimination order for every query.
     """
     if net.finalized:
         return net
     ordered = sorted(net.nodes, key=net.node_key)
     number = {nid: i for i, nid in enumerate(ordered)}
     nodes = [net.nodes[nid] for nid in ordered]
-    parents = tuple(tuple(number[p] for p in node.parents) for node in nodes)
-    shapes = [[len(nodes[p].states) for p in ps] + [len(node.states)] for node, ps in zip(nodes, parents)]
+    every_parent = tuple(tuple(number[p] for p in node.parents) for node in nodes)
+    shapes = [[len(nodes[p].states) for p in ps] + [len(node.states)] for node, ps in zip(nodes, every_parent)]
     for node, shape in zip(nodes, shapes):
         if len(shape) > _MAX_TABLE_DIMS:
             raise TooLarge(f"node {node.id} needs a table of {len(shape)} dimensions, above {_MAX_TABLE_DIMS}")
@@ -407,7 +421,7 @@ def finalize(net: PENet) -> PENet:
     # Every table goes into one per-net list of cells and every CDF into
     # another, so the net gets two buffers rather than two arrays per node.
     cells, sums, spans = [], [], []
-    for node, ps in zip(nodes, parents):
+    for node, ps in zip(nodes, every_parent):
         pools = [nodes[p].states for p in ps]
         rows = []
         for combo in itertools.product(*pools):
@@ -432,23 +446,31 @@ def finalize(net: PENet) -> PENet:
     # Backed by immutable bytes, so not even the writeable flag can be set back.
     cell_buffer = np.frombuffer(np.array(cells, dtype=float).tobytes())
     sum_buffer = np.frombuffer(np.array(sums, dtype=float).tobytes())
-    tables, cdfs = [], []
-    for (start, first, count), shape in zip(spans, shapes):
+    order = _topological_order(every_parent)
+    sizes = tuple(shape[-1] for shape in shapes)
+    parents, tables, strides, cdfs = [], [], [], []
+    for node, (start, first, count), shape, ps in zip(nodes, spans, shapes, every_parent):
         k = shape[-1]
-        tables.append(cell_buffer[start:start + count * k].reshape(shape))
+        node.table = table = cell_buffer[start:start + count * k].reshape(shape)
+        if 1 in shape[:-1]:  # view the table without its one-state parent axes
+            ps = tuple([p for p in ps if sizes[p] > 1])
+            table = table.reshape([sizes[p] for p in ps] + [k])
+        parents.append(ps)
+        tables.append(table)
+        # A one-state axis multiplies no stride, so the full shape's strides serve.
+        strides.append(tuple([math.prod(shape[i + 1:-1]) for i in range(len(shape) - 1) if shape[i] > 1]))
         cdfs.append(sum_buffer[first:first + count * (k - 1)].reshape(k - 1, count))
-    order = _topological_order(parents)
-    for node, table in zip(nodes, tables):
-        node.table = table
+    parents = tuple(parents)
     net._order = tuple(ordered[v] for v in order)
     net.numbering = Numbering(
         ids=tuple(ordered),
         number=MappingProxyType(number),
         parents=parents,
         tables=tuple(tables),
-        sizes=tuple(shape[-1] for shape in shapes),
+        sizes=sizes,
         order=order,
-        strides=tuple(tuple(math.prod(shape[i + 1:-1]) for i in range(len(shape) - 1)) for shape in shapes),
+        rank=_min_degree_rank(parents, sizes),
+        strides=tuple(strides),
         cdfs=tuple(cdfs),
     )
     net.finalized = True
@@ -475,6 +497,55 @@ def _topological_order(parents: tuple) -> tuple:
             raise PlanEvalError("net is cyclic")
         pending = remaining
     return tuple(order)
+
+
+def _min_degree_rank(parents: tuple, sizes: tuple) -> tuple:
+    """Each node's place in a min-degree elimination order of the moral graph
+    on the multi-state nodes; the one-state nodes follow in number order.
+
+    A multi-state node is linked to its parents, and they to each other
+    (``parents`` holds only multi-state ones, and a one-state child marries
+    none). The node of fewest neighbours goes next, the lower number on a tie,
+    and its neighbours become a clique. A heap holds ``(degree, number)``
+    entries, pushed whenever a degree changes; a popped entry whose degree is
+    stale, or whose node is gone, is passed over.
+    """
+    neighbours = [set() if k > 1 else None for k in sizes]
+    for v, ps in enumerate(parents):
+        if ps and sizes[v] > 1:
+            family = (*ps, v)
+            for u in family:
+                neighbours[u].update(family)
+    heap = []
+    for v, around in enumerate(neighbours):
+        if around is not None:
+            around.discard(v)
+            heap.append((len(around), v))
+    heapq.heapify(heap)
+    rank = [0] * len(sizes)
+    place = 0
+    while heap:
+        degree, v = heapq.heappop(heap)
+        around = neighbours[v]
+        if around is None or degree != len(around):
+            continue
+        neighbours[v] = None
+        rank[v] = place
+        place += 1
+        for u in around:
+            other = neighbours[u]
+            before = len(other)
+            other.discard(v)
+            if degree > 1:
+                other |= around
+                other.discard(u)
+            if len(other) != before:
+                heapq.heappush(heap, (len(other), u))
+    for v, k in enumerate(sizes):
+        if k == 1:
+            rank[v] = place
+            place += 1
+    return tuple(rank)
 
 
 def _describe_combo(node: Node, combo: tuple) -> str:

@@ -3,9 +3,9 @@
 ``forward_sample`` draws every node of the net, in the order
 ``topological_nodes`` gives, for every query, and reads a state off the full
 n x k comparison of each draw with its row's cumulative distribution.
-``inference.mc_query`` samples only the ancestors of the targets and the
-evidence and skips the other nodes' draws in the generator's stream, so for
-the same seed the two give the same bits.
+``inference.mc_query`` samples only the multi-state ancestors of the targets
+and the evidence and skips the other nodes' draws in the generator's stream
+(an evidence node has none), so for the same seed the two give the same bits.
 
 ``topological_nodes`` sorts the nodes by ``node_key`` and places them pass
 by pass, the order a finalized net stores.

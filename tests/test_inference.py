@@ -62,13 +62,12 @@ def test_exact_matches_oracle_on_two_step(two_step):
     assert abs(exact_query(net, q).probability - oracle_enumerate(net, q).probability) <= 1e-12
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_exact_matches_oracle_random_nets(seed):
-    kb, plan = instance_gen.generate(100 + seed)
+@pytest.mark.parametrize("generator, seed", [pytest.param(instance_gen.generate, s, id=str(s)) for s in range(10)]
+                         + [pytest.param(instance_gen.generate_timed, s, id=f"timed-{s}") for s in range(10)])
+def test_exact_matches_oracle_random_nets(generator, seed):
+    kb, plan = generator(100 + seed)
     assert not validate_kb(kb)
-    net = build_pe_net(plan, kb)
-    import random
-
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=generator is instance_gen.generate_timed))
     rng = random.Random(seed)
     nodes = sorted(net.nodes, key=net.node_key)
     for _ in range(5):
@@ -128,10 +127,12 @@ def test_target_that_is_also_evidence(two_step):
     assert both == alone
 
 
-def test_wide_bucket_with_many_factors_and_one_state_nodes():
+def test_wide_bucket_with_many_factors_and_one_state_nodes(monkeypatch):
     # One root with 40 observed two-state children and 60 one-state children:
     # the root's bucket holds more factors than one einsum call takes, and
     # the 61-node conjunction has more nodes than einsum has axis labels.
+    # The one-state targets carry no axis, so the width counts the root and
+    # the free axis alone.
     s0, s1 = SituationId(0), SituationId(1)
     root = atom_node(GroundAtom("R"), s0)
     seen = [atom_node(GroundAtom("E", (f"e{i}",)), s1) for i in range(40)]
@@ -148,8 +149,17 @@ def test_wide_bucket_with_many_factors_and_one_state_nodes():
     net = finalize(paste_onto(PENet(), frag))
     q = Query(targets=[(root, "r0")] + [(nid, "on") for nid in fixed],
               evidence={nid: "yes" if i % 3 else "no" for i, nid in enumerate(seen)})
+    operands = []
+    contract = inference._contract
+
+    def counted(factors, out):
+        operands.append(len(factors))
+        return contract(factors, out)
+
+    monkeypatch.setattr(inference, "_contract", counted)
     result = exact_query(net, q, width_limit=100)
-    assert result.elimination_width == 61
+    assert result.elimination_width == 1
+    assert operands[0] > inference._EINSUM_OPERANDS  # the root's bucket: prior, 40 children, indicator
     assert abs(result.probability - oracle_enumerate(net, q, bound=float("inf")).probability) <= 1e-12
 
 
@@ -176,6 +186,16 @@ def test_unreachable_target_scores_zero(two_step):
     _kb, _plan, net = two_step
     q = Query(targets=[(net.find("(Loc B)", "S0"), "L2")])  # L2 not in the node's states
     assert exact_query(net, q).probability == 0.0
+
+
+def test_unreachable_target_still_checks_the_evidence(two_step):
+    _kb, _plan, net = two_step
+    unreachable = [(net.find("(Loc B)", "S0"), "L2"), (net.find("(Loc B)", "S2"), "L1")]
+    feasible = {net.find("(Loc A)", "S1"): "L2"}
+    assert exact_query(net, Query(targets=unreachable, evidence=feasible)).probability == 0.0
+    impossible = {net.find("(Loc A)", "S1"): "L2", net.find("(Loc A)", "S2"): "L1"}  # L2 persists
+    with pytest.raises(InfeasibleEvidence):
+        exact_query(net, Query(targets=unreachable, evidence=impossible))
 
 
 def test_contradictory_conjunction_scores_zero(two_step):
@@ -334,9 +354,9 @@ def ancestors(net, roots) -> set:
 
 
 def sampled_shapes(net, q) -> set:
-    """Which row-index and draw paths of mc_query the query takes: "one-state"
-    for a drawn node of one state, "multi-parent" for a drawn node with two or
-    more parents of more than one state each."""
+    """Which shapes the query's non-evidence ancestors take: "one-state" for a
+    node of one state, whose draws mc_query skips, "multi-parent" for a node
+    with two or more parents of more than one state each."""
     reachable = all(state in net.nodes[nid].states for nid, state in q.targets)
     read = ancestors(net, [nid for nid, _ in q.targets if reachable] + list(q.evidence))
     shapes = set()
@@ -391,8 +411,8 @@ def test_pruned_mc_matches_whole_net_sampling_on_generated_nets(generator):
 
 @pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
 def test_pruned_mc_matches_whole_net_sampling_at_one_sample(generator):
-    # One sample makes the scalar states of roots, evidence and one-state
-    # nodes broadcast against arrays of length one.
+    # One sample makes the scalar states of roots and evidence broadcast
+    # against arrays of length one, and one-state nodes are skipped among them.
     compared, shapes = compare_on_generated_nets(generator, samples=1)
     assert compared >= 60 * 9 // 2
     assert shapes == {"one-state", "multi-parent"}
@@ -546,7 +566,7 @@ def test_mc_zero_weight_on_jointly_impossible_evidence():
 
 def test_queries_after_finalize_read_no_node_keys_or_names(monkeypatch):
     # After finalize both engines run on node numbers: the elimination order
-    # is the numbering, so no query sorts by node_key or formats a NodeId, and
+    # is the rank finalize fixed, so no query sorts by node_key or formats a NodeId, and
     # a NodeId is hashed only to number or check a target or evidence node.
     kb, plan = instance_gen.generate(7)
     net = build_pe_net(plan, kb)
@@ -601,19 +621,52 @@ def test_mc_reads_the_cdfs_finalize_fixed(monkeypatch):
 
 
 def test_mc_queries_from_many_threads_give_the_one_thread_answers():
-    # A finalized net holds no per-query state, so concurrent queries share only read-only arrays.
+    # A finalized net holds no per-query state, the elimination order
+    # included, so concurrent Monte Carlo and exact queries share only
+    # read-only arrays and tuples.
     (inst,) = workloads.generate("shuttle", 1)
     kb, plan = load(inst.kb_text, inst.plan_text)
     net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
     goals = inference._goal_targets(net, plan)
+    mid = net.situation_order[len(net.situation_order) // 2]
+    seen = {net.find(atom, mid): state for atom, state in plan.goals[:2]}
     queries = [Query(targets=goals, mode="mc", samples=2000, seed=seed) for seed in range(16)]
-    expected = [mc_query(net, q) for q in queries]
+    queries += [Query(targets=goals[i:i + 3], evidence=seen if i % 2 else {}) for i in range(len(goals))]
+    rank = net.numbering.rank
+
+    def ask(q):
+        return (mc_query if q.mode == "mc" else exact_query)(net, q)
+
+    expected = [ask(q) for q in queries]
+    assert {answer.elimination_width for answer in expected} - {None}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(mc_query, net, q) for q in queries]
+            futures = [pool.submit(ask, q) for q in queries]
             answers = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert answers == expected
+    assert net.numbering.rank is rank
+
+
+def test_default_branchy_12_answers_exactly_and_agrees_with_mc():
+    # (Built W) reads 49 parents; situation order needed width 49, the
+    # min-degree order a handful.
+    inst = workloads.branchy(random.Random(0), 12)
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    net = build_pe_net(plan, kb)
+    exact = leads_to_success(net, plan)
+    assert exact.elimination_width <= 6
+    mc = leads_to_success(net, plan, mode="mc", samples=100_000, seed=3)
+    assert abs(mc.probability - exact.probability) <= 5 * mc.standard_error
+
+
+def test_long_vs_chain_goal_query_stays_narrow():
+    # The elapsed node reads several clocks; situation order gave width 9 here.
+    inst = workloads.generate("timed-overlap", 1)[0]
+    assert inst.name == "long-vs-chain2"
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
+    assert leads_to_success(net, plan).elimination_width <= 6

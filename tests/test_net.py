@@ -311,17 +311,28 @@ def test_finalize_numbers_the_nodes_in_key_order(seed, timed):
     for i, nid in enumerate(numbering.ids):
         node = net.nodes[nid]
         assert numbering.number[nid] == i
-        assert numbering.parents[i] == tuple(numbering.number[p] for p in node.parents)
-        assert numbering.tables[i] is node.table
+        # Only multi-state parents, and the table viewed over them alone.
+        multi = [p for p in node.parents if len(net.nodes[p].states) > 1]
+        assert numbering.parents[i] == tuple(numbering.number[p] for p in multi)
+        table = numbering.tables[i]
+        assert table.shape == tuple(len(net.nodes[p].states) for p in multi) + (len(node.states),)
+        assert np.shares_memory(table, node.table) and table.base is node.table.base
+        assert table.tobytes() == node.table.tobytes()
         assert numbering.sizes[i] == len(node.states)
     assert tuple(numbering.ids[v] for v in numbering.order) == net.topological_nodes()
     placed = set()
-    for v in numbering.order:
-        assert placed.issuperset(numbering.parents[v])
+    for v in numbering.order:  # the order respects every parent, one-state ones too
+        assert placed.issuperset(numbering.number[p] for p in net.nodes[numbering.ids[v]].parents)
         placed.add(v)
     assert placed == set(range(len(net.nodes)))
+    # The rank puts the multi-state nodes first, in an order of their own, then the rest by number.
+    multi_state = [v for v, k in enumerate(numbering.sizes) if k > 1]
+    by_rank = sorted(range(len(net.nodes)), key=numbering.rank.__getitem__)
+    assert sorted(numbering.rank) == list(range(len(net.nodes)))
+    assert sorted(by_rank[:len(multi_state)]) == multi_state
+    assert by_rank[len(multi_state):] == [v for v, k in enumerate(numbering.sizes) if k == 1]
     for field in (numbering.ids, numbering.parents, numbering.tables, numbering.sizes, numbering.order,
-                  numbering.strides, numbering.cdfs):
+                  numbering.rank, numbering.strides, numbering.cdfs):
         assert type(field) is tuple
     assert all(type(parents) is tuple for parents in numbering.parents)
     for v, (table, k) in enumerate(zip(numbering.tables, numbering.sizes)):
@@ -341,6 +352,54 @@ def test_finalize_numbers_the_nodes_in_key_order(seed, timed):
         numbering.number[numbering.ids[0]] = 1
     with pytest.raises(AttributeError):
         numbering.order = ()
+
+
+def slow_min_degree(net) -> list:
+    """The multi-state nodes' min-degree elimination order, by rescanning every
+    node for the fewest neighbours (lower number on a tie) at each step."""
+    number, sizes = net.numbering.number, net.numbering.sizes
+    graph = {v: set() for v, k in enumerate(sizes) if k > 1}
+    for nid, node in net.nodes.items():
+        if number[nid] in graph:
+            family = {number[p] for p in node.parents if number[p] in graph} | {number[nid]}
+            for v in family:
+                graph[v] |= family - {v}
+    order = []
+    while graph:
+        v = min(graph, key=lambda u: (len(graph[u]), u))
+        around = graph.pop(v)
+        for u in around:
+            graph[u] |= around - {u}
+            graph[u].discard(v)
+        order.append(v)
+    return order
+
+
+@pytest.mark.parametrize("timed", [False, True])
+@pytest.mark.parametrize("seed", range(0, 60, 6))
+def test_rank_is_the_min_degree_order_of_the_multi_state_moral_graph(seed, timed):
+    kb, plan = (instance_gen.generate_timed if timed else instance_gen.generate)(seed)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=timed))
+    rank = net.numbering.rank
+    expected = slow_min_degree(net)
+    assert sorted(range(len(rank)), key=rank.__getitem__)[:len(expected)] == expected
+
+
+def test_one_state_children_marry_no_parents():
+    # The roots all feed a one-state node, so they stay apart: R0 and R1 have
+    # degree 0 and go first, then the chain R2 -> X. Married, the roots would
+    # have degree 2 or more and X, of degree 1, would go first.
+    net = PENet()
+    roots = [atom_node(GroundAtom("R", (str(i),)), S0) for i in range(3)]
+    lone, chained = atom_node(GroundAtom("L", ()), S1), atom_node(GroundAtom("X", ()), S1)
+    nodes = [FragmentNode(r, "primitive", ["f", "t"]) for r in roots]
+    nodes += [FragmentNode(lone, "primitive", ["on"], roots), FragmentNode(chained, "primitive", ["f", "t"], roots[2:])]
+    rows = [FragmentRow(r, {}, {"f": 0.5, "t": 0.5}) for r in roots]
+    rows += [FragmentRow(lone, {}, {"on": 1.0}), FragmentRow(chained, {}, {"f": 0.4, "t": 0.6})]
+    numbering = finalize(paste_onto(net, Fragment(nodes=nodes, rows=rows))).numbering
+    assert numbering.parents[numbering.number[lone]] == (0, 1, 2)
+    by_rank = [numbering.ids[v] for v in sorted(range(5), key=numbering.rank.__getitem__)]
+    assert by_rank == roots + [chained, lone]
 
 
 WIDE_CHILD = atom_node(GroundAtom("C", ()), S1)
