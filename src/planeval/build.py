@@ -492,9 +492,13 @@ class _Sweep:
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
         self.states, self.derived_rows = {}, {}
+        self.text = {}  # nid -> str(nid), formatted when the sweep first meets the node
         for datom in schedule.derived_atoms:
             definition, bindings = schedule.kb.find_derived(datom)
-            self.derived_rows[datom] = (definition, [instantiate_row(row, bindings) for row in definition.rows])
+            self.derived_rows[datom] = (f"derived {definition.atom}",
+                                        [instantiate_row(row, bindings) for row in definition.rows])
+        self.persistence_labels = {name: f"persistence {model.atom}"
+                                   for name, model in schedule.kb.persistence.items()}
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
                        "elapsed": self._elapsed}
@@ -506,7 +510,8 @@ class _Sweep:
             self.nodes = _situation_nodes(self.schedule, si)
             self.writers = _situation_rows(self.schedule, si.sid) if pos else {}
             self.active = set()
-            for nid in sorted(self.nodes, key=lambda n: (KIND_RANK[self.nodes[n]], str(n))):
+            self.text.update({nid: str(nid) for nid in self.nodes})
+            for nid in sorted(self.nodes, key=lambda n: (KIND_RANK[self.nodes[n]], self.text[n])):
                 self._visit(nid)
         return self.states
 
@@ -521,7 +526,7 @@ class _Sweep:
         entries = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
         parents = dict.fromkeys(key for _kind, rows in entries for key in _keys(rows))
         self._need(parents)
-        schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents))
+        schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents), self.text[nid])
         schedule.rows[nid] = entries
 
     def _support(self, rows) -> set:
@@ -573,8 +578,8 @@ class _Sweep:
         kept = [row for row in model.rows if schedule.timed or row.bucket is None] if model else []
         gate = _gate_pin(schedule, self.si.sid)
         self._need(gate)  # the gap test reads the gate's states
-        rows = [FragmentRow(nid, {**gate, prev_nid: row.prev}, dict(row.distribution), f"persistence {model.atom}")
-                for row in kept]
+        source = self.persistence_labels.get(atom.name)
+        rows = [FragmentRow(nid, {**gate, prev_nid: row.prev}, dict(row.distribution), source) for row in kept]
         if rows and _leaves_open(self.states, written, rows):
             elapsed = self._elapsed_node(tuple(model.buckets)) if any(row.bucket for row in kept) else None
             filled = []
@@ -607,6 +612,7 @@ class _Sweep:
             if all(_bucket_label(buckets, a, b) == NO_BUCKET for _cp, a, _ct, b in self._clock_pairs()):
                 return None
             self.nodes[nid] = ELAPSED
+            self.text[nid] = str(nid)
         self._need([nid])
         return nid
 
@@ -621,9 +627,9 @@ class _Sweep:
 
     def _derived(self, nid: NodeId):
         sid = self.si.sid
-        definition, ground = self.derived_rows[nid.atom]
+        label, ground = self.derived_rows[nid.atom]
         rows = [FragmentRow(nid, {atom_node(key, sid): state for key, state in row.condition.items()},
-                            dict(row.distribution), f"derived {definition.atom}") for row in ground]
+                            dict(row.distribution), label) for row in ground]
         self._need(_keys(rows))
         support = self._support(rows)
         if not support:
@@ -677,19 +683,20 @@ class _Sweep:
             pins = _gate_pin(schedule, sid)
             pins.update(_guard_pins(schedule, step.guards))
             self._need(pins)
+            label = f"clock {step.id}"
             if step.id in schedule.dur_steps:
                 dnode = dur_node(step.id, schedule.start_sit(step))
                 for c in self.states[start_clock]:
                     for d in self.states[dnode]:
                         rows.append(FragmentRow(
-                            nid, {**pins, start_clock: c, dnode: d}, {_sum_clock(c, d, cap): 1.0}, f"clock {step.id}"))
+                            nid, {**pins, start_clock: c, dnode: d}, {_sum_clock(c, d, cap): 1.0}, label))
             else:
                 for c in self.states[start_clock]:
                     dist = {}
                     for d, p in sorted(step.model.duration.items()):
                         value = _sum_clock(c, d, cap)
                         dist[value] = dist.get(value, 0.0) + p
-                    rows.append(FragmentRow(nid, {**pins, start_clock: c}, dist, f"clock {step.id}"))
+                    rows.append(FragmentRow(nid, {**pins, start_clock: c}, dist, label))
         entries = [("clock", rows)]
         support = dict.fromkeys(value for row in rows for value in row.distribution)
         if _leaves_open(self.states, rows):  # where no ender runs, the clock keeps its value

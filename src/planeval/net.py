@@ -1,14 +1,16 @@
 """The plan-evaluation network substrate.
 
 A PENet is a situation-layered DAG. A node's shape is fixed when it is made:
-its kind and states at creation, its parents before its first row. Node CPTs
-are stored sparsely as rows keyed by full parent-state combinations;
-fragments carry rows with partial conditions on declared parents, which are
-expanded over the remaining parents when pasted.
-``finalize`` freezes each CPT into one read-only array, ``Node.table``, and
-each row's running sums into a read-only CDF for Monte Carlo, and numbers
-the nodes in ``node_key`` order; the inference engines read the tables and
-CDFs through that numbering (``PENet.numbering``), on ints alone.
+its kind and states at creation, its parents before its first row, and with
+them the arrays its rows are written into, one cell per parent-state
+combination and state. Fragments carry rows with partial conditions on
+declared parents; pasting a row writes one array slice, over every state of
+each parent the row does not pin.
+``finalize`` normalizes the cells into one read-only array per node,
+``Node.table``, takes each row's running sums into a read-only CDF for Monte
+Carlo, and numbers the nodes in ``node_key`` order; the inference engines
+read the tables and CDFs through that numbering (``PENet.numbering``), on
+ints alone.
 
 Two merge operations build nets from model fragments:
 
@@ -31,9 +33,11 @@ parent's same-situation ancestors alone.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -61,8 +65,7 @@ MAX_FACTOR_CELLS = 2 ** 25
 _MAX_TABLE_DIMS = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 
-@dataclass(frozen=True)
-class SituationId:
+class SituationId(NamedTuple):
     index: int
     sub: str = ""  # "" | "a" | "b"
 
@@ -82,8 +85,7 @@ def parse_situation(token: str) -> SituationId:
         raise PlanEvalError(f"malformed situation {token!r}; expected S<index> with an optional a or b") from None
 
 
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(NamedTuple):
     """A node address: what it stands for plus the situation it lives in.
 
     ``ref`` is a discriminated tuple:
@@ -93,10 +95,6 @@ class NodeId:
 
     ref: tuple
     sit: SituationId
-
-    def __hash__(self):
-        # Flat, so hashing a node id does not also call SituationId.__hash__.
-        return hash((self.ref, self.sit.index, self.sit.sub))
 
     def __str__(self):
         kind = self.ref[0]
@@ -143,30 +141,92 @@ def elapsed_node(buckets: tuple, sit: SituationId) -> NodeId:
     return NodeId(("elapsed", buckets), sit)
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Node:
-    """A net node. ``table`` is None until ``finalize`` freezes the CPT into a
-    read-only float64 array of shape (|parent_1|, ..., |parent_k|, |states|),
-    indexed by parent and state position; ``cpt`` keeps the rows as written."""
+    """A net node: its kind and states are fixed when it is made, its parents
+    before its first row.
+
+    Rows are written straight into arrays indexed by parent state position:
+    ``cells``, of shape (|parent_1|, ..., |parent_k|, |states|), holds each
+    row's probabilities, ``totals`` each row's sum, and ``sources`` the index
+    of its provenance in ``labels``, 0 for a row not written. ``finalize``
+    divides the cells by the totals into ``table``, a read-only float64 array
+    of the same shape, and drops ``cells`` and ``totals``. A node too large
+    for a table has no arrays. ``cpt`` and ``provenance`` are read-only views
+    of the written rows, keyed by parent-state combination.
+    """
 
     id: NodeId
     kind: str
     states: list
-    parents: list = field(default_factory=list)  # kept sorted by the net's node key
-    cpt: dict = field(default_factory=dict)  # combo tuple -> {state: prob}
-    provenance: dict = field(default_factory=dict)  # combo tuple -> str
-    table: np.ndarray = field(default=None, repr=False, compare=False)
+    text: str  # str(id), formatted once
+    labels: list = field(repr=False)  # the net's provenance labels
+    parents: list = field(default_factory=list)  # sorted by the net's node key
+    axes: tuple = field(default=None, repr=False)  # the parent Nodes, once the shape is fixed
+    table: np.ndarray = field(default=None, repr=False)
+    cells: np.ndarray = field(default=None, repr=False)
+    totals: np.ndarray = field(default=None, repr=False)
+    sources: np.ndarray = field(default=None, repr=False)
+    at: dict = field(init=False, repr=False)  # state -> position
+
+    def __post_init__(self):
+        self.at = {state: i for i, state in enumerate(self.states)}
+
+    @property
+    def cpt(self) -> Mapping:
+        """{state: prob} per row, zero entries dropped, in label order."""
+        return _Rows(self, _distribution)
+
+    @property
+    def provenance(self) -> Mapping:
+        """The label of the model that wrote each row."""
+        return _Rows(self, lambda node, at: node.labels[node.sources[at]])
 
 
-@dataclass
+def _distribution(node: Node, at: tuple) -> dict:
+    row = (node.cells if node.table is None else node.table)[at].tolist()
+    given = [(state, p) for state, p in zip(node.states, row) if p != 0.0]
+    if len(given) > 1:
+        given.sort(key=lambda entry: label_sort_key(entry[0]))
+    return dict(given)
+
+
+class _Rows(Mapping):
+    """A node's written rows, read-only: parent-state combination -> ``read(node, position)``."""
+
+    def __init__(self, node: Node, read):
+        self.node, self.read = node, read
+
+    def __getitem__(self, combo):
+        node = self.node
+        try:
+            at = tuple([axis.at[state] for axis, state in zip(node.axes, combo, strict=True)])
+            written = node.sources[at] > 0
+        except (KeyError, TypeError, ValueError):  # not a combination of parent states, or no arrays
+            written = False
+        if not written:
+            raise KeyError(combo)
+        return self.read(node, at)
+
+    def __iter__(self):
+        if self.node.sources is not None:  # combinations and sources both in parent-state order
+            combos = itertools.product(*[axis.states for axis in self.node.axes])
+            yield from itertools.compress(combos, self.node.sources.ravel().tolist())
+
+    def __len__(self):
+        return 0 if self.node.sources is None else int(np.count_nonzero(self.node.sources))
+
+
+@dataclass(slots=True)
 class FragmentNode:
     id: NodeId
     kind: str
     states: list
     parents: list = field(default_factory=list)
+    text: str = ""  # str(id) when the maker already formatted it
 
 
-@dataclass
+@dataclass(slots=True)
 class FragmentRow:
     node: NodeId
     condition: dict  # NodeId -> state (partial; expanded over remaining parents)
@@ -226,6 +286,8 @@ class PENet:
         self._positions = {sit: i for i, sit in enumerate(self.situation_order)}
         self.finalized = False
         self.selection_records: list = []
+        self.labels = [None]  # provenance labels by ``Node.sources``, 0 for no row; a tuple once finalized
+        self._label_ids: dict = {}
         self._order: tuple = ()  # the topological order, fixed by finalize
         self.numbering: Numbering = None  # set by finalize
 
@@ -244,22 +306,29 @@ class PENet:
         return self._positions[sit]
 
     def node_key(self, nid: NodeId):
-        kind_rank = KIND_RANK.get(self.nodes[nid].kind, 9) if nid in self.nodes else 9
-        return (self._positions[nid.sit], kind_rank, str(nid))
+        node = self.nodes.get(nid)
+        if node is None:
+            return (self._positions[nid.sit], 9, str(nid))
+        return (self._positions[nid.sit], KIND_RANK.get(node.kind, 9), node.text)
 
     # -- structure -------------------------------------------------------
 
     def ensure_node(self, spec: FragmentNode) -> Node:
+        """Make a node, or check a re-declaration of it, and add its parents;
+        a new node's parents are sorted, and its arrays allocated, once."""
         self._mutable()
-        self.ensure_situation(spec.id.sit)
         node = self.nodes.get(spec.id)
         if node is None:
-            node = self.nodes[spec.id] = Node(spec.id, spec.kind, list(spec.states))
+            self.ensure_situation(spec.id.sit)
+            text = spec.text or str(spec.id)
+            node = self.nodes[spec.id] = Node(spec.id, spec.kind, list(spec.states), text, self.labels)
         elif (node.kind, node.states) != (spec.kind, list(spec.states)):
             raise PlanEvalError(f"node {spec.id} exists as {node.kind} {node.states}; "
                                 f"a re-declaration says {spec.kind} {list(spec.states)}")
         for parent in spec.parents:
             self.add_parent(node, parent)
+        if node.axes is None:
+            self._shape(node)
         return node
 
     def add_parent(self, node: Node, parent: NodeId):
@@ -271,10 +340,23 @@ class PENet:
         self._check_layering(parent, node)
         if parent.sit == node.id.sit:
             self._check_no_cycle(parent, node.id)
-        if node.cpt:
+        if node.sources is not None and node.sources.any():
             raise PlanEvalError(f"parent {parent} added to {node.id}, which already has rows")
         node.parents.append(parent)
+        if node.axes is not None:  # a node made already: its shape is fixed anew
+            self._shape(node)
+
+    def _shape(self, node: Node):
+        """Sort the parents and allocate the node's arrays. A table of more
+        dimensions than numpy allows or of more than ``MAX_FACTOR_CELLS``
+        cells gets none, and ``finalize`` raises ``TooLarge`` for it."""
         node.parents.sort(key=self.node_key)
+        node.axes = tuple([self.nodes[p] for p in node.parents])
+        shape = tuple([len(axis.states) for axis in node.axes])
+        fits = len(shape) < _MAX_TABLE_DIMS and math.prod(shape) * len(node.states) <= MAX_FACTOR_CELLS
+        node.cells = np.zeros((*shape, len(node.states))) if fits else None
+        node.totals = np.zeros(shape) if fits else None
+        node.sources = np.zeros(shape, dtype=np.int32) if fits else None
 
     def _check_layering(self, parent: NodeId, child: Node):
         pkind = self.nodes[parent].kind
@@ -314,48 +396,44 @@ class PENet:
     # -- row writing -----------------------------------------------------
 
     def _paste(self, frag: Fragment, overwrite: bool) -> PENet:
+        """Write each row into one slice of its node's arrays: a pinned parent
+        is an index, any other parent a full slice. An onto row assigns the
+        slice; a fill row assigns only its rows not yet written."""
         self._mutable()
         for spec in frag.nodes:
             self.ensure_node(spec)
         for row in frag.rows:
-            node = self.nodes[row.node]
-            pools, pinned = [], 0
-            for parent in node.parents:
-                states = self.nodes[parent].states
-                if parent in row.condition:
-                    pinned += 1
-                    pin = row.condition[parent]
-                    pools.append((pin,) if pin in states else ())  # an unreachable pin expands to nothing
-                else:
-                    pools.append(tuple(states))
-            if pinned < len(row.condition):
-                stray = next(key for key in row.condition if key not in node.parents)
+            node, condition = self.nodes[row.node], row.condition
+            at = tuple([axis.at.get(condition[p], _NONE) if p in condition else _ALL
+                        for p, axis in zip(node.parents, node.axes)])
+            if len(at) - at.count(_ALL) < len(condition):
+                stray = next(key for key in condition if key not in node.parents)
                 raise PlanEvalError(f"a row of {node.id} pins {stray}, which is not one of its parents")
-            combos = math.prod(len(pool) for pool in pools)
+            # an unreachable pin writes nothing
+            combos = 0 if _NONE in at else math.prod(len(a.states) for a, i in zip(node.axes, at) if i == _ALL)
             if combos > MAX_FACTOR_CELLS:
                 raise TooLarge(f"a row of node {node.id} expands to {combos} parent combinations, "
                                f"above {MAX_FACTOR_CELLS}")
-            targets = [
-                combo for combo in itertools.product(*pools)
-                if overwrite or combo not in node.cpt
-            ]
-            if not targets:
+            if not combos:
                 continue
-            dist = self._fit_distribution(node, row.distribution)
-            for combo in targets:
-                node.cpt[combo] = dict(dist)
-                node.provenance[combo] = row.provenance
+            free = None  # the rows of the slice to write, None for all of them
+            if not overwrite and node.sources is not None:
+                done = node.sources[at] > 0
+                if done.all() if _ALL in at else done:
+                    continue
+                if _ALL in at and done.any():
+                    free = ~done
+            cells, total = _fit(node, row.distribution)
+            if node.sources is None:
+                continue  # too large for a table: finalize raises TooLarge
+            source = self._label_ids.setdefault(row.provenance, len(self.labels))
+            if source == len(self.labels):
+                self.labels.append(row.provenance)
+            if free is None:
+                node.cells[at], node.totals[at], node.sources[at] = cells, total, source
+            else:
+                node.cells[at][free], node.totals[at][free], node.sources[at][free] = cells, total, source
         return self
-
-    def _fit_distribution(self, node: Node, dist: dict) -> dict:
-        fitted = {}
-        for state, prob in dist.items():
-            if prob == 0.0:
-                continue
-            if state not in node.states:
-                raise PlanEvalError(f"state {state!r} not among {node.id}'s states {node.states}")
-            fitted[state] = fitted.get(state, 0.0) + prob
-        return {s: fitted[s] for s in sorted(fitted, key=label_sort_key)}
 
     def _mutable(self):
         if self.finalized:
@@ -375,10 +453,33 @@ class PENet:
         return nid
 
     def row_provenance(self, nid: NodeId, combo: tuple) -> str:
-        return self.nodes[nid].provenance[combo]
+        """The label of the model that wrote the node's row for a parent-state combination."""
+        if nid not in self.nodes:
+            raise PlanEvalError(f"no node {nid} in net")
+        try:
+            return self.nodes[nid].provenance[combo]
+        except KeyError:
+            raise PlanEvalError(f"node {nid} has no row for parent states {combo!r}") from None
 
     def final_situation(self) -> SituationId:
         return self.situation_order[-1]
+
+
+_ALL, _NONE = slice(None), slice(0)  # a parent a row does not pin; a pin on a state it does not have
+
+
+def _fit(node: Node, dist: dict) -> tuple:
+    """A row's cells in state order and its total: the nonzero probabilities
+    added one by one in label order, so the total has the same bits whatever
+    the states' order."""
+    cells, total = [0.0] * len(node.states), 0.0
+    for state in sorted(dist, key=label_sort_key) if len(dist) > 1 else dist:
+        if dist[state] != 0.0:
+            if state not in node.at:
+                raise PlanEvalError(f"state {state!r} not among {node.id}'s states {node.states}")
+            cells[node.at[state]] += dist[state]
+            total += dist[state]
+    return cells, total
 
 
 def paste_onto(net: PENet, frag: Fragment) -> PENet:
@@ -394,17 +495,18 @@ def paste_into(net: PENet, frag: Fragment) -> PENet:
 def finalize(net: PENet) -> PENet:
     """Check full CPT coverage, normalize rows exactly, and freeze the net.
 
-    Each node's rows are also written, in ``itertools.product`` order over the
-    parents' states, into ``Node.table``, a float64 array over immutable bytes.
-    The same per-node pass takes each row's running sums for the Monte Carlo
-    CDFs. All tables are slices of one per-net buffer and all CDFs of
-    another, so a query makes no table work of its own and a finalized net
-    can be queried from many threads at once. A table of more dimensions
-    than numpy allows or of more than ``MAX_FACTOR_CELLS`` cells raises
-    ``TooLarge`` before any node's rows are enumerated. The nodes are numbered in ``node_key`` order,
-    and that integer view, stored as ``net.numbering``, keeps only the
-    multi-state parents and fixes the row strides, the CDFs and one min-degree
-    elimination order for every query.
+    Coverage is read from the nodes' ``sources``, and each row's cells are
+    divided by its stored total into ``Node.table``, a float64 array over
+    immutable bytes (a total of exactly 1.0 divides to the same bits); the
+    Monte Carlo CDFs are the running sums of the table rows. All tables are
+    slices of one per-net buffer and all CDFs of another, so a query makes no
+    table work of its own and a finalized net can be queried from many
+    threads at once. A table of more dimensions than numpy allows or of more
+    than ``MAX_FACTOR_CELLS`` cells raises ``TooLarge`` before any row is
+    read. The nodes are numbered in ``node_key`` order, and that integer
+    view, stored as ``net.numbering``, keeps only the multi-state parents and
+    fixes the row strides, the CDFs and one min-degree elimination order for
+    every query.
     """
     if net.finalized:
         return net
@@ -418,40 +520,34 @@ def finalize(net: PENet) -> PENet:
             raise TooLarge(f"node {node.id} needs a table of {len(shape)} dimensions, above {_MAX_TABLE_DIMS}")
         if math.prod(shape) > MAX_FACTOR_CELLS:
             raise TooLarge(f"node {node.id} needs a table of {math.prod(shape)} cells, above {MAX_FACTOR_CELLS}")
-    # Every table goes into one per-net list of cells and every CDF into
-    # another, so the net gets two buffers rather than two arrays per node.
-    cells, sums, spans = [], [], []
-    for node, ps in zip(nodes, every_parent):
-        pools = [nodes[p].states for p in ps]
-        rows = []
-        for combo in itertools.product(*pools):
-            dist = node.cpt.get(combo)
-            if dist is None:
-                raise IncompleteCPT(node.id, _describe_combo(node, combo))
-            total = sum(dist.values())
-            if abs(total - 1.0) > PROB_TOL:
-                raise PlanEvalError(f"row {node.id}{combo} sums to {total!r}")
-            if total != 1.0:
-                dist = node.cpt[combo] = {s: p / total for s, p in dist.items()}
-            rows.append([dist.get(s, 0.0) for s in node.states])
-        if len(node.cpt) != len(rows):
-            extra = set(node.cpt) - set(itertools.product(*pools))
-            raise PlanEvalError(f"node {node.id} carries rows for unreachable combinations {sorted(extra)[:3]}")
-        spans.append((len(cells), len(sums), len(rows)))
-        cells += itertools.chain.from_iterable(rows)
-        # Running sums are sequential, as np.cumsum's, so the CDF has its bits;
-        # they are taken column by column, and the last column is never read.
-        for column in itertools.islice(zip(*map(itertools.accumulate, rows)), len(node.states) - 1):
-            sums += column
-    # Backed by immutable bytes, so not even the writeable flag can be set back.
-    cell_buffer = np.frombuffer(np.array(cells, dtype=float).tobytes())
-    sum_buffer = np.frombuffer(np.array(sums, dtype=float).tobytes())
-    order = _topological_order(every_parent)
     sizes = tuple(shape[-1] for shape in shapes)
+    counts = [node.sources.size for node in nodes]
+    widths = np.repeat(np.array(sizes, dtype=np.intp), counts)  # per row of the net, its node's state count
+    cells = _joined([node.cells.ravel() for node in nodes])
+    cells /= np.repeat(_checked_totals(nodes, counts), widths)
+    # Backed by immutable bytes, so not even the writeable flag can be set back.
+    cell_buffer = np.frombuffer(cells.tobytes())
+    # The running sums of all rows of k states at once: np.cumsum runs
+    # sequentially along a row, and the last sum is never read. The block of
+    # each k holds column j of its rows contiguous, in number order.
+    firsts, blocks, sums = np.cumsum(widths) - widths, {}, []
+    for k in sorted(set(sizes)):
+        rows = firsts[widths == k]
+        blocks[k] = (sum(map(len, sums)), len(rows))
+        sums.append(np.cumsum(cell_buffer[rows[:, None] + np.arange(k - 1)], axis=1).T.ravel())
+    sum_buffer = np.frombuffer(_joined(sums).tobytes())
+    blocks = {k: sum_buffer[at:at + (k - 1) * n].reshape(k - 1, n) for k, (at, n) in blocks.items()}
+    order = _topological_order(every_parent)
+    labels = net.labels = tuple(net.labels)
     parents, tables, strides, cdfs = [], [], [], []
-    for node, (start, first, count), shape, ps in zip(nodes, spans, shapes, every_parent):
+    start, placed = 0, dict.fromkeys(blocks, 0)  # per k, how many of its rows are placed
+    for node, shape, ps, count in zip(nodes, shapes, every_parent, counts):
         k = shape[-1]
         node.table = table = cell_buffer[start:start + count * k].reshape(shape)
+        start += count * k
+        node.cells = node.totals = None
+        node.sources.flags.writeable = False
+        node.labels = labels
         if 1 in shape[:-1]:  # view the table without its one-state parent axes
             ps = tuple([p for p in ps if sizes[p] > 1])
             table = table.reshape([sizes[p] for p in ps] + [k])
@@ -459,7 +555,8 @@ def finalize(net: PENet) -> PENet:
         tables.append(table)
         # A one-state axis multiplies no stride, so the full shape's strides serve.
         strides.append(tuple([math.prod(shape[i + 1:-1]) for i in range(len(shape) - 1) if shape[i] > 1]))
-        cdfs.append(sum_buffer[first:first + count * (k - 1)].reshape(k - 1, count))
+        cdfs.append(blocks[k][:, placed[k]:placed[k] + count])
+        placed[k] += count
     parents = tuple(parents)
     net._order = tuple(ordered[v] for v in order)
     net.numbering = Numbering(
@@ -475,6 +572,32 @@ def finalize(net: PENet) -> PENet:
     )
     net.finalized = True
     return net
+
+
+def _joined(arrays: list) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0)
+
+
+def _checked_totals(nodes: list, counts: list) -> np.ndarray:
+    """Every row's total, the nodes taken in turn; raises for the first row
+    unwritten or off 1 by more than ``PROB_TOL``. A node after the first
+    unwritten row is not read."""
+    written = _joined([node.sources.ravel() for node in nodes]) > 0
+    end = len(written) if written.all() else int(written.argmin())
+    reach = bisect.bisect_right(list(itertools.accumulate(counts)), end) + 1  # the nodes holding rows to ``end``
+    totals = _joined([node.totals.ravel() for node in nodes[:reach]])
+    off = np.flatnonzero(np.abs(totals[:end] - 1.0) > PROB_TOL)
+    if len(off) or end < len(written):
+        at = int(off[0]) if len(off) else end
+        for node in nodes:
+            if at < node.sources.size:
+                break
+            at -= node.sources.size
+        combo = tuple(axis.states[i] for axis, i in zip(node.axes, np.unravel_index(at, node.sources.shape)))
+        if not node.sources.ravel()[at]:
+            raise IncompleteCPT(node.id, _describe_combo(node, combo))
+        raise PlanEvalError(f"row {node.id}{combo} sums to {float(node.totals.ravel()[at])!r}")
+    return totals
 
 
 def _topological_order(parents: tuple) -> tuple:
@@ -558,12 +681,12 @@ def canonical_dump(net: PENet) -> str:
     for nid in sorted(net.nodes, key=net.node_key):
         node = net.nodes[nid]
         lines.append(
-            f"node {nid} kind={node.kind} states={{{' '.join(str(s) for s in node.states)}}}"
-            f" parents=[{', '.join(str(p) for p in node.parents)}]"
+            f"node {node.text} kind={node.kind} states={{{' '.join(str(s) for s in node.states)}}}"
+            f" parents=[{', '.join(net.nodes[p].text for p in node.parents)}]"
         )
-        for combo in sorted(node.cpt, key=lambda c: tuple(str(v) for v in c)):
-            dist = node.cpt[combo]
-            body = " ".join(f"{s}:{dist[s]:.12g}" for s in sorted(dist, key=label_sort_key))
-            src = node.provenance.get(combo, "")
-            lines.append(f"  row ({', '.join(str(v) for v in combo)}) -> {{{body}}}  # {src}")
+        cpt, provenance = node.cpt, node.provenance
+        for combo in sorted(cpt, key=lambda c: tuple(str(v) for v in c)):
+            dist = cpt[combo]
+            body = " ".join(f"{s}:{dist[s]:.12g}" for s in dist)
+            lines.append(f"  row ({', '.join(str(v) for v in combo)}) -> {{{body}}}  # {provenance[combo]}")
     return "\n".join(lines) + "\n"

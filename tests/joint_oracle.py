@@ -61,6 +61,7 @@ def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUN
     evidence = evidence or {}
     _check_size(net, bound)
     order = net.topological_nodes()
+    cpts = {nid: dict(net.nodes[nid].cpt) for nid in order}  # each row read once, not once per visit
     out = {}
     assignment = {}
 
@@ -73,7 +74,7 @@ def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUN
         node = net.nodes[nid]
         combo = tuple(assignment[p] for p in node.parents)
         pinned = evidence.get(nid)
-        for state, p in node.cpt[combo].items():
+        for state, p in cpts[nid][combo].items():
             if p == 0.0 or (pinned is not None and state != pinned):
                 continue
             assignment[nid] = state

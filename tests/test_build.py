@@ -20,6 +20,7 @@ from planeval import (
     TooLarge,
     leads_to_success,
     linearize,
+    PlanEvalError,
     plan_success,
     validate_kb,
 )
@@ -74,6 +75,35 @@ def test_two_step_plan_structure():
     a2 = net.nodes[net.find("(Loc A)", "S2")]
     sources = set(a2.provenance.values())
     assert sources == {"persistence (Loc ?obj)", "default-persistence"}
+
+
+def test_a_finalized_net_refuses_writes_to_its_rows():
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    node = net.nodes[net.find("(Loc A)", "S1")]
+    before = canonical_dump(net)
+    with pytest.raises(TypeError):
+        node.cpt[("zz",)] = {"L1": 1.0}
+    with pytest.raises(TypeError):
+        node.provenance[("L1",)] = "forged"
+    with pytest.raises(ValueError):
+        node.table[0, 0] = 0.5
+    with pytest.raises(AttributeError):
+        node.cpt = {}
+    node.cpt[("L1",)]["L1"] = 0.5  # a row read out is a copy
+    assert ("zz",) not in node.cpt
+    assert canonical_dump(net) == before
+
+
+def test_row_provenance_of_a_missing_row_is_a_typed_error():
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    a0, a1 = net.find("(Loc A)", "S0"), net.find("(Loc A)", "S1")
+    with pytest.raises(PlanEvalError, match=r"node \(Loc A\)@S0 has no row for parent states \('nope',\)"):
+        net.row_provenance(a0, ("nope",))
+    with pytest.raises(PlanEvalError, match=r"node \(Loc A\)@S1 has no row for parent states \('L3',\)"):
+        net.row_provenance(a1, ("L3",))  # (Loc A)@S0 never takes L3
+    with pytest.raises(PlanEvalError, match=r"no node \(Loc C\)@S1 in net"):
+        net.row_provenance(atom_node(GroundAtom("Loc", ("C",)), a1.sit), ("L1",))
+    assert net.row_provenance(a0, ()) == "initial"
 
 
 def test_empty_plan_keeps_priors():

@@ -1,6 +1,7 @@
 """PE-net substrate: paste semantics, layering rules, finalize."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -23,6 +24,7 @@ from planeval.net import (
     FragmentRow,
     SituationId,
     atom_node,
+    elapsed_node,
     finalize,
     paste_into,
     paste_onto,
@@ -488,3 +490,35 @@ def test_paste_onto_last_writer_wins_row_granularity():
     # the other row is untouched
     assert net.nodes[LOC_A1].cpt[("L2",)] == {"L2": 1.0}
     assert net.row_provenance(LOC_A1, ("L2",)) == "action move"
+
+
+def test_finalize_numbers_nodes_by_their_text_not_their_ref():
+    # Two elapsed nodes of one situation: by text "[0,10)" sorts before
+    # "[0,3)", by ref tuple (0, 3) sorts before (0, 10). The numbering, and
+    # so canonical_dump, follows the text.
+    short = elapsed_node(((0, 3), (3, math.inf)), S1)
+    long = elapsed_node(((0, 10), (10, math.inf)), S1)
+    assert short.ref < long.ref and str(long) < str(short)
+    net = PENet()
+    nodes = [FragmentNode(nid, "elapsed", ["low", "high"]) for nid in (short, long)]
+    rows = [FragmentRow(nid, {}, {"low": 0.5, "high": 0.5}, "elapsed") for nid in (short, long)]
+    finalize(paste_onto(net, Fragment(nodes=nodes, rows=rows)))
+    assert net.numbering.ids == (long, short)
+    assert net.node_key(long) < net.node_key(short)
+    dump = canonical_dump(net)
+    assert dump.index(f"node {long} ") < dump.index(f"node {short} ")
+
+
+def test_normalizing_keeps_the_bits_of_a_label_order_sum():
+    # In label order (x, y, z) the row sums to 0.9999999999999999; in the
+    # declared state order (z, y, x) it would sum to 1.0 and stay unscaled.
+    z = atom_node(GroundAtom("Z", ()), S0)
+    net = PENet()
+    paste_onto(net, Fragment(nodes=[FragmentNode(z, "primitive", ["z", "y", "x"])],
+                             rows=[FragmentRow(z, {}, {"x": 0.7, "y": 0.2, "z": 0.1}, "prior")]))
+    total = 0.7 + 0.2 + 0.1
+    assert total != 0.1 + 0.2 + 0.7
+    finalize(net)
+    expected = np.array([0.1 / total, 0.2 / total, 0.7 / total])
+    assert net.nodes[z].table.tobytes() == expected.tobytes()
+    assert net.nodes[z].table.tolist() != [0.1, 0.2, 0.7]
