@@ -15,7 +15,11 @@ node states, optionally given evidence):
   their last reader. It does no table work per query: each node's row
   strides and its CDF, column by column, were fixed by ``finalize``, so a
   sampled node costs one draw into a reused buffer and one comparison per
-  CDF column.
+  CDF column; a draw picks the state that counts the columns with
+  ``draw >= running sum``, so no draw, 0.0 included, lands on a state of
+  probability 0. A node certain of its state on every row costs no draw
+  and no comparison: its state is read from the pick table ``finalize``
+  stored, and its draws are skipped like those of a node outside the query.
 
 A one-state node's table is 1 on every row, so neither engine reads one: a
 pin or a reachable target on it drops out, and so does every node read
@@ -214,9 +218,10 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     Only the multi-state ancestors of the targets and the evidence are
     sampled. Every other node that is not evidence, one-state nodes
     included, still owns its n doubles of the stream: the generator skips
-    them, so each answer equals whole-net sampling's for the same seed. An
-    evidence node owns no draws, whatever its state count. Samples are freed
-    after their last reader.
+    them, so each answer equals whole-net sampling's for the same seed. A
+    sampled node with a pick table is skipped the same way, its state read
+    from that table. An evidence node owns no draws, whatever its state
+    count. Samples are freed after their last reader.
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
@@ -233,6 +238,7 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     rng = np.random.Generator(np.random.PCG64(q.seed))
     numbering = net.numbering
     parents_of, strides_of, cdfs, sizes = numbering.parents, numbering.strides, numbering.cdfs, numbering.sizes
+    picks = numbering.picks
     pins = dict(_numbered(net, q.evidence.items()))
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
     targets = [(v, s) for v, s in _numbered(net, q.targets) if sizes[v] > 1] if reachable else []
@@ -260,18 +266,23 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
         if v in pins:
             value = pins[v]
             weights *= numbering.tables[v].reshape(-1, k)[row, value]
+        elif picks[v] is not None:
+            # Every draw would pick the row's one state; the node's draws are skipped.
+            value = picks[v][row]
+            skip += n
         else:
             if skip:
                 # PCG64 spends one 64-bit output per double drawn.
                 rng.bit_generator.advance(skip)
                 skip = 0
             rng.random(out=draws)
-            # The CDF never decreases, so counting the draws above its first
-            # k-1 entries picks the state; the last entry is never needed.
+            # The CDF never decreases, so counting the entries a draw reaches
+            # among its first k-1 picks the state; the last entry is never
+            # needed, and a state of probability 0 is never reached.
             first, *rest = cdfs[v]
-            value = (draws > first[row]).astype(np.intp)
+            value = (draws >= first[row]).astype(np.intp)
             for column in rest:
-                value += draws > column[row]
+                value += draws >= column[row]
         for p in parents:
             readers[p] -= 1
             if not readers[p]:

@@ -264,6 +264,15 @@ class Numbering(NamedTuple):
     sums of each table row, ``np.cumsum(table.reshape(-1, k)[:, :-1], axis=1)``
     bit for bit, lies contiguous over the rows as ``cdfs[v][j]``. The last
     running sum is never needed, so a one-state node's CDF has no column.
+    A draw ``u`` in [0, 1) picks the state that counts the columns with
+    ``u >= cdfs[v][j][row]``, so no draw lands on a state of probability 0.
+
+    ``picks[v]`` is set for a multi-state node whose CDF entries are all
+    exactly 0.0 or 1.0, such as a derived definition, an expansion selection
+    or an atom a reliable effect fixes: one entry per row, that row's state, which
+    is the count of its running sums equal to 0 and the state every draw
+    picks. Monte Carlo reads it and draws nothing for the node. Every other
+    node, every one-state node included, has ``None``.
     """
 
     ids: tuple  # NodeIds in node_key order
@@ -275,6 +284,7 @@ class Numbering(NamedTuple):
     rank: tuple  # per node, its place in the min-degree elimination order
     strides: tuple  # per node, each multi-state parent's row multiplier, as ints
     cdfs: tuple  # per node, a read-only (k - 1, rows) float64 array
+    picks: tuple  # per node, a read-only intp array of each row's certain state, or None
 
 
 class PENet:
@@ -499,14 +509,15 @@ def finalize(net: PENet) -> PENet:
     divided by its stored total into ``Node.table``, a float64 array over
     immutable bytes (a total of exactly 1.0 divides to the same bits); the
     Monte Carlo CDFs are the running sums of the table rows. All tables are
-    slices of one per-net buffer and all CDFs of another, so a query makes no
-    table work of its own and a finalized net can be queried from many
-    threads at once. A table of more dimensions than numpy allows or of more
+    slices of one per-net buffer and all CDFs and pick tables of another, so
+    a query makes no table work of its own and a finalized net can be
+    queried from many threads at once. A table of more dimensions than numpy allows or of more
     than ``MAX_FACTOR_CELLS`` cells raises ``TooLarge`` before any row is
     read. The nodes are numbered in ``node_key`` order, and that integer
     view, stored as ``net.numbering``, keeps only the multi-state parents and
-    fixes the row strides, the CDFs and one min-degree elimination order for
-    every query.
+    fixes the row strides, the CDFs, the pick tables of the nodes certain of
+    their state on every row, and one min-degree elimination order for every
+    query.
     """
     if net.finalized:
         return net
@@ -522,7 +533,8 @@ def finalize(net: PENet) -> PENet:
             raise TooLarge(f"node {node.id} needs a table of {math.prod(shape)} cells, above {MAX_FACTOR_CELLS}")
     sizes = tuple(shape[-1] for shape in shapes)
     counts = [node.sources.size for node in nodes]
-    widths = np.repeat(np.array(sizes, dtype=np.intp), counts)  # per row of the net, its node's state count
+    size_array, row_counts = np.array(sizes, dtype=np.intp), np.array(counts, dtype=np.intp)
+    widths = np.repeat(size_array, row_counts)  # per row of the net, its node's state count
     cells = _joined([node.cells.ravel() for node in nodes])
     cells /= np.repeat(_checked_totals(nodes, counts), widths)
     # Backed by immutable bytes, so not even the writeable flag can be set back.
@@ -530,18 +542,37 @@ def finalize(net: PENet) -> PENet:
     # The running sums of all rows of k states at once: np.cumsum runs
     # sequentially along a row, and the last sum is never read. The block of
     # each k holds column j of its rows contiguous, in number order.
-    firsts, blocks, sums = np.cumsum(widths) - widths, {}, []
-    for k in sorted(set(sizes)):
-        rows = firsts[widths == k]
-        blocks[k] = (sum(map(len, sums)), len(rows))
-        sums.append(np.cumsum(cell_buffer[rows[:, None] + np.arange(k - 1)], axis=1).T.ravel())
-    sum_buffer = np.frombuffer(_joined(sums).tobytes())
-    blocks = {k: sum_buffer[at:at + (k - 1) * n].reshape(k - 1, n) for k, (at, n) in blocks.items()}
+    by_size = widths.argsort(kind="stable")  # the rows block by block
+    row_sizes, ks = widths[by_size], sorted(set(sizes))
+    firsts, blocks, sums, flat, at, row = np.cumsum(widths) - widths, {}, [], [], 0, 0
+    for k, end in zip(ks, row_sizes.searchsorted(ks, side="right").tolist()):
+        blocks[k] = (at, end - row, row)
+        cdf = np.cumsum(cell_buffer[firsts[by_size[row:end], None] + np.arange(k - 1)], axis=1)
+        sums.append(cdf.T.ravel())
+        flat.append(cdf.ravel())
+        at, row = at + cdf.size, end
+    # A row whose running sums are all 0.0 or 1.0 is certain of its state,
+    # the count of its zero sums, and a node of more than one state is when
+    # every row is. Both are counted over every sum at once, block by block,
+    # so no k and no node costs a numpy call of its own.
+    running = _joined(flat)
+    zero = running == 0.0
+    row_sums = row_sizes - 1
+    node_of_row = np.arange(len(nodes)).repeat(row_counts)[by_size]
+    unsure = np.bincount(node_of_row.repeat(row_sums), weights=~zero & (running != 1.0), minlength=len(nodes)).tolist()
+    states = np.bincount(np.arange(len(row_sums)).repeat(row_sums), weights=zero, minlength=len(row_sums))
+    # The CDFs and the pick tables share one buffer of immutable bytes.
+    joined = _joined(sums)
+    buffer = joined.tobytes() + states.astype(np.intp).tobytes()
+    sum_buffer = np.frombuffer(buffer, count=len(joined))
+    state_buffer = np.frombuffer(buffer, dtype=np.intp, offset=joined.nbytes)
+    picks = {k: state_buffer[row:row + n] for k, (_, n, row) in blocks.items()}
+    blocks = {k: sum_buffer[at:at + (k - 1) * n].reshape(k - 1, n) for k, (at, n, _) in blocks.items()}
     order = _topological_order(every_parent)
     labels = net.labels = tuple(net.labels)
-    parents, tables, strides, cdfs = [], [], [], []
+    parents, tables, strides, cdfs, pick_of = [], [], [], [], []
     start, placed = 0, dict.fromkeys(blocks, 0)  # per k, how many of its rows are placed
-    for node, shape, ps, count in zip(nodes, shapes, every_parent, counts):
+    for node, shape, ps, count, doubts in zip(nodes, shapes, every_parent, counts, unsure):
         k = shape[-1]
         node.table = table = cell_buffer[start:start + count * k].reshape(shape)
         start += count * k
@@ -556,6 +587,7 @@ def finalize(net: PENet) -> PENet:
         # A one-state axis multiplies no stride, so the full shape's strides serve.
         strides.append(tuple([math.prod(shape[i + 1:-1]) for i in range(len(shape) - 1) if shape[i] > 1]))
         cdfs.append(blocks[k][:, placed[k]:placed[k] + count])
+        pick_of.append(picks[k][placed[k]:placed[k] + count] if k > 1 and not doubts else None)
         placed[k] += count
     parents = tuple(parents)
     net._order = tuple(ordered[v] for v in order)
@@ -569,6 +601,7 @@ def finalize(net: PENet) -> PENet:
         rank=_min_degree_rank(parents, sizes),
         strides=tuple(strides),
         cdfs=tuple(cdfs),
+        picks=tuple(pick_of),
     )
     net.finalized = True
     return net

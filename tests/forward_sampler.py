@@ -2,10 +2,12 @@
 
 ``forward_sample`` draws every node of the net, in the order
 ``topological_nodes`` gives, for every query, and reads a state off the full
-n x k comparison of each draw with its row's cumulative distribution.
-``inference.mc_query`` samples only the multi-state ancestors of the targets
-and the evidence and skips the other nodes' draws in the generator's stream
-(an evidence node has none), so for the same seed the two give the same bits.
+n x k comparison of each draw with its row's cumulative distribution: the
+count of running sums the draw reaches (``>=``). ``inference.mc_query``
+samples only the multi-state ancestors of the targets and the evidence,
+reads the nodes certain of their state from pick tables, and skips the
+other nodes' draws in the generator's stream (an evidence node has none),
+so for the same seed the two give the same bits.
 
 ``topological_nodes`` sorts the nodes by ``node_key`` and places them pass
 by pass, the order a finalized net stores.
@@ -60,7 +62,7 @@ def forward_sample(net, q):
         else:
             cdf = np.cumsum(matrix, axis=1)[row_index]
             draws = rng.random(n)
-            picked = (draws[:, None] > cdf).sum(axis=1)
+            picked = (draws[:, None] >= cdf).sum(axis=1)
             values[nid] = np.minimum(picked, len(node.states) - 1).astype(np.int64)
 
     total = weights.sum()

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from planeval.net import Fragment, FragmentNode, FragmentRow, NodeId, SituationI
 import forward_sampler
 import instance_gen
 from joint_oracle import oracle_enumerate
-from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, TWO_STEP_PLAN, load
+from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN, TWO_STEP_PLAN, load
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import workloads  # noqa: E402 - the benchmark's instance generators
@@ -355,8 +356,10 @@ def ancestors(net, roots) -> set:
 
 def sampled_shapes(net, q) -> set:
     """Which shapes the query's non-evidence ancestors take: "one-state" for a
-    node of one state, whose draws mc_query skips, "multi-parent" for a node
-    with two or more parents of more than one state each."""
+    node of one state, whose draws mc_query skips, "deterministic" for a node
+    of more states with a pick table, whose state mc_query reads without a
+    draw, "multi-parent" for a node with two or more parents of more than one
+    state each."""
     reachable = all(state in net.nodes[nid].states for nid, state in q.targets)
     read = ancestors(net, [nid for nid, _ in q.targets if reachable] + list(q.evidence))
     shapes = set()
@@ -364,6 +367,8 @@ def sampled_shapes(net, q) -> set:
         node = net.nodes[nid]
         if len(node.states) == 1:
             shapes.add("one-state")
+        elif net.numbering.picks[net.numbering.number[nid]] is not None:
+            shapes.add("deterministic")
         if sum(len(net.nodes[p].states) > 1 for p in node.parents) >= 2:
             shapes.add("multi-parent")
     return shapes
@@ -405,17 +410,19 @@ def compare_on_generated_nets(generator, samples) -> tuple:
 
 @pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
 def test_pruned_mc_matches_whole_net_sampling_on_generated_nets(generator):
-    compared, _shapes = compare_on_generated_nets(generator, samples=200)
+    compared, shapes = compare_on_generated_nets(generator, samples=200)
     assert compared >= 60 * 9 // 2
+    assert "deterministic" in shapes  # the pick tables are on the compared path
 
 
 @pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
 def test_pruned_mc_matches_whole_net_sampling_at_one_sample(generator):
     # One sample makes the scalar states of roots and evidence broadcast
-    # against arrays of length one, and one-state nodes are skipped among them.
+    # against arrays of length one, and one-state nodes are skipped among
+    # them, as are the draws of the nodes read from their pick tables.
     compared, shapes = compare_on_generated_nets(generator, samples=1)
     assert compared >= 60 * 9 // 2
-    assert shapes == {"one-state", "multi-parent"}
+    assert shapes == {"one-state", "deterministic", "multi-parent"}
 
 
 @pytest.mark.parametrize("workload", ["branchy-queries", "shuttle", "timed-overlap"])
@@ -618,6 +625,69 @@ def test_mc_reads_the_cdfs_finalize_fixed(monkeypatch):
     monkeypatch.setattr(inference, "np", NumpyWithoutCdfs())
     answers = [mc_query(net, q)] + [metric(net, plan, mode="mc", samples=500, seed=2) for metric in metrics]
     assert answers == expected
+
+
+class ZeroDraws:
+    """A generator whose every draw is exactly 0.0; skipping still advances its bits."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+
+    def random(self, out):
+        out[...] = 0.0
+        return out
+
+
+class NoDraws(ZeroDraws):
+    def random(self, out):
+        raise AssertionError("a query drew from the generator")
+
+
+def numpy_with_generator(generator):
+    """numpy as the engine sees it, with ``np.random.Generator`` replaced."""
+
+    class Numpy:
+        random = SimpleNamespace(PCG64=np.random.PCG64, Generator=generator)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    return Numpy()
+
+
+def test_a_draw_of_zero_never_picks_a_state_of_probability_zero(monkeypatch):
+    # A draw picks the state whose running sums it reaches, so a draw of 0.0
+    # passes every leading state of probability 0.
+    monkeypatch.setattr(inference, "np", numpy_with_generator(ZeroDraws))
+    sampled = []
+    for generator in (instance_gen.generate, instance_gen.generate_timed):
+        for seed in range(20):
+            kb, plan = generator(seed)
+            net = build_pe_net(plan, kb, BuildOptions(clock_enabled=generator is instance_gen.generate_timed))
+            # Every draw is the same, so every sample is one assignment of the net.
+            at = {}
+            for nid, node in net.nodes.items():
+                q = [Query([(nid, state)], mode="mc", samples=1) for state in node.states]
+                (at[nid],) = [i for i, query in enumerate(q) if mc_query(net, query).probability == 1.0]
+            rows = {nid: node.table[tuple(at[p] for p in node.parents)] for nid, node in net.nodes.items()}
+            assert all(row[at[nid]] > 0.0 for nid, row in rows.items())
+            sampled.append((net.numbering, rows))
+    # Some of the rows that start with a zero belong to nodes that draw.
+    assert any(len(row) > 1 and row[0] == 0.0 and numbering.picks[numbering.number[nid]] is None
+               for numbering, rows in sampled for nid, row in rows.items())
+
+
+def test_mc_draws_nothing_for_nodes_certain_of_their_state(monkeypatch):
+    kb, plan = load(RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN.replace("(Loc X)=L1 }", "(Loc X)=L1:0.5 (Loc X)=L2:0.5 }"))
+    net = build_pe_net(plan, kb)
+    loc, at = net.find("(Loc X)", "S0"), net.find("(At L1)", "S0")
+    assert net.numbering.picks[net.numbering.number[at]] is not None
+    q = Query(targets=[(at, "X")], evidence={loc: "L1"}, mode="mc", samples=1000, seed=2)
+    expected = mc_query(net, q)
+    monkeypatch.setattr(inference, "np", numpy_with_generator(NoDraws))
+    answer = mc_query(net, q)
+    assert answer == expected
+    assert (answer.probability, answer.standard_error) == (1.0, 0.0)
 
 
 def test_mc_queries_from_many_threads_give_the_one_thread_answers():

@@ -356,6 +356,31 @@ def test_finalize_numbers_the_nodes_in_key_order(seed, timed):
         numbering.order = ()
 
 
+@pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
+def test_picks_hold_the_state_of_every_certain_row(generator):
+    seen = {"certain": 0, "uncertain": 0, "one-state": 0}
+    for seed in range(60):
+        kb, plan = generator(seed)
+        net = build_pe_net(plan, kb, BuildOptions(clock_enabled=generator is instance_gen.generate_timed))
+        numbering = net.numbering
+        assert type(numbering.picks) is tuple and len(numbering.picks) == len(net.nodes)
+        for v, (cdf, pick, k) in enumerate(zip(numbering.cdfs, numbering.picks, numbering.sizes)):
+            if k == 1 or not np.isin(cdf, (0.0, 1.0)).all():
+                assert pick is None
+                seen["one-state" if k == 1 else "uncertain"] += 1
+                continue
+            seen["certain"] += 1
+            assert pick.dtype == np.intp and pick.shape == (cdf.shape[1],)
+            assert not pick.flags.writeable and not pick.base.flags.writeable
+            with pytest.raises(ValueError):
+                pick.base.flags.writeable = True
+            # The count of zero running sums, and the state every draw in [0, 1) picks.
+            assert pick.tolist() == (cdf == 0.0).sum(axis=0).tolist()
+            for row, state in enumerate(pick):
+                assert net.nodes[numbering.ids[v]].table.reshape(-1, k)[row, state] > 0.0
+    assert min(seen.values()) > 0, seen
+
+
 def slow_min_degree(net) -> list:
     """The multi-state nodes' min-degree elimination order, by rescanning every
     node for the fewest neighbours (lower number on a tie) at each step."""
