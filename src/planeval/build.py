@@ -9,25 +9,31 @@ The pipeline runs in a fixed order:
    elapsed time remains (this reads the schedule alone, following the time
    tree: exponential only in the number of splits, never in the steps),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
-   in paste order, and take from them its kind, states and parents,
+   in paste order, and take from them its kind, states and parents; a node
+   that persistence and no-change rows complete gets a fill block instead,
+   shared by every node alike in persistence model, previous states, gate
+   pin and elapsed states, and fitted once from those rows in paste order,
 6. create every node in that shape, then paste the forward rows: priors and
    action fragments (paste-onto), residual effects (paste-into), contingency
    selection nodes, during effects, clock machinery with clock-identity
    gap fillers (paste-into) and elapsed-bucket nodes,
-7. knowledge-base persistence then default no-change rows (both paste-into);
-   an elapsed-time row reads its situation's elapsed-bucket node, never the
-   two clocks,
+7. write each node's fill block, KB persistence rows before the default
+   no-change rows, into the rows no earlier stage wrote, with one masked
+   assignment per array; an elapsed-time row reads its situation's
+   elapsed-bucket node, never the two clocks,
 8. derived-predicate rows (paste-onto), then finalize.
 
-No stage after the sweep makes a row: each replays what the sweep recorded,
+No stage after the sweep makes a row. Each replays what the sweep recorded:
 with one paste-onto call for its onto rows and one paste-into call for its
-fill rows. Only the order within the onto rows and within the fill rows
-matters: per node the last onto row that covers a combination wins, and
-otherwise the first fill row does. A node's parents are exactly the keys its
-rows read. Gap fillers (persistence, no-change and clock-identity rows) are
-recorded only where a node's own rows leave a reachable parent combination
-uncovered, and KB persistence rows only where one of them covers such a
-combination.
+fill rows, or, for persistence, with the fill blocks, which write what
+paste-into of their rows would. Only the order within the onto rows and
+within the fill rows matters: per node the last onto row that covers a
+combination wins, and otherwise the first fill row does. A node's parents
+are exactly the keys its rows read; a fill block's recorded entries still
+iterate as its rows, made on demand. Gap fillers (persistence, no-change and
+clock-identity rows) are recorded only where a node's own rows leave a
+reachable parent combination uncovered, and KB persistence rows only where
+one of them covers such a combination.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -38,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -69,10 +76,12 @@ from .net import (
     PRIMITIVE,
     RELATIVE_END_TIME,
     SELECTION,
+    FillBlock,
     Fragment,
     FragmentNode,
     FragmentRow,
     NodeId,
+    fill_block,
     PENet,
     SituationId,
     atom_node,
@@ -306,10 +315,16 @@ class Schedule:
         """Sweep the situations once, making every node's rows; returns the node states.
 
         Fills ``nodes`` (nid -> FragmentNode: kind, states and parents,
-        parents before children) and ``rows`` (nid -> [(kind, rows)] in
-        paste order), which the paste stages replay unchanged.
+        parents before children), ``rows`` (nid -> [(kind, rows)] in paste
+        order), which the paste stages replay unchanged, and ``fills`` (nid
+        -> _Fill), the fill block of every node that persistence and
+        no-change rows complete. Nodes alike in persistence model, previous
+        states, gate pin and elapsed states share one block, fitted once;
+        the persistence stage writes the blocks. A node's "persistence" and
+        "default-persistence" entries in ``rows`` are views of its block,
+        which make their fragment rows only when iterated.
         """
-        self.nodes, self.rows = {}, {}
+        self.nodes, self.rows, self.fills = {}, {}, {}
         return _Sweep(self).run()
 
 
@@ -456,7 +471,32 @@ def _ordered(schema, support) -> list:
 
 
 def _keys(rows) -> list:
+    if isinstance(rows, _FillRows):
+        return rows.keys
     return [key for row in rows for key in row.condition]
+
+
+class _Fill(NamedTuple):
+    """One node's persistence and no-change fill: a block shared by every
+    node filled alike, and the nodes its axes read."""
+
+    node: NodeId
+    parents: tuple
+    block: FillBlock
+
+
+class _FillRows:
+    """A recorded entry of a fill: block rows ``lo`` to ``hi``, which read
+    the nodes ``keys``, made into fragment rows only when iterated."""
+
+    __slots__ = ("fill", "lo", "hi", "keys")
+
+    def __init__(self, fill: _Fill, lo: int, hi: int, keys: tuple):
+        self.fill, self.lo, self.hi, self.keys = fill, lo, hi, keys
+
+    def __iter__(self):
+        fill = self.fill
+        return iter(fill.block.fragment_rows(fill.node, fill.parents)[self.lo:self.hi])
 
 
 def _situation_nodes(schedule: Schedule, si: SitInfo) -> dict:
@@ -499,6 +539,12 @@ class _Sweep:
                                         [instantiate_row(row, bindings) for row in definition.rows])
         self.persistence_labels = {name: f"persistence {model.atom}"
                                    for name, model in schedule.kb.persistence.items()}
+        # Per atom name, previous states and gate pin: the model rows this
+        # build keeps, their bucket tiling, and whether they fill a gap when
+        # no step writes the node; per that key and the elapsed node's
+        # states: the fill block, the axes its rows read and how many of its
+        # rows are the model's.
+        self.gaps, self.blocks = {}, {}
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
                        "elapsed": self._elapsed}
@@ -510,6 +556,8 @@ class _Sweep:
             self.nodes = _situation_nodes(self.schedule, si)
             self.writers = _situation_rows(self.schedule, si.sid) if pos else {}
             self.active = set()
+            self.gate = _gate_pin(self.schedule, si.sid)
+            self.elapsed = {}  # bucket tiling -> this situation's elapsed node, None when no pair reaches a bucket
             self.text.update({nid: str(nid) for nid in self.nodes})
             for nid in sorted(self.nodes, key=lambda n: (KIND_RANK[self.nodes[n]], self.text[n])):
                 self._visit(nid)
@@ -544,57 +592,85 @@ class _Sweep:
 
     def _primitive(self, nid: NodeId):
         schedule = self.schedule
-        atom = nid.atom
-        schema = schedule.kb.schemas[atom.name]
+        schema = schedule.kb.schemas[nid.ref[1]]
         if self.pos == 0:
-            prior = schedule.plan.initial.get(atom) or {schema.states[0]: 1.0}
+            prior = schedule.plan.initial.get(nid.atom) or {schema.states[0]: 1.0}
             self.states[nid] = [s for s in prior if prior[s] > 0]
             return [("initial", [FragmentRow(nid, {}, dict(prior), "initial")])]
 
-        entries = list(self.writers.get(nid, []))
+        if nid not in self.writers:  # no step writes the node: its fill alone gives its states
+            entries, filled = self._persistence(nid, [])
+            self.states[nid] = list(filled)
+            return entries
+        entries = list(self.writers[nid])
         written = [row for _kind, rows in entries for row in rows]
         self._need(_keys(written))
         support = self._support(written)
         if _leaves_open(self.states, written):
-            prev_nid = atom_node(atom, self.prev)
-            fillers = self._persistence(atom, nid, prev_nid, written)
+            fillers, filled = self._persistence(nid, written)
             entries += fillers
-            # a filler row pinning an unreachable previous state adds nothing
-            support |= self._support(row for _kind, rows in fillers for row in rows)
+            support.update(filled)
         self.states[nid] = _ordered(schema, support)
         return entries
 
-    def _persistence(self, atom: GroundAtom, nid: NodeId, prev_nid: NodeId, written: list) -> list:
-        """KB persistence rows, if they fill a gap ``written`` leaves, then no-change defaults.
+    def _persistence(self, nid: NodeId, written: list) -> tuple:
+        """KB persistence rows, if they fill a gap ``written`` leaves, then
+        no-change defaults: the node's fill entries, and the states its
+        reachable rows give.
 
         Whether the model's rows fill a gap is judged on their gate and
         previous-state pins, bucket aside; only then is the elapsed node made.
         An elapsed-time row pins its bucket on it; a bucket no clock pair
-        reaches, or an untimed build, drops the row.
+        reaches, or an untimed build, drops the row. Nodes alike in all of
+        that share one block, made on first use.
         """
         schedule = self.schedule
-        entries = []
-        model = schedule.kb.persistence.get(atom.name)
-        kept = [row for row in model.rows if schedule.timed or row.bucket is None] if model else []
-        gate = _gate_pin(schedule, self.si.sid)
+        name, prev_nid, gate = nid.ref[1], NodeId(nid.ref, self.prev), self.gate
+        (gate_nid, sign), = gate.items() or [(None, None)]
         self._need(gate)  # the gap test reads the gate's states
-        source = self.persistence_labels.get(atom.name)
-        rows = [FragmentRow(nid, {**gate, prev_nid: row.prev}, dict(row.distribution), source) for row in kept]
-        if rows and _leaves_open(self.states, written, rows):
-            elapsed = self._elapsed_node(tuple(model.buckets)) if any(row.bucket for row in kept) else None
-            filled = []
-            for model_row, row in zip(kept, rows):
-                if model_row.bucket is not None:
-                    label = format_bucket(model_row.bucket)
-                    if elapsed is None or label not in self.states[elapsed]:
-                        continue
-                    row.condition[elapsed] = label
-                filled.append(row)
-            entries.append(("persistence", filled))
-        entries.append(("default-persistence", [
-            FragmentRow(nid, {prev_nid: s}, {s: 1.0}, "default-persistence") for s in self.states[prev_nid]
-        ]))
-        return entries
+        key = (name, tuple(self.states[prev_nid]), gate_nid, sign, gate_nid and tuple(self.states[gate_nid]))
+        if key not in self.gaps:
+            model = schedule.kb.persistence.get(name)
+            kept = [row for row in model.rows if schedule.timed or row.bucket is None] if model else []
+            buckets = tuple(model.buckets) if any(row.bucket for row in kept) else None
+            self.gaps[key] = kept, buckets, _leaves_open(self.states, [], _gap_rows(kept, nid, prev_nid, gate))
+        kept, buckets, fills = self.gaps[key]
+        if kept and written:
+            fills = _leaves_open(self.states, written, _gap_rows(kept, nid, prev_nid, gate))
+        elapsed = self._elapsed_node(buckets) if fills and buckets else None
+        candidates = (gate_nid, prev_nid, elapsed)
+        key = (key, fills, elapsed and tuple(self.states[elapsed]))
+        if key not in self.blocks:
+            self.blocks[key] = self._fill_block(name, kept if fills else None, candidates, sign)
+        block, axes, kb = self.blocks[key]
+        parents = tuple([candidates[i] for i in axes])
+        fill = schedule.fills[nid] = _Fill(nid, parents, block)
+        entries = [] if kb is None else [("persistence", _FillRows(fill, 0, kb, parents if kb else ()))]
+        entries.append(("default-persistence", _FillRows(fill, kb or 0, len(block.rows), (prev_nid,))))
+        return entries, block.states
+
+    def _fill_block(self, name: str, kept: list, candidates: tuple, sign: str) -> tuple:
+        """The block of one fill: the model's ``kept`` rows (None when they fill
+        no gap) then a no-change row per previous state, pinned on the
+        ``candidates`` (gate, previous node, elapsed node), the gate on
+        ``sign``; the indices of the candidates the rows read, and how many
+        rows are the model's (None when none is recorded)."""
+        _gate_nid, prev_nid, elapsed = candidates
+        label = self.persistence_labels.get(name)
+        rows = []
+        for row in kept or ():
+            bucket = row.bucket and format_bucket(row.bucket)
+            if bucket is None or (elapsed is not None and bucket in self.states[elapsed]):
+                rows.append(((sign, row.prev, bucket), row.distribution, label))
+        kb = None if kept is None else len(rows)
+        rows += [((None, s, None), {s: 1.0}, "default-persistence") for s in self.states[prev_nid]]
+        axes = tuple(i for i in range(3) if any(pins[i] is not None for pins, _dist, _label in rows))
+        rows = [(tuple(pins[i] for i in axes), dist, label) for pins, dist, label in rows]
+        states = [self.states[candidates[i]] for i in axes]
+        # a row pinning an unreachable state writes nothing and gives no state
+        support = {state for pins, dist, _label in rows if all(pin is None or pin in axis for pin, axis in zip(pins, states))
+                   for state, prob in dist.items() if prob > 0}
+        return fill_block(states, _ordered(self.schedule.kb.schemas[name], support), rows), axes, kb
 
     def _clock_pairs(self):
         """Every (previous, this situation's) clock value pair, making this situation's clock first."""
@@ -607,13 +683,17 @@ class _Sweep:
 
         None when every clock pair lands in ``none``, so no row could read it.
         """
-        nid = elapsed_node(buckets, self.si.sid)
-        if nid not in self.nodes:
+        if buckets not in self.elapsed:
+            nid = elapsed_node(buckets, self.si.sid)
             if all(_bucket_label(buckets, a, b) == NO_BUCKET for _cp, a, _ct, b in self._clock_pairs()):
-                return None
-            self.nodes[nid] = ELAPSED
-            self.text[nid] = str(nid)
-        self._need([nid])
+                nid = None
+            else:
+                self.nodes[nid] = ELAPSED
+                self.text[nid] = str(nid)
+            self.elapsed[buckets] = nid
+        nid = self.elapsed[buckets]
+        if nid is not None:
+            self._need([nid])
         return nid
 
     def _elapsed(self, nid: NodeId):
@@ -732,6 +812,11 @@ def _leaves_open(states: dict, rows: list, fillers: list = None) -> bool:
     if fillers is None:
         return len(covered) < full
     return any(combo not in covered for combo in feasible_combos(fillers))
+
+
+def _gap_rows(kept: list, nid: NodeId, prev_nid: NodeId, gate: dict) -> list:
+    """A persistence model's rows as the gap test reads them: gate and previous-state pins, bucket aside."""
+    return [FragmentRow(nid, {**gate, prev_nid: row.prev}, row.distribution) for row in kept]
 
 
 def _bucket_label(buckets: tuple, a, b) -> str:
@@ -959,8 +1044,11 @@ def add_clock(schedule: Schedule, net: PENet) -> PENet:
 
 
 def complete_with_persistence(schedule: Schedule, net: PENet) -> PENet:
-    """Fill every gap with KB persistence, then no-change defaults."""
-    return _paste(schedule, net, "persistence", "default-persistence")
+    """Fill every gap with KB persistence, then no-change defaults: write
+    each node's fill block, repeated along the node's other parents, into
+    the rows no earlier stage wrote, with one masked assignment per array.
+    That is what paste-into of the block's rows writes."""
+    return net._fill(schedule.fills.values())
 
 
 def _forward_build(schedule: Schedule) -> PENet:

@@ -18,6 +18,11 @@ Two merge operations build nets from model fragments:
   (last writer wins, at row granularity).
 * ``paste_into``: fragment rows fill gaps only; existing rows are untouched.
 
+Fill rows that many nodes share, such as a persistence model's, are fitted
+once into a ``FillBlock``; the build writes each node's block with one
+masked assignment per array of the node, which writes what ``paste_into`` of
+its rows would.
+
 Layering rules, enforced on every arc:
 
 * no arc points from a later situation to an earlier one;
@@ -433,17 +438,61 @@ class PENet:
                     continue
                 if _ALL in at and done.any():
                     free = ~done
-            cells, total = _fit(node, row.distribution)
+            cells, total = _fit(node.at, row.distribution, node.id)
             if node.sources is None:
                 continue  # too large for a table: finalize raises TooLarge
-            source = self._label_ids.setdefault(row.provenance, len(self.labels))
-            if source == len(self.labels):
-                self.labels.append(row.provenance)
+            source = self._label(row.provenance)
             if free is None:
                 node.cells[at], node.totals[at], node.sources[at] = cells, total, source
             else:
                 node.cells[at][free], node.totals[at][free], node.sources[at][free] = cells, total, source
         return self
+
+    def _fill(self, fills) -> PENet:
+        """Write fill blocks, each into the rows of its node not yet written,
+        as ``paste_into`` of the blocks' rows would. ``fills`` are (node,
+        parents, block): the block's axes are the nodes ``parents``, and it
+        repeats along every other parent of the node. Nodes alike in block,
+        states and parent layout share one arrangement of the block."""
+        self._mutable()
+        arranged = {}
+        for nid, parents, block in fills:
+            node = self.nodes[nid]
+            if node.sources is None:  # too large for a table: the row path raises TooLarge, or finalize does
+                self._paste(Fragment(rows=block.fragment_rows(nid, parents)), overwrite=False)
+                continue
+            axis = dict(zip(parents, range(len(parents))))
+            layout = (id(block), tuple(node.states), *[axis.get(p) for p in node.parents])
+            if layout not in arranged:  # kept with the block, so no other block can take its id
+                arranged[layout] = block, *self._arrange(block, node, layout[2:])
+            _block, cells, totals, sources = arranged[layout]
+            free = node.sources == 0
+            np.copyto(node.cells, cells, where=free[..., None])
+            np.copyto(node.totals, totals, where=free)
+            np.copyto(node.sources, sources, where=free)
+        return self
+
+    def _arrange(self, block: FillBlock, node: Node, where: tuple) -> tuple:
+        """A block's cells, totals and sources laid out along a node's
+        parents: ``where`` holds, per parent, the block axis it is, or None
+        for a parent the block repeats along; cells move to the node's state
+        columns, and sources to the net's label indices."""
+        order = [i for i in where if i is not None]
+        shape = [1 if i is None else block.totals.shape[i] for i in where]
+        cells = block.cells.transpose(*order, len(order)).reshape(*shape, -1)
+        columns = [node.at[state] for state in block.states]
+        if columns != list(range(len(node.states))):  # the node has states the block does not
+            cells, given = np.zeros((*shape, len(node.states))), cells
+            cells[..., columns] = given
+        ids = np.array([0, *map(self._label, block.labels)], dtype=np.int32)
+        return cells, block.totals.transpose(order).reshape(shape), ids[block.sources].transpose(order).reshape(shape)
+
+    def _label(self, text: str) -> int:
+        """The index of a provenance label in ``labels``, added on first use."""
+        source = self._label_ids.setdefault(text, len(self.labels))
+        if source == len(self.labels):
+            self.labels.append(text)
+        return source
 
     def _mutable(self):
         if self.finalized:
@@ -478,18 +527,62 @@ class PENet:
 _ALL, _NONE = slice(None), slice(0)  # a parent a row does not pin; a pin on a state it does not have
 
 
-def _fit(node: Node, dist: dict) -> tuple:
+def _fit(at: dict, dist: dict, owner) -> tuple:
     """A row's cells in state order and its total: the nonzero probabilities
     added one by one in label order, so the total has the same bits whatever
-    the states' order."""
-    cells, total = [0.0] * len(node.states), 0.0
+    the states' order. ``at`` maps each state of ``owner`` to its position."""
+    cells, total = [0.0] * len(at), 0.0
     for state in sorted(dist, key=label_sort_key) if len(dist) > 1 else dist:
         if dist[state] != 0.0:
-            if state not in node.at:
-                raise PlanEvalError(f"state {state!r} not among {node.id}'s states {node.states}")
-            cells[node.at[state]] += dist[state]
+            if state not in at:
+                raise PlanEvalError(f"state {state!r} not among {owner}'s states {list(at)}")
+            cells[at[state]] += dist[state]
             total += dist[state]
     return cells, total
+
+
+class FillBlock(NamedTuple):
+    """Fill rows fitted once, for every node they fill alike (``PENet._fill``).
+
+    ``rows`` are (pins, distribution, label) in paste order, one pin per
+    axis: a state, or None for every state of the axis. ``cells``,
+    ``totals`` and ``sources`` are laid out like a node's arrays, over the
+    axes' states and ``states``; ``sources`` counts into ``labels`` from 1.
+    """
+
+    rows: tuple
+    states: tuple
+    cells: np.ndarray
+    totals: np.ndarray
+    sources: np.ndarray
+    labels: tuple
+
+    def fragment_rows(self, node: NodeId, parents: tuple) -> list:
+        """The rows as fragment rows of ``node``, the block's axes being the nodes ``parents``."""
+        return [FragmentRow(node, {p: pin for p, pin in zip(parents, pins) if pin is not None}, dict(dist), label)
+                for pins, dist, label in self.rows]
+
+
+def fill_block(axes: list, states: list, rows: list) -> FillBlock:
+    """Fit ``rows`` over ``axes``, a list of each axis's states. As in
+    ``paste_into``, the first row that covers a combination writes it, and
+    a pin on a state its axis lacks writes nothing."""
+    at = {state: i for i, state in enumerate(states)}
+    positions = [{state: i for i, state in enumerate(axis)} for axis in axes]
+    shape = tuple(len(axis) for axis in axes)
+    cells, totals, sources = np.zeros((*shape, len(states))), np.zeros(shape), np.zeros(shape, dtype=np.int32)
+    labels = {}
+    for pins, dist, label in rows:
+        # a trailing Ellipsis keeps even a single combination a view
+        at_pins = (*(_ALL if pin is None else where.get(pin, _NONE) for pin, where in zip(pins, positions)), ...)
+        free = sources[at_pins] == 0
+        if free.any():
+            source = labels.setdefault(label, len(labels) + 1)
+            row, total = _fit(at, dist, "a fill block")
+            cells[at_pins][free], totals[at_pins][free], sources[at_pins][free] = row, total, source
+    for array in (cells, totals, sources):
+        array.flags.writeable = False
+    return FillBlock(tuple(rows), tuple(states), cells, totals, sources, tuple(labels))
 
 
 def paste_onto(net: PENet, frag: Fragment) -> PENet:

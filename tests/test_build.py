@@ -1,11 +1,13 @@
 """Construction pipeline: worked scenarios, completion, exact state sets, determinism."""
 
+import collections
 import itertools
 import math
 import os
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from planeval import (
@@ -26,8 +28,8 @@ from planeval import (
 )
 from planeval import build as build_module
 from planeval import net as net_module
-from planeval.build import make_schedule
-from planeval.net import atom_node
+from planeval.build import make_schedule, split_situations
+from planeval.net import PENet, Fragment, FragmentNode, SituationId, atom_node, finalize, paste_into
 
 import instance_gen
 import trajectory_oracle as oracle
@@ -167,6 +169,37 @@ def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
     assert exc.value.stage == "forward"
     assert isinstance(exc.value.cause, TooLarge)
     assert str(exc.value.cause) == message
+
+
+# (P p)@S1 reads (Q x1), its previous state and the elapsed node; the
+# no-change row pins only the previous state, so it expands over the other two,
+# 2 x 2 = 4 combinations, more than any row before it.
+WIDE_FILL_KB = """
+predicate (P ?x) kind=primitive states { u v }
+predicate (Q ?x) kind=primitive states { a b }
+action (Mix) level=0 { duration { 1:0.5 4:0.5 } effect (P p) { (Q x1)=a -> { v:1.0 } } }
+persistence (P ?x) elapsed { [0,3) [3,inf) } {
+  u [0,3) -> { u:0.5 v:0.5 }
+  u [3,inf) -> { v:1.0 }
+}
+"""
+
+WIDE_FILL_PLAN = """
+step s1 ag (Mix) start=b0 end=b1
+initial { (P p)=u (Q x1)=a:0.5 (Q x1)=b:0.5 }
+goal { (P p)=v }
+"""
+
+
+def test_a_fill_row_past_the_cap_is_a_typed_persistence_error(monkeypatch):
+    kb, plan = load(WIDE_FILL_KB, WIDE_FILL_PLAN)
+    assert build_pe_net(plan, kb, BuildOptions(clock_enabled=True)).finalized
+    monkeypatch.setattr(build_module, "MAX_FACTOR_CELLS", 3)
+    monkeypatch.setattr(net_module, "MAX_FACTOR_CELLS", 3)
+    with pytest.raises(BuildError) as exc:
+        build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
+    assert exc.value.stage == "persistence"
+    assert str(exc.value.cause) == "a row of node (P p)@S1 expands to 4 parent combinations, above 3"
 
 
 def test_invalid_caps_rejected():
@@ -584,6 +617,187 @@ def test_identity_persistence_keeps_state_sets_constant():
     states = schedule.analyse()
     b = GroundAtom("Loc", ("B",))
     assert states[atom_node(b, schedule.situations[0].sid)] == states[atom_node(b, schedule.situations[1].sid)]
+
+
+# -- persistence fill blocks ----------------------------------------------------
+
+# One elapsed-time persistence model met under several keys: a two-state and a
+# three-state previous situation, both signs of a split, and situations where
+# no clock pair reaches one of the buckets, so the model's rows of that bucket
+# are dropped. (R ?x) keeps the same previous states in and out of the split.
+FILL_KB = """
+predicate (P ?x) kind=primitive states { u v w }
+predicate (R ?x) kind=primitive states { u v }
+action (Quick ?x) level=0 { duration { 1:1.0 } effect (P ?x) { * -> { v:1.0 } } }
+action (Slow ?x) level=0 { duration { 4:1.0 } effect (P ?x) { * -> { v:1.0 } } }
+action (First) level=0 { duration { 2:0.5 4:0.5 } effect (P x1) { * -> { v:1.0 } } }
+action (Second) level=0 { duration { 1:0.5 6:0.5 } effect (P x2) { * -> { v:1.0 } } }
+persistence (P ?x) elapsed { [0,3) [3,inf) } {
+  u [0,3) -> { u:0.5 w:0.5 }
+  u [3,inf) -> { v:1.0 }
+  w [0,3) -> { w:0.75 u:0.25 }
+}
+persistence (R ?x) {
+  u -> { u:1.0 }
+}
+"""
+
+# every clock gap is 1 at S1 and 4 at S2
+QUICK_PLAN = """
+step s1 ag (Quick x1) start=b0 end=b1
+step s2 ag (Slow x2) start=b1 end=b2
+initial { (P x1)=u (P x2)=u (P q)=u:0.5 (P q)=v:0.5 (P r)=u:0.5 (P r)=v:0.5 (P z)=u:0.5 (P z)=w:0.5 }
+goal { (P q)=v }
+"""
+
+# a1 and a2 overlap, so the situation a2 ends is split in two
+SPLIT_PLAN = """
+step a1 agent1 (First) start=b0 end=b1
+step a2 agent2 (Second) start=b0 end=b2
+step a3 agent2 (Quick x3) start=b2 end=b3
+initial { (P x1)=u (P x2)=u (P x3)=u (P q)=u:0.5 (P q)=v:0.5 (R q)=u }
+goal { (P q)=v }
+"""
+
+TIMED = BuildOptions(clock_enabled=True)
+
+
+def scheduled(kb, plan, opts):
+    flat = flatten_hierarchy(plan)
+    return split_situations(make_schedule(flat, kb, opts, linearize(flat)))
+
+
+def swept(kb, plan, opts):
+    schedule = scheduled(kb, plan, opts)
+    schedule.analyse()
+    return schedule
+
+
+def fill_only(schedule) -> dict:
+    """nid -> fill for every node that only persistence and no-change rows write."""
+    return {nid: fill for nid, fill in schedule.fills.items()
+            if {kind for kind, _rows in schedule.rows[nid]} <= {"persistence", "default-persistence"}}
+
+
+def pasted(schedule, nid):
+    """The node as ``paste_into`` of its recorded rows writes it, alone in a
+    net with its parents: its normalized table and its provenance."""
+    spec = schedule.nodes[nid]
+    net = PENet(situation_order=[si.sid for si in schedule.situations])
+    for parent in spec.parents:
+        net.ensure_node(FragmentNode(parent, schedule.nodes[parent].kind, schedule.nodes[parent].states))
+    node = net.ensure_node(spec)
+    paste_into(net, Fragment(rows=[row for _kind, rows in schedule.rows[nid] for row in rows]))
+    return node.cells / node.totals[..., None], dict(node.provenance)
+
+
+def assert_fills_match_paste_into(schedule, net):
+    for nid in fill_only(schedule):
+        table, provenance = pasted(schedule, nid)
+        assert np.array_equal(net.nodes[nid].table, table), str(nid)
+        assert dict(net.nodes[nid].provenance) == provenance, str(nid)
+
+
+def p_node(x, sit):
+    return atom_node(GroundAtom("P", (x,)), sit)
+
+
+def test_fill_blocks_are_shared_per_key_and_write_what_paste_into_writes():
+    kb, plan = load(FILL_KB, QUICK_PLAN)
+    net, schedule = build_pe_net(plan, kb, TIMED), swept(kb, plan, TIMED)
+    fills = fill_only(schedule)
+    q1, r1, q2 = p_node("q", SituationId(1)), p_node("r", SituationId(1)), p_node("q", SituationId(2))
+    z1, z2 = p_node("z", SituationId(1)), p_node("z", SituationId(2))
+    assert {q1, r1, q2, z1, z2} <= set(fills)
+    # S1 follows a two-state initial, S2 a three-state situation
+    assert net.nodes[p_node("q", SituationId(0))].states == ["u", "v"]
+    assert net.nodes[q1].states == ["u", "v", "w"]
+    assert fills[q1].block is fills[r1].block
+    assert fills[q1].block is not fills[q2].block
+    # (P z) has the previous states {u, w} at both, and only the buckets differ
+    assert net.nodes[p_node("z", SituationId(0))].states == net.nodes[z1].states == ["u", "w"]
+    assert fills[z1].block is not fills[z2].block
+    # no clock pair reaches [3,inf) at S1, nor [0,3) at S2: those rows are dropped
+    for nid, bucket in ((q1, "[0,3)"), (z1, "[0,3)"), (z2, "[3,inf)")):
+        (elapsed,) = [p for p in net.nodes[nid].parents if p.ref[0] == "elapsed"]
+        assert net.nodes[elapsed].states == [bucket]
+        (kb_rows,) = [list(rows) for kind, rows in schedule.rows[nid] if kind == "persistence"]
+        assert {row.condition[elapsed] for row in kb_rows} == {bucket}
+    assert len(list(dict(schedule.rows[q1])["persistence"])) == 2
+    assert_fills_match_paste_into(schedule, net)
+
+
+def test_a_fill_in_a_split_sub_situation_is_identity_on_the_inactive_sign():
+    kb, plan = load(FILL_KB, SPLIT_PLAN)
+    net, schedule = build_pe_net(plan, kb, TIMED), swept(kb, plan, TIMED)
+    fills = fill_only(schedule)
+    for atom, (sub, inactive) in itertools.product(("(P q)", "(R q)"), (("a", "nonnegative"), ("b", "negative"))):
+        nid = net.find(atom, f"S2{sub}")
+        prev = net.find(atom, net.situation_order[net.position(nid.sit) - 1])
+        node = net.nodes[nid]
+        (gate,) = [p for p in node.parents if p.ref[0] == "ret"]
+        assert nid in fills and gate in fills[nid].parents
+        idle = 0
+        for combo, dist in node.cpt.items():
+            values = dict(zip(node.parents, combo))
+            if values[gate] == inactive:
+                assert (dist, node.provenance[combo]) == ({values[prev]: 1.0}, "default-persistence"), combo
+                idle += 1
+        assert idle
+    assert_fills_match_paste_into(schedule, net)
+
+
+FILL_SCOPE_KB = """
+predicate (P ?x) kind=primitive states { u v }
+action (Flip ?x) level=0 { effect (P ?x) { * -> { v:1.0 } } }
+persistence (P ?x) {
+  u -> { u:%s v:%s }
+}
+"""
+
+FILL_SCOPE_PLAN = """
+step s1 ag (Flip x1) start=b0 end=b1
+step s2 ag (Flip x2) start=b1 end=b2
+initial { (P x1)=u (P x2)=u (P q)=u }
+goal { (P q)=u }
+"""
+
+
+def test_fill_blocks_belong_to_one_build():
+    """Two KBs differing in one persistence probability, built back to back
+    and with their stages interleaved, each keep their own persistence rows."""
+    loaded = [load(FILL_SCOPE_KB % pair, FILL_SCOPE_PLAN) for pair in (("0.75", "0.25"), ("0.5", "0.5"))]
+    expected = [{"u": 0.75, "v": 0.25}, {"u": 0.5, "v": 0.5}]
+    built = [build_pe_net(plan, kb) for kb, plan in loaded]
+    schedules = [scheduled(kb, plan, BuildOptions()) for kb, plan in loaded]
+    forward = [build_module._forward_build(schedule) for schedule in schedules]  # both sweeps before any fill
+    for schedule, net in reversed(list(zip(schedules, forward))):
+        build_module.complete_with_persistence(schedule, net)
+    interleaved = [finalize(build_module._paste(schedule, net, "derived")) for schedule, net in zip(schedules, forward)]
+    for net, again, dist in zip(built, interleaved, expected):
+        for sit in (1, 2):
+            node = net.nodes[p_node("q", SituationId(sit))]
+            assert node.cpt[("u",)] == dist
+            assert node.provenance[("u",)] == "persistence (P ?x)"
+        assert canonical_dump(again) == canonical_dump(net)
+    q1 = p_node("q", SituationId(1))
+    assert schedules[0].fills[q1].block is not schedules[1].fills[q1].block
+
+
+def test_a_tiling_no_clock_pair_reaches_is_decided_once_per_situation(monkeypatch):
+    calls = collections.Counter()
+    clock_pairs = build_module._Sweep._clock_pairs
+
+    def counted(self):
+        calls[self.si.sid] += 1
+        return clock_pairs(self)
+
+    monkeypatch.setattr(build_module._Sweep, "_clock_pairs", counted)
+    # every duration passes the clock cap, so every gap lands in "none"
+    kb, plan = load(FILL_KB.replace("1:1.0", "3:1.0"), QUICK_PLAN.replace("(P r)=u:0.5 (P r)=v:0.5", "(P r)=u (P s)=u"))
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True, clock_cap=2))
+    assert not [nid for nid in net.nodes if nid.ref[0] == "elapsed"]
+    assert calls == {SituationId(1): 1, SituationId(2): 1}
 
 
 # -- growth and determinism ----------------------------------------------------
