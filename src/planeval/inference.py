@@ -14,12 +14,18 @@ node states, optionally given evidence):
   sampling's for a given seed, and each node's samples are freed after
   their last reader. It does no table work per query: each node's row
   strides and its CDF, column by column, were fixed by ``finalize``, so a
-  sampled node costs one draw into a reused buffer and one comparison per
-  CDF column; a draw picks the state that counts the columns with
-  ``draw >= running sum``, so no draw, 0.0 included, lands on a state of
-  probability 0. A node certain of its state on every row costs no draw
-  and no comparison: its state is read from the pick table ``finalize``
-  stored, and its draws are skipped like those of a node outside the query.
+  sampled node costs one row of draws and one comparison per CDF column; a
+  draw picks the state that counts the columns with ``draw >= running
+  sum``, so no draw, 0.0 included, lands on a state of probability 0. A
+  node certain of its state on every row costs no draw and no comparison:
+  its state is read from the pick table ``finalize`` stored, and its draws
+  are skipped like those of a node outside the query. Which nodes draw, and
+  how many doubles the generator skips before each, is scheduled before any
+  is sampled; ``_fill`` alone then advances the generator and draws. A
+  query that draws at least ``_AHEAD_DRAWS`` doubles has a second thread
+  fill the rows one block ahead while the caller compares, since numpy
+  draws without the interpreter lock; a smaller one draws each row inline
+  into one buffer. Both paths draw the same doubles in the same order.
 
 A one-state node's table is 1 on every row, so neither engine reads one: a
 pin or a reachable target on it drops out, and so does every node read
@@ -43,6 +49,9 @@ metrics: goals plus the selected detailed path, versus goals alone.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,6 +221,148 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
 # ---------------------------------------------------------------------------
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Doubles a query must draw before a second thread draws them ahead: thread
+# start and join cost about 0.1 ms, and on one CPU the thread could only
+# take turns with the caller.
+_AHEAD_DRAWS = 2**20 if _cpus() > 1 else math.inf
+_BLOCK_DOUBLES = 2**16  # doubles per block the thread hands over, at least one row
+
+
+def _fill(rng, skips, block: np.ndarray):
+    """Draw one row of ``block`` per entry of ``skips``, in order.
+
+    Before each row the generator is advanced past the entry's count of
+    doubles, those owed to the nodes since the last draw that do not draw.
+    Rows with nothing skipped between them are drawn in one call, which
+    gives the same doubles. This is the only code that touches the
+    generator.
+    """
+    run = 0  # first row not yet drawn
+    for i, skip in enumerate(skips):
+        if skip:
+            if run < i:
+                rng.random(out=block[run:i])
+            # PCG64 spends one 64-bit output per double drawn.
+            rng.bit_generator.advance(skip)
+            run = i
+    rng.random(out=block[run:] if run else block)
+
+
+def _inline_rows(rng, skips: list, n: int):
+    """Each drawing node's row, in order, drawn into one buffer reused for every row."""
+    block = np.empty((1, n))
+    draws = block[0]
+    for skip in skips:
+        _fill(rng, (skip,), block)
+        yield draws
+
+
+@contextmanager
+def _drawn_ahead(rng, skips: list, n: int):
+    """``_inline_rows`` drawn one block ahead by a worker thread.
+
+    The worker fills two slots of ``_BLOCK_DOUBLES // n`` rows each (at least
+    one), in turn, while the caller reads the other; a row is valid until the
+    next one is asked for. The thread lives only inside this context, which
+    stops and joins it on exit, and an exception it raises is raised in the
+    caller.
+    """
+    rows = max(1, _BLOCK_DOUBLES // n)
+    blocks = [skips[start:start + rows] for start in range(0, len(skips), rows)]
+    slots = (np.empty((rows, n)), np.empty((rows, n)))
+    # Each lock is a binary semaphore one thread releases and the other
+    # acquires: filled[s] is free once the worker has filled slot s, and
+    # taken[s] is held from the worker filling slot s until the caller is
+    # done with it.
+    filled = (threading.Lock(), threading.Lock())
+    taken = (threading.Lock(), threading.Lock())
+    for lock in filled:
+        lock.acquire()
+    failed = []
+    stopped = False
+
+    def work():
+        for b, block in enumerate(blocks):
+            taken[b % 2].acquire()
+            if stopped:
+                return
+            try:
+                _fill(rng, block, slots[b % 2][:len(block)])
+            except BaseException as exc:  # handed to the caller, which raises it
+                failed.append(exc)
+                return
+            finally:
+                filled[b % 2].release()
+
+    def handed_over():
+        for b, block in enumerate(blocks):
+            filled[b % 2].acquire()
+            if failed:
+                raise failed[0]
+            yield from slots[b % 2][:len(block)]
+            taken[b % 2].release()
+
+    worker = threading.Thread(target=work, name="planeval-mc-draws", daemon=True)
+    worker.start()
+    try:
+        yield handed_over()
+    finally:
+        stopped = True
+        for lock in taken:
+            if lock.locked():  # only the caller releases these, so it stays locked until here
+                lock.release()
+        worker.join()
+
+
+def _sample(numbering, kept: list, pins: dict, readers: list, rows, n: int) -> tuple:
+    """Sample ``kept`` in the stored order; the values left and the weights.
+
+    Each node that draws takes the next row of ``rows``. A node's samples
+    are dropped once ``readers`` counts no reader left.
+    """
+    parents_of, strides_of, cdfs, sizes, picks = (
+        numbering.parents, numbering.strides, numbering.cdfs, numbering.sizes, numbering.picks)
+    values = {}  # number -> state index per sample, or one int when every sample shares it
+    weights = np.ones(n)
+    for v in kept:
+        parents, k = parents_of[v], sizes[v]
+        if len(parents) == 1:
+            row = values[parents[0]]
+        else:
+            row = 0
+            for p, stride in zip(parents, strides_of[v]):
+                row = row + values[p] * stride
+        if v in pins:
+            value = pins[v]
+            weights *= numbering.tables[v].reshape(-1, k)[row, value]
+        elif picks[v] is not None:
+            # Every draw would pick the row's one state; the schedule skips its draws.
+            value = picks[v][row]
+        else:
+            draws = next(rows)
+            # The CDF never decreases, so counting the entries a draw reaches
+            # among its first k-1 picks the state; the last entry is never
+            # needed, and a state of probability 0 is never reached.
+            first, *rest = cdfs[v]
+            value = (draws >= first[row]).astype(np.intp)
+            for column in rest:
+                value += draws >= column[row]
+        for p in parents:
+            readers[p] -= 1
+            if not readers[p]:
+                del values[p]
+        if readers[v]:
+            values[v] = value
+    return values, weights
+
+
 def mc_query(net: PENet, q: Query) -> QueryResult:
     """Likelihood-weighted estimate of the target conjunction; reproducible by seed.
 
@@ -221,7 +372,11 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     them, so each answer equals whole-net sampling's for the same seed. A
     sampled node with a pick table is skipped the same way, its state read
     from that table. An evidence node owns no draws, whatever its state
-    count. Samples are freed after their last reader.
+    count. One pass over the stored order first lists the nodes that draw,
+    each with the doubles skipped before it; the rows are then drawn in that
+    order, one block ahead on a second thread when the query draws at least
+    ``_AHEAD_DRAWS`` doubles and inline otherwise, with the same bits either
+    way. Samples are freed after their last reader.
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
@@ -237,8 +392,7 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
     numbering = net.numbering
-    parents_of, strides_of, cdfs, sizes = numbering.parents, numbering.strides, numbering.cdfs, numbering.sizes
-    picks = numbering.picks
+    parents_of, sizes, picks = numbering.parents, numbering.sizes, numbering.picks
     pins = dict(_numbered(net, q.evidence.items()))
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
     targets = [(v, s) for v, s in _numbered(net, q.targets) if sizes[v] > 1] if reachable else []
@@ -246,49 +400,27 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     readers = [0] * len(parents_of)  # per node, its sampled children plus one per target
     for v in [p for u in keep for p in parents_of[u]] + [v for v, _ in targets]:
         readers[v] += 1
-    values = {}  # number -> state index per sample, or one int when every sample shares it
-    weights = np.ones(n)
-    draws = np.empty(n)
-    skip = 0  # doubles owed to skipped nodes, passed over before the next draw
-
+    kept = []  # the sampled nodes, in the stored order
+    skips = []  # per node that draws, in order, the doubles skipped before its draw
+    skip = 0
     for v in numbering.order:
         if v not in keep:
-            if v not in pins:
+            if v not in pins:  # evidence owns no draws
                 skip += n
             continue
-        parents, k = parents_of[v], sizes[v]
-        if len(parents) == 1:
-            row = values[parents[0]]
-        else:
-            row = 0
-            for p, stride in zip(parents, strides_of[v]):
-                row = row + values[p] * stride
+        kept.append(v)
         if v in pins:
-            value = pins[v]
-            weights *= numbering.tables[v].reshape(-1, k)[row, value]
-        elif picks[v] is not None:
-            # Every draw would pick the row's one state; the node's draws are skipped.
-            value = picks[v][row]
-            skip += n
+            continue
+        if picks[v] is None:
+            skips.append(skip)
+            skip = 0
         else:
-            if skip:
-                # PCG64 spends one 64-bit output per double drawn.
-                rng.bit_generator.advance(skip)
-                skip = 0
-            rng.random(out=draws)
-            # The CDF never decreases, so counting the entries a draw reaches
-            # among its first k-1 picks the state; the last entry is never
-            # needed, and a state of probability 0 is never reached.
-            first, *rest = cdfs[v]
-            value = (draws >= first[row]).astype(np.intp)
-            for column in rest:
-                value += draws >= column[row]
-        for p in parents:
-            readers[p] -= 1
-            if not readers[p]:
-                del values[p]
-        if readers[v]:
-            values[v] = value
+            skip += n
+    if len(skips) * n < _AHEAD_DRAWS:
+        values, weights = _sample(numbering, kept, pins, readers, _inline_rows(rng, skips, n), n)
+    else:
+        with _drawn_ahead(rng, skips, n) as rows:
+            values, weights = _sample(numbering, kept, pins, readers, rows, n)
 
     total = weights.sum()
     if total <= 0.0:

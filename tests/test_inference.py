@@ -3,6 +3,7 @@
 import os
 import random
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -425,6 +426,29 @@ def test_pruned_mc_matches_whole_net_sampling_at_one_sample(generator):
     assert shapes == {"one-state", "deterministic", "multi-parent"}
 
 
+@pytest.mark.parametrize("block_doubles", [inference._BLOCK_DOUBLES, 1])
+@pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
+def test_mc_drawing_ahead_on_a_thread_matches_whole_net_sampling(monkeypatch, generator, block_doubles):
+    # Every query draws on the worker thread; at one double a block, each
+    # block is one row and the two slots take turns on every draw.
+    monkeypatch.setattr(inference, "_AHEAD_DRAWS", 0)
+    monkeypatch.setattr(inference, "_BLOCK_DOUBLES", block_doubles)
+    compared, shapes = compare_on_generated_nets(generator, samples=200)
+    assert compared >= 60 * 9 // 2
+    assert "deterministic" in shapes
+
+
+def test_a_shuttle_goal_query_draws_enough_to_draw_ahead_and_keeps_its_bits():
+    (inst,) = workloads.generate("shuttle", 1)
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
+    q = Query(targets=inference._goal_targets(net, plan), mode="mc", samples=10000, seed=1)
+    drawing = [nid for nid in ancestors(net, [nid for nid, _ in q.targets])
+               if len(net.nodes[nid].states) > 1 and net.numbering.picks[net.numbering.number[nid]] is None]
+    assert len(drawing) * q.samples >= 2**20
+    assert same_bits_as_whole_net_sampling(net, q)
+
+
 @pytest.mark.parametrize("workload", ["branchy-queries", "shuttle", "timed-overlap"])
 def test_pruned_mc_matches_whole_net_sampling_on_bench_instances(workload):
     # timed-overlap's clocked and elapsed nodes read several multi-state parents.
@@ -690,7 +714,7 @@ def test_mc_draws_nothing_for_nodes_certain_of_their_state(monkeypatch):
     assert (answer.probability, answer.standard_error) == (1.0, 0.0)
 
 
-def test_mc_queries_from_many_threads_give_the_one_thread_answers():
+def check_many_threads_give_the_one_thread_answers():
     # A finalized net holds no per-query state, the elimination order
     # included, so concurrent Monte Carlo and exact queries share only
     # read-only arrays and tuples.
@@ -719,6 +743,86 @@ def test_mc_queries_from_many_threads_give_the_one_thread_answers():
         sys.setswitchinterval(interval)
     assert answers == expected
     assert net.numbering.rank is rank
+
+
+def test_mc_queries_from_many_threads_give_the_one_thread_answers():
+    check_many_threads_give_the_one_thread_answers()
+
+
+def test_mc_queries_drawing_ahead_from_many_threads_give_the_one_thread_answers(monkeypatch):
+    # Each Monte Carlo query starts its own draw thread, which hands over
+    # blocks of a few rows; none outlives its query.
+    monkeypatch.setattr(inference, "_AHEAD_DRAWS", 0)
+    monkeypatch.setattr(inference, "_BLOCK_DOUBLES", 3 * 2000)
+    before = threading.active_count()
+    check_many_threads_give_the_one_thread_answers()
+    assert threading.active_count() == before
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def test_no_draw_thread_outlives_its_query(monkeypatch):
+    monkeypatch.setattr(inference, "_AHEAD_DRAWS", 0)
+    monkeypatch.setattr(inference, "_BLOCK_DOUBLES", 1)
+    before = threading.active_count()
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=100, seed=3)
+    assert 0.0 < mc_query(net, q).probability < 1.0
+    assert threading.active_count() == before
+
+    from test_build import SPREAD_KB, spread_plan
+    kb, plan = load(SPREAD_KB, spread_plan(2))
+    spread = build_pe_net(plan, kb)
+    evidence = {spread.find("(Reg)", "S1"): "x3", spread.find("(Reg)", "S2"): "x4"}
+    with pytest.raises(ZeroWeight):
+        mc_query(spread, Query(targets=[(spread.find("(Reg)", "S0"), "x1")], evidence=evidence, mode="mc", samples=200))
+    assert threading.active_count() == before
+
+    monkeypatch.setattr(inference, "np", numpy_with_generator(NoDraws))
+    with pytest.raises(AssertionError, match="drew from the generator"):
+        mc_query(net, q)
+    assert threading.active_count() == before
+
+    # The caller fails at its third sampled node, while the thread waits for a slot.
+    reads = []
+
+    class NumpyFailingAtTheThirdNode:
+        random = np.random
+
+        def __getattr__(self, name):
+            if name == "intp":
+                reads.append(name)
+                if len(reads) == 3:
+                    raise DrawFailed("the caller failed")
+            return getattr(np, name)
+
+    (inst,) = workloads.generate("shuttle", 1)
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    shuttle = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
+    monkeypatch.setattr(inference, "np", NumpyFailingAtTheThirdNode())
+    with pytest.raises(DrawFailed, match="the caller failed"):
+        mc_query(shuttle, Query(targets=inference._goal_targets(shuttle, plan), mode="mc", samples=100))
+    assert threading.active_count() == before
+
+
+def test_an_exception_on_the_draw_thread_reaches_the_caller_unchanged(monkeypatch):
+    threads = []
+
+    class DrawsFail(ZeroDraws):
+        def random(self, out):
+            threads.append(threading.current_thread())
+            raise DrawFailed("no draws here")
+
+    monkeypatch.setattr(inference, "_AHEAD_DRAWS", 0)
+    monkeypatch.setattr(inference, "np", numpy_with_generator(DrawsFail))
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    with pytest.raises(DrawFailed, match="no draws here") as caught:
+        mc_query(net, Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=100))
+    assert caught.type is DrawFailed
+    assert threads and threading.current_thread() not in threads
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_default_branchy_12_answers_exactly_and_agrees_with_mc():
