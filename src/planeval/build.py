@@ -350,14 +350,6 @@ def _guard_pins(schedule: Schedule, guards: tuple) -> dict:
     return pins
 
 
-def _gate_pin(schedule: Schedule, sid: SituationId) -> dict:
-    info = schedule.situations[schedule.position(sid)]
-    if info.gate is None:
-        return {}
-    spec, sign = info.gate
-    return {spec.ret: sign}
-
-
 def _during_gate_pins(schedule: Schedule, step: PlanStep, consequence: GroundAtom) -> dict:
     """Extra parents pinning the step's during-conditions at each intermediate situation."""
     pins = {}
@@ -376,6 +368,16 @@ def _during_gate_pins(schedule: Schedule, step: PlanStep, consequence: GroundAto
     return pins
 
 
+def _writer_pins(schedule: Schedule, guards: tuple, sid: SituationId) -> dict:
+    """The pins of a writer at ``sid``: its guards' selections, then the situation's gate."""
+    pins = _guard_pins(schedule, guards)
+    gate = schedule.situations[schedule.position(sid)].gate
+    if gate is not None:
+        spec, sign = gate
+        pins[spec.ret] = sign
+    return pins
+
+
 def _fragment_rows(schedule: Schedule, target: NodeId, pins: dict, ground_rows, read_sit, provenance: str) -> list:
     """Ground model rows for ``target``: the pins plus each row's conditions read at ``read_sit``."""
     rows = []
@@ -387,65 +389,44 @@ def _fragment_rows(schedule: Schedule, target: NodeId, pins: dict, ground_rows, 
     return rows
 
 
-def _ender_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
-    """Fragment rows for one step's consequences landing at one end situation, one list per consequence."""
-    rows = []
+def _ground(step: PlanStep, effects: list) -> list:
+    """A step's model effects as (atom, rows) under its bindings."""
     bindings = step.bindings
-    start = schedule.start_sit(step)
-    base_pins = _guard_pins(schedule, step.guards)
-    base_pins.update(_gate_pin(schedule, sid))
-    for pattern, model_rows in step.model.consequences:
-        consequence = instantiate(pattern, bindings)
-        pins = dict(base_pins)
-        pins.update(_during_gate_pins(schedule, step, consequence))
-        ground = (instantiate_row(row, bindings) for row in model_rows)
-        rows.append(_fragment_rows(schedule, atom_node(consequence, sid), pins, ground, start, f"action {step.id}"))
-    return rows
+    return [(instantiate(pattern, bindings), [instantiate_row(row, bindings) for row in rows]) for pattern, rows in effects]
 
 
-def _residual_rows(schedule: Schedule, res, sid: SituationId) -> list:
-    pins = _guard_pins(schedule, res.guards)
-    pins.update(_gate_pin(schedule, sid))
-    start = schedule.sit_of_boundary(res.start)
-    return _fragment_rows(schedule, atom_node(res.atom, sid), pins, res.rows, start, f"residual {res.source}")
-
-
-def _during_rows(schedule: Schedule, step: PlanStep, sid: SituationId) -> list:
-    """During-effect rows at one intermediate situation, one list per effect; conditions
-    read the previous situation."""
+def _writer_rows(schedule: Schedule, writer, effects: list, sid: SituationId, read_sit: SituationId,
+                 provenance: str, during: bool = False) -> list:
+    """Fragment rows of one writer, a step or a residual effect, at ``sid``: one
+    list per (atom, rows) effect. Each row pins the writer's pins and, with
+    ``during`` (a step's consequences), the step's during conditions, then
+    reads its own conditions at ``read_sit``."""
+    pins = _writer_pins(schedule, writer.guards, sid)
     rows = []
-    bindings = step.bindings
-    prev = schedule.situations[schedule.position(sid) - 1].sid
-    pins = _guard_pins(schedule, step.guards)
-    pins.update(_gate_pin(schedule, sid))
-    for pattern, model_rows in step.model.during_effects:
-        target = atom_node(instantiate(pattern, bindings), sid)
-        ground = (instantiate_row(row, bindings) for row in model_rows)
-        rows.append(_fragment_rows(schedule, target, pins, ground, prev, f"during {step.id}"))
+    for atom, model_rows in effects:
+        atom_pins = {**pins, **_during_gate_pins(schedule, writer, atom)} if during else pins
+        rows.append(_fragment_rows(schedule, atom_node(atom, sid), atom_pins, model_rows, read_sit, provenance))
     return rows
-
-
-def _selector_rows(schedule: Schedule, group) -> tuple:
-    sid = schedule.sit_of_boundary(group.boundary)
-    target = sel_node(group.boundary, sid)
-    rows = _fragment_rows(schedule, target, {}, group.selector, sid, f"selector {group.boundary}")
-    default = group.selected if group.origin == "expansion" else NOOP
-    default_row = FragmentRow(target, {}, {default: 1.0}, f"selector-default {group.boundary}")
-    return rows, default_row
 
 
 def _situation_rows(schedule: Schedule, sid: SituationId) -> dict:
     """nid -> [(kind, rows)] for everything writing one situation, in paste order:
     "action" entries of ending steps, then "residual", then "during" entries
-    of spanning steps, one entry per consequence, residual or during effect."""
-    entries = ([("action", rows) for step in schedule.enders_at(sid) for rows in _ender_rows(schedule, step, sid)]
-               + [("residual", _residual_rows(schedule, res, sid)) for res in schedule.residuals_at(sid)]
-               + [("during", rows) for step in schedule.spanners_at(sid)
-                  for rows in _during_rows(schedule, step, sid)])
+    of spanning steps, one entry per consequence, residual or during effect.
+    Consequences read their step's start situation, residual effects their
+    start boundary's, during effects the previous situation."""
+    prev = schedule.situations[schedule.position(sid) - 1].sid
+    writers = [("action", step, _ground(step, step.model.consequences), schedule.start_sit(step), f"action {step.id}")
+               for step in schedule.enders_at(sid)]
+    writers += [("residual", res, [(res.atom, res.rows)], schedule.sit_of_boundary(res.start), f"residual {res.source}")
+                for res in schedule.residuals_at(sid)]
+    writers += [("during", step, _ground(step, step.model.during_effects), prev, f"during {step.id}")
+                for step in schedule.spanners_at(sid)]
     by_target = {}
-    for kind, rows in entries:
-        if rows:
-            by_target.setdefault(rows[0].node, []).append((kind, rows))
+    for kind, writer, effects, read_sit, provenance in writers:
+        for rows in _writer_rows(schedule, writer, effects, sid, read_sit, provenance, during=kind == "action"):
+            if rows:
+                by_target.setdefault(rows[0].node, []).append((kind, rows))
     return by_target
 
 
@@ -537,13 +518,17 @@ class _Sweep:
             definition, bindings = schedule.kb.find_derived(datom)
             self.derived_rows[datom] = (f"derived {definition.atom}",
                                         [instantiate_row(row, bindings) for row in definition.rows])
-        self.persistence_labels = {name: f"persistence {model.atom}"
-                                   for name, model in schedule.kb.persistence.items()}
-        # Per atom name, previous states and gate pin: the model rows this
-        # build keeps, their bucket tiling, and whether they fill a gap when
-        # no step writes the node; per that key and the elapsed node's
-        # states: the fill block, the axes its rows read and how many of its
-        # rows are the model's.
+        # Per persistence model's atom name: the rows this build keeps, their
+        # bucket tiling (None when no kept row reads one) and their label.
+        self.models = {}
+        for name, model in schedule.kb.persistence.items():
+            kept = [row for row in model.rows if schedule.timed or row.bucket is None]
+            buckets = tuple(model.buckets) if any(row.bucket for row in kept) else None
+            self.models[name] = kept, buckets, f"persistence {model.atom}"
+        # Per atom name, previous states and gate pin: whether the model's
+        # rows fill a gap when no step writes the node; per that key and the
+        # elapsed node's states: the fill block, the axes its rows read and
+        # how many of its rows are the model's.
         self.gaps, self.blocks = {}, {}
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
@@ -556,7 +541,7 @@ class _Sweep:
             self.nodes = _situation_nodes(self.schedule, si)
             self.writers = _situation_rows(self.schedule, si.sid) if pos else {}
             self.active = set()
-            self.gate = _gate_pin(self.schedule, si.sid)
+            self.gate = _writer_pins(self.schedule, (), si.sid)  # the gate pin alone
             self.elapsed = {}  # bucket tiling -> this situation's elapsed node, None when no pair reaches a bucket
             self.text.update({nid: str(nid) for nid in self.nodes})
             for nid in sorted(self.nodes, key=lambda n: (KIND_RANK[self.nodes[n]], self.text[n])):
@@ -628,20 +613,17 @@ class _Sweep:
         name, prev_nid, gate = nid.ref[1], NodeId(nid.ref, self.prev), self.gate
         (gate_nid, sign), = gate.items() or [(None, None)]
         self._need(gate)  # the gap test reads the gate's states
+        kept, buckets, label = self.models.get(name, ((), None, None))
+        pins = [{**gate, prev_nid: row.prev} for row in kept]
         key = (name, tuple(self.states[prev_nid]), gate_nid, sign, gate_nid and tuple(self.states[gate_nid]))
         if key not in self.gaps:
-            model = schedule.kb.persistence.get(name)
-            kept = [row for row in model.rows if schedule.timed or row.bucket is None] if model else []
-            buckets = tuple(model.buckets) if any(row.bucket for row in kept) else None
-            self.gaps[key] = kept, buckets, _leaves_open(self.states, [], _gap_rows(kept, nid, prev_nid, gate))
-        kept, buckets, fills = self.gaps[key]
-        if kept and written:
-            fills = _leaves_open(self.states, written, _gap_rows(kept, nid, prev_nid, gate))
+            self.gaps[key] = _leaves_open(self.states, [], pins)
+        fills = _leaves_open(self.states, written, pins) if pins and written else self.gaps[key]
         elapsed = self._elapsed_node(buckets) if fills and buckets else None
         candidates = (gate_nid, prev_nid, elapsed)
         key = (key, fills, elapsed and tuple(self.states[elapsed]))
         if key not in self.blocks:
-            self.blocks[key] = self._fill_block(name, kept if fills else None, candidates, sign)
+            self.blocks[key] = self._fill_block(name, kept if fills else None, label, candidates, sign)
         block, axes, kb = self.blocks[key]
         parents = tuple([candidates[i] for i in axes])
         fill = schedule.fills[nid] = _Fill(nid, parents, block)
@@ -649,14 +631,13 @@ class _Sweep:
         entries.append(("default-persistence", _FillRows(fill, kb or 0, len(block.rows), (prev_nid,))))
         return entries, block.states
 
-    def _fill_block(self, name: str, kept: list, candidates: tuple, sign: str) -> tuple:
+    def _fill_block(self, name: str, kept: list, label: str, candidates: tuple, sign: str) -> tuple:
         """The block of one fill: the model's ``kept`` rows (None when they fill
-        no gap) then a no-change row per previous state, pinned on the
+        no gap), labelled ``label``, then a no-change row per previous state, pinned on the
         ``candidates`` (gate, previous node, elapsed node), the gate on
         ``sign``; the indices of the candidates the rows read, and how many
         rows are the model's (None when none is recorded)."""
         _gate_nid, prev_nid, elapsed = candidates
-        label = self.persistence_labels.get(name)
         rows = []
         for row in kept or ():
             bucket = row.bucket and format_bucket(row.bucket)
@@ -708,8 +689,7 @@ class _Sweep:
     def _derived(self, nid: NodeId):
         sid = self.si.sid
         label, ground = self.derived_rows[nid.atom]
-        rows = [FragmentRow(nid, {atom_node(key, sid): state for key, state in row.condition.items()},
-                            dict(row.distribution), label) for row in ground]
+        rows = _fragment_rows(self.schedule, nid, {}, ground, sid, label)
         self._need(_keys(rows))
         support = self._support(rows)
         if not support:
@@ -719,7 +699,7 @@ class _Sweep:
 
     def _selection(self, nid: NodeId):
         group = self.schedule.group_at_boundary(nid.ref[1])
-        rows, default_row = _selector_rows(self.schedule, group)
+        rows = _fragment_rows(self.schedule, nid, {}, group.selector, self.si.sid, f"selector {group.boundary}")
         self._need(_keys(rows))
         labels = list(group.alternatives)
         uncovered = _leaves_open(self.states, rows)
@@ -727,7 +707,9 @@ class _Sweep:
         if group.origin == "plain" and (uncovered or explicit_noop) and NOOP not in labels:
             labels.append(NOOP)
         self.states[nid] = labels
-        return [("selector", rows), ("selector-default", [default_row])]
+        default = group.selected if group.origin == "expansion" else NOOP
+        return [("selector", rows),
+                ("selector-default", [FragmentRow(nid, {}, {default: 1.0}, f"selector-default {group.boundary}")])]
 
     def _duration(self, nid: NodeId):
         step = self.schedule.plan.step_by_id(nid.ref[1])
@@ -745,7 +727,8 @@ class _Sweep:
         rows = []
         for combo in itertools.product(*(self.states[k] for k in keys)):
             values = dict(zip(keys, combo))
-            sign = _compare_ends(_end_time(values[cl], values[dl]), _end_time(values[ce], values[de]))
+            start = {ce: 0} if ce == cl else values  # a start clock both steps share cancels, whatever its value
+            sign = _end_sign(start[cl], values[dl], start[ce], values[de])
             rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
         self.states[nid] = [NEGATIVE, NONNEGATIVE]
         return [("relative-end-time", rows)]
@@ -760,8 +743,7 @@ class _Sweep:
         rows = []
         for step in schedule.enders_at(sid):
             start_clock = clock_node(schedule.start_sit(step))
-            pins = _gate_pin(schedule, sid)
-            pins.update(_guard_pins(schedule, step.guards))
+            pins = _writer_pins(schedule, step.guards, sid)
             self._need(pins)
             label = f"clock {step.id}"
             if step.id in schedule.dur_steps:
@@ -790,33 +772,30 @@ class _Sweep:
 
 def _leaves_open(states: dict, rows: list, fillers: list = None) -> bool:
     """True when the feasible rows leave open a reachable combination of the
-    condition keys: any one, or with ``fillers``, one a feasible filler covers.
+    condition keys: any one, or with ``fillers`` (conditions), one a feasible
+    filler covers.
 
     Raises ``TooLarge`` before enumerating any combination when there are
     more than ``MAX_FACTOR_CELLS`` of them.
     """
     if not rows:  # nothing is covered
-        return fillers is None or any(_row_feasible(states, row.condition) for row in fillers)
-    keys = list(dict.fromkeys(key for row in rows + (fillers or []) for key in row.condition))
+        return fillers is None or any(_row_feasible(states, condition) for condition in fillers)
+    conditions = [row.condition for row in rows]
+    keys = list(dict.fromkeys(key for condition in conditions + (fillers or []) for key in condition))
     full = math.prod(max(len(states.get(key, ())), 1) for key in keys)
     if full > MAX_FACTOR_CELLS:
         raise TooLarge(f"node {rows[0].node} reads {full} parent combinations, above {MAX_FACTOR_CELLS}")
 
-    def feasible_combos(rows):
-        for row in rows:
-            if _row_feasible(states, row.condition):
+    def feasible_combos(conditions):
+        for condition in conditions:
+            if _row_feasible(states, condition):
                 yield from itertools.product(*[
-                    (row.condition[key],) if key in row.condition else tuple(states.get(key, ())) for key in keys])
+                    (condition[key],) if key in condition else tuple(states.get(key, ())) for key in keys])
 
-    covered = set(feasible_combos(rows))
+    covered = set(feasible_combos(conditions))
     if fillers is None:
         return len(covered) < full
     return any(combo not in covered for combo in feasible_combos(fillers))
-
-
-def _gap_rows(kept: list, nid: NodeId, prev_nid: NodeId, gate: dict) -> list:
-    """A persistence model's rows as the gap test reads them: gate and previous-state pins, bucket aside."""
-    return [FragmentRow(nid, {**gate, prev_nid: row.prev}, row.distribution) for row in kept]
 
 
 def _bucket_label(buckets: tuple, a, b) -> str:
@@ -905,18 +884,14 @@ def _scan_time_tree(schedule: Schedule):
     return conflict
 
 
-def _end_time(clock_value, duration):
-    if clock_value == OTHER:
-        return None  # beyond the cap: treated as arbitrarily late
-    return clock_value + duration
-
-
-def _compare_ends(end_later, end_earlier) -> str:
-    if end_later is None:
+def _end_sign(later_start, later_duration, earlier_start, earlier_duration) -> str:
+    """The sign of the later step's end time minus the earlier step's; a start
+    clock beyond the cap is treated as arbitrarily late."""
+    if later_start == OTHER:
         return NONNEGATIVE
-    if end_earlier is None:
+    if earlier_start == OTHER:
         return NEGATIVE
-    return NEGATIVE if end_later < end_earlier else NONNEGATIVE
+    return NEGATIVE if later_start + later_duration < earlier_start + earlier_duration else NONNEGATIVE
 
 
 def _sum_clock(clock_value, duration, cap):
@@ -1028,7 +1003,7 @@ def merge_contingent(schedule: Schedule, net: PENet) -> PENet:
             node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
             selected=group.selected,
             origin=group.origin,
-            guards=tuple((_resolve_key(schedule, sel, None), label) for sel, label in group.guards),
+            guards=tuple(_guard_pins(schedule, group.guards).items()),
         ))
     return net
 

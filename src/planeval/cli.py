@@ -161,11 +161,7 @@ def _report(key: str, result) -> None:
               f"{MIN_EFFECTIVE_SAMPLES}; the ± is not to be trusted", file=sys.stderr)
 
 
-def _cmd_build(args) -> int:
-    loaded = _load(args)
-    net = _build(args, *loaded) if loaded else None
-    if net is None:
-        return 1
+def _cmd_build(args, _kb, _plan, net) -> int:
     if args.out and not _write(args.out, canonical_dump(net)):
         return 1
     print(f"nodes = {len(net.nodes)}")
@@ -173,12 +169,7 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    loaded = _load(args)
-    net = _build(args, *loaded) if loaded else None
-    if net is None:
-        return 1
-    _kb, plan = loaded
+def _cmd_eval(args, _kb, plan, net) -> int:
     mode = MC if args.mc else EXACT
     samples = args.mc or 10000
     try:  # every query is resolved before any report line is printed
@@ -211,23 +202,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
-    loaded = _load(args)
-    net = _build(args, *loaded) if loaded else None
-    if net is None:
-        return 1
+def _cmd_export(args, _kb, _plan, net) -> int:
     if not _write(args.dot_out, export_graph(net)):
         return 1
     print(f"dot = {args.dot_out}")
     return 0
 
 
-def _cmd_compare(args) -> int:
-    loaded = _load(args)
-    net = _build(args, *loaded) if loaded else None
-    if net is None:
-        return 1
-    kb, plan = loaded
+def _cmd_compare(args, kb, plan, net) -> int:
     try:
         _report("linearization[default] leads_to_success", leads_to_success(net, plan))
         for seed in range(args.seeds):
@@ -257,7 +239,11 @@ def run_cli(argv=None) -> int:
         "export": _cmd_export,
         "compare-linearizations": _cmd_compare,
     }
-    return handlers[args.command](args)
+    loaded = _load(args)
+    net = _build(args, *loaded) if loaded else None
+    if net is None:
+        return 1  # _load or _build has reported why
+    return handlers[args.command](args, *loaded, net)
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ is the sum of every step's duration.
 
 import itertools
 
-from planeval.build import NEGATIVE, NONNEGATIVE, _compare_ends
+from planeval.build import NEGATIVE, NONNEGATIVE
 
 
 def duration_worlds(schedule):
@@ -56,7 +56,7 @@ def end_sign(schedule, spec, times, assignment):
     """Sign of the later step's end time minus the earlier step's, in one duration world."""
     end_later = times[schedule.position(schedule.start_sit(spec.later))] + assignment[spec.later.id]
     end_earlier = times[schedule.position(schedule.start_sit(spec.earlier))] + assignment[spec.earlier.id]
-    return _compare_ends(end_later, end_earlier)
+    return NEGATIVE if end_later < end_earlier else NONNEGATIVE
 
 
 def scan_worlds(schedule):

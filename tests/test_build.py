@@ -479,6 +479,41 @@ def test_hierarchy_residual_comes_from_abstract_model():
     assert abs(p - 0.3) <= 1e-9
 
 
+# BigFix's (Side ?t) effect reads (Dust), which changes on its own between the
+# abstract step's start and end, and no sub-step touches (Side ?t): the residual
+# effect's rows must read (Dust) at the abstract step's start situation.
+DUSTY_KB = HIERARCHY_KB.replace(
+    "  effect (Side ?t) { * -> { dirty:0.3 clean:0.7 } }",
+    "  effect (Side ?t) {\n    (Dust)=some -> { dirty:0.9 clean:0.1 }\n    (Dust)=none -> { dirty:0.2 clean:0.8 }\n  }",
+) + """
+predicate (Dust) kind=primitive states { none some }
+persistence (Dust) { none -> { none:0.5 some:0.5 } }
+"""
+
+DUSTY_PLAN = HIERARCHY_PLAN.replace("(Risk)=high:0.25 }", "(Risk)=high:0.25 (Dust)=none:0.7 (Dust)=some:0.3 }").replace(
+    "goal { (Done T)=yes }", "goal { (Done T)=yes (Side T)=clean }")
+
+
+def test_residual_rows_read_their_conditions_at_the_abstract_start():
+    kb, plan, net = build(DUSTY_KB, DUSTY_PLAN)
+    assert DUSTY_KB != HIERARCHY_KB and DUSTY_PLAN != HIERARCHY_PLAN
+    side = net.find("(Side T)", "S2")
+    assert set(net.nodes[side].provenance.values()) == {"residual big"}
+    parents = net.nodes[side].parents
+    assert net.find("(Dust)", "S0") in parents and net.find("(Dust)", "S1") not in parents
+    flat = flatten_hierarchy(plan)
+    order = linearize(flat)
+    worlds = oracle.enumerate_trajectories(kb, flat, order)
+    for atom in oracle._universe(kb, flat):
+        expected = oracle.marginal(worlds, atom, len(order) - 1)
+        nid = atom_node(atom, net.situation_order[-1])
+        for state in net.nodes[nid].states:
+            got = exact_query(net, Query(targets=[(nid, state)])).probability
+            assert abs(got - expected.get(state, 0.0)) <= 1e-9, (str(atom), state)
+    want = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
+    assert abs(leads_to_success(net, plan).probability - want) <= 1e-9
+
+
 def test_abstract_step_without_expansion_uses_abstract_model():
     plan_text = """
 step big a1 (BigFix T) start=b0 end=b1

@@ -11,11 +11,12 @@ from planeval import (
     clock_node,
     exact_query,
     flatten_hierarchy,
+    leads_to_success,
     linearize,
 )
 from planeval.build import _apply_split, _scan_time_tree, make_schedule, split_situations
 from planeval.errors import MissingDuration
-from planeval.model import format_bucket
+from planeval.model import GroundAtom, format_bucket
 from planeval.net import SituationId, atom_node, elapsed_node, ret_node
 
 import duration_worlds
@@ -490,6 +491,39 @@ def test_elapsed_buckets_match_timed_oracle(kb_text, plan_text):
         for state in node.states:
             got = exact_query(net, Query(targets=[(node.id, state)])).probability
             assert abs(got - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
+
+
+def overflow_kb(warm: int) -> str:
+    return f"""
+predicate (P ?x) kind=primitive states {{ u v }}
+action (Warm) level=0 {{ duration {{ {warm}:1.0 }} effect (P w) {{ * -> {{ v:1.0 }} }} }}
+action (First) level=0 {{ duration {{ 2:0.5 4:0.5 }} effect (P r) {{ * -> {{ v:1.0 }} }} }}
+action (Second) level=0 {{ duration {{ 1:0.5 6:0.5 }} effect (P r) {{ * -> {{ u:1.0 }} }} }}
+"""
+
+
+OVERFLOW_PLAN = """
+step w ag0 (Warm) start=b00 end=b0
+step a1 ag1 (First) start=b0 end=b1
+step a2 ag2 (Second) start=b0 end=b2
+initial { (P r)=u (P w)=u }
+goal { (P r)=v }
+"""
+
+
+@pytest.mark.parametrize("warm,cap", [(4, 64), (4, 5), (4, 3), (70, 64)])
+def test_steps_sharing_an_overflowed_start_clock_are_ordered_by_their_durations(warm, cap):
+    # First and Second both start when Warm ends, so their end order depends
+    # on their durations alone, even when Warm's end clock is past the cap.
+    kb, plan, net = timed_build(overflow_kb(warm), OVERFLOW_PLAN, BuildOptions(clock_enabled=True, clock_cap=cap))
+    assert [str(s) for s in net.situation_order] == ["S0", "S1", "S3a", "S2", "S3b"]
+    start = clock_node(net.situation_order[1])
+    assert ("OTHER" in net.nodes[start].states) == (warm > cap)
+    flat = flatten_hierarchy(plan)
+    marginals, _stats = oracle.timed_final_marginals(kb, flat, linearize(flat))
+    want = marginals[GroundAtom("P", ("r",))]["v"]
+    assert want == 0.5
+    assert abs(leads_to_success(net, plan).probability - want) <= 1e-12
 
 
 def test_capped_clock_values_fall_into_the_none_bucket():

@@ -512,6 +512,13 @@ def test_unreachable_goal_state_scores_zero():
     assert leads_to_success(net, plan).probability == 0.0
 
 
+def test_exact_query_rejects_a_monte_carlo_query(two_step):
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc")
+    with pytest.raises(PlanEvalError, match="exact_query called with mode 'mc'"):
+        exact_query(net, q)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_mc_rejects_fewer_than_one_sample(two_step, samples):
     _kb, _plan, net = two_step

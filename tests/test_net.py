@@ -241,6 +241,15 @@ def test_finalize_requires_full_coverage():
         finalize(net)
 
 
+def test_finalize_rejects_a_row_that_does_not_sum_to_one():
+    net = PENet()
+    paste_onto(net, Fragment(nodes=[FragmentNode(LOC_A0, "primitive", ["L1", "L2"])],
+                             rows=[FragmentRow(LOC_A0, {}, {"L1": 0.5}, "prior")]))
+    with pytest.raises(PlanEvalError, match=r"^row \(Loc A\)@S0\(\) sums to 0.5$"):
+        finalize(net)
+    assert not net.finalized
+
+
 def test_finalize_freezes_and_is_idempotent():
     net = PENet()
     paste_onto(net, move_fragment())
