@@ -13,15 +13,16 @@ The pipeline runs in a fixed order:
    that persistence and no-change rows complete gets a fill block instead,
    shared by every node alike in persistence model, previous states, gate
    pin and elapsed states, and fitted once from those rows in paste order,
-6. create every node in that shape, then paste the forward rows: priors and
-   action fragments (paste-onto), residual effects (paste-into), contingency
-   selection nodes, during effects, clock machinery with clock-identity
-   gap fillers (paste-into) and elapsed-bucket nodes,
+6. create every node in that shape, then paste the forward rows: priors,
+   action fragments and derived-predicate rows (paste-onto), residual
+   effects (paste-into), contingency selection nodes, during effects, clock
+   machinery with clock-identity gap fillers (paste-into) and elapsed-bucket
+   nodes,
 7. write each node's fill block, KB persistence rows before the default
    no-change rows, into the rows no earlier stage wrote, with one masked
    assignment per array; an elapsed-time row reads its situation's
    elapsed-bucket node, never the two clocks,
-8. derived-predicate rows (paste-onto), then finalize.
+8. finalize.
 
 No stage after the sweep makes a row. Each replays what the sweep recorded:
 with one paste-onto call for its onto rows and one paste-into call for its
@@ -1032,7 +1033,7 @@ def _forward_build(schedule: Schedule) -> PENet:
     net = PENet(situation_order=[si.sid for si in schedule.situations])
     for spec in schedule.nodes.values():
         net.ensure_node(spec)
-    _paste(schedule, net, "initial", "action", "residual")
+    _paste(schedule, net, "initial", "action", "derived", "residual")
     merge_contingent(schedule, net)
     attach_during(schedule, net)
     return add_clock(schedule, net)
@@ -1066,6 +1067,5 @@ def build_pe_net(plan: Plan, kb: KnowledgeBase, opts: BuildOptions = None) -> PE
     schedule = stage("split", split_situations, schedule)
     net = stage("forward", _forward_build, schedule)
     net = stage("persistence", complete_with_persistence, schedule, net)
-    net = stage("derived", _paste, schedule, net, "derived")
     net = stage("finalize", finalize, net)
     return net

@@ -3,9 +3,12 @@
 A PENet is a situation-layered DAG. A node's shape is fixed when it is made:
 its kind and states at creation, its parents before its first row, and with
 them the arrays its rows are written into, one cell per parent-state
-combination and state. Fragments carry rows with partial conditions on
-declared parents; pasting a row writes one array slice, over every state of
-each parent the row does not pin.
+combination and state. Every node has its arrays from the moment it is in
+the net: a table of more dimensions than numpy allows or of more than
+``MAX_FACTOR_CELLS`` cells raises ``TooLarge`` when the node is made or a
+parent added, before the net changes. Fragments carry rows with partial
+conditions on declared parents; pasting a row writes one array slice, over
+every state of each parent the row does not pin.
 ``finalize`` normalizes the cells into one read-only array per node,
 ``Node.table``, takes each row's running sums into a read-only CDF for Monte
 Carlo, and numbers the nodes in ``node_key`` order; the inference engines
@@ -38,7 +41,6 @@ parent's same-situation ancestors alone.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -156,9 +158,9 @@ class Node:
     row's probabilities, ``totals`` each row's sum, and ``sources`` the index
     of its provenance in ``labels``, 0 for a row not written. ``finalize``
     divides the cells by the totals into ``table``, a read-only float64 array
-    of the same shape, and drops ``cells`` and ``totals``. A node too large
-    for a table has no arrays. ``cpt`` and ``provenance`` are read-only views
-    of the written rows, keyed by parent-state combination.
+    of the same shape, and drops ``cells`` and ``totals``. ``cpt`` and
+    ``provenance`` are read-only views of the written rows, keyed by
+    parent-state combination.
     """
 
     id: NodeId
@@ -206,20 +208,19 @@ class _Rows(Mapping):
         node = self.node
         try:
             at = tuple([axis.at[state] for axis, state in zip(node.axes, combo, strict=True)])
-            written = node.sources[at] > 0
-        except (KeyError, TypeError, ValueError):  # not a combination of parent states, or no arrays
-            written = False
-        if not written:
+        except (KeyError, TypeError, ValueError):  # not a combination of parent states
+            raise KeyError(combo) from None
+        if not node.sources[at]:
             raise KeyError(combo)
         return self.read(node, at)
 
     def __iter__(self):
-        if self.node.sources is not None:  # combinations and sources both in parent-state order
-            combos = itertools.product(*[axis.states for axis in self.node.axes])
-            yield from itertools.compress(combos, self.node.sources.ravel().tolist())
+        # combinations and sources both in parent-state order
+        combos = itertools.product(*[axis.states for axis in self.node.axes])
+        return itertools.compress(combos, self.node.sources.ravel().tolist())
 
     def __len__(self):
-        return 0 if self.node.sources is None else int(np.count_nonzero(self.node.sources))
+        return int(np.count_nonzero(self.node.sources))
 
 
 @dataclass(slots=True)
@@ -330,48 +331,56 @@ class PENet:
 
     def ensure_node(self, spec: FragmentNode) -> Node:
         """Make a node, or check a re-declaration of it, and add its parents;
-        a new node's parents are sorted, and its arrays allocated, once."""
+        a new node enters the net with its arrays."""
         self._mutable()
         node = self.nodes.get(spec.id)
         if node is None:
-            self.ensure_situation(spec.id.sit)
-            text = spec.text or str(spec.id)
-            node = self.nodes[spec.id] = Node(spec.id, spec.kind, list(spec.states), text, self.labels)
+            node = Node(spec.id, spec.kind, list(spec.states), spec.text or str(spec.id), self.labels)
         elif (node.kind, node.states) != (spec.kind, list(spec.states)):
             raise PlanEvalError(f"node {spec.id} exists as {node.kind} {node.states}; "
                                 f"a re-declaration says {spec.kind} {list(spec.states)}")
-        for parent in spec.parents:
-            self.add_parent(node, parent)
-        if node.axes is None:
-            self._shape(node)
+        self.add_parent(node, *spec.parents)
+        self.nodes[spec.id] = node
         return node
 
-    def add_parent(self, node: Node, parent: NodeId):
-        if parent in node.parents:
+    def add_parent(self, node: Node, *parents: NodeId):
+        """Add parents to a node and allocate its arrays anew, or for the
+        first time for a node not yet in the net. The table's size is judged
+        first, so a node too large for one leaves the net as it was; each arc
+        and the node's rows are checked before the node changes."""
+        added = [p for p in dict.fromkeys(parents) if p not in node.parents]
+        if node.axes is not None and not added:
             return
         self._mutable()
-        if parent not in self.nodes:
-            raise PlanEvalError(f"parent {parent} of {node.id} is not in the net")
-        self._check_layering(parent, node)
-        if parent.sit == node.id.sit:
-            self._check_no_cycle(parent, node.id)
-        if node.sources is not None and node.sources.any():
-            raise PlanEvalError(f"parent {parent} added to {node.id}, which already has rows")
-        node.parents.append(parent)
-        if node.axes is not None:  # a node made already: its shape is fixed anew
-            self._shape(node)
+        for parent in added:
+            if parent not in self.nodes:
+                raise PlanEvalError(f"parent {parent} of {node.id} is not in the net")
+        parents, axes, shape = self._shape(node, added)
+        self.ensure_situation(node.id.sit)
+        for parent in added:
+            self._check_layering(parent, node)
+            if parent.sit == node.id.sit:
+                self._check_no_cycle(parent, node.id)
+        if node.axes is not None and node.sources.any():
+            raise PlanEvalError(f"parent {added[0]} added to {node.id}, which already has rows")
+        node.parents, node.axes = parents, axes
+        node.cells = np.zeros((*shape, len(node.states)))
+        node.totals = np.zeros(shape)
+        node.sources = np.zeros(shape, dtype=np.int32)
 
-    def _shape(self, node: Node):
-        """Sort the parents and allocate the node's arrays. A table of more
-        dimensions than numpy allows or of more than ``MAX_FACTOR_CELLS``
-        cells gets none, and ``finalize`` raises ``TooLarge`` for it."""
-        node.parents.sort(key=self.node_key)
-        node.axes = tuple([self.nodes[p] for p in node.parents])
-        shape = tuple([len(axis.states) for axis in node.axes])
-        fits = len(shape) < _MAX_TABLE_DIMS and math.prod(shape) * len(node.states) <= MAX_FACTOR_CELLS
-        node.cells = np.zeros((*shape, len(node.states))) if fits else None
-        node.totals = np.zeros(shape) if fits else None
-        node.sources = np.zeros(shape, dtype=np.int32) if fits else None
+    def _shape(self, node: Node, added: list) -> tuple:
+        """The node's parents with ``added``, sorted, their Nodes and the
+        shape of the rows. A table of more dimensions than numpy allows or
+        of more than ``MAX_FACTOR_CELLS`` cells raises ``TooLarge``."""
+        parents = sorted([*node.parents, *added], key=self.node_key)
+        axes = tuple([self.nodes[p] for p in parents])
+        shape = tuple([len(axis.states) for axis in axes])
+        dims, cells = len(shape) + 1, math.prod(shape) * len(node.states)
+        if dims > _MAX_TABLE_DIMS:
+            raise TooLarge(f"node {node.id} needs a table of {dims} dimensions, above {_MAX_TABLE_DIMS}")
+        if cells > MAX_FACTOR_CELLS:
+            raise TooLarge(f"node {node.id} needs a table of {cells} cells, above {MAX_FACTOR_CELLS}")
+        return parents, axes, shape
 
     def _check_layering(self, parent: NodeId, child: Node):
         pkind = self.nodes[parent].kind
@@ -424,23 +433,16 @@ class PENet:
             if len(at) - at.count(_ALL) < len(condition):
                 stray = next(key for key in condition if key not in node.parents)
                 raise PlanEvalError(f"a row of {node.id} pins {stray}, which is not one of its parents")
-            # an unreachable pin writes nothing
-            combos = 0 if _NONE in at else math.prod(len(a.states) for a, i in zip(node.axes, at) if i == _ALL)
-            if combos > MAX_FACTOR_CELLS:
-                raise TooLarge(f"a row of node {node.id} expands to {combos} parent combinations, "
-                               f"above {MAX_FACTOR_CELLS}")
-            if not combos:
-                continue
+            if _NONE in at:
+                continue  # an unreachable pin writes nothing
             free = None  # the rows of the slice to write, None for all of them
-            if not overwrite and node.sources is not None:
+            if not overwrite:
                 done = node.sources[at] > 0
                 if done.all() if _ALL in at else done:
                     continue
                 if _ALL in at and done.any():
                     free = ~done
             cells, total = _fit(node.at, row.distribution, node.id)
-            if node.sources is None:
-                continue  # too large for a table: finalize raises TooLarge
             source = self._label(row.provenance)
             if free is None:
                 node.cells[at], node.totals[at], node.sources[at] = cells, total, source
@@ -458,9 +460,6 @@ class PENet:
         arranged = {}
         for nid, parents, block in fills:
             node = self.nodes[nid]
-            if node.sources is None:  # too large for a table: the row path raises TooLarge, or finalize does
-                self._paste(Fragment(rows=block.fragment_rows(nid, parents)), overwrite=False)
-                continue
             axis = dict(zip(parents, range(len(parents))))
             layout = (id(block), tuple(node.states), *[axis.get(p) for p in node.parents])
             if layout not in arranged:  # kept with the block, so no other block can take its id
@@ -604,13 +603,11 @@ def finalize(net: PENet) -> PENet:
     Monte Carlo CDFs are the running sums of the table rows. All tables are
     slices of one per-net buffer and all CDFs and pick tables of another, so
     a query makes no table work of its own and a finalized net can be
-    queried from many threads at once. A table of more dimensions than numpy allows or of more
-    than ``MAX_FACTOR_CELLS`` cells raises ``TooLarge`` before any row is
-    read. The nodes are numbered in ``node_key`` order, and that integer
-    view, stored as ``net.numbering``, keeps only the multi-state parents and
-    fixes the row strides, the CDFs, the pick tables of the nodes certain of
-    their state on every row, and one min-degree elimination order for every
-    query.
+    queried from many threads at once. The nodes are numbered in
+    ``node_key`` order, and that integer view, stored as ``net.numbering``,
+    keeps only the multi-state parents and fixes the row strides, the CDFs,
+    the pick tables of the nodes certain of their state on every row, and one
+    min-degree elimination order for every query.
     """
     if net.finalized:
         return net
@@ -619,17 +616,12 @@ def finalize(net: PENet) -> PENet:
     nodes = [net.nodes[nid] for nid in ordered]
     every_parent = tuple(tuple(number[p] for p in node.parents) for node in nodes)
     shapes = [[len(nodes[p].states) for p in ps] + [len(node.states)] for node, ps in zip(nodes, every_parent)]
-    for node, shape in zip(nodes, shapes):
-        if len(shape) > _MAX_TABLE_DIMS:
-            raise TooLarge(f"node {node.id} needs a table of {len(shape)} dimensions, above {_MAX_TABLE_DIMS}")
-        if math.prod(shape) > MAX_FACTOR_CELLS:
-            raise TooLarge(f"node {node.id} needs a table of {math.prod(shape)} cells, above {MAX_FACTOR_CELLS}")
     sizes = tuple(shape[-1] for shape in shapes)
     counts = [node.sources.size for node in nodes]
     size_array, row_counts = np.array(sizes, dtype=np.intp), np.array(counts, dtype=np.intp)
     widths = np.repeat(size_array, row_counts)  # per row of the net, its node's state count
     cells = _joined([node.cells.ravel() for node in nodes])
-    cells /= np.repeat(_checked_totals(nodes, counts), widths)
+    cells /= np.repeat(_checked_totals(nodes), widths)
     # Backed by immutable bytes, so not even the writeable flag can be set back.
     cell_buffer = np.frombuffer(cells.tobytes())
     # The running sums of all rows of k states at once: np.cumsum runs
@@ -704,17 +696,14 @@ def _joined(arrays: list) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.zeros(0)
 
 
-def _checked_totals(nodes: list, counts: list) -> np.ndarray:
+def _checked_totals(nodes: list) -> np.ndarray:
     """Every row's total, the nodes taken in turn; raises for the first row
-    unwritten or off 1 by more than ``PROB_TOL``. A node after the first
-    unwritten row is not read."""
-    written = _joined([node.sources.ravel() for node in nodes]) > 0
-    end = len(written) if written.all() else int(written.argmin())
-    reach = bisect.bisect_right(list(itertools.accumulate(counts)), end) + 1  # the nodes holding rows to ``end``
-    totals = _joined([node.totals.ravel() for node in nodes[:reach]])
-    off = np.flatnonzero(np.abs(totals[:end] - 1.0) > PROB_TOL)
-    if len(off) or end < len(written):
-        at = int(off[0]) if len(off) else end
+    off 1 by more than ``PROB_TOL``, which is the first unwritten row too,
+    since an unwritten row's total is 0."""
+    totals = _joined([node.totals.ravel() for node in nodes])
+    off = np.flatnonzero(np.abs(totals - 1.0) > PROB_TOL)
+    if len(off):
+        at = int(off[0])
         for node in nodes:
             if at < node.sources.size:
                 break

@@ -122,18 +122,20 @@ def test_build_requires_clean_kb():
         build_pe_net(Plan(), kb)
 
 
-def test_oversized_table_is_a_typed_finalize_error():
-    # sixteen tasks give one node more parents than a numpy array has axes
+def test_oversized_table_is_a_typed_forward_error():
+    # sixteen tasks give one node more parents than a numpy array has axes;
+    # the node is refused when it is made
     inst = workloads.branchy(random.Random(1), 16)
     kb, plan = load(inst.kb_text, inst.plan_text)
     with pytest.raises(BuildError) as exc:
         build_pe_net(plan, kb)
-    assert exc.value.stage == "finalize"
+    assert exc.value.stage == "forward"
     assert isinstance(exc.value.cause, TooLarge)
+    assert f"dimensions, above {net_module._MAX_TABLE_DIMS}" in str(exc.value.cause)
 
 
 # (P)@S1 reads (Q x1) and (Q x2): four combinations, one uncovered, so it
-# also reads (P)@S0 and the (Q x1)=a row expands over 2 x 3 = 6 combinations.
+# also reads (P)@S0, a table of 2 x 2 x 3 rows of 3 states, 36 cells.
 FAN_IN_KB = """
 predicate (P) kind=primitive states { u v w }
 predicate (Q ?x) kind=primitive states { a b }
@@ -149,7 +151,7 @@ goal { (P)=v }
 
 @pytest.mark.parametrize("cap, message", [
     (3, "node (P)@S1 reads 4 parent combinations, above 3"),
-    (5, "a row of node (P)@S1 expands to 6 parent combinations, above 5"),
+    (5, "node (P)@S1 needs a table of 36 cells, above 5"),
 ])
 def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
     kb, plan = load(FAN_IN_KB, FAN_IN_PLAN)
@@ -171,9 +173,9 @@ def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
     assert str(exc.value.cause) == message
 
 
-# (P p)@S1 reads (Q x1), its previous state and the elapsed node; the
-# no-change row pins only the previous state, so it expands over the other two,
-# 2 x 2 = 4 combinations, more than any row before it.
+# (P p)@S1 reads (Q x1), its previous state and the elapsed node: a table of
+# 8 cells; no other node's table is above 4 cells. Its no-change fill row
+# pins only the previous state.
 WIDE_FILL_KB = """
 predicate (P ?x) kind=primitive states { u v }
 predicate (Q ?x) kind=primitive states { a b }
@@ -191,15 +193,17 @@ goal { (P p)=v }
 """
 
 
-def test_a_fill_row_past_the_cap_is_a_typed_persistence_error(monkeypatch):
+def test_a_fill_row_past_the_cap_is_a_typed_forward_error(monkeypatch):
+    # the node the fill row writes is refused when it is made, before any fill
     kb, plan = load(WIDE_FILL_KB, WIDE_FILL_PLAN)
     assert build_pe_net(plan, kb, BuildOptions(clock_enabled=True)).finalized
-    monkeypatch.setattr(build_module, "MAX_FACTOR_CELLS", 3)
-    monkeypatch.setattr(net_module, "MAX_FACTOR_CELLS", 3)
+    monkeypatch.setattr(build_module, "MAX_FACTOR_CELLS", 4)
+    monkeypatch.setattr(net_module, "MAX_FACTOR_CELLS", 4)
     with pytest.raises(BuildError) as exc:
         build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
-    assert exc.value.stage == "persistence"
-    assert str(exc.value.cause) == "a row of node (P p)@S1 expands to 4 parent combinations, above 3"
+    assert exc.value.stage == "forward"
+    assert isinstance(exc.value.cause, TooLarge)
+    assert str(exc.value.cause) == "node (P p)@S1 needs a table of 8 cells, above 4"
 
 
 def test_invalid_caps_rejected():
@@ -640,7 +644,7 @@ def test_a_predicate_too_wide_for_the_cell_cap_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(net_module, "MAX_FACTOR_CELLS", 1000)
     with pytest.raises(BuildError) as exc:
         build_pe_net(plan, kb)
-    assert exc.value.stage == "finalize"
+    assert exc.value.stage == "forward"
     assert isinstance(exc.value.cause, TooLarge)
     assert str(exc.value.cause) == "node (Reg)@S2 needs a table of 1600 cells, above 1000"
 
@@ -808,7 +812,7 @@ def test_fill_blocks_belong_to_one_build():
     forward = [build_module._forward_build(schedule) for schedule in schedules]  # both sweeps before any fill
     for schedule, net in reversed(list(zip(schedules, forward))):
         build_module.complete_with_persistence(schedule, net)
-    interleaved = [finalize(build_module._paste(schedule, net, "derived")) for schedule, net in zip(schedules, forward)]
+    interleaved = [finalize(net) for net in forward]
     for net, again, dist in zip(built, interleaved, expected):
         for sit in (1, 2):
             node = net.nodes[p_node("q", SituationId(sit))]

@@ -356,7 +356,7 @@ def test_table_past_numpys_dimension_limit_exit_1(files, capsys):
     code, out, err = run(capsys, ["eval", kb_path, plan_path])
     assert code == 1
     assert out == ""
-    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'finalize': node ")
+    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'forward': node ")
     assert "dimensions, above" in err
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from planeval import (
+    BuildError,
     GroundAtom,
     InfeasibleEvidence,
     PENet,
@@ -29,6 +30,7 @@ from planeval import (
     validate_kb,
 )
 from planeval import inference
+from planeval import net as net_module
 from planeval.net import Fragment, FragmentNode, FragmentRow, NodeId, SituationId, atom_node, finalize, paste_onto
 
 import forward_sampler
@@ -834,9 +836,17 @@ def test_an_exception_on_the_draw_thread_reaches_the_caller_unchanged(monkeypatc
 
 def test_default_branchy_12_answers_exactly_and_agrees_with_mc():
     # (Built W) reads 49 parents; situation order needed width 49, the
-    # min-degree order a handful.
+    # min-degree order a handful. Before numpy 2 an array has at most 32
+    # axes, so there its 50-dimension table is the documented typed failure.
     inst = workloads.branchy(random.Random(0), 12)
     kb, plan = load(inst.kb_text, inst.plan_text)
+    if net_module._MAX_TABLE_DIMS < 50:
+        with pytest.raises(BuildError) as exc:
+            build_pe_net(plan, kb)
+        assert exc.value.stage == "forward"
+        assert isinstance(exc.value.cause, TooLarge)
+        assert str(exc.value.cause).startswith("node (Built W)@S49 needs a table of 50 dimensions, above ")
+        return
     net = build_pe_net(plan, kb)
     exact = leads_to_success(net, plan)
     assert exact.elimination_width <= 6

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -441,42 +442,95 @@ def test_one_state_children_marry_no_parents():
 WIDE_CHILD = atom_node(GroundAtom("C", ()), S1)
 
 
-def _wide_net(parents: int, states: int) -> PENet:
-    """``parents`` uniform roots of ``states`` states each, and WIDE_CHILD of
-    them all, which has no rows."""
+def _wide_roots(parents: int, states: int) -> tuple:
+    """A net of ``parents`` uniform roots of ``states`` states each, and the
+    spec of WIDE_CHILD, which reads them all and has no rows."""
     net = PENet()
     labels = [f"s{j}" for j in range(states)]
     roots = [atom_node(GroundAtom("R", (str(i),)), S0) for i in range(parents)]
     nodes = [FragmentNode(r, "primitive", labels) for r in roots]
-    nodes.append(FragmentNode(WIDE_CHILD, "primitive", ["L1", "L2"], roots))
     rows = [FragmentRow(r, {}, {label: 1.0 / states for label in labels}, "prior") for r in roots]
     paste_onto(net, Fragment(nodes=nodes, rows=rows))
-    return net
+    return net, FragmentNode(WIDE_CHILD, "primitive", ["L1", "L2"], roots)
+
+
+def _trap_enumeration_and_allocation(monkeypatch):
+    def no_rows(*pools, **kwargs):
+        raise AssertionError("enumerated rows before the size check")
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated arrays before the size check")
+
+    monkeypatch.setattr(itertools, "product", no_rows)
+    monkeypatch.setattr(np, "zeros", no_arrays)
 
 
 @pytest.mark.parametrize("parents, states, match", [
     (MAX_TABLE_DIMS, 1, f"{MAX_TABLE_DIMS + 1} dimensions"),
     (25, 2, f"{2 ** 26} cells"),
 ])
-def test_finalize_rejects_an_oversized_table_before_enumerating_rows(parents, states, match, monkeypatch):
-    net = _wide_net(parents, states)
-
-    def no_rows(*pools):
-        raise AssertionError("finalize enumerated rows before the size check")
-
-    monkeypatch.setattr(itertools, "product", no_rows)
+def test_a_node_too_large_for_a_table_is_refused_before_it_is_made(parents, states, match, monkeypatch):
+    # The child's situation S1 is new to the net, so a half-made node would
+    # also leave S1 behind in the situation order.
+    net, child = _wide_roots(parents, states)
+    before = (canonical_dump(net), list(net.nodes), list(net.situation_order))
+    _trap_enumeration_and_allocation(monkeypatch)
     with pytest.raises(TooLarge, match=match):
-        finalize(net)
-    assert not net.finalized and net.numbering is None
+        net.ensure_node(child)
+    monkeypatch.undo()
+    assert (canonical_dump(net), list(net.nodes), list(net.situation_order)) == before
+    assert WIDE_CHILD not in net.nodes
+
+
+@pytest.mark.parametrize("redeclare", [True, False])
+def test_a_parent_that_makes_a_node_too_large_leaves_it_as_it_was(redeclare, monkeypatch):
+    # The child reads all roots but one, a table of exactly numpy's dimension
+    # limit; one more parent passes it.
+    net, child = _wide_roots(MAX_TABLE_DIMS, 1)
+    *kept, extra = child.parents
+    node = net.ensure_node(FragmentNode(WIDE_CHILD, child.kind, child.states, kept))
+    arrays = (node.cells, node.totals, node.sources)
+    before = (list(node.parents), dict(node.cpt), canonical_dump(net), list(net.situation_order))
+    _trap_enumeration_and_allocation(monkeypatch)
+    with pytest.raises(TooLarge, match=re.escape(f"node {WIDE_CHILD} needs a table of {MAX_TABLE_DIMS + 1} dimensions")):
+        if redeclare:
+            net.ensure_node(child)
+        else:
+            net.add_parent(node, extra)
+    monkeypatch.undo()
+    assert all(now is then for now, then in zip((node.cells, node.totals, node.sources), arrays))
+    assert (list(node.parents), dict(node.cpt), canonical_dump(net), list(net.situation_order)) == before
 
 
 @pytest.mark.parametrize("parents, states", [(MAX_TABLE_DIMS - 1, 1), (24, 2)])
 def test_finalize_reads_the_rows_of_a_table_at_the_size_bounds(parents, states):
-    # numpy's dimension limit, and exactly MAX_FACTOR_CELLS cells: past the
-    # size check, the child's first missing row is reported
+    # numpy's dimension limit, and exactly MAX_FACTOR_CELLS cells: the child
+    # is made, and its first missing row is reported
+    net, child = _wide_roots(parents, states)
+    net.ensure_node(child)
     with pytest.raises(IncompleteCPT) as exc:
-        finalize(_wide_net(parents, states))
+        finalize(net)
     assert exc.value.node_id == WIDE_CHILD
+
+
+@pytest.mark.parametrize("written, fault", [
+    ("L1", r"^row \(Loc A\)@S1\('L1',\) sums to 0.5$"),
+    ("L2", r"^node \(Loc A\)@S1 has no row for parent combination '\(Loc A\)@S0=L1'$"),
+])
+def test_finalize_reports_the_first_faulty_row_in_number_order(written, fault):
+    # One row sums to 0.5 and the other is never written; whichever comes
+    # first in the node's rows is the fault reported.
+    net = PENet()
+    paste_onto(net, Fragment(
+        nodes=[FragmentNode(LOC_A0, "primitive", ["L1", "L2"]),
+               FragmentNode(LOC_A1, "primitive", ["L1", "L2"], [LOC_A0])],
+        rows=[FragmentRow(LOC_A0, {}, {"L1": 0.5, "L2": 0.5}, "prior"),
+              FragmentRow(LOC_A1, {LOC_A0: written}, {"L1": 0.5}, "half")],
+    ))
+    with pytest.raises(PlanEvalError, match=fault) as exc:
+        finalize(net)
+    assert isinstance(exc.value, IncompleteCPT) == (written == "L2")
+    assert not net.finalized
 
 
 def _random_fragment(rng, nodes):
