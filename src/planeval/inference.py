@@ -3,10 +3,15 @@
 Two engines answer the same question (probability of a conjunction of
 node states, optionally given evidence):
 
-* ``exact_query`` - one bucket-elimination pass over the multi-state
-  ancestors of the targets and the evidence, in the min-degree order
-  ``finalize`` fixed, with ``np.einsum`` over the stored table views; width
-  and factor-size guards run before any product is formed;
+* ``exact_query`` - bucket elimination over the multi-state ancestors of
+  the targets and the evidence, in the min-degree order ``finalize`` fixed,
+  with ``np.einsum`` over the stored table views; width and factor-size
+  guards run before any product is formed. One axis stays free, one entry
+  for the evidence and one per conjunction of a batch, so one elimination
+  answers a batch. Answers go into the cache ``finalize`` made,
+  ``PENet.answers``, keyed by conjunction and evidence; a conjunction on one
+  node is asked in a batch with the node's other states, so a marginal costs
+  one elimination per node and evidence, not one per state;
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized, over
   the same ancestors in the topological order ``finalize`` stored; the
   generator is advanced past the draws of every other node that is not
@@ -53,6 +58,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,78 +148,132 @@ def _numbered(net: PENet, pairs) -> list:
     return [(number[nid], net.nodes[nid].states.index(state)) for nid, state in pairs]
 
 
-def _eliminate(net: PENet, targets: list, evidence: dict, width_limit: int):
-    """Evidence probability and joint target probability, and the width.
+class _Answer(NamedTuple):
+    """A cached exact answer, in plain numbers: no array is kept."""
 
-    Targets and evidence are turned into node numbers on entry, and those on
-    one-state nodes are dropped. Barren nodes (not multi-state ancestors of
-    a target or pinned node) go too, pinned axes are sliced out of each
-    table, and the other nodes are eliminated in ``Numbering.rank`` order,
-    each factor in the bucket of its earliest node. One two-state axis stays
-    free: each target adds a factor that is 1 on its entry 0 and the
-    target's indicator on its entry 1, so entry 0 of the result is the
-    evidence probability and entry 1 the joint one, however many targets the
-    conjunction has. Every bucket's scope, which holds only multi-state
-    axes, is checked against the guards before any product is formed.
+    z_e: float  # the evidence probability
+    z_te: float  # the joint probability of the conjunction and the evidence
+    width: int  # the width of the elimination that gave it
+    cells: int  # the largest factor that elimination makes for one conjunction
+
+
+def _guard(width: int, cells: int, width_limit: int):
+    if width > width_limit:
+        raise WidthExceeded(width, width_limit)
+    if cells > MAX_FACTOR_CELLS:
+        raise TooLarge(f"elimination needs a factor of {cells} cells, above {MAX_FACTOR_CELLS}")
+
+
+def _eliminate(numbering, batch: list, pins: dict, width_limit: int, asked) -> tuple:
+    """The conjunctions answered, the free axis's entries, the width, and
+    the largest factor of one conjunction.
+
+    ``batch`` holds conjunctions of ``(number, state index)`` pairs, and
+    ``pins`` maps a node number to its evidence state index. Targets on
+    one-state nodes are dropped. Barren nodes (not multi-state ancestors of a
+    target or pinned node) go too, pinned axes are sliced out of each table,
+    and the other nodes are eliminated in ``Numbering.rank`` order, each
+    factor in the bucket of its earliest node. One axis of ``len(batch) + 1``
+    entries stays free: each target node adds one factor that is 1 on entry
+    0 and, on entry j, its indicator when conjunction j names it and 1
+    otherwise. So entry 0 of the result is the evidence probability and entry
+    j conjunction j's joint one, however many targets it has. Every bucket's
+    scope, which holds only multi-state axes, is checked against the guards
+    for a free axis of two entries, as one conjunction needs, before any
+    product is formed; a batch whose free axis would then make a factor of
+    more than ``MAX_FACTOR_CELLS`` cells answers the conjunction ``asked``
+    alone.
     """
-    numbering = net.numbering
     sizes, rank = numbering.sizes, numbering.rank
-    pins = dict(_numbered(net, evidence.items()))
-    targets = [(v, s) for v, s in _numbered(net, targets) if sizes[v] > 1]
-    keep = _ancestors(numbering.parents, [v for v, _ in targets] + [v for v in pins if sizes[v] > 1])
+    targets = list(dict.fromkeys(v for conjunction in batch for v, _ in conjunction if sizes[v] > 1))
+    keep = _ancestors(numbering.parents, targets + [v for v in pins if sizes[v] > 1])
     order = sorted(keep.difference(pins), key=rank.__getitem__)
     # Kept nodes get local numbers in elimination order; local number m is
     # the free axis, and bucket m collects the factors over it alone.
     m = len(order)
     local = {v: i for i, v in enumerate(order)}
-    dims = [sizes[v] for v in order] + [2]
-    factors = [(np.ones(2), (m,))]  # the free axis, even with no targets
+    factors = []
     for v in keep:
         ids = (*numbering.parents[v], v)
         table = numbering.tables[v]
         if pins:
             table = table[tuple(pins.get(u, slice(None)) for u in ids)]
         factors.append((table, tuple(local[u] for u in ids if u in local)))
-    for v, state in targets:
-        hit = np.zeros((sizes[v], 2))
-        hit[:, 0] = 1.0
-        hit[state, 1] = 1.0
-        factors.append((hit[pins[v]], (m,)) if v in pins else (hit, (local[v], m)))
-    buckets = [[] for _ in range(m + 1)]
-    for table, vars in factors:
-        buckets[min((m, *vars))].append((table, vars))
+    free = [(m,) if v in pins else (local[v], m) for v in targets]
 
-    scopes = [set().union(*(vars for _, vars in bucket)) for bucket in buckets]
+    scopes = [set() for _ in range(m)] + [{m}]  # the free axis stays, even with no targets
+    for vars in [vars for _, vars in factors] + free:
+        scopes[min((m, *vars))].update(vars)
     for i in range(m):
         message = scopes[i] - {i}
         scopes[min((m, *message))] |= message
     width = max(map(len, scopes)) - 1
+    dims = [sizes[v] for v in order] + [2]
     cells = max(math.prod(dims[v] for v in scope) for scope in scopes)
-    if width > width_limit:
-        raise WidthExceeded(width, width_limit)
-    if cells > MAX_FACTOR_CELLS:
-        raise TooLarge(f"elimination needs a factor of {cells} cells, above {MAX_FACTOR_CELLS}")
+    _guard(width, cells, width_limit)
+    dims[m] = len(batch) + 1
+    if max(math.prod(dims[v] for v in scope) for scope in scopes) > MAX_FACTOR_CELLS:
+        batch = [asked]
 
+    hits = {v: np.ones((sizes[v], len(batch) + 1)) for v in targets}
+    for j, conjunction in enumerate(batch, 1):
+        for v, state in conjunction:
+            if v in hits:
+                hits[v][:, j] *= np.arange(sizes[v]) == state
+    factors += [(hits[v][pins[v]] if v in pins else hits[v], vars) for v, vars in zip(targets, free)]
+    buckets = [[] for _ in range(m)] + [[(np.ones(len(batch) + 1), (m,))]]
+    for table, vars in factors:
+        buckets[min((m, *vars))].append((table, vars))
     for i in range(m):
         out = tuple(sorted(scopes[i] - {i}))
         buckets[min((m, *out))].append((_contract(buckets[i], out), out))
-    z_e, z_te = _contract(buckets[m], (m,))
-    return float(z_e), float(z_te), width
+    return batch, _contract(buckets[m], (m,)).tolist(), width, cells
+
+
+def _answer(net: PENet, conjunction: frozenset, pins: frozenset, width_limit: int) -> _Answer:
+    """Eliminate for a conjunction the net has no answer to, and cache every
+    conjunction the elimination answers.
+
+    A conjunction on one node is asked in one batch with the node's other
+    states, in state order, and any other conjunction alone. So a key's
+    answer does not depend on which query found it, and threads that miss
+    the same key at once store the same numbers: the cache needs no lock.
+    """
+    batch = [conjunction]
+    if len(conjunction) == 1:
+        ((v, _),) = conjunction
+        batch = [frozenset({(v, s)}) for s in range(net.numbering.sizes[v])]
+    batch, z, width, cells = _eliminate(net.numbering, batch, dict(pins), width_limit, conjunction)
+    answers = {(c, pins): _Answer(z[0], z_te, width, cells) for c, z_te in zip(batch, z[1:])}
+    net.answers.update(answers)
+    return answers[conjunction, pins]
 
 
 def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) -> QueryResult:
-    """Exact conditional probability of the target conjunction, in one elimination."""
+    """Exact conditional probability of the target conjunction.
+
+    The answer comes from ``net.answers``, keyed by the conjunction and the
+    evidence in node numbers, whatever their order; on a miss, from one
+    elimination that caches what it answers. A hit checks the width limit,
+    the factor-size guard and the evidence as a miss does, so a query raises
+    exactly when its own elimination would, and the result is made anew for
+    each call.
+    """
     if not net.finalized:
         raise PlanEvalError("exact_query requires a finalized net")
     if q.mode != EXACT:
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
     _check_evidence(net, q.evidence)
     reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
+    pins = frozenset(_numbered(net, q.evidence.items()))
     # An unreachable conjunction scores zero, once the evidence is found feasible.
-    z_e, z_te, width = _eliminate(net, q.targets if reachable else [], q.evidence, width_limit)
-    if z_e <= 0.0:
+    conjunction = frozenset(_numbered(net, q.targets) if reachable else ())
+    answer = net.answers.get((conjunction, pins)) or _answer(net, conjunction, pins, width_limit)
+    _guard(answer.width, answer.cells, width_limit)  # for a hit; a miss was guarded before its products
+    if answer.z_e <= 0.0:
         raise InfeasibleEvidence("evidence has probability zero")
-    return QueryResult(min(max(z_te / z_e, 0.0), 1.0) if reachable else 0.0, EXACT, elimination_width=width)
+    probability = min(max(answer.z_te / answer.z_e, 0.0), 1.0) if reachable else 0.0
+    return QueryResult(probability, EXACT, elimination_width=answer.width)
 
 
 # ---------------------------------------------------------------------------

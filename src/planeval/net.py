@@ -306,6 +306,7 @@ class PENet:
         self._label_ids: dict = {}
         self._order: tuple = ()  # the topological order, fixed by finalize
         self.numbering: Numbering = None  # set by finalize
+        self.answers: dict = None  # exact answers by (conjunction, evidence), made empty by finalize
 
     # -- situations ------------------------------------------------------
 
@@ -356,13 +357,13 @@ class PENet:
             if parent not in self.nodes:
                 raise PlanEvalError(f"parent {parent} of {node.id} is not in the net")
         parents, axes, shape = self._shape(node, added)
-        self.ensure_situation(node.id.sit)
         for parent in added:
             self._check_layering(parent, node)
             if parent.sit == node.id.sit:
                 self._check_no_cycle(parent, node.id)
         if node.axes is not None and node.sources.any():
             raise PlanEvalError(f"parent {added[0]} added to {node.id}, which already has rows")
+        self.ensure_situation(node.id.sit)
         node.parents, node.axes = parents, axes
         node.cells = np.zeros((*shape, len(node.states)))
         node.totals = np.zeros(shape)
@@ -383,8 +384,13 @@ class PENet:
         return parents, axes, shape
 
     def _check_layering(self, parent: NodeId, child: Node):
+        """Judge one arc; a child situation not yet registered is judged by
+        where ``ensure_situation`` would place it, and stays unregistered."""
         pkind = self.nodes[parent].kind
-        ppos, cpos = self._positions[parent.sit], self._positions[child.id.sit]
+        if child.id.sit in self._positions:
+            ppos, cpos = self._positions[parent.sit], self._positions[child.id.sit]
+        else:  # ensure_situation sorts every situation by (index, sub), as the ids compare
+            ppos, cpos = parent.sit, child.id.sit
         if ppos > cpos:
             raise LayeringViolation(f"arc {parent} -> {child.id}: parent follows the child situation")
         if child.kind == PRIMITIVE:
@@ -607,7 +613,10 @@ def finalize(net: PENet) -> PENet:
     ``node_key`` order, and that integer view, stored as ``net.numbering``,
     keeps only the multi-state parents and fixes the row strides, the CDFs,
     the pick tables of the nodes certain of their state on every row, and one
-    min-degree elimination order for every query.
+    min-degree elimination order for every query. ``net.answers`` starts as
+    an empty dict, the cache ``exact_query`` answers through: a finalized net
+    never changes, so an answer, once found, holds for the net's life. It
+    keeps plain numbers, and dict updates are atomic, so threads may share it.
     """
     if net.finalized:
         return net
@@ -688,6 +697,7 @@ def finalize(net: PENet) -> PENet:
         cdfs=tuple(cdfs),
         picks=tuple(pick_of),
     )
+    net.answers = {}
     net.finalized = True
     return net
 

@@ -1,5 +1,6 @@
 """Inference engines: exact VE, Monte Carlo, enumeration oracle, plan metrics."""
 
+import math
 import os
 import random
 import sys
@@ -27,6 +28,7 @@ from planeval import (
     leads_to_success,
     mc_query,
     plan_success,
+    run_cli,
     validate_kb,
 )
 from planeval import inference
@@ -35,7 +37,7 @@ from planeval.net import Fragment, FragmentNode, FragmentRow, NodeId, SituationI
 
 import forward_sampler
 import instance_gen
-from joint_oracle import oracle_enumerate
+from joint_oracle import joint_distribution, oracle_enumerate
 from fixtures import HIERARCHY_KB, HIERARCHY_PLAN, MOVE_KB, RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN, TWO_STEP_PLAN, load
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -244,6 +246,218 @@ def test_oracle_bound_enforced(two_step):
     q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")])
     with pytest.raises(TooLarge):
         oracle_enumerate(net, q, bound=2)
+
+
+# -- the exact answer cache ----------------------------------------------------
+
+
+def counted_eliminations(monkeypatch) -> list:
+    """The batch of every ``_eliminate`` call from here on."""
+    calls = []
+    eliminate = inference._eliminate
+
+    def counted(numbering, batch, *args):
+        calls.append(batch)
+        return eliminate(numbering, batch, *args)
+
+    monkeypatch.setattr(inference, "_eliminate", counted)
+    return calls
+
+
+def bench_net(workload: str):
+    """The plan and a freshly built net of a workload's first seed-1 instance."""
+    inst = workloads.generate(workload, 1)[0]
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    return inst, plan, build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
+
+
+ELIMINATE = inference._eliminate  # as imported, for one_line even where a test counts the calls
+
+
+def one_line(net, q, width_limit=inference.DEFAULT_WIDTH_LIMIT) -> float:
+    """The query's answer from an elimination of its conjunction alone, as a
+    net with no answer cached would give it; it neither reads nor fills the cache."""
+    pins = dict(inference._numbered(net, q.evidence.items()))
+    if not inference._targets_reachable(net, q.targets):
+        return 0.0
+    conjunction = frozenset(inference._numbered(net, q.targets))
+    _batch, (z_e, z_te), _width, _cells = ELIMINATE(net.numbering, [conjunction], pins, width_limit, conjunction)
+    return min(max(z_te / z_e, 0.0), 1.0)
+
+
+def test_goal_metrics_of_a_plan_without_expansions_share_one_elimination(monkeypatch):
+    _inst, plan, net = bench_net("shuttle")
+    assert not inference._selected_path_targets(net)
+    calls = counted_eliminations(monkeypatch)
+    lead = leads_to_success(net, plan)
+    assert plan_success(net, plan) == lead
+    assert len(calls) == 1
+
+
+def test_every_state_of_one_node_shares_one_elimination_per_evidence(monkeypatch):
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    nid, seen = net.find("(Loc A)", "S2"), net.find("(Loc A)", "S1")
+    calls = counted_eliminations(monkeypatch)
+    for evidence in ({}, {seen: "L1"}):
+        before = len(calls)
+        answers = [exact_query(net, Query(targets=[(nid, state)], evidence=evidence)) for state in ("L2", "L1")]
+        assert len(calls) == before + 1
+        assert abs(sum(answer.probability for answer in answers) - 1.0) <= 1e-12
+        assert all(abs(answer.probability - one_line(net, Query([(nid, state)], evidence))) <= 1e-12
+                   for answer, state in zip(answers, ("L2", "L1")))
+    assert [len(batch) for batch in calls] == [2, 2]  # the node's two states
+
+
+def test_reordered_evidence_and_targets_hit_the_cache(monkeypatch):
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    a1, a2, b2 = net.find("(Loc A)", "S1"), net.find("(Loc A)", "S2"), net.find("(Loc B)", "S2")
+    evidence = {a1: "L2", a2: "L2"}
+    first = exact_query(net, Query(targets=[(b2, "L1"), (a2, "L2")], evidence=evidence))
+    calls = counted_eliminations(monkeypatch)
+    again = exact_query(net, Query(targets=[(a2, "L2"), (b2, "L1")], evidence=dict(reversed(evidence.items()))))
+    assert again == first and again is not first
+    assert calls == []
+
+
+def test_a_hit_returns_a_result_of_its_own(two_step):
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")])
+    first = exact_query(net, q)
+    expected = first.probability
+    first.probability, first.elimination_width = -1.0, -1
+    again = exact_query(net, q)
+    assert again.probability == expected and again.elimination_width >= 0
+
+
+def test_eval_marginals_run_one_elimination_per_marginal_node(tmp_path, capsys, monkeypatch):
+    inst = workloads.generate("branchy-queries", 1)[0]
+    assert inst.name == "branchy-t2"
+    kb_path, plan_path = tmp_path / "branchy.kb", tmp_path / "branchy.plan"
+    kb_path.write_text(inst.kb_text)
+    plan_path.write_text(inst.plan_text)
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    net = build_pe_net(plan, kb)
+    specs = [f"{atom}@{sit}" for sit in net.situation_order for atom, _state in plan.goals]
+    lines = sum(len(net.nodes[net.find(atom, sit)].states) for sit in net.situation_order for atom, _ in plan.goals)
+    calls = counted_eliminations(monkeypatch)
+    argv = ["eval", str(kb_path), str(plan_path)] + [arg for spec in specs for arg in ("--marginal", spec)]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\nmarginal ") == lines > len(specs)
+    assert len(calls) == 2 + len(specs)  # leads_to_success, plan_success, then one per marginal node
+
+
+def test_infeasible_evidence_raises_on_every_ask(monkeypatch):
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    impossible = {net.find("(Loc A)", "S1"): "L2", net.find("(Loc A)", "S2"): "L1"}  # L2 persists
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], evidence=impossible)
+    calls = counted_eliminations(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InfeasibleEvidence, match="evidence has probability zero"):
+            exact_query(net, q)
+    assert len(calls) == 1  # the second ask is a hit, and raises too
+
+
+def test_width_exceeded_raises_on_every_ask_and_is_never_cached(monkeypatch):
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")])
+    calls = counted_eliminations(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(WidthExceeded):
+            exact_query(net, q, width_limit=0)
+    assert net.answers == {} and len(calls) == 2
+    width = exact_query(net, q).elimination_width
+    with pytest.raises(WidthExceeded, match=f"induced width {width} exceeds limit {width - 1}"):
+        exact_query(net, q, width_limit=width - 1)  # a hit judges the width it was found at
+    assert len(calls) == 3
+
+
+def test_a_sibling_batch_above_the_cell_guard_runs_the_query_alone(monkeypatch):
+    _kb, _plan, reference = build(MOVE_KB, TWO_STEP_PLAN)
+    nid = reference.find("(Loc B)", "S2")
+    expected = [exact_query(reference, Query(targets=[(nid, state)])) for state in ("L3", "L1")]
+    (cells,) = {answer.cells for answer in reference.answers.values()}
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    calls = counted_eliminations(monkeypatch)
+    monkeypatch.setattr(inference, "MAX_FACTOR_CELLS", cells)  # one conjunction fits, three free entries do not
+    answers = [exact_query(net, Query(targets=[(nid, state)])) for state in ("L3", "L1")]
+    assert [len(batch) for batch in calls] == [2, 2]
+    assert len(net.answers) == 2  # each elimination answered only the state it was asked
+    assert all(abs(got.probability - want.probability) <= 1e-12 and got.elimination_width == want.elimination_width
+               for got, want in zip(answers, expected))
+    monkeypatch.setattr(inference, "MAX_FACTOR_CELLS", cells - 1)
+    for state in ("L3", "L1"):  # a hit judges the cells of its own elimination
+        with pytest.raises(TooLarge, match=f"a factor of {cells} cells, above {cells - 1}"):
+            exact_query(net, Query(targets=[(nid, state)]))
+
+
+def cache_queries(net, rng) -> list:
+    """Every state of a few multi-state nodes, without evidence and given one
+    node's state of positive probability, and a two-node conjunction each
+    way; each query with its oracle answer, read from one joint of those
+    nodes per evidence."""
+    nodes = [nid for nid in sorted(net.nodes, key=net.node_key) if len(net.nodes[nid].states) > 1]
+    if not nodes:
+        return []
+    picked = rng.sample(nodes, min(3, len(nodes)))
+    seen = rng.choice(nodes)
+    keep = sorted({*picked, seen}, key=net.node_key)
+    joint = joint_distribution(net, keep, bound=math.inf)
+    given = sorted({world[keep.index(seen)] for world in joint})
+    queries = []
+    for evidence in ({}, {seen: rng.choice(given)}):
+        if evidence:
+            joint = joint_distribution(net, keep, bound=math.inf, evidence=evidence)
+        z_e = sum(joint.values())
+        asked = [[(nid, state)] for nid in picked for state in net.nodes[nid].states]
+        asked.append([(nid, rng.choice(net.nodes[nid].states)) for nid in picked[:2]])
+        for targets in asked:
+            z_te = sum(p for world, p in joint.items() if all(world[keep.index(nid)] == state for nid, state in targets))
+            queries.append((Query(targets, evidence), z_te / z_e))
+    rng.shuffle(queries)
+    return queries
+
+
+@pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
+def test_cached_answers_match_the_oracle_and_one_line_at_a_time(generator):
+    compared = siblings = 0
+    for seed in range(200):
+        kb, plan = generator(seed)
+        options = BuildOptions(clock_enabled=generator is instance_gen.generate_timed)
+        net = build_pe_net(plan, kb, options)
+        for q, oracle in cache_queries(net, random.Random(seed)):
+            hit = (frozenset(inference._numbered(net, q.targets)),
+                   frozenset(inference._numbered(net, q.evidence.items()))) in net.answers
+            got = exact_query(net, q).probability
+            assert abs(got - oracle) <= 1e-12, (seed, q)
+            assert abs(got - one_line(net, q)) <= 1e-12, (seed, q)
+            compared += 1
+            siblings += hit
+    assert siblings > compared / 3  # a third of the answers or more came from a sibling's elimination
+
+
+def test_exact_queries_from_many_threads_on_an_empty_cache_give_the_serial_answers():
+    inst, plan, net = bench_net("shuttle")
+    _inst, _plan, serial = bench_net("shuttle")
+    goals = inference._goal_targets(net, plan)
+    mid = net.situation_order[len(net.situation_order) // 2]
+    seen = {net.find(atom, mid): state for atom, state in plan.goals[:2]}
+    queries = [Query([(nid, state)], evidence) for evidence in ({}, seen) for nid, _ in goals
+               for state in net.nodes[nid].states]
+    queries += [Query(goals[i:i + 3], seen if i % 2 else {}) for i in range(len(goals))]
+    queries = queries * 2
+    random.Random(5).shuffle(queries)
+    expected = [exact_query(serial, q) for q in queries]
+    assert not net.answers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(lambda q: exact_query(net, q), queries, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == expected
+    assert net.answers == serial.answers
 
 
 # -- Monte Carlo ---------------------------------------------------------------

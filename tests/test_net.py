@@ -155,6 +155,24 @@ def test_cross_situation_arc_into_derived_rejected():
         paste_onto(net, bad)
 
 
+@pytest.mark.parametrize("registered, child, match", [
+    (LOC_A0, FragmentNode(atom_node(GroundAtom("At", ("L1",)), S1), "derived", ["X", "NONE"], [LOC_A0]),
+     "same-situation parents only"),
+    (LOC_A1, FragmentNode(LOC_A0, "primitive", ["L1", "L2"], [LOC_A1]), "parent follows the child situation"),
+], ids=["derived-after-its-parent", "primitive-before-its-parent"])
+def test_a_refused_arc_registers_no_situation(registered, child, match):
+    # The child's situation is new to the net: the arc is judged by where
+    # the situation would go, and a refusal leaves the order as it was.
+    net = PENet()
+    net.ensure_node(FragmentNode(registered, "primitive", ["L1", "L2"]))
+    with pytest.raises(LayeringViolation, match=match):
+        net.ensure_node(child)
+    assert net.situation_order == [registered.sit]
+    assert list(net.nodes) == [registered]
+    net.ensure_node(FragmentNode(child.id, "primitive", child.states))  # no arc: the situation goes in
+    assert net.situation_order == sorted([registered.sit, child.id.sit])
+
+
 @pytest.mark.parametrize("gate", [
     FragmentNode(clock_node(S0), "clock", [0, 1]),
     FragmentNode(sel_node("b0", S0), "action-selection", ["f1", "noop"]),
