@@ -33,8 +33,8 @@ combination wins, and otherwise the first fill row does. A node's parents
 are exactly the keys its rows read; a fill block's recorded entries still
 iterate as its rows, made on demand. Gap fillers (persistence, no-change and
 clock-identity rows) are recorded only where a node's own rows leave a
-reachable parent combination uncovered, and KB persistence rows only where
-one of them covers such a combination.
+reachable parent combination uncovered in one boolean array of them all,
+and KB persistence rows only where one of them covers such a combination.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -46,6 +46,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -526,11 +528,10 @@ class _Sweep:
             kept = [row for row in model.rows if schedule.timed or row.bucket is None]
             buckets = tuple(model.buckets) if any(row.bucket for row in kept) else None
             self.models[name] = kept, buckets, f"persistence {model.atom}"
-        # Per atom name, previous states and gate pin: whether the model's
-        # rows fill a gap when no step writes the node; per that key and the
-        # elapsed node's states: the fill block, the axes its rows read and
-        # how many of its rows are the model's.
-        self.gaps, self.blocks = {}, {}
+        # Per atom name, previous states, gate pin, whether the model's rows
+        # fill a gap and the elapsed node's states: the fill block, the axes
+        # its rows read and how many of its rows are the model's.
+        self.blocks = {}
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
                        "elapsed": self._elapsed}
@@ -617,9 +618,7 @@ class _Sweep:
         kept, buckets, label = self.models.get(name, ((), None, None))
         pins = [{**gate, prev_nid: row.prev} for row in kept]
         key = (name, tuple(self.states[prev_nid]), gate_nid, sign, gate_nid and tuple(self.states[gate_nid]))
-        if key not in self.gaps:
-            self.gaps[key] = _leaves_open(self.states, [], pins)
-        fills = _leaves_open(self.states, written, pins) if pins and written else self.gaps[key]
+        fills = _leaves_open(self.states, written, pins)
         elapsed = self._elapsed_node(buckets) if fills and buckets else None
         candidates = (gate_nid, prev_nid, elapsed)
         key = (key, fills, elapsed and tuple(self.states[elapsed]))
@@ -774,29 +773,30 @@ class _Sweep:
 def _leaves_open(states: dict, rows: list, fillers: list = None) -> bool:
     """True when the feasible rows leave open a reachable combination of the
     condition keys: any one, or with ``fillers`` (conditions), one a feasible
-    filler covers.
-
-    Raises ``TooLarge`` before enumerating any combination when there are
-    more than ``MAX_FACTOR_CELLS`` of them.
+    filler covers. Coverage is one boolean array, an axis per key of more
+    than one state, in which each feasible row sets its slice as a paste
+    does. Raises ``TooLarge`` before the array is allocated when there are
+    more than ``MAX_FACTOR_CELLS`` combinations.
     """
+    fillers = [{}] if fillers is None else fillers  # a filler pinning nothing asks for any combination
     if not rows:  # nothing is covered
-        return fillers is None or any(_row_feasible(states, condition) for condition in fillers)
+        return any(_row_feasible(states, condition) for condition in fillers)
     conditions = [row.condition for row in rows]
-    keys = list(dict.fromkeys(key for condition in conditions + (fillers or []) for key in condition))
+    keys = list(dict.fromkeys(key for condition in conditions + fillers for key in condition))
     full = math.prod(max(len(states.get(key, ())), 1) for key in keys)
     if full > MAX_FACTOR_CELLS:
         raise TooLarge(f"node {rows[0].node} reads {full} parent combinations, above {MAX_FACTOR_CELLS}")
+    axes = [key for key in keys if len(states.get(key, ())) > 1]
+    covered = np.zeros([len(states[key]) for key in axes], dtype=bool)
 
-    def feasible_combos(conditions):
-        for condition in conditions:
-            if _row_feasible(states, condition):
-                yield from itertools.product(*[
-                    (condition[key],) if key in condition else tuple(states.get(key, ())) for key in keys])
+    def at(condition):  # a pinned key is an index, any other key a full slice
+        return tuple([states[key].index(condition[key]) if key in condition else slice(None) for key in axes])
 
-    covered = set(feasible_combos(conditions))
-    if fillers is None:
-        return len(covered) < full
-    return any(combo not in covered for combo in feasible_combos(fillers))
+    for condition in conditions:
+        if _row_feasible(states, condition):
+            covered[at(condition)] = True
+    slabs = [covered[at(condition)] for condition in fillers if _row_feasible(states, condition)]
+    return any(np.count_nonzero(slab) < slab.size for slab in slabs)
 
 
 def _bucket_label(buckets: tuple, a, b) -> str:

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from planeval import (
 from planeval import build as build_module
 from planeval import net as net_module
 from planeval.build import make_schedule, split_situations
-from planeval.net import PENet, Fragment, FragmentNode, SituationId, atom_node, finalize, paste_into
+from planeval.net import PENet, Fragment, FragmentNode, FragmentRow, SituationId, atom_node, finalize, paste_into
 
 import instance_gen
 import trajectory_oracle as oracle
@@ -149,13 +150,8 @@ goal { (P)=v }
 """
 
 
-@pytest.mark.parametrize("cap, message", [
-    (3, "node (P)@S1 reads 4 parent combinations, above 3"),
-    (5, "node (P)@S1 needs a table of 36 cells, above 5"),
-])
-def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
-    kb, plan = load(FAN_IN_KB, FAN_IN_PLAN)
-    assert build_pe_net(plan, kb).finalized
+def _guard_enumeration(monkeypatch, cap):
+    """Fail any ``itertools.product`` of more than ``cap`` combinations."""
     product = itertools.product
 
     def guarded(*pools, repeat=1):
@@ -164,6 +160,30 @@ def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
         return product(*pools, repeat=repeat)
 
     monkeypatch.setattr(itertools, "product", guarded)
+
+
+def _guard_gap_test_allocation(monkeypatch, cap):
+    """Fail any array of more than ``cap`` cells the sweep's gap test makes."""
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        size = math.prod(shape)
+        assert size <= cap, f"allocated {size} cells"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(build_module, "np", types.SimpleNamespace(**{**vars(np), "zeros": guarded}))
+
+
+@pytest.mark.parametrize("cap, message", [
+    (3, "node (P)@S1 reads 4 parent combinations, above 3"),
+    (5, "node (P)@S1 needs a table of 36 cells, above 5"),
+])
+def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
+    # the gap test neither enumerates nor allocates past the cap; the table is refused before it is made
+    kb, plan = load(FAN_IN_KB, FAN_IN_PLAN)
+    assert build_pe_net(plan, kb).finalized
+    _guard_enumeration(monkeypatch, cap)
+    _guard_gap_test_allocation(monkeypatch, cap)
     monkeypatch.setattr(build_module, "MAX_FACTOR_CELLS", cap)
     monkeypatch.setattr(net_module, "MAX_FACTOR_CELLS", cap)
     with pytest.raises(BuildError) as exc:
@@ -171,6 +191,74 @@ def test_guards_trip_before_enumerating_combinations(monkeypatch, cap, message):
     assert exc.value.stage == "forward"
     assert isinstance(exc.value.cause, TooLarge)
     assert str(exc.value.cause) == message
+
+
+def _key_probe(n, certain=False):
+    """One node (Z) written by n parallel steps, row i reading its own (K ki)=on:
+    each key even odds of on, or on for certain."""
+    kb_text = """
+predicate (Z) kind=primitive states { off on }
+predicate (K ?k) kind=primitive states { off on }
+action (Set ?k) level=0 { effect (Z) { (K ?k)=on -> { on:0.9 off:0.1 } } }
+"""
+    plan_text = "".join(f"step s{i} ag{i} (Set k{i}) start=b0 end=b1\n" for i in range(n))
+    prior = "(K k{0})=on" if certain else "(K k{0})=on:0.5 (K k{0})=off:0.5"
+    priors = " ".join(prior.format(i) for i in range(n))
+    return load(kb_text, plan_text + f"initial {{ (Z)=off {priors} }}\ngoal {{ (Z)=on }}\n")
+
+
+def test_a_node_read_through_many_partial_rows_builds_without_enumerating(monkeypatch):
+    # 16 binary keys: the gap test marks 2^16 combinations in one array, enumerating none
+    kb, plan = _key_probe(16)
+    _guard_enumeration(monkeypatch, 2 ** 12)
+    net = build_pe_net(plan, kb)
+    assert leads_to_success(net, plan).probability == pytest.approx(0.9 * (1 - 2 ** -16), abs=1e-12)
+
+
+def test_many_one_state_keys_are_a_typed_dimension_error():
+    # a key of one state takes no axis of the gap test; the node's table is refused when it is made
+    kb, plan = _key_probe(net_module._MAX_TABLE_DIMS + 6, certain=True)
+    with pytest.raises(BuildError) as exc:
+        build_pe_net(plan, kb)
+    assert exc.value.stage == "forward"
+    assert isinstance(exc.value.cause, TooLarge)
+    assert f"dimensions, above {net_module._MAX_TABLE_DIMS}" in str(exc.value.cause)
+
+
+def _enumerated_leaves_open(states, rows, fillers=None):
+    """The gap test by enumeration: the reachable combinations the feasible
+    rows cover, against every combination or a feasible filler's."""
+    conditions = [row.condition for row in rows]
+    keys = list(dict.fromkeys(key for condition in conditions + (fillers or []) for key in condition))
+
+    def combos(condition):
+        if any(state not in states[key] for key, state in condition.items()):
+            return []
+        return itertools.product(*[(condition[key],) if key in condition else states[key] for key in keys])
+
+    covered = {combo for condition in conditions for combo in combos(condition)}
+    if fillers is None:
+        return len(covered) < math.prod(len(states[key]) for key in keys)
+    return any(combo not in covered for condition in fillers for combo in combos(condition))
+
+
+def _random_condition(rng, keys):
+    """Pins on some of ``keys``; a pin may name a state its key cannot reach."""
+    return {key: rng.choice("abcx") for key in rng.sample(keys, rng.randint(0, len(keys)))}
+
+
+def test_the_gap_test_agrees_with_enumeration():
+    answers = collections.Counter()
+    for seed in range(500):
+        rng = random.Random(seed)
+        keys = [f"k{i}" for i in range(rng.randint(1, 6))]
+        states = {key: ["a", "b", "c"][:rng.randint(1, 3)] for key in keys}
+        rows = [FragmentRow("z", _random_condition(rng, keys), {"on": 1.0}) for _ in range(rng.randint(0, 5))]
+        fillers = None if seed % 2 else [_random_condition(rng, keys) for _ in range(rng.randint(0, 3))]
+        expected = _enumerated_leaves_open(states, rows, fillers)
+        assert build_module._leaves_open(states, rows, fillers) == expected, seed
+        answers[fillers is None, expected] += 1
+    assert min(answers.values()) > 25, answers  # both answers, with fillers and without
 
 
 # (P p)@S1 reads (Q x1), its previous state and the elapsed node: a table of
