@@ -10,18 +10,19 @@ The pipeline runs in a fixed order:
    tree: exponential only in the number of splits, never in the steps),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
    in paste order, and take from them its kind, states and parents; a node
-   that persistence and no-change rows complete gets a fill block instead,
-   shared by every node alike in persistence model, previous states, gate
-   pin and elapsed states, and fitted once from those rows in paste order,
+   that persistence and no-change rows complete gets a fill block instead:
+   those rows in paste order and the states they give, shared by every node
+   alike in persistence model, previous states, gate pin and elapsed states,
 6. create every node in that shape, then paste the forward rows: priors,
    action fragments and derived-predicate rows (paste-onto), residual
    effects (paste-into), contingency selection nodes, during effects, clock
    machinery with clock-identity gap fillers (paste-into) and elapsed-bucket
    nodes,
-7. write each node's fill block, KB persistence rows before the default
-   no-change rows, into the rows no earlier stage wrote, with one masked
-   assignment per array; an elapsed-time row reads its situation's
-   elapsed-bucket node, never the two clocks,
+7. write each fill block's rows, KB persistence rows before the default
+   no-change rows, once with the net's row writer into arrays over the
+   block's axes, then copy them into each node's rows no earlier stage
+   wrote, with one masked copy per array; an elapsed-time row reads its
+   situation's elapsed-bucket node, never the two clocks,
 8. finalize.
 
 No stage after the sweep makes a row. Each replays what the sweep recorded:
@@ -84,7 +85,6 @@ from .net import (
     FragmentNode,
     FragmentRow,
     NodeId,
-    fill_block,
     PENet,
     SituationId,
     atom_node,
@@ -321,11 +321,12 @@ class Schedule:
         parents before children), ``rows`` (nid -> [(kind, rows)] in paste
         order), which the paste stages replay unchanged, and ``fills`` (nid
         -> _Fill), the fill block of every node that persistence and
-        no-change rows complete. Nodes alike in persistence model, previous
-        states, gate pin and elapsed states share one block, fitted once;
-        the persistence stage writes the blocks. A node's "persistence" and
-        "default-persistence" entries in ``rows`` are views of its block,
-        which make their fragment rows only when iterated.
+        no-change rows complete. A block is those rows and the states they
+        give; nodes alike in persistence model, previous states, gate pin
+        and elapsed states share one, and the persistence stage writes each
+        block's rows once. A node's "persistence" and "default-persistence"
+        entries in ``rows`` are views of its block, which make their
+        fragment rows only when iterated.
         """
         self.nodes, self.rows, self.fills = {}, {}, {}
         return _Sweep(self).run()
@@ -635,8 +636,9 @@ class _Sweep:
         """The block of one fill: the model's ``kept`` rows (None when they fill
         no gap), labelled ``label``, then a no-change row per previous state, pinned on the
         ``candidates`` (gate, previous node, elapsed node), the gate on
-        ``sign``; the indices of the candidates the rows read, and how many
-        rows are the model's (None when none is recorded)."""
+        ``sign``, with the states the reachable rows give; the indices of the
+        candidates the rows read, and how many rows are the model's (None
+        when none is recorded)."""
         _gate_nid, prev_nid, elapsed = candidates
         rows = []
         for row in kept or ():
@@ -651,7 +653,7 @@ class _Sweep:
         # a row pinning an unreachable state writes nothing and gives no state
         support = {state for pins, dist, _label in rows if all(pin is None or pin in axis for pin, axis in zip(pins, states))
                    for state, prob in dist.items() if prob > 0}
-        return fill_block(states, _ordered(self.schedule.kb.schemas[name], support), rows), axes, kb
+        return FillBlock(tuple(rows), tuple(_ordered(self.schedule.kb.schemas[name], support))), axes, kb
 
     def _clock_pairs(self):
         """Every (previous, this situation's) clock value pair, making this situation's clock first."""
@@ -1021,9 +1023,9 @@ def add_clock(schedule: Schedule, net: PENet) -> PENet:
 
 def complete_with_persistence(schedule: Schedule, net: PENet) -> PENet:
     """Fill every gap with KB persistence, then no-change defaults: write
-    each node's fill block, repeated along the node's other parents, into
-    the rows no earlier stage wrote, with one masked assignment per array.
-    That is what paste-into of the block's rows writes."""
+    each fill block's rows once, then copy them, repeated along a node's
+    other parents, into the rows no earlier stage wrote, with one masked
+    copy per array. That is what paste-into of the block's rows writes."""
     return net._fill(schedule.fills.values())
 
 

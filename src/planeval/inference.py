@@ -440,6 +440,8 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
+    if q.mode != MC:
+        raise PlanEvalError(f"mc_query called with mode {q.mode!r}")
     # A bool is an int to isinstance, but not a sample count or a seed.
     if isinstance(q.samples, bool) or not isinstance(q.samples, int) or q.samples < 1:
         raise PlanEvalError(f"Monte Carlo needs a whole number of at least one sample, not {q.samples!r}")
@@ -520,10 +522,8 @@ def _selected_path_targets(net: PENet) -> list:
 
 def _run(net: PENet, targets, evidence: dict, mode: str, samples: int, seed: int) -> QueryResult:
     """Answer one conjunction given evidence with the chosen engine."""
-    query = Query(targets=targets, evidence=evidence, mode=EXACT if mode == EXACT else MC, samples=samples, seed=seed)
-    if mode == EXACT:
-        return exact_query(net, query)
-    return mc_query(net, query)
+    query = Query(targets=targets, evidence=evidence, mode=mode, samples=samples, seed=seed)
+    return (exact_query if mode == EXACT else mc_query)(net, query)
 
 
 def plan_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed: int = 0,

@@ -21,10 +21,11 @@ Two merge operations build nets from model fragments:
   (last writer wins, at row granularity).
 * ``paste_into``: fragment rows fill gaps only; existing rows are untouched.
 
-Fill rows that many nodes share, such as a persistence model's, are fitted
-once into a ``FillBlock``; the build writes each node's block with one
-masked assignment per array of the node, which writes what ``paste_into`` of
-its rows would.
+Both write rows with one row writer. Fill rows that many nodes share, such
+as a persistence model's, come as one ``FillBlock`` of rows; the row writer
+writes them once into arrays over the block's axes, and the build copies
+those into each node with one masked copy per array of the node, which
+writes what ``paste_into`` of the block's rows would.
 
 Layering rules, enforced on every arc:
 
@@ -356,7 +357,7 @@ class PENet:
         for parent in added:
             if parent not in self.nodes:
                 raise PlanEvalError(f"parent {parent} of {node.id} is not in the net")
-        parents, axes, shape = self._shape(node, added)
+        parents, axes = self._shape(node, added)
         for parent in added:
             self._check_layering(parent, node)
             if parent.sit == node.id.sit:
@@ -364,15 +365,12 @@ class PENet:
         if node.axes is not None and node.sources.any():
             raise PlanEvalError(f"parent {added[0]} added to {node.id}, which already has rows")
         self.ensure_situation(node.id.sit)
-        node.parents, node.axes = parents, axes
-        node.cells = np.zeros((*shape, len(node.states)))
-        node.totals = np.zeros(shape)
-        node.sources = np.zeros(shape, dtype=np.int32)
+        _allocate(node, parents, axes)
 
     def _shape(self, node: Node, added: list) -> tuple:
-        """The node's parents with ``added``, sorted, their Nodes and the
-        shape of the rows. A table of more dimensions than numpy allows or
-        of more than ``MAX_FACTOR_CELLS`` cells raises ``TooLarge``."""
+        """The node's parents with ``added``, sorted, and their Nodes. A table
+        of more dimensions than numpy allows or of more than
+        ``MAX_FACTOR_CELLS`` cells raises ``TooLarge``."""
         parents = sorted([*node.parents, *added], key=self.node_key)
         axes = tuple([self.nodes[p] for p in parents])
         shape = tuple([len(axis.states) for axis in axes])
@@ -381,7 +379,7 @@ class PENet:
             raise TooLarge(f"node {node.id} needs a table of {dims} dimensions, above {_MAX_TABLE_DIMS}")
         if cells > MAX_FACTOR_CELLS:
             raise TooLarge(f"node {node.id} needs a table of {cells} cells, above {MAX_FACTOR_CELLS}")
-        return parents, axes, shape
+        return parents, axes
 
     def _check_layering(self, parent: NodeId, child: Node):
         """Judge one arc; a child situation not yet registered is judged by
@@ -426,71 +424,67 @@ class PENet:
     # -- row writing -----------------------------------------------------
 
     def _paste(self, frag: Fragment, overwrite: bool) -> PENet:
-        """Write each row into one slice of its node's arrays: a pinned parent
-        is an index, any other parent a full slice. An onto row assigns the
-        slice; a fill row assigns only its rows not yet written."""
+        """Make the fragment's nodes, then write its rows into their nodes' arrays."""
         self._mutable()
         for spec in frag.nodes:
             self.ensure_node(spec)
-        for row in frag.rows:
-            node, condition = self.nodes[row.node], row.condition
-            at = tuple([axis.at.get(condition[p], _NONE) if p in condition else _ALL
-                        for p, axis in zip(node.parents, node.axes)])
-            if len(at) - at.count(_ALL) < len(condition):
-                stray = next(key for key in condition if key not in node.parents)
-                raise PlanEvalError(f"a row of {node.id} pins {stray}, which is not one of its parents")
-            if _NONE in at:
-                continue  # an unreachable pin writes nothing
-            free = None  # the rows of the slice to write, None for all of them
-            if not overwrite:
-                done = node.sources[at] > 0
-                if done.all() if _ALL in at else done:
-                    continue
-                if _ALL in at and done.any():
-                    free = ~done
-            cells, total = _fit(node.at, row.distribution, node.id)
-            source = self._label(row.provenance)
-            if free is None:
-                node.cells[at], node.totals[at], node.sources[at] = cells, total, source
-            else:
-                node.cells[at][free], node.totals[at][free], node.sources[at][free] = cells, total, source
+        self._write(self.nodes, frag.rows, overwrite)
         return self
+
+    def _write(self, tables: Mapping, rows, overwrite: bool):
+        """Write each row into one slice of the arrays of ``tables[row.node]``:
+        a pinned parent is an index, any other parent every state, and a pin
+        on a state the parent lacks writes nothing and registers no label.
+        An onto row (``overwrite``) writes the whole slice, a fill row only
+        the rows of it not yet written."""
+        for row in rows:
+            table, condition = tables[row.node], row.condition
+            # a trailing Ellipsis keeps even a single row a view
+            at = (*[axis.at.get(condition[p]) if p in condition else _ALL
+                    for p, axis in zip(table.parents, table.axes)], ...)
+            if len(at) - 1 - at.count(_ALL) < len(condition):
+                stray = next(key for key in condition if key not in table.parents)
+                raise PlanEvalError(f"a row of {table.id} pins {stray}, which is not one of its parents")
+            if None in at:
+                continue  # an unreachable pin writes nothing
+            if not overwrite:
+                free = table.sources[at] == 0
+                if not free.any():
+                    continue
+            cells, total = _fit(table.at, row.distribution, table.id)
+            source = self._label(row.provenance)
+            if overwrite:
+                table.cells[at], table.totals[at], table.sources[at] = cells, total, source
+            else:
+                table.cells[at][free], table.totals[at][free], table.sources[at][free] = cells, total, source
 
     def _fill(self, fills) -> PENet:
         """Write fill blocks, each into the rows of its node not yet written,
         as ``paste_into`` of the blocks' rows would. ``fills`` are (node,
         parents, block): the block's axes are the nodes ``parents``, and it
-        repeats along every other parent of the node. Nodes alike in block,
-        states and parent layout share one arrangement of the block."""
+        repeats along every other parent of the node. Each block's rows are
+        written once, by ``_write`` into arrays over its own axes and states;
+        nodes alike in block, states and parent layout share one arrangement
+        of those arrays, which is copied into each with one masked copy per
+        array."""
         self._mutable()
-        arranged = {}
+        parts, arranged = {}, {}
         for nid, parents, block in fills:
             node = self.nodes[nid]
             axis = dict(zip(parents, range(len(parents))))
             layout = (id(block), tuple(node.states), *[axis.get(p) for p in node.parents])
             if layout not in arranged:  # kept with the block, so no other block can take its id
-                arranged[layout] = block, *self._arrange(block, node, layout[2:])
+                if id(block) not in parts:
+                    part = parts[id(block)] = Node(nid, node.kind, list(block.states), node.text, self.labels)
+                    _allocate(part, list(parents), tuple([self.nodes[p] for p in parents]))
+                    self._write({nid: part}, block.fragment_rows(nid, parents), overwrite=False)
+                arranged[layout] = block, *_arrange(parts[id(block)], node, layout[2:])
             _block, cells, totals, sources = arranged[layout]
             free = node.sources == 0
             np.copyto(node.cells, cells, where=free[..., None])
             np.copyto(node.totals, totals, where=free)
             np.copyto(node.sources, sources, where=free)
         return self
-
-    def _arrange(self, block: FillBlock, node: Node, where: tuple) -> tuple:
-        """A block's cells, totals and sources laid out along a node's
-        parents: ``where`` holds, per parent, the block axis it is, or None
-        for a parent the block repeats along; cells move to the node's state
-        columns, and sources to the net's label indices."""
-        order = [i for i in where if i is not None]
-        shape = [1 if i is None else block.totals.shape[i] for i in where]
-        cells = block.cells.transpose(*order, len(order)).reshape(*shape, -1)
-        columns = [node.at[state] for state in block.states]
-        if columns != list(range(len(node.states))):  # the node has states the block does not
-            cells, given = np.zeros((*shape, len(node.states))), cells
-            cells[..., columns] = given
-        ids = np.array([0, *map(self._label, block.labels)], dtype=np.int32)
-        return cells, block.totals.transpose(order).reshape(shape), ids[block.sources].transpose(order).reshape(shape)
 
     def _label(self, text: str) -> int:
         """The index of a provenance label in ``labels``, added on first use."""
@@ -529,7 +523,29 @@ class PENet:
         return self.situation_order[-1]
 
 
-_ALL, _NONE = slice(None), slice(0)  # a parent a row does not pin; a pin on a state it does not have
+_ALL = slice(None)  # a parent a row does not pin
+
+
+def _allocate(node: Node, parents: list, axes: tuple):
+    """Give a node its parents, their Nodes and zeroed arrays over them."""
+    shape = tuple([len(axis.states) for axis in axes])
+    node.parents, node.axes = parents, axes
+    node.cells = np.zeros((*shape, len(node.states)))
+    node.totals = np.zeros(shape)
+    node.sources = np.zeros(shape, dtype=np.int32)
+
+
+def _arrange(part: Node, node: Node, where: tuple) -> tuple:
+    """A block's written arrays laid out along a node's parents: ``where``
+    holds, per parent, the block axis it is, or None for a parent the block
+    repeats along; cells move to the node's state columns."""
+    order = [i for i in where if i is not None]
+    shape = [1 if i is None else part.totals.shape[i] for i in where]
+    cells = part.cells.transpose(*order, len(order)).reshape(*shape, -1)
+    if part.states != node.states:  # the node has states the block does not give
+        cells, given = np.zeros((*shape, len(node.states))), cells
+        cells[..., [node.at[state] for state in part.states]] = given
+    return cells, part.totals.transpose(order).reshape(shape), part.sources.transpose(order).reshape(shape)
 
 
 def _fit(at: dict, dist: dict, owner) -> tuple:
@@ -547,47 +563,20 @@ def _fit(at: dict, dist: dict, owner) -> tuple:
 
 
 class FillBlock(NamedTuple):
-    """Fill rows fitted once, for every node they fill alike (``PENet._fill``).
+    """Fill rows that every node they fill alike shares (``PENet._fill``).
 
     ``rows`` are (pins, distribution, label) in paste order, one pin per
-    axis: a state, or None for every state of the axis. ``cells``,
-    ``totals`` and ``sources`` are laid out like a node's arrays, over the
-    axes' states and ``states``; ``sources`` counts into ``labels`` from 1.
+    axis: a state, or None for every state of the axis. ``states`` are the
+    states the rows reachable over the axes' states give.
     """
 
     rows: tuple
     states: tuple
-    cells: np.ndarray
-    totals: np.ndarray
-    sources: np.ndarray
-    labels: tuple
 
     def fragment_rows(self, node: NodeId, parents: tuple) -> list:
         """The rows as fragment rows of ``node``, the block's axes being the nodes ``parents``."""
         return [FragmentRow(node, {p: pin for p, pin in zip(parents, pins) if pin is not None}, dict(dist), label)
                 for pins, dist, label in self.rows]
-
-
-def fill_block(axes: list, states: list, rows: list) -> FillBlock:
-    """Fit ``rows`` over ``axes``, a list of each axis's states. As in
-    ``paste_into``, the first row that covers a combination writes it, and
-    a pin on a state its axis lacks writes nothing."""
-    at = {state: i for i, state in enumerate(states)}
-    positions = [{state: i for i, state in enumerate(axis)} for axis in axes]
-    shape = tuple(len(axis) for axis in axes)
-    cells, totals, sources = np.zeros((*shape, len(states))), np.zeros(shape), np.zeros(shape, dtype=np.int32)
-    labels = {}
-    for pins, dist, label in rows:
-        # a trailing Ellipsis keeps even a single combination a view
-        at_pins = (*(_ALL if pin is None else where.get(pin, _NONE) for pin, where in zip(pins, positions)), ...)
-        free = sources[at_pins] == 0
-        if free.any():
-            source = labels.setdefault(label, len(labels) + 1)
-            row, total = _fit(at, dist, "a fill block")
-            cells[at_pins][free], totals[at_pins][free], sources[at_pins][free] = row, total, source
-    for array in (cells, totals, sources):
-        array.flags.writeable = False
-    return FillBlock(tuple(rows), tuple(states), cells, totals, sources, tuple(labels))
 
 
 def paste_onto(net: PENet, frag: Fragment) -> PENet:
@@ -629,8 +618,9 @@ def finalize(net: PENet) -> PENet:
     counts = [node.sources.size for node in nodes]
     size_array, row_counts = np.array(sizes, dtype=np.intp), np.array(counts, dtype=np.intp)
     widths = np.repeat(size_array, row_counts)  # per row of the net, its node's state count
+    totals = _checked_totals(nodes)  # a guard, so before any cell is copied
     cells = _joined([node.cells.ravel() for node in nodes])
-    cells /= np.repeat(_checked_totals(nodes), widths)
+    cells /= np.repeat(totals, widths)
     # Backed by immutable bytes, so not even the writeable flag can be set back.
     cell_buffer = np.frombuffer(cells.tobytes())
     # The running sums of all rows of k states at once: np.cumsum runs

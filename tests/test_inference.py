@@ -735,6 +735,20 @@ def test_exact_query_rejects_a_monte_carlo_query(two_step):
         exact_query(net, q)
 
 
+def test_mc_query_rejects_an_exact_query(two_step):
+    _kb, _plan, net = two_step
+    q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="exact", samples=100)
+    with pytest.raises(PlanEvalError, match="mc_query called with mode 'exact'"):
+        mc_query(net, q)
+
+
+@pytest.mark.parametrize("metric", [leads_to_success, plan_success])
+def test_a_plan_metric_rejects_a_mode_it_does_not_know(two_step, metric):
+    _kb, plan, net = two_step
+    with pytest.raises(PlanEvalError, match="mc_query called with mode 'exakt'"):
+        metric(net, plan, mode="exakt", samples=100)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_mc_rejects_fewer_than_one_sample(two_step, samples):
     _kb, _plan, net = two_step

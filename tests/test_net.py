@@ -18,8 +18,10 @@ from planeval import (
     canonical_dump,
     clock_node,
 )
+from planeval import net as net_module
 from planeval.errors import IncompleteCPT, LayeringViolation
 from planeval.net import (
+    FillBlock,
     Fragment,
     FragmentNode,
     FragmentRow,
@@ -531,6 +533,25 @@ def test_finalize_reads_the_rows_of_a_table_at_the_size_bounds(parents, states):
     assert exc.value.node_id == WIDE_CHILD
 
 
+def test_finalize_judges_coverage_before_it_joins_any_cells(monkeypatch):
+    # The child's cells are twice its totals, one per state: an incomplete
+    # net raises having joined only the totals.
+    net, child = _wide_roots(3, 2)
+    net.ensure_node(child)
+    joined = []
+    real = net_module._joined
+
+    def counted(arrays):
+        joined.append(sum(len(array) for array in arrays))
+        return real(arrays)
+
+    monkeypatch.setattr(net_module, "_joined", counted)
+    with pytest.raises(IncompleteCPT):
+        finalize(net)
+    rows = sum(node.sources.size for node in net.nodes.values())
+    assert joined == [rows]
+
+
 @pytest.mark.parametrize("written, fault", [
     ("L1", r"^row \(Loc A\)@S1\('L1',\) sums to 0.5$"),
     ("L2", r"^node \(Loc A\)@S1 has no row for parent combination '\(Loc A\)@S0=L1'$"),
@@ -596,6 +617,104 @@ def test_paste_onto_last_writer_wins_row_granularity():
     # the other row is untouched
     assert net.nodes[LOC_A1].cpt[("L2",)] == {"L2": 1.0}
     assert net.row_provenance(LOC_A1, ("L2",)) == "action move"
+
+
+PIN_STATES = ("a", "b", "c")  # a parent has one to three of them, so a pin may name a state it lacks
+CHILD = atom_node(GroundAtom("C", ()), S1)
+
+
+def _random_rows_net(rng):
+    """A net of 1-3 roots of 1-3 states and a child reading them all, and
+    random rows of the child: (overwrite, row) pairs in paste order, each
+    pinning a random subset of the roots on any of ``PIN_STATES``."""
+    roots = [atom_node(GroundAtom("R", (str(i),)), S0) for i in range(rng.randint(1, 3))]
+    nodes = [FragmentNode(r, "primitive", sorted(rng.sample(PIN_STATES, rng.randint(1, 3)))) for r in roots]
+    states = ["x", "y", "z"][:rng.randint(1, 3)]
+    nodes.append(FragmentNode(CHILD, "primitive", states, roots))
+    net = paste_onto(PENet(), Fragment(nodes=nodes))
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        pins = {r: rng.choice(PIN_STATES) for r in roots if rng.random() < 0.5}
+        dist = {state: rng.choice([0.0, 0.25, 0.5, 1.0]) for state in states}
+        rows.append((rng.random() < 0.5, FragmentRow(CHILD, pins, dist, f"row{rng.randrange(4)}")))
+    return net, roots, rows
+
+
+def _reference(net, roots, rows):
+    """Per parent-state combination, the distribution and label that win:
+    the last onto row that covers it, otherwise the first fill row; a row
+    pinning a state its parent lacks covers nothing. Also the labels in the
+    order rows that write something first use them."""
+    won, labels = {}, [None]
+    for combo in itertools.product(*[net.nodes[r].states for r in roots]):
+        won[combo] = None
+    for overwrite, row in rows:
+        covered = [combo for combo in won
+                   if all(row.condition.get(r, state) == state for r, state in zip(roots, combo))]
+        written = [combo for combo in covered if overwrite or won[combo] is None]
+        for combo in written:
+            won[combo] = row
+        if written and row.provenance not in labels:
+            labels.append(row.provenance)
+    return {combo: row for combo, row in won.items() if row is not None}, labels
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_paste_onto_and_into_write_what_a_per_combination_reference_writes(seed):
+    rng = random.Random(seed)
+    net, roots, rows = _random_rows_net(rng)
+    for overwrite, row in rows:
+        (paste_onto if overwrite else paste_into)(net, Fragment(rows=[row]))
+    won, labels = _reference(net, roots, rows)
+    node = net.nodes[CHILD]
+    expected_cpt = {combo: {s: p for s, p in sorted(row.distribution.items()) if p != 0.0} for combo, row in won.items()}
+    assert dict(node.cpt) == expected_cpt
+    assert dict(node.provenance) == {combo: row.provenance for combo, row in won.items()}
+    assert net.labels == labels
+    # the same table written one full combination at a time
+    reference, _roots, _rows = _random_rows_net(random.Random(seed))
+    paste_onto(reference, Fragment(rows=[FragmentRow(CHILD, dict(zip(roots, combo)), row.distribution, row.provenance)
+                                         for combo, row in won.items()]))
+    assert canonical_dump(net) == canonical_dump(reference)
+
+
+def _block_nets(seed):
+    """Two equal nets, each of roots, their twins (the same states, their keys
+    in reverse order), a child C over the roots and a child D over the twins,
+    both with random rows already written; and a random fill block over a
+    random subset of the roots in random order, with the twins in their place."""
+    nets = []
+    for _ in range(2):
+        rng = random.Random(seed)
+        net, roots, rows = _random_rows_net(rng)
+        twin = {r: atom_node(GroundAtom("T", (str(len(roots) - i),)), S0) for i, r in enumerate(roots)}
+        other = atom_node(GroundAtom("D", ()), S1)
+        paste_onto(net, Fragment(nodes=[FragmentNode(twin[r], "primitive", net.nodes[r].states) for r in roots]
+                                 + [FragmentNode(other, "primitive", net.nodes[CHILD].states, list(twin.values()))]))
+        for overwrite, row in rows:
+            twin_row = FragmentRow(other, {twin[r]: pin for r, pin in row.condition.items()}, row.distribution, row.provenance)
+            (paste_onto if overwrite else paste_into)(net, Fragment(rows=[row, twin_row]))
+        nets.append(net)
+    axes = rng.sample(roots, rng.randint(0, len(roots)))
+    states = net.nodes[CHILD].states
+    block_rows = []
+    for _ in range(rng.randint(1, 6)):
+        pins = tuple(rng.choice(PIN_STATES) if rng.random() < 0.6 else None for _ in axes)
+        dist = {state: rng.choice([0.0, 0.5, 1.0]) for state in rng.sample(states, rng.randint(1, len(states)))}
+        block_rows.append((pins, dist, f"fill{rng.randrange(3)}"))
+    support = {state for pins, dist, _label in block_rows
+               if all(pin is None or pin in net.nodes[r].states for pin, r in zip(pins, axes))
+               for state, p in dist.items() if p > 0}
+    block = FillBlock(tuple(block_rows), tuple(s for s in states if s in support))
+    return nets, [(CHILD, tuple(axes), block), (other, tuple(twin[r] for r in axes), block)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_a_fill_block_shared_by_two_nodes_writes_what_paste_into_of_its_rows_writes(seed):
+    (filled, pasted), fills = _block_nets(seed)
+    filled._fill(fills)
+    paste_into(pasted, Fragment(rows=[row for nid, parents, block in fills for row in block.fragment_rows(nid, parents)]))
+    assert canonical_dump(filled) == canonical_dump(pasted)
 
 
 def test_finalize_numbers_nodes_by_their_text_not_their_ref():
