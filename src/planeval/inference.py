@@ -5,13 +5,21 @@ node states, optionally given evidence):
 
 * ``exact_query`` - bucket elimination over the multi-state ancestors of
   the targets and the evidence, in the min-degree order ``finalize`` fixed,
-  with ``np.einsum`` over the stored table views; width and factor-size
-  guards run before any product is formed. One axis stays free, one entry
-  for the evidence and one per conjunction of a batch, so one elimination
-  answers a batch. Answers go into the cache ``finalize`` made,
-  ``PENet.answers``, keyed by conjunction and evidence; a conjunction on one
-  node is asked in a batch with the node's other states, so a marginal costs
-  one elimination per node and evidence, not one per state;
+  with ``np.einsum`` over the stored table views. An identity copy, a node
+  whose state is always its one multi-state parent's, is read as its
+  source, the first node up its chain of copies that is not one, in
+  targets, evidence and every factor's parents, so no query eliminates a
+  copy. The symbolic pass (the kept nodes, each factor's bucket, the bucket
+  scopes, the width and the largest factor) runs on int bitmasks over rank
+  positions, and the width and factor-size guards run before any product
+  is formed. One axis stays free, one entry for the evidence and one per
+  conjunction of a batch, so one elimination answers a batch. Answers go
+  into the cache ``finalize`` made, ``PENet.answers``, keyed by conjunction
+  and evidence with copies read as their sources and one-state nodes
+  dropped; a conjunction on one node is asked in a batch with the node's
+  other states, so a marginal costs one elimination per source node and
+  evidence, not one per state, a copy's marginal shares its source's, and
+  every marginal of a one-state node given one evidence set shares one;
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized, over
   the same ancestors in the topological order ``finalize`` stored; the
   generator is advanced past the draws of every other node that is not
@@ -34,8 +42,12 @@ node states, optionally given evidence):
 
 A one-state node's table is 1 on every row, so neither engine reads one: a
 pin or a reachable target on it drops out, and so does every node read
-only through such nodes. An unreachable target, a state its node does not
-have, makes the conjunction score 0 once the evidence is found feasible.
+only through such nodes; a Monte Carlo query that reads no other node
+samples nothing. An unreachable target, a state its node does not have,
+makes the conjunction score 0 once the evidence is found feasible.
+Evidence that pins a copy and its source, or two copies of one source, to
+different states has probability 0, and exact inference says so after the
+guards, with no product formed.
 
 The brute-force joint enumeration both are checked against reads the
 ``Node.cpt`` rows instead, and lives with the tests in
@@ -115,17 +127,6 @@ def _targets_reachable(net: PENet, targets) -> bool:
 _EINSUM_OPERANDS = 32
 
 
-def _ancestors(parents: tuple, roots) -> set:
-    """The numbers of ``roots`` and of every ancestor, by ``Numbering.parents``."""
-    keep, stack = set(roots), list(roots)
-    while stack:
-        for parent in parents[stack.pop()]:
-            if parent not in keep:
-                keep.add(parent)
-                stack.append(parent)
-    return keep
-
-
 def _contract(factors: list, out: tuple) -> np.ndarray:
     """Multiply (table, vars) factors and sum every variable not in ``out``."""
     while len(factors) > _EINSUM_OPERANDS:
@@ -148,6 +149,21 @@ def _numbered(net: PENet, pairs) -> list:
     return [(number[nid], net.nodes[nid].states.index(state)) for nid, state in pairs]
 
 
+def _resolved(net: PENet, pairs) -> frozenset:
+    """``(source, state index)`` of each ``(NodeId, state)`` pair on a node of
+    more than one state, as exact inference reads it: an identity copy is
+    read as its source, and a one-state node, which no query reads, drops
+    out."""
+    numbering = net.numbering
+    number, sizes, sources = numbering.number, numbering.sizes, numbering.sources
+    resolved = set()
+    for nid, state in pairs:
+        v = number[nid]
+        if sizes[v] > 1:
+            resolved.add((sources[v], net.nodes[nid].at[state]))
+    return frozenset(resolved)
+
+
 class _Answer(NamedTuple):
     """A cached exact answer, in plain numbers: no array is kept."""
 
@@ -164,70 +180,130 @@ def _guard(width: int, cells: int, width_limit: int):
         raise TooLarge(f"elimination needs a factor of {cells} cells, above {MAX_FACTOR_CELLS}")
 
 
-def _eliminate(numbering, batch: list, pins: dict, width_limit: int, asked) -> tuple:
+def _lowest(mask: int) -> int:
+    """The position of the lowest set bit of ``mask``, which is not 0."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _positions(mask: int) -> list:
+    """The positions of the set bits of ``mask``, lowest first."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _sources_kept(numbering, roots: list) -> set:
+    """The ``roots``, which are sources, and the source of every ancestor."""
+    parents, sources = numbering.parents, numbering.sources
+    keep, stack = set(roots), list(roots)
+    while stack:
+        for parent in parents[stack.pop()]:
+            source = sources[parent]
+            if source not in keep:
+                keep.add(source)
+                stack.append(source)
+    return keep
+
+
+def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked) -> tuple:
     """The conjunctions answered, the free axis's entries, the width, and
     the largest factor of one conjunction.
 
-    ``batch`` holds conjunctions of ``(number, state index)`` pairs, and
-    ``pins`` maps a node number to its evidence state index. Targets on
-    one-state nodes are dropped. Barren nodes (not multi-state ancestors of a
-    target or pinned node) go too, pinned axes are sliced out of each table,
-    and the other nodes are eliminated in ``Numbering.rank`` order, each
-    factor in the bucket of its earliest node. One axis of ``len(batch) + 1``
-    entries stays free: each target node adds one factor that is 1 on entry
-    0 and, on entry j, its indicator when conjunction j names it and 1
-    otherwise. So entry 0 of the result is the evidence probability and entry
-    j conjunction j's joint one, however many targets it has. Every bucket's
-    scope, which holds only multi-state axes, is checked against the guards
-    for a free axis of two entries, as one conjunction needs, before any
-    product is formed; a batch whose free axis would then make a factor of
-    more than ``MAX_FACTOR_CELLS`` cells answers the conjunction ``asked``
-    alone.
+    ``batch`` holds conjunctions and ``pins`` the evidence, each a set of
+    ``(source, state index)`` pairs on multi-state nodes, as ``_resolved``
+    gives them; two pins on one node in different states score 0 after the
+    guards. Barren nodes (not ancestors of a target or pinned node, every
+    parent read as its source) are dropped, pinned axes are sliced out of
+    each table, and the other nodes are eliminated in ``Numbering.rank``
+    order. A variable is its node's rank position, both as an einsum label
+    and as a bit of an int: a factor's scope is a bitmask,
+    ``Numbering.masks`` for a node's table, and its bucket is its lowest
+    bit, so the kept set, the buckets, the scopes and the guards take a few
+    int operations per factor. One axis of ``len(batch) + 1`` entries stays
+    free, labelled after every rank position and carried by the buckets
+    whose scope holds it: each target node adds one factor that is 1 on
+    entry 0 and, on entry j, its indicator when conjunction j names it and 1
+    otherwise. So entry 0 of the result is the evidence probability and
+    entry j conjunction j's joint one, however many targets it has. Every
+    bucket's scope is checked against the guards for a free axis of two
+    entries, as one conjunction needs, before any product is formed; a batch
+    whose free axis would then make a factor of more than
+    ``MAX_FACTOR_CELLS`` cells answers the conjunction ``asked`` alone.
     """
-    sizes, rank = numbering.sizes, numbering.rank
-    targets = list(dict.fromkeys(v for conjunction in batch for v, _ in conjunction if sizes[v] > 1))
-    keep = _ancestors(numbering.parents, targets + [v for v in pins if sizes[v] > 1])
-    order = sorted(keep.difference(pins), key=rank.__getitem__)
-    # Kept nodes get local numbers in elimination order; local number m is
-    # the free axis, and bucket m collects the factors over it alone.
-    m = len(order)
-    local = {v: i for i, v in enumerate(order)}
-    factors = []
+    sizes, rank, masks, sources = numbering.sizes, numbering.rank, numbering.masks, numbering.sources
+    pinned = dict(pins)
+    targets = list(dict.fromkeys(v for conjunction in batch for v, _ in conjunction))
+    keep = _sources_kept(numbering, targets + list(pinned))
+    free = len(sizes)  # the free axis's label, after every rank position
+    held = 0  # the pinned nodes' bits
+    for v in pinned:
+        held |= 1 << rank[v]
+    # Per bucket, by its variable's rank position: the variable's state
+    # count, the bucket's scope without the free axis, and the factors and
+    # messages it gets.
+    dims, scopes, buckets = {}, {free: 0}, {free: []}
     for v in keep:
-        ids = (*numbering.parents[v], v)
+        if v not in pinned:
+            at = rank[v]
+            dims[at], scopes[at], buckets[at] = sizes[v], 0, []
+    for v in keep:
+        ids = [sources[p] for p in numbering.parents[v]]
+        ids.append(v)
         table = numbering.tables[v]
-        if pins:
-            table = table[tuple(pins.get(u, slice(None)) for u in ids)]
-        factors.append((table, tuple(local[u] for u in ids if u in local)))
-    free = [(m,) if v in pins else (local[v], m) for v in targets]
-
-    scopes = [set() for _ in range(m)] + [{m}]  # the free axis stays, even with no targets
-    for vars in [vars for _, vars in factors] + free:
-        scopes[min((m, *vars))].update(vars)
-    for i in range(m):
-        message = scopes[i] - {i}
-        scopes[min((m, *message))] |= message
-    width = max(map(len, scopes)) - 1
-    dims = [sizes[v] for v in order] + [2]
-    cells = max(math.prod(dims[v] for v in scope) for scope in scopes)
+        if pinned:
+            table = table[tuple([pinned.get(u, slice(None)) for u in ids])]
+        mask = masks[v] & ~held if held else masks[v]
+        home = _lowest(mask) if mask else free
+        scopes[home] |= mask
+        # Two parents copying one source repeat its position, and einsum reads the diagonal.
+        buckets[home].append((table, tuple([rank[u] for u in ids if u not in pinned])))
+    carry = {rank[v] for v in targets if v not in pinned}  # the buckets whose scope holds the free axis
+    carry.add(free)  # which stays, even with no targets
+    messages = []  # per eliminated position, in rank order: the variables it passes on, and their bucket
+    width = alone = joined = 0  # the largest scope, and the most cells of a scope without and with the free axis
+    for at in sorted(scopes):
+        scope = scopes[at]
+        variables = _positions(scope)
+        width = max(width, len(variables) + (at in carry) - 1)
+        cells = 1
+        for var in variables:
+            cells *= dims[var]
+        if at in carry:
+            joined = max(joined, cells)
+        else:
+            alone = max(alone, cells)
+        if at != free:
+            # The bucket's own variable is its scope's lowest bit, and the next one is the message's bucket.
+            home = variables[1] if len(variables) > 1 else free
+            scopes[home] |= scope & (scope - 1)
+            if at in carry:
+                carry.add(home)
+            messages.append((at, tuple(variables[1:]) + ((free,) if at in carry else ()), home))
+    cells = max(alone, 2 * joined)
     _guard(width, cells, width_limit)
-    dims[m] = len(batch) + 1
-    if max(math.prod(dims[v] for v in scope) for scope in scopes) > MAX_FACTOR_CELLS:
+    entries = len(batch) + 1
+    if max(alone, entries * joined) > MAX_FACTOR_CELLS:
         batch = [asked]
+        entries = 2
+    if len(pinned) < len(pins):  # a node pinned in two states
+        return batch, [0.0] * entries, width, cells
 
-    hits = {v: np.ones((sizes[v], len(batch) + 1)) for v in targets}
+    hits = {v: np.ones((sizes[v], entries)) for v in targets}
     for j, conjunction in enumerate(batch, 1):
         for v, state in conjunction:
-            if v in hits:
-                hits[v][:, j] *= np.arange(sizes[v]) == state
-    factors += [(hits[v][pins[v]] if v in pins else hits[v], vars) for v, vars in zip(targets, free)]
-    buckets = [[] for _ in range(m)] + [[(np.ones(len(batch) + 1), (m,))]]
-    for table, vars in factors:
-        buckets[min((m, *vars))].append((table, vars))
-    for i in range(m):
-        out = tuple(sorted(scopes[i] - {i}))
-        buckets[min((m, *out))].append((_contract(buckets[i], out), out))
-    return batch, _contract(buckets[m], (m,)).tolist(), width, cells
+            hits[v][:state, j] = hits[v][state + 1:, j] = 0.0
+    for v, hit in hits.items():
+        if v in pinned:
+            buckets[free].append((hit[pinned[v]], (free,)))
+        else:
+            buckets[rank[v]].append((hit, (rank[v], free)))
+    buckets[free].append((np.ones(entries), (free,)))
+    for at, out, home in messages:
+        buckets[home].append((_contract(buckets[at], out), out))
+    return batch, _contract(buckets[free], (free,)).tolist(), width, cells
 
 
 def _answer(net: PENet, conjunction: frozenset, pins: frozenset, width_limit: int) -> _Answer:
@@ -243,7 +319,7 @@ def _answer(net: PENet, conjunction: frozenset, pins: frozenset, width_limit: in
     if len(conjunction) == 1:
         ((v, _),) = conjunction
         batch = [frozenset({(v, s)}) for s in range(net.numbering.sizes[v])]
-    batch, z, width, cells = _eliminate(net.numbering, batch, dict(pins), width_limit, conjunction)
+    batch, z, width, cells = _eliminate(net.numbering, batch, pins, width_limit, conjunction)
     answers = {(c, pins): _Answer(z[0], z_te, width, cells) for c, z_te in zip(batch, z[1:])}
     net.answers.update(answers)
     return answers[conjunction, pins]
@@ -253,11 +329,14 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
     """Exact conditional probability of the target conjunction.
 
     The answer comes from ``net.answers``, keyed by the conjunction and the
-    evidence in node numbers, whatever their order; on a miss, from one
-    elimination that caches what it answers. A hit checks the width limit,
-    the factor-size guard and the evidence as a miss does, so a query raises
-    exactly when its own elimination would, and the result is made anew for
-    each call.
+    evidence as ``_resolved`` gives them, whatever their order: a copy's
+    state is keyed as its source's, and one-state nodes drop out, so every
+    query on a copy shares its source's entries and every marginal of a
+    one-state node under one evidence set shares one entry. On a miss the
+    answer comes from one elimination that caches what it answers. A hit
+    checks the width limit, the factor-size guard and the evidence as a
+    miss does, so a query raises exactly when its own elimination would, and
+    the result is made anew for each call.
     """
     if not net.finalized:
         raise PlanEvalError("exact_query requires a finalized net")
@@ -265,9 +344,9 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
     _check_evidence(net, q.evidence)
     reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
-    pins = frozenset(_numbered(net, q.evidence.items()))
+    pins = _resolved(net, q.evidence.items())
     # An unreachable conjunction scores zero, once the evidence is found feasible.
-    conjunction = frozenset(_numbered(net, q.targets) if reachable else ())
+    conjunction = _resolved(net, q.targets) if reachable else frozenset()
     answer = net.answers.get((conjunction, pins)) or _answer(net, conjunction, pins, width_limit)
     _guard(answer.width, answer.cells, width_limit)  # for a hit; a miss was guarded before its products
     if answer.z_e <= 0.0:
@@ -279,6 +358,17 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
 # ---------------------------------------------------------------------------
 # Monte Carlo: forward sampling with likelihood weighting
 # ---------------------------------------------------------------------------
+
+
+def _ancestors(parents: tuple, roots) -> set:
+    """The numbers of ``roots`` and of every ancestor, by ``Numbering.parents``."""
+    keep, stack = set(roots), list(roots)
+    while stack:
+        for parent in parents[stack.pop()]:
+            if parent not in keep:
+                keep.add(parent)
+                stack.append(parent)
+    return keep
 
 
 def _cpus() -> int:
@@ -436,7 +526,10 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     each with the doubles skipped before it; the rows are then drawn in that
     order, one block ahead on a second thread when the query draws at least
     ``_AHEAD_DRAWS`` doubles and inline otherwise, with the same bits either
-    way. Samples are freed after their last reader.
+    way. Samples are freed after their last reader. A query that samples no
+    node, every target one-state or unreachable and every evidence node
+    one-state, is answered without a schedule or a generator, with the bits
+    sampling would give.
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
@@ -452,13 +545,18 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     _check_evidence(net, q.evidence)
     reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     n = q.samples
-    rng = np.random.Generator(np.random.PCG64(q.seed))
     numbering = net.numbering
     parents_of, sizes, picks = numbering.parents, numbering.sizes, numbering.picks
     pins = dict(_numbered(net, q.evidence.items()))
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
     targets = [(v, s) for v, s in _numbered(net, q.targets) if sizes[v] > 1] if reachable else []
-    keep = _ancestors(parents_of, [v for v, _ in targets] + [v for v in pins if sizes[v] > 1])
+    roots = [v for v, _ in targets] + [v for v in pins if sizes[v] > 1]
+    if not roots:
+        # Nothing is sampled: every weight is 1 and every sample hits, or none
+        # does. The ESS, n * n / n, is exactly n, since n <= 2**25.
+        return QueryResult(float(reachable), MC, standard_error=0.0, sample_count=n, effective_sample_size=float(n))
+    rng = np.random.Generator(np.random.PCG64(q.seed))
+    keep = _ancestors(parents_of, roots)
     readers = [0] * len(parents_of)  # per node, its sampled children plus one per target
     for v in [p for u in keep for p in parents_of[u]] + [v for v, _ in targets]:
         readers[v] += 1

@@ -259,10 +259,21 @@ class Numbering(NamedTuple):
     ``tables[v]`` is ``Node.table`` viewed without the one-state parent axes,
     of shape ``(|p_1|, ..., |p_m|, k)`` over those parents. ``order`` is the
     topological order over the full parent lists, the order Monte Carlo
-    draws in. ``rank[v]`` is the node's place in one min-degree elimination
-    order of the moral graph on the multi-state nodes, fixed here so every
-    exact query eliminates in it; the one-state nodes, which no query
-    eliminates, rank after them in number order.
+    draws in.
+
+    Exact inference reads a smaller net. An identity copy is a multi-state
+    node whose only multi-state parent has as many states and whose table is
+    the identity; its state is always its parent's, so exact inference
+    absorbs it into its parent. ``sources[v]`` is the node an identity copy
+    copies, read through chains of copies to one that is not a copy, and
+    ``v`` for every other node. ``rank[v]`` is the node's place in one
+    min-degree elimination order of the moral graph on the multi-state
+    nodes that are not copies, every parent read through to its source,
+    fixed here so every exact query eliminates in it; the copies and the
+    one-state nodes, which no query eliminates, rank after them in number
+    order. ``masks[v]`` is the node's factor as an int bitmask over rank
+    positions: bit ``rank[v]`` and bit ``rank[sources[p]]`` of each
+    multi-state parent ``p``.
 
     ``strides`` and ``cdfs`` are what Monte Carlo reads. A node's table row
     for parent state indices ``(i_1, ..., i_m)`` is ``sum(i_j * strides[v][j])``,
@@ -289,6 +300,8 @@ class Numbering(NamedTuple):
     sizes: tuple  # state counts
     order: tuple  # the topological order over all parents, as numbers
     rank: tuple  # per node, its place in the min-degree elimination order
+    sources: tuple  # per node, the number of the node it copies, or its own
+    masks: tuple  # per node, its factor's rank positions as an int bitmask
     strides: tuple  # per node, each multi-state parent's row multiplier, as ints
     cdfs: tuple  # per node, a read-only (k - 1, rows) float64 array
     picks: tuple  # per node, a read-only intp array of each row's certain state, or None
@@ -601,8 +614,10 @@ def finalize(net: PENet) -> PENet:
     queried from many threads at once. The nodes are numbered in
     ``node_key`` order, and that integer view, stored as ``net.numbering``,
     keeps only the multi-state parents and fixes the row strides, the CDFs,
-    the pick tables of the nodes certain of their state on every row, and one
-    min-degree elimination order for every query. ``net.answers`` starts as
+    the pick tables of the nodes certain of their state on every row, the
+    source of every identity copy, and one min-degree elimination order for
+    every query with each node's factor as a bitmask over it, in time linear
+    in the parents. ``net.answers`` starts as
     an empty dict, the cache ``exact_query`` answers through: a finalized net
     never changes, so an answer, once found, holds for the net's life. It
     keeps plain numbers, and dict updates are atomic, so threads may share it.
@@ -674,6 +689,14 @@ def finalize(net: PENet) -> PENet:
         pick_of.append(picks[k][placed[k]:placed[k] + count] if k > 1 and not doubts else None)
         placed[k] += count
     parents = tuple(parents)
+    sources = _copy_sources(parents, sizes, order, tables, pick_of)
+    rank = _min_degree_rank(parents, sizes, sources)
+    masks = []
+    for v, ps in enumerate(parents):
+        mask = 1 << rank[v]
+        for p in ps:
+            mask |= 1 << rank[sources[p]]
+        masks.append(mask)
     net._order = tuple(ordered[v] for v in order)
     net.numbering = Numbering(
         ids=tuple(ordered),
@@ -682,7 +705,9 @@ def finalize(net: PENet) -> PENet:
         tables=tuple(tables),
         sizes=sizes,
         order=order,
-        rank=_min_degree_rank(parents, sizes),
+        rank=rank,
+        sources=sources,
+        masks=tuple(masks),
         strides=tuple(strides),
         cdfs=tuple(cdfs),
         picks=tuple(pick_of),
@@ -737,21 +762,46 @@ def _topological_order(parents: tuple) -> tuple:
     return tuple(order)
 
 
-def _min_degree_rank(parents: tuple, sizes: tuple) -> tuple:
-    """Each node's place in a min-degree elimination order of the moral graph
-    on the multi-state nodes; the one-state nodes follow in number order.
+def _copy_sources(parents: tuple, sizes: tuple, order: tuple, tables: list, picks: list) -> tuple:
+    """Each node's source: an identity copy's is its parent's source, and any
+    other node is its own.
 
-    A multi-state node is linked to its parents, and they to each other
-    (``parents`` holds only multi-state ones, and a one-state child marries
-    none). The node of fewest neighbours goes next, the lower number on a tie,
-    and its neighbours become a clique. A heap holds ``(degree, number)``
-    entries, pushed whenever a degree changes; a popped entry whose degree is
-    stale, or whose node is gone, is passed over.
+    An identity copy is a multi-state node whose only multi-state parent has
+    as many states and whose table is the identity, so its pick table is
+    ``0..k-1``. ``order`` is topological, so a parent's source is known
+    before its child's.
     """
-    neighbours = [set() if k > 1 else None for k in sizes]
+    sources = list(range(len(sizes)))
+    identities = {}  # k -> the bytes of the k-by-k identity
+    for v in order:
+        ps, k = parents[v], sizes[v]
+        # A copy is certain of its state on every row, so only a node with picks is tested.
+        if len(ps) == 1 and sizes[ps[0]] == k and picks[v] is not None:
+            if k not in identities:
+                identities[k] = np.eye(k).tobytes()
+            if tables[v].tobytes() == identities[k]:
+                sources[v] = sources[ps[0]]
+    return tuple(sources)
+
+
+def _min_degree_rank(parents: tuple, sizes: tuple, sources: tuple) -> tuple:
+    """Each node's place in a min-degree elimination order of the moral graph
+    on the multi-state nodes that are not copies; the copies and the
+    one-state nodes follow in number order.
+
+    A multi-state node that is not a copy is linked to its parents' sources,
+    and they to each other (``parents`` holds only multi-state ones, and a
+    one-state child marries none). The node of fewest neighbours goes next,
+    the lower number on a tie, and its neighbours become a clique. A heap
+    holds ``(degree, number)`` entries, pushed whenever a degree changes; a
+    popped entry whose degree is stale, or whose node is gone, is passed over.
+    """
+    ranked = [k > 1 and sources[v] == v for v, k in enumerate(sizes)]
+    neighbours = [set() if r else None for r in ranked]
     for v, ps in enumerate(parents):
-        if ps and sizes[v] > 1:
-            family = (*ps, v)
+        if ps and ranked[v]:
+            family = {sources[p] for p in ps}
+            family.add(v)
             for u in family:
                 neighbours[u].update(family)
     heap = []
@@ -779,8 +829,8 @@ def _min_degree_rank(parents: tuple, sizes: tuple) -> tuple:
                 other.discard(u)
             if len(other) != before:
                 heapq.heappush(heap, (len(other), u))
-    for v, k in enumerate(sizes):
-        if k == 1:
+    for v, r in enumerate(ranked):
+        if not r:
             rank[v] = place
             place += 1
     return tuple(rank)

@@ -10,8 +10,14 @@ and after it:
 
     PYTHONPATH=src python tests/corpus_digest.py
 
-``--verbose`` prints one digest per case, so two runs can be diffed to find
-the first case that moved. pytest does not collect this file.
+``--verbose`` also prints one digest per part of each case, as
+``<case> <part> <digest>`` lines, and one per part of the whole corpus, as
+``<part> <count> cases <digest>`` lines. The parts are ``dump`` (the dump
+and the labels), ``exact`` and ``mc`` (each plan metric's answer, or its
+failure, by that engine) and ``errors`` (the build error, and the type of
+each error a metric raised). So two runs can be diffed to find the first
+case that moved and which part of it moved. pytest does not collect this
+file.
 """
 
 import hashlib
@@ -55,32 +61,53 @@ def failure(err: Exception) -> str:
     return f"{type(err).__name__}{stage}: {err}"
 
 
+PARTS = ("dump", "exact", "mc", "errors")
+
+
 def case_lines(kb, plan, opts) -> list:
-    """What one case gives: its dump, labels and metrics, or its build error."""
+    """What one case gives, as ``(part, line, error)`` triples: its dump,
+    labels and metrics, or its build error. ``error`` is the raised error's
+    type, after the metric and its arguments, for a metric that failed, and
+    empty otherwise."""
     try:
         net = build_pe_net(plan, kb, opts)
     except PlanEvalError as err:
-        return [failure(err)]
-    lines = [canonical_dump(net), repr(net.labels)]
+        return [("errors", failure(err), "")]
+    lines = [("dump", canonical_dump(net), ""), ("dump", repr(net.labels), "")]
     for metric in (leads_to_success, plan_success):
-        for kwargs in ({}, {"mode": "mc", "samples": MC_SAMPLES, "seed": 3}):
+        for part, kwargs in (("exact", {}), ("mc", {"mode": "mc", "samples": MC_SAMPLES, "seed": 3})):
+            head = f"{metric.__name__} {kwargs}"
             try:
                 result = metric(net, plan, **kwargs)
-                lines.append(f"{metric.__name__} {kwargs} {result.probability!r} {result.standard_error!r}")
+                lines.append((part, f"{head} {result.probability!r} {result.standard_error!r}", ""))
             except PlanEvalError as err:
-                lines.append(f"{metric.__name__} {kwargs} {failure(err)}")
+                lines.append((part, f"{head} {failure(err)}", f"{head} {type(err).__name__}"))
     return lines
+
+
+def digest(lines: list) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def main(argv) -> int:
     verbose = "--verbose" in argv
     whole, count = hashlib.sha256(), 0
+    by_part = {part: hashlib.sha256() for part in PARTS}
     for name, kb, plan, opts in cases():
-        digest = hashlib.sha256("\n".join(case_lines(kb, plan, opts)).encode()).hexdigest()
-        whole.update(f"{name} {digest}\n".encode())
+        lines = case_lines(kb, plan, opts)
+        whole.update(f"{name} {digest([line for _, line, _ in lines])}\n".encode())
         count += 1
         if verbose:
-            print(name, digest)
+            for part in PARTS:
+                own = [line for of, line, _ in lines if of == part]
+                if part == "errors":
+                    own += [error for _, _, error in lines if error]
+                part_digest = digest(own)
+                by_part[part].update(f"{name} {part_digest}\n".encode())
+                print(name, part, part_digest)
+    if verbose:
+        for part in PARTS:
+            print(f"{part} {count} cases {by_part[part].hexdigest()}")
     print(f"{count} cases {whole.hexdigest()}")
     return 0
 

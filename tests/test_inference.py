@@ -276,11 +276,12 @@ ELIMINATE = inference._eliminate  # as imported, for one_line even where a test 
 
 def one_line(net, q, width_limit=inference.DEFAULT_WIDTH_LIMIT) -> float:
     """The query's answer from an elimination of its conjunction alone, as a
-    net with no answer cached would give it; it neither reads nor fills the cache."""
-    pins = dict(inference._numbered(net, q.evidence.items()))
+    net with no answer cached would give it, copies read as their sources;
+    it neither reads nor fills the cache."""
+    pins = inference._resolved(net, q.evidence.items())
     if not inference._targets_reachable(net, q.targets):
         return 0.0
-    conjunction = frozenset(inference._numbered(net, q.targets))
+    conjunction = inference._resolved(net, q.targets)
     _batch, (z_e, z_te), _width, _cells = ELIMINATE(net.numbering, [conjunction], pins, width_limit, conjunction)
     return min(max(z_te / z_e, 0.0), 1.0)
 
@@ -344,7 +345,85 @@ def test_eval_marginals_run_one_elimination_per_marginal_node(tmp_path, capsys, 
     assert run_cli(argv) == 0
     out = capsys.readouterr().out
     assert out.count("\nmarginal ") == lines > len(specs)
-    assert len(calls) == 2 + len(specs)  # leads_to_success, plan_success, then one per marginal node
+    numbering = net.numbering
+    marginal = [numbering.number[net.find(atom, sit)] for sit in net.situation_order for atom, _ in plan.goals]
+    sources = {numbering.sources[v] for v in marginal if numbering.sizes[v] > 1}
+    constants = [v for v in marginal if numbering.sizes[v] == 1]
+    assert constants
+    # leads_to_success, plan_success, one per marginal node read as its source, and one for every constant
+    assert len(calls) == 2 + len(sources) + 1
+
+
+def copy_net() -> tuple:
+    """A root R, its identity copy C@S1, that copy's copy C@S2, a node X that
+    reads R and C@S1, so both its parents read as R, and a one-state node K."""
+    s0, s1, s2 = SituationId(0), SituationId(1), SituationId(2)
+    root, c1, c2 = atom_node(GroundAtom("R"), s0), atom_node(GroundAtom("C"), s1), atom_node(GroundAtom("C"), s2)
+    x, k = atom_node(GroundAtom("X"), s2), atom_node(GroundAtom("K"), s1)
+    states = ["f", "t"]
+    nodes = [FragmentNode(root, "primitive", states), FragmentNode(c1, "primitive", states, [root]),
+             FragmentNode(c2, "primitive", states, [c1]), FragmentNode(x, "primitive", ["a", "b", "c"], [root, c1]),
+             FragmentNode(k, "primitive", ["on"], [root])]
+    rows = [FragmentRow(root, {}, {"f": 0.3, "t": 0.7}), FragmentRow(k, {}, {"on": 1.0})]
+    rows += [FragmentRow(copy, {parent: state}, {state: 1.0}) for copy, parent in ((c1, root), (c2, c1)) for state in states]
+    rows += [FragmentRow(x, {root: r, c1: c}, {"a": 0.1 + 0.2 * i, "b": 0.2, "c": 0.7 - 0.2 * i})
+             for i, (r, c) in enumerate([(r, c) for r in states for c in states])]
+    return finalize(paste_onto(PENet(), Fragment(nodes=nodes, rows=rows))), (root, c1, c2, x, k)
+
+
+def test_identity_copies_read_as_their_source_match_the_oracle():
+    net, (root, c1, c2, x, k) = copy_net()
+    numbering = net.numbering
+    assert [numbering.ids[numbering.sources[numbering.number[nid]]] for nid in (root, c1, c2, x, k)] == [root, root, root, x, k]
+    for evidence in ({}, {c2: "t"}, {c1: "f", root: "f"}, {x: "b", k: "on"}, {x: "a", c2: "f"}):
+        asked = [[(nid, state)] for nid in (root, c1, c2, x, k) for state in net.nodes[nid].states]
+        asked += [[(c2, "t"), (x, "a")], [(c1, "f"), (root, "t")], [(c1, "t"), (c2, "t"), (k, "on")]]
+        for targets in asked:
+            q = Query(targets, evidence)
+            assert abs(exact_query(net, q).probability - oracle_enumerate(net, q).probability) <= 1e-12, q
+
+
+@pytest.mark.parametrize("evidence", [{"c2": "t", "root": "f"}, {"c1": "f", "c2": "t"}])
+def test_evidence_pinning_a_copy_and_its_source_apart_is_infeasible_after_the_guards(evidence, monkeypatch):
+    net, (root, c1, c2, x, _k) = copy_net()
+    named = {"root": root, "c1": c1, "c2": c2}
+    q = Query([(x, "a")], {named[name]: state for name, state in evidence.items()})
+    with pytest.raises(InfeasibleEvidence):
+        oracle_enumerate(net, q)
+    calls = counted_eliminations(monkeypatch)
+    monkeypatch.setattr(np, "einsum", _no_products)
+    with pytest.raises(WidthExceeded):
+        exact_query(net, q, width_limit=0)
+    for _ in range(2):
+        with pytest.raises(InfeasibleEvidence, match="evidence has probability zero"):
+            exact_query(net, q)
+    assert len(calls) == 2  # the second ask is a hit, and raises too
+
+
+def test_a_copy_and_every_constant_cost_no_elimination_of_their_own(monkeypatch):
+    _inst, plan, net = bench_net("branchy-queries")
+    numbering, goals = net.numbering, inference._goal_targets(net, plan)
+    copies = [nid for nid in numbering.ids if is_copy(net, nid)]
+    constants = [nid for nid in numbering.ids if len(net.nodes[nid].states) == 1]
+    assert len(copies) > 10 and len(constants) > 10
+    calls = counted_eliminations(monkeypatch)
+    for nid in copies:
+        node, source = net.nodes[nid], net.nodes[numbering.ids[numbering.sources[numbering.number[nid]]]]
+        expected = [exact_query(net, Query([(source.id, state)])).probability for state in source.states]
+        before = len(calls)
+        assert [exact_query(net, Query([(nid, state)])).probability for state in node.states] == expected
+        likely = expected.index(max(expected))
+        given = exact_query(net, Query(goals, {nid: node.states[likely]})).probability
+        assert exact_query(net, Query(goals, {source.id: source.states[likely]})).probability == given
+        assert len(calls) <= before + 1  # none for the marginal; evidence on a copy is evidence on its source
+    first = net.nodes[copies[0]]
+    marginal = [exact_query(net, Query([(first.id, state)])).probability for state in first.states]
+    seen = {first.id: first.states[marginal.index(max(marginal))]}
+    before = len(calls)
+    for evidence in ({}, seen):
+        assert all(exact_query(net, Query([(nid, net.nodes[nid].states[0])], evidence)).probability == 1.0
+                   for nid in constants)
+    assert len(calls) == before + 2  # one shared by every constant, per evidence
 
 
 def test_infeasible_evidence_raises_on_every_ask(monkeypatch):
@@ -391,25 +470,37 @@ def test_a_sibling_batch_above_the_cell_guard_runs_the_query_alone(monkeypatch):
             exact_query(net, Query(targets=[(nid, state)]))
 
 
+def is_copy(net, nid) -> bool:
+    numbering = net.numbering
+    v = numbering.number[nid]
+    return numbering.sources[v] != v
+
+
 def cache_queries(net, rng) -> list:
     """Every state of a few multi-state nodes, without evidence and given one
     node's state of positive probability, and a two-node conjunction each
-    way; each query with its oracle answer, read from one joint of those
-    nodes per evidence."""
+    way; on a net with an identity copy, also every state of one copy, and
+    each of those queries given one state of the copy of positive
+    probability. Each query comes with its oracle answer, read from one joint
+    of those nodes per evidence."""
     nodes = [nid for nid in sorted(net.nodes, key=net.node_key) if len(net.nodes[nid].states) > 1]
     if not nodes:
         return []
     picked = rng.sample(nodes, min(3, len(nodes)))
     seen = rng.choice(nodes)
-    keep = sorted({*picked, seen}, key=net.node_key)
+    copies = [nid for nid in nodes if is_copy(net, nid)]
+    marginal = picked + rng.sample(copies, 1 if copies else 0)
+    keep = sorted({*marginal, seen}, key=net.node_key)
     joint = joint_distribution(net, keep, bound=math.inf)
-    given = sorted({world[keep.index(seen)] for world in joint})
+    evidences = [{}]
+    for nid in [seen] + marginal[len(picked):]:
+        evidences.append({nid: rng.choice(sorted({world[keep.index(nid)] for world in joint}))})
     queries = []
-    for evidence in ({}, {seen: rng.choice(given)}):
+    for evidence in evidences:
         if evidence:
             joint = joint_distribution(net, keep, bound=math.inf, evidence=evidence)
         z_e = sum(joint.values())
-        asked = [[(nid, state)] for nid in picked for state in net.nodes[nid].states]
+        asked = [[(nid, state)] for nid in marginal for state in net.nodes[nid].states]
         asked.append([(nid, rng.choice(net.nodes[nid].states)) for nid in picked[:2]])
         for targets in asked:
             z_te = sum(p for world, p in joint.items() if all(world[keep.index(nid)] == state for nid, state in targets))
@@ -420,20 +511,21 @@ def cache_queries(net, rng) -> list:
 
 @pytest.mark.parametrize("generator", [instance_gen.generate, instance_gen.generate_timed])
 def test_cached_answers_match_the_oracle_and_one_line_at_a_time(generator):
-    compared = siblings = 0
+    compared = siblings = on_copies = 0
     for seed in range(200):
         kb, plan = generator(seed)
         options = BuildOptions(clock_enabled=generator is instance_gen.generate_timed)
         net = build_pe_net(plan, kb, options)
         for q, oracle in cache_queries(net, random.Random(seed)):
-            hit = (frozenset(inference._numbered(net, q.targets)),
-                   frozenset(inference._numbered(net, q.evidence.items()))) in net.answers
+            hit = (inference._resolved(net, q.targets), inference._resolved(net, q.evidence.items())) in net.answers
             got = exact_query(net, q).probability
             assert abs(got - oracle) <= 1e-12, (seed, q)
             assert abs(got - one_line(net, q)) <= 1e-12, (seed, q)
             compared += 1
             siblings += hit
+            on_copies += any(is_copy(net, nid) for nid in [nid for nid, _ in q.targets] + list(q.evidence))
     assert siblings > compared / 3  # a third of the answers or more came from a sibling's elimination
+    assert on_copies > compared / 4  # a quarter of the queries or more read an identity copy
 
 
 def test_exact_queries_from_many_threads_on_an_empty_cache_give_the_serial_answers():
@@ -683,6 +775,29 @@ def test_pruned_mc_matches_whole_net_sampling_on_bench_instances(workload):
         for i, (targets, evidence) in enumerate(batch):
             q = Query(targets=targets, evidence=evidence, mode="mc", samples=inst.mc_samples, seed=10 + i)
             assert same_bits_as_whole_net_sampling(net, q)
+
+
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a generator was made")
+
+
+def test_a_query_that_samples_no_node_makes_no_generator_and_keeps_its_bits(monkeypatch):
+    _inst, _plan, net = bench_net("branchy-queries")
+    constants = [nid for nid in net.numbering.ids if len(net.nodes[nid].states) == 1]
+    multi = next(nid for nid in net.numbering.ids if len(net.nodes[nid].states) > 1)
+    seen = {constants[-1]: net.nodes[constants[-1]].states[0]}
+    queries = [Query([(nid, net.nodes[nid].states[0])], seen if i % 2 else {}, mode="mc", samples=(1, 7, 1000)[i % 3],
+                     seed=i) for i, nid in enumerate(constants)]
+    queries += [Query([(multi, "no-such-state"), (constants[0], net.nodes[constants[0]].states[0])], evidence,
+                      mode="mc", samples=500, seed=3) for evidence in ({}, seen)]
+    expected = [forward_sampler.forward_sample(net, q) for q in queries]
+    monkeypatch.setattr(np.random, "PCG64", _no_generator)
+    for q, (estimate, se, weights) in zip(queries, expected):
+        result = mc_query(net, q)
+        kish = weights.sum() * weights.sum() / (weights * weights).sum()
+        assert (result.probability, result.standard_error, result.effective_sample_size) == (estimate, se, kish), q
+        assert result.sample_count == q.samples and result.estimator == "mc"
+    assert [mc_query(net, q).probability for q in queries[-2:]] == [0.0, 0.0]
 
 
 # -- plan metrics ---------------------------------------------------------------

@@ -352,19 +352,25 @@ def test_finalize_numbers_the_nodes_in_key_order(seed, timed):
         assert table.tobytes() == node.table.tobytes()
         assert numbering.sizes[i] == len(node.states)
     assert tuple(numbering.ids[v] for v in numbering.order) == net.topological_nodes()
+    sources = copy_sources(net)
+    assert numbering.sources == tuple(numbering.number[sources[nid]] for nid in numbering.ids)
     placed = set()
     for v in numbering.order:  # the order respects every parent, one-state ones too
         assert placed.issuperset(numbering.number[p] for p in net.nodes[numbering.ids[v]].parents)
         placed.add(v)
     assert placed == set(range(len(net.nodes)))
-    # The rank puts the multi-state nodes first, in an order of their own, then the rest by number.
-    multi_state = [v for v, k in enumerate(numbering.sizes) if k > 1]
+    # The rank puts the multi-state nodes that are not copies first, in an
+    # order of their own, then the copies and the one-state nodes by number.
+    ranked = [v for v, k in enumerate(numbering.sizes) if k > 1 and numbering.sources[v] == v]
     by_rank = sorted(range(len(net.nodes)), key=numbering.rank.__getitem__)
     assert sorted(numbering.rank) == list(range(len(net.nodes)))
-    assert sorted(by_rank[:len(multi_state)]) == multi_state
-    assert by_rank[len(multi_state):] == [v for v, k in enumerate(numbering.sizes) if k == 1]
+    assert sorted(by_rank[:len(ranked)]) == ranked
+    assert by_rank[len(ranked):] == sorted(set(range(len(net.nodes))) - set(ranked))
+    for v, parents in enumerate(numbering.parents):  # each factor's rank positions, parents read as their sources
+        positions = {numbering.rank[v]} | {numbering.rank[numbering.sources[p]] for p in parents}
+        assert numbering.masks[v] == sum(1 << position for position in positions)
     for field in (numbering.ids, numbering.parents, numbering.tables, numbering.sizes, numbering.order,
-                  numbering.rank, numbering.strides, numbering.cdfs):
+                  numbering.rank, numbering.sources, numbering.masks, numbering.strides, numbering.cdfs):
         assert type(field) is tuple
     assert all(type(parents) is tuple for parents in numbering.parents)
     for v, (table, k) in enumerate(zip(numbering.tables, numbering.sizes)):
@@ -411,14 +417,33 @@ def test_picks_hold_the_state_of_every_certain_row(generator):
     assert min(seen.values()) > 0, seen
 
 
+def copy_sources(net) -> dict:
+    """Each node's source, read from the ``Node.cpt`` rows: an identity copy, a
+    multi-state node whose only multi-state parent has as many states and
+    whose every row is certain of the state at its parent's state's
+    position, has its parent's source, and any other node is its own."""
+    sources = {}
+    for nid in forward_sampler.topological_nodes(net):
+        node = net.nodes[nid]
+        sources[nid] = nid
+        multi = [p for p in node.parents if len(net.nodes[p].states) > 1]
+        if len(node.states) > 1 and len(multi) == 1 and len(net.nodes[multi[0]].states) == len(node.states):
+            parent_states, at = net.nodes[multi[0]].states, node.parents.index(multi[0])
+            if all(row == {node.states[parent_states.index(combo[at])]: 1.0} for combo, row in node.cpt.items()):
+                sources[nid] = sources[multi[0]]
+    return sources
+
+
 def slow_min_degree(net) -> list:
-    """The multi-state nodes' min-degree elimination order, by rescanning every
-    node for the fewest neighbours (lower number on a tie) at each step."""
+    """The min-degree elimination order of the multi-state nodes that are not
+    copies, every parent read as its source, by rescanning every node for
+    the fewest neighbours (lower number on a tie) at each step."""
     number, sizes = net.numbering.number, net.numbering.sizes
-    graph = {v: set() for v, k in enumerate(sizes) if k > 1}
+    sources = {number[nid]: number[source] for nid, source in copy_sources(net).items()}
+    graph = {v: set() for v, k in enumerate(sizes) if k > 1 and sources[v] == v}
     for nid, node in net.nodes.items():
         if number[nid] in graph:
-            family = {number[p] for p in node.parents if number[p] in graph} | {number[nid]}
+            family = {sources[number[p]] for p in node.parents if sizes[number[p]] > 1} | {number[nid]}
             for v in family:
                 graph[v] |= family - {v}
     order = []
