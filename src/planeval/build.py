@@ -12,7 +12,12 @@ The pipeline runs in a fixed order:
    in paste order, and take from them its kind, states and parents; a node
    that persistence and no-change rows complete gets a fill block instead:
    those rows in paste order and the states they give, shared by every node
-   alike in persistence model, previous states, gate pin and elapsed states,
+   alike in persistence model, previous states, gate pin and elapsed states.
+   A node whose rows would only copy its predecessor is not made at all: a
+   primitive that no feasible step row writes and no KB persistence row
+   fills, or a clock that no ender moves. The sweep records it as an alias
+   of the node it copies (``PENet.aliases``, resolved through chains), and
+   every row made after it reads that node in its place,
 6. create every node in that shape, then paste the forward rows: priors,
    action fragments and derived-predicate rows (paste-onto), residual
    effects (paste-into), contingency selection nodes, during effects, clock
@@ -326,9 +331,11 @@ class Schedule:
         and elapsed states share one, and the persistence stage writes each
         block's rows once. A node's "persistence" and "default-persistence"
         entries in ``rows`` are views of its block, which make their
-        fragment rows only when iterated.
+        fragment rows only when iterated. ``aliases`` (nid -> nid) maps each
+        node whose rows would only copy its predecessor to the made node it
+        copies; such a node is in none of the other tables.
         """
-        self.nodes, self.rows, self.fills = {}, {}, {}
+        self.nodes, self.rows, self.fills, self.aliases = {}, {}, {}, {}
         return _Sweep(self).run()
 
 
@@ -383,14 +390,31 @@ def _writer_pins(schedule: Schedule, guards: tuple, sid: SituationId) -> dict:
 
 
 def _fragment_rows(schedule: Schedule, target: NodeId, pins: dict, ground_rows, read_sit, provenance: str) -> list:
-    """Ground model rows for ``target``: the pins plus each row's conditions read at ``read_sit``."""
+    """Ground model rows for ``target``: the pins plus each row's conditions
+    read at ``read_sit``, every key read through the aliases recorded so far.
+    A row that pins one node in two states, through keys aliased to it,
+    reaches no combination and is left out."""
     rows = []
     for row in ground_rows:
         condition = dict(pins)
         for key, state in row.condition.items():
             condition[_resolve_key(schedule, key, read_sit)] = state
-        rows.append(FragmentRow(target, condition, dict(row.distribution), provenance))
+        condition = _read_through(schedule.aliases, condition)
+        if condition is not None:
+            rows.append(FragmentRow(target, condition, dict(row.distribution), provenance))
     return rows
+
+
+def _read_through(aliases: dict, condition: dict):
+    """``condition`` with each key read through ``aliases``; None when two of
+    its keys alias one node and pin it in different states."""
+    if not aliases:
+        return condition
+    read = {}
+    for key, state in condition.items():
+        if read.setdefault(aliases.get(key, key), state) != state:
+            return None
+    return read
 
 
 def _ground(step: PlanStep, effects: list) -> list:
@@ -509,9 +533,11 @@ class _Sweep:
 
     Within a situation a node is made after every same-situation node its
     rows read (depth first, in net node-key order), so a selection node is
-    known before the effects it gates. Each maker returns the node's
+    known before the effects it gates, and a key is read through the
+    aliases only once its node is visited. Each maker returns the node's
     (kind, rows) entries and sets its states: an atom or derived node
-    keeps every state its feasible rows can give it.
+    keeps every state its feasible rows can give it. A maker whose node
+    would only copy its predecessor records the alias and returns None.
     """
 
     def __init__(self, schedule: Schedule):
@@ -553,13 +579,15 @@ class _Sweep:
 
     def _visit(self, nid: NodeId):
         schedule = self.schedule
-        if nid in schedule.nodes:
+        if nid in schedule.nodes or nid in schedule.aliases:
             return
         if nid in self.active:
             raise PlanEvalError(f"paste created a cycle through {nid}")
         self.active.add(nid)
         kind = self.nodes[nid]
         entries = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
+        if entries is None:  # an alias
+            return
         parents = dict.fromkeys(key for _kind, rows in entries for key in _keys(rows))
         self._need(parents)
         schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents), self.text[nid])
@@ -576,6 +604,21 @@ class _Sweep:
             if key in self.nodes:
                 self._visit(key)
 
+    def _read(self, nid: NodeId) -> NodeId:
+        """The made node ``nid`` stands for: the node it copies if it is an alias."""
+        return self.schedule.aliases.get(nid, nid)
+
+    def _copy_of(self, nid: NodeId, prev: NodeId):
+        """Record ``nid`` as an alias of ``prev``, read through to a made node; makes no node."""
+        self.schedule.aliases[nid] = self._read(prev)
+
+    def _read_rows(self, target: NodeId, ground_rows, provenance: str) -> list:
+        """Model rows read in this situation, made after every same-situation
+        node they read, so each key reads through its alias."""
+        schedule, sid = self.schedule, self.si.sid
+        self._need([_resolve_key(schedule, key, sid) for row in ground_rows for key in row.condition])
+        return _fragment_rows(schedule, target, {}, ground_rows, sid, provenance)
+
     # -- makers ------------------------------------------------------------
 
     def _primitive(self, nid: NodeId):
@@ -587,24 +630,33 @@ class _Sweep:
             return [("initial", [FragmentRow(nid, {}, dict(prior), "initial")])]
 
         if nid not in self.writers:  # no step writes the node: its fill alone gives its states
-            entries, filled = self._persistence(nid, [])
+            fill = self._persistence(nid, _Coverage(self.states, []))
+            if fill is None:
+                return None
+            entries, filled = fill
             self.states[nid] = list(filled)
             return entries
         entries = list(self.writers[nid])
         written = [row for _kind, rows in entries for row in rows]
         self._need(_keys(written))
         support = self._support(written)
-        if _leaves_open(self.states, written):
-            fillers, filled = self._persistence(nid, written)
+        coverage = _Coverage(self.states, written)
+        if coverage.open():
+            fill = self._persistence(nid, coverage)
+            if fill is None:
+                return None
+            fillers, filled = fill
             entries += fillers
             support.update(filled)
         self.states[nid] = _ordered(schema, support)
         return entries
 
-    def _persistence(self, nid: NodeId, written: list) -> tuple:
-        """KB persistence rows, if they fill a gap ``written`` leaves, then
-        no-change defaults: the node's fill entries, and the states its
-        reachable rows give.
+    def _persistence(self, nid: NodeId, coverage: _Coverage):
+        """KB persistence rows, if they fill a gap the node's written rows
+        leave (``coverage``), then no-change defaults: the node's fill
+        entries, and the states its reachable rows give. None, with the
+        alias recorded, when no written row is feasible and no KB row is
+        kept: the node would only copy its predecessor.
 
         Whether the model's rows fill a gap is judged on their gate and
         previous-state pins, bucket aside; only then is the elapsed node made.
@@ -613,19 +665,22 @@ class _Sweep:
         that share one block, made on first use.
         """
         schedule = self.schedule
-        name, prev_nid, gate = nid.ref[1], NodeId(nid.ref, self.prev), self.gate
+        name, prev_nid, gate = nid.ref[1], self._read(NodeId(nid.ref, self.prev)), self.gate
         (gate_nid, sign), = gate.items() or [(None, None)]
         self._need(gate)  # the gap test reads the gate's states
         kept, buckets, label = self.models.get(name, ((), None, None))
         pins = [{**gate, prev_nid: row.prev} for row in kept]
         key = (name, tuple(self.states[prev_nid]), gate_nid, sign, gate_nid and tuple(self.states[gate_nid]))
-        fills = _leaves_open(self.states, written, pins)
+        fills = coverage.opens(pins)
         elapsed = self._elapsed_node(buckets) if fills and buckets else None
         candidates = (gate_nid, prev_nid, elapsed)
         key = (key, fills, elapsed and tuple(self.states[elapsed]))
         if key not in self.blocks:
             self.blocks[key] = self._fill_block(name, kept if fills else None, label, candidates, sign)
         block, axes, kb = self.blocks[key]
+        if not (kb or coverage.feasible):
+            self._copy_of(nid, prev_nid)
+            return None
         parents = tuple([candidates[i] for i in axes])
         fill = schedule.fills[nid] = _Fill(nid, parents, block)
         entries = [] if kb is None else [("persistence", _FillRows(fill, 0, kb, parents if kb else ()))]
@@ -656,9 +711,14 @@ class _Sweep:
         return FillBlock(tuple(rows), tuple(_ordered(self.schedule.kb.schemas[name], support))), axes, kb
 
     def _clock_pairs(self):
-        """Every (previous, this situation's) clock value pair, making this situation's clock first."""
-        cprev, cthis = clock_node(self.prev), clock_node(self.si.sid)
+        """Every (previous, this situation's) clock value pair, making this
+        situation's clock first; a clock that is an alias of the previous one
+        pairs each value with itself alone."""
+        cprev, cthis = self._read(clock_node(self.prev)), clock_node(self.si.sid)
         self._need([cthis])
+        cthis = self._read(cthis)
+        if cthis == cprev:
+            return [(cprev, a, cthis, a) for a in self.states[cprev]]
         return [(cprev, a, cthis, b) for a in self.states[cprev] for b in self.states[cthis]]
 
     def _elapsed_node(self, buckets: tuple):
@@ -691,8 +751,7 @@ class _Sweep:
     def _derived(self, nid: NodeId):
         sid = self.si.sid
         label, ground = self.derived_rows[nid.atom]
-        rows = _fragment_rows(self.schedule, nid, {}, ground, sid, label)
-        self._need(_keys(rows))
+        rows = self._read_rows(nid, ground, label)
         support = self._support(rows)
         if not support:
             raise PlanEvalError(f"derived definition for {nid.atom} matches no reachable state at {sid}")
@@ -701,8 +760,7 @@ class _Sweep:
 
     def _selection(self, nid: NodeId):
         group = self.schedule.group_at_boundary(nid.ref[1])
-        rows = _fragment_rows(self.schedule, nid, {}, group.selector, self.si.sid, f"selector {group.boundary}")
-        self._need(_keys(rows))
+        rows = self._read_rows(nid, group.selector, f"selector {group.boundary}")
         labels = list(group.alternatives)
         uncovered = _leaves_open(self.states, rows)
         explicit_noop = any(NOOP in row.distribution for row in rows)
@@ -725,11 +783,13 @@ class _Sweep:
         de = dur_node(spec.earlier.id, schedule.start_sit(spec.earlier))
         cl = clock_node(schedule.start_sit(spec.later))
         dl = dur_node(spec.later.id, schedule.start_sit(spec.later))
+        shared = ce == cl
+        ce, cl = self._read(ce), self._read(cl)
         keys = list(dict.fromkeys((ce, de, cl, dl)))
         rows = []
         for combo in itertools.product(*(self.states[k] for k in keys)):
             values = dict(zip(keys, combo))
-            start = {ce: 0} if ce == cl else values  # a start clock both steps share cancels, whatever its value
+            start = {ce: 0} if shared else values  # a start clock both steps share cancels, whatever its value
             sign = _end_sign(start[cl], values[dl], start[ce], values[de])
             rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
         self.states[nid] = [NEGATIVE, NONNEGATIVE]
@@ -744,7 +804,7 @@ class _Sweep:
         cap = schedule.opts.clock_cap
         rows = []
         for step in schedule.enders_at(sid):
-            start_clock = clock_node(schedule.start_sit(step))
+            start_clock = self._read(clock_node(schedule.start_sit(step)))
             pins = _writer_pins(schedule, step.guards, sid)
             self._need(pins)
             label = f"clock {step.id}"
@@ -761,10 +821,14 @@ class _Sweep:
                         value = _sum_clock(c, d, cap)
                         dist[value] = dist.get(value, 0.0) + p
                     rows.append(FragmentRow(nid, {**pins, start_clock: c}, dist, label))
+        coverage = _Coverage(self.states, rows)
+        if not coverage.feasible:  # no ender can run
+            self._copy_of(nid, clock_node(self.prev))
+            return None
         entries = [("clock", rows)]
         support = dict.fromkeys(value for row in rows for value in row.distribution)
-        if _leaves_open(self.states, rows):  # where no ender runs, the clock keeps its value
-            prev_nid = clock_node(self.prev)
+        if coverage.open():  # where no ender runs, the clock keeps its value
+            prev_nid = self._read(clock_node(self.prev))
             support.update(dict.fromkeys(self.states[prev_nid]))
             entries.append(("clock-identity", [
                 FragmentRow(nid, {prev_nid: c}, {c: 1.0}, "clock-identity") for c in self.states[prev_nid]]))
@@ -772,33 +836,62 @@ class _Sweep:
         return entries
 
 
+class _Coverage:
+    """The reachable combinations of some rows' condition keys that the
+    feasible rows cover: one boolean array, an axis per key of more than one
+    state, in which each feasible row sets its slice as a paste does. It
+    answers both gap tests of a node, for any combination (``open``) and for
+    fillers (``opens``). ``feasible`` tells whether any row is.
+    """
+
+    def __init__(self, states: dict, rows: list):
+        self.states, self.rows, self.feasible = states, rows, False
+        if not rows:  # nothing is covered, and no array is needed to say so
+            return
+        self.keys = dict.fromkeys(key for row in rows for key in row.condition)
+        self._guard(self.keys)
+        conditions = [row.condition for row in rows if _row_feasible(states, row.condition)]
+        self.feasible = bool(conditions)
+        self.axes = [key for key in self.keys if len(states.get(key, ())) > 1]
+        self.covered = np.zeros([len(states[key]) for key in self.axes], dtype=bool)
+        for condition in conditions:
+            self.covered[self._at(condition)] = True
+
+    def _guard(self, keys: dict):
+        """Raise ``TooLarge`` when ``keys`` have more than ``MAX_FACTOR_CELLS``
+        combinations, before any array is made for them."""
+        full = math.prod(max(len(self.states.get(key, ())), 1) for key in keys)
+        if full > MAX_FACTOR_CELLS:
+            raise TooLarge(f"node {self.rows[0].node} reads {full} parent combinations, above {MAX_FACTOR_CELLS}")
+
+    def _at(self, condition: dict) -> tuple:
+        """A pinned axis is an index, any other axis a full slice; a pin on a
+        key that is not an axis asks for the whole array, which is constant
+        along it."""
+        return tuple([self.states[key].index(condition[key]) if key in condition else slice(None)
+                      for key in self.axes])
+
+    def open(self) -> bool:
+        """True when the feasible rows leave any combination open."""
+        return not self.rows or np.count_nonzero(self.covered) < self.covered.size
+
+    def opens(self, fillers: list) -> bool:
+        """True when a feasible filler (a condition) covers a combination the rows leave open."""
+        feasible = [condition for condition in fillers if _row_feasible(self.states, condition)]
+        if not self.rows:  # nothing is covered
+            return bool(feasible)
+        self._guard({**self.keys, **dict.fromkeys(key for condition in fillers for key in condition)})
+        return any(np.count_nonzero(slab) < slab.size for slab in [self.covered[self._at(c)] for c in feasible])
+
+
 def _leaves_open(states: dict, rows: list, fillers: list = None) -> bool:
     """True when the feasible rows leave open a reachable combination of the
     condition keys: any one, or with ``fillers`` (conditions), one a feasible
-    filler covers. Coverage is one boolean array, an axis per key of more
-    than one state, in which each feasible row sets its slice as a paste
-    does. Raises ``TooLarge`` before the array is allocated when there are
-    more than ``MAX_FACTOR_CELLS`` combinations.
+    filler covers. Raises ``TooLarge`` before any array is allocated when
+    there are more than ``MAX_FACTOR_CELLS`` combinations.
     """
-    fillers = [{}] if fillers is None else fillers  # a filler pinning nothing asks for any combination
-    if not rows:  # nothing is covered
-        return any(_row_feasible(states, condition) for condition in fillers)
-    conditions = [row.condition for row in rows]
-    keys = list(dict.fromkeys(key for condition in conditions + fillers for key in condition))
-    full = math.prod(max(len(states.get(key, ())), 1) for key in keys)
-    if full > MAX_FACTOR_CELLS:
-        raise TooLarge(f"node {rows[0].node} reads {full} parent combinations, above {MAX_FACTOR_CELLS}")
-    axes = [key for key in keys if len(states.get(key, ())) > 1]
-    covered = np.zeros([len(states[key]) for key in axes], dtype=bool)
-
-    def at(condition):  # a pinned key is an index, any other key a full slice
-        return tuple([states[key].index(condition[key]) if key in condition else slice(None) for key in axes])
-
-    for condition in conditions:
-        if _row_feasible(states, condition):
-            covered[at(condition)] = True
-    slabs = [covered[at(condition)] for condition in fillers if _row_feasible(states, condition)]
-    return any(np.count_nonzero(slab) < slab.size for slab in slabs)
+    coverage = _Coverage(states, rows)
+    return coverage.open() if fillers is None else coverage.opens(fillers)
 
 
 def _bucket_label(buckets: tuple, a, b) -> str:
@@ -1033,6 +1126,7 @@ def _forward_build(schedule: Schedule) -> PENet:
     """Sweep the schedule, create every node with its states and parents, paste the forward rows."""
     schedule.analyse()
     net = PENet(situation_order=[si.sid for si in schedule.situations])
+    net.aliases = schedule.aliases
     for spec in schedule.nodes.values():
         net.ensure_node(spec)
     _paste(schedule, net, "initial", "action", "derived", "residual")

@@ -26,7 +26,7 @@ from .errors import (
 from .export import export_graph
 from .inference import EXACT, MC, _run, leads_to_success, plan_success
 from .model import validate_kb
-from .net import canonical_dump, parse_situation
+from .net import atom_node, canonical_dump, parse_situation
 
 INFERENCE_ERRORS = (InfeasibleEvidence, WidthExceeded, ZeroWeight, TooLarge)
 
@@ -176,7 +176,10 @@ def _cmd_eval(args, _kb, plan, net) -> int:
         evidence = {}
         for spec in args.evidence:
             atom, state, sit = parse_evidence_spec(spec)
-            evidence[net.find(atom, sit)] = state
+            net.find(atom, sit)  # the net names the node, or the spec is refused here
+            # Keyed as named, not as found: an alias and the node it copies
+            # stay two pins, which inference refuses if they disagree.
+            evidence[atom_node(atom, parse_situation(sit))] = state
         marginals = []
         for spec in args.marginal:
             atom, sit = parse_marginal_spec(spec)

@@ -45,9 +45,19 @@ pin or a reachable target on it drops out, and so does every node read
 only through such nodes; a Monte Carlo query that reads no other node
 samples nothing. An unreachable target, a state its node does not have,
 makes the conjunction score 0 once the evidence is found feasible.
-Evidence that pins a copy and its source, or two copies of one source, to
-different states has probability 0, and exact inference says so after the
-guards, with no product formed.
+
+Two kinds of copy are read through, at two levels. An alias
+(``PENet.aliases``) is an (atom or clock, situation) the build made no
+node for, because its rows would only have copied its predecessor; both
+engines read it as the node it copies wherever a query names it, in
+targets and evidence, so it shares that node's cache entries and draws.
+``Numbering.sources`` reads through the identity copies that model rows
+make, which are nodes, such as a selection whose rows mirror its guard
+atom; only exact inference absorbs those, and Monte Carlo samples them as
+the net has them. Evidence that pins a copy of either kind and its
+source, or two copies of one source, to different states has probability
+0: exact inference says so after the guards, with no product formed, and
+Monte Carlo raises ``ZeroWeight``, before any draw for an alias.
 
 The brute-force joint enumeration both are checked against reads the
 ``Node.cpt`` rows instead, and lives with the tests in
@@ -102,19 +112,28 @@ class QueryResult:
     effective_sample_size: float = None  # Kish's (sum w)^2 / sum w^2, Monte Carlo only
 
 
+# Each helper below looks a node up in ``net.nodes`` first and through the
+# alias table only when that misses: queries mostly name made nodes, and a
+# cached answer costs a few microseconds, so a call per name would show.
+
+
 def _check_evidence(net: PENet, evidence: dict):
+    nodes = net.nodes
     for nid, state in evidence.items():
-        if nid not in net.nodes:
+        node = nodes.get(nid) or net.node_of(nid)
+        if node is None:
             raise InfeasibleEvidence(f"evidence node {nid} is not in the net")
-        if state not in net.nodes[nid].states:
+        if state not in node.states:
             raise InfeasibleEvidence(f"evidence state {state!r} is not a state of {nid}")
 
 
 def _targets_reachable(net: PENet, targets) -> bool:
+    nodes = net.nodes
     for nid, state in targets:
-        if nid not in net.nodes:
+        node = nodes.get(nid) or net.node_of(nid)
+        if node is None:
             raise PlanEvalError(f"target node {nid} is not in the net")
-        if state not in net.nodes[nid].states:
+        if state not in node.states:
             return False
     return True
 
@@ -144,23 +163,29 @@ def _contract(factors: list, out: tuple) -> np.ndarray:
 
 
 def _numbered(net: PENet, pairs) -> list:
-    """``(number, state index)`` of each ``(NodeId, state)`` pair."""
-    number = net.numbering.number
-    return [(number[nid], net.nodes[nid].states.index(state)) for nid, state in pairs]
+    """``(number, state index)`` of each ``(NodeId, state)`` pair, an alias
+    numbered as the node it copies."""
+    nodes, number = net.nodes, net.numbering.number
+    numbered = []
+    for nid, state in pairs:
+        node = nodes.get(nid) or net.node_of(nid)
+        numbered.append((number[node.id], node.at[state]))
+    return numbered
 
 
 def _resolved(net: PENet, pairs) -> frozenset:
     """``(source, state index)`` of each ``(NodeId, state)`` pair on a node of
-    more than one state, as exact inference reads it: an identity copy is
-    read as its source, and a one-state node, which no query reads, drops
-    out."""
-    numbering = net.numbering
+    more than one state, as exact inference reads it: an alias is read as
+    the node it copies, an identity copy as its source, and a one-state
+    node, which no query reads, drops out."""
+    nodes, numbering = net.nodes, net.numbering
     number, sizes, sources = numbering.number, numbering.sizes, numbering.sources
     resolved = set()
     for nid, state in pairs:
-        v = number[nid]
+        node = nodes.get(nid) or net.node_of(nid)
+        v = number[node.id]
         if sizes[v] > 1:
-            resolved.add((sources[v], net.nodes[nid].at[state]))
+            resolved.add((sources[v], node.at[state]))
     return frozenset(resolved)
 
 
@@ -178,11 +203,6 @@ def _guard(width: int, cells: int, width_limit: int):
         raise WidthExceeded(width, width_limit)
     if cells > MAX_FACTOR_CELLS:
         raise TooLarge(f"elimination needs a factor of {cells} cells, above {MAX_FACTOR_CELLS}")
-
-
-def _lowest(mask: int) -> int:
-    """The position of the lowest set bit of ``mask``, which is not 0."""
-    return (mask & -mask).bit_length() - 1
 
 
 def _positions(mask: int) -> list:
@@ -219,12 +239,12 @@ def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked)
     parent read as its source) are dropped, pinned axes are sliced out of
     each table, and the other nodes are eliminated in ``Numbering.rank``
     order. A variable is its node's rank position, both as an einsum label
-    and as a bit of an int: a factor's scope is a bitmask,
-    ``Numbering.masks`` for a node's table, and its bucket is its lowest
-    bit, so the kept set, the buckets, the scopes and the guards take a few
-    int operations per factor. One axis of ``len(batch) + 1`` entries stays
-    free, labelled after every rank position and carried by the buckets
-    whose scope holds it: each target node adds one factor that is 1 on
+    and as a bit of an int: a factor's scope is a bitmask, made from its
+    labels as the factor is read, and its bucket is its lowest bit, so the
+    buckets, the scopes and the guards take a few int operations per
+    factor. One axis of ``len(batch) + 1`` entries stays free, labelled
+    after every rank position and carried by the buckets whose scope holds
+    it: each target node adds one factor that is 1 on
     entry 0 and, on entry j, its indicator when conjunction j names it and 1
     otherwise. So entry 0 of the result is the evidence probability and
     entry j conjunction j's joint one, however many targets it has. Every
@@ -233,14 +253,12 @@ def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked)
     whose free axis would then make a factor of more than
     ``MAX_FACTOR_CELLS`` cells answers the conjunction ``asked`` alone.
     """
-    sizes, rank, masks, sources = numbering.sizes, numbering.rank, numbering.masks, numbering.sources
+    sizes, rank, sources, parents_of, tables = (
+        numbering.sizes, numbering.rank, numbering.sources, numbering.parents, numbering.tables)
     pinned = dict(pins)
     targets = list(dict.fromkeys(v for conjunction in batch for v, _ in conjunction))
     keep = _sources_kept(numbering, targets + list(pinned))
     free = len(sizes)  # the free axis's label, after every rank position
-    held = 0  # the pinned nodes' bits
-    for v in pinned:
-        held |= 1 << rank[v]
     # Per bucket, by its variable's rank position: the variable's state
     # count, the bucket's scope without the free axis, and the factors and
     # messages it gets.
@@ -250,16 +268,20 @@ def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked)
             at = rank[v]
             dims[at], scopes[at], buckets[at] = sizes[v], 0, []
     for v in keep:
-        ids = [sources[p] for p in numbering.parents[v]]
+        ids = [sources[p] for p in parents_of[v]]
         ids.append(v)
-        table = numbering.tables[v]
+        table = tables[v]
         if pinned:
             table = table[tuple([pinned.get(u, slice(None)) for u in ids])]
-        mask = masks[v] & ~held if held else masks[v]
-        home = _lowest(mask) if mask else free
-        scopes[home] |= mask
         # Two parents copying one source repeat its position, and einsum reads the diagonal.
-        buckets[home].append((table, tuple([rank[u] for u in ids if u not in pinned])))
+        labels = tuple([rank[u] for u in ids if u not in pinned])
+        mask, home = 0, free  # the factor's scope, and its bucket: the lowest position, or the free axis's
+        for at in labels:
+            mask |= 1 << at
+            if at < home:
+                home = at
+        scopes[home] |= mask
+        buckets[home].append((table, labels))
     carry = {rank[v] for v in targets if v not in pinned}  # the buckets whose scope holds the free axis
     carry.add(free)  # which stays, even with no targets
     messages = []  # per eliminated position, in rank order: the variables it passes on, and their bucket
@@ -547,7 +569,10 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     n = q.samples
     numbering = net.numbering
     parents_of, sizes, picks = numbering.parents, numbering.sizes, numbering.picks
-    pins = dict(_numbered(net, q.evidence.items()))
+    pins = {}
+    for v, state in _numbered(net, q.evidence.items()):
+        if pins.setdefault(v, state) != state:  # an alias and its source, or two aliases of one node, pinned apart
+            raise ZeroWeight("all samples are inconsistent with the evidence")
     # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
     targets = [(v, s) for v, s in _numbered(net, q.targets) if sizes[v] > 1] if reachable else []
     roots = [v for v, _ in targets] + [v for v in pins if sizes[v] > 1]

@@ -27,13 +27,19 @@ writes them once into arrays over the block's axes, and the build copies
 those into each node with one masked copy per array of the node, which
 writes what ``paste_into`` of the block's rows would.
 
+A node whose rows would only copy its predecessor is not made: the net
+keeps it in ``PENet.aliases``, an (atom or clock, situation) mapped to the
+made node it copies. ``find``, the queries and ``row_provenance`` read an
+alias as that node, and ``canonical_dump`` prints one line per alias.
+
 Layering rules, enforced on every arc:
 
 * no arc points from a later situation to an earlier one;
 * a primitive node's atom parents live in strictly earlier situations
   (gating nodes - selection, clock, relative-end-time - may share its
   situation, but never a predicate node);
-* a derived node's parents are primitive nodes in the same situation.
+* a derived node's parents are primitive nodes in the same or an earlier
+  situation (an earlier one where the same-situation node is an alias).
 
 Since arcs never point backward, a cycle can only close inside one
 situation, so a same-situation arc is checked for cycles by walking the
@@ -271,9 +277,9 @@ class Numbering(NamedTuple):
     nodes that are not copies, every parent read through to its source,
     fixed here so every exact query eliminates in it; the copies and the
     one-state nodes, which no query eliminates, rank after them in number
-    order. ``masks[v]`` is the node's factor as an int bitmask over rank
-    positions: bit ``rank[v]`` and bit ``rank[sources[p]]`` of each
-    multi-state parent ``p``.
+    order. A query reads a node's factor over rank positions, ``rank[v]``
+    and ``rank[sources[p]]`` of each multi-state parent ``p``, as it reads
+    the node, so nothing per node grows with the net.
 
     ``strides`` and ``cdfs`` are what Monte Carlo reads. A node's table row
     for parent state indices ``(i_1, ..., i_m)`` is ``sum(i_j * strides[v][j])``,
@@ -301,7 +307,6 @@ class Numbering(NamedTuple):
     order: tuple  # the topological order over all parents, as numbers
     rank: tuple  # per node, its place in the min-degree elimination order
     sources: tuple  # per node, the number of the node it copies, or its own
-    masks: tuple  # per node, its factor's rank positions as an int bitmask
     strides: tuple  # per node, each multi-state parent's row multiplier, as ints
     cdfs: tuple  # per node, a read-only (k - 1, rows) float64 array
     picks: tuple  # per node, a read-only intp array of each row's certain state, or None
@@ -312,6 +317,7 @@ class PENet:
 
     def __init__(self, situation_order=()):
         self.nodes: dict = {}
+        self.aliases: Mapping = {}  # NodeId -> the made NodeId it copies; read-only once finalized
         self.situation_order: list = list(situation_order)
         self._positions = {sit: i for i, sit in enumerate(self.situation_order)}
         self.finalized = False
@@ -338,8 +344,9 @@ class PENet:
 
     def node_key(self, nid: NodeId):
         node = self.nodes.get(nid)
-        if node is None:
-            return (self._positions[nid.sit], 9, str(nid))
+        if node is None:  # an alias sorts as a node of its source's kind
+            source = self.aliases.get(nid)
+            return (self._positions[nid.sit], KIND_RANK.get(source and self.nodes[source].kind, 9), str(nid))
         return (self._positions[nid.sit], KIND_RANK.get(node.kind, 9), node.text)
 
     # -- structure -------------------------------------------------------
@@ -411,8 +418,6 @@ class PENet:
                     "must lie in an earlier situation"
                 )
         elif child.kind == DERIVED:
-            if ppos != cpos:
-                raise LayeringViolation(f"arc {parent} -> {child.id}: derived nodes take same-situation parents only")
             if pkind != PRIMITIVE:
                 raise LayeringViolation(f"arc {parent} -> {child.id}: derived nodes take primitive parents only")
 
@@ -512,25 +517,43 @@ class PENet:
 
     # -- queries over structure -------------------------------------------
 
+    def node_of(self, nid: NodeId):
+        """The made Node ``nid`` names: its own, or for an alias the node it
+        copies; None when the net names no such node."""
+        node = self.nodes.get(nid)
+        if node is None and nid in self.aliases:
+            node = self.nodes[self.aliases[nid]]
+        return node
+
     def find(self, atom, situation) -> NodeId:
-        """Node id for an atom (GroundAtom or '(Loc A)' text) at a situation ('S1' or SituationId)."""
+        """Node id for an atom (GroundAtom or '(Loc A)' text) at a situation
+        ('S1' or SituationId); for an alias, the id of the node it copies."""
         if isinstance(atom, str):
             atom = GroundAtom.parse(atom)
         if isinstance(situation, str):
             situation = parse_situation(situation)
         nid = atom_node(atom, situation)
-        if nid not in self.nodes:
+        node = self.node_of(nid)
+        if node is None:
             raise PlanEvalError(f"no node {nid} in net")
-        return nid
+        return node.id
 
     def row_provenance(self, nid: NodeId, combo: tuple) -> str:
-        """The label of the model that wrote the node's row for a parent-state combination."""
-        if nid not in self.nodes:
+        """The label of the model that wrote the node's row for a parent-state
+        combination. An alias answers as the copy it stands for would: its
+        one parent is the node it copies, and each of that node's states
+        has a no-change row."""
+        node = self.node_of(nid)
+        if node is None:
             raise PlanEvalError(f"no node {nid} in net")
-        try:
-            return self.nodes[nid].provenance[combo]
-        except KeyError:
-            raise PlanEvalError(f"node {nid} has no row for parent states {combo!r}") from None
+        if node.id == nid:
+            try:
+                return node.provenance[combo]
+            except KeyError:
+                pass
+        elif isinstance(combo, tuple) and len(combo) == 1 and combo[0] in node.states:
+            return "clock-identity" if nid.ref[0] == "clock" else "default-persistence"
+        raise PlanEvalError(f"node {nid} has no row for parent states {combo!r}")
 
     def final_situation(self) -> SituationId:
         return self.situation_order[-1]
@@ -616,9 +639,8 @@ def finalize(net: PENet) -> PENet:
     keeps only the multi-state parents and fixes the row strides, the CDFs,
     the pick tables of the nodes certain of their state on every row, the
     source of every identity copy, and one min-degree elimination order for
-    every query with each node's factor as a bitmask over it, in time linear
-    in the parents. ``net.answers`` starts as
-    an empty dict, the cache ``exact_query`` answers through: a finalized net
+    every query. The alias table becomes read-only. ``net.answers`` starts
+    as an empty dict, the cache ``exact_query`` answers through: a finalized net
     never changes, so an answer, once found, holds for the net's life. It
     keeps plain numbers, and dict updates are atomic, so threads may share it.
     """
@@ -691,12 +713,6 @@ def finalize(net: PENet) -> PENet:
     parents = tuple(parents)
     sources = _copy_sources(parents, sizes, order, tables, pick_of)
     rank = _min_degree_rank(parents, sizes, sources)
-    masks = []
-    for v, ps in enumerate(parents):
-        mask = 1 << rank[v]
-        for p in ps:
-            mask |= 1 << rank[sources[p]]
-        masks.append(mask)
     net._order = tuple(ordered[v] for v in order)
     net.numbering = Numbering(
         ids=tuple(ordered),
@@ -707,11 +723,11 @@ def finalize(net: PENet) -> PENet:
         order=order,
         rank=rank,
         sources=sources,
-        masks=tuple(masks),
         strides=tuple(strides),
         cdfs=tuple(cdfs),
         picks=tuple(pick_of),
     )
+    net.aliases = MappingProxyType(dict(net.aliases))
     net.answers = {}
     net.finalized = True
     return net
@@ -771,7 +787,7 @@ def _copy_sources(parents: tuple, sizes: tuple, order: tuple, tables: list, pick
     ``0..k-1``. ``order`` is topological, so a parent's source is known
     before its child's.
     """
-    sources = list(range(len(sizes)))
+    sources = sorted(order)  # 0..n-1, as the ints ``order`` holds, so no number is stored twice
     identities = {}  # k -> the bytes of the k-by-k identity
     for v in order:
         ps, k = parents[v], sizes[v]
@@ -841,10 +857,14 @@ def _describe_combo(node: Node, combo: tuple) -> str:
 
 
 def canonical_dump(net: PENet) -> str:
-    """Deterministic text rendering of the whole net; equal nets dump equal bytes."""
+    """Deterministic text rendering of the whole net; equal nets dump equal
+    bytes. An alias is one line, in the place its node would have."""
     lines = [f"situations {' '.join(str(s) for s in net.situation_order)}"]
-    for nid in sorted(net.nodes, key=net.node_key):
-        node = net.nodes[nid]
+    for nid in sorted([*net.nodes, *net.aliases], key=net.node_key):
+        node = net.nodes.get(nid)
+        if node is None:
+            lines.append(f"alias {nid} -> {net.nodes[net.aliases[nid]].text}")
+            continue
         lines.append(
             f"node {node.text} kind={node.kind} states={{{' '.join(str(s) for s in node.states)}}}"
             f" parents=[{', '.join(net.nodes[p].text for p in node.parents)}]"

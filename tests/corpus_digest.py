@@ -16,8 +16,13 @@ and after it:
 and the labels), ``exact`` and ``mc`` (each plan metric's answer, or its
 failure, by that engine) and ``errors`` (the build error, and the type of
 each error a metric raised). So two runs can be diffed to find the first
-case that moved and which part of it moved. pytest does not collect this
-file.
+case that moved and which part of it moved. It also prints the ``nodes``
+part, which counts rather than digests: ``<case> nodes <nodes> <aliases>``
+per built case, the nodes the net made and the (atom or clock, situation)
+names it keeps as aliases of them, and ``nodes <corpus> <count> cases
+<nodes> nodes <aliases> aliases`` per corpus (``generate`` and
+``generate_timed`` per semantics, and each workload). The counts enter no
+digest. pytest does not collect this file.
 """
 
 import hashlib
@@ -41,18 +46,19 @@ MC_SAMPLES = 500
 
 
 def cases():
-    """(name, kb, plan, options) for every case of the corpus, in a fixed order."""
+    """(corpus, name, kb, plan, options) for every case of the corpus, in a fixed order."""
     for semantics in SEMANTICS:
         for seed in range(200):
-            yield (f"generate-{seed}-{semantics}", *instance_gen.generate(seed),
+            yield (f"generate-{semantics}", f"generate-{seed}-{semantics}", *instance_gen.generate(seed),
                    BuildOptions(during_failure_semantics=semantics))
         for seed in range(200):
-            yield (f"generate_timed-{seed}-{semantics}", *instance_gen.generate_timed(seed),
+            yield (f"generate_timed-{semantics}", f"generate_timed-{seed}-{semantics}",
+                   *instance_gen.generate_timed(seed),
                    BuildOptions(during_failure_semantics=semantics, clock_enabled=True))
     for workload in workloads.WORKLOADS:
         for seed in BENCH_SEEDS:
             for inst in workloads.generate(workload, seed):
-                yield (f"{workload}-{seed}-{inst.name}", *load(inst.kb_text, inst.plan_text),
+                yield (workload, f"{workload}-{seed}-{inst.name}", *load(inst.kb_text, inst.plan_text),
                        BuildOptions(clock_enabled=inst.clock))
 
 
@@ -65,14 +71,16 @@ PARTS = ("dump", "exact", "mc", "errors")
 
 
 def case_lines(kb, plan, opts) -> list:
-    """What one case gives, as ``(part, line, error)`` triples: its dump,
-    labels and metrics, or its build error. ``error`` is the raised error's
+    """What one case gives: ``(part, line, error)`` triples of its dump,
+    labels and metrics, or of its build error, and the net's node and alias
+    counts, None when it does not build. ``error`` is the raised error's
     type, after the metric and its arguments, for a metric that failed, and
     empty otherwise."""
     try:
         net = build_pe_net(plan, kb, opts)
     except PlanEvalError as err:
-        return [("errors", failure(err), "")]
+        return [("errors", failure(err), "")], None
+    counts = len(net.nodes), len(getattr(net, "aliases", ()))  # a net built before the alias table has none
     lines = [("dump", canonical_dump(net), ""), ("dump", repr(net.labels), "")]
     for metric in (leads_to_success, plan_success):
         for part, kwargs in (("exact", {}), ("mc", {"mode": "mc", "samples": MC_SAMPLES, "seed": 3})):
@@ -82,7 +90,7 @@ def case_lines(kb, plan, opts) -> list:
                 lines.append((part, f"{head} {result.probability!r} {result.standard_error!r}", ""))
             except PlanEvalError as err:
                 lines.append((part, f"{head} {failure(err)}", f"{head} {type(err).__name__}"))
-    return lines
+    return lines, counts
 
 
 def digest(lines: list) -> str:
@@ -93,10 +101,18 @@ def main(argv) -> int:
     verbose = "--verbose" in argv
     whole, count = hashlib.sha256(), 0
     by_part = {part: hashlib.sha256() for part in PARTS}
-    for name, kb, plan, opts in cases():
-        lines = case_lines(kb, plan, opts)
+    totals = {}  # corpus -> [cases, nodes, aliases]
+    for corpus, name, kb, plan, opts in cases():
+        lines, counts = case_lines(kb, plan, opts)
         whole.update(f"{name} {digest([line for _, line, _ in lines])}\n".encode())
         count += 1
+        total = totals.setdefault(corpus, [0, 0, 0])
+        total[0] += 1
+        if counts is not None:
+            total[1] += counts[0]
+            total[2] += counts[1]
+            if verbose:
+                print(name, "nodes", *counts)
         if verbose:
             for part in PARTS:
                 own = [line for of, line, _ in lines if of == part]
@@ -108,6 +124,8 @@ def main(argv) -> int:
     if verbose:
         for part in PARTS:
             print(f"{part} {count} cases {by_part[part].hexdigest()}")
+        for corpus, (cases_, nodes, aliases) in totals.items():
+            print(f"nodes {corpus} {cases_} cases {nodes} nodes {aliases} aliases")
     print(f"{count} cases {whole.hexdigest()}")
     return 0
 

@@ -211,6 +211,27 @@ goal {{ (R m)=hi }}
 """
 
 
+# A step whose effect is gated on (Power) during it, while another agent
+# writes (Power) at every intermediate situation: each write is a node of its
+# own, one state each, so the gated node reads one more axis per write.
+HELD_KB = """
+predicate (Power) kind=primitive states { on off }
+predicate (Built) kind=primitive states { no yes }
+action (Assemble) level=0 {
+  effect (Built) { * -> { yes:0.9 no:0.1 } }
+  during-cond (Power)=on gates (Built)
+}
+action (Hold) level=0 { effect (Power) { * -> { on:1.0 } } }
+"""
+
+
+def held_plan(writes: int) -> str:
+    lines = ["step asm a1 (Assemble) start=c0 end=done"]
+    lines += [f"step h{i} a2 (Hold) start=c{i} end=c{i + 1}" for i in range(writes)]
+    lines += [f"before c{writes} done", "initial { (Power)=on (Built)=no }", "goal { (Built)=yes }"]
+    return "\n".join(lines) + "\n"
+
+
 def load(kb_text: str, plan_text: str):
     kb, kb_diags = parse_kb(SourceDocument(kb_text, "kb"))
     assert not kb_diags, [d.message for d in kb_diags]

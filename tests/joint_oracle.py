@@ -7,7 +7,9 @@ of a finalized net, depth first in ``topological_nodes`` order, over the
 rows and rows that contradict the evidence are pruned. It is kept dead
 simple so it can serve as the reference they are compared against; its cost
 is the product of every node's state count, bounded by
-``DEFAULT_ORACLE_BOUND`` unless a test passes another bound.
+``DEFAULT_ORACLE_BOUND`` unless a test passes another bound. An alias, a node
+the build did not make because it would only copy another, takes that
+node's state in every world, so a target or a pin on it is one on that node.
 """
 
 import math
@@ -35,6 +37,7 @@ def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) 
     _check_size(net, bound)
     targets = dict()
     for nid, state in q.targets:
+        nid = net.aliases.get(nid, nid)
         if targets.get(nid, state) != state:
             return QueryResult(0.0, "oracle")
         targets[nid] = state
@@ -58,7 +61,10 @@ def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUN
     if keep is None:
         keep = list(net.nodes)
     keep = sorted(keep, key=net.node_key)
-    evidence = evidence or {}
+    pins = {}
+    for nid, state in (evidence or {}).items():
+        if pins.setdefault(net.aliases.get(nid, nid), state) != state:
+            return {}  # two pins on one node, through an alias, disagree
     _check_size(net, bound)
     order = net.topological_nodes()
     cpts = {nid: dict(net.nodes[nid].cpt) for nid in order}  # each row read once, not once per visit
@@ -67,13 +73,13 @@ def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUN
 
     def walk(depth: int, prob: float):
         if depth == len(order):
-            key = tuple(assignment[nid] for nid in keep)
+            key = tuple(assignment[net.aliases.get(nid, nid)] for nid in keep)
             out[key] = out.get(key, 0.0) + prob
             return
         nid = order[depth]
         node = net.nodes[nid]
         combo = tuple(assignment[p] for p in node.parents)
-        pinned = evidence.get(nid)
+        pinned = pins.get(nid)
         for state, p in cpts[nid][combo].items():
             if p == 0.0 or (pinned is not None and state != pinned):
                 continue

@@ -221,7 +221,7 @@ def test_criterion_6_temporal_splitting():
     marginals, order_stats = oracle.timed_final_marginals(kb, flat, order)
     final = net.situation_order[-1]
     for atom, dist in marginals.items():
-        node = net.nodes[atom_node(atom, final)]
+        node = net.node_of(atom_node(atom, final))
         for state in node.states:
             got = exact_query(net, Query(targets=[(node.id, state)])).probability
             assert abs(got - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
@@ -242,7 +242,7 @@ def test_criterion_7_linear_growth_and_compaction():
     # the exponential-growth instance keeps every reachable state, merging none
     kb, plan = load(SPREAD_KB, spread_plan(6))
     net = build_pe_net(plan, kb)
-    sizes = [len(net.nodes[atom_node(GroundAtom("Reg"), sit)].states) for sit in net.situation_order]
+    sizes = [len(net.node_of(atom_node(GroundAtom("Reg"), sit)).states) for sit in net.situation_order]
     assert sizes == [1, 2, 4, 8, 8, 8, 8]
     assert all("OTHER" not in node.states for node in net.nodes.values())
     _finish(7, "affine node growth and exact state sets", started, 30.0)

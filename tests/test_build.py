@@ -34,12 +34,14 @@ from planeval.net import PENet, Fragment, FragmentNode, FragmentRow, SituationId
 
 import instance_gen
 import trajectory_oracle as oracle
+from joint_oracle import oracle_enumerate
 from fixtures import (
     CONTINGENT_KB,
     DURING_KB,
     DURING_PLAN,
     DURING_ROWS_KB,
     DURING_ROWS_PLAN,
+    HELD_KB,
     HIERARCHY_KB,
     HIERARCHY_PLAN,
     INVERTED_KB,
@@ -50,6 +52,7 @@ from fixtures import (
     UNMATCHED_DERIVED_KB,
     UNMATCHED_DERIVED_PLAN,
     contingent_plan,
+    held_plan,
     load,
     load_kb,
 )
@@ -69,9 +72,11 @@ def build(kb_text, plan_text, opts=None):
 def test_two_step_plan_structure():
     _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
     a1 = net.find("(Loc A)", "S1")
-    b1 = net.find("(Loc B)", "S1")
+    b1 = atom_node(GroundAtom("Loc", ("B",)), SituationId(1))
     b2 = net.find("(Loc B)", "S2")
     assert net.row_provenance(a1, ("L1",)) == "action s1"
+    # no step moves B by S1: an alias of (Loc B)@S0, which answers as the no-change copy did
+    assert net.aliases[b1] == net.find("(Loc B)", "S1") == net.find("(Loc B)", "S0")
     assert net.row_provenance(b1, ("L3",)) == "default-persistence"
     assert net.row_provenance(b2, ("L3",)) == "action s2"
     # the partially covered (Loc A)@S2 mixes KB persistence and the default
@@ -124,10 +129,10 @@ def test_build_requires_clean_kb():
 
 
 def test_oversized_table_is_a_typed_forward_error():
-    # sixteen tasks give one node more parents than a numpy array has axes;
-    # the node is refused when it is made
-    inst = workloads.branchy(random.Random(1), 16)
-    kb, plan = load(inst.kb_text, inst.plan_text)
+    # seventy writes during a gated step give one node more parents than a
+    # numpy array has axes; the node is refused when it is made
+    kb, plan = load(HELD_KB, held_plan(70))
+    assert build(HELD_KB, held_plan(3))[2].finalized
     with pytest.raises(BuildError) as exc:
         build_pe_net(plan, kb)
     assert exc.value.stage == "forward"
@@ -511,7 +516,7 @@ goal { (Built W)=yes }
     for atom in atoms:
         expected = oracle.marginal(worlds, atom, final)
         nid = atom_node(atom, net.situation_order[-1])
-        for state in net.nodes[nid].states:
+        for state in net.node_of(nid).states:
             got = exact_query(net, Query(targets=[(nid, state)])).probability
             assert abs(got - expected.get(state, 0.0)) <= 1e-9, (str(atom), state)
     # sanity: the guarded during effect fires only when the step is selected
@@ -599,7 +604,7 @@ def test_residual_rows_read_their_conditions_at_the_abstract_start():
     for atom in oracle._universe(kb, flat):
         expected = oracle.marginal(worlds, atom, len(order) - 1)
         nid = atom_node(atom, net.situation_order[-1])
-        for state in net.nodes[nid].states:
+        for state in net.node_of(nid).states:
             got = exact_query(net, Query(targets=[(nid, state)])).probability
             assert abs(got - expected.get(state, 0.0)) <= 1e-9, (str(atom), state)
     want = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
@@ -692,7 +697,7 @@ def test_spread_plan_matches_the_trajectory_oracle():
     worlds = oracle.enumerate_trajectories(kb, flat, order)
     reg = GroundAtom("Reg")
     for pos, sit in enumerate(net.situation_order):
-        node = net.nodes[atom_node(reg, sit)]
+        node = net.node_of(atom_node(reg, sit))
         expected = oracle.marginal(worlds, reg, pos)
         assert set(node.states) == set(expected), str(sit)
         for state, p in expected.items():
@@ -742,8 +747,9 @@ def test_identity_persistence_keeps_state_sets_constant():
     flat = flatten_hierarchy(plan)
     schedule = make_schedule(flat, kb, BuildOptions(), linearize(flat))
     states = schedule.analyse()
-    b = GroundAtom("Loc", ("B",))
-    assert states[atom_node(b, schedule.situations[0].sid)] == states[atom_node(b, schedule.situations[1].sid)]
+    b0, b1 = [atom_node(GroundAtom("Loc", ("B",)), si.sid) for si in schedule.situations]
+    # no step moves B: (Loc B)@S1 is an alias of (Loc B)@S0, made once with its states
+    assert schedule.aliases == {b1: b0} and b1 not in states and states[b0] == ["L3"]
 
 
 # -- persistence fill blocks ----------------------------------------------------
@@ -965,8 +971,14 @@ def test_build_bit_deterministic():
 
 
 def net_assignment_probability(net, assignment):
+    """The net's probability of a full assignment. An alias's factor is the
+    identity table of the copy it stands for: 1 where it takes the state of
+    the node it copies, 0 elsewhere."""
     p = 1.0
     for nid, value in assignment.items():
+        if nid in net.aliases:
+            p *= assignment[net.aliases[nid]] == value
+            continue
         node = net.nodes[nid]
         combo = tuple(assignment[parent] for parent in node.parents)
         p *= node.cpt[combo].get(value, 0.0)
@@ -994,3 +1006,128 @@ def test_joint_matches_trajectory_oracle(seed):
     for key, p_expected in joint.items():
         assignment = dict(zip(keyed, key))
         assert abs(net_assignment_probability(net, assignment) - p_expected) <= 1e-9
+
+
+# -- no-change copies: aliases, not nodes ------------------------------------------
+
+
+def generated_nets():
+    """(timed, seed, schedule, net) for generate(0..199) and generate_timed(0..199)."""
+    for timed, generator in ((False, instance_gen.generate), (True, instance_gen.generate_timed)):
+        for seed in range(200):
+            kb, plan = generator(seed)
+            opts = BuildOptions(clock_enabled=timed)
+            yield timed, seed, swept(kb, plan, opts), build_pe_net(plan, kb, opts)
+
+
+def test_no_node_only_copies_its_predecessor_and_every_name_resolves():
+    made = {False: 0, True: 0}
+    for timed, seed, schedule, net in generated_nets():
+        made[timed] += len(net.nodes)
+        assert dict(net.aliases) == schedule.aliases, (timed, seed)
+        for nid, node in net.nodes.items():
+            kinds = set(node.provenance.values())
+            assert kinds != {"default-persistence"} and kinds != {"clock-identity"}, (timed, seed, str(nid))
+        for nid, source in net.aliases.items():
+            # read through chains to a made node of the same atom or clock, in an earlier situation
+            assert source in net.nodes and source.ref == nid.ref, (timed, seed, str(nid))
+            assert net.position(source.sit) < net.position(nid.sit)
+            assert nid not in net.nodes
+        for si in schedule.situations:
+            for atom in schedule.atoms + schedule.derived_atoms:
+                nid = atom_node(atom, si.sid)
+                assert net.find(atom, si.sid) == net.aliases.get(nid, nid)
+                assert net.nodes[net.find(atom, si.sid)].states
+            if timed:
+                assert net.node_of(net_module.clock_node(si.sid)) is not None
+    # 1,240 of generate's 3,202 nodes and 188 of generate_timed's 5,203 copied their predecessor
+    assert made[False] <= 1962 and made[True] <= 5015, made
+
+
+def test_a_former_copy_answers_as_its_source_and_the_oracles():
+    asked = 0
+    for seed in range(80):
+        kb, plan = instance_gen.generate(seed)
+        net = build_pe_net(plan, kb)
+        flat = flatten_hierarchy(plan)
+        worlds = oracle.enumerate_trajectories(kb, flat, linearize(flat))
+        for nid, source in sorted(net.aliases.items(), key=lambda item: net.node_key(item[0])):
+            truth = oracle.marginal(worlds, nid.atom, net.position(nid.sit))
+            for state in net.nodes[source].states:
+                got = exact_query(net, Query([(nid, state)])).probability
+                assert got == exact_query(net, Query([(source, state)])).probability, (seed, str(nid))
+                assert abs(got - oracle_enumerate(net, Query([(nid, state)])).probability) <= 1e-12
+                assert abs(got - truth.get(state, 0.0)) <= 1e-12, (seed, str(nid), state)
+                asked += 1
+    assert asked > 500
+
+
+def test_the_benchmark_reads_every_goal_atom_at_every_situation():
+    inst = workloads.generate("branchy-queries", 1)[0]
+    assert inst.name == "branchy-t2"
+    kb, plan = load(inst.kb_text, inst.plan_text)
+    net = build_pe_net(plan, kb)
+    assert (len(net.nodes), len(net.aliases)) == (62, 42)
+    goal_atoms = list(dict.fromkeys(atom for atom, _state in plan.goals))
+    for sit in net.situation_order:
+        for atom in goal_atoms:
+            assert net.nodes[net.find(atom, sit)].states
+    # (Built W) stays a constant node at S0, and S1..S8 are its aliases
+    built = [net.find("(Built W)", sit) for sit in net.situation_order]
+    assert built[:9] == [built[0]] * 9 and built[9] != built[0] and net.nodes[built[0]].states == ["no"]
+    mid = net.situation_order[len(net.situation_order) // 2]
+    assert net.find("(Risk)", mid) == atom_node(GroundAtom("Risk"), SituationId(0))
+
+
+def test_an_alias_dumps_as_one_line_where_its_node_would_be():
+    _kb, _plan, net = build(MOVE_KB, TWO_STEP_PLAN)
+    lines = canonical_dump(net).splitlines()
+    assert [line for line in lines if not line.startswith(("node", "  row", "situations"))] == [
+        "alias (Loc B)@S1 -> (Loc B)@S0"]
+    at = lines.index("alias (Loc B)@S1 -> (Loc B)@S0")
+    assert lines[at - 2].startswith("node (Loc A)@S1 ") and lines[at + 1].startswith("node (Loc A)@S2 ")
+    b1 = atom_node(GroundAtom("Loc", ("B",)), SituationId(1))
+    with pytest.raises(PlanEvalError, match=r"node \(Loc B\)@S1 has no row for parent states \('L1',\)"):
+        net.row_provenance(b1, ("L1",))  # (Loc B)@S0 never takes L1
+    # a net whose every node is made has no alias line
+    _kb, _plan, moved = build(MOVE_KB, "step s1 a1 (Move A L1 L2) start=b0 end=b1\ninitial { (Loc A)=L1 }\ngoal { (Loc A)=L2 }")
+    assert not moved.aliases and "alias" not in canonical_dump(moved)
+
+
+# (Power) changes nowhere, so (Power)@S1 is an alias of (Power)@S0: the
+# gated effect row that reads (Power)=off at the start and pins (Power)=on
+# during the step pins one node in two states and is left out.
+APART_KB = """
+predicate (Power) kind=primitive states { on off }
+predicate (Built) kind=primitive states { no yes }
+predicate (Tick) kind=primitive states { a b }
+action (Assemble) level=0 {
+  effect (Built) { (Power)=off -> { yes:1.0 } (Power)=on -> { yes:0.5 no:0.5 } }
+  during-cond (Power)=on gates (Built)
+}
+action (Step) level=0 { effect (Tick) { * -> { b:1.0 } } }
+"""
+
+APART_PLAN = """
+step asm a1 (Assemble) start=c0 end=done
+step tick a2 (Step) start=c0 end=c1
+before c1 done
+initial { (Power)=on:0.5 (Power)=off:0.5 (Built)=no (Tick)=a }
+goal { (Built)=yes }
+"""
+
+
+@pytest.mark.parametrize("semantics", ["gate-effect-only", "nullify-action"])
+def test_a_row_pinning_one_node_apart_through_an_alias_is_left_out(semantics):
+    kb, plan = load(APART_KB, APART_PLAN)
+    net = build_pe_net(plan, kb, BuildOptions(during_failure_semantics=semantics))
+    power0 = net.find("(Power)", "S0")
+    assert net.find("(Power)", "S1") == power0
+    built = net.nodes[net.find("(Built)", "S2")]
+    assert power0 in built.parents and len(built.parents) == 2  # (Power)@S0 and (Built)@S1's source
+    flat = flatten_hierarchy(plan)
+    order = linearize(flat)
+    worlds = oracle.enumerate_trajectories(kb, flat, order, during_semantics=semantics)
+    want = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
+    assert abs(leads_to_success(net, plan).probability - want) <= 1e-12
+    assert abs(want - 0.25) <= 1e-12

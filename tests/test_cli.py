@@ -1,7 +1,6 @@
 """Command-line surface: subcommands, report format, exit codes, determinism."""
 
 import os
-import random
 import subprocess
 import sys
 
@@ -13,6 +12,7 @@ from planeval.export import export_graph
 
 from fixtures import (
     CONTINGENT_KB,
+    HELD_KB,
     HIERARCHY_KB,
     HIERARCHY_PLAN,
     INVERTED_KB,
@@ -25,11 +25,9 @@ from fixtures import (
     TWO_STEP_PLAN,
     UNMATCHED_DERIVED_KB,
     UNMATCHED_DERIVED_PLAN,
+    held_plan,
     load,
 )
-
-sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
-import workloads  # noqa: E402 - the benchmark's instance generators
 
 
 @pytest.fixture
@@ -99,10 +97,10 @@ def test_eval_mc_reports_the_api_values(files, capsys):
 
 
 def test_eval_mc_warns_when_few_samples_carry_weight(files, capsys):
-    # 6 of 50 samples agree with the evidence, so the ± of 0 means nothing:
-    # the exact answer is 0.9. stdout and the exit code stay as they were.
+    # At seed 2, 6 of 50 samples agree with the evidence, so the ± of 0 means
+    # nothing: the exact answer is 0.9. stdout and the exit code stay as they were.
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
-    argv = ["eval", kb_path, plan_path, "--evidence", "(Loc A)=L1@S2"]
+    argv = ["eval", kb_path, plan_path, "--evidence", "(Loc A)=L1@S2", "--seed", "2"]
 
     def warnings(*keys):
         return [f"warning: {key}: effective sample size 6.0 of 50 samples is below 30; the ± is not to be trusted"
@@ -277,8 +275,10 @@ def test_export_dot_structure(files, capsys, tmp_path):
     for cluster in ("cluster_S0", "cluster_S1", "cluster_S2"):
         assert cluster in text
     assert '"(Loc A)@S0" -> "(Loc A)@S1";' in text
-    # persistence arc for the object the first action ignores
-    assert '"(Loc B)@S0" -> "(Loc B)@S1";' in text
+    # the object the first action ignores has no node at S1, an alias of
+    # (Loc B)@S0, so the second action's node reads (Loc B)@S0
+    assert '"(Loc B)@S0" -> "(Loc B)@S2";' in text
+    assert '"(Loc B)@S1"' not in text
 
 
 def test_export_same_net_identical_bytes():
@@ -350,9 +350,8 @@ goal { (P q)=v }
 
 
 def test_table_past_numpys_dimension_limit_exit_1(files, capsys):
-    # sixteen tasks give one node more parents than a numpy array has axes
-    inst = workloads.branchy(random.Random(1), 16)
-    kb_path, plan_path = files(inst.kb_text, inst.plan_text)
+    # seventy writes during a gated step give one node more parents than a numpy array has axes
+    kb_path, plan_path = files(HELD_KB, held_plan(70))
     code, out, err = run(capsys, ["eval", kb_path, plan_path])
     assert code == 1
     assert out == ""
@@ -373,6 +372,18 @@ def test_infeasible_evidence_exit_2(files, capsys):
     code, _out, err = run(capsys, ["eval", kb_path, plan_path, "--evidence", "(Loc B)=L1@S0"])
     assert code == 2
     assert "inference" in err
+
+
+@pytest.mark.parametrize("engine, message", [([], "evidence has probability zero"),
+                                             (["--mc", "100"], "all samples are inconsistent with the evidence")])
+def test_evidence_pinning_an_alias_and_its_source_apart_exit_2(files, capsys, engine, message):
+    # no step changes (Risk): (Risk)@S1 is an alias of (Risk)@S0, and the two pins disagree
+    kb_path, plan_path = files(HIERARCHY_KB, HIERARCHY_PLAN)
+    pins = ["eval", kb_path, plan_path, "--evidence", "(Risk)=high@S1", "--evidence"]
+    code, out, err = run(capsys, pins + ["(Risk)=low@S0"] + engine)
+    assert (code, out, err) == (2, "", f"inference: {message}\n")
+    code, out, _err = run(capsys, pins + ["(Risk)=high@S0"] + engine)
+    assert code == 0 and out.startswith("leads_to_success = ")
 
 
 def test_factor_cell_guard_exit_2(files, capsys, monkeypatch):

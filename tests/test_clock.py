@@ -222,7 +222,7 @@ def test_goal_marginals_match_time_expanded_oracle():
     marginals, order_stats = oracle.timed_final_marginals(kb, flat, order)
     final = net.situation_order[-1]
     for atom, dist in marginals.items():
-        node = net.nodes[atom_node(atom, final)]
+        node = net.node_of(atom_node(atom, final))
         for state in node.states:
             p_net = exact_query(net, Query(targets=[(node.id, state)])).probability
             assert abs(p_net - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
@@ -243,7 +243,7 @@ def test_random_overlap_matches_timed_oracle(seed):
     marginals, _stats = oracle.timed_final_marginals(kb, flat, order)
     final = net.situation_order[-1]
     for atom, dist in marginals.items():
-        node = net.nodes[atom_node(atom, final)]
+        node = net.node_of(atom_node(atom, final))
         for state in node.states:
             got = exact_query(net, Query(targets=[(node.id, state)])).probability
             assert abs(got - dist.get(state, 0.0)) <= 1e-9, (seed, str(atom), state)
@@ -487,7 +487,7 @@ def test_elapsed_buckets_match_timed_oracle(kb_text, plan_text):
     marginals, _stats = oracle.timed_final_marginals(kb, flat, linearize(flat))
     final = net.situation_order[-1]
     for atom, dist in marginals.items():
-        node = net.nodes[atom_node(atom, final)]
+        node = net.node_of(atom_node(atom, final))
         for state in node.states:
             got = exact_query(net, Query(targets=[(node.id, state)])).probability
             assert abs(got - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
@@ -539,3 +539,31 @@ def test_capped_clock_values_fall_into_the_none_bucket():
     for sit, want in recorded.items():
         got = exact_query(net, Query(targets=[(net.find("(P q)", sit), "v")])).probability
         assert abs(got - want) <= 1e-12, sit
+
+
+def test_an_elapsed_node_over_an_aliased_clock_reads_only_a_zero_gap():
+    # No step ends at c0, so clock@S2 is an alias of clock@S1, whose value is
+    # 2 or 4: the elapsed node at S2 pairs each value with itself, so every
+    # gap is 0 and (P q) takes its [0,3) persistence row there.
+    from test_build import FILL_KB
+
+    plan_text = """
+step s1 a1 (First) start=b0 end=b1
+step s2 a2 (Quick x2) start=c0 end=c1
+before b1 c0
+initial { (P x1)=u (P x2)=u (P q)=u:0.5 (P q)=w:0.5 }
+goal { (P q)=u }
+"""
+    kb, plan, net = timed_build(FILL_KB, plan_text)
+    s1, s2 = SituationId(1), SituationId(2)
+    assert net.aliases[clock_node(s2)] == clock_node(s1) and net.nodes[clock_node(s1)].states == [2, 4]
+    (elapsed,) = [nid for nid in net.nodes if nid.ref[0] == "elapsed" and nid.sit == s2]
+    node = net.nodes[elapsed]
+    assert node.parents == [clock_node(s1)] and node.states == ["[0,3)"]
+    # By hand (the timed oracle takes no start-only boundary): the gap at S1
+    # is 2 or 4, so (P q)@S1 is u 3/16, w 9/16, v 1/4, and the [0,3) rows at
+    # S2 (gap 0) and S3 (gap 1) take u and w to 63/256 and 129/256.
+    q = net.find("(P q)", "S3")
+    want = {"u": 63 / 256, "v": 0.25, "w": 129 / 256}
+    for state in net.nodes[q].states:
+        assert abs(exact_query(net, Query([(q, state)])).probability - want[state]) <= 1e-12, state

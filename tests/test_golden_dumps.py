@@ -156,6 +156,7 @@ def test_one_onto_and_one_fill_paste_rebuild_every_net():
             continue
         schedule, _states = _sweep(kb, plan, opts)
         net = PENet(situation_order=[si.sid for si in schedule.situations])
+        net.aliases = schedule.aliases
         for spec in schedule.nodes.values():
             net.ensure_node(spec)
         entries = [entry for node_entries in schedule.rows.values() for entry in node_entries]

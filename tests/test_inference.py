@@ -403,12 +403,15 @@ def test_evidence_pinning_a_copy_and_its_source_apart_is_infeasible_after_the_gu
 def test_a_copy_and_every_constant_cost_no_elimination_of_their_own(monkeypatch):
     _inst, plan, net = bench_net("branchy-queries")
     numbering, goals = net.numbering, inference._goal_targets(net, plan)
+    # the identity copies model rows make, then the multi-state no-change copies the build made no node for
     copies = [nid for nid in numbering.ids if is_copy(net, nid)]
+    copies += [nid for nid in sorted(net.aliases, key=net.node_key) if len(net.node_of(nid).states) > 1]
     constants = [nid for nid in numbering.ids if len(net.nodes[nid].states) == 1]
     assert len(copies) > 10 and len(constants) > 10
     calls = counted_eliminations(monkeypatch)
     for nid in copies:
-        node, source = net.nodes[nid], net.nodes[numbering.ids[numbering.sources[numbering.number[nid]]]]
+        node = net.node_of(nid)
+        source = net.nodes[numbering.ids[numbering.sources[numbering.number[node.id]]]]
         expected = [exact_query(net, Query([(source.id, state)])).probability for state in source.states]
         before = len(calls)
         assert [exact_query(net, Query([(nid, state)])).probability for state in node.states] == expected
@@ -416,14 +419,43 @@ def test_a_copy_and_every_constant_cost_no_elimination_of_their_own(monkeypatch)
         given = exact_query(net, Query(goals, {nid: node.states[likely]})).probability
         assert exact_query(net, Query(goals, {source.id: source.states[likely]})).probability == given
         assert len(calls) <= before + 1  # none for the marginal; evidence on a copy is evidence on its source
-    first = net.nodes[copies[0]]
-    marginal = [exact_query(net, Query([(first.id, state)])).probability for state in first.states]
-    seen = {first.id: first.states[marginal.index(max(marginal))]}
+    first = net.node_of(copies[0])
+    marginal = [exact_query(net, Query([(copies[0], state)])).probability for state in first.states]
+    seen = {copies[0]: first.states[marginal.index(max(marginal))]}
     before = len(calls)
     for evidence in ({}, seen):
         assert all(exact_query(net, Query([(nid, net.nodes[nid].states[0])], evidence)).probability == 1.0
                    for nid in constants)
     assert len(calls) == before + 2  # one shared by every constant, per evidence
+
+
+RISK = [atom_node(GroundAtom("Risk"), SituationId(i)) for i in range(3)]  # (Risk)@S1 and @S2 alias (Risk)@S0
+
+
+@pytest.mark.parametrize("apart", [(0, 1), (1, 2)], ids=["alias-and-source", "two-aliases"])
+def test_evidence_pinning_an_alias_apart_fails_in_both_engines(apart, monkeypatch):
+    _kb, plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
+    assert {RISK[1]: RISK[0], RISK[2]: RISK[0]}.items() <= net.aliases.items()
+    done = net.find("(Done T)", "S2")
+    evidence = {RISK[apart[0]]: "low", RISK[apart[1]]: "high"}
+    calls = counted_eliminations(monkeypatch)
+    monkeypatch.setattr(np, "einsum", _no_products)
+    with pytest.raises(WidthExceeded):
+        exact_query(net, Query([(done, "yes")], evidence), width_limit=0)
+    with pytest.raises(InfeasibleEvidence, match="evidence has probability zero"):
+        exact_query(net, Query([(done, "yes")], evidence))
+    with pytest.raises(InfeasibleEvidence):
+        oracle_enumerate(net, Query([(done, "yes")], evidence))
+    assert len(calls) == 2
+    for metric in (leads_to_success, plan_success):
+        with pytest.raises(ZeroWeight, match="all samples are inconsistent with the evidence"):
+            metric(net, plan, mode="mc", samples=100, seed=1, evidence=evidence)
+    monkeypatch.undo()
+    # pins that agree are one pin on the source
+    agree = {RISK[apart[0]]: "high", RISK[apart[1]]: "high"}
+    for mode in ("exact", "mc"):
+        assert (leads_to_success(net, plan, mode=mode, samples=300, seed=1, evidence=agree)
+                == leads_to_success(net, plan, mode=mode, samples=300, seed=1, evidence={RISK[0]: "high"}))
 
 
 def test_infeasible_evidence_raises_on_every_ask(monkeypatch):
@@ -471,6 +503,9 @@ def test_a_sibling_batch_above_the_cell_guard_runs_the_query_alone(monkeypatch):
 
 
 def is_copy(net, nid) -> bool:
+    """An alias, or a made node that copies its one multi-state parent."""
+    if nid in net.aliases:
+        return True
     numbering = net.numbering
     v = numbering.number[nid]
     return numbering.sources[v] != v
@@ -479,16 +514,17 @@ def is_copy(net, nid) -> bool:
 def cache_queries(net, rng) -> list:
     """Every state of a few multi-state nodes, without evidence and given one
     node's state of positive probability, and a two-node conjunction each
-    way; on a net with an identity copy, also every state of one copy, and
-    each of those queries given one state of the copy of positive
-    probability. Each query comes with its oracle answer, read from one joint
-    of those nodes per evidence."""
+    way; on a net with an identity copy or an alias of a multi-state node,
+    also every state of one of them, and each of those queries given one
+    state of it of positive probability. Each query comes with its oracle
+    answer, read from one joint of those nodes per evidence."""
     nodes = [nid for nid in sorted(net.nodes, key=net.node_key) if len(net.nodes[nid].states) > 1]
     if not nodes:
         return []
     picked = rng.sample(nodes, min(3, len(nodes)))
     seen = rng.choice(nodes)
-    copies = [nid for nid in nodes if is_copy(net, nid)]
+    aliases = [nid for nid in sorted(net.aliases, key=net.node_key) if len(net.node_of(nid).states) > 1]
+    copies = [nid for nid in nodes if is_copy(net, nid)] + aliases
     marginal = picked + rng.sample(copies, 1 if copies else 0)
     keep = sorted({*marginal, seen}, key=net.node_key)
     joint = joint_distribution(net, keep, bound=math.inf)
@@ -500,7 +536,7 @@ def cache_queries(net, rng) -> list:
         if evidence:
             joint = joint_distribution(net, keep, bound=math.inf, evidence=evidence)
         z_e = sum(joint.values())
-        asked = [[(nid, state)] for nid in marginal for state in net.nodes[nid].states]
+        asked = [[(nid, state)] for nid in marginal for state in net.node_of(nid).states]
         asked.append([(nid, rng.choice(net.nodes[nid].states)) for nid in picked[:2]])
         for targets in asked:
             z_te = sum(p for world, p in joint.items() if all(world[keep.index(nid)] == state for nid, state in targets))
@@ -565,31 +601,30 @@ def test_mc_deterministic_given_seed(two_step):
 
 
 def test_mc_answer_pinned(two_step):
-    # recorded before MC read the frozen tables; same seed, same bits
+    # recorded when (Loc B)@S1 became an alias and stopped owning draws; same seed, same bits
     _kb, _plan, net = two_step
     q = Query(targets=[(net.find("(Loc B)", "S2"), "L1")], mode="mc", samples=2000, seed=7)
     result = mc_query(net, q)
-    assert result.probability == 0.901
-    assert result.standard_error == 0.006678285708173917
+    assert result.probability == 0.886
+    assert result.standard_error == 0.007106475919891659
 
 
 def test_mc_answer_pinned_with_evidence():
-    # recorded before MC took its row index from np.ravel_multi_index: evidence
-    # on a root and on a non-root node, same seed, same bits
+    # recorded when (Risk) and (Side T) at S1 became aliases and stopped
+    # owning draws: evidence on a root and on a non-root node, same seed, same bits
     _kb, _plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
     side, done, risk = net.find("(Side T)", "S2"), net.find("(Done T)", "S2"), net.find("(Risk)", "S0")
     evidence = {risk: "high", side: "clean"}
     q = Query(targets=[(done, "yes")], evidence=evidence, mode="mc", samples=3000, seed=5)
     result = mc_query(net, q)
-    assert result.probability == 0.4986666666666666
-    assert result.standard_error == 0.009128676834062027
-    # evidence on a two-parent node; recorded before persistence rows were
-    # dropped from covered atoms
+    assert result.probability == 0.49766666666666665
+    assert result.standard_error == 0.009128609889710397
+    # evidence on a two-parent node, recorded with the two above
     assert len(net.nodes[done].parents) == 2
     q = Query(targets=[(side, "clean")], evidence={risk: "high", done: "yes"}, mode="mc", samples=3000, seed=5)
     result = mc_query(net, q)
-    assert result.probability == 0.708
-    assert result.standard_error == 0.008301325195413078
+    assert result.probability == 0.6943333333333334
+    assert result.standard_error == 0.008410995889420696
 
 
 def test_mc_on_deterministic_net_is_exact():
@@ -951,7 +986,8 @@ def test_queries_after_finalize_read_no_node_keys_or_names(monkeypatch):
     # After finalize both engines run on node numbers: the elimination order
     # is the rank finalize fixed, so no query sorts by node_key or formats a NodeId, and
     # a NodeId is hashed only to number or check a target or evidence node.
-    kb, plan = instance_gen.generate(7)
+    # Instance 12's net has more nodes than a query may hash.
+    kb, plan = instance_gen.generate(12)
     net = build_pe_net(plan, kb)
     nodes = sorted(net.nodes, key=net.node_key)
     pinned, target = nodes[len(nodes) // 2], nodes[-1]
