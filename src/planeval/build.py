@@ -36,8 +36,9 @@ fill rows, or, for persistence, with the fill blocks, which write what
 paste-into of their rows would. Only the order within the onto rows and
 within the fill rows matters: per node the last onto row that covers a
 combination wins, and otherwise the first fill row does. A node's parents
-are exactly the keys its rows read; a fill block's recorded entries still
-iterate as its rows, made on demand. Gap fillers (persistence, no-change and
+are exactly the keys its rows read, its fill block's among them; a fill is
+recorded once, as its block and the nodes its axes read, and its rows are
+made only when the block is written. Gap fillers (persistence, no-change and
 clock-identity rows) are recorded only where a node's own rows leave a
 reachable parent combination uncovered in one boolean array of them all,
 and KB persistence rows only where one of them covers such a combination.
@@ -144,14 +145,6 @@ class SplitSpec:
     @property
     def ret(self) -> NodeId:
         return ret_node(self.earlier.id, self.later.id, SituationId(self.index, "a"))
-
-
-@dataclass
-class SelectionRecord:
-    node: NodeId
-    selected: str
-    origin: str
-    guards: tuple  # ((sel NodeId, label), ...)
 
 
 class Schedule:
@@ -324,16 +317,16 @@ class Schedule:
 
         Fills ``nodes`` (nid -> FragmentNode: kind, states and parents,
         parents before children), ``rows`` (nid -> [(kind, rows)] in paste
-        order), which the paste stages replay unchanged, and ``fills`` (nid
-        -> _Fill), the fill block of every node that persistence and
-        no-change rows complete. A block is those rows and the states they
-        give; nodes alike in persistence model, previous states, gate pin
-        and elapsed states share one, and the persistence stage writes each
-        block's rows once. A node's "persistence" and "default-persistence"
-        entries in ``rows`` are views of its block, which make their
-        fragment rows only when iterated. ``aliases`` (nid -> nid) maps each
-        node whose rows would only copy its predecessor to the made node it
-        copies; such a node is in none of the other tables.
+        order), the rows the paste stages replay unchanged, and ``fills``
+        (nid -> _Fill), the fill block of every node that persistence and
+        no-change rows complete, the one record of those rows. A block is
+        those rows and the states they give; nodes alike in persistence
+        model, previous states, gate pin and elapsed states share one, and
+        the persistence stage writes each block's rows once. A node's
+        parents are the keys of its ``rows`` and its fill's axes.
+        ``aliases`` (nid -> nid) maps each node whose rows would only copy
+        its predecessor to the made node it copies; such a node is in none
+        of the other tables.
         """
         self.nodes, self.rows, self.fills, self.aliases = {}, {}, {}, {}
         return _Sweep(self).run()
@@ -463,7 +456,7 @@ def _situation_rows(schedule: Schedule, sid: SituationId) -> dict:
 # ---------------------------------------------------------------------------
 
 # Row kinds pasted into the net (gaps only); every other kind is pasted onto it.
-_FILLS = frozenset({"residual", "selector-default", "clock-identity", "persistence", "default-persistence"})
+_FILLS = frozenset({"residual", "selector-default", "clock-identity"})
 
 
 def _row_feasible(states: dict, condition: dict) -> bool:
@@ -479,12 +472,6 @@ def _ordered(schema, support) -> list:
     return ordered + [s for s in sorted(support, key=label_sort_key) if s not in ordered]
 
 
-def _keys(rows) -> list:
-    if isinstance(rows, _FillRows):
-        return rows.keys
-    return [key for row in rows for key in row.condition]
-
-
 class _Fill(NamedTuple):
     """One node's persistence and no-change fill: a block shared by every
     node filled alike, and the nodes its axes read."""
@@ -492,20 +479,6 @@ class _Fill(NamedTuple):
     node: NodeId
     parents: tuple
     block: FillBlock
-
-
-class _FillRows:
-    """A recorded entry of a fill: block rows ``lo`` to ``hi``, which read
-    the nodes ``keys``, made into fragment rows only when iterated."""
-
-    __slots__ = ("fill", "lo", "hi", "keys")
-
-    def __init__(self, fill: _Fill, lo: int, hi: int, keys: tuple):
-        self.fill, self.lo, self.hi, self.keys = fill, lo, hi, keys
-
-    def __iter__(self):
-        fill = self.fill
-        return iter(fill.block.fragment_rows(fill.node, fill.parents)[self.lo:self.hi])
 
 
 def _situation_nodes(schedule: Schedule, si: SitInfo) -> dict:
@@ -588,7 +561,9 @@ class _Sweep:
         entries = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
         if entries is None:  # an alias
             return
-        parents = dict.fromkeys(key for _kind, rows in entries for key in _keys(rows))
+        parents = dict.fromkeys(key for _kind, rows in entries for row in rows for key in row.condition)
+        if nid in schedule.fills:
+            parents.update(dict.fromkeys(schedule.fills[nid].parents))
         self._need(parents)
         schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents), self.text[nid])
         schedule.rows[nid] = entries
@@ -626,37 +601,35 @@ class _Sweep:
         schema = schedule.kb.schemas[nid.ref[1]]
         if self.pos == 0:
             prior = schedule.plan.initial.get(nid.atom) or {schema.states[0]: 1.0}
-            self.states[nid] = [s for s in prior if prior[s] > 0]
+            self.states[nid] = _ordered(schema, [s for s in prior if prior[s] > 0])
             return [("initial", [FragmentRow(nid, {}, dict(prior), "initial")])]
 
         if nid not in self.writers:  # no step writes the node: its fill alone gives its states
-            fill = self._persistence(nid, _Coverage(self.states, []))
-            if fill is None:
+            filled = self._persistence(nid, _Coverage(self.states, []))
+            if filled is None:
                 return None
-            entries, filled = fill
             self.states[nid] = list(filled)
-            return entries
-        entries = list(self.writers[nid])
+            return []
+        entries = self.writers[nid]
         written = [row for _kind, rows in entries for row in rows]
-        self._need(_keys(written))
+        self._need([key for row in written for key in row.condition])
         support = self._support(written)
         coverage = _Coverage(self.states, written)
         if coverage.open():
-            fill = self._persistence(nid, coverage)
-            if fill is None:
+            filled = self._persistence(nid, coverage)
+            if filled is None:
                 return None
-            fillers, filled = fill
-            entries += fillers
             support.update(filled)
         self.states[nid] = _ordered(schema, support)
         return entries
 
     def _persistence(self, nid: NodeId, coverage: _Coverage):
         """KB persistence rows, if they fill a gap the node's written rows
-        leave (``coverage``), then no-change defaults: the node's fill
-        entries, and the states its reachable rows give. None, with the
-        alias recorded, when no written row is feasible and no KB row is
-        kept: the node would only copy its predecessor.
+        leave (``coverage``), then no-change defaults: records them as the
+        node's fill in ``Schedule.fills`` and returns the states its
+        reachable rows give. None, with the alias recorded instead, when no
+        written row is feasible and no KB row is kept: the node would only
+        copy its predecessor.
 
         Whether the model's rows fill a gap is judged on their gate and
         previous-state pins, bucket aside; only then is the elapsed node made.
@@ -681,26 +654,23 @@ class _Sweep:
         if not (kb or coverage.feasible):
             self._copy_of(nid, prev_nid)
             return None
-        parents = tuple([candidates[i] for i in axes])
-        fill = schedule.fills[nid] = _Fill(nid, parents, block)
-        entries = [] if kb is None else [("persistence", _FillRows(fill, 0, kb, parents if kb else ()))]
-        entries.append(("default-persistence", _FillRows(fill, kb or 0, len(block.rows), (prev_nid,))))
-        return entries, block.states
+        schedule.fills[nid] = _Fill(nid, tuple([candidates[i] for i in axes]), block)
+        return block.states
 
     def _fill_block(self, name: str, kept: list, label: str, candidates: tuple, sign: str) -> tuple:
         """The block of one fill: the model's ``kept`` rows (None when they fill
         no gap), labelled ``label``, then a no-change row per previous state, pinned on the
         ``candidates`` (gate, previous node, elapsed node), the gate on
         ``sign``, with the states the reachable rows give; the indices of the
-        candidates the rows read, and how many rows are the model's (None
-        when none is recorded)."""
+        candidates the rows read, and whether any of the model's rows is
+        kept."""
         _gate_nid, prev_nid, elapsed = candidates
         rows = []
         for row in kept or ():
             bucket = row.bucket and format_bucket(row.bucket)
             if bucket is None or (elapsed is not None and bucket in self.states[elapsed]):
                 rows.append(((sign, row.prev, bucket), row.distribution, label))
-        kb = None if kept is None else len(rows)
+        kb = bool(rows)
         rows += [((None, s, None), {s: 1.0}, "default-persistence") for s in self.states[prev_nid]]
         axes = tuple(i for i in range(3) if any(pins[i] is not None for pins, _dist, _label in rows))
         rows = [(tuple(pins[i] for i in axes), dist, label) for pins, dist, label in rows]
@@ -1092,15 +1062,17 @@ def _paste(schedule: Schedule, net: PENet, *kinds: str) -> PENet:
 
 
 def merge_contingent(schedule: Schedule, net: PENet) -> PENet:
-    """Write every contingency group's action-selection node into the net."""
+    """Write every contingency group's action-selection node into the net,
+    and set ``net.selected_path``: each expansion selection, at its
+    planner-chosen label, whose guards are all expansion selections at
+    theirs."""
     _paste(schedule, net, "selector", "selector-default")
-    for group in schedule.plan.contingencies:
-        net.selection_records.append(SelectionRecord(
-            node=sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)),
-            selected=group.selected,
-            origin=group.origin,
-            guards=tuple(_guard_pins(schedule, group.guards).items()),
-        ))
+    chosen = {sel_node(group.boundary, schedule.sit_of_boundary(group.boundary)): group
+              for group in schedule.plan.contingencies if group.origin == "expansion"}
+    net.selected_path = tuple(
+        (nid, group.selected) for nid, group in chosen.items()
+        if all(sel in chosen and chosen[sel].selected == label
+               for sel, label in _guard_pins(schedule, group.guards).items()))
     return net
 
 

@@ -65,12 +65,14 @@ The brute-force joint enumeration both are checked against reads the
 
 Both run on the integer view ``finalize`` stores as
 ``PENet.numbering``. A query's target and evidence ``NodeId``s are numbered
-once, on entry; the ancestor walk, the buckets, the factor scopes and the
-sampling loop then index tuples by number, with no ``NodeId`` hashed or
-formatted.
+once, on entry, by one reader both engines share (``_read``), so a name
+raises the same typed error in either; the ancestor walk, the buckets, the
+factor scopes and the sampling loop then index tuples by number, with no
+``NodeId`` hashed or formatted.
 
 ``plan_success`` and ``leads_to_success`` wrap these for the two plan
-metrics: goals plus the selected detailed path, versus goals alone.
+metrics: goals plus the selected detailed path the build fixed
+(``PENet.selected_path``), versus goals alone.
 """
 
 from __future__ import annotations
@@ -112,30 +114,37 @@ class QueryResult:
     effective_sample_size: float = None  # Kish's (sum w)^2 / sum w^2, Monte Carlo only
 
 
-# Each helper below looks a node up in ``net.nodes`` first and through the
-# alias table only when that misses: queries mostly name made nodes, and a
-# cached answer costs a few microseconds, so a call per name would show.
+def _read(net: PENet, q: Query) -> tuple:
+    """The query's evidence and targets as ``(number, state index)`` pairs,
+    an alias numbered as the node it copies, and whether every target state
+    is one its node has; the targets are read up to the first that is not,
+    and none is returned then.
 
-
-def _check_evidence(net: PENet, evidence: dict):
-    nodes = net.nodes
-    for nid, state in evidence.items():
+    Evidence is read first: a node the net does not name, or a state its
+    node lacks, raises ``InfeasibleEvidence``. Then a target node the net
+    does not name raises ``PlanEvalError``. A name is looked up in
+    ``net.nodes`` first and through the alias table only when that misses:
+    queries mostly name made nodes, and a cached answer costs a few
+    microseconds, so a call per name would show.
+    """
+    nodes, number = net.nodes, net.numbering.number
+    pins = []
+    for nid, state in q.evidence.items():
         node = nodes.get(nid) or net.node_of(nid)
         if node is None:
             raise InfeasibleEvidence(f"evidence node {nid} is not in the net")
         if state not in node.states:
             raise InfeasibleEvidence(f"evidence state {state!r} is not a state of {nid}")
-
-
-def _targets_reachable(net: PENet, targets) -> bool:
-    nodes = net.nodes
-    for nid, state in targets:
+        pins.append((number[node.id], node.at[state]))
+    targets = []
+    for nid, state in q.targets:
         node = nodes.get(nid) or net.node_of(nid)
         if node is None:
             raise PlanEvalError(f"target node {nid} is not in the net")
         if state not in node.states:
-            return False
-    return True
+            return pins, [], False
+        targets.append((number[node.id], node.at[state]))
+    return pins, targets, True
 
 
 # ---------------------------------------------------------------------------
@@ -162,31 +171,16 @@ def _contract(factors: list, out: tuple) -> np.ndarray:
     return np.einsum(*args)
 
 
-def _numbered(net: PENet, pairs) -> list:
-    """``(number, state index)`` of each ``(NodeId, state)`` pair, an alias
-    numbered as the node it copies."""
-    nodes, number = net.nodes, net.numbering.number
-    numbered = []
-    for nid, state in pairs:
-        node = nodes.get(nid) or net.node_of(nid)
-        numbered.append((number[node.id], node.at[state]))
-    return numbered
-
-
-def _resolved(net: PENet, pairs) -> frozenset:
-    """``(source, state index)`` of each ``(NodeId, state)`` pair on a node of
-    more than one state, as exact inference reads it: an alias is read as
-    the node it copies, an identity copy as its source, and a one-state
-    node, which no query reads, drops out."""
-    nodes, numbering = net.nodes, net.numbering
-    number, sizes, sources = numbering.number, numbering.sizes, numbering.sources
-    resolved = set()
-    for nid, state in pairs:
-        node = nodes.get(nid) or net.node_of(nid)
-        v = number[node.id]
+def _sourced(numbering, pairs) -> frozenset:
+    """``(number, state index)`` pairs as exact inference reads them: each
+    node as its source, and a one-state node, which no query reads,
+    dropped."""
+    sizes, sources = numbering.sizes, numbering.sources
+    sourced = set()
+    for v, at in pairs:
         if sizes[v] > 1:
-            resolved.add((sources[v], node.at[state]))
-    return frozenset(resolved)
+            sourced.add((sources[v], at))
+    return frozenset(sourced)
 
 
 class _Answer(NamedTuple):
@@ -215,9 +209,11 @@ def _positions(mask: int) -> list:
     return positions
 
 
-def _sources_kept(numbering, roots: list) -> set:
-    """The ``roots``, which are sources, and the source of every ancestor."""
-    parents, sources = numbering.parents, numbering.sources
+def _ancestors(parents: tuple, roots, sources) -> set:
+    """``roots`` and every ancestor by ``Numbering.parents``, each parent read
+    as its entry in ``sources``: ``range(n)`` keeps every node as itself,
+    and ``Numbering.sources`` reads each copy as its source, for roots that
+    are sources."""
     keep, stack = set(roots), list(roots)
     while stack:
         for parent in parents[stack.pop()]:
@@ -233,7 +229,7 @@ def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked)
     the largest factor of one conjunction.
 
     ``batch`` holds conjunctions and ``pins`` the evidence, each a set of
-    ``(source, state index)`` pairs on multi-state nodes, as ``_resolved``
+    ``(source, state index)`` pairs on multi-state nodes, as ``_sourced``
     gives them; two pins on one node in different states score 0 after the
     guards. Barren nodes (not ancestors of a target or pinned node, every
     parent read as its source) are dropped, pinned axes are sliced out of
@@ -257,7 +253,7 @@ def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked)
         numbering.sizes, numbering.rank, numbering.sources, numbering.parents, numbering.tables)
     pinned = dict(pins)
     targets = list(dict.fromkeys(v for conjunction in batch for v, _ in conjunction))
-    keep = _sources_kept(numbering, targets + list(pinned))
+    keep = _ancestors(parents_of, targets + list(pinned), sources)
     free = len(sizes)  # the free axis's label, after every rank position
     # Per bucket, by its variable's rank position: the variable's state
     # count, the bucket's scope without the free axis, and the factors and
@@ -351,7 +347,7 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
     """Exact conditional probability of the target conjunction.
 
     The answer comes from ``net.answers``, keyed by the conjunction and the
-    evidence as ``_resolved`` gives them, whatever their order: a copy's
+    evidence as ``_sourced`` gives them, whatever their order: a copy's
     state is keyed as its source's, and one-state nodes drop out, so every
     query on a copy shares its source's entries and every marginal of a
     one-state node under one evidence set shares one entry. On a miss the
@@ -364,11 +360,10 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
         raise PlanEvalError("exact_query requires a finalized net")
     if q.mode != EXACT:
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
-    _check_evidence(net, q.evidence)
-    reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
-    pins = _resolved(net, q.evidence.items())
-    # An unreachable conjunction scores zero, once the evidence is found feasible.
-    conjunction = _resolved(net, q.targets) if reachable else frozenset()
+    evidence, targets, reachable = _read(net, q)
+    pins = _sourced(net.numbering, evidence)
+    # An unreachable conjunction, read as empty, scores zero once the evidence is found feasible.
+    conjunction = _sourced(net.numbering, targets)
     answer = net.answers.get((conjunction, pins)) or _answer(net, conjunction, pins, width_limit)
     _guard(answer.width, answer.cells, width_limit)  # for a hit; a miss was guarded before its products
     if answer.z_e <= 0.0:
@@ -380,17 +375,6 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
 # ---------------------------------------------------------------------------
 # Monte Carlo: forward sampling with likelihood weighting
 # ---------------------------------------------------------------------------
-
-
-def _ancestors(parents: tuple, roots) -> set:
-    """The numbers of ``roots`` and of every ancestor, by ``Numbering.parents``."""
-    keep, stack = set(roots), list(roots)
-    while stack:
-        for parent in parents[stack.pop()]:
-            if parent not in keep:
-                keep.add(parent)
-                stack.append(parent)
-    return keep
 
 
 def _cpus() -> int:
@@ -564,24 +548,23 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
         raise TooLarge(f"Monte Carlo asks for {q.samples} samples, above {MAX_FACTOR_CELLS}")
     if isinstance(q.seed, bool) or not isinstance(q.seed, int) or q.seed < 0:
         raise PlanEvalError(f"Monte Carlo needs a whole-number seed of at least zero, not {q.seed!r}")
-    _check_evidence(net, q.evidence)
-    reachable = _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
+    evidence, targets, reachable = _read(net, q)
     n = q.samples
     numbering = net.numbering
     parents_of, sizes, picks = numbering.parents, numbering.sizes, numbering.picks
     pins = {}
-    for v, state in _numbered(net, q.evidence.items()):
+    for v, state in evidence:
         if pins.setdefault(v, state) != state:  # an alias and its source, or two aliases of one node, pinned apart
             raise ZeroWeight("all samples are inconsistent with the evidence")
-    # An unreachable conjunction scores zero whatever is drawn, so it reads nothing.
-    targets = [(v, s) for v, s in _numbered(net, q.targets) if sizes[v] > 1] if reachable else []
+    # An unreachable conjunction, read as empty, scores zero whatever is drawn, so it reads nothing.
+    targets = [(v, s) for v, s in targets if sizes[v] > 1]
     roots = [v for v, _ in targets] + [v for v in pins if sizes[v] > 1]
     if not roots:
         # Nothing is sampled: every weight is 1 and every sample hits, or none
         # does. The ESS, n * n / n, is exactly n, since n <= 2**25.
         return QueryResult(float(reachable), MC, standard_error=0.0, sample_count=n, effective_sample_size=float(n))
     rng = np.random.Generator(np.random.PCG64(q.seed))
-    keep = _ancestors(parents_of, roots)
+    keep = _ancestors(parents_of, roots, range(len(parents_of)))
     readers = [0] * len(parents_of)  # per node, its sampled children plus one per target
     for v in [p for u in keep for p in parents_of[u]] + [v for v, _ in targets]:
         readers[v] += 1
@@ -631,18 +614,6 @@ def _goal_targets(net: PENet, plan) -> list:
     return [(atom_node(atom, final), state) for atom, state in plan.goals]
 
 
-def _selected_path_targets(net: PENet) -> list:
-    selected_of = {rec.node: rec.selected for rec in net.selection_records if rec.origin == "expansion"}
-    targets = []
-    for rec in net.selection_records:
-        if rec.origin != "expansion":
-            continue
-        on_path = all(selected_of.get(gnode) == glabel for gnode, glabel in rec.guards)
-        if on_path:
-            targets.append((rec.node, rec.selected))
-    return targets
-
-
 def _run(net: PENet, targets, evidence: dict, mode: str, samples: int, seed: int) -> QueryResult:
     """Answer one conjunction given evidence with the chosen engine."""
     query = Query(targets=targets, evidence=evidence, mode=mode, samples=samples, seed=seed)
@@ -654,7 +625,7 @@ def plan_success(net: PENet, plan, mode: str = EXACT, samples: int = 10000, seed
     """Probability that the goals hold in the final situation and every
     expansion-selection node on the selected detailed path takes its
     planner-chosen alternative, given ``evidence`` (NodeId -> state)."""
-    targets = _goal_targets(net, plan) + _selected_path_targets(net)
+    targets = _goal_targets(net, plan) + list(net.selected_path)
     return _run(net, targets, evidence or {}, mode, samples, seed)
 
 

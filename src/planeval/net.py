@@ -321,7 +321,8 @@ class PENet:
         self.situation_order: list = list(situation_order)
         self._positions = {sit: i for i, sit in enumerate(self.situation_order)}
         self.finalized = False
-        self.selection_records: list = []
+        # (expansion selection, planner-chosen label) pairs on the selected path, set by the build
+        self.selected_path: tuple = ()
         self.labels = [None]  # provenance labels by ``Node.sources``, 0 for no row; a tuple once finalized
         self._label_ids: dict = {}
         self._order: tuple = ()  # the topological order, fixed by finalize

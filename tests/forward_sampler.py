@@ -16,7 +16,7 @@ by pass, the order a finalized net stores.
 import numpy as np
 
 from planeval.errors import PlanEvalError, ZeroWeight
-from planeval.inference import _check_evidence, _targets_reachable
+from planeval.inference import _read
 
 
 def topological_nodes(net) -> list:
@@ -42,8 +42,7 @@ def topological_nodes(net) -> list:
 
 def forward_sample(net, q):
     """(estimate, standard error, weights) of the target conjunction."""
-    _check_evidence(net, q.evidence)
-    reachable = _targets_reachable(net, q.targets)
+    _evidence, _targets, reachable = _read(net, q)
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
     order = topological_nodes(net)

@@ -15,7 +15,7 @@ node's state in every world, so a target or a pin on it is one on that node.
 import math
 
 from planeval.errors import InfeasibleEvidence, PlanEvalError, TooLarge
-from planeval.inference import Query, QueryResult, _check_evidence, _targets_reachable
+from planeval.inference import Query, QueryResult, _read
 from planeval.net import PENet
 
 DEFAULT_ORACLE_BOUND = 10 ** 7
@@ -33,7 +33,7 @@ def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) 
     """Ground-truth query: the target conjunction's mass in the evidence-pruned joint."""
     if not net.finalized:
         raise PlanEvalError("oracle_enumerate requires a finalized net")
-    _check_evidence(net, q.evidence)
+    _read(net, q)  # raises for evidence, then for a target node, that is not in the net
     _check_size(net, bound)
     targets = dict()
     for nid, state in q.targets:
@@ -41,7 +41,6 @@ def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) 
         if targets.get(nid, state) != state:
             return QueryResult(0.0, "oracle")
         targets[nid] = state
-    _targets_reachable(net, q.targets)  # raises for a target node that is not in the net
     keep = sorted(targets, key=net.node_key)
     joint = joint_distribution(net, keep, bound=math.inf, evidence=q.evidence)
     z_e = sum(joint.values())

@@ -664,6 +664,54 @@ def test_nested_expansion_from_dsl():
     assert "residual c1" in set(net.nodes[extra].provenance.values())
 
 
+def two_level_plan(outer: str) -> str:
+    """Two selections: big's at b0 (c1 or c2, ``outer`` selected) and, under
+    c2, p2's at m2 (d1 selected). The unselected outer alternative has a
+    condition, so both outer labels are taken in some world."""
+    conds = {"c1": "cond=(Risk)=low", "c2": "cond=(Risk)=high"}
+    word, cond = ({alt: ("selected" if alt == outer else "alt") for alt in conds},
+                  {alt: ("" if alt == outer else conds[alt]) for alt in conds})
+    return f"""
+step big a1 (BigFix T) start=b0 end=b9
+expand big {{
+  {word["c1"]} c1 {{
+    step w1 a1 (StepOne T) start=b0 end=m1
+    step w2 a1 (StepTwo T) start=m1 end=b9
+  }} {cond["c1"]}
+  {word["c2"]} c2 {{
+    step p1 a1 (StepOne T) start=b0 end=m2
+    step p2 a1 (MidFix T) start=m2 end=b9
+  }} {cond["c2"]}
+}}
+expand p2 {{
+  selected d1 (StepTwo T)
+  alt d2 (AltFix T) cond=(Extra)=on
+}}
+initial {{ (Done T)=no (Side T)=clean (Extra)=off:0.4 (Extra)=on:0.6 (Risk)=low:0.75 (Risk)=high:0.25 }}
+goal {{ (Done T)=yes }}
+"""
+
+
+@pytest.mark.parametrize("outer, path", [
+    ("c1", [("sel(b0)@S0", "c1")]),  # the inner selection hangs under c2, which is not selected: off the path
+    ("c2", [("sel(b0)@S0", "c2"), ("sel(m2)@S2", "d1")]),
+])
+def test_the_selected_path_holds_the_selections_under_selected_alternatives(outer, path):
+    kb, plan, net = build(NESTED_KB, two_level_plan(outer))
+    assert sorted(str(nid) for nid in net.nodes if nid.ref[0] == "sel") == ["sel(b0)@S0", "sel(m2)@S2"]
+    assert [(str(nid), label) for nid, label in net.selected_path] == path
+    chosen = {nid.ref[1]: label for nid, label in net.selected_path}  # boundary -> label
+    flat = flatten_hierarchy(plan)
+    order = linearize(flat)
+    worlds = oracle.enumerate_trajectories(kb, flat, order)
+    want = sum(w.prob for w in worlds
+               if all(w.selections.get(boundary) == label for boundary, label in chosen.items())
+               and all(w.states[-1][atom] == state for atom, state in plan.goals))
+    assert abs(plan_success(net, plan).probability - want) <= 1e-12
+    lead = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
+    assert abs(leads_to_success(net, plan).probability - lead) <= 1e-12
+
+
 # -- exact state sets: every atom keeps each state its rows can give it ---------
 
 
@@ -808,19 +856,25 @@ def swept(kb, plan, opts):
 
 def fill_only(schedule) -> dict:
     """nid -> fill for every node that only persistence and no-change rows write."""
-    return {nid: fill for nid, fill in schedule.fills.items()
-            if {kind for kind, _rows in schedule.rows[nid]} <= {"persistence", "default-persistence"}}
+    return {nid: fill for nid, fill in schedule.fills.items() if not schedule.rows[nid]}
+
+
+def fill_rows(schedule, nid) -> list:
+    """The node's fill block as fragment rows over the node's fill axes."""
+    fill = schedule.fills[nid]
+    return fill.block.fragment_rows(nid, fill.parents)
 
 
 def pasted(schedule, nid):
-    """The node as ``paste_into`` of its recorded rows writes it, alone in a
-    net with its parents: its normalized table and its provenance."""
+    """A node that only its fill writes, as ``paste_into`` of the fill's rows
+    writes it, alone in a net with its parents: its normalized table and its
+    provenance."""
     spec = schedule.nodes[nid]
     net = PENet(situation_order=[si.sid for si in schedule.situations])
     for parent in spec.parents:
         net.ensure_node(FragmentNode(parent, schedule.nodes[parent].kind, schedule.nodes[parent].states))
     node = net.ensure_node(spec)
-    paste_into(net, Fragment(rows=[row for _kind, rows in schedule.rows[nid] for row in rows]))
+    paste_into(net, Fragment(rows=fill_rows(schedule, nid)))
     return node.cells / node.totals[..., None], dict(node.provenance)
 
 
@@ -854,9 +908,10 @@ def test_fill_blocks_are_shared_per_key_and_write_what_paste_into_writes():
     for nid, bucket in ((q1, "[0,3)"), (z1, "[0,3)"), (z2, "[3,inf)")):
         (elapsed,) = [p for p in net.nodes[nid].parents if p.ref[0] == "elapsed"]
         assert net.nodes[elapsed].states == [bucket]
-        (kb_rows,) = [list(rows) for kind, rows in schedule.rows[nid] if kind == "persistence"]
+        kb_rows = [row for row in fill_rows(schedule, nid) if row.provenance != "default-persistence"]
         assert {row.condition[elapsed] for row in kb_rows} == {bucket}
-    assert len(list(dict(schedule.rows[q1])["persistence"])) == 2
+    labels = [row.provenance for row in fill_rows(schedule, q1)]
+    assert labels[:3] == ["persistence (P ?x)", "persistence (P ?x)", "default-persistence"]
     assert_fills_match_paste_into(schedule, net)
 
 

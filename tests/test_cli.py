@@ -167,6 +167,34 @@ def test_caps_below_two_are_usage_errors(files, capsys, flag, value, message):
     assert ":0:0: build:" not in captured.err  # refused before any build is tried
 
 
+# (P x)'s prior lists c before a; (P x)@S1 is an alias of (P x)@S0, and s2 is its first writer.
+PRIOR_ORDER_KB = """
+predicate (P ?x) kind=primitive states { a b c }
+action (Set ?x) level=0 { effect (P ?x) { * -> { c:0.5 a:0.5 } } }
+"""
+
+PRIOR_ORDER_PLAN = """
+step s1 ag (Set y) start=b0 end=b1
+step s2 ag (Set x) start=b1 end=b2
+initial { (P x)=c:0.5 (P x)=a:0.5 (P y)=a }
+goal { (P x)=a }
+"""
+
+
+def test_marginal_states_keep_schema_order_before_and_after_the_first_writer(files, capsys):
+    kb, plan = load(PRIOR_ORDER_KB, PRIOR_ORDER_PLAN)
+    net = build_pe_net(plan, kb)
+    assert [net.node_of(net.find("(P x)", sit)).states for sit in ("S0", "S1", "S2")] == [["a", "c"]] * 3
+    kb_path, plan_path = files(PRIOR_ORDER_KB, PRIOR_ORDER_PLAN)
+    argv = ["eval", kb_path, plan_path, "--goal-only"]
+    for sit in ("S0", "S1", "S2"):
+        argv += ["--marginal", f"(P x)@{sit}"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    printed = [line.split(" = ")[0] for line in out.splitlines() if line.startswith("marginal")]
+    assert printed == [f"marginal (P x)@{sit} {state}" for sit in ("S0", "S1", "S2") for state in ("a", "c")]
+
+
 def test_eval_mc_marginal_of_a_node_missing_from_the_net_exit_1(files, capsys):
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
     code, out, err = run(capsys, ["eval", kb_path, plan_path, "--mc", "100", "--marginal", "(Loc A)@S9"])

@@ -1,5 +1,7 @@
 """Clock-time construction and situation splitting."""
 
+import dataclasses
+
 import pytest
 
 from planeval import (
@@ -37,6 +39,18 @@ action (Coin) level=0 { duration { 1:0.5 2:0.5 } effect (P) { * -> { v:1.0 } } }
 def timed_build(kb_text, plan_text, opts=None):
     kb, plan = load(kb_text, plan_text)
     return kb, plan, build_pe_net(plan, kb, opts or BuildOptions(clock_enabled=True))
+
+
+def assert_final_marginals_match_timed_oracle(kb, plan, net, context=None, tol=1e-9):
+    """Every final-situation marginal of the net is the timed oracle's within ``tol``."""
+    flat = flatten_hierarchy(plan)
+    marginals, _stats = oracle.timed_final_marginals(kb, flat, linearize(flat))
+    final = net.situation_order[-1]
+    for atom, dist in marginals.items():
+        node = net.node_of(atom_node(atom, final))
+        for state in node.states:
+            got = exact_query(net, Query(targets=[(node.id, state)])).probability
+            assert abs(got - dist.get(state, 0.0)) <= tol, (context, str(atom), state)
 
 
 def clock_marginal(net, token):
@@ -238,15 +252,54 @@ def test_random_overlap_matches_timed_oracle(seed):
     kb, plan = instance_gen.generate_timed(seed)
     net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
     assert audit_negative_elapsed(net) == []
-    flat = flatten_hierarchy(plan)
-    order = linearize(flat)
-    marginals, _stats = oracle.timed_final_marginals(kb, flat, order)
-    final = net.situation_order[-1]
-    for atom, dist in marginals.items():
-        node = net.node_of(atom_node(atom, final))
-        for state in node.states:
-            got = exact_query(net, Query(targets=[(node.id, state)])).probability
-            assert abs(got - dist.get(state, 0.0)) <= 1e-9, (seed, str(atom), state)
+    assert_final_marginals_match_timed_oracle(kb, plan, net, seed)
+
+
+# Where the third step's start boundary c0 goes: after e1 or before it (sc
+# still follows sb on its agent), or, on an agent of its own, between b0 and
+# both ends, where clock@c0 is an alias of clock@S0, so a split of sc against
+# a step starting at b0 reads two start clocks that differ as names but
+# alias one node.
+START_ONLY = {
+    "c0-after-e1": ("ag2", [("e1", "c0")]),
+    "c0-before-e1": ("ag2", [("c0", "e1")]),
+    "c0-after-b0": ("ag3", [("b0", "c0"), ("c0", "e1"), ("c0", "e2")]),
+}
+
+
+def start_only_variant(seed: int, where: str):
+    """generate_timed(seed) with its third step moved to start at a boundary
+    no step ends, c0, placed as ``START_ONLY[where]`` says; None without a
+    third step. No generate_timed plan has such a boundary: its third step
+    starts at e2."""
+    kb, plan = instance_gen.generate_timed(seed)
+    if len(plan.steps) < 3:
+        return None
+    agent, order = START_ONLY[where]
+    steps = [*plan.steps[:2], dataclasses.replace(plan.steps[2], start="c0", agent=agent)]
+    return kb, dataclasses.replace(plan, steps=steps, order=order)
+
+
+@pytest.mark.parametrize("where, compared, second_splits", [
+    ("c0-after-e1", 116, 0), ("c0-before-e1", 116, 0), ("c0-after-b0", 48, 68)])
+def test_start_only_boundaries_match_timed_oracle(where, compared, second_splits):
+    # c0's clock is an alias of the clock before it: no ender moves it.
+    seen = {"compared": 0, "second splits": 0}
+    for seed in range(200):
+        made = start_only_variant(seed, where)
+        if made is None:
+            continue
+        kb, plan = made
+        try:
+            net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True))
+        except BuildError as err:  # three overlapping steps need a second split, which the build refuses
+            assert "would need a second split; unsupported" in str(err), (seed, err)
+            seen["second splits"] += 1
+            continue
+        assert any(nid.ref[0] == "clock" for nid in net.aliases), seed
+        assert_final_marginals_match_timed_oracle(kb, plan, net, seed)
+        seen["compared"] += 1
+    assert seen == {"compared": compared, "second splits": second_splits}
 
 
 def test_elapsed_bucket_rows_used_for_slow_transitions():
@@ -483,14 +536,7 @@ def test_long_chain_table_cells_grow_slower_than_the_cube_of_the_chain():
 ], ids=["two-tilings", "long-chain-2", "long-chain-3", "long-chain-4"])
 def test_elapsed_buckets_match_timed_oracle(kb_text, plan_text):
     kb, plan, net = timed_build(kb_text, plan_text)
-    flat = flatten_hierarchy(plan)
-    marginals, _stats = oracle.timed_final_marginals(kb, flat, linearize(flat))
-    final = net.situation_order[-1]
-    for atom, dist in marginals.items():
-        node = net.node_of(atom_node(atom, final))
-        for state in node.states:
-            got = exact_query(net, Query(targets=[(node.id, state)])).probability
-            assert abs(got - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
+    assert_final_marginals_match_timed_oracle(kb, plan, net)
 
 
 def overflow_kb(warm: int) -> str:
@@ -560,10 +606,4 @@ goal { (P q)=u }
     (elapsed,) = [nid for nid in net.nodes if nid.ref[0] == "elapsed" and nid.sit == s2]
     node = net.nodes[elapsed]
     assert node.parents == [clock_node(s1)] and node.states == ["[0,3)"]
-    # By hand (the timed oracle takes no start-only boundary): the gap at S1
-    # is 2 or 4, so (P q)@S1 is u 3/16, w 9/16, v 1/4, and the [0,3) rows at
-    # S2 (gap 0) and S3 (gap 1) take u and w to 63/256 and 129/256.
-    q = net.find("(P q)", "S3")
-    want = {"u": 63 / 256, "v": 0.25, "w": 129 / 256}
-    for state in net.nodes[q].states:
-        assert abs(exact_query(net, Query([(q, state)])).probability - want[state]) <= 1e-12, state
+    assert_final_marginals_match_timed_oracle(kb, plan, net, tol=1e-12)

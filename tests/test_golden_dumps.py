@@ -98,8 +98,9 @@ def _sweep(kb, plan, opts):
 def _contract_faults(name, kb, plan, opts) -> list:
     """Where a built net departs from its sweep: (name, node, fault) for a node whose
     states are not the sweep's or whose parents are not the keys of its
-    recorded rows, or that records gap fillers none of which supply a cell,
-    or a persistence entry that supplies none, judged by provenance."""
+    recorded rows and its fill's axes, or that records gap fillers none of
+    which supply a cell, or a fill with KB persistence rows none of which
+    supplies one, judged by provenance."""
     try:
         net = build_pe_net(plan, kb, opts)
     except BuildError:
@@ -110,6 +111,10 @@ def _contract_faults(name, kb, plan, opts) -> list:
     for nid, node in net.nodes.items():
         keys = {key for _kind, rows in schedule.rows[nid] for row in rows for key in row.condition}
         recorded = {kind for kind, _rows in schedule.rows[nid]}
+        fill = schedule.fills.get(nid)
+        if fill is not None:
+            keys.update(fill.parents)
+            recorded.update(label.split()[0] for _pins, _dist, label in fill.block.rows)
         supplied = {src.split()[0] for src in node.provenance.values()}
         if node.states != states[nid] or set(node.parents) != keys:
             faults.append((name, str(nid), "shape"))
@@ -121,7 +126,7 @@ def _contract_faults(name, kb, plan, opts) -> list:
 
 
 def test_sweep_states_and_parents_match_the_net():
-    """Each node's states are the sweep's, and its parents the keys of its recorded rows.
+    """Each node's states are the sweep's, and its parents the keys of its recorded rows and fill.
 
     Gap fillers are recorded only where they fill a gap: a node recording
     persistence, no-change or clock-identity rows gets at least one of them,
@@ -146,7 +151,8 @@ def test_sweep_matches_the_net_on_benchmark_instances(workload):
 
 def test_one_onto_and_one_fill_paste_rebuild_every_net():
     """Onto and fill rows commute: all onto rows in one call, then all fill
-    rows in one call, each in sweep order, give ``build_pe_net``'s net."""
+    rows in one call, each in sweep order, give ``build_pe_net``'s net. A
+    node's fill rows are its recorded ones, then its fill block's."""
     for name, make in _cases():
         kb, plan, opts = make()
         opts = opts or BuildOptions()
@@ -159,9 +165,14 @@ def test_one_onto_and_one_fill_paste_rebuild_every_net():
         net.aliases = schedule.aliases
         for spec in schedule.nodes.values():
             net.ensure_node(spec)
-        entries = [entry for node_entries in schedule.rows.values() for entry in node_entries]
-        paste_onto(net, Fragment(rows=[row for kind, rows in entries if kind not in _FILLS for row in rows]))
-        paste_into(net, Fragment(rows=[row for kind, rows in entries if kind in _FILLS for row in rows]))
+        onto, fills = [], []
+        for nid, entries in schedule.rows.items():
+            for kind, rows in entries:
+                (fills if kind in _FILLS else onto).extend(rows)
+            if nid in schedule.fills:
+                fills += schedule.fills[nid].block.fragment_rows(nid, schedule.fills[nid].parents)
+        paste_onto(net, Fragment(rows=onto))
+        paste_into(net, Fragment(rows=fills))
         assert canonical_dump(finalize(net)) == canonical_dump(built), name
 
 

@@ -278,17 +278,17 @@ def one_line(net, q, width_limit=inference.DEFAULT_WIDTH_LIMIT) -> float:
     """The query's answer from an elimination of its conjunction alone, as a
     net with no answer cached would give it, copies read as their sources;
     it neither reads nor fills the cache."""
-    pins = inference._resolved(net, q.evidence.items())
-    if not inference._targets_reachable(net, q.targets):
+    evidence, targets, reachable = inference._read(net, q)
+    if not reachable:
         return 0.0
-    conjunction = inference._resolved(net, q.targets)
+    pins, conjunction = inference._sourced(net.numbering, evidence), inference._sourced(net.numbering, targets)
     _batch, (z_e, z_te), _width, _cells = ELIMINATE(net.numbering, [conjunction], pins, width_limit, conjunction)
     return min(max(z_te / z_e, 0.0), 1.0)
 
 
 def test_goal_metrics_of_a_plan_without_expansions_share_one_elimination(monkeypatch):
     _inst, plan, net = bench_net("shuttle")
-    assert not inference._selected_path_targets(net)
+    assert net.selected_path == ()
     calls = counted_eliminations(monkeypatch)
     lead = leads_to_success(net, plan)
     assert plan_success(net, plan) == lead
@@ -318,6 +318,50 @@ def test_reordered_evidence_and_targets_hit_the_cache(monkeypatch):
     again = exact_query(net, Query(targets=[(a2, "L2"), (b2, "L1")], evidence=dict(reversed(evidence.items()))))
     assert again == first and again is not first
     assert calls == []
+
+
+def loc(name: str, sit: int):
+    return atom_node(GroundAtom("Loc", (name,)), SituationId(sit))
+
+
+# On the two-step net (Loc A)@S1 is a node and (Loc B)@S1 an alias of
+# (Loc B)@S0, whose one state is L3. A missing node is named once as an atom
+# the net has no node for, and once as the aliased atom past the last
+# situation. Where both sides are bad, the evidence is read first. A target
+# state its node lacks scores 0 (no error) once the evidence is found feasible.
+READ_CASES = {
+    "evidence-node-missing-node": ({"evidence": {loc("C", 1): "L1"}},
+                                   InfeasibleEvidence, "evidence node (Loc C)@S1 is not in the net"),
+    "evidence-node-missing-alias": ({"evidence": {loc("B", 3): "L3"}},
+                                    InfeasibleEvidence, "evidence node (Loc B)@S3 is not in the net"),
+    "evidence-state-missing-node": ({"evidence": {loc("A", 1): "L3"}},
+                                    InfeasibleEvidence, "evidence state 'L3' is not a state of (Loc A)@S1"),
+    "evidence-state-missing-alias": ({"evidence": {loc("B", 1): "L1"}},
+                                     InfeasibleEvidence, "evidence state 'L1' is not a state of (Loc B)@S1"),
+    "target-node-missing-node": ({"targets": [(loc("C", 1), "L1")]},
+                                 PlanEvalError, "target node (Loc C)@S1 is not in the net"),
+    "target-node-missing-alias": ({"targets": [(loc("B", 3), "L3")]},
+                                  PlanEvalError, "target node (Loc B)@S3 is not in the net"),
+    "evidence-before-target": ({"targets": [(loc("C", 1), "L1")], "evidence": {loc("B", 1): "L1"}},
+                               InfeasibleEvidence, "evidence state 'L1' is not a state of (Loc B)@S1"),
+    "unreachable-target-node": ({"targets": [(loc("A", 1), "L3")], "evidence": {loc("B", 1): "L3"}}, None, None),
+    "unreachable-target-alias": ({"targets": [(loc("B", 1), "L1")], "evidence": {loc("A", 1): "L2"}}, None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+def test_both_engines_read_a_query_s_names_alike(two_step, case):
+    _kb, _plan, net = two_step
+    fields, error, message = READ_CASES[case]
+    fields = {"targets": [(loc("A", 2), "L2")], **fields}
+    for engine, mode in ((exact_query, "exact"), (mc_query, "mc")):
+        q = Query(**fields, mode=mode, samples=100)
+        if error is None:
+            assert engine(net, q).probability == 0.0, engine
+            continue
+        with pytest.raises(PlanEvalError) as raised:
+            engine(net, q)
+        assert (type(raised.value), str(raised.value)) == (error, message), engine
 
 
 def test_a_hit_returns_a_result_of_its_own(two_step):
@@ -553,7 +597,9 @@ def test_cached_answers_match_the_oracle_and_one_line_at_a_time(generator):
         options = BuildOptions(clock_enabled=generator is instance_gen.generate_timed)
         net = build_pe_net(plan, kb, options)
         for q, oracle in cache_queries(net, random.Random(seed)):
-            hit = (inference._resolved(net, q.targets), inference._resolved(net, q.evidence.items())) in net.answers
+            evidence, targets, _reachable = inference._read(net, q)
+            key = inference._sourced(net.numbering, targets), inference._sourced(net.numbering, evidence)
+            hit = key in net.answers
             got = exact_query(net, q).probability
             assert abs(got - oracle) <= 1e-12, (seed, q)
             assert abs(got - one_line(net, q)) <= 1e-12, (seed, q)
@@ -801,7 +847,7 @@ def test_pruned_mc_matches_whole_net_sampling_on_bench_instances(workload):
         kb, plan = load(inst.kb_text, inst.plan_text)
         net = build_pe_net(plan, kb, BuildOptions(clock_enabled=inst.clock))
         goals = inference._goal_targets(net, plan)
-        batch = [(goals, {}), (goals + inference._selected_path_targets(net), {})]
+        batch = [(goals, {}), (goals + list(net.selected_path), {})]
         mid = net.situation_order[len(net.situation_order) // 2]
         for atom, _state in plan.goals if inst.queries != "goals" else ():
             nid = net.find(atom, mid)
