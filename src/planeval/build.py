@@ -10,14 +10,11 @@ The pipeline runs in a fixed order:
    tree: exponential only in the number of splits, never in the steps),
 5. sweep the situations once (``Schedule.analyse``): make each node's rows
    in paste order, and take from them its kind, states and parents; a node
-   that persistence and no-change rows complete gets a fill block instead:
-   those rows in paste order and the states they give, shared by every node
-   alike in persistence model, previous states, gate pin and elapsed states.
-   A node whose rows would only copy its predecessor is not made at all: a
-   primitive that no feasible step row writes and no KB persistence row
-   fills, or a clock that no ender moves. The sweep records it as an alias
-   of the node it copies (``PENet.aliases``, resolved through chains), and
-   every row made after it reads that node in its place,
+   that persistence and no-change rows complete gets a fill block instead,
+   shared by every node filled alike. A node whose state would always
+   relabel one made node's is not made: the sweep records it as an alias of
+   that node (``PENet.aliases``), and every row made after it reads that
+   node in its place, in the source state it stands for,
 6. create every node in that shape, then paste the forward rows: priors,
    action fragments and derived-predicate rows (paste-onto), residual
    effects (paste-into), contingency selection nodes, during effects, clock
@@ -27,21 +24,19 @@ The pipeline runs in a fixed order:
    no-change rows, once with the net's row writer into arrays over the
    block's axes, then copy them into each node's rows no earlier stage
    wrote, with one masked copy per array; an elapsed-time row reads its
-   situation's elapsed-bucket node, never the two clocks,
+   situation's elapsed-bucket node, or the node that one relabels,
 8. finalize.
 
-No stage after the sweep makes a row. Each replays what the sweep recorded:
+No stage after the sweep makes a row. Each replays what the sweep recorded,
 with one paste-onto call for its onto rows and one paste-into call for its
-fill rows, or, for persistence, with the fill blocks, which write what
-paste-into of their rows would. Only the order within the onto rows and
-within the fill rows matters: per node the last onto row that covers a
-combination wins, and otherwise the first fill row does. A node's parents
-are exactly the keys its rows read, its fill block's among them; a fill is
-recorded once, as its block and the nodes its axes read, and its rows are
-made only when the block is written. Gap fillers (persistence, no-change and
+fill rows, or with the fill blocks, which write what paste-into of their
+rows would, in the one precedence ``_relabel`` states: per node the last
+onto row that covers a combination wins, and otherwise the first fill row
+does. A node's parents are exactly the keys its rows read, its fill
+block's among them. Gap fillers (persistence, no-change and
 clock-identity rows) are recorded only where a node's own rows leave a
-reachable parent combination uncovered in one boolean array of them all,
-and KB persistence rows only where one of them covers such a combination.
+reachable parent combination uncovered, and KB persistence rows only where
+one of them covers such a combination.
 
 Everything here is deterministic: rebuilding from identical inputs yields a
 byte-identical net.
@@ -67,6 +62,7 @@ from .errors import (
 )
 from .model import (
     OTHER,
+    PROB_TOL,
     GroundAtom,
     KnowledgeBase,
     SelRef,
@@ -87,6 +83,7 @@ from .net import (
     RELATIVE_END_TIME,
     SELECTION,
     FillBlock,
+    Alias,
     Fragment,
     FragmentNode,
     FragmentRow,
@@ -315,18 +312,13 @@ class Schedule:
     def analyse(self):
         """Sweep the situations once, making every node's rows; returns the node states.
 
-        Fills ``nodes`` (nid -> FragmentNode: kind, states and parents,
-        parents before children), ``rows`` (nid -> [(kind, rows)] in paste
-        order), the rows the paste stages replay unchanged, and ``fills``
-        (nid -> _Fill), the fill block of every node that persistence and
-        no-change rows complete, the one record of those rows. A block is
-        those rows and the states they give; nodes alike in persistence
-        model, previous states, gate pin and elapsed states share one, and
-        the persistence stage writes each block's rows once. A node's
-        parents are the keys of its ``rows`` and its fill's axes.
-        ``aliases`` (nid -> nid) maps each node whose rows would only copy
-        its predecessor to the made node it copies; such a node is in none
-        of the other tables.
+        Fills ``nodes`` (nid -> FragmentNode, parents before children),
+        ``rows`` (nid -> [(kind, rows)] in paste order), which the paste
+        stages replay unchanged, ``fills`` (nid -> _Fill), the one record of
+        a node's persistence and no-change rows as a block that nodes filled
+        alike share, and ``aliases`` (nid -> Alias) for each node whose state
+        would always relabel a made node's, which is in no other table. A
+        node's parents are the keys of its ``rows`` and its fill's axes.
         """
         self.nodes, self.rows, self.fills, self.aliases = {}, {}, {}, {}
         return _Sweep(self).run()
@@ -384,28 +376,37 @@ def _writer_pins(schedule: Schedule, guards: tuple, sid: SituationId) -> dict:
 
 def _fragment_rows(schedule: Schedule, target: NodeId, pins: dict, ground_rows, read_sit, provenance: str) -> list:
     """Ground model rows for ``target``: the pins plus each row's conditions
-    read at ``read_sit``, every key read through the aliases recorded so far.
-    A row that pins one node in two states, through keys aliased to it,
+    read at ``read_sit``, every pin read through the aliases recorded so
+    far. A row that pins one node in two states, through keys aliased to it,
     reaches no combination and is left out."""
     rows = []
     for row in ground_rows:
         condition = dict(pins)
         for key, state in row.condition.items():
             condition[_resolve_key(schedule, key, read_sit)] = state
-        condition = _read_through(schedule.aliases, condition)
+        condition = _read_through(schedule, condition)
         if condition is not None:
             rows.append(FragmentRow(target, condition, dict(row.distribution), provenance))
     return rows
 
 
-def _read_through(aliases: dict, condition: dict):
-    """``condition`` with each key read through ``aliases``; None when two of
-    its keys alias one node and pin it in different states."""
+_NO_STATE = object()  # the pin a state an alias lacks reads as: no state of its source meets it
+
+
+def _read_through(schedule: Schedule, condition: dict):
+    """``condition`` with each pin on an alias read as a pin on its source,
+    in the source state the alias's state stands for; None when two pins
+    read one node in different states."""
+    aliases = schedule.aliases
     if not aliases:
         return condition
     read = {}
     for key, state in condition.items():
-        if read.setdefault(aliases.get(key, key), state) != state:
+        alias = aliases.get(key)
+        if alias is not None:
+            key = alias.source
+            state = schedule.nodes[key].states[alias.own.index(state)] if state in alias.own else _NO_STATE
+        if read.setdefault(key, state) != state:
             return None
     return read
 
@@ -466,6 +467,35 @@ def _row_feasible(states: dict, condition: dict) -> bool:
     return True
 
 
+def _certain(dist: dict):
+    """The one state a distribution gives, or None when it gives more."""
+    given = [state for state, p in dist.items() if p != 0.0]
+    return given[0] if len(given) == 1 and abs(dist[given[0]] - 1.0) <= PROB_TOL else None
+
+
+def _relabel(rows: list, source: list, states: list):
+    """How a node of ``states`` relabels a parent of ``source`` states:
+    ``(own, labels)``, per source state the node's state and the label of
+    the row that gives it, when at each source state the row the paste
+    stages leave there gives a point mass, on a state no other source state
+    gets, and every one of ``states`` is given; None otherwise.
+
+    ``rows`` are the node's feasible rows in paste order, each as (pin on the
+    parent or None, distribution, label, whether it fills). That order is
+    the paste stages' precedence: the last onto row that covers a state
+    wins, and otherwise the first fill row does.
+    """
+    survivors = {}
+    for pin, dist, label, fills in rows:
+        for state in source if pin is None else [pin]:
+            if not (fills and state in survivors):
+                survivors[state] = dist, label
+    own = [_certain(survivors[state][0]) if state in survivors else None for state in source]
+    if None in own or len(own) != len(states) or set(own) != set(states):  # so none is given twice
+        return None
+    return tuple(own), tuple([survivors[state][1] for state in source])
+
+
 def _ordered(schema, support) -> list:
     """Support states in schema order, then any others by label."""
     ordered = [s for s in schema.states if s in support]
@@ -507,10 +537,13 @@ class _Sweep:
     Within a situation a node is made after every same-situation node its
     rows read (depth first, in net node-key order), so a selection node is
     known before the effects it gates, and a key is read through the
-    aliases only once its node is visited. Each maker returns the node's
-    (kind, rows) entries and sets its states: an atom or derived node
+    aliases only once its node is visited (a split's relative-end-time node,
+    which every row of its situation pins, first). Each maker returns the
+    node's (kind, rows) entries and sets its states: an atom or derived node
     keeps every state its feasible rows can give it. A maker whose node
-    would only copy its predecessor records the alias and returns None.
+    relabels one node with no feasible row of its own (a primitive its fill
+    alone writes, a clock no ender moves) records the alias and returns
+    None, and ``_copied`` aliases any other node whose rows relabel one node.
     """
 
     def __init__(self, schedule: Schedule):
@@ -521,6 +554,7 @@ class _Sweep:
             definition, bindings = schedule.kb.find_derived(datom)
             self.derived_rows[datom] = (f"derived {definition.atom}",
                                         [instantiate_row(row, bindings) for row in definition.rows])
+        self.derived_reads = {key for _label, rows in self.derived_rows.values() for row in rows for key in row.condition}
         # Per persistence model's atom name: the rows this build keeps, their
         # bucket tiling (None when no kept row reads one) and their label.
         self.models = {}
@@ -530,7 +564,7 @@ class _Sweep:
             self.models[name] = kept, buckets, f"persistence {model.atom}"
         # Per atom name, previous states, gate pin, whether the model's rows
         # fill a gap and the elapsed node's states: the fill block, the axes
-        # its rows read and how many of its rows are the model's.
+        # its rows read and how a node it alone fills relabels one of them.
         self.blocks = {}
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
@@ -541,11 +575,13 @@ class _Sweep:
             self.pos, self.si = pos, si
             self.prev = self.schedule.situations[pos - 1].sid if pos else None
             self.nodes = _situation_nodes(self.schedule, si)
-            self.writers = _situation_rows(self.schedule, si.sid) if pos else {}
             self.active = set()
-            self.gate = _writer_pins(self.schedule, (), si.sid)  # the gate pin alone
             self.elapsed = {}  # bucket tiling -> this situation's elapsed node, None when no pair reaches a bucket
             self.text.update({nid: str(nid) for nid in self.nodes})
+            gate = _writer_pins(self.schedule, (), si.sid)  # the gate pin alone
+            self._need(gate)
+            self.gate = _read_through(self.schedule, gate)
+            self.writers = _situation_rows(self.schedule, si.sid) if pos else {}
             for nid in sorted(self.nodes, key=lambda n: (KIND_RANK[self.nodes[n]], self.text[n])):
                 self._visit(nid)
         return self.states
@@ -562,8 +598,11 @@ class _Sweep:
         if entries is None:  # an alias
             return
         parents = dict.fromkeys(key for _kind, rows in entries for row in rows for key in row.condition)
-        if nid in schedule.fills:
-            parents.update(dict.fromkeys(schedule.fills[nid].parents))
+        fill = schedule.fills.get(nid)
+        if fill is not None:
+            parents.update(dict.fromkeys(fill.parents))
+        if self._copied(nid, entries, fill, parents):
+            return
         self._need(parents)
         schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents), self.text[nid])
         schedule.rows[nid] = entries
@@ -579,13 +618,77 @@ class _Sweep:
             if key in self.nodes:
                 self._visit(key)
 
-    def _read(self, nid: NodeId) -> NodeId:
-        """The made node ``nid`` stands for: the node it copies if it is an alias."""
-        return self.schedule.aliases.get(nid, nid)
+    def _reading(self, nid: NodeId) -> tuple:
+        """The made node a name reads, and a dict from each of the name's own
+        states to the state of that node it reads, in that node's state order."""
+        alias = self.schedule.aliases.get(nid)
+        if alias is None:  # a made node reads itself
+            states = self.states[nid]
+            return nid, dict(zip(states, states))
+        return alias.source, dict(zip(alias.own, self.states[alias.source]))
 
-    def _copy_of(self, nid: NodeId, prev: NodeId):
-        """Record ``nid`` as an alias of ``prev``, read through to a made node; makes no node."""
-        self.schedule.aliases[nid] = self._read(prev)
+    def _joint(self, names: list, pins: dict = None) -> list:
+        """Every joint value of ``names``, each read through its alias, as the
+        pins on made nodes that give it, ``pins`` read through among them, and
+        each name's own state; a value that pins one node in two states is
+        left out."""
+        pins = _read_through(self.schedule, pins or {})
+        if pins is None:
+            return []
+        reads = [self._reading(name) for name in names]
+        sources = [source for source, _read in reads]
+        joint = []
+        for combo in itertools.product(*[read.items() for _source, read in reads]):
+            owns, states = zip(*combo)
+            given = dict(pins)
+            for source, state in zip(sources, states):
+                if given.setdefault(source, state) != state:
+                    break
+            else:
+                joint.append((given, owns))
+        return joint
+
+    def _copy_of(self, nid: NodeId, prev: NodeId, label: str):
+        """Record ``nid`` as a no-change copy of ``prev``, read through to a
+        made node, each state labelled ``label``; makes no node."""
+        source, read = self._reading(prev)
+        states = self.schedule.aliases[prev].states if prev in self.schedule.aliases else tuple(read)
+        self.schedule.aliases[nid] = Alias(source, states, tuple(read), (label,) * len(read))
+
+    def _may_relabel(self, nid: NodeId, source: NodeId) -> bool:
+        """False for an atom a derived definition reads and a source that is
+        not a primitive, since a derived node takes primitive parents only."""
+        return not (nid.ref[0] == "atom" and nid.atom in self.derived_reads
+                    and self.schedule.nodes[source].kind != PRIMITIVE)
+
+    def _copied(self, nid: NodeId, entries: list, fill, parents: dict) -> bool:
+        """Record ``nid`` as an alias, and drop its fill and states, when its
+        feasible rows and fill relabel its one multi-state parent
+        (``_relabel``). A node its fill alone writes was judged with its
+        block (``_persistence``)."""
+        if not entries:
+            return False
+        states = self.states
+        multi = [key for key in parents if len(states[key]) > 1]
+        if len(multi) != 1:
+            return False
+        (source,) = multi
+        rows = [(row.condition.get(source), row.distribution, row.provenance, kind in _FILLS)
+                for kind, rows in entries for row in rows if _row_feasible(states, row.condition)]
+        onto = [dist for _pin, dist, _label, fills in rows if not fills]
+        if onto and _certain(onto[-1]) is None:  # the last onto row is left wherever it writes
+            return False
+        if fill is not None:
+            at = fill.parents.index(source) if source in fill.parents else None
+            rows += [(None if at is None else pins[at], dist, label, True) for pins, dist, label in fill.block.rows
+                     if all(pin is None or pin in states[p] for p, pin in zip(fill.parents, pins))]
+        relabel = _relabel(rows, states[source], states[nid])
+        if relabel is None or not self._may_relabel(nid, source):
+            return False
+        self.schedule.aliases[nid] = Alias(source, tuple(states[nid]), *relabel)
+        self.schedule.fills.pop(nid, None)
+        del states[nid]
+        return True
 
     def _read_rows(self, target: NodeId, ground_rows, provenance: str) -> list:
         """Model rows read in this situation, made after every same-situation
@@ -628,68 +731,83 @@ class _Sweep:
         leave (``coverage``), then no-change defaults: records them as the
         node's fill in ``Schedule.fills`` and returns the states its
         reachable rows give. None, with the alias recorded instead, when no
-        written row is feasible and no KB row is kept: the node would only
-        copy its predecessor.
+        written row is feasible and the block relabels one of its axes, as
+        it does the previous node when no KB row is kept.
 
         Whether the model's rows fill a gap is judged on their gate and
         previous-state pins, bucket aside; only then is the elapsed node made.
         An elapsed-time row pins its bucket on it; a bucket no clock pair
         reaches, or an untimed build, drops the row. Nodes alike in all of
-        that share one block, made on first use.
+        that, read through their aliases, share one block, made on first use.
         """
         schedule = self.schedule
-        name, prev_nid, gate = nid.ref[1], self._read(NodeId(nid.ref, self.prev)), self.gate
+        name, gate = nid.ref[1], self.gate
+        prev_nid, read = self._reading(NodeId(nid.ref, self.prev))
         (gate_nid, sign), = gate.items() or [(None, None)]
-        self._need(gate)  # the gap test reads the gate's states
         kept, buckets, label = self.models.get(name, ((), None, None))
-        pins = [{**gate, prev_nid: row.prev} for row in kept]
-        key = (name, tuple(self.states[prev_nid]), gate_nid, sign, gate_nid and tuple(self.states[gate_nid]))
+        pins = [{**gate, prev_nid: read.get(row.prev, _NO_STATE)} for row in kept]
+        key = (name, tuple(read), tuple(read.values()), gate_nid, sign, gate_nid and tuple(self.states[gate_nid]))
         fills = coverage.opens(pins)
         elapsed = self._elapsed_node(buckets) if fills and buckets else None
+        elapsed, bucket_read = self._reading(elapsed) if elapsed else (None, {})
         candidates = (gate_nid, prev_nid, elapsed)
-        key = (key, fills, elapsed and tuple(self.states[elapsed]))
-        if key not in self.blocks:
-            self.blocks[key] = self._fill_block(name, kept if fills else None, label, candidates, sign)
-        block, axes, kb = self.blocks[key]
-        if not (kb or coverage.feasible):
-            self._copy_of(nid, prev_nid)
+        same = tuple(map(candidates.index, candidates))  # through aliases, two may read one node
+        key = (key, fills, tuple(bucket_read), tuple(bucket_read.values()), same)
+        found = self.blocks.get(key)
+        if found is None:
+            found = self.blocks[key] = self._fill_block(name, kept if fills else None, label, candidates,
+                                                        (sign, read, bucket_read, same))
+        block, axes, relabel = found
+        parents = tuple([candidates[i] for i in axes])
+        if relabel and not coverage.feasible and self._may_relabel(nid, parents[relabel[0]]):
+            schedule.aliases[nid] = Alias(parents[relabel[0]], block.states, *relabel[1:])
             return None
-        schedule.fills[nid] = _Fill(nid, tuple([candidates[i] for i in axes]), block)
+        schedule.fills[nid] = _Fill(nid, parents, block)
         return block.states
 
-    def _fill_block(self, name: str, kept: list, label: str, candidates: tuple, sign: str) -> tuple:
+    def _fill_block(self, name: str, kept: list, label: str, candidates: tuple, reads: tuple) -> tuple:
         """The block of one fill: the model's ``kept`` rows (None when they fill
         no gap), labelled ``label``, then a no-change row per previous state, pinned on the
-        ``candidates`` (gate, previous node, elapsed node), the gate on
-        ``sign``, with the states the reachable rows give; the indices of the
-        candidates the rows read, and whether any of the model's rows is
-        kept."""
-        _gate_nid, prev_nid, elapsed = candidates
+        ``candidates`` (gate, previous node, elapsed node), with the states the
+        reachable rows give; the indices of the candidates the rows read, and
+        how a node the block alone fills relabels its one multi-state axis,
+        or the previous node's when none has more than one state (that
+        axis's index, then ``_relabel``'s answer), or None. ``reads`` are the
+        gate's sign, what each previous state and bucket reads, and per
+        candidate the first that is the same node, which takes its pins; a
+        row whose pins on one node disagree is left out."""
+        sign, read, bucket_read, same = reads
         rows = []
         for row in kept or ():
             bucket = row.bucket and format_bucket(row.bucket)
-            if bucket is None or (elapsed is not None and bucket in self.states[elapsed]):
-                rows.append(((sign, row.prev, bucket), row.distribution, label))
-        kb = bool(rows)
-        rows += [((None, s, None), {s: 1.0}, "default-persistence") for s in self.states[prev_nid]]
-        axes = tuple(i for i in range(3) if any(pins[i] is not None for pins, _dist, _label in rows))
-        rows = [(tuple(pins[i] for i in axes), dist, label) for pins, dist, label in rows]
+            if bucket is None or bucket in bucket_read:
+                rows.append(((sign, read.get(row.prev, _NO_STATE), bucket_read.get(bucket)), row.distribution, label))
+        rows += [((None, s, None), {own: 1.0}, "default-persistence") for own, s in read.items()]
+        pinned = []  # per row, its pins by candidate index
+        for pins, dist, label in rows:
+            at = {}
+            if all(pin is None or at.setdefault(same[i], pin) == pin for i, pin in enumerate(pins)):
+                pinned.append((at, dist, label))
+        axes = tuple(sorted({i for at, _dist, _label in pinned for i in at}))
+        rows = [(tuple([at.get(i) for i in axes]), dist, label) for at, dist, label in pinned]
         states = [self.states[candidates[i]] for i in axes]
         # a row pinning an unreachable state writes nothing and gives no state
-        support = {state for pins, dist, _label in rows if all(pin is None or pin in axis for pin, axis in zip(pins, states))
-                   for state, prob in dist.items() if prob > 0}
-        return FillBlock(tuple(rows), tuple(_ordered(self.schedule.kb.schemas[name], support))), axes, kb
+        reachable = [row for row in rows if all(pin is None or pin in axis for pin, axis in zip(row[0], states))]
+        support = {state for _pins, dist, _label in reachable for state, prob in dist.items() if prob > 0}
+        block = FillBlock(tuple(rows), tuple(_ordered(self.schedule.kb.schemas[name], support)))
+        multi = [i for i, axis in enumerate(states) if len(axis) > 1] or [axes.index(same[1])]
+        relabel = None
+        if len(multi) == 1:
+            (i,) = multi
+            relabel = _relabel([(pins[i], dist, label, True) for pins, dist, label in reachable], states[i], block.states)
+            relabel = relabel and (i, *relabel)
+        return block, axes, relabel
 
     def _clock_pairs(self):
-        """Every (previous, this situation's) clock value pair, making this
-        situation's clock first; a clock that is an alias of the previous one
-        pairs each value with itself alone."""
-        cprev, cthis = self._read(clock_node(self.prev)), clock_node(self.si.sid)
-        self._need([cthis])
-        cthis = self._read(cthis)
-        if cthis == cprev:
-            return [(cprev, a, cthis, a) for a in self.states[cprev]]
-        return [(cprev, a, cthis, b) for a in self.states[cprev] for b in self.states[cthis]]
+        """Every (previous, this situation's) clock value pair with the pins
+        that give it, making this situation's clock first."""
+        self._need([clock_node(self.si.sid)])
+        return self._joint([clock_node(self.prev), clock_node(self.si.sid)])
 
     def _elapsed_node(self, buckets: tuple):
         """This situation's elapsed node for one bucket tiling, made on first use.
@@ -698,7 +816,7 @@ class _Sweep:
         """
         if buckets not in self.elapsed:
             nid = elapsed_node(buckets, self.si.sid)
-            if all(_bucket_label(buckets, a, b) == NO_BUCKET for _cp, a, _ct, b in self._clock_pairs()):
+            if all(_bucket_label(buckets, a, b) == NO_BUCKET for _pins, (a, b) in self._clock_pairs()):
                 nid = None
             else:
                 self.nodes[nid] = ELAPSED
@@ -712,8 +830,8 @@ class _Sweep:
     def _elapsed(self, nid: NodeId):
         """The bucket the time since the previous situation falls in: one row per clock pair."""
         buckets = nid.ref[1]
-        rows = [FragmentRow(nid, {cprev: a, cthis: b}, {_bucket_label(buckets, a, b): 1.0}, "elapsed")
-                for cprev, a, cthis, b in self._clock_pairs()]
+        rows = [FragmentRow(nid, pins, {_bucket_label(buckets, a, b): 1.0}, "elapsed")
+                for pins, (a, b) in self._clock_pairs()]
         reached = {label for row in rows for label in row.distribution}
         self.states[nid] = [s for s in [*map(format_bucket, buckets), NO_BUCKET] if s in reached]
         return [("elapsed", rows)]
@@ -732,7 +850,7 @@ class _Sweep:
         group = self.schedule.group_at_boundary(nid.ref[1])
         rows = self._read_rows(nid, group.selector, f"selector {group.boundary}")
         labels = list(group.alternatives)
-        uncovered = _leaves_open(self.states, rows)
+        uncovered = _Coverage(self.states, rows).open()
         explicit_noop = any(NOOP in row.distribution for row in rows)
         if group.origin == "plain" and (uncovered or explicit_noop) and NOOP not in labels:
             labels.append(NOOP)
@@ -749,19 +867,14 @@ class _Sweep:
     def _relative_end_time(self, nid: NodeId):
         schedule = self.schedule
         spec, _sign = self.si.gate  # the node lives in its split's ``a`` sub-situation
-        ce = clock_node(schedule.start_sit(spec.earlier))
-        de = dur_node(spec.earlier.id, schedule.start_sit(spec.earlier))
-        cl = clock_node(schedule.start_sit(spec.later))
-        dl = dur_node(spec.later.id, schedule.start_sit(spec.later))
-        shared = ce == cl
-        ce, cl = self._read(ce), self._read(cl)
-        keys = list(dict.fromkeys((ce, de, cl, dl)))
+        ce, cl = clock_node(schedule.start_sit(spec.earlier)), clock_node(schedule.start_sit(spec.later))
         rows = []
-        for combo in itertools.product(*(self.states[k] for k in keys)):
-            values = dict(zip(keys, combo))
-            start = {ce: 0} if shared else values  # a start clock both steps share cancels, whatever its value
-            sign = _end_sign(start[cl], values[dl], start[ce], values[de])
-            rows.append(FragmentRow(nid, values, {sign: 1.0}, "relative-end-time"))
+        for pins, (e_start, e_dur, l_start, l_dur) in self._joint([
+                ce, dur_node(spec.earlier.id, schedule.start_sit(spec.earlier)),
+                cl, dur_node(spec.later.id, schedule.start_sit(spec.later))]):
+            if ce == cl:  # a start clock both steps share cancels, whatever its value
+                e_start = l_start = 0
+            rows.append(FragmentRow(nid, pins, {_end_sign(l_start, l_dur, e_start, e_dur): 1.0}, "relative-end-time"))
         self.states[nid] = [NEGATIVE, NONNEGATIVE]
         return [("relative-end-time", rows)]
 
@@ -774,34 +887,30 @@ class _Sweep:
         cap = schedule.opts.clock_cap
         rows = []
         for step in schedule.enders_at(sid):
-            start_clock = self._read(clock_node(schedule.start_sit(step)))
+            start = schedule.start_sit(step)
             pins = _writer_pins(schedule, step.guards, sid)
             self._need(pins)
             label = f"clock {step.id}"
             if step.id in schedule.dur_steps:
-                dnode = dur_node(step.id, schedule.start_sit(step))
-                for c in self.states[start_clock]:
-                    for d in self.states[dnode]:
-                        rows.append(FragmentRow(
-                            nid, {**pins, start_clock: c, dnode: d}, {_sum_clock(c, d, cap): 1.0}, label))
-            else:
-                for c in self.states[start_clock]:
-                    dist = {}
-                    for d, p in sorted(step.model.duration.items()):
-                        value = _sum_clock(c, d, cap)
-                        dist[value] = dist.get(value, 0.0) + p
-                    rows.append(FragmentRow(nid, {**pins, start_clock: c}, dist, label))
+                rows += [FragmentRow(nid, given, {_sum_clock(c, d, cap): 1.0}, label)
+                         for given, (c, d) in self._joint([clock_node(start), dur_node(step.id, start)], pins)]
+                continue
+            for given, (c,) in self._joint([clock_node(start)], pins):
+                dist = {}
+                for d, p in sorted(step.model.duration.items()):
+                    value = _sum_clock(c, d, cap)
+                    dist[value] = dist.get(value, 0.0) + p
+                rows.append(FragmentRow(nid, given, dist, label))
         coverage = _Coverage(self.states, rows)
         if not coverage.feasible:  # no ender can run
-            self._copy_of(nid, clock_node(self.prev))
+            self._copy_of(nid, clock_node(self.prev), "clock-identity")
             return None
         entries = [("clock", rows)]
         support = dict.fromkeys(value for row in rows for value in row.distribution)
         if coverage.open():  # where no ender runs, the clock keeps its value
-            prev_nid = self._read(clock_node(self.prev))
-            support.update(dict.fromkeys(self.states[prev_nid]))
-            entries.append(("clock-identity", [
-                FragmentRow(nid, {prev_nid: c}, {c: 1.0}, "clock-identity") for c in self.states[prev_nid]]))
+            kept = self._joint([clock_node(self.prev)])
+            support.update(dict.fromkeys(c for _pins, (c,) in kept))
+            entries.append(("clock-identity", [FragmentRow(nid, pins, {c: 1.0}, "clock-identity") for pins, (c,) in kept]))
         self.states[nid] = sorted(support, key=label_sort_key)
         return entries
 
@@ -811,7 +920,9 @@ class _Coverage:
     feasible rows cover: one boolean array, an axis per key of more than one
     state, in which each feasible row sets its slice as a paste does. It
     answers both gap tests of a node, for any combination (``open``) and for
-    fillers (``opens``). ``feasible`` tells whether any row is.
+    fillers (``opens``), and raises ``TooLarge`` before any array is made
+    when the keys have more than ``MAX_FACTOR_CELLS`` combinations.
+    ``feasible`` tells whether any row is.
     """
 
     def __init__(self, states: dict, rows: list):
@@ -852,16 +963,6 @@ class _Coverage:
             return bool(feasible)
         self._guard({**self.keys, **dict.fromkeys(key for condition in fillers for key in condition)})
         return any(np.count_nonzero(slab) < slab.size for slab in [self.covered[self._at(c)] for c in feasible])
-
-
-def _leaves_open(states: dict, rows: list, fillers: list = None) -> bool:
-    """True when the feasible rows leave open a reachable combination of the
-    condition keys: any one, or with ``fillers`` (conditions), one a feasible
-    filler covers. Raises ``TooLarge`` before any array is allocated when
-    there are more than ``MAX_FACTOR_CELLS`` combinations.
-    """
-    coverage = _Coverage(states, rows)
-    return coverage.open() if fillers is None else coverage.opens(fillers)
 
 
 def _bucket_label(buckets: tuple, a, b) -> str:
@@ -1048,7 +1149,7 @@ def _apply_split(schedule: Schedule, conflict_pos: int):
 def _paste(schedule: Schedule, net: PENet, *kinds: str) -> PENet:
     """Paste every recorded row of the given kinds in one pass: one paste-onto
     call with the onto rows, then one paste-into call with the fill rows, each
-    in sweep order."""
+    in sweep order, so the rows each combination keeps are those ``_relabel`` reads."""
     onto, fills = [], []
     for entries in schedule.rows.values():
         for kind, rows in entries:

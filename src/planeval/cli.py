@@ -177,13 +177,13 @@ def _cmd_eval(args, _kb, plan, net) -> int:
         for spec in args.evidence:
             atom, state, sit = parse_evidence_spec(spec)
             net.find(atom, sit)  # the net names the node, or the spec is refused here
-            # Keyed as named, not as found: an alias and the node it copies
-            # stay two pins, which inference refuses if they disagree.
+            # Keyed as named: an alias and its source stay two pins, which inference refuses if they disagree.
             evidence[atom_node(atom, parse_situation(sit))] = state
         marginals = []
         for spec in args.marginal:
             atom, sit = parse_marginal_spec(spec)
-            marginals.append((f"{atom}@{parse_situation(sit)}", net.find(atom, sit)))
+            net.find(atom, sit)  # as for evidence; then queried as named, since an alias has states of its own
+            marginals.append(atom_node(atom, parse_situation(sit)))
     except PlanEvalError as err:
         print(f"{args.plan}:0:0: query: {err}", file=sys.stderr)
         return 1
@@ -192,10 +192,10 @@ def _cmd_eval(args, _kb, plan, net) -> int:
         _report("leads_to_success", leads_to_success(net, plan, **kwargs))
         if not args.goal_only:
             _report("plan_success", plan_success(net, plan, **kwargs))
-        for label, nid in marginals:
-            for state in net.nodes[nid].states:
+        for nid in marginals:
+            for state in net.states_of(nid):
                 result = _run(net, [(nid, state)], evidence, mode, samples, args.seed)
-                _report(f"marginal {label} {state}", result)
+                _report(f"marginal {nid} {state}", result)
     except INFERENCE_ERRORS as err:
         print(f"inference: {err}", file=sys.stderr)
         return 2

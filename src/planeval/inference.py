@@ -5,70 +5,41 @@ node states, optionally given evidence):
 
 * ``exact_query`` - bucket elimination over the multi-state ancestors of
   the targets and the evidence, in the min-degree order ``finalize`` fixed,
-  with ``np.einsum`` over the stored table views. An identity copy, a node
-  whose state is always its one multi-state parent's, is read as its
-  source, the first node up its chain of copies that is not one, in
-  targets, evidence and every factor's parents, so no query eliminates a
-  copy. The symbolic pass (the kept nodes, each factor's bucket, the bucket
-  scopes, the width and the largest factor) runs on int bitmasks over rank
-  positions, and the width and factor-size guards run before any product
-  is formed. One axis stays free, one entry for the evidence and one per
-  conjunction of a batch, so one elimination answers a batch. Answers go
-  into the cache ``finalize`` made, ``PENet.answers``, keyed by conjunction
-  and evidence with copies read as their sources and one-state nodes
-  dropped; a conjunction on one node is asked in a batch with the node's
-  other states, so a marginal costs one elimination per source node and
-  evidence, not one per state, a copy's marginal shares its source's, and
-  every marginal of a one-state node given one evidence set shares one;
+  with ``np.einsum`` over the stored table views; the width and
+  factor-size guards run on int bitmasks before any product is formed
+  (``_eliminate``). Answers go into the cache ``finalize`` made,
+  ``PENet.answers``, and a conjunction on one node is asked in a batch
+  with the node's other states, so a marginal costs one elimination per
+  node and evidence (``_answer``);
 * ``mc_query`` - forward sampling with likelihood weighting, vectorized, over
-  the same ancestors in the topological order ``finalize`` stored; the
-  generator is advanced past the draws of every other node that is not
-  evidence, once before the next draw, so answers equal whole-net
-  sampling's for a given seed, and each node's samples are freed after
-  their last reader. It does no table work per query: each node's row
-  strides and its CDF, column by column, were fixed by ``finalize``, so a
-  sampled node costs one row of draws and one comparison per CDF column; a
-  draw picks the state that counts the columns with ``draw >= running
-  sum``, so no draw, 0.0 included, lands on a state of probability 0. A
-  node certain of its state on every row costs no draw and no comparison:
-  its state is read from the pick table ``finalize`` stored, and its draws
-  are skipped like those of a node outside the query. Which nodes draw, and
-  how many doubles the generator skips before each, is scheduled before any
-  is sampled; ``_fill`` alone then advances the generator and draws. A
-  query that draws at least ``_AHEAD_DRAWS`` doubles has a second thread
-  fill the rows one block ahead while the caller compares, since numpy
-  draws without the interpreter lock; a smaller one draws each row inline
-  into one buffer. Both paths draw the same doubles in the same order.
+  the same ancestors in the topological order ``finalize`` stored. It does
+  no table work per query, reads a node certain of its state from its pick
+  table, and advances the generator past the draws of every other node, so
+  answers equal whole-net sampling's for a given seed (``mc_query``,
+  ``_fill``, ``_drawn_ahead``).
 
 A one-state node's table is 1 on every row, so neither engine reads one: a
 pin or a reachable target on it drops out, and so does every node read
-only through such nodes; a Monte Carlo query that reads no other node
-samples nothing. An unreachable target, a state its node does not have,
-makes the conjunction score 0 once the evidence is found feasible.
+only through such nodes. An unreachable target, a state its name does not
+have, makes the conjunction score 0 once the evidence is found feasible.
 
-Two kinds of copy are read through, at two levels. An alias
-(``PENet.aliases``) is an (atom or clock, situation) the build made no
-node for, because its rows would only have copied its predecessor; both
-engines read it as the node it copies wherever a query names it, in
-targets and evidence, so it shares that node's cache entries and draws.
-``Numbering.sources`` reads through the identity copies that model rows
-make, which are nodes, such as a selection whose rows mirror its guard
-atom; only exact inference absorbs those, and Monte Carlo samples them as
-the net has them. Evidence that pins a copy of either kind and its
-source, or two copies of one source, to different states has probability
-0: exact inference says so after the guards, with no product formed, and
-Monte Carlo raises ``ZeroWeight``, before any draw for an alias.
+An alias (``PENet.aliases``) is a name the build made no node for,
+because its state is always a relabelling of one made node's, its source:
+a no-change copy of a predecessor, or a node such as a selection whose
+rows mirror its guard atom. Both engines read a name of an alias, in
+targets and evidence, as its source in the state the alias's state
+stands for, so it shares the source's cache entries and draws.
+Evidence that pins an alias and its source, or two aliases of one source,
+to different states has probability 0: exact inference says so after the
+guards, with no product formed, and Monte Carlo raises ``ZeroWeight``
+before any draw.
 
-The brute-force joint enumeration both are checked against reads the
-``Node.cpt`` rows instead, and lives with the tests in
-``tests/joint_oracle.py``.
-
-Both run on the integer view ``finalize`` stores as
-``PENet.numbering``. A query's target and evidence ``NodeId``s are numbered
-once, on entry, by one reader both engines share (``_read``), so a name
-raises the same typed error in either; the ancestor walk, the buckets, the
-factor scopes and the sampling loop then index tuples by number, with no
-``NodeId`` hashed or formatted.
+Both run on the integer view ``finalize`` stores as ``PENet.numbering``:
+one reader both engines share (``_read``) numbers a query's names on
+entry, so a name raises the same typed error in either, and the rest
+indexes tuples by number. The brute-force joint enumeration both are
+checked against reads the ``Node.cpt`` rows instead, and lives with the
+tests in ``tests/joint_oracle.py``.
 
 ``plan_success`` and ``leads_to_success`` wrap these for the two plan
 metrics: goals plus the selected detailed path the build fixed
@@ -114,37 +85,42 @@ class QueryResult:
     effective_sample_size: float = None  # Kish's (sum w)^2 / sum w^2, Monte Carlo only
 
 
+def _aliased(net: PENet, nid, state) -> tuple:
+    """``(number, state index)`` of a state of an alias: its source's number
+    and the index of the source state it stands for; None for a name, or a
+    state, the net lacks."""
+    alias = net.aliases.get(nid)
+    if alias is None:
+        return None, None
+    return net.numbering.number[alias.source], alias.own.index(state) if state in alias.own else None
+
+
 def _read(net: PENet, q: Query) -> tuple:
     """The query's evidence and targets as ``(number, state index)`` pairs,
-    an alias numbered as the node it copies, and whether every target state
-    is one its node has; the targets are read up to the first that is not,
-    and none is returned then.
-
-    Evidence is read first: a node the net does not name, or a state its
-    node lacks, raises ``InfeasibleEvidence``. Then a target node the net
-    does not name raises ``PlanEvalError``. A name is looked up in
-    ``net.nodes`` first and through the alias table only when that misses:
-    queries mostly name made nodes, and a cached answer costs a few
-    microseconds, so a call per name would show.
-    """
+    and whether every target state is one its name has (no target is
+    returned when one is not). Evidence is read first: a name or a state
+    the net lacks raises ``InfeasibleEvidence``. Then every target is read,
+    and a name the net lacks raises ``PlanEvalError`` wherever it stands. A
+    made node is looked up inline: queries mostly name one, and a cached
+    answer costs a few microseconds, so a call per name would show."""
     nodes, number = net.nodes, net.numbering.number
-    pins = []
+    pins, targets, reachable = [], [], True
     for nid, state in q.evidence.items():
-        node = nodes.get(nid) or net.node_of(nid)
-        if node is None:
+        node = nodes.get(nid)
+        v, at = (number[nid], node.at.get(state)) if node is not None else _aliased(net, nid, state)
+        if v is None:
             raise InfeasibleEvidence(f"evidence node {nid} is not in the net")
-        if state not in node.states:
+        if at is None:
             raise InfeasibleEvidence(f"evidence state {state!r} is not a state of {nid}")
-        pins.append((number[node.id], node.at[state]))
-    targets = []
+        pins.append((v, at))
     for nid, state in q.targets:
-        node = nodes.get(nid) or net.node_of(nid)
-        if node is None:
+        node = nodes.get(nid)
+        v, at = (number[nid], node.at.get(state)) if node is not None else _aliased(net, nid, state)
+        if v is None:
             raise PlanEvalError(f"target node {nid} is not in the net")
-        if state not in node.states:
-            return pins, [], False
-        targets.append((number[node.id], node.at[state]))
-    return pins, targets, True
+        reachable = reachable and at is not None
+        targets.append((v, at))
+    return pins, targets if reachable else [], reachable
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +147,14 @@ def _contract(factors: list, out: tuple) -> np.ndarray:
     return np.einsum(*args)
 
 
-def _sourced(numbering, pairs) -> frozenset:
-    """``(number, state index)`` pairs as exact inference reads them: each
-    node as its source, and a one-state node, which no query reads,
-    dropped."""
-    sizes, sources = numbering.sizes, numbering.sources
-    sourced = set()
-    for v, at in pairs:
+def _keyed(numbering, pairs) -> frozenset:
+    """``(number, state index)`` pairs as exact inference reads them: a
+    one-state node, which no query reads, dropped."""
+    sizes, keyed = numbering.sizes, set()
+    for v, at in pairs:  # a loop: a cache hit costs microseconds, and a comprehension here shows
         if sizes[v] > 1:
-            sourced.add((sources[v], at))
-    return frozenset(sourced)
+            keyed.add((v, at))
+    return frozenset(keyed)
 
 
 class _Answer(NamedTuple):
@@ -209,18 +183,14 @@ def _positions(mask: int) -> list:
     return positions
 
 
-def _ancestors(parents: tuple, roots, sources) -> set:
-    """``roots`` and every ancestor by ``Numbering.parents``, each parent read
-    as its entry in ``sources``: ``range(n)`` keeps every node as itself,
-    and ``Numbering.sources`` reads each copy as its source, for roots that
-    are sources."""
+def _ancestors(parents: tuple, roots) -> set:
+    """``roots`` and every ancestor by ``Numbering.parents``."""
     keep, stack = set(roots), list(roots)
     while stack:
         for parent in parents[stack.pop()]:
-            source = sources[parent]
-            if source not in keep:
-                keep.add(source)
-                stack.append(source)
+            if parent not in keep:
+                keep.add(parent)
+                stack.append(parent)
     return keep
 
 
@@ -229,31 +199,29 @@ def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked)
     the largest factor of one conjunction.
 
     ``batch`` holds conjunctions and ``pins`` the evidence, each a set of
-    ``(source, state index)`` pairs on multi-state nodes, as ``_sourced``
+    ``(number, state index)`` pairs on multi-state nodes, as ``_keyed``
     gives them; two pins on one node in different states score 0 after the
-    guards. Barren nodes (not ancestors of a target or pinned node, every
-    parent read as its source) are dropped, pinned axes are sliced out of
-    each table, and the other nodes are eliminated in ``Numbering.rank``
-    order. A variable is its node's rank position, both as an einsum label
-    and as a bit of an int: a factor's scope is a bitmask, made from its
-    labels as the factor is read, and its bucket is its lowest bit, so the
-    buckets, the scopes and the guards take a few int operations per
-    factor. One axis of ``len(batch) + 1`` entries stays free, labelled
-    after every rank position and carried by the buckets whose scope holds
-    it: each target node adds one factor that is 1 on
-    entry 0 and, on entry j, its indicator when conjunction j names it and 1
-    otherwise. So entry 0 of the result is the evidence probability and
-    entry j conjunction j's joint one, however many targets it has. Every
-    bucket's scope is checked against the guards for a free axis of two
-    entries, as one conjunction needs, before any product is formed; a batch
-    whose free axis would then make a factor of more than
-    ``MAX_FACTOR_CELLS`` cells answers the conjunction ``asked`` alone.
+    guards. Barren nodes (not ancestors of a target or pinned node) are
+    dropped, pinned axes are sliced out of each table, and the other nodes
+    are eliminated in ``Numbering.rank`` order. A variable is its node's
+    rank position, both as an einsum label and as a bit of an int: a
+    factor's scope is a bitmask, made from its labels as the factor is read,
+    and its bucket is its lowest bit, so the buckets, the scopes and the
+    guards take a few int operations per factor. One axis of ``len(batch) +
+    1`` entries stays free, labelled after every rank position and carried
+    by the buckets whose scope holds it: each target node adds one factor
+    that is 1 on entry 0 and, on entry j, its indicator when conjunction j
+    names it and 1 otherwise. So entry 0 of the result is the evidence
+    probability and entry j conjunction j's joint one. Every bucket's scope
+    is checked against the guards for a free axis of two entries, as one
+    conjunction needs, before any product is formed; a batch whose free axis
+    would then make a factor of more than ``MAX_FACTOR_CELLS`` cells answers
+    the conjunction ``asked`` alone.
     """
-    sizes, rank, sources, parents_of, tables = (
-        numbering.sizes, numbering.rank, numbering.sources, numbering.parents, numbering.tables)
+    sizes, rank, parents_of, tables = numbering.sizes, numbering.rank, numbering.parents, numbering.tables
     pinned = dict(pins)
     targets = list(dict.fromkeys(v for conjunction in batch for v, _ in conjunction))
-    keep = _ancestors(parents_of, targets + list(pinned), sources)
+    keep = _ancestors(parents_of, targets + list(pinned))
     free = len(sizes)  # the free axis's label, after every rank position
     # Per bucket, by its variable's rank position: the variable's state
     # count, the bucket's scope without the free axis, and the factors and
@@ -264,12 +232,10 @@ def _eliminate(numbering, batch: list, pins: frozenset, width_limit: int, asked)
             at = rank[v]
             dims[at], scopes[at], buckets[at] = sizes[v], 0, []
     for v in keep:
-        ids = [sources[p] for p in parents_of[v]]
-        ids.append(v)
+        ids = (*parents_of[v], v)
         table = tables[v]
         if pinned:
             table = table[tuple([pinned.get(u, slice(None)) for u in ids])]
-        # Two parents copying one source repeat its position, and einsum reads the diagonal.
         labels = tuple([rank[u] for u in ids if u not in pinned])
         mask, home = 0, free  # the factor's scope, and its bucket: the lowest position, or the free axis's
         for at in labels:
@@ -347,9 +313,9 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
     """Exact conditional probability of the target conjunction.
 
     The answer comes from ``net.answers``, keyed by the conjunction and the
-    evidence as ``_sourced`` gives them, whatever their order: a copy's
+    evidence as ``_keyed`` gives them, whatever their order: an alias's
     state is keyed as its source's, and one-state nodes drop out, so every
-    query on a copy shares its source's entries and every marginal of a
+    query on an alias shares its source's entries and every marginal of a
     one-state node under one evidence set shares one entry. On a miss the
     answer comes from one elimination that caches what it answers. A hit
     checks the width limit, the factor-size guard and the evidence as a
@@ -361,9 +327,9 @@ def exact_query(net: PENet, q: Query, width_limit: int = DEFAULT_WIDTH_LIMIT) ->
     if q.mode != EXACT:
         raise PlanEvalError(f"exact_query called with mode {q.mode!r}")
     evidence, targets, reachable = _read(net, q)
-    pins = _sourced(net.numbering, evidence)
+    pins = _keyed(net.numbering, evidence)
     # An unreachable conjunction, read as empty, scores zero once the evidence is found feasible.
-    conjunction = _sourced(net.numbering, targets)
+    conjunction = _keyed(net.numbering, targets)
     answer = net.answers.get((conjunction, pins)) or _answer(net, conjunction, pins, width_limit)
     _guard(answer.width, answer.cells, width_limit)  # for a hit; a miss was guarded before its products
     if answer.z_e <= 0.0:
@@ -564,7 +530,7 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
         # does. The ESS, n * n / n, is exactly n, since n <= 2**25.
         return QueryResult(float(reachable), MC, standard_error=0.0, sample_count=n, effective_sample_size=float(n))
     rng = np.random.Generator(np.random.PCG64(q.seed))
-    keep = _ancestors(parents_of, roots, range(len(parents_of)))
+    keep = _ancestors(parents_of, roots)
     readers = [0] * len(parents_of)  # per node, its sampled children plus one per target
     for v in [p for u in keep for p in parents_of[u]] + [v for v, _ in targets]:
         readers[v] += 1

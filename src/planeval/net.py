@@ -27,10 +27,15 @@ writes them once into arrays over the block's axes, and the build copies
 those into each node with one masked copy per array of the node, which
 writes what ``paste_into`` of the block's rows would.
 
-A node whose rows would only copy its predecessor is not made: the net
-keeps it in ``PENet.aliases``, an (atom or clock, situation) mapped to the
-made node it copies. ``find``, the queries and ``row_provenance`` read an
-alias as that node, and ``canonical_dump`` prints one line per alias.
+A node whose state is always a relabelling of one made node's is not made:
+the net keeps it in ``PENet.aliases`` as an ``Alias`` of that node, its
+source, with its own states, in its name's order, and its state for each
+source state (a no-change copy of a predecessor keeps its source's; a
+selector that mirrors its guard does not).
+``find`` gives the source of an alias that keeps its source's states and
+the name of one that relabels them, the queries read an alias's state as
+the source state it stands for, ``row_provenance`` reads the record, and
+``canonical_dump`` prints one line per alias, with its map when it relabels.
 
 Layering rules, enforced on every arc:
 
@@ -255,6 +260,24 @@ class Fragment:
     rows: list = field(default_factory=list)
 
 
+class Alias(NamedTuple):
+    """A name the net made no node for: ``source`` is the made node whose
+    state it always relabels, ``states`` its own states, in the order a node
+    of its name would list them, ``own`` its state for each source state, in
+    source-state order, and ``labels`` the provenance of the row that gives
+    each. A no-change copy has ``states`` and ``own`` equal to its source's
+    states, each labelled ``default-persistence`` or ``clock-identity``."""
+
+    source: NodeId
+    states: tuple
+    own: tuple
+    labels: tuple
+
+    def keeps(self, source_states) -> bool:
+        """True when its states are ``source_states``, in that order, each its own."""
+        return self.states == self.own == tuple(source_states)
+
+
 class Numbering(NamedTuple):
     """A finalized net on ints, as inference reads it: node ``i`` is ``ids[i]``,
     numbered in ``node_key`` order, and every other field is indexed by that
@@ -267,19 +290,12 @@ class Numbering(NamedTuple):
     topological order over the full parent lists, the order Monte Carlo
     draws in.
 
-    Exact inference reads a smaller net. An identity copy is a multi-state
-    node whose only multi-state parent has as many states and whose table is
-    the identity; its state is always its parent's, so exact inference
-    absorbs it into its parent. ``sources[v]`` is the node an identity copy
-    copies, read through chains of copies to one that is not a copy, and
-    ``v`` for every other node. ``rank[v]`` is the node's place in one
-    min-degree elimination order of the moral graph on the multi-state
-    nodes that are not copies, every parent read through to its source,
-    fixed here so every exact query eliminates in it; the copies and the
-    one-state nodes, which no query eliminates, rank after them in number
-    order. A query reads a node's factor over rank positions, ``rank[v]``
-    and ``rank[sources[p]]`` of each multi-state parent ``p``, as it reads
-    the node, so nothing per node grows with the net.
+    ``rank[v]`` is the node's place in one min-degree elimination order of
+    the moral graph on the multi-state nodes, fixed here so every exact
+    query eliminates in it; the one-state nodes, which no query eliminates,
+    rank after them in number order. A query reads a node's factor over rank
+    positions, ``rank[v]`` and ``rank[p]`` of each multi-state parent ``p``,
+    as it reads the node, so nothing per node grows with the net.
 
     ``strides`` and ``cdfs`` are what Monte Carlo reads. A node's table row
     for parent state indices ``(i_1, ..., i_m)`` is ``sum(i_j * strides[v][j])``,
@@ -306,7 +322,6 @@ class Numbering(NamedTuple):
     sizes: tuple  # state counts
     order: tuple  # the topological order over all parents, as numbers
     rank: tuple  # per node, its place in the min-degree elimination order
-    sources: tuple  # per node, the number of the node it copies, or its own
     strides: tuple  # per node, each multi-state parent's row multiplier, as ints
     cdfs: tuple  # per node, a read-only (k - 1, rows) float64 array
     picks: tuple  # per node, a read-only intp array of each row's certain state, or None
@@ -317,7 +332,7 @@ class PENet:
 
     def __init__(self, situation_order=()):
         self.nodes: dict = {}
-        self.aliases: Mapping = {}  # NodeId -> the made NodeId it copies; read-only once finalized
+        self.aliases: Mapping = {}  # NodeId -> Alias; read-only once finalized
         self.situation_order: list = list(situation_order)
         self._positions = {sit: i for i, sit in enumerate(self.situation_order)}
         self.finalized = False
@@ -346,8 +361,8 @@ class PENet:
     def node_key(self, nid: NodeId):
         node = self.nodes.get(nid)
         if node is None:  # an alias sorts as a node of its source's kind
-            source = self.aliases.get(nid)
-            return (self._positions[nid.sit], KIND_RANK.get(source and self.nodes[source].kind, 9), str(nid))
+            alias = self.aliases.get(nid)
+            return (self._positions[nid.sit], KIND_RANK.get(alias and self.nodes[alias.source].kind, 9), str(nid))
         return (self._positions[nid.sit], KIND_RANK.get(node.kind, 9), node.text)
 
     # -- structure -------------------------------------------------------
@@ -519,16 +534,22 @@ class PENet:
     # -- queries over structure -------------------------------------------
 
     def node_of(self, nid: NodeId):
-        """The made Node ``nid`` names: its own, or for an alias the node it
-        copies; None when the net names no such node."""
-        node = self.nodes.get(nid)
-        if node is None and nid in self.aliases:
-            node = self.nodes[self.aliases[nid]]
-        return node
+        """The made Node ``nid`` names: its own, or for an alias its source;
+        None when the net names no such node."""
+        alias = self.aliases.get(nid)
+        return self.nodes[alias.source] if alias else self.nodes.get(nid)
+
+    def states_of(self, nid: NodeId) -> list:
+        """The states a name the net has takes: a made node's, or an alias's own."""
+        alias = self.aliases.get(nid)
+        return list(alias.states) if alias else self.nodes[nid].states
 
     def find(self, atom, situation) -> NodeId:
         """Node id for an atom (GroundAtom or '(Loc A)' text) at a situation
-        ('S1' or SituationId); for an alias, the id of the node it copies."""
+        ('S1' or SituationId): a made node's, or for an alias whose states
+        are its source's, in the same order, the source's. An alias that
+        relabels gives its own name, which the queries and ``states_of``
+        read but ``nodes`` does not hold."""
         if isinstance(atom, str):
             atom = GroundAtom.parse(atom)
         if isinstance(situation, str):
@@ -537,13 +558,14 @@ class PENet:
         node = self.node_of(nid)
         if node is None:
             raise PlanEvalError(f"no node {nid} in net")
-        return node.id
+        alias = self.aliases.get(nid)
+        return nid if alias and not alias.keeps(node.states) else node.id
 
     def row_provenance(self, nid: NodeId, combo: tuple) -> str:
         """The label of the model that wrote the node's row for a parent-state
-        combination. An alias answers as the copy it stands for would: its
-        one parent is the node it copies, and each of that node's states
-        has a no-change row."""
+        combination. An alias answers as the node it stands for would: its
+        one parent is its source, and each source state has the row its
+        record labels."""
         node = self.node_of(nid)
         if node is None:
             raise PlanEvalError(f"no node {nid} in net")
@@ -553,7 +575,7 @@ class PENet:
             except KeyError:
                 pass
         elif isinstance(combo, tuple) and len(combo) == 1 and combo[0] in node.states:
-            return "clock-identity" if nid.ref[0] == "clock" else "default-persistence"
+            return self.aliases[nid].labels[node.at[combo[0]]]
         raise PlanEvalError(f"node {nid} has no row for parent states {combo!r}")
 
     def final_situation(self) -> SituationId:
@@ -638,12 +660,12 @@ def finalize(net: PENet) -> PENet:
     queried from many threads at once. The nodes are numbered in
     ``node_key`` order, and that integer view, stored as ``net.numbering``,
     keeps only the multi-state parents and fixes the row strides, the CDFs,
-    the pick tables of the nodes certain of their state on every row, the
-    source of every identity copy, and one min-degree elimination order for
-    every query. The alias table becomes read-only. ``net.answers`` starts
-    as an empty dict, the cache ``exact_query`` answers through: a finalized net
-    never changes, so an answer, once found, holds for the net's life. It
-    keeps plain numbers, and dict updates are atomic, so threads may share it.
+    the pick tables of the nodes certain of their state on every row, and
+    one min-degree elimination order for every query. The alias table
+    becomes read-only. ``net.answers`` starts as an empty dict, the cache
+    ``exact_query`` answers through: a finalized net never changes, so an
+    answer, once found, holds for the net's life. It keeps plain numbers,
+    and dict updates are atomic, so threads may share it.
     """
     if net.finalized:
         return net
@@ -712,8 +734,6 @@ def finalize(net: PENet) -> PENet:
         pick_of.append(picks[k][placed[k]:placed[k] + count] if k > 1 and not doubts else None)
         placed[k] += count
     parents = tuple(parents)
-    sources = _copy_sources(parents, sizes, order, tables, pick_of)
-    rank = _min_degree_rank(parents, sizes, sources)
     net._order = tuple(ordered[v] for v in order)
     net.numbering = Numbering(
         ids=tuple(ordered),
@@ -722,8 +742,7 @@ def finalize(net: PENet) -> PENet:
         tables=tuple(tables),
         sizes=sizes,
         order=order,
-        rank=rank,
-        sources=sources,
+        rank=_min_degree_rank(parents, sizes),
         strides=tuple(strides),
         cdfs=tuple(cdfs),
         picks=tuple(pick_of),
@@ -779,46 +798,21 @@ def _topological_order(parents: tuple) -> tuple:
     return tuple(order)
 
 
-def _copy_sources(parents: tuple, sizes: tuple, order: tuple, tables: list, picks: list) -> tuple:
-    """Each node's source: an identity copy's is its parent's source, and any
-    other node is its own.
-
-    An identity copy is a multi-state node whose only multi-state parent has
-    as many states and whose table is the identity, so its pick table is
-    ``0..k-1``. ``order`` is topological, so a parent's source is known
-    before its child's.
-    """
-    sources = sorted(order)  # 0..n-1, as the ints ``order`` holds, so no number is stored twice
-    identities = {}  # k -> the bytes of the k-by-k identity
-    for v in order:
-        ps, k = parents[v], sizes[v]
-        # A copy is certain of its state on every row, so only a node with picks is tested.
-        if len(ps) == 1 and sizes[ps[0]] == k and picks[v] is not None:
-            if k not in identities:
-                identities[k] = np.eye(k).tobytes()
-            if tables[v].tobytes() == identities[k]:
-                sources[v] = sources[ps[0]]
-    return tuple(sources)
-
-
-def _min_degree_rank(parents: tuple, sizes: tuple, sources: tuple) -> tuple:
+def _min_degree_rank(parents: tuple, sizes: tuple) -> tuple:
     """Each node's place in a min-degree elimination order of the moral graph
-    on the multi-state nodes that are not copies; the copies and the
-    one-state nodes follow in number order.
+    on the multi-state nodes; the one-state nodes follow in number order.
 
-    A multi-state node that is not a copy is linked to its parents' sources,
-    and they to each other (``parents`` holds only multi-state ones, and a
-    one-state child marries none). The node of fewest neighbours goes next,
-    the lower number on a tie, and its neighbours become a clique. A heap
-    holds ``(degree, number)`` entries, pushed whenever a degree changes; a
-    popped entry whose degree is stale, or whose node is gone, is passed over.
+    A multi-state node is linked to its parents, and they to each other
+    (``parents`` holds only multi-state ones, and a one-state child marries
+    none). The node of fewest neighbours goes next, the lower number on a
+    tie, and its neighbours become a clique. A heap holds ``(degree,
+    number)`` entries, pushed whenever a degree changes; a popped entry
+    whose degree is stale, or whose node is gone, is passed over.
     """
-    ranked = [k > 1 and sources[v] == v for v, k in enumerate(sizes)]
-    neighbours = [set() if r else None for r in ranked]
+    neighbours = [set() if k > 1 else None for k in sizes]
     for v, ps in enumerate(parents):
-        if ps and ranked[v]:
-            family = {sources[p] for p in ps}
-            family.add(v)
+        if ps and sizes[v] > 1:
+            family = {*ps, v}
             for u in family:
                 neighbours[u].update(family)
     heap = []
@@ -846,8 +840,8 @@ def _min_degree_rank(parents: tuple, sizes: tuple, sources: tuple) -> tuple:
                 other.discard(u)
             if len(other) != before:
                 heapq.heappush(heap, (len(other), u))
-    for v, r in enumerate(ranked):
-        if not r:
+    for v, k in enumerate(sizes):
+        if k == 1:
             rank[v] = place
             place += 1
     return tuple(rank)
@@ -859,12 +853,18 @@ def _describe_combo(node: Node, combo: tuple) -> str:
 
 def canonical_dump(net: PENet) -> str:
     """Deterministic text rendering of the whole net; equal nets dump equal
-    bytes. An alias is one line, in the place its node would have."""
+    bytes. An alias is one line, in the place its node would have, followed
+    by its map, one line per source state, unless it is a no-change copy."""
     lines = [f"situations {' '.join(str(s) for s in net.situation_order)}"]
     for nid in sorted([*net.nodes, *net.aliases], key=net.node_key):
         node = net.nodes.get(nid)
         if node is None:
-            lines.append(f"alias {nid} -> {net.nodes[net.aliases[nid]].text}")
+            alias = net.aliases[nid]
+            source = net.nodes[alias.source]
+            lines.append(f"alias {nid} -> {source.text}")
+            if not alias.keeps(source.states) or set(alias.labels) - {"default-persistence", "clock-identity"}:
+                lines += [f"  map ({state}) -> {own}  # {label}"
+                          for state, own, label in zip(source.states, alias.own, alias.labels)]
             continue
         lines.append(
             f"node {node.text} kind={node.kind} states={{{' '.join(str(s) for s in node.states)}}}"

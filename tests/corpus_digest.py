@@ -17,12 +17,13 @@ and the labels), ``exact`` and ``mc`` (each plan metric's answer, or its
 failure, by that engine) and ``errors`` (the build error, and the type of
 each error a metric raised). So two runs can be diffed to find the first
 case that moved and which part of it moved. It also prints the ``nodes``
-part, which counts rather than digests: ``<case> nodes <nodes> <aliases>``
-per built case, the nodes the net made and the (atom or clock, situation)
-names it keeps as aliases of them, and ``nodes <corpus> <count> cases
-<nodes> nodes <aliases> aliases`` per corpus (``generate`` and
-``generate_timed`` per semantics, and each workload). The counts enter no
-digest. pytest does not collect this file.
+part, which counts rather than digests: ``<case> nodes <nodes> <no-change>
+<relabelling>`` per built case, the nodes the net made and the names it
+keeps as aliases of them, those that copy their source's states unchanged
+and those that relabel them, and ``nodes <corpus> <count> cases <nodes>
+nodes <no-change> no-change aliases <relabelling> relabelling aliases`` per
+corpus (``generate`` and ``generate_timed`` per semantics, and each
+workload). The counts enter no digest. pytest does not collect this file.
 """
 
 import hashlib
@@ -70,17 +71,26 @@ def failure(err: Exception) -> str:
 PARTS = ("dump", "exact", "mc", "errors")
 
 
+def node_counts(net) -> tuple:
+    """The nodes a net made, its no-change aliases and its aliases that relabel their source's states."""
+    aliases = getattr(net, "aliases", {})  # a net built before the alias table has none
+    relabelling = sum(1 for alias in aliases.values()  # an alias of an older net is its source's id alone
+                      if hasattr(alias, "keeps") and (not alias.keeps(net.nodes[alias.source].states)
+                                                       or set(alias.labels) - {"default-persistence", "clock-identity"}))
+    return len(net.nodes), len(aliases) - relabelling, relabelling
+
+
 def case_lines(kb, plan, opts) -> list:
     """What one case gives: ``(part, line, error)`` triples of its dump,
-    labels and metrics, or of its build error, and the net's node and alias
-    counts, None when it does not build. ``error`` is the raised error's
+    labels and metrics, or of its build error, and the net's ``node_counts``,
+    None when it does not build. ``error`` is the raised error's
     type, after the metric and its arguments, for a metric that failed, and
     empty otherwise."""
     try:
         net = build_pe_net(plan, kb, opts)
     except PlanEvalError as err:
         return [("errors", failure(err), "")], None
-    counts = len(net.nodes), len(getattr(net, "aliases", ()))  # a net built before the alias table has none
+    counts = node_counts(net)
     lines = [("dump", canonical_dump(net), ""), ("dump", repr(net.labels), "")]
     for metric in (leads_to_success, plan_success):
         for part, kwargs in (("exact", {}), ("mc", {"mode": "mc", "samples": MC_SAMPLES, "seed": 3})):
@@ -101,16 +111,16 @@ def main(argv) -> int:
     verbose = "--verbose" in argv
     whole, count = hashlib.sha256(), 0
     by_part = {part: hashlib.sha256() for part in PARTS}
-    totals = {}  # corpus -> [cases, nodes, aliases]
+    totals = {}  # corpus -> [cases, nodes, no-change aliases, relabelling aliases]
     for corpus, name, kb, plan, opts in cases():
         lines, counts = case_lines(kb, plan, opts)
         whole.update(f"{name} {digest([line for _, line, _ in lines])}\n".encode())
         count += 1
-        total = totals.setdefault(corpus, [0, 0, 0])
+        total = totals.setdefault(corpus, [0, 0, 0, 0])
         total[0] += 1
         if counts is not None:
-            total[1] += counts[0]
-            total[2] += counts[1]
+            for i, n in enumerate(counts, 1):
+                total[i] += n
             if verbose:
                 print(name, "nodes", *counts)
         if verbose:
@@ -124,8 +134,8 @@ def main(argv) -> int:
     if verbose:
         for part in PARTS:
             print(f"{part} {count} cases {by_part[part].hexdigest()}")
-        for corpus, (cases_, nodes, aliases) in totals.items():
-            print(f"nodes {corpus} {cases_} cases {nodes} nodes {aliases} aliases")
+        for corpus, (cases_, nodes, same, relabelling) in totals.items():
+            print(f"nodes {corpus} {cases_} cases {nodes} nodes {same} no-change aliases {relabelling} relabelling aliases")
     print(f"{count} cases {whole.hexdigest()}")
     return 0
 

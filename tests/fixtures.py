@@ -214,6 +214,22 @@ goal {{ (R m)=hi }}
 # A step whose effect is gated on (Power) during it, while another agent
 # writes (Power) at every intermediate situation: each write is a node of its
 # own, one state each, so the gated node reads one more axis per write.
+# s1 and s2 both end at b1; s2's rows, pasted last, overwrite s1's
+# everywhere, so (X)@S1 is (Y)@S0 relabelled and s1's coin survives nowhere.
+SWAPPED_COPY_KB = """
+predicate (X) kind=primitive states { a b }
+predicate (Y) kind=primitive states { p q }
+action (Scramble) level=0 { effect (X) { * -> { a:0.5 b:0.5 } } }
+action (Copy) level=0 { effect (X) { (Y)=p -> { b:1.0 } (Y)=q -> { a:1.0 } } }
+"""
+
+SWAPPED_COPY_PLAN = """
+step s1 ag1 (Scramble) start=b0 end=b1
+step s2 ag2 (Copy) start=b0 end=b1
+initial { (X)=a (Y)=p:0.25 (Y)=q:0.75 }
+goal { (X)=a }
+"""
+
 HELD_KB = """
 predicate (Power) kind=primitive states { on off }
 predicate (Built) kind=primitive states { no yes }

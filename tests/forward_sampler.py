@@ -7,7 +7,8 @@ count of running sums the draw reaches (``>=``). ``inference.mc_query``
 samples only the multi-state ancestors of the targets and the evidence,
 reads the nodes certain of their state from pick tables, and skips the
 other nodes' draws in the generator's stream (an evidence node has none),
-so for the same seed the two give the same bits.
+so for the same seed the two give the same bits. Both read a name of an
+alias as its source, through ``inference._read``.
 
 ``topological_nodes`` sorts the nodes by ``node_key`` and places them pass
 by pass, the order a finalized net stores.
@@ -42,7 +43,12 @@ def topological_nodes(net) -> list:
 
 def forward_sample(net, q):
     """(estimate, standard error, weights) of the target conjunction."""
-    _evidence, _targets, reachable = _read(net, q)
+    evidence, targets, reachable = _read(net, q)
+    ids = net.numbering.ids
+    pins = {}
+    for v, at in evidence:
+        if pins.setdefault(ids[v], at) != at:  # an alias and its source pinned apart
+            raise ZeroWeight("all samples are inconsistent with the evidence")
     n = q.samples
     rng = np.random.Generator(np.random.PCG64(q.seed))
     order = topological_nodes(net)
@@ -54,8 +60,8 @@ def forward_sample(net, q):
         # A root's index is 0, which broadcasts over the samples.
         row_index = np.ravel_multi_index([values[p] for p in node.parents], node.table.shape[:-1])
         matrix = node.table.reshape(-1, len(node.states))
-        if nid in q.evidence:
-            col = node.states.index(q.evidence[nid])
+        if nid in pins:
+            col = pins[nid]
             weights = weights * matrix[row_index, col]
             values[nid] = np.full(n, col, dtype=np.int64)
         else:
@@ -68,9 +74,8 @@ def forward_sample(net, q):
     if total <= 0.0:
         raise ZeroWeight("all samples are inconsistent with the evidence")
     hit = np.full(n, reachable)
-    if reachable:
-        for nid, state in q.targets:
-            hit &= values[nid] == net.nodes[nid].states.index(state)
+    for v, at in targets:
+        hit &= values[ids[v]] == at
     x = hit.astype(float)
     estimate = float((weights * x).sum() / total)
     residual = x - estimate

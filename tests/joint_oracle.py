@@ -8,8 +8,9 @@ rows and rows that contradict the evidence are pruned. It is kept dead
 simple so it can serve as the reference they are compared against; its cost
 is the product of every node's state count, bounded by
 ``DEFAULT_ORACLE_BOUND`` unless a test passes another bound. An alias, a node
-the build did not make because it would only copy another, takes that
-node's state in every world, so a target or a pin on it is one on that node.
+the build did not make because its state always relabels another's, takes
+in every world its own state at the position of that node's state, so a
+target or a pin on it is one on that node.
 """
 
 import math
@@ -29,6 +30,22 @@ def _check_size(net: PENet, bound: float):
             raise TooLarge(f"joint state space exceeds the {bound:g} bound")
 
 
+def _as_made(net: PENet, nid, state) -> tuple:
+    """A name's state as a state of the made node it reads; None for a state an alias lacks."""
+    alias = net.aliases.get(nid)
+    if alias is None:
+        return nid, state
+    return alias.source, net.nodes[alias.source].states[alias.own.index(state)] if state in alias.own else None
+
+
+def _own(net: PENet, nid, assignment: dict):
+    """A name's state in a world of the made nodes."""
+    alias = net.aliases.get(nid)
+    if alias is None:
+        return assignment[nid]
+    return alias.own[net.nodes[alias.source].at[assignment[alias.source]]]
+
+
 def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) -> QueryResult:
     """Ground-truth query: the target conjunction's mass in the evidence-pruned joint."""
     if not net.finalized:
@@ -37,7 +54,7 @@ def oracle_enumerate(net: PENet, q: Query, bound: float = DEFAULT_ORACLE_BOUND) 
     _check_size(net, bound)
     targets = dict()
     for nid, state in q.targets:
-        nid = net.aliases.get(nid, nid)
+        nid, state = _as_made(net, nid, state)
         if targets.get(nid, state) != state:
             return QueryResult(0.0, "oracle")
         targets[nid] = state
@@ -62,7 +79,8 @@ def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUN
     keep = sorted(keep, key=net.node_key)
     pins = {}
     for nid, state in (evidence or {}).items():
-        if pins.setdefault(net.aliases.get(nid, nid), state) != state:
+        nid, state = _as_made(net, nid, state)
+        if pins.setdefault(nid, state) != state:
             return {}  # two pins on one node, through an alias, disagree
     _check_size(net, bound)
     order = net.topological_nodes()
@@ -72,7 +90,7 @@ def joint_distribution(net: PENet, keep=None, bound: float = DEFAULT_ORACLE_BOUN
 
     def walk(depth: int, prob: float):
         if depth == len(order):
-            key = tuple(assignment[net.aliases.get(nid, nid)] for nid in keep)
+            key = tuple(_own(net, nid, assignment) for nid in keep)
             out[key] = out.get(key, 0.0) + prob
             return
         nid = order[depth]

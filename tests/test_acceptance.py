@@ -221,9 +221,9 @@ def test_criterion_6_temporal_splitting():
     marginals, order_stats = oracle.timed_final_marginals(kb, flat, order)
     final = net.situation_order[-1]
     for atom, dist in marginals.items():
-        node = net.node_of(atom_node(atom, final))
-        for state in node.states:
-            got = exact_query(net, Query(targets=[(node.id, state)])).probability
+        nid = atom_node(atom, final)
+        for state in net.states_of(nid):
+            got = exact_query(net, Query(targets=[(nid, state)])).probability
             assert abs(got - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
     assert abs(order_stats[(ret.ref[1], ret.ref[2])]["negative"] - p_neg) <= 1e-9
     _finish(6, "temporal splitting on the overlapping-durations plan", started, 30.0)
@@ -242,7 +242,7 @@ def test_criterion_7_linear_growth_and_compaction():
     # the exponential-growth instance keeps every reachable state, merging none
     kb, plan = load(SPREAD_KB, spread_plan(6))
     net = build_pe_net(plan, kb)
-    sizes = [len(net.node_of(atom_node(GroundAtom("Reg"), sit)).states) for sit in net.situation_order]
+    sizes = [len(net.states_of(atom_node(GroundAtom("Reg"), sit))) for sit in net.situation_order]
     assert sizes == [1, 2, 4, 8, 8, 8, 8]
     assert all("OTHER" not in node.states for node in net.nodes.values())
     _finish(7, "affine node growth and exact state sets", started, 30.0)

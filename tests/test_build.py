@@ -30,7 +30,7 @@ from planeval import (
 from planeval import build as build_module
 from planeval import net as net_module
 from planeval.build import make_schedule, split_situations
-from planeval.net import PENet, Fragment, FragmentNode, FragmentRow, SituationId, atom_node, finalize, paste_into
+from planeval.net import Alias, PENet, Fragment, FragmentNode, FragmentRow, SituationId, atom_node, finalize, paste_into, sel_node
 
 import instance_gen
 import trajectory_oracle as oracle
@@ -48,6 +48,8 @@ from fixtures import (
     MOVE_KB,
     RELIABLE_MOVE_KB,
     RELIABLE_MOVE_PLAN,
+    SWAPPED_COPY_KB,
+    SWAPPED_COPY_PLAN,
     TWO_STEP_PLAN,
     UNMATCHED_DERIVED_KB,
     UNMATCHED_DERIVED_PLAN,
@@ -76,13 +78,36 @@ def test_two_step_plan_structure():
     b2 = net.find("(Loc B)", "S2")
     assert net.row_provenance(a1, ("L1",)) == "action s1"
     # no step moves B by S1: an alias of (Loc B)@S0, which answers as the no-change copy did
-    assert net.aliases[b1] == net.find("(Loc B)", "S1") == net.find("(Loc B)", "S0")
+    assert net.aliases[b1].source == net.find("(Loc B)", "S1") == net.find("(Loc B)", "S0")
     assert net.row_provenance(b1, ("L3",)) == "default-persistence"
     assert net.row_provenance(b2, ("L3",)) == "action s2"
     # the partially covered (Loc A)@S2 mixes KB persistence and the default
     a2 = net.nodes[net.find("(Loc A)", "S2")]
     sources = set(a2.provenance.values())
     assert sources == {"persistence (Loc ?obj)", "default-persistence"}
+
+
+def test_a_selector_alias_answers_row_provenance_from_its_record():
+    # sel(b0)@S0 picks c2 when (Risk)@S0 is high and falls back to c1 otherwise
+    _kb, _plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
+    sel, risk = sel_node("b0", SituationId(0)), net.find("(Risk)", "S0")
+    assert net.aliases[sel] == Alias(risk, ("c1", "c2"), ("c1", "c2"), ("selector-default b0", "selector b0"))
+    assert [net.row_provenance(sel, (state,)) for state in ("low", "high")] == ["selector-default b0", "selector b0"]
+    with pytest.raises(PlanEvalError, match=r"node sel\(b0\)@S0 has no row for parent states \('c1',\)"):
+        net.row_provenance(sel, ("c1",))  # a combination is of the source's states
+    assert net.states_of(sel) == ["c1", "c2"] and net.node_of(sel) is net.nodes[risk]
+    assert ("\nalias sel(b0)@S0 -> (Risk)@S0\n  map (low) -> c1  # selector-default b0\n"
+            "  map (high) -> c2  # selector b0\n") in canonical_dump(net)
+
+
+def test_a_node_whose_last_writer_relabels_one_node_is_an_alias():
+    kb, plan, net = build(SWAPPED_COPY_KB, SWAPPED_COPY_PLAN)
+    x1, y0 = atom_node(GroundAtom("X"), SituationId(1)), atom_node(GroundAtom("Y"), SituationId(0))
+    assert net.aliases[x1] == Alias(y0, ("a", "b"), ("b", "a"), ("action s2", "action s2"))
+    # it lists its states in schema order, and ``find`` gives its own name, which queries read as relabelled
+    assert net.states_of(x1) == ["a", "b"] and net.find("(X)", "S1") == x1 and x1 not in net.nodes
+    assert exact_query(net, Query(targets=[(net.find("(X)", "S1"), "b")])).probability == 0.25
+    assert leads_to_success(net, plan).probability == 0.75
 
 
 def test_a_finalized_net_refuses_writes_to_its_rows():
@@ -261,7 +286,8 @@ def test_the_gap_test_agrees_with_enumeration():
         rows = [FragmentRow("z", _random_condition(rng, keys), {"on": 1.0}) for _ in range(rng.randint(0, 5))]
         fillers = None if seed % 2 else [_random_condition(rng, keys) for _ in range(rng.randint(0, 3))]
         expected = _enumerated_leaves_open(states, rows, fillers)
-        assert build_module._leaves_open(states, rows, fillers) == expected, seed
+        coverage = build_module._Coverage(states, rows)
+        assert (coverage.open() if fillers is None else coverage.opens(fillers)) == expected, seed
         answers[fillers is None, expected] += 1
     assert min(answers.values()) > 25, answers  # both answers, with fillers and without
 
@@ -413,10 +439,12 @@ initial { (S m)=ok (R m)=lo }
 goal { (R m)=hi }
 """
     kb, plan, net = build(kb_text, plan_text)
-    sel_nodes = [nid for nid in net.nodes if nid.ref[0] == "sel"]
-    assert len(sel_nodes) == 2
-    later = [nid for nid in sel_nodes if nid.ref[1] == "b1"][0]
-    assert any(p.ref == ("sel", "b0") for p in net.nodes[later].parents)
+    # the b1 selection relabels the b0 one: an alias of it, not a node
+    earlier, later = sel_node("b0", SituationId(0)), sel_node("b1", SituationId(1))
+    assert [nid for nid in net.nodes if nid.ref[0] == "sel"] == [earlier]
+    assert net.nodes[earlier].states == ["f1", "f2"]
+    assert net.aliases[later] == Alias(earlier, ("g2", "g1"), ("g2", "g1"), ("selector b1", "selector b1"))
+    assert net.row_provenance(later, ("f2",)) == "selector b1"
     # mixture: half the worlds run f1 then g2, half f2 then g1
     p = leads_to_success(net, plan).probability
     expected = 0.5 * 0.2 + 0.5 * 0.7
@@ -493,6 +521,43 @@ goal { (Built W)=yes }
     assert len(gates) == 2
 
 
+# (Alarm) is derived from (Noise) and (Power); (Noise)@S1 is loud exactly
+# when asm is selected, so it would relabel the selection node.
+ALARM_KB = DURING_KB + """
+predicate (Alarm) kind=derived states { off on }
+derived (Alarm) from { (Noise) (Power) } {
+  (Noise)=quiet -> { off:1.0 }
+  (Noise)=loud (Power)=on -> { on:1.0 }
+  (Noise)=loud (Power)=off -> { off:1.0 }
+}
+"""
+
+ALARM_PLAN = """
+step asm a1 (Assemble W) start=b0 end=b2
+step cut a2 (Cut) start=b0 end=b1
+before b1 b2
+contingent at b0 {
+  (Power)=on -> { asm:0.5 noop:0.5 }
+}
+initial { (Power)=on (Noise)=quiet (Built W)=no (Mark W)=no }
+goal { (Alarm)=on }
+"""
+
+
+def test_an_atom_a_derived_node_reads_relabels_only_a_primitive():
+    # A derived node takes primitive parents only, so (Noise)@S1 stays a node
+    # instead of an alias of sel(b0)@S0; (Mark W)@S2, which no derived node
+    # reads, is an alias of the selection.
+    kb, plan, net = build(ALARM_KB, ALARM_PLAN)
+    noise = net.find("(Noise)", "S1")
+    assert noise in net.nodes and sel_node("b0", SituationId(0)) in net.nodes[noise].parents
+    assert net.aliases[atom_node(GroundAtom("Mark", ("W",)), SituationId(2))].source.ref == ("sel", "b0")
+    flat = flatten_hierarchy(plan)
+    worlds = oracle.enumerate_trajectories(kb, flat, linearize(flat))
+    want = oracle.goal_probability(kb, worlds, flat, len(net.situation_order) - 1)
+    assert abs(leads_to_success(net, plan).probability - want) <= 1e-12 and abs(want - 0.3) <= 1e-12
+
+
 def test_contingent_step_with_during_clauses_matches_oracle():
     kb_text = DURING_KB + """
 predicate (Go) kind=primitive states { ok no }
@@ -516,11 +581,12 @@ goal { (Built W)=yes }
     for atom in atoms:
         expected = oracle.marginal(worlds, atom, final)
         nid = atom_node(atom, net.situation_order[-1])
-        for state in net.node_of(nid).states:
+        for state in net.states_of(nid):
             got = exact_query(net, Query(targets=[(nid, state)])).probability
             assert abs(got - expected.get(state, 0.0)) <= 1e-9, (str(atom), state)
     # sanity: the guarded during effect fires only when the step is selected
-    noise = net.find("(Noise)", "S1")
+    noise = net.find("(Noise)", "S1")  # loud exactly when asm is selected: an alias of the selection
+    assert net.aliases[noise].source.ref == ("sel", "b0")
     p_loud = exact_query(net, Query(targets=[(noise, "loud")])).probability
     assert abs(p_loud - 0.5) <= 1e-9
 
@@ -604,7 +670,7 @@ def test_residual_rows_read_their_conditions_at_the_abstract_start():
     for atom in oracle._universe(kb, flat):
         expected = oracle.marginal(worlds, atom, len(order) - 1)
         nid = atom_node(atom, net.situation_order[-1])
-        for state in net.node_of(nid).states:
+        for state in net.states_of(nid):
             got = exact_query(net, Query(targets=[(nid, state)])).probability
             assert abs(got - expected.get(state, 0.0)) <= 1e-9, (str(atom), state)
     want = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
@@ -650,9 +716,10 @@ def test_nested_expansion_from_dsl():
     from planeval import plan_success
 
     kb, plan, net = build(NESTED_KB, NESTED_PLAN)
-    # the inner expansion has one alternative: spliced, no second selection node
-    sels = [nid for nid in net.nodes if nid.ref[0] == "sel"]
-    assert len(sels) == 1
+    # the inner expansion has one alternative: spliced, no second selection;
+    # the outer one mirrors its condition's atom, so it is an alias of it
+    sels = [nid for nid in [*net.nodes, *net.aliases] if nid.ref[0] == "sel"]
+    assert len(sels) == 1 and net.aliases[sels[0]].source == net.find("(Risk)", "S0")
     lead = leads_to_success(net, plan).probability
     succ = plan_success(net, plan).probability
     assert abs(lead - (0.75 * 0.8 + 0.25 * 0.5)) <= 1e-9
@@ -698,7 +765,7 @@ goal {{ (Done T)=yes }}
 ])
 def test_the_selected_path_holds_the_selections_under_selected_alternatives(outer, path):
     kb, plan, net = build(NESTED_KB, two_level_plan(outer))
-    assert sorted(str(nid) for nid in net.nodes if nid.ref[0] == "sel") == ["sel(b0)@S0", "sel(m2)@S2"]
+    assert sorted(str(nid) for nid in [*net.nodes, *net.aliases] if nid.ref[0] == "sel") == ["sel(b0)@S0", "sel(m2)@S2"]
     assert [(str(nid), label) for nid, label in net.selected_path] == path
     chosen = {nid.ref[1]: label for nid, label in net.selected_path}  # boundary -> label
     flat = flatten_hierarchy(plan)
@@ -745,11 +812,11 @@ def test_spread_plan_matches_the_trajectory_oracle():
     worlds = oracle.enumerate_trajectories(kb, flat, order)
     reg = GroundAtom("Reg")
     for pos, sit in enumerate(net.situation_order):
-        node = net.node_of(atom_node(reg, sit))
+        nid = atom_node(reg, sit)
         expected = oracle.marginal(worlds, reg, pos)
-        assert set(node.states) == set(expected), str(sit)
+        assert set(net.states_of(nid)) == set(expected), str(sit)
         for state, p in expected.items():
-            assert abs(exact_query(net, Query(targets=[(node.id, state)])).probability - p) <= 1e-9, (str(sit), state)
+            assert abs(exact_query(net, Query(targets=[(nid, state)])).probability - p) <= 1e-9, (str(sit), state)
     want = oracle.goal_probability(kb, worlds, flat, len(order) - 1)
     assert abs(leads_to_success(net, plan).probability - want) <= 1e-9
 
@@ -797,7 +864,8 @@ def test_identity_persistence_keeps_state_sets_constant():
     states = schedule.analyse()
     b0, b1 = [atom_node(GroundAtom("Loc", ("B",)), si.sid) for si in schedule.situations]
     # no step moves B: (Loc B)@S1 is an alias of (Loc B)@S0, made once with its states
-    assert schedule.aliases == {b1: b0} and b1 not in states and states[b0] == ["L3"]
+    assert schedule.aliases == {b1: Alias(b0, ("L3",), ("L3",), ("default-persistence",))}
+    assert b1 not in states and states[b0] == ["L3"]
 
 
 # -- persistence fill blocks ----------------------------------------------------
@@ -1027,12 +1095,13 @@ def test_build_bit_deterministic():
 
 def net_assignment_probability(net, assignment):
     """The net's probability of a full assignment. An alias's factor is the
-    identity table of the copy it stands for: 1 where it takes the state of
-    the node it copies, 0 elsewhere."""
+    table of the node it stands for: 1 where it takes its own state at its
+    source's state's position, 0 elsewhere."""
     p = 1.0
     for nid, value in assignment.items():
         if nid in net.aliases:
-            p *= assignment[net.aliases[nid]] == value
+            alias = net.aliases[nid]
+            p *= alias.states[net.nodes[alias.source].at[assignment[alias.source]]] == value
             continue
         node = net.nodes[nid]
         combo = tuple(assignment[parent] for parent in node.parents)
@@ -1055,7 +1124,7 @@ def test_joint_matches_trajectory_oracle(seed):
     sel_bounds = [g.boundary for g in flat.contingencies]
     keyed = [atom_node(a, sit) for sit in net.situation_order for a in atoms]
     for boundary in sel_bounds:
-        keyed.extend(nid for nid in net.nodes if nid.ref == ("sel", boundary))
+        keyed.extend(nid for nid in [*net.nodes, *net.aliases] if nid.ref == ("sel", boundary))
 
     joint = oracle.joint(worlds, atoms, len(order), sel_bounds)
     for key, p_expected in joint.items():
@@ -1083,20 +1152,38 @@ def test_no_node_only_copies_its_predecessor_and_every_name_resolves():
         for nid, node in net.nodes.items():
             kinds = set(node.provenance.values())
             assert kinds != {"default-persistence"} and kinds != {"clock-identity"}, (timed, seed, str(nid))
-        for nid, source in net.aliases.items():
-            # read through chains to a made node of the same atom or clock, in an earlier situation
-            assert source in net.nodes and source.ref == nid.ref, (timed, seed, str(nid))
-            assert net.position(source.sit) < net.position(nid.sit)
-            assert nid not in net.nodes
+        for nid, alias in net.aliases.items():
+            # read through chains to a made node, which it relabels one to one
+            source = net.nodes[alias.source]
+            assert nid not in net.nodes and net.position(source.id.sit) <= net.position(nid.sit)
+            assert len(set(alias.states)) == len(alias.states) == len(source.states) == len(alias.labels)
+            assert set(alias.own) == set(alias.states) and len(alias.own) == len(alias.states)
+            if set(alias.labels) <= {"default-persistence", "clock-identity"}:
+                # a no-change copy: the same atom or clock in an earlier situation, with its states
+                assert source.id.ref == nid.ref and alias.keeps(source.states), (timed, seed, str(nid))
+                assert net.position(source.id.sit) < net.position(nid.sit)
         for si in schedule.situations:
             for atom in schedule.atoms + schedule.derived_atoms:
                 nid = atom_node(atom, si.sid)
-                assert net.find(atom, si.sid) == net.aliases.get(nid, nid)
-                assert net.nodes[net.find(atom, si.sid)].states
+                # an alias that keeps its source's states is found as its source, one that relabels as itself
+                alias = net.aliases.get(nid)
+                assert net.find(atom, si.sid) == (alias.source if alias and alias.keeps(net.states_of(alias.source)) else nid)
+                assert net.states_of(nid)
             if timed:
                 assert net.node_of(net_module.clock_node(si.sid)) is not None
-    # 1,240 of generate's 3,202 nodes and 188 of generate_timed's 5,203 copied their predecessor
-    assert made[False] <= 1962 and made[True] <= 5015, made
+    # 1,451 of generate's 3,202 nodes and 680 of generate_timed's 5,203 relabel one made node
+    assert made[False] <= 1751 and made[True] <= 4523, made
+
+
+def oracle_marginal(kb, worlds, nid, pos) -> dict:
+    """The trajectory oracle's marginal of an atom, derived ones included, or of a selection."""
+    if nid.ref[0] == "sel":
+        return oracle.selection_marginal(worlds, nid.ref[1])
+    out = {}
+    for world in worlds:
+        for branch, state in oracle._resolve_value(kb, world, pos, nid.atom):
+            out[state] = out.get(state, 0.0) + branch.prob
+    return out
 
 
 def test_a_former_copy_answers_as_its_source_and_the_oracles():
@@ -1106,13 +1193,13 @@ def test_a_former_copy_answers_as_its_source_and_the_oracles():
         net = build_pe_net(plan, kb)
         flat = flatten_hierarchy(plan)
         worlds = oracle.enumerate_trajectories(kb, flat, linearize(flat))
-        for nid, source in sorted(net.aliases.items(), key=lambda item: net.node_key(item[0])):
-            truth = oracle.marginal(worlds, nid.atom, net.position(nid.sit))
-            for state in net.nodes[source].states:
-                got = exact_query(net, Query([(nid, state)])).probability
-                assert got == exact_query(net, Query([(source, state)])).probability, (seed, str(nid))
-                assert abs(got - oracle_enumerate(net, Query([(nid, state)])).probability) <= 1e-12
-                assert abs(got - truth.get(state, 0.0)) <= 1e-12, (seed, str(nid), state)
+        for nid, alias in sorted(net.aliases.items(), key=lambda item: net.node_key(item[0])):
+            truth = oracle_marginal(kb, worlds, nid, net.position(nid.sit))
+            for state, own in zip(net.nodes[alias.source].states, alias.states):
+                got = exact_query(net, Query([(nid, own)])).probability
+                assert got == exact_query(net, Query([(alias.source, state)])).probability, (seed, str(nid))
+                assert abs(got - oracle_enumerate(net, Query([(nid, own)])).probability) <= 1e-12
+                assert abs(got - truth.get(own, 0.0)) <= 1e-12, (seed, str(nid), own)
                 asked += 1
     assert asked > 500
 
@@ -1122,7 +1209,9 @@ def test_the_benchmark_reads_every_goal_atom_at_every_situation():
     assert inst.name == "branchy-t2"
     kb, plan = load(inst.kb_text, inst.plan_text)
     net = build_pe_net(plan, kb)
-    assert (len(net.nodes), len(net.aliases)) == (62, 42)
+    # sel(t0)@S0 and sel(t1)@S2 mirror their guard atoms: aliases, not nodes
+    assert (len(net.nodes), len(net.aliases)) == (60, 44)
+    assert [str(alias.source) for nid, alias in net.aliases.items() if nid.ref[0] == "sel"] == ["(Risk)@S0", "(Risk)@S0"]
     goal_atoms = list(dict.fromkeys(atom for atom, _state in plan.goals))
     for sit in net.situation_order:
         for atom in goal_atoms:

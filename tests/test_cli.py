@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import planeval
-from planeval import BuildOptions, build_pe_net, leads_to_success, plan_success, run_cli
+from planeval import BuildOptions, GroundAtom, build_pe_net, canonical_dump, leads_to_success, plan_success, run_cli
+from planeval.dsl import print_kb
 from planeval.export import export_graph
+from planeval.net import Alias, SituationId, atom_node
 
 from fixtures import (
     CONTINGENT_KB,
@@ -22,12 +24,15 @@ from fixtures import (
     RELIABLE_MOVE_KB,
     RELIABLE_MOVE_PLAN,
     SELF_EXPANDING_PLAN,
+    SWAPPED_COPY_KB,
+    SWAPPED_COPY_PLAN,
     TWO_STEP_PLAN,
     UNMATCHED_DERIVED_KB,
     UNMATCHED_DERIVED_PLAN,
     held_plan,
     load,
 )
+import instance_gen
 
 
 @pytest.fixture
@@ -193,6 +198,41 @@ def test_marginal_states_keep_schema_order_before_and_after_the_first_writer(fil
     assert code == 0, err
     printed = [line.split(" = ")[0] for line in out.splitlines() if line.startswith("marginal")]
     assert printed == [f"marginal (P x)@{sit} {state}" for sit in ("S0", "S1", "S2") for state in ("a", "c")]
+    # (X)@S1 relabels (Y)@S0, whose p gives b and q gives a: still listed in schema order
+    argv = ["eval", *files(SWAPPED_COPY_KB, SWAPPED_COPY_PLAN), "--goal-only", "--marginal", "(X)@S1"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    printed = [line for line in out.splitlines() if line.startswith("marginal")]
+    assert [line.split(" = ")[0] for line in printed] == ["marginal (X)@S1 a", "marginal (X)@S1 b"]
+    assert [float(line.split(" = ")[1].split()[0]) for line in printed] == [0.75, 0.25]
+
+
+# generate(33) as text: (D) is defined from (F2) alone, dt for s0 and df for
+# s1, so at every situation it is an alias of (F2) that relabels its states.
+RELABELLED_PLAN = """
+step t0 a1 (Act0) start=b0 end=b1
+step t1 a1 (Act0) start=b1 end=b2
+initial { (F0)=s0 (F1)=s0 (F2)=s0:0.25 (F2)=s1:0.75 (F3)=s1 (Q o1)=q0 (Q o2)=q0 }
+goal { (F2)=s1 (F1)=s1 (D)=df }
+"""
+
+
+@pytest.mark.parametrize("mode", [[], ["--mc", "20000"]])
+def test_eval_marginal_of_an_alias_lists_its_own_states(files, capsys, mode):
+    generated_kb, generated_plan = instance_gen.generate(33)
+    kb_text = print_kb(generated_kb)
+    kb, plan = load(kb_text, RELABELLED_PLAN)
+    net = build_pe_net(plan, kb)
+    assert canonical_dump(net) == canonical_dump(build_pe_net(generated_plan, generated_kb))
+    d1 = atom_node(GroundAtom("D"), SituationId(1))
+    assert net.aliases[d1] == Alias(net.find("(F2)", "S1"), ("dt", "df"), ("dt", "df"), ("derived (D)", "derived (D)"))
+    code, out, err = run(capsys, ["eval", *files(kb_text, RELABELLED_PLAN), "--marginal", "(D)@S1", *mode])
+    assert code == 0, err
+    marginals = [line for line in out.splitlines() if line.startswith("marginal")]
+    assert [line.split(" = ")[0] for line in marginals] == ["marginal (D)@S1 dt", "marginal (D)@S1 df"]
+    # (F2)@S1 is s1 when it starts s1 (0.75) and t0 keeps it (0.75)
+    for line, want in zip(marginals, (0.4375, 0.5625)):
+        assert abs(float(line.split(" = ")[1].split()[0]) - want) <= (0.02 if mode else 1e-6), line
 
 
 def test_eval_mc_marginal_of_a_node_missing_from_the_net_exit_1(files, capsys):

@@ -47,16 +47,16 @@ def assert_final_marginals_match_timed_oracle(kb, plan, net, context=None, tol=1
     marginals, _stats = oracle.timed_final_marginals(kb, flat, linearize(flat))
     final = net.situation_order[-1]
     for atom, dist in marginals.items():
-        node = net.node_of(atom_node(atom, final))
-        for state in node.states:
-            got = exact_query(net, Query(targets=[(node.id, state)])).probability
+        nid = atom_node(atom, final)
+        for state in net.states_of(nid):
+            got = exact_query(net, Query(targets=[(nid, state)])).probability
             assert abs(got - dist.get(state, 0.0)) <= tol, (context, str(atom), state)
 
 
 def clock_marginal(net, token):
     nid = clock_node([s for s in net.situation_order if str(s) == token][0])
     out = {}
-    for value in net.nodes[nid].states:
+    for value in net.states_of(nid):
         out[value] = exact_query(net, Query(targets=[(nid, value)])).probability
     return out
 
@@ -236,9 +236,9 @@ def test_goal_marginals_match_time_expanded_oracle():
     marginals, order_stats = oracle.timed_final_marginals(kb, flat, order)
     final = net.situation_order[-1]
     for atom, dist in marginals.items():
-        node = net.node_of(atom_node(atom, final))
-        for state in node.states:
-            p_net = exact_query(net, Query(targets=[(node.id, state)])).probability
+        nid = atom_node(atom, final)
+        for state in net.states_of(nid):
+            p_net = exact_query(net, Query(targets=[(nid, state)])).probability
             assert abs(p_net - dist.get(state, 0.0)) <= 1e-9, (str(atom), state)
     # the oracle agrees on the end-order probability too
     ret = [nid for nid in net.nodes if nid.ref[0] == "ret"][0]
@@ -346,7 +346,8 @@ def scan_rounds_agree(kb, plan) -> int:
         except PlanEvalError:
             return len(schedule.splits)
     net = build_pe_net(plan, kb, TIMED_OPTS)
-    assert [nid for nid in net.nodes if nid.ref[0] == "ret"] == list(want_mass)
+    # a relative-end-time node may be an alias, of a duration it relabels
+    assert [nid for nid in sorted([*net.nodes, *net.aliases], key=net.node_key) if nid.ref[0] == "ret"] == list(want_mass)
     for ret, by_sign in want_mass.items():
         for sign, want in by_sign.items():
             got = exact_query(net, Query(targets=[(ret, sign)])).probability
@@ -455,11 +456,18 @@ def bucketed_nets():
         yield f"generate_timed-{seed}-cap-3", (kb, plan, build_pe_net(plan, kb, capped))
 
 
+def read(net, nid):
+    """The made node a name reads: its own, or an alias's source."""
+    return net.aliases[nid].source if nid in net.aliases else nid
+
+
 def test_no_primitive_atom_reads_a_clock():
+    # except the one an elapsed node of its situation relabels, read in its place
     for name, (_kb, _plan, net) in bucketed_nets():
+        relabelled = {alias.source for nid, alias in net.aliases.items() if nid.ref[0] == "elapsed"}
         for nid, node in net.nodes.items():
             if node.kind == "primitive":
-                assert not [p for p in node.parents if p.ref[0] == "clock"], (name, str(nid))
+                assert set(p for p in node.parents if p.ref[0] == "clock") <= relabelled, (name, str(nid))
 
 
 def test_each_bucketed_atom_reads_its_situations_one_elapsed_node():
@@ -470,8 +478,9 @@ def test_each_bucketed_atom_reads_its_situations_one_elapsed_node():
                 continue
             model = kb.persistence[nid.atom.name]
             shared = elapsed_node(tuple(model.buckets), nid.sit)
-            reachable = net.nodes[shared].states if shared in net.nodes else []
-            elapsed = [p for p in node.parents if p.ref[0] == "elapsed"]
+            reachable = net.states_of(shared) if net.node_of(shared) else []
+            shared = read(net, shared)  # an alias is read as its source
+            elapsed = [p for p in node.parents if p.ref[0] == "elapsed" or p == shared]
             persisted = f"persistence {model.atom}" in node.provenance.values()
             if persisted and any(row.bucket and format_bucket(row.bucket) in reachable for row in model.rows):
                 assert elapsed == [shared], (name, str(nid))
@@ -481,21 +490,28 @@ def test_each_bucketed_atom_reads_its_situations_one_elapsed_node():
         for nid, node in net.nodes.items():
             if node.kind == "elapsed":
                 assert nid in readers, (name, str(nid))  # no node that nothing reads
-                assert node.parents == [clock_node(net.situation_order[net.position(nid.sit) - 1]),
-                                        clock_node(nid.sit)], (name, str(nid))
+                clocks = {read(net, clock_node(net.situation_order[net.position(nid.sit) - 1])),
+                          read(net, clock_node(nid.sit))}
+                assert node.parents == sorted(clocks, key=net.node_key), (name, str(nid))
                 assert set(node.states) - {"none"}, (name, str(nid))
 
 
 def test_atoms_sharing_a_tiling_share_the_elapsed_node():
     _kb, _plan, net = timed_build(TWO_TILINGS_KB, TWO_TILINGS_PLAN)
-    for sit in ("S1", "S2"):
-        p, q, r = (net.nodes[net.find(atom, sit)] for atom in ("(P c)", "(Q c)", "(R c)"))
-        (p_elapsed,) = [n for n in p.parents if n.ref[0] == "elapsed"]
-        (r_elapsed,) = [n for n in r.parents if n.ref[0] == "elapsed"]
-        assert [n for n in q.parents if n.ref[0] == "elapsed"] == [p_elapsed]
-        assert r_elapsed != p_elapsed
-        assert sorted(str(n) for n in net.nodes if n.ref[0] == "elapsed" and str(n.sit) == sit) == [
-            f"elapsed([0,2) [2,inf))@{sit}", f"elapsed([0,3) [3,inf))@{sit}"]
+    # At S1 the previous clock is 0, so both tilings relabel clock@S1: aliases
+    # of it, which each atom reads in their place.
+    s1 = SituationId(1)
+    for buckets in (((0.0, 2.0), (2.0, float("inf"))), ((0.0, 3.0), (3.0, float("inf")))):
+        assert net.aliases[elapsed_node(buckets, s1)].source == clock_node(s1)
+    for atom in ("(P c)", "(Q c)", "(R c)"):
+        assert clock_node(s1) in net.nodes[net.find(atom, "S1")].parents
+    p, q, r = (net.nodes[net.find(atom, "S2")] for atom in ("(P c)", "(Q c)", "(R c)"))
+    (p_elapsed,) = [n for n in p.parents if n.ref[0] == "elapsed"]
+    (r_elapsed,) = [n for n in r.parents if n.ref[0] == "elapsed"]
+    assert [n for n in q.parents if n.ref[0] == "elapsed"] == [p_elapsed]
+    assert r_elapsed != p_elapsed
+    assert sorted(str(n) for n in net.nodes if n.ref[0] == "elapsed" and str(n.sit) == "S2") == [
+        "elapsed([0,2) [2,inf))@S2", "elapsed([0,3) [3,inf))@S2"]
 
 
 def test_a_bucket_no_clock_pair_reaches_adds_no_state():
@@ -579,7 +595,9 @@ def test_capped_clock_values_fall_into_the_none_bucket():
     _kb, _plan, net = timed_build(OVERLAP_KB, OVERLAP_PLAN, BuildOptions(clock_enabled=True, clock_cap=3))
     elapsed = net.nodes[elapsed_node(((0.0, 3.0), (3.0, float("inf"))), net.situation_order[2])]
     assert str(elapsed.id) == "elapsed([0,3) [3,inf))@S1"
-    assert elapsed.cpt[(0, "OTHER")] == {"none": 1.0}
+    # clock@S1 is an alias of dur(a1)@S0, whose 4 it reads as OTHER; clock@S2a is 0 there
+    assert net.aliases[clock_node(SituationId(1))].states == (2, "OTHER")
+    assert elapsed.parents[0].ref == ("dur", "a1") and elapsed.cpt[(4, 0)] == {"none": 1.0}
     assert elapsed.states == ["[0,3)", "none"]
     recorded = {"S0": 0.0, "S2a": 0.05, "S1": 0.0975, "S2b": 0.0975, "S3": 0.11775}
     for sit, want in recorded.items():
@@ -602,7 +620,7 @@ goal { (P q)=u }
 """
     kb, plan, net = timed_build(FILL_KB, plan_text)
     s1, s2 = SituationId(1), SituationId(2)
-    assert net.aliases[clock_node(s2)] == clock_node(s1) and net.nodes[clock_node(s1)].states == [2, 4]
+    assert net.aliases[clock_node(s2)].source == clock_node(s1) and net.nodes[clock_node(s1)].states == [2, 4]
     (elapsed,) = [nid for nid in net.nodes if nid.ref[0] == "elapsed" and nid.sit == s2]
     node = net.nodes[elapsed]
     assert node.parents == [clock_node(s1)] and node.states == ["[0,3)"]

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from planeval import (
-    BuildError,
     GroundAtom,
     InfeasibleEvidence,
     PENet,
@@ -32,7 +31,6 @@ from planeval import (
     validate_kb,
 )
 from planeval import inference
-from planeval import net as net_module
 from planeval.net import Fragment, FragmentNode, FragmentRow, NodeId, SituationId, atom_node, finalize, paste_onto
 
 import forward_sampler
@@ -276,12 +274,12 @@ ELIMINATE = inference._eliminate  # as imported, for one_line even where a test 
 
 def one_line(net, q, width_limit=inference.DEFAULT_WIDTH_LIMIT) -> float:
     """The query's answer from an elimination of its conjunction alone, as a
-    net with no answer cached would give it, copies read as their sources;
-    it neither reads nor fills the cache."""
+    net with no answer cached would give it; it neither reads nor fills the
+    cache."""
     evidence, targets, reachable = inference._read(net, q)
     if not reachable:
         return 0.0
-    pins, conjunction = inference._sourced(net.numbering, evidence), inference._sourced(net.numbering, targets)
+    pins, conjunction = inference._keyed(net.numbering, evidence), inference._keyed(net.numbering, targets)
     _batch, (z_e, z_te), _width, _cells = ELIMINATE(net.numbering, [conjunction], pins, width_limit, conjunction)
     return min(max(z_te / z_e, 0.0), 1.0)
 
@@ -328,7 +326,8 @@ def loc(name: str, sit: int):
 # (Loc B)@S0, whose one state is L3. A missing node is named once as an atom
 # the net has no node for, and once as the aliased atom past the last
 # situation. Where both sides are bad, the evidence is read first. A target
-# state its node lacks scores 0 (no error) once the evidence is found feasible.
+# state its node lacks scores 0 (no error) once the evidence is found feasible,
+# and a missing target node raises before or after such a state.
 READ_CASES = {
     "evidence-node-missing-node": ({"evidence": {loc("C", 1): "L1"}},
                                    InfeasibleEvidence, "evidence node (Loc C)@S1 is not in the net"),
@@ -342,6 +341,10 @@ READ_CASES = {
                                  PlanEvalError, "target node (Loc C)@S1 is not in the net"),
     "target-node-missing-alias": ({"targets": [(loc("B", 3), "L3")]},
                                   PlanEvalError, "target node (Loc B)@S3 is not in the net"),
+    "target-node-missing-after-an-unreachable-state": ({"targets": [(loc("A", 1), "L9"), (loc("C", 1), "L1")]},
+                                                       PlanEvalError, "target node (Loc C)@S1 is not in the net"),
+    "target-node-missing-before-an-unreachable-state": ({"targets": [(loc("C", 1), "L1"), (loc("A", 1), "L9")]},
+                                                        PlanEvalError, "target node (Loc C)@S1 is not in the net"),
     "evidence-before-target": ({"targets": [(loc("C", 1), "L1")], "evidence": {loc("B", 1): "L1"}},
                                InfeasibleEvidence, "evidence state 'L1' is not a state of (Loc B)@S1"),
     "unreachable-target-node": ({"targets": [(loc("A", 1), "L3")], "evidence": {loc("B", 1): "L3"}}, None, None),
@@ -391,16 +394,17 @@ def test_eval_marginals_run_one_elimination_per_marginal_node(tmp_path, capsys, 
     assert out.count("\nmarginal ") == lines > len(specs)
     numbering = net.numbering
     marginal = [numbering.number[net.find(atom, sit)] for sit in net.situation_order for atom, _ in plan.goals]
-    sources = {numbering.sources[v] for v in marginal if numbering.sizes[v] > 1}
+    made = {v for v in marginal if numbering.sizes[v] > 1}  # an alias's marginal is its source's
     constants = [v for v in marginal if numbering.sizes[v] == 1]
     assert constants
-    # leads_to_success, plan_success, one per marginal node read as its source, and one for every constant
-    assert len(calls) == 2 + len(sources) + 1
+    # leads_to_success, plan_success, one per marginal node an atom reads, and one for every constant
+    assert len(calls) == 2 + len(made) + 1
 
 
 def copy_net() -> tuple:
     """A root R, its identity copy C@S1, that copy's copy C@S2, a node X that
-    reads R and C@S1, so both its parents read as R, and a one-state node K."""
+    reads R and C@S1, and a one-state node K. The net is pasted by hand, so
+    the copies are nodes: only the build makes aliases."""
     s0, s1, s2 = SituationId(0), SituationId(1), SituationId(2)
     root, c1, c2 = atom_node(GroundAtom("R"), s0), atom_node(GroundAtom("C"), s1), atom_node(GroundAtom("C"), s2)
     x, k = atom_node(GroundAtom("X"), s2), atom_node(GroundAtom("K"), s1)
@@ -417,8 +421,7 @@ def copy_net() -> tuple:
 
 def test_identity_copies_read_as_their_source_match_the_oracle():
     net, (root, c1, c2, x, k) = copy_net()
-    numbering = net.numbering
-    assert [numbering.ids[numbering.sources[numbering.number[nid]]] for nid in (root, c1, c2, x, k)] == [root, root, root, x, k]
+    assert not net.aliases and all(nid in net.nodes for nid in (root, c1, c2, x, k))
     for evidence in ({}, {c2: "t"}, {c1: "f", root: "f"}, {x: "b", k: "on"}, {x: "a", c2: "f"}):
         asked = [[(nid, state)] for nid in (root, c1, c2, x, k) for state in net.nodes[nid].states]
         asked += [[(c2, "t"), (x, "a")], [(c1, "f"), (root, "t")], [(c1, "t"), (c2, "t"), (k, "on")]]
@@ -435,9 +438,9 @@ def test_evidence_pinning_a_copy_and_its_source_apart_is_infeasible_after_the_gu
     with pytest.raises(InfeasibleEvidence):
         oracle_enumerate(net, q)
     calls = counted_eliminations(monkeypatch)
-    monkeypatch.setattr(np, "einsum", _no_products)
     with pytest.raises(WidthExceeded):
         exact_query(net, q, width_limit=0)
+    # the copies are nodes, so the elimination finds the evidence's probability 0
     for _ in range(2):
         with pytest.raises(InfeasibleEvidence, match="evidence has probability zero"):
             exact_query(net, q)
@@ -447,25 +450,23 @@ def test_evidence_pinning_a_copy_and_its_source_apart_is_infeasible_after_the_gu
 def test_a_copy_and_every_constant_cost_no_elimination_of_their_own(monkeypatch):
     _inst, plan, net = bench_net("branchy-queries")
     numbering, goals = net.numbering, inference._goal_targets(net, plan)
-    # the identity copies model rows make, then the multi-state no-change copies the build made no node for
-    copies = [nid for nid in numbering.ids if is_copy(net, nid)]
-    copies += [nid for nid in sorted(net.aliases, key=net.node_key) if len(net.node_of(nid).states) > 1]
+    # the aliases of multi-state nodes: selections that mirror their guards, and no-change copies
+    copies = [nid for nid in sorted(net.aliases, key=net.node_key) if len(net.states_of(nid)) > 1]
     constants = [nid for nid in numbering.ids if len(net.nodes[nid].states) == 1]
-    assert len(copies) > 10 and len(constants) > 10
+    assert len(copies) > 10 and len(constants) > 10 and any(nid.ref[0] == "sel" for nid in copies)
     calls = counted_eliminations(monkeypatch)
     for nid in copies:
-        node = net.node_of(nid)
-        source = net.nodes[numbering.ids[numbering.sources[numbering.number[node.id]]]]
+        states, source = net.states_of(nid), net.node_of(nid)
         expected = [exact_query(net, Query([(source.id, state)])).probability for state in source.states]
         before = len(calls)
-        assert [exact_query(net, Query([(nid, state)])).probability for state in node.states] == expected
+        assert [exact_query(net, Query([(nid, state)])).probability for state in states] == expected
         likely = expected.index(max(expected))
-        given = exact_query(net, Query(goals, {nid: node.states[likely]})).probability
+        given = exact_query(net, Query(goals, {nid: states[likely]})).probability
         assert exact_query(net, Query(goals, {source.id: source.states[likely]})).probability == given
-        assert len(calls) <= before + 1  # none for the marginal; evidence on a copy is evidence on its source
-    first = net.node_of(copies[0])
-    marginal = [exact_query(net, Query([(copies[0], state)])).probability for state in first.states]
-    seen = {copies[0]: first.states[marginal.index(max(marginal))]}
+        assert len(calls) <= before + 1  # none for the marginal; evidence on an alias is evidence on its source
+    first = net.states_of(copies[0])
+    marginal = [exact_query(net, Query([(copies[0], state)])).probability for state in first]
+    seen = {copies[0]: first[marginal.index(max(marginal))]}
     before = len(calls)
     for evidence in ({}, seen):
         assert all(exact_query(net, Query([(nid, net.nodes[nid].states[0])], evidence)).probability == 1.0
@@ -479,7 +480,7 @@ RISK = [atom_node(GroundAtom("Risk"), SituationId(i)) for i in range(3)]  # (Ris
 @pytest.mark.parametrize("apart", [(0, 1), (1, 2)], ids=["alias-and-source", "two-aliases"])
 def test_evidence_pinning_an_alias_apart_fails_in_both_engines(apart, monkeypatch):
     _kb, plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
-    assert {RISK[1]: RISK[0], RISK[2]: RISK[0]}.items() <= net.aliases.items()
+    assert net.aliases[RISK[1]].source == net.aliases[RISK[2]].source == RISK[0]
     done = net.find("(Done T)", "S2")
     evidence = {RISK[apart[0]]: "low", RISK[apart[1]]: "high"}
     calls = counted_eliminations(monkeypatch)
@@ -546,30 +547,20 @@ def test_a_sibling_batch_above_the_cell_guard_runs_the_query_alone(monkeypatch):
             exact_query(net, Query(targets=[(nid, state)]))
 
 
-def is_copy(net, nid) -> bool:
-    """An alias, or a made node that copies its one multi-state parent."""
-    if nid in net.aliases:
-        return True
-    numbering = net.numbering
-    v = numbering.number[nid]
-    return numbering.sources[v] != v
-
-
 def cache_queries(net, rng) -> list:
     """Every state of a few multi-state nodes, without evidence and given one
     node's state of positive probability, and a two-node conjunction each
-    way; on a net with an identity copy or an alias of a multi-state node,
-    also every state of one of them, and each of those queries given one
-    state of it of positive probability. Each query comes with its oracle
+    way; on a net with an alias of a multi-state node, also every state of
+    one of them, and each of those queries given one state of it of positive
+    probability. Each query comes with its oracle
     answer, read from one joint of those nodes per evidence."""
     nodes = [nid for nid in sorted(net.nodes, key=net.node_key) if len(net.nodes[nid].states) > 1]
     if not nodes:
         return []
     picked = rng.sample(nodes, min(3, len(nodes)))
     seen = rng.choice(nodes)
-    aliases = [nid for nid in sorted(net.aliases, key=net.node_key) if len(net.node_of(nid).states) > 1]
-    copies = [nid for nid in nodes if is_copy(net, nid)] + aliases
-    marginal = picked + rng.sample(copies, 1 if copies else 0)
+    aliases = [nid for nid in sorted(net.aliases, key=net.node_key) if len(net.states_of(nid)) > 1]
+    marginal = picked + rng.sample(aliases, 1 if aliases else 0)
     keep = sorted({*marginal, seen}, key=net.node_key)
     joint = joint_distribution(net, keep, bound=math.inf)
     evidences = [{}]
@@ -580,7 +571,7 @@ def cache_queries(net, rng) -> list:
         if evidence:
             joint = joint_distribution(net, keep, bound=math.inf, evidence=evidence)
         z_e = sum(joint.values())
-        asked = [[(nid, state)] for nid in marginal for state in net.node_of(nid).states]
+        asked = [[(nid, state)] for nid in marginal for state in net.states_of(nid)]
         asked.append([(nid, rng.choice(net.nodes[nid].states)) for nid in picked[:2]])
         for targets in asked:
             z_te = sum(p for world, p in joint.items() if all(world[keep.index(nid)] == state for nid, state in targets))
@@ -598,16 +589,16 @@ def test_cached_answers_match_the_oracle_and_one_line_at_a_time(generator):
         net = build_pe_net(plan, kb, options)
         for q, oracle in cache_queries(net, random.Random(seed)):
             evidence, targets, _reachable = inference._read(net, q)
-            key = inference._sourced(net.numbering, targets), inference._sourced(net.numbering, evidence)
+            key = inference._keyed(net.numbering, targets), inference._keyed(net.numbering, evidence)
             hit = key in net.answers
             got = exact_query(net, q).probability
             assert abs(got - oracle) <= 1e-12, (seed, q)
             assert abs(got - one_line(net, q)) <= 1e-12, (seed, q)
             compared += 1
             siblings += hit
-            on_copies += any(is_copy(net, nid) for nid in [nid for nid, _ in q.targets] + list(q.evidence))
+            on_copies += any(nid in net.aliases for nid in [nid for nid, _ in q.targets] + list(q.evidence))
     assert siblings > compared / 3  # a third of the answers or more came from a sibling's elimination
-    assert on_copies > compared / 4  # a quarter of the queries or more read an identity copy
+    assert on_copies > compared / 4  # a quarter of the queries or more read an alias
 
 
 def test_exact_queries_from_many_threads_on_an_empty_cache_give_the_serial_answers():
@@ -656,21 +647,21 @@ def test_mc_answer_pinned(two_step):
 
 
 def test_mc_answer_pinned_with_evidence():
-    # recorded when (Risk) and (Side T) at S1 became aliases and stopped
+    # recorded when sel(b0)@S0 became an alias of (Risk)@S0 and stopped
     # owning draws: evidence on a root and on a non-root node, same seed, same bits
     _kb, _plan, net = build(HIERARCHY_KB, HIERARCHY_PLAN)
     side, done, risk = net.find("(Side T)", "S2"), net.find("(Done T)", "S2"), net.find("(Risk)", "S0")
     evidence = {risk: "high", side: "clean"}
     q = Query(targets=[(done, "yes")], evidence=evidence, mode="mc", samples=3000, seed=5)
     result = mc_query(net, q)
-    assert result.probability == 0.49766666666666665
+    assert result.probability == 0.49766666666666654
     assert result.standard_error == 0.009128609889710397
     # evidence on a two-parent node, recorded with the two above
     assert len(net.nodes[done].parents) == 2
     q = Query(targets=[(side, "clean")], evidence={risk: "high", done: "yes"}, mode="mc", samples=3000, seed=5)
     result = mc_query(net, q)
-    assert result.probability == 0.6943333333333334
-    assert result.standard_error == 0.008410995889420696
+    assert result.probability == 0.696
+    assert result.standard_error == 0.008398095022086854
 
 
 def test_mc_on_deterministic_net_is_exact():
@@ -1136,7 +1127,10 @@ def test_a_draw_of_zero_never_picks_a_state_of_probability_zero(monkeypatch):
 
 
 def test_mc_draws_nothing_for_nodes_certain_of_their_state(monkeypatch):
-    kb, plan = load(RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN.replace("(Loc X)=L1 }", "(Loc X)=L1:0.5 (Loc X)=L2:0.5 }"))
+    # (Loc X) takes a third state that (At L1) also reads as NONE, so (At L1) is a node, not an alias
+    kb_text = RELIABLE_MOVE_KB.replace("states { L1 L2 }", "states { L1 L2 L3 }").replace(
+        "(Loc X)=L2 -> { NONE:1.0 }", "(Loc X)=L2 -> { NONE:1.0 }\n  (Loc X)=L3 -> { NONE:1.0 }")
+    kb, plan = load(kb_text, RELIABLE_MOVE_PLAN.replace("(Loc X)=L1 }", "(Loc X)=L1:0.5 (Loc X)=L2:0.3 (Loc X)=L3:0.2 }"))
     net = build_pe_net(plan, kb)
     loc, at = net.find("(Loc X)", "S0"), net.find("(At L1)", "S0")
     assert net.numbering.picks[net.numbering.number[at]] is not None
@@ -1260,19 +1254,12 @@ def test_an_exception_on_the_draw_thread_reaches_the_caller_unchanged(monkeypatc
 
 
 def test_default_branchy_12_answers_exactly_and_agrees_with_mc():
-    # (Built W) reads 49 parents; situation order needed width 49, the
-    # min-degree order a handful. Before numpy 2 an array has at most 32
-    # axes, so there its 50-dimension table is the documented typed failure.
+    # Situation order needed width 49 here, the min-degree order a handful;
+    # with no-change copies made aliases, no table has more than four axes.
     inst = workloads.branchy(random.Random(0), 12)
     kb, plan = load(inst.kb_text, inst.plan_text)
-    if net_module._MAX_TABLE_DIMS < 50:
-        with pytest.raises(BuildError) as exc:
-            build_pe_net(plan, kb)
-        assert exc.value.stage == "forward"
-        assert isinstance(exc.value.cause, TooLarge)
-        assert str(exc.value.cause).startswith("node (Built W)@S49 needs a table of 50 dimensions, above ")
-        return
     net = build_pe_net(plan, kb)
+    assert max(node.table.ndim for node in net.nodes.values()) <= 4
     exact = leads_to_success(net, plan)
     assert exact.elimination_width <= 6
     mc = leads_to_success(net, plan, mode="mc", samples=100_000, seed=3)

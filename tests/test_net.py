@@ -371,22 +371,20 @@ def test_finalize_numbers_the_nodes_in_key_order(seed, timed):
         assert table.tobytes() == node.table.tobytes()
         assert numbering.sizes[i] == len(node.states)
     assert tuple(numbering.ids[v] for v in numbering.order) == net.topological_nodes()
-    sources = copy_sources(net)
-    assert numbering.sources == tuple(numbering.number[sources[nid]] for nid in numbering.ids)
     placed = set()
     for v in numbering.order:  # the order respects every parent, one-state ones too
         assert placed.issuperset(numbering.number[p] for p in net.nodes[numbering.ids[v]].parents)
         placed.add(v)
     assert placed == set(range(len(net.nodes)))
-    # The rank puts the multi-state nodes that are not copies first, in an
-    # order of their own, then the copies and the one-state nodes by number.
-    ranked = [v for v, k in enumerate(numbering.sizes) if k > 1 and numbering.sources[v] == v]
+    # The rank puts the multi-state nodes first, in an order of their own,
+    # then the one-state nodes by number.
+    ranked = [v for v, k in enumerate(numbering.sizes) if k > 1]
     by_rank = sorted(range(len(net.nodes)), key=numbering.rank.__getitem__)
     assert sorted(numbering.rank) == list(range(len(net.nodes)))
     assert sorted(by_rank[:len(ranked)]) == ranked
     assert by_rank[len(ranked):] == sorted(set(range(len(net.nodes))) - set(ranked))
     for field in (numbering.ids, numbering.parents, numbering.tables, numbering.sizes, numbering.order,
-                  numbering.rank, numbering.sources, numbering.strides, numbering.cdfs):
+                  numbering.rank, numbering.strides, numbering.cdfs):
         assert type(field) is tuple
     assert all(type(parents) is tuple for parents in numbering.parents)
     for v, (table, k) in enumerate(zip(numbering.tables, numbering.sizes)):
@@ -450,16 +448,54 @@ def copy_sources(net) -> dict:
     return sources
 
 
+def relabelled_parent(net, node):
+    """The one multi-state parent a multi-state node relabels, read from the
+    ``Node.cpt`` rows: each of its states gives a point mass, on a state no
+    other gets, and every state of the node is given; None for any other node."""
+    multi = [p for p in node.parents if len(net.nodes[p].states) > 1]
+    if len(node.states) < 2 or len(multi) != 1:
+        return None
+    at, given = node.parents.index(multi[0]), {}
+    for combo, row in node.cpt.items():
+        certain = [state for state, p in row.items() if p == 1.0]
+        if len(certain) != 1 or given.setdefault(combo[at], certain[0]) != certain[0]:
+            return None
+    return multi[0] if sorted(given.values(), key=str) == sorted(node.states, key=str) else None
+
+
+@pytest.mark.parametrize("generator, semantics", [
+    (instance_gen.generate, "gate-effect-only"),
+    (instance_gen.generate, "nullify-action"),
+    (instance_gen.generate_timed, "gate-effect-only"),
+])
+def test_no_node_of_the_corpus_is_an_identity_copy(generator, semantics):
+    # The build makes an alias of every node whose rows relabel one node's
+    # states, in any order, save an atom a derived node reads whose source is
+    # not a primitive, since a derived node takes primitive parents only.
+    timed = generator is instance_gen.generate_timed
+    relabelled = 0
+    for seed in range(200):
+        kb, plan = generator(seed)
+        net = build_pe_net(plan, kb, BuildOptions(during_failure_semantics=semantics, clock_enabled=timed))
+        copies = [str(nid) for nid, source in copy_sources(net).items() if source != nid]
+        assert not copies, (seed, copies)
+        derived_read = {p for node in net.nodes.values() if node.kind == "derived" for p in node.parents}
+        relabels = [str(nid) for nid, node in net.nodes.items() if relabelled_parent(net, node) is not None
+                    and not (nid in derived_read and net.nodes[relabelled_parent(net, node)].kind != "primitive")]
+        assert not relabels, (seed, relabels)
+        relabelled += sum(1 for alias in net.aliases.values() if len(alias.states) > 1)
+    assert relabelled > 100
+
+
 def slow_min_degree(net) -> list:
-    """The min-degree elimination order of the multi-state nodes that are not
-    copies, every parent read as its source, by rescanning every node for
-    the fewest neighbours (lower number on a tie) at each step."""
+    """The min-degree elimination order of the multi-state nodes, by
+    rescanning every node for the fewest neighbours (lower number on a tie)
+    at each step."""
     number, sizes = net.numbering.number, net.numbering.sizes
-    sources = {number[nid]: number[source] for nid, source in copy_sources(net).items()}
-    graph = {v: set() for v, k in enumerate(sizes) if k > 1 and sources[v] == v}
+    graph = {v: set() for v, k in enumerate(sizes) if k > 1}
     for nid, node in net.nodes.items():
         if number[nid] in graph:
-            family = {sources[number[p]] for p in node.parents if sizes[number[p]] > 1} | {number[nid]}
+            family = {number[p] for p in node.parents if sizes[number[p]] > 1} | {number[nid]}
             for v in family:
                 graph[v] |= family - {v}
     order = []
