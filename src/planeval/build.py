@@ -21,10 +21,11 @@ The pipeline runs in a fixed order:
    machinery with clock-identity gap fillers (paste-into) and elapsed-bucket
    nodes,
 7. write each fill block's rows, KB persistence rows before the default
-   no-change rows, once with the net's row writer into arrays over the
-   block's axes, then copy them into each node's rows no earlier stage
-   wrote, with one masked copy per array; an elapsed-time row reads its
-   situation's elapsed-bucket node, or the node that one relabels,
+   no-change rows, once per layout with the net's row writer into arrays
+   over the node's states and the parents that are the block's axes, then
+   copy them into each node's rows no earlier stage wrote, with one masked
+   copy per array; an elapsed-time row reads its situation's elapsed-bucket
+   node, or the node that one relabels,
 8. finalize.
 
 No stage after the sweep makes a row. Each replays what the sweep recorded,
@@ -275,7 +276,6 @@ class Schedule:
 
     def _validate(self):
         seen_boundaries = set()
-        claimed = {}
         position = {b: i for i, b in enumerate(self.boundary_order)}
         for group in self.plan.contingencies:
             if group.boundary in seen_boundaries:
@@ -297,8 +297,6 @@ class Schedule:
                     raise PlanEvalError(
                         f"contingent step {alt} starts at {step.start!r}, not at the group boundary {group.boundary!r}"
                     )
-                if claimed.setdefault(alt, group.boundary) != group.boundary:
-                    raise PlanEvalError(f"step {alt} appears in two contingency groups")
         for atom in self.plan.initial:
             if self.kb.kind_of(atom) != PRIMITIVE:
                 raise PlanEvalError(f"initial state mentions derived atom {atom}")

@@ -15,7 +15,9 @@ node states, optionally given evidence):
   the same ancestors in the topological order ``finalize`` stored. It does
   no table work per query, reads a node certain of its state from its pick
   table, and advances the generator past the draws of every other node, so
-  answers equal whole-net sampling's for a given seed (``mc_query``,
+  answers equal whole-net sampling's for a given seed. A query that draws
+  many rows has a worker thread draw them one block ahead into two slots,
+  which pass between it and the caller through two queues (``mc_query``,
   ``_fill``, ``_drawn_ahead``).
 
 A one-state node's table is 1 on every row, so neither engine reads one: a
@@ -50,8 +52,9 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -390,56 +393,45 @@ def _inline_rows(rng, skips: list, n: int):
 def _drawn_ahead(rng, skips: list, n: int):
     """``_inline_rows`` drawn one block ahead by a worker thread.
 
-    The worker fills two slots of ``_BLOCK_DOUBLES // n`` rows each (at least
-    one), in turn, while the caller reads the other; a row is valid until the
-    next one is asked for. The thread lives only inside this context, which
-    stops and joins it on exit, and an exception it raises is raised in the
-    caller.
+    Two slots of ``_BLOCK_DOUBLES // n`` rows each (at least one) pass
+    between the worker and the caller through two queues: ``free`` holds the
+    slots the worker may fill, and a None there stops it; ``full`` holds the
+    filled slots in block order, or the exception the worker raised, which
+    the caller raises. The caller reads one slot while the worker fills the
+    other, and a row is valid until the next one is asked for. The thread
+    lives only inside this context, which stops and joins it on exit.
     """
     rows = max(1, _BLOCK_DOUBLES // n)
     blocks = [skips[start:start + rows] for start in range(0, len(skips), rows)]
-    slots = (np.empty((rows, n)), np.empty((rows, n)))
-    # Each lock is a binary semaphore one thread releases and the other
-    # acquires: filled[s] is free once the worker has filled slot s, and
-    # taken[s] is held from the worker filling slot s until the caller is
-    # done with it.
-    filled = (threading.Lock(), threading.Lock())
-    taken = (threading.Lock(), threading.Lock())
-    for lock in filled:
-        lock.acquire()
-    failed = []
-    stopped = False
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty((rows, n)))
 
     def work():
-        for b, block in enumerate(blocks):
-            taken[b % 2].acquire()
-            if stopped:
-                return
-            try:
-                _fill(rng, block, slots[b % 2][:len(block)])
-            except BaseException as exc:  # handed to the caller, which raises it
-                failed.append(exc)
-                return
-            finally:
-                filled[b % 2].release()
+        try:
+            for block in blocks:
+                slot = free.get()
+                if slot is None:
+                    return
+                _fill(rng, block, slot[:len(block)])
+                full.put(slot)
+        except BaseException as exc:  # handed to the caller, which raises it
+            full.put(exc)
 
     def handed_over():
-        for b, block in enumerate(blocks):
-            filled[b % 2].acquire()
-            if failed:
-                raise failed[0]
-            yield from slots[b % 2][:len(block)]
-            taken[b % 2].release()
+        for block in blocks:
+            slot = full.get()
+            if isinstance(slot, BaseException):
+                raise slot
+            yield from slot[:len(block)]
+            free.put(slot)
 
     worker = threading.Thread(target=work, name="planeval-mc-draws", daemon=True)
     worker.start()
     try:
         yield handed_over()
     finally:
-        stopped = True
-        for lock in taken:
-            if lock.locked():  # only the caller releases these, so it stays locked until here
-                lock.release()
+        free.put(None)
         worker.join()
 
 
@@ -496,12 +488,13 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     from that table. An evidence node owns no draws, whatever its state
     count. One pass over the stored order first lists the nodes that draw,
     each with the doubles skipped before it; the rows are then drawn in that
-    order, one block ahead on a second thread when the query draws at least
-    ``_AHEAD_DRAWS`` doubles and inline otherwise, with the same bits either
-    way. Samples are freed after their last reader. A query that samples no
-    node, every target one-state or unreachable and every evidence node
-    one-state, is answered without a schedule or a generator, with the bits
-    sampling would give.
+    order, in one context that gives them one block ahead from a second
+    thread when the query draws at least ``_AHEAD_DRAWS`` doubles and inline
+    otherwise, with the same bits either way, and ``_sample`` reads them.
+    Samples are freed after their last reader. A query that samples no node,
+    every target one-state or unreachable and every evidence node one-state,
+    is answered without a schedule or a generator, with the bits sampling
+    would give.
     """
     if not net.finalized:
         raise PlanEvalError("mc_query requires a finalized net")
@@ -550,11 +543,9 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
             skip = 0
         else:
             skip += n
-    if len(skips) * n < _AHEAD_DRAWS:
-        values, weights = _sample(numbering, kept, pins, readers, _inline_rows(rng, skips, n), n)
-    else:
-        with _drawn_ahead(rng, skips, n) as rows:
-            values, weights = _sample(numbering, kept, pins, readers, rows, n)
+    ahead = len(skips) * n >= _AHEAD_DRAWS
+    with _drawn_ahead(rng, skips, n) if ahead else nullcontext(_inline_rows(rng, skips, n)) as rows:
+        values, weights = _sample(numbering, kept, pins, readers, rows, n)
 
     total = weights.sum()
     if total <= 0.0:

@@ -23,9 +23,10 @@ Two merge operations build nets from model fragments:
 
 Both write rows with one row writer. Fill rows that many nodes share, such
 as a persistence model's, come as one ``FillBlock`` of rows; the row writer
-writes them once into arrays over the block's axes, and the build copies
-those into each node with one masked copy per array of the node, which
-writes what ``paste_into`` of the block's rows would.
+writes them once per layout into arrays over the node's states and the
+parents that are the block's axes, and the build copies those into each
+node with one masked copy per array of the node, which writes what
+``paste_into`` of the block's rows would.
 
 A node whose state is always a relabelling of one made node's is not made:
 the net keeps it in ``PENet.aliases`` as an ``Alias`` of that node, its
@@ -496,23 +497,26 @@ class PENet:
         """Write fill blocks, each into the rows of its node not yet written,
         as ``paste_into`` of the blocks' rows would. ``fills`` are (node,
         parents, block): the block's axes are the nodes ``parents``, and it
-        repeats along every other parent of the node. Each block's rows are
-        written once, by ``_write`` into arrays over its own axes and states;
-        nodes alike in block, states and parent layout share one arrangement
-        of those arrays, which is copied into each with one masked copy per
-        array."""
+        repeats along every other parent of the node. Nodes alike in block,
+        states and parent layout share one part: ``_write`` writes the
+        block's rows once into arrays over the node's states and over its
+        parents that are block axes, in its parent order, which take a
+        length-1 axis for every other parent and are copied into each node
+        with one masked copy per array."""
         self._mutable()
-        parts, arranged = {}, {}
+        arranged = {}
         for nid, parents, block in fills:
             node = self.nodes[nid]
             axis = dict(zip(parents, range(len(parents))))
             layout = (id(block), tuple(node.states), *[axis.get(p) for p in node.parents])
             if layout not in arranged:  # kept with the block, so no other block can take its id
-                if id(block) not in parts:
-                    part = parts[id(block)] = Node(nid, node.kind, list(block.states), node.text, self.labels)
-                    _allocate(part, list(parents), tuple([self.nodes[p] for p in parents]))
-                    self._write({nid: part}, block.fragment_rows(nid, parents), overwrite=False)
-                arranged[layout] = block, *_arrange(parts[id(block)], node, layout[2:])
+                part = Node(nid, node.kind, node.states, node.text, self.labels)
+                own = [p for p in node.parents if p in axis]
+                _allocate(part, own, tuple([self.nodes[p] for p in own]))
+                self._write({nid: part}, block.fragment_rows(nid, parents), overwrite=False)
+                shape = [n if p in axis else 1 for p, n in zip(node.parents, node.totals.shape)]
+                arranged[layout] = (block, part.cells.reshape(*shape, -1), part.totals.reshape(shape),
+                                    part.sources.reshape(shape))
             _block, cells, totals, sources = arranged[layout]
             free = node.sources == 0
             np.copyto(node.cells, cells, where=free[..., None])
@@ -592,19 +596,6 @@ def _allocate(node: Node, parents: list, axes: tuple):
     node.cells = np.zeros((*shape, len(node.states)))
     node.totals = np.zeros(shape)
     node.sources = np.zeros(shape, dtype=np.int32)
-
-
-def _arrange(part: Node, node: Node, where: tuple) -> tuple:
-    """A block's written arrays laid out along a node's parents: ``where``
-    holds, per parent, the block axis it is, or None for a parent the block
-    repeats along; cells move to the node's state columns."""
-    order = [i for i in where if i is not None]
-    shape = [1 if i is None else part.totals.shape[i] for i in where]
-    cells = part.cells.transpose(*order, len(order)).reshape(*shape, -1)
-    if part.states != node.states:  # the node has states the block does not give
-        cells, given = np.zeros((*shape, len(node.states))), cells
-        cells[..., [node.at[state] for state in part.states]] = given
-    return cells, part.totals.transpose(order).reshape(shape), part.sources.transpose(order).reshape(shape)
 
 
 def _fit(at: dict, dist: dict, owner) -> tuple:

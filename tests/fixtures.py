@@ -210,6 +210,16 @@ initial {{ (S m)=ok (R m)=lo }}
 goal {{ (R m)=hi }}
 """
 
+# Two contingency groups at b0: the schedule rejects the plan.
+SHARED_BOUNDARY_PLAN = """
+step f1 a1 (FixA m) start=b0 end=b1
+step f2 a2 (FixB m) start=b0 end=b1
+contingent at b0 { (S m)=ok -> f1 }
+contingent at b0 { (S m)=ok -> f2 }
+initial { (S m)=ok (R m)=lo }
+goal { (R m)=hi }
+"""
+
 
 # A step whose effect is gated on (Power) during it, while another agent
 # writes (Power) at every intermediate situation: each write is a node of its

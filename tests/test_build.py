@@ -48,6 +48,7 @@ from fixtures import (
     MOVE_KB,
     RELIABLE_MOVE_KB,
     RELIABLE_MOVE_PLAN,
+    SHARED_BOUNDARY_PLAN,
     SWAPPED_COPY_KB,
     SWAPPED_COPY_PLAN,
     TWO_STEP_PLAN,
@@ -349,6 +350,29 @@ goal { (R m)=hi }
     with pytest.raises((BuildError, UnknownConditionNode)):
         build_pe_net(plan, kb)
 
+
+
+@pytest.mark.parametrize("kb_text, plan_text, message", [
+    (CONTINGENT_KB, SHARED_BOUNDARY_PLAN, "two contingency groups share boundary 'b0'"),
+    (CONTINGENT_KB, """
+step f1 a1 (FixA m) start=b0 end=b1
+step g1 a1 (FixB m) start=b1 end=b2
+contingent at b0 { (S m)=ok -> { f1:0.5 g1:0.5 } }
+initial { (S m)=ok (R m)=lo }
+goal { (R m)=hi }
+""", "contingent step g1 starts at 'b1', not at the group boundary 'b0'"),
+    (RELIABLE_MOVE_KB, """
+step s1 a1 (Move X L1 L2) start=b0 end=b1
+initial { (Loc X)=L1 (At L1)=X }
+goal { (Loc X)=L2 }
+""", "initial state mentions derived atom (At L1)"),
+], ids=["shared-boundary", "off-boundary", "derived-initial"])
+def test_a_plan_the_schedule_cannot_take_fails_at_the_schedule_stage(kb_text, plan_text, message):
+    kb, plan = load(kb_text, plan_text)
+    with pytest.raises(BuildError) as caught:
+        build_pe_net(plan, kb)
+    assert caught.value.stage == "schedule"
+    assert str(caught.value.cause) == message
 
 # -- derived-effect regression ---------------------------------------------
 

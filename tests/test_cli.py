@@ -24,6 +24,7 @@ from fixtures import (
     RELIABLE_MOVE_KB,
     RELIABLE_MOVE_PLAN,
     SELF_EXPANDING_PLAN,
+    SHARED_BOUNDARY_PLAN,
     SWAPPED_COPY_KB,
     SWAPPED_COPY_PLAN,
     TWO_STEP_PLAN,
@@ -297,6 +298,14 @@ def test_build_sub_step_reusing_the_expanded_id_exit_1(files, capsys):
     assert err == f"{plan_path}:0:0: plan: sub-step big of big reuses the id of a step being expanded\n"
 
 
+def test_build_of_two_contingency_groups_at_one_boundary_exit_1(files, capsys):
+    kb_path, plan_path = files(CONTINGENT_KB, SHARED_BOUNDARY_PLAN)
+    code, out, err = run(capsys, ["build", kb_path, plan_path])
+    assert code == 1
+    assert out == ""
+    assert err == f"{plan_path}:0:0: build: pipeline stage 'schedule': two contingency groups share boundary 'b0'\n"
+
+
 @pytest.mark.parametrize("missing", ["kb", "plan"])
 def test_missing_input_file_exit_1(files, capsys, tmp_path, missing):
     kb_path, plan_path = files(RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN)
@@ -383,6 +392,30 @@ def test_compare_linearizations(files, capsys):
     assert "linearization[default] leads_to_success =" in out
     assert "linearization[0] leads_to_success =" in out
     assert "linearization[1] leads_to_success =" in out
+
+
+AGENTS_TIMED_1_PLAN = """
+step s0_0 ag0 (Act0_0 x0_0) start=b0 end=e0_0
+step s1_0 ag1 (Act1_0 x1_0) start=b0 end=e1_0
+step s1_1 ag1 (Act1_1 x1_1) start=e1_0 end=e1_1
+initial { (P x0_0)=u (P x1_0)=u (P x1_1)=u (P q)=u }
+goal { (P q)=v }
+"""
+
+
+def test_compare_linearizations_reports_an_order_it_cannot_build_as_n_a(files, capsys):
+    # The default order builds; seed 0's would need a second split.
+    generated_kb, generated_plan = instance_gen.generate_agents_timed(1)
+    kb_text = print_kb(generated_kb)
+    kb, plan = load(kb_text, AGENTS_TIMED_1_PLAN)
+    assert canonical_dump(build_pe_net(plan, kb, BuildOptions(clock_enabled=True))) == canonical_dump(
+        build_pe_net(generated_plan, generated_kb, BuildOptions(clock_enabled=True)))
+    kb_path, plan_path = files(kb_text, AGENTS_TIMED_1_PLAN)
+    code, out, err = run(capsys, ["compare-linearizations", kb_path, plan_path, "--clock", "--seeds", "1"])
+    assert code == 0, err
+    assert out.splitlines()[1] == "linearization[0] leads_to_success = n/a"
+    assert err.startswith(f"{plan_path}:0:0: build: pipeline stage 'split': ")
+    assert "would need a second split" in err
 
 
 def test_compare_linearizations_parses_the_inputs_once(files, capsys, monkeypatch):

@@ -13,8 +13,10 @@ from planeval import (
     clock_node,
     exact_query,
     flatten_hierarchy,
+    inference,
     leads_to_success,
     linearize,
+    mc_query,
 )
 from planeval.build import _apply_split, _scan_time_tree, make_schedule, split_situations
 from planeval.errors import MissingDuration
@@ -200,6 +202,29 @@ def test_split_sign_mass_matches_the_duration_pairs():
     ret = ret_node("a1", "a2", SituationId(2, "a"))
     assert net.nodes[ret].states == ["negative", "nonnegative"]
     assert abs(exact_query(net, Query(targets=[(ret, "negative")])).probability - 0.3) <= 1e-12
+
+
+def test_a_start_clock_beyond_the_cap_reads_as_arbitrarily_late():
+    # s1_0 (start clock@S1: 3 or OTHER) is the later step and s0_2 (start
+    # clock@S2, beyond the cap of 3 in every world) the earlier one. A later
+    # start beyond the cap ends no earlier; an earlier start beyond it, with
+    # the later one within, ends after the later step.
+    kb, plan = instance_gen.generate_agents_timed(72)
+    net = build_pe_net(plan, kb, BuildOptions(clock_enabled=True, clock_cap=3))
+    node = net.nodes[ret_node("s0_2", "s1_0", SituationId(4, "a"))]
+    assert [str(p) for p in node.parents] == ["clock@S1", "dur(s1_0)@S1", "clock@S2", "dur(s0_2)@S2"]
+    assert net.nodes[clock_node(SituationId(2))].states == ["OTHER"]
+    assert {combo: dict(dist) for combo, dist in node.cpt.items()} == {
+        (3, 6, "OTHER", 3): {"negative": 1.0},
+        (3, 6, "OTHER", 6): {"negative": 1.0},
+        ("OTHER", 6, "OTHER", 3): {"nonnegative": 1.0},
+        ("OTHER", 6, "OTHER", 6): {"nonnegative": 1.0},
+    }
+    # No step writes the goal atom, so both engines give it 0; the sign is a coin.
+    for targets, want in [(inference._goal_targets(net, plan), 0.0), ([(node.id, "negative")], 0.5)]:
+        assert exact_query(net, Query(targets=targets)).probability == want
+        mc = mc_query(net, Query(targets=targets, mode="mc", samples=20000, seed=1))
+        assert abs(want - mc.probability) <= 5 * mc.standard_error
 
 
 SIGN_RANK_KB = """

@@ -1,14 +1,15 @@
 """Core model types: instantiation, unification, KB validation."""
 
+import math
 import random
 
 import pytest
 
-from planeval import GroundAtom, instantiate, validate_kb
+from planeval import BuildError, GroundAtom, build_pe_net, instantiate, validate_kb
 from planeval.errors import ArityMismatch, UnboundVariable
-from planeval.model import PROB_TOL, ConditionalRow, instantiate_row, unify
+from planeval.model import PROB_TOL, ConditionalRow, PredicateSchema, instantiate_row, unify
 
-from fixtures import INVERTED_KB, MOVE_KB, RELIABLE_MOVE_KB, load_kb
+from fixtures import INVERTED_KB, MOVE_KB, RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN, TWO_STEP_PLAN, load, load_kb
 
 
 def test_instantiate_direct_substitution():
@@ -88,6 +89,36 @@ def test_validate_kb_flags_duplicate_rows():
     diags = validate_kb(kb)
     assert any(d.code == "duplicate-row" for d in diags)
 
+
+
+@pytest.mark.parametrize("kb_text, plan_text, spoil, code, message", [
+    (MOVE_KB, TWO_STEP_PLAN, lambda kb: kb.schemas.update(X=PredicateSchema("X")),
+     "empty-states", "predicate X declares no states"),
+    (MOVE_KB, TWO_STEP_PLAN, lambda kb: kb.schemas.update(X=PredicateSchema("X", states=("a", "a"))),
+     "duplicate-state", "predicate X has duplicate state labels"),
+    (MOVE_KB, TWO_STEP_PLAN, lambda kb: setattr(kb.persistence["Loc"].rows[0], "distribution", {"L1": 1.5, "L2": -0.5}),
+     "bad-probability", "persistence (Loc ?obj): probability 1.5 outside [0,1]"),
+    (MOVE_KB, TWO_STEP_PLAN, lambda kb: setattr(kb.find_action("Move"), "duration", {-1: 0.5, 1: 0.5}),
+     "negative-duration", "action Move/0: duration support must be nonnegative"),
+    (MOVE_KB, TWO_STEP_PLAN, lambda kb: setattr(kb.persistence["Loc"], "buckets", [(0, 3), (4, math.inf)]),
+     "bucket-gap", "persistence (Loc ?obj): elapsed buckets must tile [0,inf) without gaps"),
+    (MOVE_KB, TWO_STEP_PLAN, lambda kb: setattr(kb.persistence["Loc"], "buckets", [(0, 3)]),
+     "bucket-gap", "persistence (Loc ?obj): elapsed buckets must extend to inf"),
+    (MOVE_KB, TWO_STEP_PLAN, lambda kb: setattr(kb.persistence["Loc"].rows[0], "bucket", (0, 3)),
+     "unknown-bucket", "persistence (Loc ?obj): row bucket (0, 3) not declared"),
+    (RELIABLE_MOVE_KB, RELIABLE_MOVE_PLAN, lambda kb: kb.derived.append(kb.derived[0]),
+     "duplicate-derived", "derived (At L1): repeated definition"),
+], ids=["empty-states", "duplicate-state", "bad-probability", "negative-duration", "bucket-gap-inside",
+        "bucket-gap-at-the-end", "unknown-bucket", "duplicate-derived"])
+def test_validate_kb_flags_a_spoiled_kb_and_the_build_stops_there(kb_text, plan_text, spoil, code, message):
+    kb, plan = load(kb_text, plan_text)
+    spoil(kb)
+    diags = validate_kb(kb)
+    assert {d.code for d in diags} == {code}
+    assert diags[0].message == message
+    with pytest.raises(BuildError) as caught:
+        build_pe_net(plan, kb)
+    assert caught.value.stage == "validate-kb"
 
 def test_validate_kb_is_pure():
     kb = load_kb(INVERTED_KB)
