@@ -224,9 +224,9 @@ class Schedule:
         def add(atom: GroundAtom):
             schema = self.kb.schemas.get(atom.name)
             if schema is None:
-                raise BuildError("schedule", PlanEvalError(f"{atom} references undeclared predicate"))
+                raise PlanEvalError(f"{atom} references undeclared predicate")
             if not atom.is_ground:
-                raise BuildError("schedule", PlanEvalError(f"{atom} is not ground"))
+                raise PlanEvalError(f"{atom} is not ground")
             if schema.kind == PRIMITIVE:
                 prims.setdefault(atom, None)
             else:
@@ -266,7 +266,7 @@ class Schedule:
         for datom in list(derived):
             found = self.kb.find_derived(datom)
             if found is None:
-                raise BuildError("schedule", PlanEvalError(f"no derived definition matches {datom}"))
+                raise PlanEvalError(f"no derived definition matches {datom}")
             definition, bindings = found
             for parent in definition.parents:
                 add(instantiate(parent, bindings))
@@ -538,10 +538,9 @@ class _Sweep:
     aliases only once its node is visited (a split's relative-end-time node,
     which every row of its situation pins, first). Each maker returns the
     node's (kind, rows) entries and sets its states: an atom or derived node
-    keeps every state its feasible rows can give it. A maker whose node
-    relabels one node with no feasible row of its own (a primitive its fill
-    alone writes, a clock no ender moves) records the alias and returns
-    None, and ``_copied`` aliases any other node whose rows relabel one node.
+    keeps every state its feasible rows can give it. Then ``_visit`` alone
+    decides whether the node is made or is an alias of one node its rows
+    relabel (``_alias``), whatever its kind.
     """
 
     def __init__(self, schedule: Schedule):
@@ -561,9 +560,10 @@ class _Sweep:
             buckets = tuple(model.buckets) if any(row.bucket for row in kept) else None
             self.models[name] = kept, buckets, f"persistence {model.atom}"
         # Per atom name, previous states, gate pin, whether the model's rows
-        # fill a gap and the elapsed node's states: the fill block, the axes
-        # its rows read and how a node it alone fills relabels one of them.
+        # fill a gap and the elapsed node's states: the fill block and the
+        # axes its rows read.
         self.blocks = {}
+        self.verdicts = {}  # per fill block, how a node it alone writes relabels one of its axes
         self.makers = {PRIMITIVE: self._primitive, DERIVED: self._derived, "sel": self._selection,
                        "dur": self._duration, "ret": self._relative_end_time, "clock": self._clock,
                        "elapsed": self._elapsed}
@@ -593,13 +593,11 @@ class _Sweep:
         self.active.add(nid)
         kind = self.nodes[nid]
         entries = self.makers[kind if nid.ref[0] == "atom" else nid.ref[0]](nid)
-        if entries is None:  # an alias
-            return
         parents = dict.fromkeys(key for _kind, rows in entries for row in rows for key in row.condition)
         fill = schedule.fills.get(nid)
         if fill is not None:
             parents.update(dict.fromkeys(fill.parents))
-        if self._copied(nid, entries, fill, parents):
+        if self._alias(nid, entries, fill, parents):
             return
         self._need(parents)
         schedule.nodes[nid] = FragmentNode(nid, kind, self.states[nid], list(parents), self.text[nid])
@@ -646,47 +644,70 @@ class _Sweep:
                 joint.append((given, owns))
         return joint
 
-    def _copy_of(self, nid: NodeId, prev: NodeId, label: str):
-        """Record ``nid`` as a no-change copy of ``prev``, read through to a
-        made node, each state labelled ``label``; makes no node."""
-        source, read = self._reading(prev)
-        states = self.schedule.aliases[prev].states if prev in self.schedule.aliases else tuple(read)
-        self.schedule.aliases[nid] = Alias(source, states, tuple(read), (label,) * len(read))
-
     def _may_relabel(self, nid: NodeId, source: NodeId) -> bool:
         """False for an atom a derived definition reads and a source that is
         not a primitive, since a derived node takes primitive parents only."""
         return not (nid.ref[0] == "atom" and nid.atom in self.derived_reads
                     and self.schedule.nodes[source].kind != PRIMITIVE)
 
-    def _copied(self, nid: NodeId, entries: list, fill, parents: dict) -> bool:
-        """Record ``nid`` as an alias, and drop its fill and states, when its
-        feasible rows and fill relabel its one multi-state parent
-        (``_relabel``). A node its fill alone writes was judged with its
-        block (``_persistence``)."""
-        if not entries:
-            return False
+    def _predecessor(self, nid: NodeId):
+        """The made node the same atom or clock at the previous situation
+        reads, through its alias; None for a node that has none."""
+        if self.prev is None or nid.ref[0] not in ("atom", "clock"):
+            return None
+        return self._reading(NodeId(nid.ref, self.prev))[0]
+
+    def _alias(self, nid: NodeId, entries: list, fill, parents: dict) -> bool:
+        """Record ``nid`` as an alias, and drop its fill and states, when the
+        rows the paste stages leave relabel one source one to one
+        (``_relabelling``) and ``_may_relabel`` holds. The source is judged
+        on the node's parents, or on its fill's axes alone when none of its
+        own rows is feasible; such a node takes one verdict per fill block."""
         states = self.states
-        multi = [key for key in parents if len(states[key]) > 1]
-        if len(multi) != 1:
+        if fill is None or entries and any(_row_feasible(states, row.condition)
+                                           for _kind, rows in entries for row in rows):
+            verdict = self._relabelling(nid, [key for key in parents if len(states[key]) > 1], entries, fill)
+        else:
+            block = id(fill.block)  # every block lives as long as the sweep (``blocks``)
+            if block not in self.verdicts:
+                verdict = self._relabelling(nid, [p for p in fill.parents if len(states[p]) > 1], (), fill)
+                self.verdicts[block] = verdict and (fill.parents.index(verdict[0]), *verdict[1:])
+            verdict = self.verdicts[block]
+            verdict = verdict and (fill.parents[verdict[0]], *verdict[1:])
+        if verdict is None or not self._may_relabel(nid, verdict[0]):
             return False
-        (source,) = multi
-        rows = [(row.condition.get(source), row.distribution, row.provenance, kind in _FILLS)
+        self.schedule.aliases[nid] = Alias(verdict[0], tuple(states[nid]), *verdict[1:])
+        self.schedule.fills.pop(nid, None)
+        del states[nid]
+        return True
+
+    def _relabelling(self, nid: NodeId, multi: list, entries, fill):
+        """``(source, own, labels)`` when the rows the paste stages leave, the
+        node's feasible ``entries`` rows in paste order, then its fill block's
+        reachable rows, relabel the source one to one (``_relabel``); None
+        otherwise. The source is the one node of ``multi``, the candidates
+        of more than one state; when there is none and no feasible row is
+        pasted onto, it is the node's predecessor."""
+        if len(multi) > 1:
+            return None
+        states = self.states
+        rows = [(row.condition, row.distribution, row.provenance, kind in _FILLS)
                 for kind, rows in entries for row in rows if _row_feasible(states, row.condition)]
-        onto = [dist for _pin, dist, _label, fills in rows if not fills]
-        if onto and _certain(onto[-1]) is None:  # the last onto row is left wherever it writes
-            return False
+        onto = [dist for _condition, dist, _label, fills in rows if not fills]
+        # the predecessor is the source only when no feasible row is pasted
+        # onto the node, and the last onto row is left wherever it writes
+        if onto and (not multi or _certain(onto[-1]) is None):
+            return None
+        source = multi[0] if multi else self._predecessor(nid)
+        if source is None:
+            return None
+        rows = [(condition.get(source), dist, label, fills) for condition, dist, label, fills in rows]
         if fill is not None:
             at = fill.parents.index(source) if source in fill.parents else None
             rows += [(None if at is None else pins[at], dist, label, True) for pins, dist, label in fill.block.rows
                      if all(pin is None or pin in states[p] for p, pin in zip(fill.parents, pins))]
         relabel = _relabel(rows, states[source], states[nid])
-        if relabel is None or not self._may_relabel(nid, source):
-            return False
-        self.schedule.aliases[nid] = Alias(source, tuple(states[nid]), *relabel)
-        self.schedule.fills.pop(nid, None)
-        del states[nid]
-        return True
+        return relabel and (source, *relabel)
 
     def _read_rows(self, target: NodeId, ground_rows, provenance: str) -> list:
         """Model rows read in this situation, made after every same-situation
@@ -706,10 +727,7 @@ class _Sweep:
             return [("initial", [FragmentRow(nid, {}, dict(prior), "initial")])]
 
         if nid not in self.writers:  # no step writes the node: its fill alone gives its states
-            filled = self._persistence(nid, _Coverage(self.states, []))
-            if filled is None:
-                return None
-            self.states[nid] = list(filled)
+            self.states[nid] = list(self._persistence(nid, _Coverage(self.states, [])))
             return []
         entries = self.writers[nid]
         written = [row for _kind, rows in entries for row in rows]
@@ -717,10 +735,7 @@ class _Sweep:
         support = self._support(written)
         coverage = _Coverage(self.states, written)
         if coverage.open():
-            filled = self._persistence(nid, coverage)
-            if filled is None:
-                return None
-            support.update(filled)
+            support.update(self._persistence(nid, coverage))
         self.states[nid] = _ordered(schema, support)
         return entries
 
@@ -728,9 +743,8 @@ class _Sweep:
         """KB persistence rows, if they fill a gap the node's written rows
         leave (``coverage``), then no-change defaults: records them as the
         node's fill in ``Schedule.fills`` and returns the states its
-        reachable rows give. None, with the alias recorded instead, when no
-        written row is feasible and the block relabels one of its axes, as
-        it does the previous node when no KB row is kept.
+        reachable rows give. Whether the node is then an alias is judged in
+        ``_visit``, on its rows and this fill.
 
         Whether the model's rows fill a gap is judged on their gate and
         previous-state pins, bucket aside; only then is the elapsed node made.
@@ -755,25 +769,19 @@ class _Sweep:
         if found is None:
             found = self.blocks[key] = self._fill_block(name, kept if fills else None, label, candidates,
                                                         (sign, read, bucket_read, same))
-        block, axes, relabel = found
-        parents = tuple([candidates[i] for i in axes])
-        if relabel and not coverage.feasible and self._may_relabel(nid, parents[relabel[0]]):
-            schedule.aliases[nid] = Alias(parents[relabel[0]], block.states, *relabel[1:])
-            return None
-        schedule.fills[nid] = _Fill(nid, parents, block)
+        block, axes = found
+        schedule.fills[nid] = _Fill(nid, tuple([candidates[i] for i in axes]), block)
         return block.states
 
     def _fill_block(self, name: str, kept: list, label: str, candidates: tuple, reads: tuple) -> tuple:
         """The block of one fill: the model's ``kept`` rows (None when they fill
-        no gap), labelled ``label``, then a no-change row per previous state, pinned on the
-        ``candidates`` (gate, previous node, elapsed node), with the states the
-        reachable rows give; the indices of the candidates the rows read, and
-        how a node the block alone fills relabels its one multi-state axis,
-        or the previous node's when none has more than one state (that
-        axis's index, then ``_relabel``'s answer), or None. ``reads`` are the
-        gate's sign, what each previous state and bucket reads, and per
-        candidate the first that is the same node, which takes its pins; a
-        row whose pins on one node disagree is left out."""
+        no gap), labelled ``label``, then a no-change row per previous state,
+        pinned on the ``candidates`` (gate, previous node, elapsed node), with
+        the states the reachable rows give; and the indices of the candidates
+        the rows read. ``reads`` are the gate's sign, what each previous state
+        and bucket reads, and per candidate the first that is the same node,
+        which takes its pins; a row whose pins on one node disagree is left
+        out."""
         sign, read, bucket_read, same = reads
         rows = []
         for row in kept or ():
@@ -792,14 +800,7 @@ class _Sweep:
         # a row pinning an unreachable state writes nothing and gives no state
         reachable = [row for row in rows if all(pin is None or pin in axis for pin, axis in zip(row[0], states))]
         support = {state for _pins, dist, _label in reachable for state, prob in dist.items() if prob > 0}
-        block = FillBlock(tuple(rows), tuple(_ordered(self.schedule.kb.schemas[name], support)))
-        multi = [i for i, axis in enumerate(states) if len(axis) > 1] or [axes.index(same[1])]
-        relabel = None
-        if len(multi) == 1:
-            (i,) = multi
-            relabel = _relabel([(pins[i], dist, label, True) for pins, dist, label in reachable], states[i], block.states)
-            relabel = relabel and (i, *relabel)
-        return block, axes, relabel
+        return FillBlock(tuple(rows), tuple(_ordered(self.schedule.kb.schemas[name], support))), axes
 
     def _clock_pairs(self):
         """Every (previous, this situation's) clock value pair with the pins
@@ -900,9 +901,8 @@ class _Sweep:
                     dist[value] = dist.get(value, 0.0) + p
                 rows.append(FragmentRow(nid, given, dist, label))
         coverage = _Coverage(self.states, rows)
-        if not coverage.feasible:  # no ender can run
-            self._copy_of(nid, clock_node(self.prev), "clock-identity")
-            return None
+        if not coverage.feasible:  # no ender can run, so its rows write nothing
+            rows = []
         entries = [("clock", rows)]
         support = dict.fromkeys(value for row in rows for value in row.distribution)
         if coverage.open():  # where no ender runs, the clock keeps its value
@@ -1218,8 +1218,6 @@ def build_pe_net(plan: Plan, kb: KnowledgeBase, opts: BuildOptions = None) -> PE
     def stage(name, fn, *args):
         try:
             return fn(*args)
-        except BuildError:
-            raise
         except PlanEvalError as err:
             raise BuildError(name, err) from err
 

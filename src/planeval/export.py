@@ -1,9 +1,9 @@
 """Graph-description export of a finalized net (Graphviz dot dialect).
 
-It draws the nodes the net made. An alias, an (atom or clock, situation)
-the net keeps in place of a node that would only copy its predecessor, is
-not drawn: the nodes that read it have an arc from the node it copies,
-which may lie in an earlier situation.
+It draws the nodes the net made. An alias, a name the net keeps in place
+of a node whose states would only copy or relabel, one to one, those of
+one other node, its source, is not drawn: the nodes that read it have an
+arc from its source, which may lie in an earlier situation.
 """
 
 from __future__ import annotations

@@ -341,7 +341,6 @@ class PENet:
         self.selected_path: tuple = ()
         self.labels = [None]  # provenance labels by ``Node.sources``, 0 for no row; a tuple once finalized
         self._label_ids: dict = {}
-        self._order: tuple = ()  # the topological order, fixed by finalize
         self.numbering: Numbering = None  # set by finalize
         self.answers: dict = None  # exact answers by (conjunction, evidence), made empty by finalize
 
@@ -451,10 +450,11 @@ class PENet:
                     stack.append(grand)
 
     def topological_nodes(self) -> tuple:
-        """Nodes with every parent before its child: the order ``finalize`` stored."""
+        """Nodes with every parent before its child: ``Numbering.order`` as ids."""
         if not self.finalized:
             raise PlanEvalError("topological_nodes requires a finalized net")
-        return self._order
+        numbering = self.numbering
+        return tuple([numbering.ids[v] for v in numbering.order])
 
     # -- row writing -----------------------------------------------------
 
@@ -725,7 +725,6 @@ def finalize(net: PENet) -> PENet:
         pick_of.append(picks[k][placed[k]:placed[k] + count] if k > 1 and not doubts else None)
         placed[k] += count
     parents = tuple(parents)
-    net._order = tuple(ordered[v] for v in order)
     net.numbering = Numbering(
         ids=tuple(ordered),
         number=MappingProxyType(number),

@@ -211,12 +211,17 @@ def generate_timed(seed: int):
 DYADIC_DURATIONS = [(1.0,), (0.5, 0.5), (0.25, 0.75), (0.25, 0.25, 0.5)]
 
 
+AGENT_EFFECT_V = 0.75  # a constant, so the draws, and every duration and split, do not depend on it
+
+
 def generate_agents_timed(seed: int):
     """Timed plans of 2-3 agents, each a chain of 1-3 steps.
 
     Every agent starts at ``b0`` or at a boundary of an earlier agent's
     chain, so situation times share ancestry across agents and a plan may
     need several splits. Duration tables are dyadic and sum to 1 exactly.
+    Each step's effect gives its own atom ``v`` with probability
+    ``AGENT_EFFECT_V``, and the goal asks for ``v`` on every one of them.
     """
     rng = random.Random(seed)
     kb = KnowledgeBase()
@@ -229,13 +234,14 @@ def generate_agents_timed(seed: int):
             probs = rng.choice(DYADIC_DURATIONS)
             support = sorted(rng.sample(range(1, 7), len(probs)))
             model = ActionModel(name, ("?x",), 0, duration=dict(zip(support, probs)))
-            model.consequences.append((GroundAtom("P", ("?x",)), [ConditionalRow({}, {"v": 1.0})]))
+            effect = {"v": AGENT_EFFECT_V, "u": 1.0 - AGENT_EFFECT_V}
+            model.consequences.append((GroundAtom("P", ("?x",)), [ConditionalRow({}, effect)]))
             kb.actions[(name, 0)] = model
             end = f"e{agent}_{j}"
             steps.append(PlanStep(f"s{agent}_{j}", f"ag{agent}", GroundAtom(name, (f"x{agent}_{j}",)),
                                   model, start, end))
             start = end
             boundaries.append(end)
-    initial = {GroundAtom("P", step.action.args): {"u": 1.0} for step in steps}
-    initial[GroundAtom("P", ("q",))] = {"u": 1.0}
-    return kb, Plan(steps=steps, initial=initial, goals=[(GroundAtom("P", ("q",)), "v")])
+    written = [GroundAtom("P", step.action.args) for step in steps]
+    return kb, Plan(steps=steps, initial={atom: {"u": 1.0} for atom in written},
+                    goals=[(atom, "v") for atom in written])

@@ -31,6 +31,7 @@ from planeval import build as build_module
 from planeval import net as net_module
 from planeval.build import make_schedule, split_situations
 from planeval.net import Alias, PENet, Fragment, FragmentNode, FragmentRow, SituationId, atom_node, finalize, paste_into, sel_node
+from planeval.plan import Plan
 
 import instance_gen
 import trajectory_oracle as oracle
@@ -149,7 +150,6 @@ def test_empty_plan_keeps_priors():
 
 def test_build_requires_clean_kb():
     kb = load_kb(INVERTED_KB)
-    from planeval.plan import Plan
     with pytest.raises(BuildError):
         build_pe_net(Plan(), kb)
 
@@ -373,6 +373,30 @@ def test_a_plan_the_schedule_cannot_take_fails_at_the_schedule_stage(kb_text, pl
         build_pe_net(plan, kb)
     assert caught.value.stage == "schedule"
     assert str(caught.value.cause) == message
+
+
+UNDEFINED_DERIVED_KB = """
+predicate (D) kind=derived states { y n }
+"""
+
+
+def _plan_reading(kb_text: str, atom: GroundAtom):
+    return load_kb(kb_text), Plan(initial={atom: {"ok": 1.0}})
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda: _plan_reading(MOVE_KB, GroundAtom("Nowhere")), "(Nowhere) references undeclared predicate"),
+    (lambda: _plan_reading(MOVE_KB, GroundAtom("Loc", ("?x",))), "(Loc ?x) is not ground"),
+    (lambda: load(UNDEFINED_DERIVED_KB, "goal { (D)=y }"), "no derived definition matches (D)"),
+], ids=["undeclared", "not-ground", "no-derived-definition"])
+def test_the_universe_refuses_an_atom_it_cannot_place_at_the_schedule_stage(case, message):
+    kb, plan = case()
+    with pytest.raises(BuildError) as caught:
+        build_pe_net(plan, kb)
+    assert caught.value.stage == "schedule"
+    assert str(caught.value.cause) == message
+    assert str(caught.value) == f"pipeline stage 'schedule': {message}"
+
 
 # -- derived-effect regression ---------------------------------------------
 

@@ -398,8 +398,8 @@ AGENTS_TIMED_1_PLAN = """
 step s0_0 ag0 (Act0_0 x0_0) start=b0 end=e0_0
 step s1_0 ag1 (Act1_0 x1_0) start=b0 end=e1_0
 step s1_1 ag1 (Act1_1 x1_1) start=e1_0 end=e1_1
-initial { (P x0_0)=u (P x1_0)=u (P x1_1)=u (P q)=u }
-goal { (P q)=v }
+initial { (P x0_0)=u (P x1_0)=u (P x1_1)=u }
+goal { (P x0_0)=v (P x1_0)=v (P x1_1)=v }
 """
 
 
@@ -487,14 +487,16 @@ def test_evidence_pinning_an_alias_and_its_source_apart_exit_2(files, capsys, en
     assert code == 0 and out.startswith("leads_to_success = ")
 
 
-def test_factor_cell_guard_exit_2(files, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["eval", "compare-linearizations"])
+def test_factor_cell_guard_exit_2(files, capsys, monkeypatch, command):
     from planeval import inference
 
     monkeypatch.setattr(inference, "MAX_FACTOR_CELLS", 1)
     kb_path, plan_path = files(MOVE_KB, TWO_STEP_PLAN)
-    code, _out, err = run(capsys, ["eval", kb_path, plan_path])
+    code, out, err = run(capsys, [command, kb_path, plan_path])
     assert code == 2
-    assert "inference: elimination needs a factor of" in err
+    assert out == ""
+    assert err == "inference: elimination needs a factor of 4 cells, above 1\n"
 
 
 # -- selection references and same-situation arcs ---------------------------

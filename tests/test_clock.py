@@ -220,8 +220,9 @@ def test_a_start_clock_beyond_the_cap_reads_as_arbitrarily_late():
         ("OTHER", 6, "OTHER", 3): {"nonnegative": 1.0},
         ("OTHER", 6, "OTHER", 6): {"nonnegative": 1.0},
     }
-    # No step writes the goal atom, so both engines give it 0; the sign is a coin.
-    for targets, want in [(inference._goal_targets(net, plan), 0.0), ([(node.id, "negative")], 0.5)]:
+    # Each of the six steps gives its goal atom v with probability 3/4; the sign is a coin.
+    want_goal = instance_gen.AGENT_EFFECT_V ** len(plan.steps)
+    for targets, want in [(inference._goal_targets(net, plan), want_goal), ([(node.id, "negative")], 0.5)]:
         assert exact_query(net, Query(targets=targets)).probability == want
         mc = mc_query(net, Query(targets=targets, mode="mc", samples=20000, seed=1))
         assert abs(want - mc.probability) <= 5 * mc.standard_error

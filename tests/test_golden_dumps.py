@@ -176,6 +176,24 @@ def test_one_onto_and_one_fill_paste_rebuild_every_net():
         assert canonical_dump(finalize(net)) == canonical_dump(built), name
 
 
+# The corpus digest's parts that read no einsum result, so every numpy gives
+# them. A change that means to alter nets or build errors updates these
+# lines with its new ``corpus_digest.py --verbose`` output, as it does
+# ``golden_dumps.json``; the ``exact`` and ``mc`` parts are left unpinned.
+CORPUS_PARTS = [
+    "dump 818 cases 0d77e8a55bc73b087776c67a4dea93e686fb71cb054b6f1d010f0b9670b4f8dc",
+    "errors 818 cases 0f65108bfbd70758be4b5e325546328235c41d4671ea9c56eea87049c49684d8",
+]
+
+
+def test_the_corpus_digest_keeps_every_net_and_every_build_error(capsys):
+    import corpus_digest
+
+    assert corpus_digest.main(["--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(("dump ", "errors "))] == CORPUS_PARTS
+
+
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     new = compute_digests()

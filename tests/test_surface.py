@@ -6,8 +6,9 @@ import types
 import pytest
 
 import planeval
-from planeval import GroundAtom, PENet, PlanEvalError, Query, build_pe_net, exact_query, run_cli
+from planeval import GroundAtom, PENet, PlanEvalError, Query, build_pe_net, exact_query, mc_query, run_cli
 from planeval import inference
+from planeval.export import export_graph
 from planeval.net import FragmentNode, SituationId, atom_node
 
 from fixtures import MOVE_KB, TWO_STEP_PLAN, load
@@ -43,11 +44,19 @@ def test_exact_query_checks_its_targets_before_eliminating(monkeypatch):
         exact_query(net, Query(targets=[(missing, "L1")]))
 
 
-def test_topological_nodes_requires_a_finalized_net():
+@pytest.mark.parametrize("name, reader", [
+    ("topological_nodes", lambda net, _target: net.topological_nodes()),
+    ("exact_query", lambda net, target: exact_query(net, Query(targets=[target]))),
+    ("mc_query", lambda net, target: mc_query(net, Query(targets=[target], mode="mc", samples=10))),
+    ("export_graph", lambda net, _target: export_graph(net)),
+], ids=["topological_nodes", "exact_query", "mc_query", "export_graph"])
+def test_a_reader_of_the_net_refuses_one_not_finalized(name, reader):
     net = PENet()
-    net.ensure_node(FragmentNode(atom_node(GroundAtom("Loc", ("A",)), SituationId(0)), "primitive", ["L1"]))
-    with pytest.raises(PlanEvalError, match="requires a finalized net"):
-        net.topological_nodes()
+    nid = atom_node(GroundAtom("Loc", ("A",)), SituationId(0))
+    net.ensure_node(FragmentNode(nid, "primitive", ["L1"]))
+    with pytest.raises(PlanEvalError) as caught:
+        reader(net, (nid, "L1"))
+    assert str(caught.value) == f"{name} requires a finalized net"
 
 
 def test_compare_linearizations_negative_seeds_is_a_usage_error(files, capsys):
