@@ -15,7 +15,9 @@ node states, optionally given evidence):
   the same ancestors in the topological order ``finalize`` stored. It does
   no table work per query, reads a node certain of its state from its pick
   table, and advances the generator past the draws of every other node, so
-  answers equal whole-net sampling's for a given seed. A query that draws
+  answers equal whole-net sampling's for a given seed. A drawn state is a
+  count of CDF columns, kept in bytes and widened once (``_sample``), and
+  a query without evidence does no weight arithmetic. A query that draws
   many rows has a worker thread draw them one block ahead into two slots,
   which pass between it and the caller through two queues (``mc_query``,
   ``_fill``, ``_drawn_ahead``).
@@ -436,38 +438,53 @@ def _drawn_ahead(rng, skips: list, n: int):
 
 
 def _sample(numbering, kept: list, pins: dict, readers: list, rows, n: int) -> tuple:
-    """Sample ``kept`` in the stored order; the values left and the weights.
+    """Sample ``kept`` in the stored order; the values left and the weights,
+    None when nothing is pinned.
 
-    Each node that draws takes the next row of ``rows``. A node's samples
-    are dropped once ``readers`` counts no reader left.
+    Each node that draws takes the next row of ``rows``. A node's row over
+    its multi-state parents starts from the first parent's product, and the
+    last parent is added as it is: ``finalize``'s strides are in C order, so
+    the last one is 1. Its state counts the CDF columns the draw reaches,
+    gathered by ``take``: the count is kept in bytes, each compare added in
+    place, and widened to ``intp`` once, after the last compare, or after
+    the first for a node of more than 256 states, whose count a byte cannot
+    hold. A node's samples are dropped once ``readers`` counts no reader
+    left.
     """
     parents_of, strides_of, cdfs, sizes, picks = (
         numbering.parents, numbering.strides, numbering.cdfs, numbering.sizes, numbering.picks)
     values = {}  # number -> state index per sample, or one int when every sample shares it
-    weights = np.ones(n)
+    weights = np.ones(n) if pins else None
     for v in kept:
         parents, k = parents_of[v], sizes[v]
         if len(parents) == 1:
             row = values[parents[0]]
+        elif parents:
+            *head, last = parents
+            row = values[head[0]] * strides_of[v][0]
+            for p, stride in zip(head[1:], strides_of[v][1:]):
+                row += values[p] * stride
+            row += values[last]
         else:
             row = 0
-            for p, stride in zip(parents, strides_of[v]):
-                row = row + values[p] * stride
         if v in pins:
             value = pins[v]
             weights *= numbering.tables[v].reshape(-1, k)[row, value]
         elif picks[v] is not None:
             # Every draw would pick the row's one state; the schedule skips its draws.
-            value = picks[v][row]
+            value = picks[v].take(row)
         else:
             draws = next(rows)
             # The CDF never decreases, so counting the entries a draw reaches
             # among its first k-1 picks the state; the last entry is never
             # needed, and a state of probability 0 is never reached.
             first, *rest = cdfs[v]
-            value = (draws >= first[row]).astype(np.intp)
+            count = (draws >= first.take(row)).view(np.uint8)
+            if k > 256:  # a byte counts at most 255 columns
+                count = count.astype(np.intp)
             for column in rest:
-                value += draws >= column[row]
+                count += (draws >= column.take(row)).view(np.uint8)
+            value = count.astype(np.intp, copy=False)
         for p in parents:
             readers[p] -= 1
             if not readers[p]:
@@ -491,7 +508,9 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     order, in one context that gives them one block ahead from a second
     thread when the query draws at least ``_AHEAD_DRAWS`` doubles and inline
     otherwise, with the same bits either way, and ``_sample`` reads them.
-    Samples are freed after their last reader. A query that samples no node,
+    Samples are freed after their last reader. A query without evidence
+    skips the weights: each is 1.0, so the total and the ESS are n, and the
+    unweighted sums give the weighted ones' bits. A query that samples no node,
     every target one-state or unreachable and every evidence node one-state,
     is answered without a schedule or a generator, with the bits sampling
     would give.
@@ -547,13 +566,20 @@ def mc_query(net: PENet, q: Query) -> QueryResult:
     with _drawn_ahead(rng, skips, n) if ahead else nullcontext(_inline_rows(rng, skips, n)) as rows:
         values, weights = _sample(numbering, kept, pins, readers, rows, n)
 
-    total = weights.sum()
-    if total <= 0.0:
-        raise ZeroWeight("all samples are inconsistent with the evidence")
     hit = np.full(n, reachable)
     for v, state in targets:
         hit &= values[v] == state
     x = hit.astype(float)
+    if not pins:
+        # Every weight is 1.0: the total and the ESS are n, and each product
+        # with the weights is its other factor, so these are the bits of the
+        # weighted sums below.
+        estimate = float(x.sum() / n)
+        se = float(np.sqrt(((x - estimate) ** 2).sum()) / n)
+        return QueryResult(estimate, MC, standard_error=se, sample_count=n, effective_sample_size=float(n))
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroWeight("all samples are inconsistent with the evidence")
     estimate = float((weights * x).sum() / total)
     residual = x - estimate
     se = float(np.sqrt(((weights * residual) ** 2).sum()) / total)

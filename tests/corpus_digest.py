@@ -23,7 +23,12 @@ keeps as aliases of them, those that copy their source's states unchanged
 and those that relabel them, and ``nodes <corpus> <count> cases <nodes>
 nodes <no-change> no-change aliases <relabelling> relabelling aliases`` per
 corpus (``generate`` and ``generate_timed`` per semantics, and each
-workload). The counts enter no digest. pytest does not collect this file.
+workload). The counts enter no digest. pytest does not collect this file;
+``test_golden_dumps.py`` pins the ``dump``, ``mc`` and ``errors`` parts of
+the whole corpus, which read no einsum result. The ``mc`` part asks every
+query without evidence, at 500 samples, so every row is drawn inline: the
+forward-sampler tests in ``test_inference.py``, not this digest, cover the
+weighted statistics and the draw-ahead thread.
 """
 
 import hashlib

@@ -177,11 +177,19 @@ def test_one_onto_and_one_fill_paste_rebuild_every_net():
 
 
 # The corpus digest's parts that read no einsum result, so every numpy gives
-# them. A change that means to alter nets or build errors updates these
-# lines with its new ``corpus_digest.py --verbose`` output, as it does
-# ``golden_dumps.json``; the ``exact`` and ``mc`` parts are left unpinned.
+# them bit for bit. Monte Carlo reads none either: its tables are divided,
+# its CDFs are running sums and its draws come from PCG64, and other tests
+# already pin exact Monte Carlo bits on every numpy. The ``mc`` part pins
+# both plan metrics' probability and standard error, without evidence and
+# drawn inline at 500 samples, over the whole corpus; weighted statistics
+# and the draw-ahead thread are left to the forward-sampler tests in
+# test_inference.py. A change that means to alter nets, build errors or
+# Monte Carlo answers updates these lines with its new ``corpus_digest.py
+# --verbose`` output, as it does ``golden_dumps.json``; the ``exact`` part
+# is left unpinned.
 CORPUS_PARTS = [
     "dump 818 cases 0d77e8a55bc73b087776c67a4dea93e686fb71cb054b6f1d010f0b9670b4f8dc",
+    "mc 818 cases 59a81969e347595c548382a82e9c79d36af9a545e6af54f88ff4f550a2d10cef",
     "errors 818 cases 0f65108bfbd70758be4b5e325546328235c41d4671ea9c56eea87049c49684d8",
 ]
 
@@ -191,7 +199,7 @@ def test_the_corpus_digest_keeps_every_net_and_every_build_error(capsys):
 
     assert corpus_digest.main(["--verbose"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith(("dump ", "errors "))] == CORPUS_PARTS
+    assert [line for line in lines if line.startswith(("dump ", "mc ", "errors "))] == CORPUS_PARTS
 
 
 if __name__ == "__main__":

@@ -829,6 +829,45 @@ def test_a_shuttle_goal_query_draws_enough_to_draw_ahead_and_keeps_its_bits():
     assert same_bits_as_whole_net_sampling(net, q)
 
 
+def wide_net(k: int):
+    """(Reg)@S0 drawn uniformly over k states, and (Flag)@S1, which a check
+    sets to yes with probability 0.9 when (Reg) is in its last state."""
+    states = [f"x{i}" for i in range(k)]
+    kb_text = f"""
+predicate (Reg) kind=primitive states {{ {" ".join(states)} }}
+predicate (Flag) kind=primitive states {{ no yes }}
+action (Check) level=0 {{ effect (Flag) {{ (Reg)={states[-1]} -> {{ yes:0.9 no:0.1 }} }} }}
+"""
+    plan_text = f"""
+step s1 ag (Check) start=b0 end=b1
+initial {{ {" ".join(f"(Reg)={s}:{1 / k!r}" for s in states)} (Flag)=no }}
+goal {{ (Flag)=yes }}
+"""
+    _kb, _plan, net = build(kb_text, plan_text)
+    return net, net.find("(Reg)", "S0"), net.find("(Flag)", "S1")
+
+
+@pytest.mark.parametrize("ahead", [False, True])
+@pytest.mark.parametrize("k", [256, 300])
+def test_a_node_of_more_states_than_a_byte_counts_keeps_every_state(monkeypatch, k, ahead):
+    # 256 states count their draws in bytes, up to 255 columns; 300 states
+    # count in intp, and a byte count would wrap their last 44 states.
+    if ahead:
+        monkeypatch.setattr(inference, "_AHEAD_DRAWS", 0)
+    net, reg, flag = wide_net(k)
+    numbering = net.numbering
+    assert numbering.cdfs[numbering.number[reg]].shape == (k - 1, 1)
+    # The child draws, on rows read from (Reg).
+    assert numbering.parents[numbering.number[flag]] == (numbering.number[reg],)
+    assert numbering.picks[numbering.number[flag]] is None
+    last = f"x{k - 1}"
+    queries = [([(flag, "yes")], {}), ([(reg, last)], {}), ([(reg, last)], {flag: "yes"})]
+    for i, (targets, evidence) in enumerate(queries):
+        q = Query(targets=targets, evidence=evidence, mode="mc", samples=3000, seed=i)
+        assert same_bits_as_whole_net_sampling(net, q)
+        assert mc_query(net, q).probability > 0.0
+
+
 @pytest.mark.parametrize("workload", ["branchy-queries", "shuttle", "timed-overlap"])
 def test_pruned_mc_matches_whole_net_sampling_on_bench_instances(workload):
     # timed-overlap's clocked and elapsed nodes read several multi-state parents.
